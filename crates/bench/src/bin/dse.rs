@@ -15,7 +15,10 @@
 //! two-level point queue, writes `dse_frontier.jsonl` into `--out`
 //! (default `target/dse`), prints the frontier, and checks the executable
 //! frontier claims — notably that the paper's 4×4 / 0.2× cross-layer
-//! design point is non-dominated.
+//! design point is non-dominated. Points share simulation runs; stderr
+//! reports how many distinct PDE and worst-case runs executed
+//! (`[dse] runs: 162 pde + 882 worst-case for 1728 point(s)` on the full
+//! grid), and `--trace` spans each one.
 //!
 //! Crash safety matches `sweep`: each completed point lands atomically in
 //! a `points/` cache and is journaled with a checksum; `--resume DIR`
@@ -148,6 +151,10 @@ fn main() -> ExitCode {
         result.total_wall_s,
         result.jobs,
         path.display(),
+    );
+    eprintln!(
+        "[dse] runs: {} pde + {} worst-case for {} point(s)",
+        result.pde_runs, result.worst_case_runs, result.evaluated,
     );
 
     print_frontier(&result);

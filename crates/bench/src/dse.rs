@@ -2,17 +2,26 @@
 //! product — thousands of [`ConfigPoint`]s — through a sharded two-level
 //! work queue and distills the results into a Pareto-frontier artifact.
 //!
-//! Each point costs two short circuit-level runs on a recycled
+//! A point's metrics come from two short circuit-level runs on a recycled
 //! [`SolverWorkspace`]:
 //!
-//! 1. a **uniform steady-load run** of the point's [`vs_core::PdsRig`] for
-//!    power-delivery efficiency (PDE), with the cross-layer family charged
-//!    its control overhead (detector power per SM plus a loop power that
-//!    scales inversely with the control latency — a faster loop costs more
-//!    to run), and
+//! 1. a **uniform steady-load run** (`PdeRun`) of the point's
+//!    [`vs_core::PdsRig`] for power-delivery efficiency (PDE), with the
+//!    cross-layer family charged its control overhead (detector power per
+//!    SM plus a loop power that scales inversely with the control latency —
+//!    a faster loop costs more to run), and
 //! 2. the **worst-case layer-gating scenario**
 //!    ([`vs_core::run_worst_case_in`]) for the minimum loaded-SM voltage
 //!    after the event — the droop the guardband must cover.
+//!
+//! Most points share their runs with other points. The PDE rig sees the
+//! controller axes only through the overhead watts, and a circuit-only
+//! worst-case run builds no controller at all. So [`run_dse`] keys each
+//! run by exactly the inputs it reads (`PdeRun::stable_key_into`,
+//! [`WorstCaseConfig::stable_key_into`]) and simulates each distinct run
+//! once: the full 1728-point grid needs 162 PDE runs and 882 worst-case
+//! runs. [`evaluate_point`] runs both for one point with nothing shared;
+//! it is the oracle the tests hold the shared runs to, bit for bit.
 //!
 //! The frontier is computed over the three objectives the paper trades
 //! against each other: **maximize PDE, minimize CR-IVR area, maximize the
@@ -25,21 +34,26 @@
 //! netlist family — the recycled workspace's buffers and DC cache stay
 //! warm), level 2 claims lanes of `batch_lanes.max(1)` consecutive points
 //! off the group's atomic cursor; workers whose groups drained steal lanes
-//! from groups still in flight. Identity and memoization route through
-//! [`SuiteKey`]: duplicate points evaluate once, and completed points are
-//! journaled ([`crate::journal::record_point`]) so `dse --resume` replays
-//! verified metrics instead of recomputing them. Artifacts are
-//! bit-identical whatever the worker count, lane width, or resume history.
+//! from groups still in flight. Before the workers start, the distinct
+//! runs of the *pending* points are planned into `OnceLock` slots; a
+//! worker resolves each half of a point through its slot, so the first
+//! worker to need a run executes it and any other reads (or waits for)
+//! its result. Point identity routes through [`SuiteKey`]: duplicate
+//! points evaluate once, and completed points are journaled
+//! ([`crate::journal::record_point`]) the moment their metrics exist, so
+//! `dse --resume` replays verified metrics and plans only the runs its
+//! lost points read. Artifacts are bit-identical whatever the worker
+//! count, lane width, or resume history.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use vs_circuit::SolverWorkspace;
-use vs_core::{run_worst_case_in, PdsRig, StackGeometry, WorstCaseConfig};
+use vs_core::{run_worst_case_in, PdsKind, PdsRig, StackGeometry, WorstCaseConfig};
 use vs_telemetry::{
     labeled, DsePointRow, Event, Registry, RunArtifact, RunManifest, StageSample, SCHEMA_VERSION,
 };
@@ -119,6 +133,12 @@ pub struct DseResult {
     pub evaluated: usize,
     /// Points whose metrics replayed from the resume journal.
     pub replayed: usize,
+    /// Distinct PDE runs executed: one per PDE-run key the evaluated
+    /// points read.
+    pub pde_runs: usize,
+    /// Distinct worst-case runs executed: one per [`WorstCaseConfig`] key
+    /// the evaluated points read.
+    pub worst_case_runs: usize,
     /// Worker threads actually used.
     pub jobs: usize,
     /// The settings everything ran under.
@@ -162,81 +182,186 @@ pub fn mark_frontier(rows: &mut [DsePointRow]) {
     }
 }
 
-/// Evaluates one point on recycled workspaces: the uniform-load PDE run,
-/// then the worst-case gating run. Pure in (`point`, `settings`) — the
-/// workspaces only save allocations, never change results.
+/// The uniform steady-load run a point's PDE comes from, holding exactly
+/// the inputs the run reads. Points that differ only in axes the rig never
+/// sees share one run: the weights and threshold never reach it, and the
+/// latency and detector reach it only through `overhead_w`.
+#[derive(Debug, Clone, Copy)]
+struct PdeRun {
+    /// PDS family and CR-IVR area.
+    kind: PdsKind,
+    /// Stack geometry.
+    geometry: StackGeometry,
+    /// Overhead power booked on every step, watts
+    /// ([`control_overhead_w`]).
+    overhead_w: f64,
+    /// Uniform per-SM load, watts.
+    p_sm_w: f64,
+    /// Steps to run.
+    steps: u64,
+}
+
+impl PdeRun {
+    /// The PDE run of `point` under `settings`. Run length scales with the
+    /// settings' cycle cap so profiles shorten dse runs the same way they
+    /// shorten suite runs.
+    fn of(point: &ConfigPoint, settings: &RunSettings) -> PdeRun {
+        PdeRun {
+            kind: point.pds.kind(point.area),
+            geometry: point.stack,
+            overhead_w: control_overhead_w(point),
+            p_sm_w: P_SM_NOMINAL_W * point.workload,
+            steps: (settings.max_cycles / 40).clamp(512, 8192),
+        }
+    }
+
+    /// Appends this run's stable identity key: every field's bit pattern
+    /// in declaration order (the exhaustive destructuring makes adding a
+    /// field without extending the key a compile error).
+    fn stable_key_into(&self, out: &mut Vec<u64>) {
+        let PdeRun { kind, geometry, overhead_w, p_sm_w, steps } = *self;
+        kind.stable_key_into(out);
+        geometry.stable_key_into(out);
+        out.extend([overhead_w.to_bits(), p_sm_w.to_bits(), steps]);
+    }
+
+    /// Runs the rig on a recycled workspace and returns its PDE. Pure in
+    /// `self`: the workspace only saves allocations.
+    fn run(&self, workspace: SolverWorkspace) -> (f64, SolverWorkspace) {
+        let n_sms = self.geometry.n_sms() as usize;
+        let mut rig = PdsRig::with_params_in(
+            self.kind,
+            &self.geometry.pdn_params(),
+            1.0 / CLOCK_HZ,
+            self.overhead_w,
+            workspace,
+        );
+        let loads = vec![self.p_sm_w; n_sms];
+        let zeros = vec![0.0; n_sms];
+        for _ in 0..self.steps {
+            // A solver give-up leaves the rig at its last accepted state;
+            // the ledger then reflects the truncated run — still a pure
+            // function of the run, so determinism holds.
+            if rig.step(&loads, &zeros, &zeros).is_err() {
+                break;
+            }
+        }
+        (rig.ledger().pde(), rig.into_workspace())
+    }
+}
+
+/// The worst-case gating run of `point` under `settings`: one layer gates
+/// at 40% of a span that scales with the settings' cycle cap.
+fn worst_case_config(point: &ConfigPoint, settings: &RunSettings) -> WorstCaseConfig {
+    let droop_steps = (settings.max_cycles / 40).clamp(1024, 3500);
+    let duration_s = (1.0 / CLOCK_HZ) * droop_steps as f64;
+    WorstCaseConfig {
+        area_mult: point.area,
+        geometry: point.stack,
+        cross_layer: point.pds == PdsFamily::Cross,
+        latency_cycles: point.latency,
+        weights: point.weights,
+        v_threshold: point.vth,
+        detector: point.detector,
+        p_sm_w: P_SM_NOMINAL_W * point.workload,
+        gate_at_s: 0.4 * duration_s,
+        duration_s,
+        ..WorstCaseConfig::default()
+    }
+}
+
+/// Evaluates one point on its own: its PDE run, then its worst-case run,
+/// on a recycled workspace. Pure in (`point`, `settings`). [`run_dse`]
+/// never calls this, since it shares runs between points; this is the
+/// oracle its rows must equal bit for bit.
 pub fn evaluate_point(
     point: &ConfigPoint,
     settings: &RunSettings,
     workspace: SolverWorkspace,
 ) -> (PointMetrics, SolverWorkspace) {
-    let dt = 1.0 / CLOCK_HZ;
-    let n_sms = point.stack.n_sms() as usize;
-    let p_sm_w = P_SM_NOMINAL_W * point.workload;
-
-    // Objective 1: PDE under uniform steady load. Run length scales with
-    // the settings' cycle cap so profiles shorten dse runs the same way
-    // they shorten suite runs.
-    let steps = (settings.max_cycles / 40).clamp(512, 8192);
-    let mut rig = PdsRig::with_params_in(
-        point.pds.kind(point.area),
-        &point.stack.pdn_params(),
-        dt,
-        control_overhead_w(point),
-        workspace,
-    );
-    let loads = vec![p_sm_w; n_sms];
-    let zeros = vec![0.0; n_sms];
-    for _ in 0..steps {
-        // A solver give-up leaves the rig at its last accepted state; the
-        // ledger then reflects the truncated run — still a pure function
-        // of the point, so determinism holds.
-        if rig.step(&loads, &zeros, &zeros).is_err() {
-            break;
-        }
-    }
-    let pde = rig.ledger().pde();
-    let workspace = rig.into_workspace();
-
-    // Objective 3: worst-case droop when one layer gates mid-run.
-    let droop_steps = (settings.max_cycles / 40).clamp(1024, 3500);
-    let duration_s = dt * droop_steps as f64;
-    let (worst, workspace) = run_worst_case_in(
-        &WorstCaseConfig {
-            area_mult: point.area,
-            geometry: point.stack,
-            cross_layer: point.pds == PdsFamily::Cross,
-            latency_cycles: point.latency,
-            weights: point.weights,
-            v_threshold: point.vth,
-            detector: point.detector,
-            p_sm_w,
-            gate_at_s: 0.4 * duration_s,
-            duration_s,
-            ..WorstCaseConfig::default()
-        },
-        workspace,
-    );
-    (
-        PointMetrics {
-            pde,
-            worst_v: worst.worst_voltage,
-            final_v: worst.final_voltage,
-        },
-        workspace,
-    )
+    let (pde, workspace) = PdeRun::of(point, settings).run(workspace);
+    let (worst, workspace) = run_worst_case_in(&worst_case_config(point, settings), workspace);
+    let metrics = PointMetrics {
+        pde,
+        worst_v: worst.worst_voltage,
+        final_v: worst.final_voltage,
+    };
+    (metrics, workspace)
 }
 
-/// A topology group's pending work: indices into the unique-point list,
-/// all sharing one stack geometry, behind an atomic lane cursor.
+/// Distinct runs in first-appearance order, each beside the slot its
+/// result lands in once some worker executes it.
+type Plan<R, T> = Vec<(R, OnceLock<T>)>;
+
+/// Dedups `runs` by their key words: returns the distinct runs with empty
+/// result slots, and each input run's index into them.
+fn plan<R, T>(
+    runs: impl Iterator<Item = R>,
+    key: impl Fn(&R, &mut Vec<u64>),
+) -> (Plan<R, T>, Vec<usize>) {
+    let mut distinct: Plan<R, T> = Vec::new();
+    let mut index: HashMap<Vec<u64>, usize> = HashMap::new();
+    let slots = runs
+        .map(|run| {
+            let mut words = Vec::new();
+            key(&run, &mut words);
+            *index.entry(words).or_insert_with(|| {
+                distinct.push((run, OnceLock::new()));
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    (distinct, slots)
+}
+
+/// Executes one planned run on the worker's recycled workspace. Under
+/// tracing it becomes a `dse`/`name` span on the worker's track and bumps
+/// `counter`; untraced, tracing costs one relaxed load.
+fn execute<T>(
+    name: &str,
+    counter: &str,
+    point: &ConfigPoint,
+    workspace: &mut Option<SolverWorkspace>,
+    run: impl FnOnce(SolverWorkspace) -> (T, SolverWorkspace),
+) -> T {
+    let span = obs::tracer().begin();
+    let (result, ws) = run(workspace.take().unwrap_or_default());
+    *workspace = Some(ws);
+    if span.is_some() {
+        obs::metric_inc(counter, 1);
+        obs::tracer().end_span(
+            obs::worker_track(),
+            "dse",
+            name,
+            span,
+            &[
+                ("stack", point.stack.to_string()),
+                ("area", point.area.to_string()),
+                ("family", point.pds.to_string()),
+            ],
+        );
+    }
+    result
+}
+
+/// A pending point: its index into the unique-point list and the planned
+/// runs it reads.
+struct Job {
+    point: usize,
+    pde: usize,
+    worst: usize,
+}
+
+/// A topology group's pending points, all sharing one stack geometry,
+/// behind an atomic lane cursor.
 struct Group {
-    idx: Vec<usize>,
+    jobs: Vec<Job>,
     next: AtomicUsize,
 }
 
-/// Runs the exploration: enumerate, dedup by [`SuiteKey`], shard the
-/// pending points over the worker pool, journal completions, and mark the
-/// Pareto frontier.
+/// Runs the exploration: enumerate, dedup by [`SuiteKey`], plan the
+/// distinct runs the pending points read, shard the pending points over
+/// the worker pool, journal completions, and mark the Pareto frontier.
 pub fn run_dse(opts: &DseOptions) -> DseResult {
     let started = Instant::now();
     let enumerated_points = opts.space.points();
@@ -268,19 +393,31 @@ pub fn run_dse(opts: &DseOptions) -> DseResult {
     }
     let evaluated = pending.len();
 
+    // Plan the distinct runs of the pending points only: replayed points
+    // read no run, so a resume executes just what its lost points need.
+    let settings = &opts.settings;
+    let (pde_plan, pde_of) = plan(
+        pending.iter().map(|&i| PdeRun::of(&unique[i].0, settings)),
+        PdeRun::stable_key_into,
+    );
+    let (worst_plan, worst_of) = plan(
+        pending.iter().map(|&i| worst_case_config(&unique[i].0, settings)),
+        WorstCaseConfig::stable_key_into,
+    );
+
     // Level-1 groups: pending points bucketed by stack geometry in
     // first-appearance order. Enumeration puts the stack axis outermost,
     // so a group's points share one netlist topology and are consecutive —
     // a worker's recycled workspace stays warm across its whole lane.
     let mut group_of: HashMap<StackGeometry, usize> = HashMap::new();
     let mut groups: Vec<Group> = Vec::new();
-    for &i in &pending {
-        let stack = unique[i].0.stack;
+    for ((&point, pde), worst) in pending.iter().zip(pde_of).zip(worst_of) {
+        let stack = unique[point].0.stack;
         let g = *group_of.entry(stack).or_insert_with(|| {
-            groups.push(Group { idx: Vec::new(), next: AtomicUsize::new(0) });
+            groups.push(Group { jobs: Vec::new(), next: AtomicUsize::new(0) });
             groups.len() - 1
         });
-        groups[g].idx.push(i);
+        groups[g].jobs.push(Job { point, pde, worst });
     }
 
     let jobs = effective_jobs(opts.jobs);
@@ -290,18 +427,29 @@ pub fn run_dse(opts: &DseOptions) -> DseResult {
     let results: Mutex<&mut Vec<Option<PointMetrics>>> = Mutex::new(&mut slots);
     let progress_every = (evaluated / 20).max(1);
 
-    // Claims one lane off `group` and evaluates it; returns false when the
-    // group's cursor is exhausted.
+    // Claims one lane off `group` and evaluates it, executing each run the
+    // lane's points read unless another worker already has (or is); returns
+    // false when the group's cursor is exhausted.
     let drain_lane = |group: &Group, workspace: &mut Option<SolverWorkspace>| -> bool {
         let start = group.next.fetch_add(lanes, Ordering::Relaxed);
-        if start >= group.idx.len() {
+        if start >= group.jobs.len() {
             return false;
         }
-        for &i in &group.idx[start..group.idx.len().min(start + lanes)] {
+        let lane = &group.jobs[start..group.jobs.len().min(start + lanes)];
+        for &Job { point: i, pde, worst } in lane {
             let (point, key) = &unique[i];
-            let ws = workspace.take().unwrap_or_default();
-            let (metrics, ws) = evaluate_point(point, &opts.settings, ws);
-            *workspace = Some(ws);
+            let (run, slot) = &pde_plan[pde];
+            let pde = *slot.get_or_init(|| {
+                execute("pde_run", "dse.pde_runs", point, workspace, |ws| run.run(ws))
+            });
+            let (cfg, slot) = &worst_plan[worst];
+            let (worst_v, final_v) = *slot.get_or_init(|| {
+                execute("worst_case_run", "dse.worst_case_runs", point, workspace, |ws| {
+                    let (r, ws) = run_worst_case_in(cfg, ws);
+                    ((r.worst_voltage, r.final_voltage), ws)
+                })
+            });
+            let metrics = PointMetrics { pde, worst_v, final_v };
             if let Some(dir) = &opts.journal_dir {
                 // Best-effort, like scenario journaling: a lost record
                 // costs a recompute on resume, never the run.
@@ -370,6 +518,8 @@ pub fn run_dse(opts: &DseOptions) -> DseResult {
         enumerated,
         evaluated,
         replayed,
+        pde_runs: pde_plan.len(),
+        worst_case_runs: worst_plan.len(),
         jobs,
         settings: opts.settings,
         total_wall_s: started.elapsed().as_secs_f64(),

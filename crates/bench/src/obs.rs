@@ -2,11 +2,11 @@
 //! metrics registry, per-thread worker tracks, and the progress sink.
 //!
 //! The sweep's orchestration layer (`shard` / `sweep` / `campaign` /
-//! `journal`) records its task lifecycle here. Three consumers share the
-//! same vocabulary:
+//! `journal`) records its task lifecycle here, and `dse` one span per
+//! executed simulation run. Three consumers share the same vocabulary:
 //!
 //! * **Traces** — spans/instants on per-worker tracks, exported as
-//!   Chrome/Perfetto `trace.json` by `sweep --trace`.
+//!   Chrome/Perfetto `trace.json` by `sweep --trace` and `dse --trace`.
 //! * **Metrics** — queue-depth gauge, steal/retry/replay counters, and
 //!   per-scenario solve-time histograms, embedded in the trace export and
 //!   summarized by `sweep report`.

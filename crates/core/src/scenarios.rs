@@ -195,6 +195,47 @@ impl Default for WorstCaseConfig {
     }
 }
 
+impl WorstCaseConfig {
+    /// Appends this run's stable identity key: the bit pattern of every
+    /// field [`run_worst_case_in`] reads. The controller fields (latency,
+    /// weights, threshold, detector, and the power floor only a throttled
+    /// load uses) are written only when `cross_layer`: a circuit-only run
+    /// builds no controller, so configs that differ only there run the
+    /// same trajectory and key the same. The exhaustive destructuring makes
+    /// adding a field without deciding its key words a compile error.
+    pub fn stable_key_into(&self, out: &mut Vec<u64>) {
+        let WorstCaseConfig {
+            area_mult,
+            geometry,
+            cross_layer,
+            latency_cycles,
+            weights,
+            v_threshold,
+            detector,
+            p_sm_w,
+            p_floor_w,
+            gate_at_s,
+            duration_s,
+            gated_layer,
+        } = *self;
+        out.push(area_mult.to_bits());
+        geometry.stable_key_into(out);
+        out.push(u64::from(cross_layer));
+        if cross_layer {
+            out.push(u64::from(latency_cycles));
+            weights.stable_key_into(out);
+            out.extend([v_threshold.to_bits(), p_floor_w.to_bits()]);
+            detector.stable_key_into(out);
+        }
+        out.extend([
+            p_sm_w.to_bits(),
+            gate_at_s.to_bits(),
+            duration_s.to_bits(),
+            gated_layer as u64,
+        ]);
+    }
+}
+
 /// Outcome of a worst-case run.
 #[derive(Debug, Clone)]
 pub struct WorstCaseResult {
@@ -265,10 +306,11 @@ pub fn run_worst_case_in(
     let p_gated = 0.075;
     let p_dynamic = (cfg.p_sm_w - cfg.p_floor_w).max(0.0);
     let e_fake_w_per_rate = 4.5e-9 * clock_hz; // one fake SP op per cycle
+    let mut voltages = Vec::with_capacity(n_sms);
 
     for cycle in 0..total_cycles {
         let gated = cycle >= gate_cycle;
-        let commands = controller.as_ref().map(|c| c.active_commands().to_vec());
+        let commands = controller.as_ref().map(VoltageController::active_commands);
         for layer in 0..n_layers {
             for col in 0..n_columns {
                 let sm = layer * n_columns + col;
@@ -277,12 +319,10 @@ pub fn run_worst_case_in(
                     fake_watts[sm] = 0.0;
                     // The gated SM cannot execute fake instructions, but its
                     // DCC DAC still works.
-                    dcc_watts[sm] = commands
-                        .as_ref()
-                        .map_or(0.0, |c| c[sm].dcc_power_w);
+                    dcc_watts[sm] = commands.map_or(0.0, |c| c[sm].dcc_power_w);
                     continue;
                 }
-                match &commands {
+                match commands {
                     Some(c) => {
                         let width_frac = c[sm].issue_width / 2.0;
                         let fake = c[sm].fake_rate * e_fake_w_per_rate;
@@ -300,7 +340,7 @@ pub fn run_worst_case_in(
         }
         rig.step(&sm_watts, &dcc_watts, &fake_watts)
             .expect("worst-case scenario steps cleanly");
-        let voltages = rig.sm_voltages();
+        rig.sm_voltages_into(&mut voltages);
         if let Some(ctrl) = controller.as_mut() {
             ctrl.update(&voltages);
         }
@@ -402,6 +442,78 @@ mod tests {
         );
         // And recover close to nominal by the end of the run.
         assert!(r.final_voltage > 0.78, "final {}", r.final_voltage);
+    }
+
+    fn key(cfg: &WorstCaseConfig) -> Vec<u64> {
+        let mut k = Vec::new();
+        cfg.stable_key_into(&mut k);
+        k
+    }
+
+    /// A short run that gates at mid-span, at the paper's 0.2x area.
+    fn short(cross_layer: bool) -> WorstCaseConfig {
+        WorstCaseConfig {
+            cross_layer,
+            gate_at_s: 1e-6,
+            duration_s: 2e-6,
+            ..WorstCaseConfig::default()
+        }
+    }
+
+    /// Every field a circuit-only run must ignore: the controller's inputs
+    /// and the power floor only a throttled load uses.
+    fn controller_variants(base: &WorstCaseConfig) -> Vec<WorstCaseConfig> {
+        vec![
+            WorstCaseConfig { latency_cycles: 120, ..base.clone() },
+            WorstCaseConfig { weights: ActuatorWeights::DIWS_ONLY, ..base.clone() },
+            WorstCaseConfig { v_threshold: 0.88, ..base.clone() },
+            WorstCaseConfig { detector: DetectorKind::Cpm, ..base.clone() },
+            WorstCaseConfig { p_floor_w: 1.0, ..base.clone() },
+        ]
+    }
+
+    #[test]
+    fn circuit_only_runs_ignore_the_controller_fields() {
+        let a = short(false);
+        let b = WorstCaseConfig {
+            latency_cycles: 120,
+            weights: ActuatorWeights::DIWS_ONLY,
+            v_threshold: 0.88,
+            detector: DetectorKind::Cpm,
+            p_floor_w: 1.0,
+            ..a.clone()
+        };
+        assert_eq!(key(&a), key(&b));
+        for v in controller_variants(&a) {
+            assert_eq!(key(&v), key(&a), "{v:?}");
+        }
+        let (ra, rb) = (run_worst_case(&a), run_worst_case(&b));
+        assert!(ra.worst_voltage.is_finite(), "the gate fires inside the run");
+        assert_eq!(ra.worst_voltage.to_bits(), rb.worst_voltage.to_bits());
+        assert_eq!(ra.final_voltage.to_bits(), rb.final_voltage.to_bits());
+    }
+
+    #[test]
+    fn cross_layer_keys_see_every_controller_field() {
+        let cross = short(true);
+        for v in controller_variants(&cross) {
+            assert_ne!(key(&v), key(&cross), "key collision for {v:?}");
+        }
+        assert_ne!(key(&cross), key(&short(false)), "the family keys");
+        // The plant's own inputs key in both families.
+        for base in [short(false), cross] {
+            for v in [
+                WorstCaseConfig { area_mult: 0.4, ..base.clone() },
+                WorstCaseConfig { geometry: StackGeometry::new(8, 2), ..base.clone() },
+                WorstCaseConfig { p_sm_w: 6.0, ..base.clone() },
+                WorstCaseConfig { gate_at_s: 1.5e-6, ..base.clone() },
+                WorstCaseConfig { duration_s: 2.5e-6, ..base.clone() },
+                WorstCaseConfig { gated_layer: 1, ..base.clone() },
+            ] {
+                assert_ne!(key(&v), key(&base), "key collision for {v:?}");
+            }
+            assert_eq!(key(&base.clone()), key(&base));
+        }
     }
 
     #[test]

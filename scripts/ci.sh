@@ -79,16 +79,22 @@ cargo test --release -q -p vs-bench --test campaign_jobs
 echo "== observability: traced chaos sweep, run report, baseline diff =="
 cargo test --release -q -p vs-bench --test trace_report
 
-echo "== dse: determinism matrix + torn-write resume, frontier claims =="
+echo "== dse: determinism matrix, torn-write resume, shared-run oracle, frontier claims =="
 cargo test --release -q -p vs-bench --test dse
 # Tiny grid: the frontier claims (paper cell non-dominated) must pass.
 cargo run --release -q -p vs-bench --bin dse -- \
     --profile tiny --out target/dse-smoke --progress off > /dev/null
-# Full 1728-point grid through the sharded queue at the tiny profile.
+# Full 1728-point grid at the tiny profile, once on one worker and once on
+# every core with batched claims: the shared runs must land the same
+# frontier bytes whatever the schedule.
 cargo run --release -q -p vs-bench --bin dse -- \
-    --grid full --profile tiny --jobs 0 --batch-lanes 4 \
+    --grid full --profile tiny --deterministic --jobs 1 \
+    --out target/dse-full-j1 --progress off > /dev/null
+cargo run --release -q -p vs-bench --bin dse -- \
+    --grid full --profile tiny --deterministic --jobs 0 --batch-lanes 4 \
     --out target/dse-full --progress off > /dev/null
-echo "dse smoke (tiny + full grid): OK"
+cmp target/dse-full-j1/dse_frontier.jsonl target/dse-full/dse_frontier.jsonl
+echo "dse smoke (tiny grid + full grid at jobs 1 and all cores, identical frontiers): OK"
 
 echo "== diff-baseline self-check =="
 # The regression gate must accept a store against itself and reject a
