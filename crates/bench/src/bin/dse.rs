@@ -2,7 +2,7 @@
 //! through the sharded queue, with a Pareto-frontier artifact.
 //!
 //! ```text
-//! dse [--grid tiny|full|paper] [--space SPEC] [--jobs N] [--batch-lanes N]
+//! dse [--grid tiny|full|paper] [--space SPEC] [--jobs N]
 //!     [--out DIR] [--resume DIR] [--profile env|golden|tiny] [--seed N]
 //!     [--deterministic] [--trace] [--progress plain|json|off]
 //!     [--diff GOLDEN] [--tolerances FILE]
@@ -40,21 +40,21 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use vs_bench::cli::{ArgSpec, CommandSpec};
+use vs_bench::cli::{ArgSpec, CommandSpec, PROFILE_FLAG, SEED_FLAG};
 use vs_bench::dse::{check_frontier_claims, run_dse, DseOptions, DseResult, FRONTIER_FILE};
 use vs_bench::space::AxisSpace;
-use vs_bench::{journal, RunSettings};
+use vs_bench::journal;
 use vs_telemetry::{diff_artifacts, RunArtifact, ToleranceSpec};
 
 const SPEC: CommandSpec = CommandSpec {
     prog: "dse",
     about: "Design-space exploration: evaluate a config grid and emit the Pareto frontier",
-    common: &["--jobs", "--batch-lanes", "--out", "--resume", "--trace", "--progress"],
+    common: &["--jobs", "--out", "--resume", "--trace", "--progress"],
     extras: &[
         ArgSpec { name: "--grid", value: Some("tiny|full|paper"), help: "built-in axis grid (default tiny; full = 1728 points)" },
         ArgSpec { name: "--space", value: Some("SPEC"), help: "custom axis space, e.g. stack=4x4|8x2,area=0.1|0.2" },
-        ArgSpec { name: "--profile", value: Some("env|golden|tiny"), help: "run-settings profile (default env)" },
-        ArgSpec { name: "--seed", value: Some("N"), help: "override the workload seed" },
+        PROFILE_FLAG,
+        SEED_FLAG,
         ArgSpec { name: "--deterministic", value: None, help: "wall-time-free artifact, no journal (golden mode)" },
         ArgSpec { name: "--diff", value: Some("GOLDEN"), help: "diff the artifact against a blessed one" },
         ArgSpec { name: "--tolerances", value: Some("FILE"), help: "per-metric tolerance spec for --diff" },
@@ -73,16 +73,7 @@ fn main() -> ExitCode {
     let parsed = SPEC.parse_or_exit(&args);
     parsed.common.apply_observability();
 
-    let mut settings = match parsed.extra("--profile").unwrap_or("env") {
-        "env" => RunSettings::try_from_env().unwrap_or_else(|e| fail(&e.to_string())),
-        "golden" => RunSettings::golden_profile(),
-        "tiny" => RunSettings::tiny_profile(),
-        other => fail(&format!("unknown profile {other:?} (env|golden|tiny)")),
-    };
-    if let Some(seed) = parsed.extra("--seed") {
-        settings.seed = seed.parse().unwrap_or_else(|_| fail("--seed must be an integer"));
-    }
-
+    let settings = parsed.run_settings_or_exit();
     let space = match (parsed.extra("--grid"), parsed.extra("--space")) {
         (Some(_), Some(_)) => fail("--grid and --space are mutually exclusive"),
         (None, None) | (Some("tiny"), None) => AxisSpace::tiny_grid(),
@@ -120,7 +111,6 @@ fn main() -> ExitCode {
 
     let result = run_dse(&DseOptions {
         jobs: parsed.common.jobs,
-        batch_lanes: parsed.common.batch_lanes,
         settings,
         space,
         // Golden (deterministic) trees carry no journal.

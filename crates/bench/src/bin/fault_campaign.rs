@@ -8,7 +8,7 @@
 //! of killing the sweep.
 //!
 //! The scenario catalogue, the per-cell row/event builders, and the
-//! parallel executor live in [`vs_bench::campaign`]; this binary only
+//! parallel runner live in [`vs_bench::campaign`]; this binary only
 //! routes the two outputs (note their deliberate asymmetry: the printed
 //! table truncates errors to their headline, the JSONL artifact keeps the
 //! full string). `--jobs N` spreads the supervised runs over N workers —
@@ -17,7 +17,7 @@
 //! of the output.
 //!
 //! `VS_BENCH_SCALE` / `VS_BENCH_MAX_CYCLES` shorten or lengthen the runs as
-//! for the figure binaries.
+//! for `sweep`.
 //!
 //! Pass `--json <path>` (or set `VS_FAULT_JSON=<path>`; `-` means stdout) to
 //! also emit the table as a machine-readable JSONL artifact in the
@@ -34,7 +34,7 @@ use std::process::ExitCode;
 
 use vs_bench::campaign::run_campaign;
 use vs_bench::cli::{ArgSpec, CommandSpec};
-use vs_bench::{print_table, volts, BenchEnv};
+use vs_bench::{print_table, volts, BenchEnv, Executor};
 use vs_core::{ScenarioId, SupervisorConfig};
 use vs_telemetry::{write_atomic, Event, RunArtifact, RunManifest, SCHEMA_VERSION};
 
@@ -66,7 +66,7 @@ fn main() -> ExitCode {
     let supervisor = SupervisorConfig::default();
     let benchmark = ScenarioId::Heartwall.profile();
 
-    let cells = run_campaign(&settings, jobs);
+    let cells = run_campaign(&Executor::default(), &settings, jobs);
     let quarantined = cells.iter().filter(|c| c.verdict == "quarantined").count();
 
     let mut events = vec![Event::Manifest(RunManifest {

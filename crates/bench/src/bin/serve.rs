@@ -9,8 +9,8 @@
 //!
 //! `--stdio` serves exactly one session over stdin/stdout (tests, CI
 //! smoke, `mkfifo` pipelines); `--addr` binds a TCP listener and serves a
-//! thread per connection, all sharing one store and one sharded-executor
-//! registry — concurrent identical requests join a single computation.
+//! thread per connection, all sharing one store and the server's executor
+//! — concurrent identical requests join a single computation.
 //! Either way the process runs until a `shutdown` request (or stdin EOF).
 //!
 //! The store (default `target/serve-store`) survives restarts: on boot
@@ -33,9 +33,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use vs_bench::cli::{ArgSpec, CommandSpec};
+use vs_bench::cli::{ArgSpec, CommandSpec, PROFILE_FLAG, SEED_FLAG};
 use vs_bench::serve::{serve_lines, serve_tcp, ServeOptions, Server};
-use vs_bench::{shard, RunSettings};
 
 const SPEC: CommandSpec = CommandSpec {
     prog: "serve",
@@ -45,8 +44,8 @@ const SPEC: CommandSpec = CommandSpec {
         ArgSpec { name: "--stdio", value: None, help: "serve one session over stdin/stdout" },
         ArgSpec { name: "--addr", value: Some("HOST:PORT"), help: "bind a TCP listener (e.g. 127.0.0.1:7777)" },
         ArgSpec { name: "--store", value: Some("DIR"), help: "store root (default target/serve-store)" },
-        ArgSpec { name: "--profile", value: Some("env|golden|tiny"), help: "run-settings profile (default env)" },
-        ArgSpec { name: "--seed", value: Some("N"), help: "override the workload seed" },
+        PROFILE_FLAG,
+        SEED_FLAG,
     ],
     positionals: &[],
 };
@@ -61,25 +60,13 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let parsed = SPEC.parse_or_exit(&args);
     parsed.common.apply_observability();
-    if parsed.common.batch_lanes > 0 {
-        shard::set_batch_lanes(parsed.common.batch_lanes);
-    }
 
-    let mut settings = match parsed.extra("--profile").unwrap_or("env") {
-        "env" => RunSettings::try_from_env().unwrap_or_else(|e| fail(&e.to_string())),
-        "golden" => RunSettings::golden_profile(),
-        "tiny" => RunSettings::tiny_profile(),
-        other => fail(&format!("unknown profile {other:?} (env|golden|tiny)")),
-    };
-    if let Some(seed) = parsed.extra("--seed") {
-        settings.seed = seed.parse().unwrap_or_else(|_| fail("--seed must be an integer"));
-    }
-
+    let settings = parsed.run_settings_or_exit();
     let store = parsed
         .extra("--store")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("target/serve-store"));
-    let server = Server::open(&ServeOptions { store, settings })
+    let server = Server::open(&ServeOptions { store, settings, batch_lanes: parsed.common.batch_lanes })
         .unwrap_or_else(|e| fail(&format!("cannot open store: {e}")));
     let r = &server.store_report;
     eprintln!(

@@ -5,6 +5,7 @@
 //!             [--profile env|golden|tiny] [--seed N] [--deterministic]
 //!             [--resume DIR] [--diff GOLDEN_DIR] [--tolerances FILE]
 //!             [--trace] [--progress plain|json|off]
+//! sweep show [id,...] [--profile env|golden|tiny] [--seed N]
 //! sweep diff <golden dir|file> <candidate dir|file> [--tolerances FILE]
 //! sweep diff-baseline <baseline dir> <candidate dir> [--tolerances FILE]
 //! sweep report <dir>
@@ -14,7 +15,10 @@
 //! `run` executes the catalogue across a worker pool, writes one JSONL
 //! artifact per experiment plus `manifest.jsonl` into `--out` (default
 //! `target/sweep`), and checks the EXPERIMENTS.md headline claims. With
-//! `--diff` it then compares every artifact against the goldens.
+//! `--diff` it then compares every artifact against the goldens. `show`
+//! runs the named experiments (the whole catalogue when none is named) and
+//! prints their text on stdout, writing no files; with more than one, each
+//! text follows a `################ <id> ################` header.
 //!
 //! Crash safety: artifacts land atomically (tmp + rename) and every
 //! completed unit of work is appended to `<out>/journal.jsonl` with a
@@ -50,10 +54,11 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use vs_bench::claims::{check_claims, ClaimResult};
-use vs_bench::cli::{ArgSpec, CommandSpec};
+use vs_bench::cli::{ArgSpec, CommandSpec, PROFILE_FLAG, SEED_FLAG};
 use vs_bench::report::{diff_baseline, RunReport, TRACE_FILE};
+use vs_bench::shard::{ExecutorConfig, Preload};
 use vs_bench::sweep::{run_sweep, SweepOptions};
-use vs_bench::{journal, obs, shard, ExperimentId, RunSettings};
+use vs_bench::{journal, obs, Executor, ExperimentId};
 use vs_telemetry::{chrome_trace_json, diff_artifacts, write_atomic, RunArtifact, ToleranceSpec};
 
 const DEFAULT_TOLERANCES: &str = "goldens/tolerances.json";
@@ -70,13 +75,21 @@ const RUN_SPEC: CommandSpec = CommandSpec {
     common: &["--jobs", "--batch-lanes", "--out", "--resume", "--trace", "--progress"],
     extras: &[
         ArgSpec { name: "--only", value: Some("id,..."), help: "run only the named experiments (see `sweep list`)" },
-        ArgSpec { name: "--profile", value: Some("env|golden|tiny"), help: "run-settings profile (default env)" },
-        ArgSpec { name: "--seed", value: Some("N"), help: "override the workload seed" },
+        PROFILE_FLAG,
+        SEED_FLAG,
         ArgSpec { name: "--deterministic", value: None, help: "wall-time-free artifacts, no journal (golden mode)" },
         ArgSpec { name: "--diff", value: Some("GOLDEN"), help: "diff every artifact against a blessed tree" },
         TOLERANCES_FLAG,
     ],
     positionals: &[],
+};
+
+const SHOW_SPEC: CommandSpec = CommandSpec {
+    prog: "sweep show",
+    about: "Print experiments' text (the whole catalogue when none is named)",
+    common: &[],
+    extras: &[PROFILE_FLAG, SEED_FLAG],
+    positionals: &["ID,..."],
 };
 
 const DIFF_SPEC: CommandSpec = CommandSpec {
@@ -129,6 +142,7 @@ fn main() -> ExitCode {
         Some("diff") => diff_main(&args[1..]),
         Some("diff-baseline") => diff_baseline_main(&args[1..]),
         Some("report") => report_main(&args[1..]),
+        Some("show") => show_main(&args[1..]),
         Some("run") => run_main(&args[1..]),
         _ => run_main(&args),
     }
@@ -162,11 +176,34 @@ fn load_tolerances(path: Option<&str>) -> ToleranceSpec {
     }
 }
 
+/// `sweep show [id,...]`: each experiment's text on stdout, nothing
+/// written to disk.
+fn show_main(args: &[String]) -> ExitCode {
+    let parsed = SHOW_SPEC.parse_or_exit(args);
+    let result = run_sweep(
+        &Executor::default(),
+        &SweepOptions {
+            jobs: 0,
+            only: parsed.positionals.first().map(|ids| parse_only(ids)),
+            settings: parsed.run_settings_or_exit(),
+        },
+    );
+    for run in &result.runs {
+        if result.runs.len() > 1 {
+            println!("\n################ {} ################", run.id);
+        }
+        print!("{}", run.output.text);
+    }
+    if result.is_degraded() {
+        summarize(4, "degraded — an experiment failed or a task was quarantined");
+        return ExitCode::from(4);
+    }
+    ExitCode::SUCCESS
+}
+
 fn run_main(args: &[String]) -> ExitCode {
     let parsed = RUN_SPEC.parse_or_exit(args);
     parsed.common.apply_observability();
-    let jobs = parsed.common.jobs;
-    let batch_lanes = parsed.common.batch_lanes;
     let mut out = parsed
         .common
         .out
@@ -177,22 +214,9 @@ fn run_main(args: &[String]) -> ExitCode {
     let tolerances = parsed.extra("--tolerances");
     let deterministic = parsed.has("--deterministic");
     let trace = parsed.common.trace;
+    let settings = parsed.run_settings_or_exit();
 
-    let mut settings = match parsed.extra("--profile").unwrap_or("env") {
-        "env" => match RunSettings::try_from_env() {
-            Ok(s) => s,
-            Err(e) => fail(&e.to_string()),
-        },
-        "golden" => RunSettings::golden_profile(),
-        "tiny" => RunSettings::tiny_profile(),
-        other => fail(&format!("unknown profile {other:?} (env|golden|tiny)")),
-    };
-    if let Some(seed) = parsed.extra("--seed") {
-        settings.seed = seed
-            .parse()
-            .unwrap_or_else(|_| fail("--seed must be an integer"));
-    }
-
+    let mut preloaded = Preload::new();
     if let Some(dir) = &parsed.common.resume {
         // Resume targets the journaled directory itself: artifacts land
         // where the interrupted run left its verified work.
@@ -208,19 +232,17 @@ fn run_main(args: &[String]) -> ExitCode {
             if state.damaged == 1 { "y" } else { "ies" },
             state.skipped_lines,
         );
-        shard::install_preloaded_suites(state.preloaded);
+        preloaded = state.preloaded;
     }
     // Golden (deterministic) trees carry no journal; every other run
     // journals completed work into the output directory for --resume.
-    let journal_dir = (!deterministic).then(|| out.clone());
-    let result = run_sweep(&SweepOptions {
-        jobs,
-        batch_lanes,
-        only,
-        settings,
-        journal_dir,
-        ..SweepOptions::default()
-    });
+    let exec = Executor::new(
+        ExecutorConfig::default(),
+        parsed.common.batch_lanes,
+        (!deterministic).then(|| out.clone()),
+        preloaded,
+    );
+    let result = run_sweep(&exec, &SweepOptions { jobs: parsed.common.jobs, only, settings });
     let written = if deterministic {
         result.write_deterministic_to(&out)
     } else {

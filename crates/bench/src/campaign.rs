@@ -7,28 +7,26 @@
 //! **full** error string — truncating the machine-readable artifact would
 //! destroy exactly the detail a post-mortem needs.
 //!
-//! [`run_campaign`] executes the whole campaign across a worker pool with
-//! the same isolation policy as the sweep's scenario tasks: each cell's
-//! supervised run goes through the calling worker's long-lived
-//! [`vs_core::CosimPool`] shard inside an isolation boundary, panics and
-//! watchdog trips are retried with seeded backoff, and a cell that
-//! exhausts its attempts lands as a `quarantined` verdict instead of
-//! killing the campaign. Cells fill canonical slots, so the outcome list
-//! (and every artifact built from it) is byte-identical at any `--jobs`.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! [`run_campaign`] executes the whole campaign on the caller's
+//! [`Executor`]: its claim loop spreads the cells over the workers, and each
+//! cell's supervised run goes through the executor's attempt loop — the
+//! calling worker's long-lived [`vs_core::CosimPool`] shard inside an
+//! isolation boundary, panics and watchdog trips retried with seeded
+//! backoff — so a cell that exhausts its attempts lands as a `quarantined`
+//! verdict instead of killing the campaign. Cells fill canonical slots, so
+//! the outcome list (and every artifact built from it) is byte-identical at
+//! any `--jobs`.
 
 use vs_control::{ActuatorFault, DetectorFault};
 use vs_core::{
-    CosimError, CrIvrFault, CycleBudget, FaultKind, FaultPlan, FaultWindow, LoadGlitch, PdsKind,
-    ScenarioId, SupervisedReport, SupervisorConfig,
+    CosimError, CrIvrFault, FaultKind, FaultPlan, FaultWindow, LoadGlitch, PdsKind, ScenarioId,
+    SupervisedReport, SupervisorConfig,
 };
 use vs_telemetry::{Event, FaultCampaignRow};
 
 use crate::obs;
 use crate::sweep::effective_jobs;
-use crate::{pct, shard, volts, RunSettings};
+use crate::{pct, volts, Executor, RunSettings};
 
 /// One campaign cell: a named fault schedule.
 pub struct FaultScenario {
@@ -208,18 +206,17 @@ pub fn campaign_pds() -> [PdsKind; 2] {
 }
 
 /// Runs the full fault campaign — every applicable (PDS, fault scenario)
-/// cell — across `jobs` workers, returning the outcomes in canonical
-/// (serial-loop) order.
+/// cell — on `exec` across `jobs` workers, returning the outcomes in
+/// canonical (serial-loop) order.
 ///
-/// Each cell runs on the worker's thread-local [`vs_core::CosimPool`]
-/// shard under the installed [`shard::ExecutorConfig`]: a panic or a
+/// Each cell runs through the executor's attempt loop: a panic or a
 /// watchdog deadline trip retries with seeded jittered backoff (the pool
 /// shard is rebuilt after a panic), and a cell that exhausts its attempts
 /// becomes a `quarantined` verdict carrying the per-attempt error chain —
 /// the campaign always completes. Because results fill canonical slots and
 /// runs share no mutable state, the outcome list is byte-identical
 /// whatever the worker count.
-pub fn run_campaign(settings: &RunSettings, jobs: usize) -> Vec<CellOutcome> {
+pub fn run_campaign(exec: &Executor, settings: &RunSettings, jobs: usize) -> Vec<CellOutcome> {
     let supervisor = SupervisorConfig::default();
     let benchmark = ScenarioId::Heartwall.profile();
     let scenarios = fault_scenarios(settings.seed);
@@ -234,50 +231,39 @@ pub fn run_campaign(settings: &RunSettings, jobs: usize) -> Vec<CellOutcome> {
         })
         .collect();
     let jobs = effective_jobs(jobs).min(cells.len()).max(1);
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<CellOutcome>>> = Mutex::new(vec![None; cells.len()]);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(pds, si)) = cells.get(i) else { break };
-                let sc = &scenarios[si];
-                obs::progress(
-                    "campaign",
-                    "cell",
-                    &[
-                        ("fault", sc.name.to_string()),
-                        ("pds", pds.label().to_string()),
-                    ],
-                    || format!("  {} under {} ...", sc.name, pds.label()),
-                );
-                let span = obs::tracer().begin();
-                let cell = run_cell(settings, pds, sc, &supervisor, &benchmark);
-                obs::tracer().end_span(
-                    obs::worker_track(),
-                    "campaign",
-                    "campaign_cell",
-                    span,
-                    &[
-                        ("fault", sc.name.to_string()),
-                        ("pds", pds.label().to_string()),
-                        ("verdict", cell.verdict.clone()),
-                    ],
-                );
-                slots.lock().expect("campaign slots poisoned")[i] = Some(cell);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("campaign slots poisoned")
-        .into_iter()
-        .map(|c| c.expect("every campaign slot filled"))
-        .collect()
+    let order: Vec<usize> = (0..cells.len()).collect();
+    exec.run_claims(jobs, &order, |i| {
+        let (pds, si) = cells[i];
+        let sc = &scenarios[si];
+        obs::progress(
+            "campaign",
+            "cell",
+            &[
+                ("fault", sc.name.to_string()),
+                ("pds", pds.label().to_string()),
+            ],
+            || format!("  {} under {} ...", sc.name, pds.label()),
+        );
+        let span = obs::tracer().begin();
+        let cell = run_cell(exec, settings, pds, sc, &supervisor, &benchmark);
+        obs::tracer().end_span(
+            obs::worker_track(),
+            "campaign",
+            "campaign_cell",
+            span,
+            &[
+                ("fault", sc.name.to_string()),
+                ("pds", pds.label().to_string()),
+                ("verdict", cell.verdict.clone()),
+            ],
+        );
+        cell
+    })
 }
 
-/// Runs one campaign cell under the isolation/retry policy.
+/// Runs one campaign cell through the executor's attempt loop.
 fn run_cell(
+    exec: &Executor,
     settings: &RunSettings,
     pds: PdsKind,
     sc: &FaultScenario,
@@ -285,38 +271,25 @@ fn run_cell(
     benchmark: &vs_gpu::WorkloadProfile,
 ) -> CellOutcome {
     let cfg = settings.config(pds);
-    let exec = shard::executor_config();
-    let attempts = exec.max_attempts.max(1);
     let tag = format!("campaign:{}:{}", pds.label(), sc.name);
-    let mut errors: Vec<String> = Vec::new();
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            std::thread::sleep(shard::retry_backoff(&exec, &tag, attempt));
+    let labels = [
+        ("fault", sc.name.to_string()),
+        ("pds", pds.label().to_string()),
+    ];
+    let outcome = exec.attempt(&tag, &labels, |_, pool, budget| {
+        let run = pool.run_supervised_with_budget(&cfg, benchmark, supervisor, &sc.plan, budget);
+        // A deadline trip is the watchdog's business (retry), not a
+        // campaign verdict: the supervised run records it as an error.
+        match run.error {
+            Some(e @ CosimError::DeadlineExceeded { .. }) => Err(e),
+            _ => Ok(run),
         }
-        let budget = exec
-            .task_deadline
-            .map_or_else(CycleBudget::unlimited, CycleBudget::wall_clock);
-        let outcome = shard::isolated(|| {
-            shard::with_worker_pool(|pool| {
-                pool.run_supervised_with_budget(&cfg, benchmark, supervisor, &sc.plan, budget)
-            })
-        });
-        match outcome {
-            // A deadline trip is the watchdog's business (retry), not a
-            // campaign verdict: the supervised run records it as an error.
-            Ok(run) if !matches!(run.error, Some(CosimError::DeadlineExceeded { .. })) => {
-                return CellOutcome::from_run(pds, sc.name, &run);
-            }
-            Ok(run) => errors.push(format!(
-                "attempt {attempt}: {}",
-                run.error.expect("deadline-tripped run carries its error")
-            )),
-            Err(msg) => {
-                errors.push(format!("attempt {attempt}: panic: {msg}"));
-                shard::rebuild_worker_pool();
-            }
-        }
-    }
+    });
+    let failure = match outcome {
+        Ok(success) => return CellOutcome::from_run(pds, sc.name, &success.value),
+        Err(failure) => failure,
+    };
+    let attempts = failure.attempts;
     obs::progress(
         "campaign",
         "quarantine",
@@ -336,7 +309,7 @@ fn run_cell(
         below_guardband_us: 0.0,
         retries: 0,
         sanitized: 0,
-        error: Some(errors.join("; ")),
+        error: Some(failure.errors.join("; ")),
     }
 }
 

@@ -1,13 +1,15 @@
 //! One argument parser for the artifact-writing binaries.
 //!
-//! `sweep`, `fault_campaign`, and `dse` share a vocabulary of executor
-//! flags — `--jobs`, `--batch-lanes`, `--out`, `--resume`, `--trace`,
-//! `--progress` — that used to be re-implemented as per-binary
+//! `sweep`, `fault_campaign`, `dse`, and `serve` share a vocabulary of
+//! executor flags — `--jobs`, `--batch-lanes`, `--out`, `--resume`,
+//! `--trace`, `--progress` — that used to be re-implemented as per-binary
 //! `std::env::args` loops with subtly different error behaviour. This
 //! module parses them once into a typed [`CommonArgs`], lets each binary
 //! declare its extra flags as data ([`ArgSpec`]), and generates `--help`
 //! from the same declarations, so the help text can never drift from what
-//! the parser accepts.
+//! the parser accepts. The run-settings pair [`PROFILE_FLAG`] and
+//! [`SEED_FLAG`] is declared here too, and resolved once by
+//! [`Parsed::run_settings_or_exit`].
 //!
 //! Contract (shared exit codes): `--help`/`-h` prints the generated help
 //! and exits 0; an unknown flag, a missing value, a malformed value, an
@@ -22,6 +24,7 @@ use std::fmt;
 use std::path::PathBuf;
 
 use crate::obs::ProgressMode;
+use crate::RunSettings;
 
 /// A binary-specific flag, declared as data so parsing and `--help` agree.
 #[derive(Debug, Clone, Copy)]
@@ -46,6 +49,16 @@ pub const COMMON_FLAGS: [ArgSpec; 6] = [
     ArgSpec { name: "--trace", value: None, help: "record executor spans; write trace.json into --out" },
     ArgSpec { name: "--progress", value: Some("plain|json|off"), help: "progress narration mode on stderr" },
 ];
+
+/// `--profile env|golden|tiny`: the [`RunSettings`] a run starts from.
+pub const PROFILE_FLAG: ArgSpec = ArgSpec {
+    name: "--profile",
+    value: Some("env|golden|tiny"),
+    help: "run-settings profile (default env)",
+};
+
+/// `--seed N`: overrides the profile's workload seed.
+pub const SEED_FLAG: ArgSpec = ArgSpec { name: "--seed", value: Some("N"), help: "override the workload seed" };
 
 /// What one binary (or subcommand) accepts: which common flags, which
 /// extras, and how many positional arguments.
@@ -120,6 +133,35 @@ impl Parsed {
     /// Whether an extra flag was given at all.
     pub fn has(&self, name: &str) -> bool {
         self.extras.iter().any(|(n, _)| n == name)
+    }
+
+    /// The run settings [`PROFILE_FLAG`] (default env) and [`SEED_FLAG`]
+    /// select.
+    ///
+    /// # Errors
+    ///
+    /// A malformed `VS_BENCH_*` under the env profile, an unknown profile,
+    /// or a non-integer seed.
+    pub fn run_settings(&self) -> Result<RunSettings, String> {
+        let mut settings = match self.extra(PROFILE_FLAG.name).unwrap_or("env") {
+            "env" => RunSettings::try_from_env().map_err(|e| e.to_string())?,
+            "golden" => RunSettings::golden_profile(),
+            "tiny" => RunSettings::tiny_profile(),
+            other => return Err(format!("unknown profile {other:?} (env|golden|tiny)")),
+        };
+        if let Some(seed) = self.extra(SEED_FLAG.name) {
+            settings.seed = seed.parse().map_err(|_| "--seed must be an integer".to_string())?;
+        }
+        Ok(settings)
+    }
+
+    /// [`Parsed::run_settings`] for binaries: prints the error and exits
+    /// with status 2.
+    pub fn run_settings_or_exit(&self) -> RunSettings {
+        self.run_settings().unwrap_or_else(|msg| {
+            eprintln!("error: {msg}");
+            std::process::exit(2)
+        })
     }
 }
 
@@ -373,6 +415,17 @@ mod tests {
             Err(CliError::Usage(msg)) => assert!(msg.contains("unknown flag")),
             other => panic!("expected usage error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn run_settings_from_profile_and_seed() {
+        let spec = CommandSpec { extras: &[PROFILE_FLAG, SEED_FLAG], ..spec() };
+        let settings = |args: &[&str]| spec.parse(&s(args)).unwrap().run_settings();
+        assert_eq!(settings(&["--profile", "golden"]), Ok(RunSettings::golden_profile()));
+        let seeded = settings(&["--profile=tiny", "--seed", "7"]).unwrap();
+        assert_eq!(seeded, RunSettings { seed: 7, ..RunSettings::tiny_profile() });
+        assert!(settings(&["--profile", "huge"]).unwrap_err().contains("unknown profile"));
+        assert!(settings(&["--profile", "tiny", "--seed", "x"]).unwrap_err().contains("--seed"));
     }
 
     #[test]

@@ -29,21 +29,21 @@
 //! point is at least as good in all three and strictly better in one
 //! (strict Pareto dominance; exact ties do not dominate each other).
 //!
-//! Scheduling mirrors the sweep's two-level queue: level 1 hands each
-//! worker a *topology group* (points sharing a stack geometry, hence a
-//! netlist family — the recycled workspace's buffers and DC cache stay
-//! warm), level 2 claims lanes of `batch_lanes.max(1)` consecutive points
-//! off the group's atomic cursor; workers whose groups drained steal lanes
-//! from groups still in flight. Before the workers start, the distinct
-//! runs of the *pending* points are planned into `OnceLock` slots; a
-//! worker resolves each half of a point through its slot, so the first
-//! worker to need a run executes it and any other reads (or waits for)
-//! its result. Point identity routes through [`SuiteKey`]: duplicate
-//! points evaluate once, and completed points are journaled
-//! ([`crate::journal::record_point`]) the moment their metrics exist, so
-//! `dse --resume` replays verified metrics and plans only the runs its
-//! lost points read. Artifacts are bit-identical whatever the worker
-//! count, lane width, or resume history.
+//! Scheduling is dse's own two-level queue, not the executor's claim loop:
+//! level 1 hands each worker a *topology group* (points sharing a stack
+//! geometry, hence a netlist family — the recycled workspace's buffers and
+//! DC cache stay warm), level 2 claims single points off the group's atomic
+//! cursor; workers whose groups drained steal points from groups still in
+//! flight, so no worker idles at the tail of a few-group grid. Before the
+//! workers start, the distinct runs of the *pending* points are planned
+//! into `OnceLock` slots; a worker resolves each half of a point through
+//! its slot, so the first worker to need a run executes it and any other
+//! reads (or waits for) its result. Point identity routes through
+//! [`SuiteKey`]: duplicate points evaluate once, and completed points are
+//! journaled ([`crate::journal::record_point`]) the moment their metrics
+//! exist, so `dse --resume` replays verified metrics and plans only the
+//! runs its lost points read. Artifacts are bit-identical whatever the
+//! worker count or resume history.
 
 use std::collections::HashMap;
 use std::io;
@@ -102,10 +102,6 @@ pub struct PointMetrics {
 pub struct DseOptions {
     /// Worker threads; 0 = one per available core.
     pub jobs: usize,
-    /// Consecutive same-topology points per queue claim
-    /// (`0`/`1` = single-point claims). Artifacts are bit-identical either
-    /// way.
-    pub batch_lanes: usize,
     /// Settings the evaluations run under (the cycle cap scales both run
     /// lengths; the seed travels in the manifest and the [`SuiteKey`]s).
     pub settings: RunSettings,
@@ -353,7 +349,7 @@ struct Job {
 }
 
 /// A topology group's pending points, all sharing one stack geometry,
-/// behind an atomic lane cursor.
+/// behind an atomic claim cursor.
 struct Group {
     jobs: Vec<Job>,
     next: AtomicUsize,
@@ -421,50 +417,47 @@ pub fn run_dse(opts: &DseOptions) -> DseResult {
     }
 
     let jobs = effective_jobs(opts.jobs);
-    let lanes = opts.batch_lanes.max(1);
     let next_group = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
     let results: Mutex<&mut Vec<Option<PointMetrics>>> = Mutex::new(&mut slots);
     let progress_every = (evaluated / 20).max(1);
 
-    // Claims one lane off `group` and evaluates it, executing each run the
-    // lane's points read unless another worker already has (or is); returns
-    // false when the group's cursor is exhausted.
-    let drain_lane = |group: &Group, workspace: &mut Option<SolverWorkspace>| -> bool {
-        let start = group.next.fetch_add(lanes, Ordering::Relaxed);
-        if start >= group.jobs.len() {
+    // Claims one point off `group` and evaluates it, executing each run the
+    // point reads unless another worker already has (or is); returns false
+    // when the group's cursor is exhausted.
+    let claim = |group: &Group, workspace: &mut Option<SolverWorkspace>| -> bool {
+        let Some(&Job { point: i, pde, worst }) =
+            group.jobs.get(group.next.fetch_add(1, Ordering::Relaxed))
+        else {
             return false;
+        };
+        let (point, key) = &unique[i];
+        let (run, slot) = &pde_plan[pde];
+        let pde = *slot.get_or_init(|| {
+            execute("pde_run", "dse.pde_runs", point, workspace, |ws| run.run(ws))
+        });
+        let (cfg, slot) = &worst_plan[worst];
+        let (worst_v, final_v) = *slot.get_or_init(|| {
+            execute("worst_case_run", "dse.worst_case_runs", point, workspace, |ws| {
+                let (r, ws) = run_worst_case_in(cfg, ws);
+                ((r.worst_voltage, r.final_voltage), ws)
+            })
+        });
+        let metrics = PointMetrics { pde, worst_v, final_v };
+        if let Some(dir) = &opts.journal_dir {
+            // Best-effort, like scenario journaling: a lost record costs a
+            // recompute on resume, never the run.
+            let _ = journal::record_point(dir, key, &point.to_string(), &metrics);
         }
-        let lane = &group.jobs[start..group.jobs.len().min(start + lanes)];
-        for &Job { point: i, pde, worst } in lane {
-            let (point, key) = &unique[i];
-            let (run, slot) = &pde_plan[pde];
-            let pde = *slot.get_or_init(|| {
-                execute("pde_run", "dse.pde_runs", point, workspace, |ws| run.run(ws))
-            });
-            let (cfg, slot) = &worst_plan[worst];
-            let (worst_v, final_v) = *slot.get_or_init(|| {
-                execute("worst_case_run", "dse.worst_case_runs", point, workspace, |ws| {
-                    let (r, ws) = run_worst_case_in(cfg, ws);
-                    ((r.worst_voltage, r.final_voltage), ws)
-                })
-            });
-            let metrics = PointMetrics { pde, worst_v, final_v };
-            if let Some(dir) = &opts.journal_dir {
-                // Best-effort, like scenario journaling: a lost record
-                // costs a recompute on resume, never the run.
-                let _ = journal::record_point(dir, key, &point.to_string(), &metrics);
-            }
-            results.lock().expect("dse result slots poisoned")[i] = Some(metrics);
-            let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-            if n.is_multiple_of(progress_every) || n == evaluated {
-                obs::progress(
-                    "dse",
-                    "points",
-                    &[("done", n.to_string()), ("total", evaluated.to_string())],
-                    || format!("[dse] {n}/{evaluated} points"),
-                );
-            }
+        results.lock().expect("dse result slots poisoned")[i] = Some(metrics);
+        let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+        if n.is_multiple_of(progress_every) || n == evaluated {
+            obs::progress(
+                "dse",
+                "points",
+                &[("done", n.to_string()), ("total", evaluated.to_string())],
+                || format!("[dse] {n}/{evaluated} points"),
+            );
         }
         true
     };
@@ -474,22 +467,12 @@ pub fn run_dse(opts: &DseOptions) -> DseResult {
             scope.spawn(|| {
                 let mut workspace: Option<SolverWorkspace> = None;
                 // Level 1: own the next unclaimed topology group.
-                loop {
-                    let g = next_group.fetch_add(1, Ordering::Relaxed);
-                    let Some(group) = groups.get(g) else { break };
-                    while drain_lane(group, &mut workspace) {}
+                while let Some(group) = groups.get(next_group.fetch_add(1, Ordering::Relaxed)) {
+                    while claim(group, &mut workspace) {}
                 }
-                // Level 2: steal lanes from groups still in flight.
-                loop {
-                    let mut claimed = false;
-                    for group in &groups {
-                        while drain_lane(group, &mut workspace) {
-                            claimed = true;
-                        }
-                    }
-                    if !claimed {
-                        break;
-                    }
+                // Level 2: steal points from groups still in flight.
+                for group in &groups {
+                    while claim(group, &mut workspace) {}
                 }
             });
         }

@@ -4,10 +4,7 @@ use vs_core::{run_worst_case, CosimConfig, PdsKind, PowerManagement, WorstCaseCo
 use vs_hypervisor::{DfsConfig, PgConfig};
 
 use super::{tables::pds_slug, Recorder};
-use crate::{
-    benchmark_names, pct, pds_configs, run_suite, run_suite_with_pm, volts, BaselineCache,
-    RunSettings,
-};
+use crate::{benchmark_names, pct, pds_configs, volts, BaselineCache, Executor, RunSettings};
 
 /// Fig. 3: effective impedance of the voltage-stacked GPU, without (a) and
 /// with (b) the CR-IVR.
@@ -106,11 +103,11 @@ pub(super) fn fig5(r: &mut Recorder) {
 
 /// Fig. 8: power delivery efficiency and loss breakdown across benchmarks
 /// and PDS configurations.
-pub(super) fn fig8(settings: &RunSettings, r: &mut Recorder) {
+pub(super) fn fig8(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
     let mut summary_rows = Vec::new();
     for pds in pds_configs() {
         let cfg = settings.config(pds);
-        let runs = run_suite(&cfg);
+        let runs = exec.run_suite(&cfg, &PowerManagement::default());
         let rows: Vec<Vec<String>> = runs
             .iter()
             .map(|run| {
@@ -349,9 +346,9 @@ pub(super) fn fig11(settings: &RunSettings, r: &mut Recorder) {
 
 /// Fig. 12: performance penalty of voltage smoothing vs the controller's
 /// trigger threshold.
-pub(super) fn fig12(settings: &RunSettings, r: &mut Recorder) {
+pub(super) fn fig12(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
     crate::obs::progress_step("building conventional baselines ...");
-    let baseline = BaselineCache::build(settings);
+    let baseline = BaselineCache::build(exec, settings);
     // Our PDN's effective decap (die + package) compresses benchmark
     // supply noise into ~0.97-1.0 V, so the sweep spans that band; the
     // paper's 0.7-1.0 V axis maps onto it (see EXPERIMENTS.md).
@@ -363,7 +360,7 @@ pub(super) fn fig12(settings: &RunSettings, r: &mut Recorder) {
             v_threshold: th,
             ..settings.config(PdsKind::VsCrossLayer { area_mult: 0.2 })
         };
-        let runs = run_suite(&cfg);
+        let runs = exec.run_suite(&cfg, &PowerManagement::default());
         for (row, run) in rows.iter_mut().zip(runs.iter()) {
             let p = baseline.perf_penalty(run).max(0.0);
             r.gauge_labeled(
@@ -385,10 +382,10 @@ pub(super) fn fig12(settings: &RunSettings, r: &mut Recorder) {
 
 /// Fig. 13: net-energy-saving vs performance-penalty trade-off space for
 /// DIWS / FII / DCC weight combinations.
-pub(super) fn fig13(settings: &RunSettings, r: &mut Recorder) {
+pub(super) fn fig13(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
     use vs_control::ActuatorWeights;
     crate::obs::progress_step("building conventional baselines ...");
-    let baseline = BaselineCache::build(settings);
+    let baseline = BaselineCache::build(exec, settings);
     let combos = [
         ("DIWS", "diws", ActuatorWeights::DIWS_ONLY),
         ("FII", "fii", ActuatorWeights::FII_ONLY),
@@ -411,7 +408,7 @@ pub(super) fn fig13(settings: &RunSettings, r: &mut Recorder) {
             v_threshold: 0.97,
             ..settings.config(PdsKind::VsCrossLayer { area_mult: 0.2 })
         };
-        let runs = run_suite(&cfg);
+        let runs = exec.run_suite(&cfg, &PowerManagement::default());
         let n = runs.len() as f64;
         let penalty: f64 =
             runs.iter().map(|run| baseline.perf_penalty(run).max(0.0)).sum::<f64>() / n;
@@ -431,16 +428,16 @@ pub(super) fn fig13(settings: &RunSettings, r: &mut Recorder) {
 
 /// Fig. 14: per-benchmark performance penalty and net energy saving of the
 /// cross-layer VS GPU vs the conventional PDS.
-pub(super) fn fig14(settings: &RunSettings, r: &mut Recorder) {
+pub(super) fn fig14(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
     crate::obs::progress_step("building conventional baselines ...");
-    let baseline = BaselineCache::build(settings);
+    let baseline = BaselineCache::build(exec, settings);
     crate::obs::progress_step("running cross-layer suite ...");
     let cfg = CosimConfig {
         // Noise-scaled equivalent of the paper's 0.9 V threshold.
         v_threshold: 0.97,
         ..settings.config(PdsKind::VsCrossLayer { area_mult: 0.2 })
     };
-    let runs = run_suite(&cfg);
+    let runs = exec.run_suite(&cfg, &PowerManagement::default());
     let rows: Vec<Vec<String>> = runs
         .iter()
         .map(|run| {
@@ -474,9 +471,9 @@ pub(super) fn fig14(settings: &RunSettings, r: &mut Recorder) {
 
 /// Fig. 15: DFS on the conventional vs the voltage-stacked GPU — total
 /// normalized energy (computation + delivery loss).
-pub(super) fn fig15(settings: &RunSettings, r: &mut Recorder) {
+pub(super) fn fig15(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
     crate::obs::progress_step("building no-DFS conventional baselines ...");
-    let baseline = BaselineCache::build(settings);
+    let baseline = BaselineCache::build(exec, settings);
     let pm_conv = PowerManagement {
         dfs: Some(DfsConfig::with_goal(0.7)),
         ..PowerManagement::default()
@@ -487,9 +484,9 @@ pub(super) fn fig15(settings: &RunSettings, r: &mut Recorder) {
         ..PowerManagement::default()
     };
     crate::obs::progress_step("running DFS on the conventional PDS ...");
-    let conv = run_suite_with_pm(&settings.config(PdsKind::ConventionalVrm), &pm_conv);
+    let conv = exec.run_suite(&settings.config(PdsKind::ConventionalVrm), &pm_conv);
     crate::obs::progress_step("running DFS on the cross-layer VS PDS (with VS-aware hypervisor) ...");
-    let vs = run_suite_with_pm(
+    let vs = exec.run_suite(
         &settings.config(PdsKind::VsCrossLayer { area_mult: 0.2 }),
         &pm_vs,
     );
@@ -542,9 +539,9 @@ pub(super) fn fig15(settings: &RunSettings, r: &mut Recorder) {
 }
 
 /// Fig. 16: power gating on the conventional vs the voltage-stacked GPU.
-pub(super) fn fig16(settings: &RunSettings, r: &mut Recorder) {
+pub(super) fn fig16(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
     crate::obs::progress_step("building no-PG conventional baselines ...");
-    let baseline = BaselineCache::build(settings);
+    let baseline = BaselineCache::build(exec, settings);
     let pm_conv = PowerManagement {
         pg: Some(PgConfig::default()),
         ..PowerManagement::default()
@@ -555,9 +552,9 @@ pub(super) fn fig16(settings: &RunSettings, r: &mut Recorder) {
         ..PowerManagement::default()
     };
     crate::obs::progress_step("running PG on the conventional PDS ...");
-    let conv = run_suite_with_pm(&settings.config(PdsKind::ConventionalVrm), &pm_conv);
+    let conv = exec.run_suite(&settings.config(PdsKind::ConventionalVrm), &pm_conv);
     crate::obs::progress_step("running PG on the cross-layer VS PDS (with VS-aware hypervisor) ...");
-    let vs = run_suite_with_pm(
+    let vs = exec.run_suite(
         &settings.config(PdsKind::VsCrossLayer { area_mult: 0.2 }),
         &pm_vs,
     );
@@ -611,7 +608,7 @@ pub(super) fn fig16(settings: &RunSettings, r: &mut Recorder) {
 
 /// Fig. 17: distribution of normalized inter-layer current imbalance under
 /// no power management, DFS at several performance goals, and power gating.
-pub(super) fn fig17(settings: &RunSettings, r: &mut Recorder) {
+pub(super) fn fig17(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
     use vs_core::ImbalanceHistogram;
     let configs: Vec<(&str, &str, PowerManagement)> = vec![
         ("No PM", "none", PowerManagement::default()),
@@ -655,7 +652,7 @@ pub(super) fn fig17(settings: &RunSettings, r: &mut Recorder) {
     let mut rows = Vec::new();
     for (label, slug, pm) in configs {
         crate::obs::progress_step(&format!("running suite: {label} ..."));
-        let runs = run_suite_with_pm(
+        let runs = exec.run_suite(
             &settings.config(PdsKind::VsCrossLayer { area_mult: 0.2 }),
             &pm,
         );

@@ -3,15 +3,15 @@
 //! machine-readable artifact.
 //!
 //! Each experiment writes the exact stdout its historical binary printed
-//! (the shims in `src/bin/` just `print!` the text) *and* records headline
-//! numbers as gauges in a metrics registry; [`ExperimentId::run`] wraps both
+//! (`sweep show <id>` prints it) *and* records headline numbers as gauges in
+//! a metrics registry; [`ExperimentId::run`] wraps both
 //! in a [`vs_telemetry::RunArtifact`] whose manifest pins the settings. The
 //! artifact contains no wall-time events — timing is appended by the sweep
 //! runner as a schema-tagged wall-time event that diffs exclude.
 
 use vs_telemetry::{labeled, Event, Registry, RunArtifact, RunManifest, SCHEMA_VERSION};
 
-use crate::RunSettings;
+use crate::{Executor, RunSettings};
 
 mod ablations;
 mod figures;
@@ -44,7 +44,7 @@ pub enum ExperimentId {
 }
 
 impl ExperimentId {
-    /// Every experiment, in the serial `all` binary's canonical order.
+    /// Every experiment, in canonical (`sweep show`) order.
     pub const ALL: [ExperimentId; 20] = [
         ExperimentId::Table1,
         ExperimentId::Table2,
@@ -68,8 +68,8 @@ impl ExperimentId {
         ExperimentId::AblationBode,
     ];
 
-    /// The experiment's name — identical to its binary name and its
-    /// artifact file stem.
+    /// The experiment's name — its `sweep show` id and its artifact file
+    /// stem.
     pub fn name(self) -> &'static str {
         match self {
             ExperimentId::Table1 => "table1",
@@ -118,27 +118,27 @@ impl ExperimentId {
         )
     }
 
-    /// Runs the experiment: deterministic in `settings` (and only in
-    /// `settings` — no wall time, thread identity, or global order enters
-    /// the result).
-    pub fn run(self, settings: &RunSettings) -> ExperimentOutput {
+    /// Runs the experiment, its co-simulation suites on `exec`:
+    /// deterministic in `settings` (and only in `settings` — no wall time,
+    /// thread identity, executor, or global order enters the result).
+    pub fn run(self, exec: &Executor, settings: &RunSettings) -> ExperimentOutput {
         let mut r = Recorder::new();
         match self {
             ExperimentId::Table1 => tables::table1(&mut r),
             ExperimentId::Table2 => tables::table2(&mut r),
-            ExperimentId::Table3 => tables::table3(settings, &mut r),
+            ExperimentId::Table3 => tables::table3(exec, settings, &mut r),
             ExperimentId::Fig3 => figures::fig3(&mut r),
             ExperimentId::Fig5 => figures::fig5(&mut r),
-            ExperimentId::Fig8 => figures::fig8(settings, &mut r),
+            ExperimentId::Fig8 => figures::fig8(exec, settings, &mut r),
             ExperimentId::Fig9 => figures::fig9(&mut r),
             ExperimentId::Fig10 => figures::fig10(&mut r),
             ExperimentId::Fig11 => figures::fig11(settings, &mut r),
-            ExperimentId::Fig12 => figures::fig12(settings, &mut r),
-            ExperimentId::Fig13 => figures::fig13(settings, &mut r),
-            ExperimentId::Fig14 => figures::fig14(settings, &mut r),
-            ExperimentId::Fig15 => figures::fig15(settings, &mut r),
-            ExperimentId::Fig16 => figures::fig16(settings, &mut r),
-            ExperimentId::Fig17 => figures::fig17(settings, &mut r),
+            ExperimentId::Fig12 => figures::fig12(exec, settings, &mut r),
+            ExperimentId::Fig13 => figures::fig13(exec, settings, &mut r),
+            ExperimentId::Fig14 => figures::fig14(exec, settings, &mut r),
+            ExperimentId::Fig15 => figures::fig15(exec, settings, &mut r),
+            ExperimentId::Fig16 => figures::fig16(exec, settings, &mut r),
+            ExperimentId::Fig17 => figures::fig17(exec, settings, &mut r),
             ExperimentId::AblationDetector => ablations::detector(&mut r),
             ExperimentId::AblationCrivr => ablations::crivr(&mut r),
             ExperimentId::AblationStack => ablations::stack(&mut r),
@@ -323,7 +323,7 @@ mod tests {
     #[test]
     fn cheap_experiment_produces_manifest_and_metrics() {
         let settings = RunSettings::tiny_profile();
-        let out = ExperimentId::Table2.run(&settings);
+        let out = ExperimentId::Table2.run(&Executor::default(), &settings);
         assert!(out.text.contains("Table II"));
         let m = out.artifact.manifest().unwrap();
         assert_eq!(m.benchmark, "table2");

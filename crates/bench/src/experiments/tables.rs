@@ -4,7 +4,7 @@ use vs_gpu::GpuConfig;
 use vs_pds::{AreaModel, PdnParams};
 
 use super::Recorder;
-use crate::{pct, pds_configs, run_suite, RunSettings};
+use crate::{pct, pds_configs, Executor, RunSettings};
 
 /// The slug a PDS configuration's gauges are labeled with.
 pub(super) fn pds_slug(pds: vs_core::PdsKind) -> &'static str {
@@ -77,13 +77,13 @@ pub(super) fn table2(r: &mut Recorder) {
 }
 
 /// Table III: PDE and die-area overhead of the four PDS configurations.
-pub(super) fn table3(settings: &RunSettings, r: &mut Recorder) {
+pub(super) fn table3(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
     let am = AreaModel::default();
     let mut rows = Vec::new();
     let mut conventional_loss = 0.0;
     let mut cross_layer = (0.0, 0.0);
     for pds in pds_configs() {
-        let runs = run_suite(&settings.config(pds));
+        let runs = exec.run_suite(&settings.config(pds), &vs_core::PowerManagement::default());
         let n = runs.len() as f64;
         let pde: f64 = runs.iter().map(vs_core::CosimReport::pde).sum::<f64>() / n;
         let area = match pds {

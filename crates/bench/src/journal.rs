@@ -38,7 +38,7 @@ use vs_telemetry::{
 
 use crate::chaos;
 use crate::dse::PointMetrics;
-use crate::shard::SuiteKey;
+use crate::shard::{Preload, SuiteKey};
 
 /// The completion journal's file name inside a sweep directory.
 pub const JOURNAL_FILE: &str = "journal.jsonl";
@@ -266,8 +266,8 @@ fn verify_point(
 #[derive(Debug, Default)]
 pub struct ResumeState {
     /// Verified (suite, scenario) reports, ready for
-    /// [`crate::shard::install_preloaded_suites`].
-    pub preloaded: HashMap<SuiteKey, Vec<(ScenarioId, CosimReport)>>,
+    /// [`crate::Executor::new`].
+    pub preloaded: Preload,
     /// Scenario records that survived checksum + parse verification.
     pub verified_scenarios: usize,
     /// Experiment-artifact records whose files still hash correctly.

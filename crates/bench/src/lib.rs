@@ -1,13 +1,12 @@
 //! # vs-bench — experiment library, parallel sweep runner, and golden diffs
 //!
 //! Every table and figure of the paper's evaluation section is a named,
-//! seeded experiment function ([`ExperimentId::run`]); the per-figure
-//! binaries (`cargo run --release -p vs-bench --bin <id>`) are thin shims
-//! over it. The `sweep` binary executes the whole catalogue across a worker
-//! pool, writes one versioned `vs-telemetry` JSONL artifact per experiment
-//! plus a suite manifest, checks the EXPERIMENTS.md headline claims, and can
-//! diff a run against the checked-in goldens (`goldens/`) under per-metric
-//! tolerances.
+//! seeded experiment function ([`ExperimentId::run`]); `sweep show <id>`
+//! (`cargo run --release -p vs-bench --bin sweep -- show <id>`) prints one.
+//! `sweep run` executes the whole catalogue across a worker pool, writes one
+//! versioned `vs-telemetry` JSONL artifact per experiment plus a suite
+//! manifest, checks the EXPERIMENTS.md headline claims, and can diff a run
+//! against the checked-in goldens (`goldens/`) under per-metric tolerances.
 //!
 //! Figure runs honour two environment variables:
 //!
@@ -27,9 +26,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
-use vs_core::{CosimConfig, CosimReport, PdsKind, PowerManagement, ScenarioId};
+use vs_core::{CosimConfig, CosimReport, PdsKind, PowerManagement};
 use vs_gpu::all_benchmarks;
 
 pub mod campaign;
@@ -47,6 +45,7 @@ pub mod space;
 pub mod sweep;
 
 pub use experiments::{ExperimentId, ExperimentOutput, Recorder};
+pub use shard::Executor;
 
 /// Installs the process panic hook for the artifact-writing binaries.
 ///
@@ -182,18 +181,6 @@ impl RunSettings {
         RunSettings::parse(scale.as_deref(), cycles.as_deref())
     }
 
-    /// [`RunSettings::try_from_env`] for binaries: prints the error and
-    /// exits with status 2 on malformed input.
-    pub fn from_env_or_exit() -> RunSettings {
-        match RunSettings::try_from_env() {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
     /// The reduced-cycle profile the checked-in goldens are generated at
     /// (fast enough for CI, still reproduces every headline claim).
     pub fn golden_profile() -> RunSettings {
@@ -231,8 +218,8 @@ impl RunSettings {
 /// (`VS_FAULT_JSON` for `fault_campaign`, with `-` meaning stdout).
 ///
 /// Binaries read the environment exactly once, through this type, instead
-/// of scattering `std::env::var` calls; malformed values are rejected with
-/// the same exit-2 semantics as [`RunSettings::from_env_or_exit`].
+/// of scattering `std::env::var` calls; [`BenchEnv::from_env_or_exit`]
+/// rejects malformed values with exit status 2.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchEnv {
     /// Scale / cycle-cap / seed settings from `VS_BENCH_SCALE` and
@@ -281,30 +268,6 @@ pub fn pds_configs() -> [PdsKind; 4] {
     ]
 }
 
-/// Runs every benchmark under `cfg`, in order; reports progress on stderr.
-/// Results are memoized process-wide (see the determinism contract in the
-/// crate docs: a suite's reports depend only on `cfg` and `pm`).
-pub fn run_suite(cfg: &CosimConfig) -> Arc<Vec<CosimReport>> {
-    run_suite_with_pm(cfg, &PowerManagement::default())
-}
-
-/// Runs every benchmark under `cfg` with power management enabled
-/// (memoized). The suite is sharded into per-scenario tasks: concurrent
-/// requesters and idle sweep workers claim scenarios instead of blocking on
-/// the whole suite, and each worker thread runs its tasks on a long-lived
-/// [`vs_core::CosimPool`] shard (see [`shard`]).
-pub fn run_suite_with_pm(cfg: &CosimConfig, pm: &PowerManagement) -> Arc<Vec<CosimReport>> {
-    shard::run_suite_sharded(cfg, pm)
-}
-
-/// Runs one scenario under `cfg` with power management, on the calling
-/// thread's [`vs_core::CosimPool`] shard (so back-to-back calls reuse the
-/// solver workspace and DC operating-point cache instead of rebuilding a
-/// fresh `Cosim` per run).
-pub fn run_one_with_pm(cfg: &CosimConfig, id: ScenarioId, pm: &PowerManagement) -> CosimReport {
-    shard::with_worker_pool(|pool| pool.run_scenario_with_pm(cfg, id, pm.clone()))
-}
-
 /// Baseline cache: conventional-PDS runs per benchmark, used to normalize
 /// performance penalties and energy savings.
 pub struct BaselineCache {
@@ -312,10 +275,11 @@ pub struct BaselineCache {
 }
 
 impl BaselineCache {
-    /// Runs the conventional baseline for all benchmarks.
-    pub fn build(settings: &RunSettings) -> Self {
+    /// Runs (or joins) the conventional baseline suite on `exec`.
+    pub fn build(exec: &Executor, settings: &RunSettings) -> Self {
         let cfg = settings.config(PdsKind::ConventionalVrm);
-        let runs = run_suite(&cfg)
+        let runs = exec
+            .run_suite(&cfg, &PowerManagement::default())
             .iter()
             .map(|r| (r.benchmark.clone(), r.clone()))
             .collect();

@@ -1,5 +1,5 @@
-//! Sweep-as-a-service: a long-running request server over the sharded
-//! executor, backed by a content-addressed artifact store.
+//! Sweep-as-a-service: a long-running request server over its own
+//! [`Executor`], backed by a content-addressed artifact store.
 //!
 //! The server accepts **line-delimited JSON requests** (one object per
 //! line) and streams back **request-lifecycle events** in the
@@ -42,15 +42,13 @@
 //! A cache hit is a checksum-verified file read — scenario hits replay
 //! through the journal preload (never constructing a worker pool), and
 //! experiment hits are served straight from the verified bytes on disk.
-//! Concurrent identical requests dedupe through the sharded executor's
-//! in-flight join: both connections claim tasks from the same suite job
-//! (see [`crate::shard::run_suite_sharded`]), and each scenario runs
-//! exactly once.
+//! Concurrent identical requests dedupe through the executor's in-flight
+//! join: both connections claim tasks from the same suite job (see
+//! [`Executor::run_suite`]), and each scenario runs exactly once.
 //!
-//! The server owns the process-global journal sink and preload map
-//! ([`crate::shard::set_journal_dir`] /
-//! [`crate::shard::install_preloaded_suites`]); run one [`Server`] per
-//! process.
+//! Each [`Server`] owns its executor, built from its store's journal
+//! directory and resume preload, so servers in one process never share a
+//! memo, a preload, or a journal.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -63,9 +61,9 @@ use vs_core::{PowerManagement, ScenarioId};
 use vs_telemetry::json::{self, Json};
 use vs_telemetry::{checksum_hex, fnv1a_64, read_journal, write_atomic, JournalRecord, RequestEvent, ToleranceSpec, SCHEMA_VERSION};
 
-use crate::shard::{self, SuiteKey};
+use crate::shard::{ExecutorConfig, SuiteKey};
 use crate::space::{AxisSpace, ConfigPoint};
-use crate::{journal, obs, report, ExperimentId, RunSettings};
+use crate::{journal, obs, report, Executor, ExperimentId, RunSettings};
 
 /// Version of the request/response protocol. Part of the
 /// [`code_fingerprint`], so a protocol bump invalidates the store.
@@ -96,6 +94,9 @@ pub struct ServeOptions {
     /// Settings every request is evaluated under. Part of experiment
     /// identity and (via the applied config) of every suite key.
     pub settings: RunSettings,
+    /// Lane width of the server's scenario-task claims (see
+    /// [`Executor::new`]; `0`/`1` = scalar).
+    pub batch_lanes: usize,
 }
 
 /// What [`Server::open`] found in the store: the startup half of the
@@ -116,14 +117,13 @@ pub struct StoreReport {
 }
 
 /// A persistent artifact server: shared by every connection thread, it
-/// owns the store directory and the experiment-artifact index. Suite
-/// state (memo, in-flight jobs, preloads) lives in the process-global
-/// sharded-executor registry, which is what makes concurrent duplicate
-/// requests join a single computation.
-#[derive(Debug)]
+/// owns the store directory, the experiment-artifact index, and the
+/// executor whose suite memo makes concurrent duplicate requests join a
+/// single computation.
 pub struct Server {
     root: PathBuf,
     settings: RunSettings,
+    executor: Executor,
     /// Experiment id → (relative file, checksum), last journal record
     /// wins. Guarded so concurrent experiment requests publish atomically.
     experiments: Mutex<HashMap<String, (String, String)>>,
@@ -132,9 +132,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Opens (or creates) the store, replays its journal into the suite
-    /// preload map, and indexes experiment artifacts. Installs the store
-    /// as the process-global journal sink — one server per process.
+    /// Opens (or creates) the store, replays its journal into the
+    /// executor's preload, and indexes experiment artifacts. The server's
+    /// executor journals into the store.
     pub fn open(opts: &ServeOptions) -> io::Result<Server> {
         let fingerprint = code_fingerprint();
         let root = opts.store.join(&fingerprint);
@@ -148,8 +148,12 @@ impl Server {
             damaged: state.damaged,
             skipped_lines: state.skipped_lines,
         };
-        shard::set_journal_dir(Some(root.clone()));
-        shard::install_preloaded_suites(state.preloaded);
+        let executor = Executor::new(
+            ExecutorConfig::default(),
+            opts.batch_lanes,
+            Some(root.clone()),
+            state.preloaded,
+        );
 
         // Index experiment artifacts (load_resume verifies but does not
         // return them; requests re-verify the bytes on every hit anyway).
@@ -170,6 +174,7 @@ impl Server {
         Ok(Server {
             root,
             settings: opts.settings,
+            executor,
             experiments: Mutex::new(experiments),
             store_report,
         })
@@ -179,6 +184,12 @@ impl Server {
     #[must_use]
     pub fn root(&self) -> &Path {
         &self.root
+    }
+
+    /// The executor every request of this server runs on.
+    #[must_use]
+    pub fn executor(&self) -> &Executor {
+        &self.executor
     }
 
     /// Handles one request line, streaming response events to `out`.
@@ -255,12 +266,12 @@ impl Server {
         out: &mut dyn Write,
     ) -> io::Result<(SuiteKey, Option<Vec<(&'static str, String)>>)> {
         let key = point.suite_key(&self.settings);
-        let warm = shard::suite_is_warm(&key);
+        let warm = self.executor.suite_is_warm(&key);
         let stage = if warm { "cached" } else { "running" };
         emit(out, req, stage, &[("key", key.cache_dir()), ("point", point.to_string())])?;
 
         let cfg = point.apply(&self.settings.config(point.pds.kind(point.area)));
-        let reports = shard::run_suite_sharded(&cfg, &PowerManagement::default());
+        let reports = self.executor.run_suite(&cfg, &PowerManagement::default());
         if reports.len() != ScenarioId::ALL.len() {
             emit(
                 out,
@@ -395,7 +406,7 @@ impl Server {
 
         let file = format!("experiments/{store_id}.jsonl");
         emit(out, req, "running", &[("experiment", name.to_string()), ("file", file.clone())])?;
-        let output = id.run(&self.settings);
+        let output = id.run(&self.executor, &self.settings);
         let bytes = output.artifact.to_jsonl().into_bytes();
         let path = self.root.join(&file);
         if let Some(parent) = path.parent() {

@@ -1,39 +1,45 @@
-//! Scenario-level suite sharding: the crash-safe two-level work queue
-//! behind the parallel sweep.
+//! The executor: the claim loop behind sweep and campaign, memoized suites
+//! sharded into scenario tasks, and the crash-safe attempt loop every task
+//! runs through.
 //!
-//! The PR-4 sweep scheduled at *experiment* granularity: a worker that
-//! requested a suite already being computed by another worker parked on a
-//! `OnceLock` until all twelve scenarios finished, and a sweep of few
-//! experiments could not use more workers than experiments. This module
-//! replaces that memo with a two-level queue:
+//! An [`Executor`] is a value built once per run from an immutable policy:
+//! the retry/watchdog [`ExecutorConfig`], the batch-lane width, the journal
+//! directory, and the resume [`Preload`]. It owns everything the run
+//! mutates: the suite memo, the in-flight list idle workers steal from,
+//! the quarantine list, and the [`ShardStats`] counters. Two executors in
+//! one process share no work, no journal, and no memo — only the
+//! per-thread solver pools (pure workspace), the process-wide tracer and
+//! progress sink, and the test-only chaos plan.
 //!
-//! * **Level 1 (experiments)** stays in [`crate::sweep::run_sweep`]: workers
-//!   pop experiment indices off an atomic counter.
-//! * **Level 2 (scenarios)** lives here: a memoized suite is a job whose
-//!   twelve [`ScenarioId`] runs are individually claimable tasks.
-//!   Every requester *joins the computation* — it claims and runs unclaimed
-//!   scenarios instead of idling — and workers with nothing else to do can
-//!   [`steal_scenario_task`] from any in-flight suite.
+//! * **Claim loop** (`Executor::run_claims`): scoped workers claim item
+//!   indices in a priority order and fill canonical result slots; a worker
+//!   whose queue has drained steals scenario tasks from suites still in
+//!   flight instead of exiting. [`crate::sweep::run_sweep`] runs its
+//!   experiments on it, [`crate::campaign::run_campaign`] its fault cells.
+//! * **Suites** ([`Executor::run_suite`]): a memoized suite is a job whose
+//!   twelve [`ScenarioId`] runs are individually claimable tasks. Every
+//!   requester *joins the computation* — it claims and runs unclaimed
+//!   scenarios instead of idling — and waits by stealing elsewhere.
 //!
 //! Each worker thread owns a long-lived [`CosimPool`] shard (a thread-local),
 //! so solver buffers and the DC operating-point cache are reused across every
-//! scenario the thread runs, whichever suite the task came from.
+//! scenario the thread runs, whichever suite or executor the task came from.
 //!
-//! # Crash safety (PR 6)
+//! # Crash safety
 //!
-//! Every claimed task runs inside an **isolation boundary**
-//! (`run_isolated`, built on [`isolated`]): panics are caught, the
+//! Every scenario task and campaign cell runs through one attempt loop
+//! (`Executor::attempt`, built on [`isolated`]): panics are caught, the
 //! thread's pool shard is rebuilt (a panic can unwind through a
 //! half-stepped solver, so the shard is never trusted afterwards — the
 //! `UnwindSafe` audit behind the `AssertUnwindSafe`), and the attempt is
 //! retried with seeded jittered backoff under an optional watchdog
-//! [`CycleBudget`] deadline. A task that exhausts its attempts is
-//! **quarantined** ([`QuarantineRecord`], drained by the sweep via
-//! [`drain_quarantined`]): its suite completes *degraded* — missing that
+//! [`CycleBudget`] deadline. A scenario task that exhausts its attempts is
+//! **quarantined** ([`QuarantineRecord`], read back through
+//! [`Executor::quarantined`]): its suite completes *degraded* — missing that
 //! scenario's report — instead of aborting the process. Completed scenarios
-//! are appended to the sweep's resume journal (see [`crate::journal`]), and
-//! a resumed sweep prefills verified reports through
-//! [`install_preloaded_suites`] so only damaged or missing work recomputes.
+//! are appended to the executor's resume journal (see [`crate::journal`]),
+//! and suites prefill verified reports from the preload so only damaged or
+//! missing work recomputes.
 //!
 //! Determinism contract: a suite's reports are assembled in
 //! [`ScenarioId::ALL`] order from per-scenario slots, and workspace reuse
@@ -48,7 +54,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use vs_core::{
@@ -61,6 +67,11 @@ use crate::obs;
 
 /// Tasks per suite: one per catalogue scenario.
 const N_TASKS: usize = ScenarioId::ALL.len();
+
+/// Journal-verified scenario reports per suite (see
+/// [`crate::journal::load_resume`]): a suite prefills these slots instead of
+/// running their tasks.
+pub type Preload = HashMap<SuiteKey, Vec<(ScenarioId, CosimReport)>>;
 
 /// Stable identity of a memoized suite: the [`CosimConfig`] and
 /// [`PowerManagement`] key words (see their `stable_key_into` methods).
@@ -118,7 +129,8 @@ impl SuiteKey {
     }
 }
 
-/// Retry / watchdog policy for isolated scenario tasks.
+/// Retry / watchdog policy of the executor's attempt loop (scenario tasks
+/// and campaign cells).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutorConfig {
     /// Attempts per task before quarantine (min 1).
@@ -160,17 +172,17 @@ pub struct QuarantineRecord {
     pub errors: Vec<String>,
 }
 
-/// Outcome of `run_isolated` when every attempt failed.
-struct TaskFailure {
-    attempts: u32,
-    errors: Vec<String>,
+/// Outcome of `Executor::attempt` when every attempt failed.
+pub(crate) struct TaskFailure {
+    pub(crate) attempts: u32,
+    pub(crate) errors: Vec<String>,
 }
 
-/// Outcome of `run_isolated` when an attempt succeeded: the report plus
-/// the execution metadata the journal's v2 records and the trace carry.
-/// Wall times are observational — they never enter artifact bytes.
-struct TaskSuccess {
-    report: CosimReport,
+/// Outcome of `Executor::attempt` when an attempt succeeded: the value
+/// plus the execution metadata the journal's v2 records and the trace
+/// carry. Wall times are observational — they never enter artifact bytes.
+pub(crate) struct TaskSuccess<T> {
+    pub(crate) value: T,
     /// Attempts spent, including the successful one.
     attempts: u32,
     /// Wall seconds per attempt, oldest first.
@@ -231,36 +243,31 @@ struct SuiteJob {
 }
 
 impl SuiteJob {
-    fn new(key: SuiteKey, cfg: CosimConfig, pm: PowerManagement) -> Self {
+    fn new(exec: &Executor, key: SuiteKey, cfg: CosimConfig, pm: PowerManagement) -> Self {
         // Prefill slots from the resume preload: journal-verified reports
         // short-circuit their tasks entirely (counted as replays).
         let mut slots: Vec<Slot> = (0..N_TASKS).map(|_| Slot::Empty).collect();
         let mut filled = 0;
-        {
-            let preloaded = registry().preloaded.lock().expect("preload map poisoned");
-            if let Some(entries) = preloaded.get(&key) {
-                for (id, report) in entries {
-                    let i = ScenarioId::ALL
-                        .iter()
-                        .position(|s| s == id)
-                        .expect("catalogue scenario");
-                    if matches!(slots[i], Slot::Empty) {
-                        slots[i] = Slot::Ready(Box::new(report.clone()));
-                        filled += 1;
-                        registry().replayed.fetch_add(1, Ordering::Relaxed);
-                        if obs::tracing_enabled() {
-                            obs::metric_inc("executor.replays", 1);
-                            obs::tracer().instant(
-                                obs::worker_track(),
-                                "journal",
-                                "replay",
-                                &[
-                                    ("suite", key.cache_dir()),
-                                    ("scenario", id.name().to_string()),
-                                ],
-                            );
-                        }
-                    }
+        for (id, report) in exec.preloaded.get(&key).into_iter().flatten() {
+            let i = ScenarioId::ALL
+                .iter()
+                .position(|s| s == id)
+                .expect("catalogue scenario");
+            if matches!(slots[i], Slot::Empty) {
+                slots[i] = Slot::Ready(Box::new(report.clone()));
+                filled += 1;
+                exec.replayed.fetch_add(1, Ordering::Relaxed);
+                if obs::tracing_enabled() {
+                    obs::metric_inc("executor.replays", 1);
+                    obs::tracer().instant(
+                        obs::worker_track(),
+                        "journal",
+                        "replay",
+                        &[
+                            ("suite", key.cache_dir()),
+                            ("scenario", id.name().to_string()),
+                        ],
+                    );
                 }
             }
         }
@@ -288,18 +295,18 @@ impl SuiteJob {
     }
 
     /// Claims and runs one task group on the calling thread's pool: one
-    /// scenario under the default scalar configuration, or up to
-    /// [`batch_lanes`] scenarios advanced in lockstep as lanes of one
-    /// batched SoA circuit solve. Returns `false` when every task was
+    /// scenario under the default scalar configuration, or up to the
+    /// executor's lane width of scenarios advanced in lockstep as lanes of
+    /// one batched SoA circuit solve. Returns `false` when every task was
     /// already claimed. `via` labels the claim in the trace: `"claim"` from
     /// the suite's own requester, `"steal"` from an idle worker.
-    fn run_one_task(&self, via: &'static str) -> bool {
-        let width = batch_lanes().clamp(1, N_TASKS);
+    fn run_one_task(&self, exec: &Executor, via: &'static str) -> bool {
+        let width = exec.batch_lanes.min(N_TASKS);
         let start = self.next.fetch_add(width, Ordering::Relaxed);
         if start >= N_TASKS {
             return false;
         }
-        update_queue_depth_gauge();
+        exec.update_queue_depth_gauge();
         let end = (start + width).min(N_TASKS);
         // Preloaded (journal-replayed) slots consume their claim without
         // running anything; likewise once the suite assembled (which
@@ -333,10 +340,10 @@ impl SuiteJob {
             lanes.clear();
         }
         if !lanes.is_empty() {
-            self.run_lane_group(&lanes, via, &mut scalar);
+            self.run_lane_group(exec, &lanes, via, &mut scalar);
         }
         for (i, id) in scalar {
-            self.run_scalar_task(i, id, via);
+            self.run_scalar_task(exec, i, id, via);
         }
         true
     }
@@ -350,6 +357,7 @@ impl SuiteJob {
     /// so which path produced a slot is unobservable in artifacts.
     fn run_lane_group(
         &self,
+        exec: &Executor,
         lanes: &[(usize, ScenarioId)],
         via: &'static str,
         fallback: &mut Vec<(usize, ScenarioId)>,
@@ -371,15 +379,12 @@ impl SuiteJob {
                 )
             },
         );
-        let exec = executor_config();
-        let budget = exec
-            .task_deadline
-            .map_or_else(CycleBudget::unlimited, CycleBudget::wall_clock);
+        let budget = exec.budget();
         let track = obs::worker_track();
         let span = obs::tracer().begin();
         let started = Instant::now();
         let outcome = isolated(|| {
-            with_worker_pool(|pool| {
+            exec.with_worker_pool(|pool| {
                 let before = pool.batch_stats().multi_lane_groups;
                 let results = pool.try_run_batch_with_pm(&self.cfg, &ids, self.pm.clone(), budget);
                 (results, pool.batch_stats().multi_lane_groups - before)
@@ -405,11 +410,10 @@ impl SuiteJob {
         match outcome {
             Ok((results, groups)) => {
                 end_span("ok");
-                let reg = registry();
-                reg.batch_groups.fetch_add(groups, Ordering::Relaxed);
+                exec.batch_groups.fetch_add(groups, Ordering::Relaxed);
                 // `with_worker_pool` counted the batch as one scenario
                 // task; account for the other lanes.
-                reg.scenario_tasks
+                exec.scenario_tasks
                     .fetch_add(ids.len() as u64 - 1, Ordering::Relaxed);
                 // Wall time is observational only; split it evenly since
                 // the lanes genuinely ran interleaved.
@@ -418,7 +422,7 @@ impl SuiteJob {
                     match result {
                         Ok(report) => {
                             let success = TaskSuccess {
-                                report,
+                                value: report,
                                 attempts: 1,
                                 attempt_wall_s: vec![lane_wall_s],
                             };
@@ -429,8 +433,8 @@ impl SuiteJob {
                                     lane_wall_s,
                                 );
                             }
-                            record_to_journal(&self.key, id, &success);
-                            self.fill_slot(i, Slot::Ready(Box::new(success.report)));
+                            exec.record_to_journal(&self.key, id, &success);
+                            self.fill_slot(i, Slot::Ready(Box::new(success.value)));
                         }
                         Err(_) => fallback.push((i, id)),
                     }
@@ -455,9 +459,9 @@ impl SuiteJob {
         }
     }
 
-    /// Runs one already-claimed scenario task through the isolated
-    /// (retry/quarantine) executor and decides its slot.
-    fn run_scalar_task(&self, i: usize, id: ScenarioId, via: &'static str) {
+    /// Runs one already-claimed scenario task through the executor's
+    /// attempt loop (chaos injection included) and decides its slot.
+    fn run_scalar_task(&self, exec: &Executor, i: usize, id: ScenarioId, via: &'static str) {
         obs::progress(
             "task",
             "run",
@@ -468,15 +472,28 @@ impl SuiteJob {
             ],
             || format!("  running {} under {} ...", id, self.cfg.pds.label()),
         );
-        let exec = executor_config();
         let track = obs::worker_track();
         let task_span = obs::tracer().begin();
-        // The isolation boundary lives in `run_isolated`; this outer guard
-        // only catches the *unexpected* (a panic in the scheduler itself,
-        // or one escaping the boundary), which still poisons the job so
-        // waiters fail loudly instead of hanging.
+        let tag = format!("{}:{}", self.key.to_hex(), id.name());
+        let labels = [
+            ("suite", self.key.cache_dir()),
+            ("scenario", id.name().to_string()),
+        ];
+        // The isolation boundary lives in `attempt`; this outer guard only
+        // catches the *unexpected* (a panic in the scheduler itself, or one
+        // escaping the boundary), which still poisons the job so waiters
+        // fail loudly instead of hanging.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_isolated(&self.key, &self.cfg, &self.pm, id, &exec)
+            exec.attempt(&tag, &labels, |attempt, pool, budget| {
+                let budget = match chaos::chaos_for(id, attempt) {
+                    Some(ChaosMode::Panic) => {
+                        panic!("chaos: injected panic for {id} (attempt {attempt})")
+                    }
+                    Some(ChaosMode::Stall { at_cycle }) => CycleBudget::tripping_at(at_cycle),
+                    None => budget,
+                };
+                pool.try_run_scenario_with_pm(&self.cfg, id, self.pm.clone(), budget)
+            })
         }));
         let end_task = |outcome: &'static str, attempts: u32| {
             if task_span.is_some() {
@@ -506,8 +523,8 @@ impl SuiteJob {
                         success.attempt_wall_s.iter().sum(),
                     );
                 }
-                record_to_journal(&self.key, id, &success);
-                self.fill_slot(i, Slot::Ready(Box::new(success.report)));
+                exec.record_to_journal(&self.key, id, &success);
+                self.fill_slot(i, Slot::Ready(Box::new(success.value)));
             }
             Ok(Err(failure)) => {
                 end_task("quarantined", failure.attempts);
@@ -539,8 +556,7 @@ impl SuiteJob {
                         )
                     },
                 );
-                registry()
-                    .quarantined
+                exec.quarantined
                     .lock()
                     .expect("quarantine list poisoned")
                     .push(QuarantineRecord {
@@ -572,16 +588,17 @@ impl SuiteJob {
         }
     }
 
-    /// Blocks until the suite is assembled, helping other in-flight suites
-    /// while waiting (this thread's claimable work here is already gone).
-    /// A degraded suite (quarantined tasks) returns with those reports
-    /// missing; consult [`drain_quarantined`] for what was lost.
+    /// Blocks until the suite is assembled, helping `exec`'s other
+    /// in-flight suites while waiting (this thread's claimable work here is
+    /// already gone). A degraded suite (quarantined tasks) returns with
+    /// those reports missing; consult [`Executor::quarantined`] for what
+    /// was lost.
     ///
     /// # Panics
     ///
     /// Panics if a worker panicked outside the isolation boundary while
     /// running one of this suite's tasks.
-    fn wait(&self) -> Arc<Vec<CosimReport>> {
+    fn wait(&self, exec: &Executor) -> Arc<Vec<CosimReport>> {
         loop {
             {
                 let st = self.state.lock().expect("suite job state poisoned");
@@ -596,7 +613,7 @@ impl SuiteJob {
             // Steal a scenario from some other suite rather than idling; if
             // nothing is stealable, park briefly on the condvar (timed, so
             // newly created jobs become stealable without a notification).
-            if !steal_scenario_task() {
+            if !exec.steal_scenario_task() {
                 let st = self.state.lock().expect("suite job state poisoned");
                 if st.done.is_none() && !st.poisoned {
                     let _ = self
@@ -609,66 +626,402 @@ impl SuiteJob {
     }
 }
 
-/// The process-wide shard registry: the suite memo, the in-flight list
-/// stealers scan, the crash-safety state (executor policy, journal sink,
-/// resume preload, quarantine list), and the observational counters.
-struct Registry {
+/// Counts one claimed item as landed when dropped — also when its task
+/// unwinds, so the other workers stop stealing and the scope propagates
+/// the panic instead of hanging. The `Release` increment pairs with the
+/// claim loop's `Acquire` load.
+struct Landed<'a>(&'a AtomicUsize);
+
+impl Drop for Landed<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::Release);
+    }
+}
+
+/// One run's executor: the immutable policy it was built with, plus the
+/// suite memo, the in-flight list stealers scan, the quarantine list, and
+/// the observational counters that run accumulates.
+pub struct Executor {
+    policy: ExecutorConfig,
+    /// Lane width task claims run at (1 = scalar, the default).
+    batch_lanes: usize,
+    journal_dir: Option<PathBuf>,
+    preloaded: Preload,
     memo: Mutex<HashMap<SuiteKey, Arc<SuiteJob>>>,
     in_flight: Mutex<Vec<Arc<SuiteJob>>>,
+    quarantined: Mutex<Vec<QuarantineRecord>>,
     scenario_tasks: AtomicU64,
     steals: AtomicU64,
     dc_cache_hits: AtomicU64,
     replayed: AtomicU64,
     retries: AtomicU64,
-    /// Lane width task claims run at (1 = scalar, the default).
-    batch_lanes: AtomicUsize,
-    /// Multi-lane SoA solve groups formed by batched task claims.
     batch_groups: AtomicU64,
-    executor: Mutex<ExecutorConfig>,
-    journal_dir: Mutex<Option<PathBuf>>,
-    preloaded: Mutex<HashMap<SuiteKey, Vec<(ScenarioId, CosimReport)>>>,
-    quarantined: Mutex<Vec<QuarantineRecord>>,
 }
 
-/// Recomputes the executor queue-depth gauge: unclaimed scenario tasks
-/// across every in-flight suite. Gated on tracing (it takes the in-flight
-/// lock, which claims should not pay for when nobody is watching).
-fn update_queue_depth_gauge() {
-    if !obs::tracing_enabled() {
-        return;
+impl Default for Executor {
+    /// The default policy, scalar claims, no journal, no preload.
+    fn default() -> Self {
+        Executor::new(ExecutorConfig::default(), 1, None, Preload::new())
     }
-    let depth: usize = registry()
-        .in_flight
-        .lock()
-        .expect("in-flight suite list poisoned")
-        .iter()
-        .map(|j| N_TASKS.saturating_sub(j.next.load(Ordering::Relaxed)))
-        .sum();
-    obs::metric_gauge("executor.queue_depth", depth as f64);
 }
 
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Registry {
-        memo: Mutex::new(HashMap::new()),
-        in_flight: Mutex::new(Vec::new()),
-        scenario_tasks: AtomicU64::new(0),
-        steals: AtomicU64::new(0),
-        dc_cache_hits: AtomicU64::new(0),
-        replayed: AtomicU64::new(0),
-        retries: AtomicU64::new(0),
-        batch_lanes: AtomicUsize::new(1),
-        batch_groups: AtomicU64::new(0),
-        executor: Mutex::new(ExecutorConfig::default()),
-        journal_dir: Mutex::new(None),
-        preloaded: Mutex::new(HashMap::new()),
-        quarantined: Mutex::new(Vec::new()),
-    })
+impl Executor {
+    /// Builds an executor. Tasks retry under `policy`; `batch_lanes` is the
+    /// lane width scenario-task claims run at (`0`/`1` keep the scalar
+    /// path, `n ≥ 2` advances up to `n` scenarios in lockstep through one
+    /// batched SoA circuit solve — results are bit-identical either way);
+    /// completed scenarios are journaled into `journal_dir` when set; and
+    /// suites prefill journal-verified reports from `preloaded`.
+    pub fn new(
+        policy: ExecutorConfig,
+        batch_lanes: usize,
+        journal_dir: Option<PathBuf>,
+        preloaded: Preload,
+    ) -> Self {
+        Executor {
+            policy,
+            batch_lanes: batch_lanes.max(1),
+            journal_dir,
+            preloaded,
+            memo: Mutex::new(HashMap::new()),
+            in_flight: Mutex::new(Vec::new()),
+            quarantined: Mutex::new(Vec::new()),
+            scenario_tasks: AtomicU64::new(0),
+            steals: AtomicU64::new(0),
+            dc_cache_hits: AtomicU64::new(0),
+            replayed: AtomicU64::new(0),
+            retries: AtomicU64::new(0),
+            batch_groups: AtomicU64::new(0),
+        }
+    }
+
+    /// Runs `task` over the item indices in `order` on `jobs` scoped
+    /// workers and returns the results in canonical (index) slots. Each
+    /// worker claims the next index in `order`; once `order` is exhausted
+    /// it steals scenario tasks from suites still in flight until every
+    /// item has landed, so workers beyond the item count still help.
+    /// `order` must be a permutation of `0..order.len()`.
+    pub(crate) fn run_claims<R: Send>(
+        &self,
+        jobs: usize,
+        order: &[usize],
+        task: impl Fn(usize) -> R + Sync,
+    ) -> Vec<R> {
+        let next = AtomicUsize::new(0);
+        let completed = AtomicUsize::new(0);
+        let slots: Mutex<Vec<Option<R>>> = Mutex::new(order.iter().map(|_| None).collect());
+        std::thread::scope(|scope| {
+            for _ in 0..jobs {
+                scope.spawn(|| {
+                    while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let _landed = Landed(&completed);
+                        let result = task(i);
+                        slots.lock().expect("result slots poisoned")[i] = Some(result);
+                    }
+                    while completed.load(Ordering::Acquire) < order.len() {
+                        if !self.steal_scenario_task() {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                    }
+                });
+            }
+        });
+        slots
+            .into_inner()
+            .expect("result slots poisoned")
+            .into_iter()
+            .map(|r| r.expect("every result slot filled"))
+            .collect()
+    }
+
+    /// Runs (or joins) the memoized suite of `cfg` under `pm`: all twelve
+    /// scenarios, reports in [`ScenarioId::ALL`] order. Concurrent requesters
+    /// share one computation, each claiming and running unclaimed scenarios.
+    /// A quarantined scenario leaves its report out (degraded suite); see
+    /// [`Executor::quarantined`].
+    ///
+    /// # Panics
+    ///
+    /// Panics only if a worker panicked *outside* the isolation boundary —
+    /// solver failures, deadline trips, and in-task panics all flow into the
+    /// retry/quarantine machinery instead.
+    pub fn run_suite(&self, cfg: &CosimConfig, pm: &PowerManagement) -> Arc<Vec<CosimReport>> {
+        let key = SuiteKey::new(cfg, pm);
+        let job = self
+            .memo
+            .lock()
+            .expect("suite memo poisoned")
+            .entry(key)
+            .or_insert_with_key(|key| {
+                let job = Arc::new(SuiteJob::new(self, key.clone(), cfg.clone(), pm.clone()));
+                self.in_flight
+                    .lock()
+                    .expect("in-flight suite list poisoned")
+                    .push(job.clone());
+                if obs::tracing_enabled() {
+                    obs::metric_inc("executor.suites_enqueued", 1);
+                    obs::tracer().instant(
+                        obs::worker_track(),
+                        "executor",
+                        "suite_enqueue",
+                        &[
+                            ("suite", key.cache_dir()),
+                            ("pds", cfg.pds.label().to_string()),
+                        ],
+                    );
+                    self.update_queue_depth_gauge();
+                }
+                job
+            })
+            .clone();
+        // Join the computation: claim tasks until none remain, then help
+        // elsewhere until the last claimed task lands.
+        while job.run_one_task(self, "claim") {}
+        job.wait(self)
+    }
+
+    /// Whether `key`'s suite would resolve without running a single scenario
+    /// task: its memoized job has already assembled, or the resume preload
+    /// covers the full scenario catalogue (a fresh job would be born
+    /// complete from journal replay). The serve layer consults this to answer
+    /// `cached` instead of `running` *before* joining the suite; it is advisory
+    /// — [`Executor::run_suite`] remains the authority on what actually runs.
+    pub fn suite_is_warm(&self, key: &SuiteKey) -> bool {
+        if let Some(job) = self.memo.lock().expect("suite memo poisoned").get(key) {
+            if job
+                .state
+                .lock()
+                .expect("suite job state poisoned")
+                .done
+                .is_some()
+            {
+                return true;
+            }
+        }
+        self.preloaded.get(key).is_some_and(|entries| {
+            let mut have = [false; N_TASKS];
+            for (id, _) in entries {
+                if let Some(i) = ScenarioId::ALL.iter().position(|s| s == id) {
+                    have[i] = true;
+                }
+            }
+            have.iter().all(|&b| b)
+        })
+    }
+
+    /// The tasks quarantined so far, sorted by (suite, scenario) so degraded
+    /// manifests are deterministic (records accumulate in claim order,
+    /// which depends on scheduling).
+    pub fn quarantined(&self) -> Vec<QuarantineRecord> {
+        let mut records = self
+            .quarantined
+            .lock()
+            .expect("quarantine list poisoned")
+            .clone();
+        records.sort_by_key(|q| {
+            let pos = ScenarioId::ALL.iter().position(|s| *s == q.scenario);
+            (q.suite.to_hex(), pos)
+        });
+        records
+    }
+
+    /// A snapshot of this executor's [`ShardStats`].
+    pub fn stats(&self) -> ShardStats {
+        ShardStats {
+            scenario_tasks: self.scenario_tasks.load(Ordering::Relaxed),
+            steals: self.steals.load(Ordering::Relaxed),
+            dc_cache_hits: self.dc_cache_hits.load(Ordering::Relaxed),
+            replayed: self.replayed.load(Ordering::Relaxed),
+            retries: self.retries.load(Ordering::Relaxed),
+            batch_groups: self.batch_groups.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Claims and runs one scenario task from any in-flight suite. Returns
+    /// `true` if a task was run. This is what idle workers spin on once
+    /// their own queue drains.
+    fn steal_scenario_task(&self) -> bool {
+        let job = {
+            let mut in_flight = self
+                .in_flight
+                .lock()
+                .expect("in-flight suite list poisoned");
+            // Suites with every task claimed can never be stolen from again.
+            in_flight.retain(|j| j.has_unclaimed());
+            in_flight.first().cloned()
+        };
+        match job {
+            Some(job) if job.run_one_task(self, "steal") => {
+                self.steals.fetch_add(1, Ordering::Relaxed);
+                obs::metric_inc("executor.steals", 1);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Recomputes the executor queue-depth gauge: unclaimed scenario tasks
+    /// across every in-flight suite. Gated on tracing (it takes the
+    /// in-flight lock, which claims should not pay for when nobody is
+    /// watching).
+    fn update_queue_depth_gauge(&self) {
+        if !obs::tracing_enabled() {
+            return;
+        }
+        let depth: usize = self
+            .in_flight
+            .lock()
+            .expect("in-flight suite list poisoned")
+            .iter()
+            .map(|j| N_TASKS.saturating_sub(j.next.load(Ordering::Relaxed)))
+            .sum();
+        obs::metric_gauge("executor.queue_depth", depth as f64);
+    }
+
+    /// The watchdog budget one attempt runs under.
+    fn budget(&self) -> CycleBudget {
+        self.policy
+            .task_deadline
+            .map_or_else(CycleBudget::unlimited, CycleBudget::wall_clock)
+    }
+
+    /// Runs `f` with the calling thread's [`CosimPool`] shard, folding the
+    /// pool's DC-cache-hit delta into this executor's [`ShardStats`].
+    fn with_worker_pool<R>(&self, f: impl FnOnce(&mut CosimPool) -> R) -> R {
+        WORKER_POOL.with(|cell| {
+            let mut pool = cell.borrow_mut();
+            let hits_before = pool.dc_cache_hits();
+            let out = f(&mut pool);
+            self.scenario_tasks.fetch_add(1, Ordering::Relaxed);
+            self.dc_cache_hits
+                .fetch_add(pool.dc_cache_hits() - hits_before, Ordering::Relaxed);
+            out
+        })
+    }
+
+    /// Runs one task under the full isolation policy: each attempt gets
+    /// the calling thread's pool shard and the watchdog budget inside
+    /// [`isolated`], a panic rebuilds the pool shard, and seeded backoff
+    /// separates attempts. `run` receives the attempt number (0-based),
+    /// the pool, and the budget. Returns the value with its attempt-count
+    /// and wall-time metadata, or the complete per-attempt error history
+    /// once attempts are exhausted.
+    ///
+    /// `tag` seeds the backoff jitter and `labels` name the task on its
+    /// spans. Each attempt is traced as a span whose `outcome` arg
+    /// classifies how it ended: `ok`, `deadline`
+    /// ([`CosimError::DeadlineExceeded`]), `error` (any other solver/run
+    /// error), or `panic`. Backoff sleeps and pool-shard rebuilds get their
+    /// own spans so a Perfetto timeline shows where a retried task's wall
+    /// clock actually went.
+    pub(crate) fn attempt<T>(
+        &self,
+        tag: &str,
+        labels: &[(&'static str, String)],
+        run: impl Fn(u32, &mut CosimPool, CycleBudget) -> Result<T, CosimError>,
+    ) -> Result<TaskSuccess<T>, TaskFailure> {
+        let attempts = self.policy.max_attempts.max(1);
+        let track = obs::worker_track();
+        let end_span = |name: &str, span: Option<Instant>, extra: &[(&'static str, String)]| {
+            if span.is_some() {
+                let args: Vec<_> = labels.iter().chain(extra).cloned().collect();
+                obs::tracer().end_span(track, "executor", name, span, &args);
+            }
+        };
+        let mut errors = Vec::new();
+        let mut walls = Vec::new();
+        for attempt in 0..attempts {
+            if attempt > 0 {
+                self.retries.fetch_add(1, Ordering::Relaxed);
+                obs::metric_inc("executor.retries", 1);
+                let span = obs::tracer().begin();
+                std::thread::sleep(retry_backoff(&self.policy, tag, attempt));
+                end_span("backoff", span, &[("attempt", attempt.to_string())]);
+            }
+            let budget = self.budget();
+            let span = obs::tracer().begin();
+            // Measured unconditionally: one `Instant` pair per multi-second
+            // solve is free, and it keeps journal v2 metadata (and therefore
+            // `report` on resumed runs) independent of whether tracing was on.
+            let started = Instant::now();
+            let outcome = isolated(|| self.with_worker_pool(|pool| run(attempt, pool, budget)));
+            walls.push(started.elapsed().as_secs_f64());
+            let label = match &outcome {
+                Ok(Ok(_)) => "ok",
+                Ok(Err(CosimError::DeadlineExceeded { .. })) => "deadline",
+                Ok(Err(_)) => "error",
+                Err(_) => "panic",
+            };
+            end_span(
+                "attempt",
+                span,
+                &[
+                    ("attempt", attempt.to_string()),
+                    ("outcome", label.to_string()),
+                ],
+            );
+            match outcome {
+                Ok(Ok(value)) => {
+                    return Ok(TaskSuccess {
+                        value,
+                        attempts: attempt + 1,
+                        attempt_wall_s: walls,
+                    });
+                }
+                Ok(Err(e)) => {
+                    if label == "deadline" {
+                        obs::metric_inc("executor.deadline_trips", 1);
+                    }
+                    errors.push(format!("attempt {attempt}: {}", error_chain(&e)));
+                }
+                Err(msg) => {
+                    obs::metric_inc("executor.task_panics", 1);
+                    errors.push(format!("attempt {attempt}: panic: {msg}"));
+                    let span = obs::tracer().begin();
+                    rebuild_worker_pool();
+                    obs::metric_inc("executor.pool_rebuilds", 1);
+                    end_span("pool_rebuild", span, &[]);
+                }
+            }
+        }
+        Err(TaskFailure { attempts, errors })
+    }
+
+    /// Appends a finished scenario to the resume journal, when this
+    /// executor journals. Journaling is best-effort: a failed write costs a
+    /// recompute on resume, never the run.
+    fn record_to_journal(
+        &self,
+        key: &SuiteKey,
+        id: ScenarioId,
+        success: &TaskSuccess<CosimReport>,
+    ) {
+        let Some(dir) = &self.journal_dir else { return };
+        let span = obs::tracer().begin();
+        let result = crate::journal::record_scenario(
+            dir,
+            key,
+            id,
+            &success.value,
+            success.attempts,
+            &success.attempt_wall_s,
+        );
+        obs::tracer().end_span(
+            obs::worker_track(),
+            "journal",
+            "journal_write",
+            span,
+            &[("scenario", id.name().to_string())],
+        );
+        if let Err(e) = result {
+            eprintln!("  warning: journaling {id}: {e} (resume will recompute it)");
+        }
+    }
 }
 
 thread_local! {
-    /// This thread's long-lived solver-workspace shard. Sweep worker threads
-    /// keep it for their whole lifetime, so every scenario after a thread's
+    /// This thread's long-lived solver-workspace shard. Worker threads keep
+    /// it for their whole lifetime, so every scenario after a thread's
     /// first reuses the solver buffers (and, on a netlist-fingerprint match,
     /// the DC operating point).
     static WORKER_POOL: RefCell<CosimPool> = RefCell::new(CosimPool::new());
@@ -680,26 +1033,11 @@ thread_local! {
     static ISOLATION_ACTIVE: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Runs `f` with the calling thread's [`CosimPool`] shard, folding the
-/// pool's DC-cache-hit delta into the global [`ShardStats`].
-pub fn with_worker_pool<R>(f: impl FnOnce(&mut CosimPool) -> R) -> R {
-    WORKER_POOL.with(|cell| {
-        let mut pool = cell.borrow_mut();
-        let hits_before = pool.dc_cache_hits();
-        let out = f(&mut pool);
-        let reg = registry();
-        reg.scenario_tasks.fetch_add(1, Ordering::Relaxed);
-        reg.dc_cache_hits
-            .fetch_add(pool.dc_cache_hits() - hits_before, Ordering::Relaxed);
-        out
-    })
-}
-
 /// Replaces the calling thread's pool shard with a fresh one. Called after
 /// a panic unwound through the shard: the `RefCell` guard drops cleanly
 /// during unwind, but the pool may have lost its workspace mid-run, so it
 /// is rebuilt rather than trusted (the "poisoned shard" rule).
-pub(crate) fn rebuild_worker_pool() {
+fn rebuild_worker_pool() {
     WORKER_POOL.with(|cell| *cell.borrow_mut() = CosimPool::new());
 }
 
@@ -712,7 +1050,7 @@ pub fn isolation_active() -> bool {
 
 /// Renders a caught panic payload (the `&str` / `String` carried by
 /// virtually every panic) for error chains.
-pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -749,7 +1087,7 @@ fn error_chain(e: &dyn std::error::Error) -> String {
 /// capped, jittered by a seeded hash of (seed, task tag, attempt) so
 /// colliding retries decorrelate reproducibly — no wall-clock or RNG state
 /// enters the schedule.
-pub(crate) fn retry_backoff(exec: &ExecutorConfig, tag: &str, attempt: u32) -> Duration {
+fn retry_backoff(exec: &ExecutorConfig, tag: &str, attempt: u32) -> Duration {
     let exp = exec
         .backoff_base_ms
         .saturating_mul(1u64 << attempt.saturating_sub(1).min(10))
@@ -759,227 +1097,6 @@ pub(crate) fn retry_backoff(exec: &ExecutorConfig, tag: &str, attempt: u32) -> D
     let h = fnv1a_64(text.as_bytes());
     let half = exp / 2;
     Duration::from_millis(half + h % (exp - half + 1))
-}
-
-/// Runs one scenario task under the full isolation policy: per-attempt
-/// `catch_unwind`, watchdog budget, chaos injection, pool-shard rebuild on
-/// panic, and seeded backoff between attempts. Returns the report (with
-/// attempt-count and wall-time metadata), or the complete per-attempt
-/// error history once attempts are exhausted.
-///
-/// Each attempt is traced as a span whose `outcome` arg classifies how it
-/// ended: `ok`, `deadline` ([`CosimError::DeadlineExceeded`]), `error`
-/// (any other solver/run error), or `panic`. Backoff sleeps and pool-shard
-/// rebuilds get their own spans so a Perfetto timeline shows where a
-/// retried task's wall clock actually went.
-fn run_isolated(
-    key: &SuiteKey,
-    cfg: &CosimConfig,
-    pm: &PowerManagement,
-    id: ScenarioId,
-    exec: &ExecutorConfig,
-) -> Result<TaskSuccess, TaskFailure> {
-    let attempts = exec.max_attempts.max(1);
-    let tag = format!("{}:{}", key.to_hex(), id.name());
-    let track = obs::worker_track();
-    let mut errors = Vec::new();
-    let mut walls = Vec::new();
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            registry().retries.fetch_add(1, Ordering::Relaxed);
-            obs::metric_inc("executor.retries", 1);
-            let backoff_span = obs::tracer().begin();
-            std::thread::sleep(retry_backoff(exec, &tag, attempt));
-            obs::tracer().end_span(
-                track,
-                "executor",
-                "backoff",
-                backoff_span,
-                &[
-                    ("scenario", id.name().to_string()),
-                    ("attempt", attempt.to_string()),
-                ],
-            );
-        }
-        let chaos = chaos::chaos_for(id, attempt);
-        let budget = match chaos {
-            Some(ChaosMode::Stall { at_cycle }) => CycleBudget::tripping_at(at_cycle),
-            _ => exec
-                .task_deadline
-                .map_or_else(CycleBudget::unlimited, CycleBudget::wall_clock),
-        };
-        let attempt_span = obs::tracer().begin();
-        // Measured unconditionally: one `Instant` pair per multi-second
-        // solve is free, and it keeps journal v2 metadata (and therefore
-        // `report` on resumed runs) independent of whether tracing was on.
-        let started = Instant::now();
-        let outcome = isolated(|| {
-            if matches!(chaos, Some(ChaosMode::Panic)) {
-                panic!("chaos: injected panic for {id} (attempt {attempt})");
-            }
-            with_worker_pool(|pool| pool.try_run_scenario_with_pm(cfg, id, pm.clone(), budget))
-        });
-        walls.push(started.elapsed().as_secs_f64());
-        let end_attempt = |outcome: &str| {
-            if attempt_span.is_some() {
-                obs::tracer().end_span(
-                    track,
-                    "executor",
-                    "attempt",
-                    attempt_span,
-                    &[
-                        ("suite", key.cache_dir()),
-                        ("scenario", id.name().to_string()),
-                        ("attempt", attempt.to_string()),
-                        ("outcome", outcome.to_string()),
-                    ],
-                );
-            }
-        };
-        match outcome {
-            Ok(Ok(report)) => {
-                end_attempt("ok");
-                return Ok(TaskSuccess {
-                    report,
-                    attempts: attempt + 1,
-                    attempt_wall_s: walls,
-                });
-            }
-            Ok(Err(e)) => {
-                let deadline = matches!(e, CosimError::DeadlineExceeded { .. });
-                end_attempt(if deadline { "deadline" } else { "error" });
-                if deadline {
-                    obs::metric_inc("executor.deadline_trips", 1);
-                }
-                errors.push(format!("attempt {attempt}: {}", error_chain(&e)));
-            }
-            Err(msg) => {
-                end_attempt("panic");
-                obs::metric_inc("executor.task_panics", 1);
-                errors.push(format!("attempt {attempt}: panic: {msg}"));
-                let rebuild_span = obs::tracer().begin();
-                rebuild_worker_pool();
-                obs::metric_inc("executor.pool_rebuilds", 1);
-                obs::tracer().end_span(
-                    track,
-                    "executor",
-                    "pool_rebuild",
-                    rebuild_span,
-                    &[("scenario", id.name().to_string())],
-                );
-            }
-        }
-    }
-    Err(TaskFailure { attempts, errors })
-}
-
-/// Appends a finished scenario to the resume journal, when a sink is
-/// installed. Journaling is best-effort: a failed write costs a recompute
-/// on resume, never the sweep.
-fn record_to_journal(key: &SuiteKey, id: ScenarioId, success: &TaskSuccess) {
-    let Some(dir) = journal_dir() else { return };
-    let span = obs::tracer().begin();
-    let result = crate::journal::record_scenario(
-        &dir,
-        key,
-        id,
-        &success.report,
-        success.attempts,
-        &success.attempt_wall_s,
-    );
-    obs::tracer().end_span(
-        obs::worker_track(),
-        "journal",
-        "journal_write",
-        span,
-        &[("scenario", id.name().to_string())],
-    );
-    if let Err(e) = result {
-        eprintln!("  warning: journaling {id}: {e} (resume will recompute it)");
-    }
-}
-
-/// Sets the lane width scenario-task claims run at. `1` (the default, and
-/// the floor any smaller value clamps to) keeps the historical scalar
-/// path; `n ≥ 2` makes each claim take up to `n` scenarios and advance
-/// them in lockstep through one batched SoA circuit solve
-/// (`vs_core::CosimPool::try_run_batch_with_pm`). Results are bit-identical
-/// either way — batching is purely a throughput setting.
-pub fn set_batch_lanes(n: usize) {
-    registry().batch_lanes.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The lane width scenario-task claims currently run at (see
-/// [`set_batch_lanes`]).
-pub fn batch_lanes() -> usize {
-    registry().batch_lanes.load(Ordering::Relaxed)
-}
-
-/// Installs the retry / watchdog policy isolated tasks run under.
-pub fn set_executor_config(config: ExecutorConfig) {
-    *registry().executor.lock().expect("executor config poisoned") = config;
-}
-
-/// The currently installed [`ExecutorConfig`].
-pub fn executor_config() -> ExecutorConfig {
-    *registry().executor.lock().expect("executor config poisoned")
-}
-
-/// Points the completion journal at `dir` (`None` disables journaling).
-pub fn set_journal_dir(dir: Option<PathBuf>) {
-    *registry().journal_dir.lock().expect("journal sink poisoned") = dir;
-}
-
-/// Where the completion journal is being written, if anywhere.
-pub fn journal_dir() -> Option<PathBuf> {
-    registry()
-        .journal_dir
-        .lock()
-        .expect("journal sink poisoned")
-        .clone()
-}
-
-/// Installs journal-verified reports for replay: suites created afterwards
-/// prefill matching scenario slots instead of recomputing them. Replaces
-/// any previous preload (`sweep --resume` calls this once, up front).
-pub fn install_preloaded_suites(map: HashMap<SuiteKey, Vec<(ScenarioId, CosimReport)>>) {
-    *registry().preloaded.lock().expect("preload map poisoned") = map;
-}
-
-/// Whether `key`'s suite would resolve without running a single scenario
-/// task: its memoized job has already assembled, or the installed resume
-/// preload covers the full scenario catalogue (a fresh job would be born
-/// complete from journal replay). The serve layer consults this to answer
-/// `cached` instead of `running` *before* joining the suite; it is advisory
-/// — [`run_suite_sharded`] remains the authority on what actually runs.
-pub fn suite_is_warm(key: &SuiteKey) -> bool {
-    let reg = registry();
-    if let Some(job) = reg.memo.lock().expect("suite memo poisoned").get(key) {
-        if job.state.lock().expect("suite job state poisoned").done.is_some() {
-            return true;
-        }
-    }
-    let preloaded = reg.preloaded.lock().expect("preload map poisoned");
-    preloaded.get(key).is_some_and(|entries| {
-        let mut have = [false; N_TASKS];
-        for (id, _) in entries {
-            if let Some(i) = ScenarioId::ALL.iter().position(|s| s == id) {
-                have[i] = true;
-            }
-        }
-        have.iter().all(|&b| b)
-    })
-}
-
-/// Takes the quarantine records accumulated since the last drain (the
-/// sweep drains once per run, so records never leak across sweeps).
-pub fn drain_quarantined() -> Vec<QuarantineRecord> {
-    std::mem::take(
-        &mut *registry()
-            .quarantined
-            .lock()
-            .expect("quarantine list poisoned"),
-    )
 }
 
 /// Observational counters for the scenario-level scheduler (never part of
@@ -994,124 +1111,12 @@ pub struct ShardStats {
     pub dc_cache_hits: u64,
     /// Scenario tasks replayed from the resume journal instead of run.
     pub replayed: u64,
-    /// Retry attempts spent by the isolated executor.
+    /// Retry attempts spent by the attempt loop.
     pub retries: u64,
     /// Multi-lane SoA solve groups formed by batched task claims (0 unless
-    /// [`set_batch_lanes`] enabled batching — the guard tests use this to
-    /// prove batching did not silently fall back to scalar).
+    /// the executor was built with a lane width ≥ 2 — the guard tests use
+    /// this to prove batching did not silently fall back to scalar).
     pub batch_groups: u64,
-}
-
-/// A snapshot of the global [`ShardStats`].
-pub fn shard_stats() -> ShardStats {
-    let reg = registry();
-    ShardStats {
-        scenario_tasks: reg.scenario_tasks.load(Ordering::Relaxed),
-        steals: reg.steals.load(Ordering::Relaxed),
-        dc_cache_hits: reg.dc_cache_hits.load(Ordering::Relaxed),
-        replayed: reg.replayed.load(Ordering::Relaxed),
-        retries: reg.retries.load(Ordering::Relaxed),
-        batch_groups: reg.batch_groups.load(Ordering::Relaxed),
-    }
-}
-
-/// Claims and runs one scenario task from any in-flight suite. Returns
-/// `true` if a task was run. This is what idle sweep workers spin on once
-/// the experiment queue drains.
-pub fn steal_scenario_task() -> bool {
-    let job = {
-        let mut in_flight = registry()
-            .in_flight
-            .lock()
-            .expect("in-flight suite list poisoned");
-        // Suites with every task claimed can never be stolen from again.
-        in_flight.retain(|j| j.has_unclaimed());
-        in_flight.first().cloned()
-    };
-    match job {
-        Some(job) if job.run_one_task("steal") => {
-            registry().steals.fetch_add(1, Ordering::Relaxed);
-            obs::metric_inc("executor.steals", 1);
-            true
-        }
-        _ => false,
-    }
-}
-
-/// Runs (or joins) the memoized suite of `cfg` under `pm`: all twelve
-/// scenarios, reports in [`ScenarioId::ALL`] order. Concurrent requesters
-/// share one computation, each claiming and running unclaimed scenarios.
-/// A quarantined scenario leaves its report out (degraded suite); see
-/// [`drain_quarantined`].
-///
-/// # Panics
-///
-/// Panics only if a worker panicked *outside* the isolation boundary —
-/// solver failures, deadline trips, and in-task panics all flow into the
-/// retry/quarantine machinery instead.
-pub fn run_suite_sharded(cfg: &CosimConfig, pm: &PowerManagement) -> Arc<Vec<CosimReport>> {
-    let key = SuiteKey::new(cfg, pm);
-    let job = {
-        let mut memo = registry().memo.lock().expect("suite memo poisoned");
-        match memo.get(&key) {
-            Some(job) => job.clone(),
-            None => {
-                let job = Arc::new(SuiteJob::new(key.clone(), cfg.clone(), pm.clone()));
-                memo.insert(key.clone(), job.clone());
-                registry()
-                    .in_flight
-                    .lock()
-                    .expect("in-flight suite list poisoned")
-                    .push(job.clone());
-                if obs::tracing_enabled() {
-                    obs::metric_inc("executor.suites_enqueued", 1);
-                    obs::tracer().instant(
-                        obs::worker_track(),
-                        "executor",
-                        "suite_enqueue",
-                        &[
-                            ("suite", key.cache_dir()),
-                            ("pds", cfg.pds.label().to_string()),
-                        ],
-                    );
-                    update_queue_depth_gauge();
-                }
-                job
-            }
-        }
-    };
-    // Join the computation: claim tasks until none remain, then help
-    // elsewhere until the last claimed task lands.
-    while job.run_one_task("claim") {}
-    job.wait()
-}
-
-/// Clears the suite memo, in-flight list, counters, quarantine list,
-/// resume preload, journal sink, and executor policy. Tests that compare
-/// sweeps across worker counts call this between runs so every sweep
-/// recomputes its suites. Must not be called while a sweep is running.
-#[doc(hidden)]
-pub fn reset_suite_memo_for_tests() {
-    let reg = registry();
-    reg.memo.lock().expect("suite memo poisoned").clear();
-    reg.in_flight
-        .lock()
-        .expect("in-flight suite list poisoned")
-        .clear();
-    reg.scenario_tasks.store(0, Ordering::Relaxed);
-    reg.steals.store(0, Ordering::Relaxed);
-    reg.dc_cache_hits.store(0, Ordering::Relaxed);
-    reg.replayed.store(0, Ordering::Relaxed);
-    reg.retries.store(0, Ordering::Relaxed);
-    reg.batch_lanes.store(1, Ordering::Relaxed);
-    reg.batch_groups.store(0, Ordering::Relaxed);
-    *reg.executor.lock().expect("executor config poisoned") = ExecutorConfig::default();
-    *reg.journal_dir.lock().expect("journal sink poisoned") = None;
-    reg.preloaded.lock().expect("preload map poisoned").clear();
-    reg.quarantined
-        .lock()
-        .expect("quarantine list poisoned")
-        .clear();
 }
 
 #[cfg(test)]
@@ -1176,10 +1181,9 @@ mod tests {
 
     #[test]
     fn steal_with_no_in_flight_suites_is_a_noop() {
-        // Whatever other tests left behind, a fully-claimed or empty
-        // registry must return false rather than block or panic.
-        while steal_scenario_task() {}
-        assert!(!steal_scenario_task());
+        // An executor with nothing in flight must return false rather than
+        // block or panic.
+        assert!(!Executor::default().steal_scenario_task());
     }
 
     #[test]

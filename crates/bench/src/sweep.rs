@@ -1,14 +1,15 @@
 //! The parallel sweep runner: executes a set of experiments across a worker
 //! pool and writes one JSONL artifact per experiment plus a suite manifest.
 //!
-//! Scheduling is a two-level work queue. Level 1: each worker pops the next
-//! experiment off an atomic queue — in *priority order* (heaviest suites
-//! first, see [`schedule_order`]), results landing at canonical slots — and
-//! runs it with a *copy* of the shared [`RunSettings`]. Level 2: experiments
-//! that run benchmark suites fan those out into per-scenario tasks (see
-//! [`crate::shard`]); a worker whose experiment queue has drained steals
-//! scenario tasks from suites still in flight instead of exiting, so
-//! `--jobs 8` helps even a single-experiment sweep.
+//! Scheduling is a two-level work queue on the caller's [`Executor`].
+//! Level 1 is the executor's claim loop (`Executor::run_claims`): each
+//! worker claims the next experiment in *priority order* (heaviest suites
+//! first, see [`schedule_order`]), results landing at canonical slots, and
+//! runs it with a *copy* of the shared [`RunSettings`]. Level 2:
+//! experiments that run benchmark suites fan those out into per-scenario
+//! tasks (see [`crate::shard`]); a worker whose experiment queue has
+//! drained steals scenario tasks from suites still in flight instead of
+//! exiting, so `--jobs 8` helps even a single-experiment sweep.
 //!
 //! Crash safety: every experiment (and every scenario task, one level down)
 //! runs inside an isolation boundary — a panic becomes a failed run in the
@@ -21,23 +22,21 @@
 //! [`crate::journal`]).
 //!
 //! Determinism: experiments share no RNG stream or mutable state (the
-//! process-wide suite memo assembles its reports in canonical scenario
+//! executor's suite memo assembles its reports in canonical scenario
 //! order however its tasks were scheduled), so artifacts are bit-identical
 //! whatever the thread count, stealing pattern, or scheduling order — only
 //! the schema-tagged wall-time events differ. The priority order itself is
 //! a pure function of the experiment list, never of wall time.
 
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::path::Path;
+use std::time::Instant;
 
 use vs_telemetry::{json::Json, DegradedEntry, Event, RunArtifact, StageSample};
 
 use crate::obs;
-use crate::shard::{self, ExecutorConfig, QuarantineRecord, ShardStats};
-use crate::{chaos, journal, ExperimentId, ExperimentOutput, RunSettings};
+use crate::shard::{self, QuarantineRecord, ShardStats};
+use crate::{chaos, journal, Executor, ExperimentId, ExperimentOutput, RunSettings};
 
 /// What to run and how.
 #[derive(Debug, Clone, Default)]
@@ -49,15 +48,6 @@ pub struct SweepOptions {
     pub only: Option<Vec<ExperimentId>>,
     /// Settings every experiment runs under.
     pub settings: RunSettings,
-    /// Retry / watchdog policy for scenario tasks.
-    pub executor: ExecutorConfig,
-    /// Where to journal completed work for `--resume`; `None` disables the
-    /// journal (and scenario caching) entirely.
-    pub journal_dir: Option<PathBuf>,
-    /// Lane width for batched SoA circuit solving of scenario tasks
-    /// (`0`/`1` = scalar, the default; see [`shard::set_batch_lanes`]).
-    /// Artifacts are bit-identical either way.
-    pub batch_lanes: usize,
 }
 
 /// One completed experiment inside a sweep.
@@ -88,10 +78,10 @@ pub struct SweepResult {
     /// Scenario tasks that exhausted their retries, sorted by (suite,
     /// scenario) for a deterministic manifest.
     pub quarantined: Vec<QuarantineRecord>,
-    /// Executor counter deltas over this sweep (tasks, steals, cache hits,
-    /// replays, retries). Observational — scheduling-dependent — so they
-    /// appear only in the non-deterministic manifest (`run_stats` line),
-    /// never in golden trees.
+    /// The executor's counters at the end of the sweep (tasks, steals,
+    /// cache hits, replays, retries). Observational — scheduling-dependent
+    /// — so they appear only in the non-deterministic manifest
+    /// (`run_stats` line), never in golden trees.
     pub stats: ShardStats,
 }
 
@@ -149,11 +139,11 @@ pub fn schedule_order(ids: &[ExperimentId]) -> Vec<usize> {
     order
 }
 
-/// Runs the sweep: a pool of `jobs` workers drains the experiment queue
-/// (priority order), then steals scenario tasks from in-flight suites until
-/// everything lands. The pool is *not* capped at the experiment count —
-/// extra workers go straight to scenario stealing.
-pub fn run_sweep(opts: &SweepOptions) -> SweepResult {
+/// Runs the sweep on `exec`: a pool of `jobs` workers drains the experiment
+/// queue (priority order), then steals scenario tasks from in-flight suites
+/// until everything lands. The pool is *not* capped at the experiment count
+/// — extra workers go straight to scenario stealing.
+pub fn run_sweep(exec: &Executor, opts: &SweepOptions) -> SweepResult {
     let ids: Vec<ExperimentId> = match &opts.only {
         Some(list) => ExperimentId::ALL
             .into_iter()
@@ -161,126 +151,76 @@ pub fn run_sweep(opts: &SweepOptions) -> SweepResult {
             .collect(),
         None => ExperimentId::ALL.to_vec(),
     };
-    shard::set_executor_config(opts.executor);
-    shard::set_journal_dir(opts.journal_dir.clone());
-    shard::set_batch_lanes(opts.batch_lanes);
-    let order = schedule_order(&ids);
     let jobs = effective_jobs(opts.jobs);
-    let stats_before = shard::shard_stats();
     let started = Instant::now();
-    let next = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<ExperimentRun>>> = Mutex::new(vec![None; ids.len()]);
     let settings = opts.settings;
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| {
-                // Level 1: drain the experiment queue in priority order.
-                loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = order.get(k) else { break };
-                    let id = ids[i];
-                    obs::progress(
-                        "experiment",
-                        "start",
-                        &[("id", id.name().to_string())],
-                        || format!("[sweep] {} ...", id.name()),
-                    );
-                    let span = obs::tracer().begin();
-                    let t0 = Instant::now();
-                    // Isolation boundary: an experiment that panics (most
-                    // likely because a scenario it needed was quarantined)
-                    // becomes a failed run, not a dead sweep.
-                    let outcome = shard::isolated(|| id.run(&settings));
-                    let wall_s = t0.elapsed().as_secs_f64();
-                    obs::tracer().end_span(
-                        obs::worker_track(),
-                        "experiment",
-                        "experiment",
-                        span,
-                        &[
-                            ("id", id.name().to_string()),
-                            (
-                                "outcome",
-                                if outcome.is_ok() { "ok" } else { "failed" }.to_string(),
-                            ),
-                        ],
-                    );
-                    let run = match outcome {
-                        Ok(output) => {
-                            obs::progress(
-                                "experiment",
-                                "done",
-                                &[("id", id.name().to_string())],
-                                || format!("[sweep] {} done in {wall_s:.2}s", id.name()),
-                            );
-                            ExperimentRun { id, output, wall_s, error: None }
-                        }
-                        Err(msg) => {
-                            obs::progress(
-                                "experiment",
-                                "failed",
-                                &[
-                                    ("id", id.name().to_string()),
-                                    ("error", msg.clone()),
-                                ],
-                                || format!("[sweep] {} FAILED: {msg}", id.name()),
-                            );
-                            ExperimentRun {
-                                id,
-                                output: ExperimentOutput {
-                                    text: String::new(),
-                                    artifact: RunArtifact { events: Vec::new() },
-                                },
-                                wall_s,
-                                error: Some(msg),
-                            }
-                        }
-                    };
-                    slots.lock().expect("result slots poisoned")[i] = Some(run);
-                    completed.fetch_add(1, Ordering::Release);
-                }
-                // Level 2: no experiments left to own — steal scenario
-                // tasks from suites other workers still have in flight.
-                while completed.load(Ordering::Acquire) < ids.len() {
-                    if !shard::steal_scenario_task() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            });
-        }
+    let runs = exec.run_claims(jobs, &schedule_order(&ids), |i| {
+        run_experiment(exec, ids[i], &settings)
     });
-    let runs: Vec<ExperimentRun> = slots
-        .into_inner()
-        .expect("result slots poisoned")
-        .into_iter()
-        .map(|r| r.expect("every experiment slot filled"))
-        .collect();
-    // Quarantine records accumulate in claim order, which is scheduling-
-    // dependent; sort so degraded manifests are deterministic.
-    let mut quarantined = shard::drain_quarantined();
-    quarantined.sort_by_key(|q| {
-        let pos = vs_core::ScenarioId::ALL
-            .iter()
-            .position(|s| *s == q.scenario)
-            .unwrap_or(usize::MAX);
-        (q.suite.to_hex(), pos)
-    });
-    let after = shard::shard_stats();
     SweepResult {
         runs,
         jobs,
         settings,
         total_wall_s: started.elapsed().as_secs_f64(),
-        quarantined,
-        stats: ShardStats {
-            scenario_tasks: after.scenario_tasks - stats_before.scenario_tasks,
-            steals: after.steals - stats_before.steals,
-            dc_cache_hits: after.dc_cache_hits - stats_before.dc_cache_hits,
-            replayed: after.replayed - stats_before.replayed,
-            retries: after.retries - stats_before.retries,
-            batch_groups: after.batch_groups - stats_before.batch_groups,
-        },
+        quarantined: exec.quarantined(),
+        stats: exec.stats(),
+    }
+}
+
+/// Runs one experiment inside an isolation boundary: an experiment that
+/// panics (most likely because a scenario it needed was quarantined)
+/// becomes a failed run, not a dead sweep.
+fn run_experiment(exec: &Executor, id: ExperimentId, settings: &RunSettings) -> ExperimentRun {
+    obs::progress(
+        "experiment",
+        "start",
+        &[("id", id.name().to_string())],
+        || format!("[sweep] {} ...", id.name()),
+    );
+    let span = obs::tracer().begin();
+    let t0 = Instant::now();
+    let outcome = shard::isolated(|| id.run(exec, settings));
+    let wall_s = t0.elapsed().as_secs_f64();
+    obs::tracer().end_span(
+        obs::worker_track(),
+        "experiment",
+        "experiment",
+        span,
+        &[
+            ("id", id.name().to_string()),
+            (
+                "outcome",
+                if outcome.is_ok() { "ok" } else { "failed" }.to_string(),
+            ),
+        ],
+    );
+    match outcome {
+        Ok(output) => {
+            obs::progress(
+                "experiment",
+                "done",
+                &[("id", id.name().to_string())],
+                || format!("[sweep] {} done in {wall_s:.2}s", id.name()),
+            );
+            ExperimentRun { id, output, wall_s, error: None }
+        }
+        Err(msg) => {
+            obs::progress(
+                "experiment",
+                "failed",
+                &[("id", id.name().to_string()), ("error", msg.clone())],
+                || format!("[sweep] {} FAILED: {msg}", id.name()),
+            );
+            ExperimentRun {
+                id,
+                output: ExperimentOutput {
+                    text: String::new(),
+                    artifact: RunArtifact { events: Vec::new() },
+                },
+                wall_s,
+                error: Some(msg),
+            }
+        }
     }
 }
 
@@ -447,9 +387,8 @@ mod tests {
             jobs: 2,
             only: Some(vec![ExperimentId::Fig5, ExperimentId::Table2, ExperimentId::Table1]),
             settings: RunSettings::tiny_profile(),
-            ..SweepOptions::default()
         };
-        let result = run_sweep(&opts);
+        let result = run_sweep(&Executor::default(), &opts);
         let ids: Vec<_> = result.runs.iter().map(|r| r.id).collect();
         assert_eq!(
             ids,

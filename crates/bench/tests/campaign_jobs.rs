@@ -1,14 +1,11 @@
 //! Tier-1: the parallel fault campaign is byte-identical across worker
 //! counts. Every supervised run goes through a worker's pool shard under
-//! the isolation/retry policy, and the canonical-slot assembly must keep
-//! scheduling out of the results — same contract as the sweep's shards.
-//!
-//! One `#[test]` on purpose: the worker-pool registry and executor config
-//! are process-wide.
+//! the executor's isolation/retry policy, and the canonical-slot assembly
+//! must keep scheduling out of the results — same contract as the sweep's
+//! shards.
 
 use vs_bench::campaign::{campaign_pds, fault_scenarios, run_campaign};
-use vs_bench::shard;
-use vs_bench::RunSettings;
+use vs_bench::{Executor, RunSettings};
 
 /// Small enough for debug-mode CI: 21 supervised heartwall runs per sweep.
 fn micro() -> RunSettings {
@@ -35,8 +32,7 @@ fn campaign_is_bit_identical_across_worker_counts() {
 
     let mut runs = Vec::new();
     for jobs in [1usize, 2, 8] {
-        shard::reset_suite_memo_for_tests();
-        let cells = run_campaign(&settings, jobs);
+        let cells = run_campaign(&Executor::default(), &settings, jobs);
         // 14 cross-layer cells + 7 circuit-only cells, canonical order.
         assert_eq!(cells.len(), 21, "--jobs {jobs}");
         assert!(
@@ -58,5 +54,4 @@ fn campaign_is_bit_identical_across_worker_counts() {
             "campaign rows differ between --jobs 1 and --jobs {jobs}"
         );
     }
-    shard::reset_suite_memo_for_tests();
 }

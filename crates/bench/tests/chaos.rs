@@ -3,17 +3,18 @@
 //! faithful quarantine manifest, and `--resume` converges back to artifacts
 //! byte-identical with an undisturbed run.
 //!
-//! One `#[test]` on purpose: the suite memo, shard counters, and chaos plan
-//! are process-wide, and the harness runs `#[test]` functions of one binary
-//! concurrently — splitting the phases up would race the global state.
+//! One `#[test]` on purpose: the chaos plan is process-wide, and the
+//! harness runs `#[test]` functions of one binary concurrently — splitting
+//! the phases up would race it.
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use vs_bench::chaos::{clear_chaos_plan, install_chaos_plan, ChaosEvent, ChaosMode, ChaosPlan};
 use vs_bench::journal::load_resume;
-use vs_bench::shard::{self, ExecutorConfig};
+use vs_bench::shard::ExecutorConfig;
 use vs_bench::sweep::{run_sweep, SweepOptions};
-use vs_bench::{ExperimentId, RunSettings};
+use vs_bench::{Executor, ExperimentId, RunSettings};
 use vs_core::ScenarioId;
 use vs_telemetry::{json, DegradedEntry};
 
@@ -57,13 +58,14 @@ fn chaos_sweep_degrades_gracefully_and_resume_converges() {
 
     // Phase 1 — undisturbed reference: one worker, no chaos, no journal.
     clear_chaos_plan();
-    shard::reset_suite_memo_for_tests();
-    let fresh = run_sweep(&SweepOptions {
-        jobs: 1,
-        only: Some(vec![ExperimentId::Fig14]),
-        settings: micro(),
-        ..SweepOptions::default()
-    });
+    let fresh = run_sweep(
+        &Executor::default(),
+        &SweepOptions {
+            jobs: 1,
+            only: Some(vec![ExperimentId::Fig14]),
+            settings: micro(),
+        },
+    );
     assert!(!fresh.is_degraded());
     fresh.write_deterministic_to(&fresh_dir).unwrap();
     let fresh_artifact = std::fs::read(fresh_dir.join("fig14.jsonl")).unwrap();
@@ -75,7 +77,6 @@ fn chaos_sweep_degrades_gracefully_and_resume_converges() {
     //    attempt — retry exhaustion, quarantined in both suites;
     //  * the bfs scenario-cache write and the fig14 artifact tear mid-byte
     //    (simulated SIGKILL between artifact write and journal append).
-    shard::reset_suite_memo_for_tests();
     install_chaos_plan(ChaosPlan {
         seed: 7,
         tasks: vec![
@@ -94,14 +95,15 @@ fn chaos_sweep_degrades_gracefully_and_resume_converges() {
         ],
         torn_writes: vec!["bfs.json".to_string(), "fig14.jsonl".to_string()],
     });
-    let chaotic = run_sweep(&SweepOptions {
-        jobs: 2,
-        only: Some(vec![ExperimentId::Fig14]),
-        settings: micro(),
-        executor: fast_retries(),
-        journal_dir: Some(chaos_dir.clone()),
-        batch_lanes: 0,
-    });
+    let exec = Executor::new(fast_retries(), 0, Some(chaos_dir.clone()), HashMap::new());
+    let chaotic = run_sweep(
+        &exec,
+        &SweepOptions {
+            jobs: 2,
+            only: Some(vec![ExperimentId::Fig14]),
+            settings: micro(),
+        },
+    );
     clear_chaos_plan();
 
     // The sweep completed degraded instead of dying: heartwall exhausted
@@ -116,7 +118,7 @@ fn chaos_sweep_degrades_gracefully_and_resume_converges() {
         assert!(q.errors[1].contains("panic"), "{:?}", q.errors);
         assert!(q.errors[2].contains("panic"), "{:?}", q.errors);
     }
-    let stats = shard::shard_stats();
+    let stats = exec.stats();
     // Retry attempts: bfs 1/suite + hotspot 1/suite + heartwall 2/suite.
     assert_eq!(stats.retries, 8, "{stats:?}");
     assert_eq!(stats.replayed, 0, "{stats:?}");
@@ -160,21 +162,20 @@ fn chaos_sweep_degrades_gracefully_and_resume_converges() {
     std::fs::write(&truncate_target, &bytes[..bytes.len() / 2]).unwrap();
 
     // Phase 4 — resume: replay the journal, recompute only the damage.
-    shard::reset_suite_memo_for_tests();
     let state = load_resume(&chaos_dir).unwrap();
     assert_eq!(state.verified_scenarios, 20, "{state:?}");
     assert_eq!(state.damaged, 1, "{state:?}");
-    shard::install_preloaded_suites(state.preloaded);
-    let resumed = run_sweep(&SweepOptions {
-        jobs: 2,
-        only: Some(vec![ExperimentId::Fig14]),
-        settings: micro(),
-        executor: fast_retries(),
-        journal_dir: Some(chaos_dir.clone()),
-        batch_lanes: 0,
-    });
+    let exec = Executor::new(fast_retries(), 0, Some(chaos_dir.clone()), state.preloaded);
+    let resumed = run_sweep(
+        &exec,
+        &SweepOptions {
+            jobs: 2,
+            only: Some(vec![ExperimentId::Fig14]),
+            settings: micro(),
+        },
+    );
     assert!(!resumed.is_degraded(), "{:?}", resumed.quarantined);
-    let stats = shard::shard_stats();
+    let stats = exec.stats();
     assert_eq!(stats.replayed, 20, "{stats:?}");
     // Exactly the damage recomputed: 1 torn bfs cache + 1 truncated
     // pathfinder cache + heartwall in both suites.
@@ -191,7 +192,6 @@ fn chaos_sweep_degrades_gracefully_and_resume_converges() {
     );
     assert!(degraded_lines(&chaos_dir).is_empty(), "healed manifest carries no degraded lines");
 
-    shard::reset_suite_memo_for_tests();
     let _ = std::fs::remove_dir_all(&fresh_dir);
     let _ = std::fs::remove_dir_all(&chaos_dir);
 }

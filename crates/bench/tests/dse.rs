@@ -1,6 +1,6 @@
 //! Tier-1: the dse driver's determinism matrix, crash recovery, and shared
 //! runs. A 64-point grid produces bit-identical frontier artifacts
-//! whatever the worker count or batch-lane setting, and `--resume` after
+//! whatever the worker count, and `--resume` after
 //! an injected torn write (plus a tampered point cache) recomputes exactly
 //! the lost points and converges to the undisturbed bytes. On a 128-point
 //! grid the shared runs reproduce the per-point oracle bit for bit, and
@@ -49,7 +49,7 @@ fn tmp(tag: &str) -> PathBuf {
 fn dse_artifacts_are_schedule_invariant_and_resume_converges() {
     assert_eq!(grid().len(), 64);
 
-    // Phase 1 — undisturbed reference: one worker, single-point claims.
+    // Phase 1 — undisturbed reference: one worker.
     clear_chaos_plan();
     let reference = run_dse(&DseOptions {
         jobs: 1,
@@ -63,21 +63,16 @@ fn dse_artifacts_are_schedule_invariant_and_resume_converges() {
     assert!(reference.rows.iter().any(|r| r.on_frontier));
     let ref_bytes = reference.artifact(true).to_jsonl();
 
-    // Phase 2 — determinism matrix: more workers, batched lanes, or both
-    // reorder the schedule but never the bytes.
-    for (jobs, batch_lanes) in [(2, 0), (8, 0), (1, 4), (8, 4)] {
+    // Phase 2 — determinism matrix: more workers reorder the schedule but
+    // never the bytes.
+    for jobs in [2, 8] {
         let run = run_dse(&DseOptions {
             jobs,
-            batch_lanes,
             settings: micro(),
             space: grid(),
             ..DseOptions::default()
         });
-        assert_eq!(
-            run.artifact(true).to_jsonl(),
-            ref_bytes,
-            "artifact drifted at jobs={jobs} batch_lanes={batch_lanes}"
-        );
+        assert_eq!(run.artifact(true).to_jsonl(), ref_bytes, "artifact drifted at jobs={jobs}");
     }
 
     // Phase 3 — a journaled run with one point-cache write torn mid-byte
@@ -128,7 +123,6 @@ fn dse_artifacts_are_schedule_invariant_and_resume_converges() {
         space: grid(),
         journal_dir: Some(dir.clone()),
         preloaded: state.verified,
-        ..DseOptions::default()
     });
     assert_eq!(resumed.replayed, 62);
     assert_eq!(resumed.evaluated, 2, "only the torn and tampered points rerun");
@@ -163,10 +157,9 @@ fn shared_runs_match_the_per_point_oracle() {
         .iter()
         .map(|p| evaluate_point(p, &micro(), SolverWorkspace::new()).0)
         .collect();
-    for (jobs, batch_lanes) in [(1, 0), (8, 4)] {
+    for jobs in [1, 8] {
         let shared = run_dse(&DseOptions {
             jobs,
-            batch_lanes,
             settings: micro(),
             space: space.clone(),
             ..DseOptions::default()
@@ -177,7 +170,7 @@ fn shared_runs_match_the_per_point_oracle() {
             let bits = |a: f64, b: f64| a.to_bits() == b.to_bits();
             assert!(
                 bits(row.pde, m.pde) && bits(row.worst_v, m.worst_v) && bits(row.final_v, m.final_v),
-                "{point} at jobs={jobs} batch_lanes={batch_lanes}: {row:?} vs oracle {m:?}"
+                "{point} at jobs={jobs}: {row:?} vs oracle {m:?}"
             );
         }
     }

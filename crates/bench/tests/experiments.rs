@@ -1,12 +1,12 @@
 //! Tier-1 tests for the experiment library: settings parsing, catalogue
 //! integrity, artifact shape, and rerun determinism on cheap experiments.
 
-use vs_bench::{ExperimentId, RunSettings};
+use vs_bench::{Executor, ExperimentId, RunSettings};
 
 // ---------------------------------------------------------------------------
 // VS_BENCH_SCALE / VS_BENCH_MAX_CYCLES handling (pure parser — the env-var
-// readers call straight into it, and the shim subprocess tests below cover
-// the wiring without racing on process-global env state).
+// readers call straight into it, and the `sweep show` subprocess tests below
+// cover the wiring without racing on process-global env state).
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -43,14 +43,21 @@ fn settings_parse_rejects_malformed_max_cycles() {
     }
 }
 
-/// A shim binary rejects a malformed env override loudly (exit 2, error on
+/// `sweep show <id>`, running `sweep show table1`.
+fn show_table1() -> std::process::Command {
+    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_sweep"));
+    cmd.args(["show", "table1"]);
+    cmd
+}
+
+/// `sweep show` rejects a malformed env override loudly (exit 2, error on
 /// stderr naming the variable) instead of silently using the default.
 #[test]
-fn shim_rejects_malformed_env() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_table1"))
+fn show_rejects_malformed_env() {
+    let out = show_table1()
         .env("VS_BENCH_SCALE", "not-a-number")
         .output()
-        .expect("run table1");
+        .expect("run sweep show table1");
     assert_eq!(out.status.code(), Some(2), "must exit 2 on bad env");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -60,11 +67,11 @@ fn shim_rejects_malformed_env() {
 }
 
 #[test]
-fn shim_rejects_malformed_max_cycles_env() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_table1"))
+fn show_rejects_malformed_max_cycles_env() {
+    let out = show_table1()
         .env("VS_BENCH_MAX_CYCLES", "0")
         .output()
-        .expect("run table1");
+        .expect("run sweep show table1");
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("VS_BENCH_MAX_CYCLES"), "got: {stderr}");
@@ -95,7 +102,7 @@ fn catalogue_names_are_unique_and_roundtrip() {
 #[test]
 fn experiment_artifact_has_manifest_and_metrics_and_roundtrips() {
     let settings = RunSettings::tiny_profile();
-    let out = ExperimentId::Fig9.run(&settings);
+    let out = ExperimentId::Fig9.run(&Executor::default(), &settings);
     let manifest = out.artifact.manifest().expect("manifest is first event");
     assert_eq!(manifest.benchmark, "fig9");
     assert_eq!(manifest.seed, settings.seed);
@@ -113,8 +120,8 @@ fn experiment_artifact_has_manifest_and_metrics_and_roundtrips() {
 #[test]
 fn rerun_is_deterministic() {
     let settings = RunSettings::tiny_profile();
-    let a = ExperimentId::Fig9.run(&settings);
-    let b = ExperimentId::Fig9.run(&settings);
+    let a = ExperimentId::Fig9.run(&Executor::default(), &settings);
+    let b = ExperimentId::Fig9.run(&Executor::default(), &settings);
     assert_eq!(a.text, b.text);
     assert_eq!(
         a.artifact.deterministic_jsonl(),
@@ -123,14 +130,14 @@ fn rerun_is_deterministic() {
 }
 
 #[test]
-fn shim_stdout_matches_library_text() {
+fn show_stdout_matches_library_text() {
     let settings = RunSettings::tiny_profile();
-    let lib = ExperimentId::Table1.run(&settings);
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_table1"))
+    let lib = ExperimentId::Table1.run(&Executor::default(), &settings);
+    let out = show_table1()
         .env("VS_BENCH_SCALE", settings.workload_scale.to_string())
         .env("VS_BENCH_MAX_CYCLES", settings.max_cycles.to_string())
         .output()
-        .expect("run table1");
+        .expect("run sweep show table1");
     assert!(out.status.success());
     assert_eq!(String::from_utf8_lossy(&out.stdout), lib.text);
 }

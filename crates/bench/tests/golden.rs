@@ -6,15 +6,15 @@
 //! catalogue is re-run at the golden profile and diffed against the
 //! checked-in `goldens/*.jsonl` under `goldens/tolerances.json`, the
 //! headline claims are asserted, and the sweep runner is shown to be
-//! bit-identical across worker counts (via subprocesses, so the in-process
-//! suite memo cannot mask a scheduling dependence).
+//! bit-identical across worker counts (via subprocesses, so nothing shared
+//! in one process can mask a scheduling dependence).
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use vs_bench::claims::check_claims;
 use vs_bench::sweep::{run_sweep, SweepOptions};
-use vs_bench::{ExperimentId, RunSettings};
+use vs_bench::{Executor, ExperimentId, RunSettings};
 use vs_telemetry::{diff_artifacts, RunArtifact, ToleranceSpec};
 
 fn goldens_dir() -> PathBuf {
@@ -40,12 +40,14 @@ fn tolerances() -> ToleranceSpec {
 #[test]
 #[ignore = "tier-2: minutes of simulation; run via scripts/ci.sh --golden"]
 fn golden_artifacts_and_headline_claims() {
-    let result = run_sweep(&SweepOptions {
-        jobs: 0,
-        only: None,
-        settings: RunSettings::golden_profile(),
-        ..SweepOptions::default()
-    });
+    let result = run_sweep(
+        &Executor::default(),
+        &SweepOptions {
+            jobs: 0,
+            only: None,
+            settings: RunSettings::golden_profile(),
+        },
+    );
     let spec = tolerances();
     let mut failures = Vec::new();
     for run in &result.runs {
@@ -214,8 +216,8 @@ fn settings_overrides_are_honoured_uniformly() {
     // kernel's iteration count.
     let a = RunSettings::tiny_profile();
     let b = RunSettings::golden_profile();
-    let run_a = run_sweep(&SweepOptions { jobs: 0, only: None, settings: a, ..SweepOptions::default() });
-    let run_b = run_sweep(&SweepOptions { jobs: 0, only: None, settings: b, ..SweepOptions::default() });
+    let run_a = run_sweep(&Executor::default(), &SweepOptions { jobs: 0, only: None, settings: a });
+    let run_b = run_sweep(&Executor::default(), &SweepOptions { jobs: 0, only: None, settings: b });
     for (ra, rb) in run_a.runs.iter().zip(&run_b.runs) {
         assert_eq!(ra.id, rb.id);
         // Manifests must record the settings either way.

@@ -4,15 +4,14 @@
 //! and converges to artifacts byte-identical with the undamaged run.
 //!
 //! The damage schedule is driven by the repo's own FNV hash, so the
-//! "property" sweep is seeded and reproducible, not flaky. One `#[test]`
-//! on purpose: the suite memo and preload registry are process-wide.
+//! "property" sweep is seeded and reproducible, not flaky.
 
 use std::path::{Path, PathBuf};
 
 use vs_bench::journal::load_resume;
-use vs_bench::shard;
+use vs_bench::shard::{ExecutorConfig, Preload};
 use vs_bench::sweep::{run_sweep, SweepOptions};
-use vs_bench::{ExperimentId, RunSettings};
+use vs_bench::{Executor, ExperimentId, RunSettings};
 use vs_telemetry::fnv1a_64;
 
 /// Small enough for debug-mode CI: fig14 runs 2 suites x 12 scenarios, and
@@ -25,14 +24,17 @@ fn micro() -> RunSettings {
     }
 }
 
-fn journaled_sweep(dir: &Path, jobs: usize) -> vs_bench::sweep::SweepResult {
-    run_sweep(&SweepOptions {
-        jobs,
-        only: Some(vec![ExperimentId::Fig14]),
-        settings: micro(),
-        journal_dir: Some(dir.to_path_buf()),
-        ..SweepOptions::default()
-    })
+/// A journaled fig14 sweep on a fresh executor that replays `preloaded`.
+fn journaled_sweep(dir: &Path, jobs: usize, preloaded: Preload) -> vs_bench::sweep::SweepResult {
+    let exec = Executor::new(ExecutorConfig::default(), 1, Some(dir.to_path_buf()), preloaded);
+    run_sweep(
+        &exec,
+        &SweepOptions {
+            jobs,
+            only: Some(vec![ExperimentId::Fig14]),
+            settings: micro(),
+        },
+    )
 }
 
 /// Every scenario cache file under `dir/scenarios/`, sorted for a stable
@@ -53,8 +55,7 @@ fn torn_writes_are_recomputed_exactly_and_artifacts_converge() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Reference run: journaled, then written deterministically.
-    shard::reset_suite_memo_for_tests();
-    let fresh = journaled_sweep(&dir, 2);
+    let fresh = journaled_sweep(&dir, 2, Preload::new());
     assert!(!fresh.is_degraded());
     fresh.write_deterministic_to(&dir).unwrap();
     let fresh_artifact = std::fs::read(dir.join("fig14.jsonl")).unwrap();
@@ -92,11 +93,9 @@ fn torn_writes_are_recomputed_exactly_and_artifacts_converge() {
             "round {round}: {state:?}"
         );
 
-        shard::reset_suite_memo_for_tests();
-        shard::install_preloaded_suites(state.preloaded);
-        let resumed = journaled_sweep(&dir, jobs);
+        let resumed = journaled_sweep(&dir, jobs, state.preloaded);
         assert!(!resumed.is_degraded(), "round {round}");
-        let stats = shard::shard_stats();
+        let stats = resumed.stats;
         // Exactly the damaged scenarios recomputed, everything else replayed.
         assert_eq!(stats.scenario_tasks, victims.len() as u64, "round {round}: {stats:?}");
         assert_eq!(stats.replayed, (24 - victims.len()) as u64, "round {round}: {stats:?}");
@@ -127,16 +126,13 @@ fn torn_writes_are_recomputed_exactly_and_artifacts_converge() {
     assert_eq!(state.verified_scenarios, 22, "{state:?}");
     assert_eq!(state.damaged, 0, "{state:?}");
 
-    shard::reset_suite_memo_for_tests();
-    shard::install_preloaded_suites(state.preloaded);
-    let resumed = journaled_sweep(&dir, 2);
+    let resumed = journaled_sweep(&dir, 2, state.preloaded);
     assert!(!resumed.is_degraded());
-    let stats = shard::shard_stats();
+    let stats = resumed.stats;
     assert_eq!(stats.scenario_tasks, 2, "{stats:?}");
     assert_eq!(stats.replayed, 22, "{stats:?}");
     resumed.write_deterministic_to(&dir).unwrap();
     assert_eq!(std::fs::read(dir.join("fig14.jsonl")).unwrap(), fresh_artifact);
 
-    shard::reset_suite_memo_for_tests();
     let _ = std::fs::remove_dir_all(&dir);
 }

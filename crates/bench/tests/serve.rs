@@ -1,31 +1,35 @@
 //! Tier-1 serve contract: cache correctness under concurrency and across
 //! process "restarts".
 //!
-//! Three rounds against the same request bytes:
+//! Four rounds against the same request bytes:
 //!
 //! 1. two concurrent identical point requests join one in-flight suite —
 //!    exactly 12 scenario tasks run in total, both responses answer with
 //!    byte-identical `done` lines;
-//! 2. a cold "process" (memo reset + fresh [`Server`]) serves the same
-//!    request from the store — zero scenario tasks, 12 journal replays,
-//!    and the `done` line is still byte-identical. `scenario_tasks == 0`
-//!    is the no-worker-pool proof: the pool thread-local is only ever
-//!    touched by the task path that increments that counter;
+//! 2. a cold restart (a fresh [`Server`] on the same store) serves the
+//!    same request from the store — zero scenario tasks, 12 journal
+//!    replays, and the `done` line is still byte-identical.
+//!    `scenario_tasks == 0` is the no-worker-pool proof: the pool
+//!    thread-local is only ever touched by the task path that increments
+//!    that counter;
 //! 3. a torn cache entry (chaos hook tears `bfs.json` mid-byte and skips
 //!    its journal append) makes the restarted server recompute exactly
 //!    the damaged scenario — 1 task, 11 replays — and still converge to
-//!    the same response bytes.
+//!    the same response bytes;
+//! 4. two servers on two fresh stores in one process are independent: the
+//!    second computes the point on its own executor and journals into its
+//!    own store, while the first one's store and stats stay put.
 //!
-//! One `#[test]` on purpose: the suite memo, preload registry, and
-//! journal sink are process-wide.
+//! One `#[test]` on purpose: the chaos plan is process-wide.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use vs_bench::chaos::{clear_chaos_plan, install_chaos_plan, ChaosPlan};
+use vs_bench::journal::load_resume;
 use vs_bench::serve::{ServeOptions, Server};
 use vs_bench::space::ConfigPoint;
-use vs_bench::{shard, RunSettings};
+use vs_bench::RunSettings;
 
 /// Small enough for debug-mode CI: one suite, 12 scenarios.
 fn micro() -> RunSettings {
@@ -73,18 +77,20 @@ fn has_stage(lines: &[String], stage: &str) -> bool {
     lines.iter().any(|l| l.contains(&format!("\"name\":\"{stage}\"")))
 }
 
+fn open(store: PathBuf) -> Server {
+    Server::open(&ServeOptions { store, settings: micro(), batch_lanes: 1 }).expect("open store")
+}
+
 #[test]
 fn concurrent_requests_join_and_cold_restarts_serve_from_store() {
     let store = tmp("store");
-    let opts = ServeOptions { store: store.clone(), settings: micro() };
     let key = "area=0.2".parse::<ConfigPoint>().unwrap().suite_key(&micro());
 
     // Round 1 — two concurrent identical requests, one computation.
     clear_chaos_plan();
-    shard::reset_suite_memo_for_tests();
-    let server = Arc::new(Server::open(&opts).expect("open store"));
+    let server = Arc::new(open(store.clone()));
     assert_eq!(server.store_report.verified_scenarios, 0);
-    assert!(!shard::suite_is_warm(&key), "fresh store must be cold");
+    assert!(!server.executor().suite_is_warm(&key), "fresh store must be cold");
     let (lines_a, lines_b) = std::thread::scope(|s| {
         let sa = Arc::clone(&server);
         let sb = Arc::clone(&server);
@@ -92,30 +98,23 @@ fn concurrent_requests_join_and_cold_restarts_serve_from_store() {
         let b = s.spawn(move || handle(&sb, POINT_REQ));
         (a.join().expect("request a"), b.join().expect("request b"))
     });
-    let stats = shard::shard_stats();
+    let stats = server.executor().stats();
     assert_eq!(stats.scenario_tasks, 12, "duplicates must join one suite: {stats:?}");
     assert_eq!(stats.replayed, 0, "{stats:?}");
     let done = done_line(&lines_a);
     assert_eq!(done, done_line(&lines_b), "joined responses must agree byte-for-byte");
-    assert!(shard::suite_is_warm(&key), "completed suite must report warm");
+    assert!(server.executor().suite_is_warm(&key), "completed suite must report warm");
     let exp_done = done_line(&handle(&server, EXP_REQ));
     assert!(exp_done.contains("\"checksum\""), "{exp_done}");
 
-    // Round 2 — cold process: replay from the store, no worker pool.
-    shard::reset_suite_memo_for_tests();
-    let server2 = Server::open(&opts).expect("reopen store");
+    // Round 2 — cold restart: replay from the store, no worker pool.
+    let server2 = open(store);
     assert_eq!(server2.store_report.verified_scenarios, 12, "{:?}", server2.store_report);
     assert_eq!(server2.store_report.verified_experiments, 1, "{:?}", server2.store_report);
     assert_eq!(server2.store_report.damaged, 0, "{:?}", server2.store_report);
-    assert!(shard::suite_is_warm(&key), "full preload must report warm");
-    // A fresh thread has a fresh pool thread-local: if the request ran any
-    // co-simulation at all it would bump scenario_tasks.
-    let server2 = Arc::new(server2);
-    let s2 = Arc::clone(&server2);
-    let lines = std::thread::spawn(move || handle(&s2, POINT_REQ))
-        .join()
-        .expect("cold request");
-    let stats = shard::shard_stats();
+    assert!(server2.executor().suite_is_warm(&key), "full preload must report warm");
+    let lines = handle(&server2, POINT_REQ);
+    let stats = server2.executor().stats();
     assert_eq!(stats.scenario_tasks, 0, "store hit must run zero co-simulation: {stats:?}");
     assert_eq!(stats.replayed, 12, "{stats:?}");
     assert!(has_stage(&lines, "cached"), "store hit must announce cached: {lines:#?}");
@@ -126,9 +125,7 @@ fn concurrent_requests_join_and_cold_restarts_serve_from_store() {
 
     // Round 3 — torn cache entry: recompute exactly the damaged scenario.
     let store = tmp("torn");
-    let opts = ServeOptions { store, settings: micro() };
-    shard::reset_suite_memo_for_tests();
-    let server3 = Server::open(&opts).expect("open torn store");
+    let server3 = open(store.clone());
     install_chaos_plan(ChaosPlan {
         seed: 1,
         tasks: vec![],
@@ -138,18 +135,36 @@ fn concurrent_requests_join_and_cold_restarts_serve_from_store() {
     clear_chaos_plan();
     assert_eq!(done3, done, "same point, same settings, same response");
 
-    shard::reset_suite_memo_for_tests();
-    let server4 = Server::open(&opts).expect("reopen torn store");
+    let server4 = open(store);
     // The torn write lands before the journal append, so the entry is an
     // orphaned file, not a journaled damage record.
     assert_eq!(server4.store_report.verified_scenarios, 11, "{:?}", server4.store_report);
-    assert!(!shard::suite_is_warm(&key), "a partial preload must not report warm");
+    assert!(!server4.executor().suite_is_warm(&key), "a partial preload must not report warm");
     let lines = handle(&server4, POINT_REQ);
-    let stats = shard::shard_stats();
+    let stats = server4.executor().stats();
     assert_eq!(stats.scenario_tasks, 1, "exactly the torn scenario recomputes: {stats:?}");
     assert_eq!(stats.replayed, 11, "{stats:?}");
     assert!(has_stage(&lines, "running"), "{lines:#?}");
     assert_eq!(done_line(&lines), done, "healed response must be byte-identical");
+
+    // Round 4 — independent executors: two servers on two fresh stores in
+    // one process. B must compute the point A already holds, on its own
+    // executor, into its own store.
+    let server_a = open(tmp("a"));
+    let server_b = open(tmp("b"));
+    assert_eq!(done_line(&handle(&server_a, POINT_REQ)), done);
+    let stats_a = server_a.executor().stats();
+    assert_eq!(stats_a.scenario_tasks, 12, "{stats_a:?}");
+    let lines = handle(&server_b, POINT_REQ);
+    assert!(has_stage(&lines, "running"), "B must not answer from A's memo: {lines:#?}");
+    assert_eq!(done_line(&lines), done);
+    let stats_b = server_b.executor().stats();
+    assert_eq!(stats_b.scenario_tasks, 12, "B runs the suite itself: {stats_b:?}");
+    assert_eq!(stats_b.replayed, 0, "{stats_b:?}");
+    assert_eq!(server_a.executor().stats(), stats_a, "B's request must not move A's stats");
+    let journaled = |server: &Server| load_resume(server.root()).expect("journal").verified_scenarios;
+    assert_eq!(journaled(&server_b), 12, "B journals into its own store");
+    assert_eq!(journaled(&server_a), 12, "A's store holds exactly its own entries");
 
     // Hostile requests answer degraded instead of killing the session.
     for bad in [

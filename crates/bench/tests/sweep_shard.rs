@@ -1,15 +1,15 @@
 //! Tier-1: the scenario-sharded sweep is deterministic across worker
 //! counts, and the per-worker pool shards actually pay off.
 //!
-//! Everything lives in one `#[test]` on purpose: the suite memo and shard
-//! counters are process-wide, and the harness runs `#[test]` functions of
-//! one binary concurrently — splitting these assertions up would race the
-//! `reset_suite_memo_for_tests` calls.
+//! One `#[test]` on purpose: the whole matrix runs traced, and the tracer
+//! is process-wide.
 
-use vs_bench::shard::{self, ShardStats};
+use std::collections::HashMap;
+
+use vs_bench::shard::{ExecutorConfig, ShardStats};
 use vs_bench::sweep::{run_sweep, SweepOptions};
-use vs_bench::{benchmark_names, obs, run_suite, ExperimentId, RunSettings};
-use vs_core::PdsKind;
+use vs_bench::{benchmark_names, obs, Executor, ExperimentId, RunSettings};
+use vs_core::{PdsKind, PowerManagement};
 
 /// Small enough for debug-mode CI: fig8 runs 4 suites x 12 scenarios.
 fn micro() -> RunSettings {
@@ -20,18 +20,19 @@ fn micro() -> RunSettings {
     }
 }
 
-/// One sweep at the given worker count and batch-lane width, from a cold
-/// suite memo. Returns the deterministic view of every artifact plus the
-/// shard counters it left.
-fn sweep(jobs: usize, batch_lanes: usize) -> (Vec<(String, String, String)>, ShardStats) {
-    shard::reset_suite_memo_for_tests();
-    let result = run_sweep(&SweepOptions {
-        jobs,
-        batch_lanes,
-        only: Some(vec![ExperimentId::Fig8]),
-        settings: micro(),
-        ..SweepOptions::default()
-    });
+/// One sweep at the given worker count and batch-lane width, on a fresh
+/// executor. Returns the deterministic view of every artifact, the shard
+/// counters it left, and the executor it ran on.
+fn sweep(jobs: usize, batch_lanes: usize) -> (Vec<(String, String, String)>, ShardStats, Executor) {
+    let exec = Executor::new(ExecutorConfig::default(), batch_lanes, None, HashMap::new());
+    let result = run_sweep(
+        &exec,
+        &SweepOptions {
+            jobs,
+            only: Some(vec![ExperimentId::Fig8]),
+            settings: micro(),
+        },
+    );
     assert!(!result.is_degraded(), "clean sweep must not degrade");
     assert_eq!(result.jobs, jobs, "worker pool must not be capped at the experiment count");
     let artifacts = result
@@ -45,7 +46,7 @@ fn sweep(jobs: usize, batch_lanes: usize) -> (Vec<(String, String, String)>, Sha
             )
         })
         .collect();
-    (artifacts, shard::shard_stats())
+    (artifacts, exec.stats(), exec)
 }
 
 #[test]
@@ -55,9 +56,9 @@ fn sharded_sweep_is_bit_identical_across_worker_counts() {
     // the observability layer being purely observational).
     obs::reset_observability_for_tests();
     obs::set_tracing(true);
-    let (a1, s1) = sweep(1, 0);
-    let (a2, s2) = sweep(2, 0);
-    let (a8, s8) = sweep(8, 0);
+    let (a1, s1, _) = sweep(1, 0);
+    let (a2, s2, _) = sweep(2, 0);
+    let (a8, s8, _) = sweep(8, 0);
 
     // The determinism contract: text and artifacts depend only on the
     // settings, never on worker count, claim order, or stealing.
@@ -68,9 +69,9 @@ fn sharded_sweep_is_bit_identical_across_worker_counts() {
     // per claim) must reproduce the scalar artifacts byte-for-byte — and
     // must actually have batched (≥ 1 multi-lane SoA group), not silently
     // fallen back to the scalar path.
-    let (b1, t1) = sweep(1, 4);
-    let (b2, t2) = sweep(2, 4);
-    let (b8, t8) = sweep(8, 4);
+    let (b1, t1, _) = sweep(1, 4);
+    let (b2, t2, _) = sweep(2, 4);
+    let (b8, t8, last) = sweep(8, 4);
     obs::set_tracing(false);
     assert!(!obs::drain_trace().is_empty(), "traced sweeps must record spans");
     assert_eq!(a1, b1, "batch-lanes=4 jobs=1 diverged from scalar artifacts");
@@ -103,7 +104,7 @@ fn sharded_sweep_is_bit_identical_across_worker_counts() {
 
     // The memoized suite from the last sweep is assembled in canonical
     // scenario order regardless of which worker ran which task.
-    let reports = run_suite(&micro().config(PdsKind::ConventionalVrm));
+    let reports = last.run_suite(&micro().config(PdsKind::ConventionalVrm), &PowerManagement::default());
     let order: Vec<String> = reports.iter().map(|r| r.benchmark.clone()).collect();
     assert_eq!(order, benchmark_names());
 }

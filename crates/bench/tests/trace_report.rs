@@ -3,18 +3,19 @@
 //! names the quarantined (suite, scenario) pairs with per-scenario p95s,
 //! and `diff-baseline` gates drift between artifact stores.
 //!
-//! One `#[test]` on purpose: the suite memo, chaos plan, and observability
-//! globals (tracer, executor metric registry) are process-wide, and the
-//! harness runs `#[test]` functions of one binary concurrently.
+//! One `#[test]` on purpose: the chaos plan and observability globals
+//! (tracer, executor metric registry) are process-wide, and the harness
+//! runs `#[test]` functions of one binary concurrently.
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 
 use vs_bench::chaos::{clear_chaos_plan, install_chaos_plan, ChaosEvent, ChaosMode, ChaosPlan};
 use vs_bench::obs;
 use vs_bench::report::{diff_baseline, RunReport, TRACE_FILE};
-use vs_bench::shard::{self, ExecutorConfig};
+use vs_bench::shard::ExecutorConfig;
 use vs_bench::sweep::{run_sweep, SweepOptions};
-use vs_bench::{ExperimentId, RunSettings};
+use vs_bench::{Executor, ExperimentId, RunSettings};
 use vs_core::{derive_seed, ScenarioId};
 use vs_telemetry::{
     chrome_trace_json, parse_chrome_trace, write_atomic, ToleranceSpec, TraceEvent, TracePhase,
@@ -80,7 +81,6 @@ fn traced_chaos_sweep_report_and_baseline_diff() {
     // through its remaining attempts (quarantined in both fig14 suites).
     obs::reset_observability_for_tests();
     obs::set_tracing(true);
-    shard::reset_suite_memo_for_tests();
     install_chaos_plan(ChaosPlan {
         seed: 11,
         tasks: vec![
@@ -94,14 +94,14 @@ fn traced_chaos_sweep_report_and_baseline_diff() {
         ],
         torn_writes: vec![],
     });
-    let result = run_sweep(&SweepOptions {
-        jobs: 2,
-        only: Some(vec![ExperimentId::Fig14]),
-        settings: micro(),
-        executor: fast_retries(),
-        journal_dir: Some(dir.clone()),
-        batch_lanes: 0,
-    });
+    let result = run_sweep(
+        &Executor::new(fast_retries(), 0, Some(dir.clone()), HashMap::new()),
+        &SweepOptions {
+            jobs: 2,
+            only: Some(vec![ExperimentId::Fig14]),
+            settings: micro(),
+        },
+    );
     clear_chaos_plan();
     assert!(result.is_degraded());
     assert_eq!(result.quarantined.len(), 2, "{:?}", result.quarantined);
@@ -224,7 +224,6 @@ fn traced_chaos_sweep_report_and_baseline_diff() {
     assert_eq!(reparsed, generated);
 
     obs::reset_observability_for_tests();
-    shard::reset_suite_memo_for_tests();
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&drift_dir);
 }

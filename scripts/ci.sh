@@ -62,6 +62,9 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== benchmark unit tests (builds against the vs-bench API) =="
+cargo test -q --manifest-path benchmark/Cargo.toml
+
 echo "== pooled workspace reuse + sharded-sweep determinism =="
 cargo test --release -q -p vs-core --test workspace_reuse
 cargo test --release -q -p vs-bench --test sweep_shard
@@ -85,13 +88,13 @@ cargo test --release -q -p vs-bench --test dse
 cargo run --release -q -p vs-bench --bin dse -- \
     --profile tiny --out target/dse-smoke --progress off > /dev/null
 # Full 1728-point grid at the tiny profile, once on one worker and once on
-# every core with batched claims: the shared runs must land the same
-# frontier bytes whatever the schedule.
+# every core: the shared runs must land the same frontier bytes whatever
+# the schedule.
 cargo run --release -q -p vs-bench --bin dse -- \
     --grid full --profile tiny --deterministic --jobs 1 \
     --out target/dse-full-j1 --progress off > /dev/null
 cargo run --release -q -p vs-bench --bin dse -- \
-    --grid full --profile tiny --deterministic --jobs 0 --batch-lanes 4 \
+    --grid full --profile tiny --deterministic --jobs 0 \
     --out target/dse-full --progress off > /dev/null
 cmp target/dse-full-j1/dse_frontier.jsonl target/dse-full/dse_frontier.jsonl
 echo "dse smoke (tiny grid + full grid at jobs 1 and all cores, identical frontiers): OK"
