@@ -8,9 +8,12 @@
 //! ```
 //!
 //! `--stdio` serves exactly one session over stdin/stdout (tests, CI
-//! smoke, `mkfifo` pipelines); `--addr` binds a TCP listener and serves a
-//! thread per connection, all sharing one store and the server's executor
-//! — concurrent identical requests join a single computation.
+//! smoke, `mkfifo` pipelines); `--addr` binds a TCP listener and serves
+//! each connection on its own thread, at most `MAX_CONNECTIONS` (64) at
+//! once (one more is answered `server busy` and closed), all sharing one
+//! store and the server's executor — concurrent identical requests join a
+//! single computation. Both transports buffer a reply and flush it once
+//! per request (and after `running`).
 //! Either way the process runs until a `shutdown` request (or stdin EOF).
 //!
 //! The store (default `target/serve-store`) survives restarts: on boot
@@ -27,7 +30,7 @@
 //! | 2 | environment/usage error |
 //! | 3 | internal error (panic; structured JSONL on stderr) |
 
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -84,10 +87,10 @@ fn main() -> ExitCode {
         (true, Some(_)) => fail("--stdio and --addr are mutually exclusive"),
         (false, None) => fail("pick a transport: --stdio or --addr HOST:PORT"),
         (true, None) => {
-            let stdin = io::stdin();
-            let stdout = io::stdout();
-            serve_lines(&server, stdin.lock(), stdout.lock())
-                .unwrap_or_else(|e| fail(&format!("stdio session failed: {e}")));
+            let output = BufWriter::new(io::stdout().lock());
+            if let Err(e) = serve_lines(&server, io::stdin().lock(), output) {
+                fail(&format!("stdio session failed: {e}"));
+            }
         }
         (false, Some(addr)) => {
             let listener = TcpListener::bind(addr)

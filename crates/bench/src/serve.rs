@@ -6,7 +6,8 @@
 //! [`vs_telemetry::RequestEvent`] wire form — the same `lifecycle_json`
 //! vocabulary the `--progress json` sink already speaks. Framing is
 //! hand-rolled over `BufRead` lines, so the same handler serves a TCP
-//! socket (thread per connection) and stdio (tests, CI smoke).
+//! socket (a thread per connection, at most [`MAX_CONNECTIONS`] at once)
+//! and stdio (tests, CI smoke).
 //!
 //! # Protocol
 //!
@@ -49,13 +50,24 @@
 //! Each [`Server`] owns its executor, built from its store's journal
 //! directory and resume preload, so servers in one process never share a
 //! memo, a preload, or a journal.
+//!
+//! # Transport
+//!
+//! A session writes through one buffered writer. Events are buffered and
+//! flushed once when a request ends, and once after `running`, which
+//! precedes blocking work; a warm reply (`accepted` → `cached` → `done`)
+//! leaves in a single write. TCP sockets run with `TCP_NODELAY`, so no
+//! reply waits on the client's delayed ACK. Request lines are read as
+//! bytes under [`MAX_LINE_BYTES`]; an over-long or non-UTF-8 line answers
+//! `degraded` and the session goes on.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use vs_core::{PowerManagement, ScenarioId};
 use vs_telemetry::json::{self, Json};
@@ -68,6 +80,18 @@ use crate::{journal, obs, report, Executor, ExperimentId, RunSettings};
 /// Version of the request/response protocol. Part of the
 /// [`code_fingerprint`], so a protocol bump invalidates the store.
 pub const PROTOCOL_VERSION: u32 = 1;
+
+/// Most TCP connections [`serve_tcp`] serves at once. One more is answered
+/// `degraded` (`"error":"server busy"`) and closed without a thread.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// Longest request line, in bytes without its `\n`. A longer line is
+/// skipped to its end and answered `degraded`.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Pause after a failed `accept()`, so a persistent failure such as
+/// `EMFILE` (the pending connection stays queued) does not spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// The 16-hex digest naming this build's store subdirectory: FNV-1a over
 /// the workspace crate versions, the artifact schema version, and the
@@ -192,11 +216,19 @@ impl Server {
         &self.executor
     }
 
-    /// Handles one request line, streaming response events to `out`.
+    /// Handles one request line, streaming response events to `out` and
+    /// flushing it once when the request ends, whichever way it ends.
     /// Returns `Ok(false)` when the request asks the server to shut down;
     /// I/O errors are the *writer's* (a vanished client), never the
     /// request's — malformed requests answer with a `degraded` event.
     pub fn handle_line(&self, line: &str, out: &mut dyn Write) -> io::Result<bool> {
+        let open = self.dispatch(line, out)?;
+        out.flush()?;
+        Ok(open)
+    }
+
+    /// [`Server::handle_line`] without the final flush.
+    fn dispatch(&self, line: &str, out: &mut dyn Write) -> io::Result<bool> {
         let line = line.trim();
         if line.is_empty() {
             return Ok(true);
@@ -475,16 +507,23 @@ impl Server {
     }
 }
 
-/// Emits one response event: a [`RequestEvent`] line on `out` (flushed, so
-/// clients see progress promptly) mirrored to the stderr progress sink.
+/// Emits one response event: a [`RequestEvent`] line written to `out` in
+/// one piece, mirrored to the stderr progress sink. Only `running` is
+/// flushed here, since blocking work follows it; every other event waits
+/// for the flush that ends the request.
 fn emit(out: &mut dyn Write, req: &str, stage: &str, args: &[(&str, String)]) -> io::Result<()> {
     let ev = RequestEvent::new(req, stage, args);
     obs::progress("serve", stage, &wire_args(req, args), || {
         let detail: Vec<String> = args.iter().map(|(k, v)| format!("{k}={v}")).collect();
         format!("[serve] {req} {stage} {}", detail.join(" "))
     });
-    writeln!(out, "{}", ev.to_json().to_string_compact())?;
-    out.flush()
+    let mut line = ev.to_json().to_string_compact();
+    line.push('\n');
+    out.write_all(line.as_bytes())?;
+    if stage == "running" {
+        out.flush()?;
+    }
+    Ok(())
 }
 
 /// The full lifecycle arg list (`req` first), as the wire form carries it.
@@ -496,51 +535,99 @@ fn wire_args<'a>(req: &'a str, args: &'a [(&'a str, String)]) -> Vec<(&'a str, S
 }
 
 /// Serves line-delimited requests from `input` until EOF or a `shutdown`
-/// request, writing response events to `output`. The stdio transport the
-/// CI smoke and tests drive; also the per-connection loop for TCP.
-pub fn serve_lines(server: &Server, input: impl BufRead, mut output: impl Write) -> io::Result<()> {
-    for line in input.lines() {
-        if !server.handle_line(&line?, &mut output)? {
-            break;
+/// request, writing response events to `output`, which should buffer:
+/// each request is flushed once, when it ends. Returns whether the
+/// session ended with `shutdown`. The stdio transport the CI smoke and
+/// tests drive; also the per-connection loop for TCP.
+pub fn serve_lines(server: &Server, mut input: impl BufRead, mut output: impl Write) -> io::Result<bool> {
+    let mut buf = Vec::new();
+    while let Some(line) = read_request(&mut input, &mut buf)? {
+        let open = match line {
+            Ok(line) => server.handle_line(line, &mut output)?,
+            Err(error) => {
+                emit(&mut output, "?", "degraded", &[("error", error)])?;
+                output.flush()?;
+                true
+            }
+        };
+        if !open {
+            return Ok(true);
         }
     }
-    Ok(())
+    Ok(false)
 }
 
-/// Accepts TCP connections forever (thread per connection, all sharing
-/// `server`), until some connection sends `shutdown`. Responses go back
-/// on the same socket. Returns once the listener has been released.
+/// Reads one request line into `buf`, holding at most
+/// [`MAX_LINE_BYTES`] + 1 bytes of it: `None` at EOF, `Err` with the
+/// reason for a line that is too long (skipped to its end) or not UTF-8.
+fn read_request<'b>(input: &mut impl BufRead, buf: &'b mut Vec<u8>) -> io::Result<Option<Result<&'b str, String>>> {
+    let mut read_capped = |buf: &mut Vec<u8>| {
+        buf.clear();
+        input.by_ref().take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', buf)
+    };
+    if read_capped(buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_LINE_BYTES {
+        // Drop the rest of the line, a cap's worth at a time.
+        while read_capped(buf)? > 0 && buf.last() != Some(&b'\n') {}
+        return Ok(Some(Err(format!("request line longer than {MAX_LINE_BYTES} bytes"))));
+    }
+    Ok(Some(std::str::from_utf8(buf).map_err(|e| format!("request line is not UTF-8: {e}"))))
+}
+
+/// Accepts TCP connections until some connection sends `shutdown`, and
+/// serves each on its own thread, all sharing `server`, with at most
+/// [`MAX_CONNECTIONS`] live at once: one more is answered `degraded`
+/// (`"error":"server busy"`) and closed. A failed `accept()` is reported
+/// on the progress sink and the loop goes on. Every socket runs with
+/// `TCP_NODELAY` behind a buffered writer, so a warm reply leaves in one
+/// write and waits on no timer. Returns once the listener has been
+/// released.
 pub fn serve_tcp(server: &Arc<Server>, listener: TcpListener) -> io::Result<()> {
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
+    // Every handler thread holds a clone, dropped when it exits, so the
+    // strong count less this one is the number of live connections.
+    let slots = Arc::new(());
     for conn in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        let conn = conn?;
-        let server = Arc::clone(server);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let reader = match conn.try_clone() {
-                Ok(c) => BufReader::new(c),
-                Err(_) => return,
-            };
-            let mut writer = conn;
-            for line in reader.lines() {
-                let Ok(line) = line else { break };
-                match server.handle_line(&line, &mut writer) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        // Shutdown: flag the accept loop and poke it awake
-                        // with a throwaway connection.
-                        stop.store(true, Ordering::SeqCst);
-                        let _ = TcpStream::connect(addr);
-                        return;
-                    }
-                    Err(_) => break, // client hung up mid-response
-                }
+        let mut conn = match conn {
+            Ok(conn) => conn,
+            Err(e) => {
+                obs::progress("serve", "accept_failed", &[("error", e.to_string())], || {
+                    format!("[serve] accept failed: {e}")
+                });
+                std::thread::sleep(ACCEPT_BACKOFF);
+                continue;
             }
-        });
+        };
+        // Best effort: without it a reply is merely slower.
+        let _ = conn.set_nodelay(true);
+        if Arc::strong_count(&slots) > MAX_CONNECTIONS {
+            let _ = emit(&mut conn, "?", "degraded", &[("error", "server busy".to_string())]);
+            continue;
+        }
+        let (server, stop, slot) = (Arc::clone(server), Arc::clone(&stop), Arc::clone(&slots));
+        let session = move || {
+            let _slot = slot;
+            let Ok(reader) = conn.try_clone() else { return };
+            if let Ok(true) = serve_lines(&server, BufReader::new(reader), BufWriter::new(conn)) {
+                // Shutdown: flag the accept loop and poke it awake with a
+                // throwaway connection.
+                stop.store(true, Ordering::SeqCst);
+                let _ = TcpStream::connect(addr);
+            }
+        };
+        if let Err(e) = std::thread::Builder::new().spawn(session) {
+            obs::progress("serve", "accept_failed", &[("error", e.to_string())], || {
+                format!("[serve] cannot start a connection thread: {e}")
+            });
+        }
     }
     Ok(())
 }

@@ -119,8 +119,10 @@ echo "== serve smoke: stdio session, content-addressed cache hit =="
 # Two cold processes against one store: the first computes and journals,
 # the second must answer `cached` and a byte-identical `done` line (the
 # concurrency and torn-entry halves of the contract live in the serve and
-# cli_contract test suites above).
+# cli_contract test suites above; the TCP transport's warm latency,
+# connection cap and hostile lines in serve_tcp).
 cargo test --release -q -p vs-bench --test serve
+cargo test --release -q -p vs-bench --test serve_tcp
 cargo test --release -q -p vs-bench --test cli_contract
 SERVE=target/release/serve
 SERVE_STORE=$(mktemp -d)
