@@ -14,7 +14,7 @@ use std::time::Instant;
 use vs_circuit::{AcAnalysis, Integration, Transient};
 use vs_control::{ControllerConfig, VoltageController};
 use vs_core::{PdsKind, PdsRig};
-use vs_gpu::{benchmark, build_kernel, Gpu, GpuConfig, SchedulerKind};
+use vs_gpu::{benchmark, build_kernel, Gpu, GpuConfig, GpuCycleEvents, SchedulerKind};
 use vs_bench::obs;
 use vs_num::{eigenvalues, expm, LuFactors, Matrix};
 use vs_pds::{AreaModel, CrIvrConfig, PdnParams, StackedPdn};
@@ -188,6 +188,42 @@ fn bench_scalar_alloc_guard() {
     );
 }
 
+/// Guard: the GPU model's per-cycle path must not allocate in steady state.
+/// bfs keeps the DRAM channels busy, so an allocation per DRAM completion
+/// shows here as about 0.26 allocations per cycle. After warm-up a window
+/// of `Gpu::tick_into` cycles must stay under 0.01; what remains is map and
+/// queue growth to new high-water marks.
+fn bench_gpu_alloc_guard() {
+    const MAX_ALLOCS_PER_CYCLE: f64 = 0.01;
+    const WARMUP: u64 = 20_000;
+    const WINDOW: u64 = 100_000;
+    let cfg = GpuConfig::default();
+    let kernel = build_kernel(&benchmark("bfs").expect("bfs profile"), &cfg, 1);
+    let mut gpu = Gpu::new(&cfg, &kernel, SchedulerKind::Gto);
+    let mut events = GpuCycleEvents::new();
+    for _ in 0..WARMUP {
+        gpu.tick_into(&mut events);
+    }
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let mut cycles = 0u64;
+    while cycles < WINDOW && !gpu.done() {
+        gpu.tick_into(black_box(&mut events));
+        cycles += 1;
+    }
+    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    let per_cycle = delta as f64 / cycles.max(1) as f64;
+    println!(
+        "gpu_tick_into bfs alloc guard: {delta} allocations over {cycles} cycles \
+         ({per_cycle:.4}/cycle, limit {MAX_ALLOCS_PER_CYCLE})"
+    );
+    assert_eq!(cycles, WINDOW, "bfs finished inside the guarded window");
+    assert!(
+        per_cycle <= MAX_ALLOCS_PER_CYCLE,
+        "bfs Gpu::tick_into allocated {per_cycle:.4} times per cycle \
+         (limit {MAX_ALLOCS_PER_CYCLE}): the memory path allocates per cycle again"
+    );
+}
+
 /// Guard: the disabled-telemetry instrumentation points threaded through the
 /// co-simulation hot loop must stay branch-cheap. Each cosim cycle pays five
 /// span start/stop pairs plus a couple of `is_enabled` checks; against a
@@ -283,6 +319,7 @@ fn main() {
     bench_controller();
     bench_rig();
     bench_scalar_alloc_guard();
+    bench_gpu_alloc_guard();
     bench_telemetry_overhead();
     bench_trace_overhead();
 }

@@ -1,5 +1,5 @@
 //! The design-space-exploration driver: thousands of configurations
-//! through the sharded queue, with a Pareto-frontier artifact.
+//! through lockstep run batches, with a Pareto-frontier artifact.
 //!
 //! ```text
 //! dse [--grid tiny|full|paper] [--space SPEC] [--jobs N]
@@ -11,14 +11,15 @@
 //! Enumerates an axis space (`--grid full` is the built-in 1728-point
 //! exploration; `--space "stack=4x4|8x2,area=0.1|0.2,latency=60"` builds a
 //! custom one in the shared sweep grammar, unmentioned axes staying at the
-//! paper point), evaluates every unique configuration through the
-//! two-level point queue, writes `dse_frontier.jsonl` into `--out`
+//! paper point), evaluates every unique configuration through lockstep
+//! batches of shared runs, writes `dse_frontier.jsonl` into `--out`
 //! (default `target/dse`), prints the frontier, and checks the executable
 //! frontier claims — notably that the paper's 4×4 / 0.2× cross-layer
 //! design point is non-dominated. Points share simulation runs; stderr
 //! reports how many distinct PDE and worst-case runs executed
 //! (`[dse] runs: 162 pde + 882 worst-case for 1728 point(s)` on the full
-//! grid), and `--trace` spans each one.
+//! grid) and how many of their lane-solves went through multi-lane
+//! lockstep groups (`[dse] lanes: ...`), and `--trace` spans each run.
 //!
 //! Crash safety matches `sweep`: each completed point lands atomically in
 //! a `points/` cache and is journaled with a checksum; `--resume DIR`
@@ -145,6 +146,11 @@ fn main() -> ExitCode {
     eprintln!(
         "[dse] runs: {} pde + {} worst-case for {} point(s)",
         result.pde_runs, result.worst_case_runs, result.evaluated,
+    );
+    let lanes = &result.batch_stats;
+    eprintln!(
+        "[dse] lanes: {} of {} lane-solve(s) in multi-lane groups, {} alone, over {} shared step(s)",
+        lanes.multi_lane_solves, lanes.lane_steps, lanes.singleton_solves, lanes.shared_steps,
     );
 
     print_frontier(&result);

@@ -1,6 +1,6 @@
 //! The design-space-exploration driver: evaluates an [`AxisSpace`]'s cross
-//! product — thousands of [`ConfigPoint`]s — through a sharded two-level
-//! work queue and distills the results into a Pareto-frontier artifact.
+//! product — thousands of [`ConfigPoint`]s — through lockstep batches of
+//! shared runs and distills the results into a Pareto-frontier artifact.
 //!
 //! A point's metrics come from two short circuit-level runs on a recycled
 //! [`SolverWorkspace`]:
@@ -29,31 +29,36 @@
 //! point is at least as good in all three and strictly better in one
 //! (strict Pareto dominance; exact ties do not dominate each other).
 //!
-//! Scheduling is dse's own two-level queue, not the executor's claim loop:
-//! level 1 hands each worker a *topology group* (points sharing a stack
-//! geometry, hence a netlist family — the recycled workspace's buffers and
-//! DC cache stay warm), level 2 claims single points off the group's atomic
-//! cursor; workers whose groups drained steal points from groups still in
-//! flight, so no worker idles at the tail of a few-group grid. Before the
-//! workers start, the distinct runs of the *pending* points are planned
-//! into `OnceLock` slots; a worker resolves each half of a point through
-//! its slot, so the first worker to need a run executes it and any other
-//! reads (or waits for) its result. Point identity routes through
-//! [`SuiteKey`]: duplicate points evaluate once, and completed points are
-//! journaled ([`crate::journal::record_point`]) the moment their metrics
-//! exist, so `dse --resume` replays verified metrics and plans only the
-//! runs its lost points read. Artifacts are bit-identical whatever the
-//! worker count or resume history.
+//! Scheduling is dse's own batch cursor, not the executor's claim loop.
+//! Before the workers start, the distinct runs of the *pending* points are
+//! planned and cut into batches: up to `LANES` (4) runs of one kind that
+//! share a stack geometry and CR-IVR area, hence one netlist. Batches are
+//! listed bucket by bucket in point order, a bucket's PDE batches before
+//! its worst-case batches, and workers claim them off one atomic cursor.
+//! A worker steps a batch's runs in lockstep ([`vs_core::RigLanes`],
+//! [`vs_core::run_worst_case_lanes`]): one shared solve per step for all
+//! lanes, exactly each run's scalar floating-point work, so every result
+//! is bit-identical to the run stepped alone. Run length depends only on
+//! the settings, so no lane idles at a batch's tail. Every pending point
+//! waits on its two runs, and the worker that lands the second journals
+//! the point ([`crate::journal::record_point`]). Point identity routes
+//! through [`SuiteKey`]: duplicate points evaluate once, and `dse
+//! --resume` replays verified metrics and plans only the runs its lost
+//! points read. Artifacts are bit-identical whatever the worker count or
+//! resume history.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use vs_circuit::SolverWorkspace;
-use vs_core::{run_worst_case_in, PdsKind, PdsRig, StackGeometry, WorstCaseConfig};
+use vs_circuit::{BatchStats, SolverWorkspace};
+use vs_core::{
+    run_worst_case_in, run_worst_case_lanes, PdsKind, PdsRig, RigLanes, StackGeometry,
+    WorstCaseConfig, WorstCaseVoltages,
+};
 use vs_telemetry::{
     labeled, DsePointRow, Event, Registry, RunArtifact, RunManifest, StageSample, SCHEMA_VERSION,
 };
@@ -78,6 +83,14 @@ const P_SM_NOMINAL_W: f64 = 8.0;
 /// Cross-layer loop power at the paper's T=60 latency, watts; a faster
 /// loop costs proportionally more ([`control_overhead_w`]).
 const LOOP_POWER_AT_T60_W: f64 = 0.08;
+
+/// Planned runs one worker steps in lockstep as one batch. Each lane owns a
+/// full rig (about 97 KB for the 4×4 stack) and, for a cross-layer
+/// worst-case run, a controller (about 25 KB), so the width trades peak
+/// memory for speed: on the full golden grid at two workers, 8 lanes
+/// raised peak RSS by about 40% and 4 lanes by about 15%, while 4 lanes
+/// kept most of the 8-lane speed-up.
+const LANES: usize = 4;
 
 /// Quiescent/control power of one per-layer charge-recycling IVR domain,
 /// watts. Every layer of the stack hosts its own regulation domain in
@@ -135,6 +148,9 @@ pub struct DseResult {
     /// Distinct worst-case runs executed: one per [`WorstCaseConfig`] key
     /// the evaluated points read.
     pub worst_case_runs: usize,
+    /// Lockstep solve counters summed over every batch of runs: how many
+    /// lane-solves went through multi-lane groups and how many alone.
+    pub batch_stats: BatchStats,
     /// Worker threads actually used.
     pub jobs: usize,
     /// The settings everything ran under.
@@ -221,19 +237,28 @@ impl PdeRun {
         out.extend([overhead_w.to_bits(), p_sm_w.to_bits(), steps]);
     }
 
-    /// Runs the rig on a recycled workspace and returns its PDE. Pure in
-    /// `self`: the workspace only saves allocations.
-    fn run(&self, workspace: SolverWorkspace) -> (f64, SolverWorkspace) {
-        let n_sms = self.geometry.n_sms() as usize;
-        let mut rig = PdsRig::with_params_in(
+    /// The run's rig, built in `workspace`.
+    fn rig(&self, workspace: SolverWorkspace) -> PdsRig {
+        PdsRig::with_params_in(
             self.kind,
             &self.geometry.pdn_params(),
             1.0 / CLOCK_HZ,
             self.overhead_w,
             workspace,
-        );
-        let loads = vec![self.p_sm_w; n_sms];
-        let zeros = vec![0.0; n_sms];
+        )
+    }
+
+    /// The uniform per-SM load and the all-zero ballast/fake powers.
+    fn loads(&self) -> (Vec<f64>, Vec<f64>) {
+        let n_sms = self.geometry.n_sms() as usize;
+        (vec![self.p_sm_w; n_sms], vec![0.0; n_sms])
+    }
+
+    /// Runs the rig on a recycled workspace and returns its PDE. Pure in
+    /// `self`: the workspace only saves allocations.
+    fn run(&self, workspace: SolverWorkspace) -> (f64, SolverWorkspace) {
+        let mut rig = self.rig(workspace);
+        let (loads, zeros) = self.loads();
         for _ in 0..self.steps {
             // A solver give-up leaves the rig at its last accepted state;
             // the ledger then reflects the truncated run — still a pure
@@ -243,6 +268,38 @@ impl PdeRun {
             }
         }
         (rig.ledger().pde(), rig.into_workspace())
+    }
+
+    /// Runs several PDE runs of one length in lockstep ([`RigLanes`]) and
+    /// returns their PDEs in order, bit-identical to [`PdeRun::run`]'s: a
+    /// lane the solver gives up on retires at its last accepted state, as
+    /// the scalar loop breaks. Rigs are built in workspaces popped from
+    /// `workspaces`, which get them back; the solve counters go to `stats`.
+    fn run_lanes(
+        runs: &[&PdeRun],
+        workspaces: &mut Vec<SolverWorkspace>,
+        stats: &mut BatchStats,
+    ) -> Vec<f64> {
+        let steps = runs.first().map_or(0, |run| run.steps);
+        assert!(
+            runs.iter().all(|run| run.steps == steps),
+            "lockstep PDE runs must share one step count"
+        );
+        let loads: Vec<(Vec<f64>, Vec<f64>)> = runs.iter().map(|run| run.loads()).collect();
+        let mut lanes = RigLanes::new(
+            runs.iter()
+                .map(|run| run.rig(workspaces.pop().unwrap_or_default()))
+                .collect(),
+        );
+        for _ in 0..steps {
+            lanes.step(|i| (&loads[i].0, &loads[i].1, &loads[i].1));
+        }
+        let pdes = (0..runs.len())
+            .map(|i| lanes.rig(i).ledger().pde())
+            .collect();
+        stats.absorb(&lanes.stats());
+        workspaces.extend(lanes.into_rigs().into_iter().map(PdsRig::into_workspace));
+        pdes
     }
 }
 
@@ -285,79 +342,93 @@ pub fn evaluate_point(
     (metrics, workspace)
 }
 
-/// Distinct runs in first-appearance order, each beside the slot its
-/// result lands in once some worker executes it.
-type Plan<R, T> = Vec<(R, OnceLock<T>)>;
+/// A distinct run, the pending points that read it (as indices into the
+/// pending list), and the slot its result lands in once a worker executes
+/// it.
+struct Planned<R, T> {
+    run: R,
+    readers: Vec<usize>,
+    result: OnceLock<T>,
+}
 
-/// Dedups `runs` by their key words: returns the distinct runs with empty
-/// result slots, and each input run's index into them.
+/// Dedups the pending points' runs by their key words, in first-appearance
+/// order: returns the distinct runs with their readers and empty result
+/// slots, and each pending point's index into them.
 fn plan<R, T>(
     runs: impl Iterator<Item = R>,
     key: impl Fn(&R, &mut Vec<u64>),
-) -> (Plan<R, T>, Vec<usize>) {
-    let mut distinct: Plan<R, T> = Vec::new();
+) -> (Vec<Planned<R, T>>, Vec<usize>) {
+    let mut distinct: Vec<Planned<R, T>> = Vec::new();
     let mut index: HashMap<Vec<u64>, usize> = HashMap::new();
     let slots = runs
-        .map(|run| {
+        .enumerate()
+        .map(|(reader, run)| {
             let mut words = Vec::new();
             key(&run, &mut words);
-            *index.entry(words).or_insert_with(|| {
-                distinct.push((run, OnceLock::new()));
+            let slot = *index.entry(words).or_insert_with(|| {
+                distinct.push(Planned {
+                    run,
+                    readers: Vec::new(),
+                    result: OnceLock::new(),
+                });
                 distinct.len() - 1
-            })
+            });
+            distinct[slot].readers.push(reader);
+            slot
         })
         .collect();
     (distinct, slots)
 }
 
-/// Executes one planned run on the worker's recycled workspace. Under
-/// tracing it becomes a `dse`/`name` span on the worker's track and bumps
-/// `counter`; untraced, tracing costs one relaxed load.
-fn execute<T>(
-    name: &str,
-    counter: &str,
-    point: &ConfigPoint,
-    workspace: &mut Option<SolverWorkspace>,
-    run: impl FnOnce(SolverWorkspace) -> (T, SolverWorkspace),
-) -> T {
-    let span = obs::tracer().begin();
-    let (result, ws) = run(workspace.take().unwrap_or_default());
-    *workspace = Some(ws);
-    if span.is_some() {
-        obs::metric_inc(counter, 1);
-        obs::tracer().end_span(
-            obs::worker_track(),
-            "dse",
-            name,
-            span,
-            &[
-                ("stack", point.stack.to_string()),
-                ("area", point.area.to_string()),
-                ("family", point.pds.to_string()),
-            ],
-        );
+/// Up to `LANES` planned runs of one kind that share a stack geometry and
+/// CR-IVR area (hence one netlist, so the lanes share one factorization),
+/// as indices into that kind's plan.
+enum Batch {
+    Pde(Vec<usize>),
+    WorstCase(Vec<usize>),
+}
+
+/// Steps the `batch` runs of `plan` in lockstep through `step`, fills their
+/// result slots, and returns each run's readers for the caller to land.
+/// Under tracing every run becomes a `dse`/`name` span covering the whole
+/// batch on the worker's track, labelled by a point that reads it
+/// (`point_of`), and bumps `counter`; untraced, tracing costs one relaxed
+/// load.
+fn execute<'p, 'u, R, T: std::fmt::Debug>(
+    plan: &'p [Planned<R, T>],
+    batch: &[usize],
+    (name, counter): (&str, &str),
+    point_of: impl Fn(usize) -> &'u ConfigPoint,
+    step: impl FnOnce(&[&R]) -> Vec<T>,
+) -> Vec<&'p [usize]> {
+    let started = obs::tracer().begin();
+    let planned: Vec<&Planned<R, T>> = batch.iter().map(|&r| &plan[r]).collect();
+    let runs: Vec<&R> = planned.iter().map(|p| &p.run).collect();
+    for (p, result) in planned.iter().zip(step(&runs)) {
+        p.result.set(result).expect("each planned run executes once");
+        if started.is_some() {
+            let point = point_of(p.readers[0]);
+            obs::metric_inc(counter, 1);
+            obs::tracer().end_span(
+                obs::worker_track(),
+                "dse",
+                name,
+                started,
+                &[
+                    ("stack", point.stack.to_string()),
+                    ("area", point.area.to_string()),
+                    ("family", point.pds.to_string()),
+                ],
+            );
+        }
     }
-    result
-}
-
-/// A pending point: its index into the unique-point list and the planned
-/// runs it reads.
-struct Job {
-    point: usize,
-    pde: usize,
-    worst: usize,
-}
-
-/// A topology group's pending points, all sharing one stack geometry,
-/// behind an atomic claim cursor.
-struct Group {
-    jobs: Vec<Job>,
-    next: AtomicUsize,
+    planned.iter().map(|p| p.readers.as_slice()).collect()
 }
 
 /// Runs the exploration: enumerate, dedup by [`SuiteKey`], plan the
-/// distinct runs the pending points read, shard the pending points over
-/// the worker pool, journal completions, and mark the Pareto frontier.
+/// distinct runs the pending points read, step them in lockstep batches
+/// over the worker pool, journal each point as its last run lands, and
+/// mark the Pareto frontier.
 pub fn run_dse(opts: &DseOptions) -> DseResult {
     let started = Instant::now();
     let enumerated_points = opts.space.points();
@@ -392,92 +463,142 @@ pub fn run_dse(opts: &DseOptions) -> DseResult {
     // Plan the distinct runs of the pending points only: replayed points
     // read no run, so a resume executes just what its lost points need.
     let settings = &opts.settings;
-    let (pde_plan, pde_of) = plan(
+    let (pde_plan, pde_of): (Vec<Planned<PdeRun, f64>>, _) = plan(
         pending.iter().map(|&i| PdeRun::of(&unique[i].0, settings)),
         PdeRun::stable_key_into,
     );
-    let (worst_plan, worst_of) = plan(
+    let (worst_plan, worst_of): (Vec<Planned<WorstCaseConfig, WorstCaseVoltages>>, _) = plan(
         pending.iter().map(|&i| worst_case_config(&unique[i].0, settings)),
         WorstCaseConfig::stable_key_into,
     );
 
-    // Level-1 groups: pending points bucketed by stack geometry in
-    // first-appearance order. Enumeration puts the stack axis outermost,
-    // so a group's points share one netlist topology and are consecutive —
-    // a worker's recycled workspace stays warm across its whole lane.
-    let mut group_of: HashMap<StackGeometry, usize> = HashMap::new();
-    let mut groups: Vec<Group> = Vec::new();
-    for ((&point, pde), worst) in pending.iter().zip(pde_of).zip(worst_of) {
-        let stack = unique[point].0.stack;
-        let g = *group_of.entry(stack).or_insert_with(|| {
-            groups.push(Group { jobs: Vec::new(), next: AtomicUsize::new(0) });
-            groups.len() - 1
-        });
-        groups[g].jobs.push(Job { point, pde, worst });
+    // Batches: each kind's runs bucketed by (stack, area) in the pending
+    // points' order and cut into lanes; a bucket's PDE batches precede its
+    // worst-case batches. Enumeration puts the stack axis outermost and the
+    // area next, so the buckets come out in point order and the points of
+    // one bucket complete together.
+    let point_of = |reader: usize| &unique[pending[reader]].0;
+    let bucket_key = |point: &ConfigPoint| (point.stack, point.area.to_bits());
+    let mut bucket_of: HashMap<(StackGeometry, u64), usize> = HashMap::new();
+    for &i in &pending {
+        let next = bucket_of.len();
+        bucket_of.entry(bucket_key(&unique[i].0)).or_insert(next);
     }
+    let bucket = |reader: usize| bucket_of[&bucket_key(point_of(reader))];
+    let mut buckets: Vec<(Vec<usize>, Vec<usize>)> = vec![Default::default(); bucket_of.len()];
+    for (run, planned) in pde_plan.iter().enumerate() {
+        buckets[bucket(planned.readers[0])].0.push(run);
+    }
+    for (run, planned) in worst_plan.iter().enumerate() {
+        buckets[bucket(planned.readers[0])].1.push(run);
+    }
+    let batches: Vec<Batch> = buckets
+        .iter()
+        .flat_map(|(pde, worst)| {
+            pde.chunks(LANES)
+                .map(|runs| Batch::Pde(runs.to_vec()))
+                .chain(
+                    worst
+                        .chunks(LANES)
+                        .map(|runs| Batch::WorstCase(runs.to_vec())),
+                )
+        })
+        .collect();
+
+    // Every pending point waits on two runs; the worker that lands the
+    // second journals it.
+    let waiting: Vec<AtomicU8> = (0..evaluated).map(|_| AtomicU8::new(2)).collect();
+    let metrics_of = |reader: usize| {
+        let pde = *pde_plan[pde_of[reader]]
+            .result
+            .get()
+            .expect("PDE run executed");
+        let worst = worst_plan[worst_of[reader]]
+            .result
+            .get()
+            .expect("worst-case run executed");
+        PointMetrics {
+            pde,
+            worst_v: worst.worst_voltage,
+            final_v: worst.final_voltage,
+        }
+    };
 
     let jobs = effective_jobs(opts.jobs);
-    let next_group = AtomicUsize::new(0);
+    let next_batch = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
-    let results: Mutex<&mut Vec<Option<PointMetrics>>> = Mutex::new(&mut slots);
+    let batch_stats = Mutex::new(BatchStats::default());
     let progress_every = (evaluated / 20).max(1);
 
-    // Claims one point off `group` and evaluates it, executing each run the
-    // point reads unless another worker already has (or is); returns false
-    // when the group's cursor is exhausted.
-    let claim = |group: &Group, workspace: &mut Option<SolverWorkspace>| -> bool {
-        let Some(&Job { point: i, pde, worst }) =
-            group.jobs.get(group.next.fetch_add(1, Ordering::Relaxed))
-        else {
-            return false;
-        };
-        let (point, key) = &unique[i];
-        let (run, slot) = &pde_plan[pde];
-        let pde = *slot.get_or_init(|| {
-            execute("pde_run", "dse.pde_runs", point, workspace, |ws| run.run(ws))
-        });
-        let (cfg, slot) = &worst_plan[worst];
-        let (worst_v, final_v) = *slot.get_or_init(|| {
-            execute("worst_case_run", "dse.worst_case_runs", point, workspace, |ws| {
-                let (r, ws) = run_worst_case_in(cfg, ws);
-                ((r.worst_voltage, r.final_voltage), ws)
-            })
-        });
-        let metrics = PointMetrics { pde, worst_v, final_v };
-        if let Some(dir) = &opts.journal_dir {
-            // Best-effort, like scenario journaling: a lost record costs a
-            // recompute on resume, never the run.
-            let _ = journal::record_point(dir, key, &point.to_string(), &metrics);
+    // Counts one landed run against each point that reads it and completes
+    // the points it was the last run of.
+    let land = |readers: &[usize]| {
+        for &reader in readers {
+            // AcqRel pairs this worker's result store with the other
+            // run's, so the worker that lands a point's second run reads
+            // both results.
+            if waiting[reader].fetch_sub(1, Ordering::AcqRel) != 1 {
+                continue;
+            }
+            let (point, key) = &unique[pending[reader]];
+            if let Some(dir) = &opts.journal_dir {
+                // Best-effort, like scenario journaling: a lost record costs
+                // a recompute on resume, never the run.
+                let _ = journal::record_point(dir, key, &point.to_string(), &metrics_of(reader));
+            }
+            let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+            if n.is_multiple_of(progress_every) || n == evaluated {
+                obs::progress(
+                    "dse",
+                    "points",
+                    &[("done", n.to_string()), ("total", evaluated.to_string())],
+                    || format!("[dse] {n}/{evaluated} points"),
+                );
+            }
         }
-        results.lock().expect("dse result slots poisoned")[i] = Some(metrics);
-        let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(progress_every) || n == evaluated {
-            obs::progress(
-                "dse",
-                "points",
-                &[("done", n.to_string()), ("total", evaluated.to_string())],
-                || format!("[dse] {n}/{evaluated} points"),
-            );
-        }
-        true
     };
 
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| {
-                let mut workspace: Option<SolverWorkspace> = None;
-                // Level 1: own the next unclaimed topology group.
-                while let Some(group) = groups.get(next_group.fetch_add(1, Ordering::Relaxed)) {
-                    while claim(group, &mut workspace) {}
+                let mut workspaces: Vec<SolverWorkspace> = Vec::new();
+                let mut stats = BatchStats::default();
+                while let Some(batch) = batches.get(next_batch.fetch_add(1, Ordering::Relaxed)) {
+                    let landed = match batch {
+                        Batch::Pde(runs) => execute(
+                            &pde_plan,
+                            runs,
+                            ("pde_run", "dse.pde_runs"),
+                            point_of,
+                            |runs| PdeRun::run_lanes(runs, &mut workspaces, &mut stats),
+                        ),
+                        Batch::WorstCase(runs) => execute(
+                            &worst_plan,
+                            runs,
+                            ("worst_case_run", "dse.worst_case_runs"),
+                            point_of,
+                            |runs| {
+                                let cfgs: Vec<WorstCaseConfig> =
+                                    runs.iter().map(|&cfg| cfg.clone()).collect();
+                                run_worst_case_lanes(&cfgs, &mut workspaces, &mut stats)
+                            },
+                        ),
+                    };
+                    for readers in landed {
+                        land(readers);
+                    }
                 }
-                // Level 2: steal points from groups still in flight.
-                for group in &groups {
-                    while claim(group, &mut workspace) {}
-                }
+                batch_stats
+                    .lock()
+                    .expect("dse batch stats poisoned")
+                    .absorb(&stats);
             });
         }
     });
 
+    for (reader, &i) in pending.iter().enumerate() {
+        slots[i] = Some(metrics_of(reader));
+    }
     let mut rows: Vec<DsePointRow> = unique
         .iter()
         .zip(slots.iter())
@@ -503,6 +624,7 @@ pub fn run_dse(opts: &DseOptions) -> DseResult {
         replayed,
         pde_runs: pde_plan.len(),
         worst_case_runs: worst_plan.len(),
+        batch_stats: batch_stats.into_inner().expect("dse batch stats poisoned"),
         jobs,
         settings: opts.settings,
         total_wall_s: started.elapsed().as_secs_f64(),

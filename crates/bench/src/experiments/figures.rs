@@ -215,7 +215,16 @@ pub(super) fn fig9(r: &mut Recorder) {
 /// Fig. 10: worst-case droop sensitivity to CR-IVR area (a) and control
 /// latency (b) for the cross-layer design.
 pub(super) fn fig10(r: &mut Recorder) {
+    use std::collections::HashMap;
     use vs_core::worst_voltage_for;
+    // The (a) and (b) grids share 16 (area, latency) pairs; each distinct
+    // pair runs once.
+    let mut runs: HashMap<(u64, u32), f64> = HashMap::new();
+    let mut worst_voltage = |area: f64, lat: u32| {
+        *runs
+            .entry((area.to_bits(), lat))
+            .or_insert_with(|| worst_voltage_for(area, lat, true))
+    };
     // (a) worst voltage vs area for several latencies.
     let areas = [0.1, 0.2, 0.4, 0.8, 1.2, 1.6, 2.0];
     let latencies = [60u32, 80, 120, 140];
@@ -224,7 +233,7 @@ pub(super) fn fig10(r: &mut Recorder) {
         crate::obs::progress_step(&format!("  area {area} ..."));
         let mut row = vec![format!("{area:.1}")];
         for lat in latencies {
-            let v = worst_voltage_for(area, lat, true);
+            let v = worst_voltage(area, lat);
             r.gauge_labeled(
                 "worst_v",
                 &[("area", &format!("{area:.1}")), ("lat", &format!("{lat}"))],
@@ -248,7 +257,7 @@ pub(super) fn fig10(r: &mut Recorder) {
         crate::obs::progress_step(&format!("  latency {lat} ..."));
         let mut row = vec![format!("{lat}")];
         for area in areas_b {
-            let v = worst_voltage_for(area, lat, true);
+            let v = worst_voltage(area, lat);
             r.gauge_labeled(
                 "worst_v",
                 &[("area", &format!("{area:.1}")), ("lat", &format!("{lat}"))],

@@ -3,8 +3,9 @@
 //! whatever the worker count, and `--resume` after
 //! an injected torn write (plus a tampered point cache) recomputes exactly
 //! the lost points and converges to the undisturbed bytes. On a 128-point
-//! grid the shared runs reproduce the per-point oracle bit for bit, and
-//! the traced binary spans each executed run once.
+//! grid the shared runs, stepped in lockstep lanes, reproduce the
+//! per-point oracle bit for bit, and the traced binary spans each executed
+//! run once.
 //!
 //! The chaos phases share one `#[test]` on purpose: the chaos plan is
 //! process-wide and the harness runs a binary's `#[test]` functions
@@ -166,6 +167,14 @@ fn shared_runs_match_the_per_point_oracle() {
         });
         assert_eq!(shared.evaluated, 128);
         assert_eq!((shared.pde_runs, shared.worst_case_runs), expected_runs);
+        // The runs stepped in lockstep: most lane-solves went through
+        // multi-lane groups, so a fallback to singleton solves fails here.
+        let lanes = shared.batch_stats;
+        assert!(lanes.multi_lane_groups > 0, "jobs={jobs}: {lanes:?}");
+        assert!(
+            lanes.multi_lane_solves > lanes.singleton_solves,
+            "jobs={jobs}: {lanes:?}"
+        );
         for ((point, row), m) in shared.points.iter().zip(&shared.rows).zip(&oracle) {
             let bits = |a: f64, b: f64| a.to_bits() == b.to_bits();
             assert!(

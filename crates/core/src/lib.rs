@@ -63,10 +63,10 @@ pub use config::{CosimConfig, ParseGeometryError, PdsKind, StackGeometry};
 pub use cosim::{run_scenario, Cosim, CosimBuilder, CosimReport, PowerManagement};
 pub use fault::{CrIvrFault, FaultEvent, FaultKind, FaultPlan, FaultWindow, LoadGlitch};
 pub use imbalance::ImbalanceHistogram;
-pub use rig::{EnergyLedger, PdsRig};
+pub use rig::{EnergyLedger, PdsRig, RigLanes};
 pub use scenarios::{
-    run_worst_case, run_worst_case_in, worst_voltage_for, ScenarioId, UnknownScenario,
-    WorstCaseConfig, WorstCaseResult,
+    run_worst_case, run_worst_case_in, run_worst_case_lanes, worst_voltage_for, ScenarioId,
+    UnknownScenario, WorstCaseConfig, WorstCaseResult, WorstCaseVoltages,
 };
 pub use seed::derive_seed;
 pub use supervisor::{CosimError, CycleBudget, RunVerdict, SupervisedReport, SupervisorConfig};

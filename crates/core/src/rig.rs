@@ -3,7 +3,8 @@
 //! into the paper's loss categories.
 
 use vs_circuit::{
-    Integration, RecoveryPolicy, SolverError, SolverWorkspace, StepReport, Transient,
+    step_lanes_with_recovery, BatchScratch, BatchStats, Integration, LaneOutcome, RecoveryPolicy,
+    SolverError, SolverWorkspace, StepReport, Transient,
 };
 use vs_pds::{
     ivr_efficiency, level_shifter_fraction, vrm_efficiency, AreaModel, CrIvrConfig, PdnParams,
@@ -485,6 +486,113 @@ impl PdsRig {
             }
         }
         ledger
+    }
+}
+
+/// Several [`PdsRig`]s stepped in lockstep: each [`RigLanes::step`] stages
+/// every live lane's loads, advances all of them through one
+/// [`step_lanes_with_recovery`] call (rigs of one netlist share one LU
+/// factorization, so the lanes solve through one SoA substitution), and
+/// books the step on each lane whose step was accepted. Per lane that is
+/// exactly [`PdsRig::step`]'s floating-point work in its order, so a lane's
+/// trajectory and ledger are bit-identical to the same rig stepped alone.
+///
+/// A lane whose step fails even under its recovery policy retires alone:
+/// it stays at its last accepted state, like a rig whose scalar step
+/// returned `Err`, and later steps leave it untouched while its neighbours
+/// go on.
+pub struct RigLanes {
+    rigs: Vec<PdsRig>,
+    retired: Vec<bool>,
+    scratch: BatchScratch,
+    stats: BatchStats,
+    policies: Vec<RecoveryPolicy>,
+    results: Vec<Result<StepReport, SolverError>>,
+    outcomes: Vec<LaneOutcome>,
+}
+
+impl RigLanes {
+    /// Lanes over independently built rigs, all live.
+    pub fn new(rigs: Vec<PdsRig>) -> Self {
+        let n = rigs.len();
+        RigLanes {
+            rigs,
+            retired: vec![false; n],
+            scratch: BatchScratch::default(),
+            stats: BatchStats::default(),
+            policies: Vec::with_capacity(n),
+            results: Vec::with_capacity(n),
+            outcomes: Vec::with_capacity(n),
+        }
+    }
+
+    /// Borrows lane `i`'s rig (its voltages and ledger).
+    pub fn rig(&self, i: usize) -> &PdsRig {
+        &self.rigs[i]
+    }
+
+    /// Counters of every shared solve these lanes have taken.
+    pub fn stats(&self) -> BatchStats {
+        self.stats
+    }
+
+    /// Advances every live lane one step, lane `i` under `loads(i)`: the
+    /// `(sm_power_w, dcc_power_w, fake_power_w)` slices [`PdsRig::step`]
+    /// takes. Returns one [`LaneOutcome`] per lane, in lane order; a lane
+    /// that faults here is retired.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice's length differs from its rig's SM count.
+    pub fn step<'l>(
+        &mut self,
+        loads: impl Fn(usize) -> (&'l [f64], &'l [f64], &'l [f64]),
+    ) -> &[LaneOutcome] {
+        self.policies.clear();
+        let mut solvers: Vec<&mut Transient> = Vec::with_capacity(self.rigs.len());
+        for (i, rig) in self.rigs.iter_mut().enumerate() {
+            if self.retired[i] {
+                continue;
+            }
+            let (sm, dcc, fake) = loads(i);
+            rig.stage_loads(sm, dcc, fake);
+            self.policies.push(rig.recovery);
+            solvers.push(&mut rig.sim);
+        }
+        step_lanes_with_recovery(
+            &mut solvers,
+            &self.policies,
+            &mut self.scratch,
+            &mut self.stats,
+            &mut self.results,
+        );
+        drop(solvers);
+
+        self.outcomes.clear();
+        let mut results = self.results.drain(..);
+        for (i, rig) in self.rigs.iter_mut().enumerate() {
+            if self.retired[i] {
+                self.outcomes.push(LaneOutcome::Retired);
+                continue;
+            }
+            match results.next().expect("one result per live lane") {
+                Ok(report) => {
+                    rig.finish_step(loads(i).2);
+                    self.outcomes.push(LaneOutcome::Stepped(report));
+                }
+                Err(e) => {
+                    self.retired[i] = true;
+                    self.stats.retired += 1;
+                    self.outcomes.push(LaneOutcome::Faulted(e));
+                }
+            }
+        }
+        &self.outcomes
+    }
+
+    /// Tears the lanes down into their rigs, in lane order.
+    pub fn into_rigs(self) -> Vec<PdsRig> {
+        self.rigs
     }
 }
 

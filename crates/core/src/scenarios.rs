@@ -11,14 +11,12 @@
 use std::fmt;
 use std::str::FromStr;
 
-use vs_circuit::Trace;
+use vs_circuit::{BatchStats, LaneOutcome, SolverWorkspace, Trace};
 use vs_control::{ActuatorWeights, ControllerConfig, DetectorKind, VoltageController};
 use vs_gpu::WorkloadProfile;
 
-use vs_circuit::SolverWorkspace;
-
 use crate::config::{PdsKind, StackGeometry};
-use crate::rig::PdsRig;
+use crate::rig::{PdsRig, RigLanes};
 
 /// Typed identifier for the twelve benchmark scenarios of the paper's
 /// evaluation (six Rodinia 2.0, six CUDA SDK), in presentation order.
@@ -247,6 +245,185 @@ pub struct WorstCaseResult {
     pub final_voltage: f64,
 }
 
+/// The two voltages of a worst-case run stepped by
+/// [`run_worst_case_lanes`], which keeps no trace; bit-identical to the
+/// same fields of the scalar [`WorstCaseResult`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WorstCaseVoltages {
+    /// Worst voltage reached after the gating event, volts.
+    pub worst_voltage: f64,
+    /// Voltage at the end of the run (post-recovery), volts.
+    pub final_voltage: f64,
+}
+
+/// GPU clock the worst-case scenario steps at.
+const CLOCK_HZ: f64 = 700e6;
+
+/// One worst-case run's per-cycle logic, shared by the scalar driver
+/// ([`run_worst_case_in`], which keeps the Fig. 9 trace) and the lockstep
+/// one ([`run_worst_case_lanes`]). Each cycle [`WorstCaseLane::stage`]
+/// fills the loads the rig steps under; once the rig has stepped,
+/// [`WorstCaseLane::settle`] reads its voltages, updates the controller
+/// and tracks the worst and final loaded-SM voltage.
+struct WorstCaseLane {
+    controller: Option<VoltageController>,
+    n_layers: usize,
+    n_columns: usize,
+    gated_layer: usize,
+    p_sm_w: f64,
+    p_floor_w: f64,
+    /// Share of the SM power the controller can throttle, watts.
+    p_dynamic: f64,
+    gate_cycle: u64,
+    total_cycles: u64,
+    cycle: u64,
+    sm_watts: Vec<f64>,
+    dcc_watts: Vec<f64>,
+    fake_watts: Vec<f64>,
+    voltages: Vec<f64>,
+    worst_after_event: f64,
+    final_voltage: f64,
+}
+
+impl WorstCaseLane {
+    /// Retention power of a fully gated SM, watts.
+    const P_GATED_W: f64 = 0.075;
+    /// Power of one fake SP op per cycle, watts per unit fake rate.
+    const E_FAKE_W_PER_RATE: f64 = 4.5e-9 * CLOCK_HZ;
+
+    /// The scenario's rig, built in `workspace`, and the lane that drives
+    /// it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gated_layer` is out of range for the configured stack.
+    fn new(cfg: &WorstCaseConfig, workspace: SolverWorkspace) -> (PdsRig, WorstCaseLane) {
+        let dt = 1.0 / CLOCK_HZ;
+        let pds = if cfg.cross_layer {
+            PdsKind::VsCrossLayer {
+                area_mult: cfg.area_mult,
+            }
+        } else {
+            PdsKind::VsCircuitOnly {
+                area_mult: cfg.area_mult,
+            }
+        };
+        let rig = PdsRig::with_params_in(pds, &cfg.geometry.pdn_params(), dt, 0.08, workspace);
+        let (n_layers, n_columns) = rig.topology();
+        assert!(cfg.gated_layer < n_layers);
+        let n_sms = rig.n_sms();
+
+        let controller_cfg = ControllerConfig {
+            v_threshold: cfg.v_threshold,
+            weights: cfg.weights,
+            latency_cycles: cfg.latency_cycles,
+            detector: cfg.detector,
+            ..ControllerConfig::default()
+        };
+        let lane = WorstCaseLane {
+            controller: cfg
+                .cross_layer
+                .then(|| VoltageController::new(controller_cfg)),
+            n_layers,
+            n_columns,
+            gated_layer: cfg.gated_layer,
+            p_sm_w: cfg.p_sm_w,
+            p_floor_w: cfg.p_floor_w,
+            p_dynamic: (cfg.p_sm_w - cfg.p_floor_w).max(0.0),
+            gate_cycle: (cfg.gate_at_s / dt).round() as u64,
+            total_cycles: (cfg.duration_s / dt).round() as u64,
+            cycle: 0,
+            sm_watts: vec![cfg.p_sm_w; n_sms],
+            dcc_watts: vec![0.0; n_sms],
+            fake_watts: vec![0.0; n_sms],
+            voltages: Vec::with_capacity(n_sms),
+            worst_after_event: f64::INFINITY,
+            final_voltage: 0.0,
+        };
+        (rig, lane)
+    }
+
+    fn gated(&self) -> bool {
+        self.cycle >= self.gate_cycle
+    }
+
+    /// Fills this cycle's per-SM loads from the controller's active
+    /// commands (or the steady load without a controller).
+    fn stage(&mut self) {
+        let gated = self.gated();
+        let commands = self
+            .controller
+            .as_ref()
+            .map(VoltageController::active_commands);
+        for layer in 0..self.n_layers {
+            for col in 0..self.n_columns {
+                let sm = layer * self.n_columns + col;
+                if gated && layer == self.gated_layer {
+                    self.sm_watts[sm] = Self::P_GATED_W;
+                    self.fake_watts[sm] = 0.0;
+                    // The gated SM cannot execute fake instructions, but its
+                    // DCC DAC still works.
+                    self.dcc_watts[sm] = commands.map_or(0.0, |c| c[sm].dcc_power_w);
+                    continue;
+                }
+                match commands {
+                    Some(c) => {
+                        let width_frac = c[sm].issue_width / 2.0;
+                        let fake = c[sm].fake_rate * Self::E_FAKE_W_PER_RATE;
+                        self.sm_watts[sm] = self.p_floor_w + self.p_dynamic * width_frac + fake;
+                        self.fake_watts[sm] = fake;
+                        self.dcc_watts[sm] = c[sm].dcc_power_w;
+                    }
+                    None => {
+                        self.sm_watts[sm] = self.p_sm_w;
+                        self.fake_watts[sm] = 0.0;
+                        self.dcc_watts[sm] = 0.0;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The loads [`WorstCaseLane::stage`] filled, in [`PdsRig::step`]'s
+    /// argument order.
+    fn loads(&self) -> (&[f64], &[f64], &[f64]) {
+        (&self.sm_watts, &self.dcc_watts, &self.fake_watts)
+    }
+
+    /// Reads the stepped rig's voltages, feeds them to the controller, and
+    /// tracks the minimum voltage among SMs that are still running, which
+    /// it returns.
+    fn settle(&mut self, rig: &PdsRig) -> f64 {
+        rig.sm_voltages_into(&mut self.voltages);
+        if let Some(ctrl) = self.controller.as_mut() {
+            ctrl.update(&self.voltages);
+        }
+        let gated = self.gated();
+        let mut v_min = f64::INFINITY;
+        for layer in 0..self.n_layers {
+            if gated && layer == self.gated_layer {
+                continue;
+            }
+            for col in 0..self.n_columns {
+                v_min = v_min.min(self.voltages[layer * self.n_columns + col]);
+            }
+        }
+        if gated {
+            self.worst_after_event = self.worst_after_event.min(v_min);
+        }
+        self.final_voltage = v_min;
+        self.cycle += 1;
+        v_min
+    }
+
+    fn voltages(&self) -> WorstCaseVoltages {
+        WorstCaseVoltages {
+            worst_voltage: self.worst_after_event,
+            final_voltage: self.final_voltage,
+        }
+    }
+}
+
 /// Runs the worst-case imbalance scenario.
 ///
 /// # Panics
@@ -258,8 +435,8 @@ pub fn run_worst_case(cfg: &WorstCaseConfig) -> WorstCaseResult {
 
 /// [`run_worst_case`] on a reusable [`SolverWorkspace`], returning the
 /// workspace when the run finishes so callers sweeping many configurations
-/// (the `dse` driver) skip the solver's warm-up allocations on every run
-/// after the first. Reuse never changes results.
+/// skip the solver's warm-up allocations on every run after the first.
+/// Reuse never changes results.
 ///
 /// # Panics
 ///
@@ -268,104 +445,75 @@ pub fn run_worst_case_in(
     cfg: &WorstCaseConfig,
     workspace: SolverWorkspace,
 ) -> (WorstCaseResult, SolverWorkspace) {
-    let clock_hz = 700e6;
-    let dt = 1.0 / clock_hz;
-    let pds = if cfg.cross_layer {
-        PdsKind::VsCrossLayer {
-            area_mult: cfg.area_mult,
-        }
-    } else {
-        PdsKind::VsCircuitOnly {
-            area_mult: cfg.area_mult,
-        }
-    };
-    let mut rig = PdsRig::with_params_in(pds, &cfg.geometry.pdn_params(), dt, 0.08, workspace);
-    let (n_layers, n_columns) = rig.topology();
-    assert!(cfg.gated_layer < n_layers);
-    let n_sms = rig.n_sms();
-
-    let controller_cfg = ControllerConfig {
-        v_threshold: cfg.v_threshold,
-        weights: cfg.weights,
-        latency_cycles: cfg.latency_cycles,
-        detector: cfg.detector,
-        ..ControllerConfig::default()
-    };
-    let mut controller = cfg
-        .cross_layer
-        .then(|| VoltageController::new(controller_cfg.clone()));
-
-    let total_cycles = (cfg.duration_s / dt).round() as u64;
-    let gate_cycle = (cfg.gate_at_s / dt).round() as u64;
+    let (mut rig, mut lane) = WorstCaseLane::new(cfg, workspace);
     let mut trace = Trace::new("min loaded SM voltage");
-    let mut worst_after_event = f64::INFINITY;
-    let mut sm_watts = vec![cfg.p_sm_w; n_sms];
-    let mut dcc_watts = vec![0.0; n_sms];
-    let mut fake_watts = vec![0.0; n_sms];
-    // Retention power of a fully gated SM.
-    let p_gated = 0.075;
-    let p_dynamic = (cfg.p_sm_w - cfg.p_floor_w).max(0.0);
-    let e_fake_w_per_rate = 4.5e-9 * clock_hz; // one fake SP op per cycle
-    let mut voltages = Vec::with_capacity(n_sms);
-
-    for cycle in 0..total_cycles {
-        let gated = cycle >= gate_cycle;
-        let commands = controller.as_ref().map(VoltageController::active_commands);
-        for layer in 0..n_layers {
-            for col in 0..n_columns {
-                let sm = layer * n_columns + col;
-                if gated && layer == cfg.gated_layer {
-                    sm_watts[sm] = p_gated;
-                    fake_watts[sm] = 0.0;
-                    // The gated SM cannot execute fake instructions, but its
-                    // DCC DAC still works.
-                    dcc_watts[sm] = commands.map_or(0.0, |c| c[sm].dcc_power_w);
-                    continue;
-                }
-                match commands {
-                    Some(c) => {
-                        let width_frac = c[sm].issue_width / 2.0;
-                        let fake = c[sm].fake_rate * e_fake_w_per_rate;
-                        sm_watts[sm] = cfg.p_floor_w + p_dynamic * width_frac + fake;
-                        fake_watts[sm] = fake;
-                        dcc_watts[sm] = c[sm].dcc_power_w;
-                    }
-                    None => {
-                        sm_watts[sm] = cfg.p_sm_w;
-                        fake_watts[sm] = 0.0;
-                        dcc_watts[sm] = 0.0;
-                    }
-                }
-            }
-        }
-        rig.step(&sm_watts, &dcc_watts, &fake_watts)
+    for _ in 0..lane.total_cycles {
+        lane.stage();
+        let (sm, dcc, fake) = lane.loads();
+        rig.step(sm, dcc, fake)
             .expect("worst-case scenario steps cleanly");
-        rig.sm_voltages_into(&mut voltages);
-        if let Some(ctrl) = controller.as_mut() {
-            ctrl.update(&voltages);
-        }
-        // Track the minimum voltage among SMs that are still running.
-        let mut v_min = f64::INFINITY;
-        for layer in 0..n_layers {
-            if gated && layer == cfg.gated_layer {
-                continue;
-            }
-            for col in 0..n_columns {
-                v_min = v_min.min(voltages[layer * n_columns + col]);
-            }
-        }
+        let v_min = lane.settle(&rig);
         trace.push(rig.time(), v_min);
-        if gated {
-            worst_after_event = worst_after_event.min(v_min);
-        }
     }
-
+    let WorstCaseVoltages {
+        worst_voltage,
+        final_voltage,
+    } = lane.voltages();
     let result = WorstCaseResult {
-        final_voltage: trace.last().unwrap_or(0.0),
         trace,
-        worst_voltage: worst_after_event,
+        worst_voltage,
+        final_voltage,
     };
     (result, rig.into_workspace())
+}
+
+/// Runs several worst-case scenarios in lockstep, as the lanes of one
+/// [`RigLanes`] batch: every cycle each lane stages its loads, all rigs
+/// step through one shared solve, and each lane settles. Every lane
+/// performs exactly its scalar run's floating-point operations, so the
+/// voltages are bit-identical to [`run_worst_case_in`]'s; no trace is kept.
+///
+/// Each lane's rig is built in a workspace popped from `workspaces` (a
+/// fresh one when it runs dry), and every workspace is pushed back when
+/// the runs finish. The batch's solve counters are added to `stats`.
+///
+/// # Panics
+///
+/// Panics if the configs' run lengths differ, if a `gated_layer` is out of
+/// range, or if a lane's solver gives up (as [`run_worst_case_in`] does).
+pub fn run_worst_case_lanes(
+    cfgs: &[WorstCaseConfig],
+    workspaces: &mut Vec<SolverWorkspace>,
+    stats: &mut BatchStats,
+) -> Vec<WorstCaseVoltages> {
+    let (rigs, mut lanes): (Vec<PdsRig>, Vec<WorstCaseLane>) = cfgs
+        .iter()
+        .map(|cfg| WorstCaseLane::new(cfg, workspaces.pop().unwrap_or_default()))
+        .unzip();
+    let total_cycles = lanes.first().map_or(0, |lane| lane.total_cycles);
+    assert!(
+        lanes.iter().all(|lane| lane.total_cycles == total_cycles),
+        "lockstep worst-case runs must share one run length"
+    );
+    let mut rigs = RigLanes::new(rigs);
+    for _ in 0..total_cycles {
+        for lane in &mut lanes {
+            lane.stage();
+        }
+        if let Some(LaneOutcome::Faulted(e)) = rigs
+            .step(|i| lanes[i].loads())
+            .iter()
+            .find(|outcome| !outcome.advanced())
+        {
+            panic!("worst-case scenario steps cleanly: {e:?}");
+        }
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            lane.settle(rigs.rig(i));
+        }
+    }
+    stats.absorb(&rigs.stats());
+    workspaces.extend(rigs.into_rigs().into_iter().map(PdsRig::into_workspace));
+    lanes.iter().map(WorstCaseLane::voltages).collect()
 }
 
 /// Fig. 10 sweep point: worst-case voltage for an (area, latency) pair.

@@ -136,9 +136,20 @@ impl DramChannel {
 
     /// Advances one cycle; returns the tokens of requests whose data
     /// completed this cycle.
+    ///
+    /// Allocates a fresh token vector whenever a request completes; the hot
+    /// path should use [`DramChannel::tick_into`] with a reusable buffer.
     pub fn tick(&mut self, now: u64) -> Vec<u64> {
-        // Collect completions.
         let mut done = Vec::new();
+        self.tick_into(now, &mut done);
+        done
+    }
+
+    /// Advances one cycle, clearing `done` and filling it with the tokens of
+    /// requests whose data completed this cycle.
+    pub fn tick_into(&mut self, now: u64, done: &mut Vec<u64>) {
+        // Collect completions.
+        done.clear();
         self.in_flight.retain(|f| {
             if f.done_at <= now {
                 done.push(f.token);
@@ -192,8 +203,6 @@ impl DramChannel {
             self.stats.serviced += 1;
             self.stats.total_latency += done_at - req.arrived;
         }
-
-        done
     }
 }
 

@@ -83,6 +83,9 @@ pub struct MemorySystem {
     l2_busy_until: Vec<u64>,
     dram: Vec<DramChannel>,
     dram_pending: HashMap<u64, MemRequest>,
+    /// One channel's completed DRAM tokens, refilled per channel per cycle
+    /// so the hot path allocates nothing.
+    dram_done: Vec<u64>,
     responses: BinaryHeap<Reverse<Timed<u64>>>,
     response_payload: HashMap<u64, MemResponse>,
     next_token: u64,
@@ -120,6 +123,7 @@ impl MemorySystem {
                 })
                 .collect(),
             dram_pending: HashMap::new(),
+            dram_done: Vec::new(),
             responses: BinaryHeap::new(),
             response_payload: HashMap::new(),
             next_token: 0,
@@ -230,12 +234,15 @@ impl MemorySystem {
         }
 
         // DRAM channels.
+        let mut done = std::mem::take(&mut self.dram_done);
         for ch in 0..self.n_channels {
-            for token in self.dram[ch].tick(now) {
+            self.dram[ch].tick_into(now, &mut done);
+            for &token in &done {
                 let req = self.dram_pending.remove(&token).expect("pending request");
                 self.schedule_response(now, req);
             }
         }
+        self.dram_done = done;
 
         // Responses arriving at the SMs.
         while let Some(Reverse(t)) = self.responses.peek() {
