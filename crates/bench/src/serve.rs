@@ -36,9 +36,10 @@
 //! experiment artifacts under `experiments/`, all journaled with
 //! checksums. Work identity is the [`SuiteKey`] digest (for suites) or
 //! the experiment name plus a [`RunSettings`] digest (for experiments);
-//! the [`code_fingerprint`] folds in the crate versions plus the schema
-//! and protocol versions, so upgrading the code transparently invalidates
-//! the whole store without deleting anything.
+//! the [`code_fingerprint`] folds in the crate versions, the schema and
+//! protocol versions, and the circuit solver's numerics revision, so
+//! upgrading the code transparently invalidates the whole store without
+//! deleting anything.
 //!
 //! A cache hit is a checksum-verified file read — scenario hits replay
 //! through the journal preload (never constructing a worker pool), and
@@ -94,18 +95,25 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024;
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// The 16-hex digest naming this build's store subdirectory: FNV-1a over
-/// the workspace crate versions, the artifact schema version, and the
-/// serve protocol version. Two processes share cache entries iff their
-/// fingerprints agree; a code upgrade lands in a fresh subdirectory and
-/// recomputes from scratch rather than trusting stale bytes.
+/// the workspace crate versions, the artifact schema version, the serve
+/// protocol version, and the circuit solver's numerics revision
+/// ([`vs_circuit::SOLVER_REVISION`]). Two processes share cache entries iff
+/// their fingerprints agree; a code upgrade lands in a fresh subdirectory
+/// and recomputes from scratch rather than trusting stale bytes.
 #[must_use]
 pub fn code_fingerprint() -> String {
+    fingerprint_for_solver(vs_circuit::SOLVER_REVISION)
+}
+
+/// [`code_fingerprint`] as it would read under another solver revision.
+fn fingerprint_for_solver(solver_revision: u32) -> String {
     let identity = format!(
-        "vs-bench={};vs-telemetry={};schema={};protocol={}",
+        "vs-bench={};vs-telemetry={};schema={};protocol={};solver={}",
         env!("CARGO_PKG_VERSION"),
         vs_telemetry::crate_version(),
         SCHEMA_VERSION,
         PROTOCOL_VERSION,
+        solver_revision,
     );
     format!("{:016x}", fnv1a_64(identity.as_bytes()))
 }
@@ -630,4 +638,21 @@ pub fn serve_tcp(server: &Arc<Server>, listener: TcpListener) -> io::Result<()> 
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn solver_revision_is_part_of_the_code_identity() {
+        // A store written under one solver revision must never answer a
+        // build with another: the revision has to move the fingerprint.
+        let current = vs_circuit::SOLVER_REVISION;
+        let here = code_fingerprint();
+        assert_eq!(here, fingerprint_for_solver(current));
+        for other in [current - 1, current + 1] {
+            assert_ne!(fingerprint_for_solver(other), here);
+        }
+    }
 }

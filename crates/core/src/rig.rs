@@ -8,14 +8,11 @@ use vs_circuit::{
 };
 use vs_pds::{
     ivr_efficiency, level_shifter_fraction, vrm_efficiency, AreaModel, CrIvrConfig, PdnParams,
-    SingleLayerPdn, StackedPdn,
+    SingleLayerPdn, StackedPdn, IVR_DELIVERY_V,
 };
 
 use crate::config::PdsKind;
 
-/// Delivery voltage at the die for the single-layer IVR configuration; the
-/// on-chip IVR steps it down to the SM's 1 V (handled analytically).
-const IVR_DELIVERY_V: f64 = 1.7;
 /// Board-VRM efficiency when producing the easier high-voltage IVR input.
 const HV_VRM_EFFICIENCY: f64 = 0.96;
 /// Switching (bottom-plate + gate-drive) loss of the CR-IVR ladder as a

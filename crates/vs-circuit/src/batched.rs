@@ -4,11 +4,12 @@
 //! The sweep simulates the same stacked-rig netlist over and over with
 //! different load parameters; every one of those [`Transient`] instances
 //! performs an identical forward/backward substitution per step. This module
-//! groups lanes whose LU factors share a symbolic structure and solves them
-//! through the SoA kernels in `vs-num`
-//! ([`LuFactors::solve_multi_in_place`] when the factors are bit-identical,
-//! [`LuFactors::solve_lanes_in_place`] when only the structure is shared),
-//! amortizing factor-row loads and loop bookkeeping across lanes.
+//! groups lanes whose sparse LU factors share a symbolic structure (the
+//! ordering, pivot rows and L/U patterns) and solves them through the SoA
+//! kernels in `vs-num` ([`SparseLu::solve_multi_in_place`] when the factors
+//! are bit-identical, [`SparseLu::solve_lanes_in_place`] when only the
+//! structure is shared), amortizing factor loads and loop bookkeeping
+//! across lanes.
 //!
 //! # Determinism contract
 //!
@@ -35,7 +36,7 @@
 use crate::error::SolverError;
 use crate::recovery::{RecoveryPolicy, StepReport};
 use crate::transient::{Integration, Transient};
-use vs_num::LuFactors;
+use vs_num::SparseLu;
 
 /// Counters describing how a batch of lanes has been advanced. All fields
 /// are cumulative since construction (or the last reset).
@@ -105,7 +106,7 @@ struct LaneKey {
 impl LaneKey {
     fn of(lane: &Transient) -> Self {
         LaneKey {
-            structure: lane.lu().structure_key(),
+            structure: lane.factor().structure_key(),
             dim: lane.system_dim(),
             fingerprint: lane.fingerprint(),
             dt_bits: lane.dt().to_bits(),
@@ -225,17 +226,17 @@ pub fn step_lanes_with_recovery(
                 scratch
                     .group
                     .iter()
-                    .all(|&li| lanes[i].lu().bitwise_eq(lanes[li].lu())),
+                    .all(|&li| lanes[i].factor().bitwise_eq(lanes[li].factor())),
                 "lanes with identical keys must share factor bits"
             );
-            lanes[i].lu().solve_multi_in_place(&mut scratch.soa, m);
+            lanes[i].factor().solve_multi_in_place(&mut scratch.soa, m);
             stats.shared_factor_groups += 1;
         } else {
             // Parameter-variant lanes: per-lane numeric factors over the
             // shared symbolic structure.
-            let factors: Vec<&LuFactors<f64>> =
-                scratch.group.iter().map(|&li| lanes[li].lu()).collect();
-            LuFactors::solve_lanes_in_place(&factors, &mut scratch.soa);
+            let factors: Vec<&SparseLu> =
+                scratch.group.iter().map(|&li| lanes[li].factor()).collect();
+            SparseLu::solve_lanes_in_place(&factors, &mut scratch.soa);
         }
         stats.multi_lane_groups += 1;
         stats.multi_lane_solves += m as u64;

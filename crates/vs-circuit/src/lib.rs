@@ -8,8 +8,9 @@
 //!   switches),
 //! * DC operating-point analysis ([`Netlist::dc_operating_point`]),
 //! * fixed-step [`Transient`] simulation with backward-Euler or trapezoidal
-//!   companion models, a constant-matrix fast path (one LU factorization,
-//!   O(n²) per step), and per-element energy accounting,
+//!   companion models, a constant-matrix fast path (one sparse LU
+//!   factorization under a minimum-degree ordering, one substitution over
+//!   its nonzeros per step), and per-element energy accounting,
 //! * small-signal [`AcAnalysis`] producing the complex impedance profiles
 //!   used by the paper's effective-impedance reliability analysis (Fig. 3),
 //! * a [`Trace`] recorder with the summary statistics the evaluation plots
@@ -72,4 +73,12 @@ pub use netlist::{ControlId, Element, ElementId, Netlist, NetlistError, NodeId, 
 pub use recovery::{RecoveryPolicy, StepReport};
 pub use trace::{Trace, TraceSummary};
 pub use transient::{EnergyReport, Integration, SolverWorkspace, Transient};
-pub use vs_num::{Complex, LuFactors, Matrix, Scalar, SingularMatrixError};
+pub use vs_num::{Complex, LuFactors, Matrix, Scalar, SingularMatrixError, SparseLu};
+
+/// Revision of the transient solver's numerics. Bump it with any change
+/// that moves simulated values, such as a new ordering, pivoting rule or
+/// companion model, so that caches keyed by code identity stop serving
+/// results of the old solver. Revision 1 solved through dense
+/// natural-order LU factors; revision 2 through the minimum-degree
+/// [`SparseLu`].
+pub const SOLVER_REVISION: u32 = 2;

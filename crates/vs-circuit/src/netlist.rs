@@ -221,6 +221,12 @@ pub enum Element {
 }
 
 impl Element {
+    /// Whether the element adds a branch-current unknown to the MNA system
+    /// (group 2): voltage sources and inductors.
+    pub(crate) fn is_group2(&self) -> bool {
+        matches!(self, Element::VoltageSource { .. } | Element::Inductor { .. })
+    }
+
     /// The two terminals of the element, `(a, b)` / `(pos, neg)`.
     pub fn terminals(&self) -> (NodeId, NodeId) {
         match *self {
@@ -473,16 +479,16 @@ impl Netlist {
         self.elements
             .iter()
             .enumerate()
-            .filter(|(_, e)| {
-                matches!(e, Element::VoltageSource { .. } | Element::Inductor { .. })
-            })
+            .filter(|(_, e)| e.is_group2())
             .map(|(i, _)| i)
             .collect()
     }
 
-    /// Size of the MNA unknown vector: non-ground nodes plus group-2 branches.
+    /// Size of the MNA unknown vector: non-ground nodes plus group-2
+    /// branches. Counts without collecting, so a refactor stays
+    /// allocation-free.
     pub(crate) fn system_dim(&self) -> usize {
-        (self.n_nodes() - 1) + self.group2_elements().len()
+        (self.n_nodes() - 1) + self.elements.iter().filter(|e| e.is_group2()).count()
     }
 
     /// Maps a node to its row/column in the MNA system; ground maps to `None`.

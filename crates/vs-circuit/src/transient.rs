@@ -2,8 +2,11 @@
 //!
 //! The system matrix depends only on topology, component values, switch
 //! states, the timestep, and the integration method — not on source values —
-//! so it is LU-factored once and each step costs a single O(n²)
-//! forward/backward substitution. Switch toggles trigger a refactor.
+//! so it is LU-factored once and each step costs one forward/backward
+//! substitution through the sparse factors ([`SparseLu`]: a minimum-degree
+//! ordering keeps them near the stamp's own sparsity, so a step costs time
+//! proportional to their nonzeros rather than O(n²)). Switch toggles
+//! trigger a refactor.
 //!
 //! Two integration methods are provided:
 //!
@@ -15,7 +18,7 @@
 use crate::error::SolverError;
 use crate::netlist::{ControlId, Element, ElementId, Netlist, NetlistError, NodeId, Waveform};
 use crate::recovery::{RecoveryPolicy, StepReport};
-use vs_num::{LuFactors, Matrix};
+use vs_num::{Matrix, SparseLu};
 
 /// Sentinel for "this element has no entry in the index map".
 const NO_INDEX: usize = usize::MAX;
@@ -90,9 +93,10 @@ enum EnergyOp {
 /// back-to-back without re-allocating.
 ///
 /// A workspace owns every growable buffer the solver needs — the stamp
-/// matrix, the LU factors and their sparsity pattern, solution/RHS/state
-/// vectors, and the precomputed stamp/energy plans — plus a cached DC
-/// operating point keyed by a fingerprint of the netlist. Constructing a
+/// matrix, the sparse LU factors with their ordering and elimination
+/// scratch, solution/RHS/state vectors, and the precomputed stamp/energy
+/// plans — plus a cached DC operating point keyed by a fingerprint of the
+/// netlist. Constructing a
 /// `Transient` *in* a workspace ([`Transient::new_in`],
 /// [`Transient::with_initial_state_in`]) moves the buffers into the solver;
 /// [`Transient::into_workspace`] moves them back out when the run is done.
@@ -104,7 +108,7 @@ enum EnergyOp {
 #[derive(Debug, Default)]
 pub struct SolverWorkspace {
     stamp: Matrix<f64>,
-    lu: Option<LuFactors<f64>>,
+    factor: SparseLu,
     solution: Vec<f64>,
     rhs: Vec<f64>,
     controls: Vec<f64>,
@@ -307,9 +311,10 @@ pub struct Transient {
     method: Integration,
     time: f64,
     n_node_vars: usize,
-    /// Scratch for the stamped system matrix, reused across refactors.
+    /// The stamped system matrix of the current settings, reused across
+    /// refactors.
     stamp: Matrix<f64>,
-    lu: LuFactors<f64>,
+    factor: SparseLu,
     solution: Vec<f64>,
     rhs: Vec<f64>,
     controls: Vec<f64>,
@@ -473,7 +478,7 @@ impl Transient {
         method: Integration,
         node_voltages: &[f64],
         group2_currents: &[f64],
-        mut ws: SolverWorkspace,
+        ws: SolverWorkspace,
     ) -> Result<Self, NetlistError> {
         netlist.validate()?;
         assert!(dt.is_finite() && dt > 0.0, "dt must be positive");
@@ -548,7 +553,7 @@ impl Transient {
             time: 0.0,
             n_node_vars,
             stamp: ws.stamp,
-            lu: ws.lu.take().unwrap_or_default(),
+            factor: ws.factor,
             solution,
             rhs,
             controls,
@@ -576,7 +581,7 @@ impl Transient {
     pub fn into_workspace(self) -> SolverWorkspace {
         SolverWorkspace {
             stamp: self.stamp,
-            lu: Some(self.lu),
+            factor: self.factor,
             solution: self.solution,
             rhs: self.rhs,
             controls: self.controls,
@@ -597,9 +602,9 @@ impl Transient {
     /// Rebuilds and refactors the system matrix (after a switch toggle, a
     /// timestep/method change, or a recycler retune), and rebuilds the
     /// per-step RHS and energy plans so they agree with the new companion
-    /// models. All storage — the stamp matrix, the LU factors, and the plan
-    /// vectors — is reused, so a refactor performs no heap allocation once
-    /// warmed up.
+    /// models. All storage — the stamp matrix, the sparse factors with their
+    /// ordering and elimination scratch, and the plan vectors — is reused,
+    /// so a refactor performs no heap allocation once warmed up.
     fn refactor(&mut self) -> Result<(), NetlistError> {
         let dim = self.netlist.system_dim();
         let mut a = std::mem::take(&mut self.stamp);
@@ -682,7 +687,7 @@ impl Transient {
                 Element::CurrentSource { .. } => {}
             }
         }
-        let factored = self.lu.refactor(&a);
+        let factored = self.factor.refactor(&a);
         self.stamp = a;
         factored.map_err(|_| NetlistError::Singular)?;
         self.fingerprint = netlist_fingerprint(&self.netlist);
@@ -998,8 +1003,18 @@ impl Transient {
     pub fn step(&mut self) -> Result<(), SolverError> {
         let t_new = self.time + self.dt;
         self.build_rhs(t_new);
-        self.lu.solve_in_place(&mut self.rhs);
+        self.factor.solve_in_place(&mut self.rhs);
         self.commit_step(t_new)
+    }
+
+    /// The linear system `A x = b` the next [`Transient::step`] solves: the
+    /// companion-model matrix of the current settings and the right-hand
+    /// side stamped from the current state and controls. Reading it changes
+    /// no state; it is there to check the solve against other
+    /// factorizations.
+    pub fn next_step_system(&mut self) -> (&Matrix<f64>, &[f64]) {
+        self.build_rhs(self.time + self.dt);
+        (&self.stamp, &self.rhs)
     }
 
     /// Stamps the right-hand side for the step toward `t_new` into the
@@ -1351,9 +1366,9 @@ impl Transient {
         self.fingerprint
     }
 
-    /// The active LU factorization.
-    pub(crate) fn lu(&self) -> &LuFactors<f64> {
-        &self.lu
+    /// The active sparse LU factorization.
+    pub(crate) fn factor(&self) -> &SparseLu {
+        &self.factor
     }
 
     /// The MNA system dimension (node variables + group-2 branches).
@@ -1370,7 +1385,7 @@ impl Transient {
     /// the middle phase of [`Transient::step`], used by singleton lanes in
     /// the batched path.
     pub(crate) fn solve_scratch(&mut self) {
-        self.lu.solve_in_place(&mut self.rhs);
+        self.factor.solve_in_place(&mut self.rhs);
     }
 }
 

@@ -152,3 +152,35 @@ fn workspace_round_trip_reuses_buffers_and_dc_cache() {
     assert_eq!(ws.dc_cache_hits(), 1);
     assert_eq!(ws.runs(), 2);
 }
+
+#[test]
+fn warmed_refactor_is_allocation_free() {
+    // Every refactor trigger in turn: a switch toggle, a timestep change
+    // and an integration-method change. Each one restamps the system,
+    // reorders and refactors the sparse LU, and rebuilds the step plans.
+    let (mut net, controls, top) = stacked_netlist();
+    let sw = net.switch(top, Netlist::GROUND, 1e6, 1e9, false);
+    let mut sim = Transient::new(&net, 1e-9, Integration::Trapezoidal).unwrap();
+    let cycle = |sim: &mut Transient, i: u32| {
+        sim.set_switch(sw, i.is_multiple_of(2)).unwrap();
+        let dt = if i.is_multiple_of(3) { 5e-10 } else { 1e-9 };
+        sim.set_timestep(dt).unwrap();
+        let method = if i.is_multiple_of(5) {
+            Integration::BackwardEuler
+        } else {
+            Integration::Trapezoidal
+        };
+        sim.set_method(method).unwrap();
+        sim.set_control(controls[0], 0.3 + 0.01 * f64::from(i % 7));
+        sim.step().unwrap();
+    };
+    // Warm-up visits every combination, so each buffer reaches its size.
+    for i in 0..30 {
+        cycle(&mut sim, i);
+    }
+    let before = allocs();
+    for i in 0..200 {
+        cycle(&mut sim, i);
+    }
+    assert_eq!(allocs() - before, 0, "warmed refactors allocated");
+}

@@ -41,6 +41,8 @@ mod stacked;
 pub use area::AreaModel;
 pub use crivr::CrIvrConfig;
 pub use impedance::{impedance_profile, ImpedanceProfile};
-pub use params::{ivr_efficiency, level_shifter_fraction, vrm_efficiency, PdnParams};
+pub use params::{
+    ivr_efficiency, level_shifter_fraction, vrm_efficiency, PdnParams, IVR_DELIVERY_V,
+};
 pub use single_layer::SingleLayerPdn;
 pub use stacked::StackedPdn;

@@ -124,6 +124,11 @@ impl PdnParams {
     }
 }
 
+/// Delivery voltage at the die for the single-layer IVR configuration; the
+/// on-chip IVR steps it down to the SM's 1 V (handled analytically by the
+/// co-simulation's energy ledger).
+pub const IVR_DELIVERY_V: f64 = 1.7;
+
 /// Load-dependent efficiency of the board-level step-down VRM (a
 /// multi-phase buck). Peaks mid-load and sags toward both extremes;
 /// calibrated so a typical GPU load sees ~87 %, anchoring conventional PDE

@@ -69,7 +69,8 @@ echo "== pooled workspace reuse + sharded-sweep determinism =="
 cargo test --release -q -p vs-core --test workspace_reuse
 cargo test --release -q -p vs-bench --test sweep_shard
 
-echo "== batched SoA solving: differential + property + mask-fuzz + lockstep-lane suites =="
+echo "== sparse LU vs dense oracle + batched SoA solving: differential + property + mask-fuzz + lockstep-lane suites =="
+cargo test --release -q -p vs-core --test sparse_vs_dense
 cargo test --release -q -p vs-circuit --test batched_vs_scalar
 cargo test --release -q -p vs-core --test lockstep_lanes
 cargo test --release -q -p vs-circuit --test lane_permutation
