@@ -11,7 +11,7 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use vs_circuit::{AcAnalysis, Integration, Transient};
+use vs_circuit::{AcAnalysis, BatchedTransient, Integration, RecoveryPolicy, Transient};
 use vs_control::{ControllerConfig, VoltageController};
 use vs_core::{PdsKind, PdsRig};
 use vs_gpu::{benchmark, build_kernel, Gpu, GpuConfig, GpuCycleEvents, SchedulerKind};
@@ -161,13 +161,12 @@ fn bench_rig() {
     });
 }
 
-/// Guard: with batching disabled (the default), the scalar rig hot path must
-/// stay allocation-free per cycle. `PdsRig::step` is now the composition
-/// `stage_loads` → `step_with_recovery` → `finish_step` — the seams the
-/// batched SoA driver hooks into — and splitting it must not have introduced
-/// per-cycle heap traffic. Same bar as the `vs-circuit` `zero_alloc` tests:
-/// warm the rig, then a window of steady-state steps must leave the counting
-/// allocator untouched.
+/// Guard: the scalar rig hot path must stay allocation-free per cycle.
+/// `PdsRig::step` is the composition `stage_loads` → `step_with_recovery` →
+/// `finish_step` — the seams `RigLanes` hooks into — and splitting it must
+/// not have introduced per-cycle heap traffic. Same bar as the `vs-circuit`
+/// `zero_alloc` tests: warm the rig, then a window of steady-state steps
+/// must leave the counting allocator untouched.
 fn bench_scalar_alloc_guard() {
     let mut rig = PdsRig::new(PdsKind::VsCrossLayer { area_mult: 0.2 }, 1.0 / 700e6, 0.08);
     let p = vec![8.0; 16];
@@ -183,9 +182,107 @@ fn bench_scalar_alloc_guard() {
     println!("scalar_rig_step alloc guard: {delta} allocations over 1000 cycles (limit 0)");
     assert_eq!(
         delta, 0,
-        "batching-disabled scalar rig.step allocated {delta} times over 1000 cycles: \
+        "scalar rig.step allocated {delta} times over 1000 cycles: \
          the stage_loads/step/finish_step split is no longer allocation-free"
     );
+}
+
+/// Lane counts the scaling guard covers (the last one includes a partial
+/// amortization regime: eight lanes share one factorization).
+const LANE_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// Shared warm-up steps before each timed window (first steps touch
+/// capacity; scratch buffers size themselves lazily).
+const LANE_WARMUP_STEPS: usize = 64;
+/// Shared steps per timed window.
+const LANE_MEASURED_STEPS: usize = 2_000;
+/// Timed windows per lane count; the best is reported so scheduler noise
+/// cannot produce a spurious non-monotonic row.
+const LANE_TRIALS: usize = 3;
+
+/// One parameter-variant lane: the cross-layer 0.2x stacked netlist the
+/// sweep spends most of its time in, with per-lane SM load currents. Loads
+/// live on controlled current sources (RHS-only), so every lane keeps the
+/// bit-identical stamp matrix that lets the batch share one LU
+/// factorization — the same grouping dse's lanes hit.
+fn build_lane(lane: usize) -> Transient {
+    let params = PdnParams::default();
+    let am = AreaModel::default();
+    let crivr = CrIvrConfig::cross_layer_default(&am);
+    let pdn = StackedPdn::build(&params, Some((&crivr, &am)));
+    let (v0, g2) = pdn.balanced_initial_state();
+    let mut sim = Transient::with_initial_state(
+        &pdn.netlist,
+        1.0 / 700e6,
+        Integration::Trapezoidal,
+        &v0,
+        &g2,
+    )
+    .expect("stacked netlist must build");
+    for layer in 0..4 {
+        for col in 0..4 {
+            let sm = layer * 4 + col;
+            sim.set_control(pdn.sm_load[layer][col], 6.0 + 0.4 * lane as f64 + 0.1 * sm as f64);
+        }
+    }
+    sim
+}
+
+/// Per-lane wall cost (ns) of one batched circuit solve at each lane count.
+/// Everything runs on the calling thread, so this measures the structural
+/// win only: amortizing the shared factorization and SoA substitution
+/// bookkeeping over N lanes on one core.
+fn measure_lane_scaling() -> Vec<(usize, f64)> {
+    let policy = RecoveryPolicy::default();
+    let mut best = [f64::INFINITY; LANE_COUNTS.len()];
+    // Trials interleave across lane counts so a slow stretch on a shared
+    // host degrades every N alike instead of biasing one row.
+    for _ in 0..LANE_TRIALS {
+        for (slot, &n) in LANE_COUNTS.iter().enumerate() {
+            let mut batch = BatchedTransient::new((0..n).map(build_lane).collect());
+            for _ in 0..LANE_WARMUP_STEPS {
+                batch.step_all(&policy);
+            }
+            let t0 = Instant::now();
+            for _ in 0..LANE_MEASURED_STEPS {
+                batch.step_all(&policy);
+            }
+            let per_lane = t0.elapsed().as_nanos() as f64 / (LANE_MEASURED_STEPS * n) as f64;
+            best[slot] = best[slot].min(per_lane);
+            let stats = batch.stats();
+            assert_eq!(
+                stats.mask_exits, 0,
+                "lane-scaling loads must stay on the fast path: {stats:?}"
+            );
+            if n >= 2 {
+                assert!(
+                    stats.shared_factor_groups > 0,
+                    "parameter-variant lanes no longer share factors: {stats:?}"
+                );
+            }
+        }
+    }
+    LANE_COUNTS.iter().copied().zip(best).collect()
+}
+
+/// Guard: the batched SoA circuit solve behind dse's lockstep lanes must
+/// get cheaper per lane as lanes are added. `BatchedTransient::step_all`
+/// over N parameter-variant copies of the stacked netlist shares one
+/// sparse LU factorization, so per-lane cost must fall strictly from
+/// N = 1 to 2, 4 and 8; the benchmark's `vs-circuit.lane_ns.*` probes
+/// record the same kernel.
+fn bench_lane_scaling_guard() {
+    let scaling = measure_lane_scaling();
+    for (n, ns) in &scaling {
+        println!("lane_scaling guard: lanes={n}: {ns:>8.1} ns per lane-solve");
+    }
+    for pair in scaling.windows(2) {
+        let ((n_lo, ns_lo), (n_hi, ns_hi)) = (pair[0], pair[1]);
+        assert!(
+            ns_hi < ns_lo,
+            "per-lane circuit solve must get cheaper with more lanes: \
+             N={n_hi} costs {ns_hi:.1} ns but N={n_lo} costs {ns_lo:.1} ns"
+        );
+    }
 }
 
 /// Guard: the GPU model's per-cycle path must not allocate in steady state.
@@ -319,6 +416,7 @@ fn main() {
     bench_controller();
     bench_rig();
     bench_scalar_alloc_guard();
+    bench_lane_scaling_guard();
     bench_gpu_alloc_guard();
     bench_telemetry_overhead();
     bench_trace_overhead();

@@ -2,7 +2,7 @@
 //! request-lifecycle events out, over a content-addressed store.
 //!
 //! ```text
-//! serve (--stdio | --addr HOST:PORT) [--store DIR] [--batch-lanes N]
+//! serve (--stdio | --addr HOST:PORT) [--store DIR]
 //!       [--profile env|golden|tiny] [--seed N] [--trace]
 //!       [--progress plain|json|off]
 //! ```
@@ -42,7 +42,7 @@ use vs_bench::serve::{serve_lines, serve_tcp, ServeOptions, Server};
 const SPEC: CommandSpec = CommandSpec {
     prog: "serve",
     about: "Persistent artifact server: JSONL requests over stdio or TCP, content-addressed cache",
-    common: &["--batch-lanes", "--trace", "--progress"],
+    common: &["--trace", "--progress"],
     extras: &[
         ArgSpec { name: "--stdio", value: None, help: "serve one session over stdin/stdout" },
         ArgSpec { name: "--addr", value: Some("HOST:PORT"), help: "bind a TCP listener (e.g. 127.0.0.1:7777)" },
@@ -69,7 +69,7 @@ fn main() -> ExitCode {
         .extra("--store")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("target/serve-store"));
-    let server = Server::open(&ServeOptions { store, settings, batch_lanes: parsed.common.batch_lanes })
+    let server = Server::open(&ServeOptions { store, settings })
         .unwrap_or_else(|e| fail(&format!("cannot open store: {e}")));
     let r = &server.store_report;
     eprintln!(

@@ -1,7 +1,7 @@
 //! The parallel experiment runner and golden-artifact diff tool.
 //!
 //! ```text
-//! sweep [run] [--jobs N] [--batch-lanes N] [--out DIR] [--only id,...]
+//! sweep [run] [--jobs N] [--out DIR] [--only id,...]
 //!             [--profile env|golden|tiny] [--seed N] [--deterministic]
 //!             [--resume DIR] [--diff GOLDEN_DIR] [--tolerances FILE]
 //!             [--trace] [--progress plain|json|off]
@@ -72,7 +72,7 @@ const TOLERANCES_FLAG: ArgSpec = ArgSpec {
 const RUN_SPEC: CommandSpec = CommandSpec {
     prog: "sweep run",
     about: "Run the experiment catalogue across a worker pool and check headline claims",
-    common: &["--jobs", "--batch-lanes", "--out", "--resume", "--trace", "--progress"],
+    common: &["--jobs", "--out", "--resume", "--trace", "--progress"],
     extras: &[
         ArgSpec { name: "--only", value: Some("id,..."), help: "run only the named experiments (see `sweep list`)" },
         PROFILE_FLAG,
@@ -238,7 +238,6 @@ fn run_main(args: &[String]) -> ExitCode {
     // journals completed work into the output directory for --resume.
     let exec = Executor::new(
         ExecutorConfig::default(),
-        parsed.common.batch_lanes,
         (!deterministic).then(|| out.clone()),
         preloaded,
     );

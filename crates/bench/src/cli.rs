@@ -1,8 +1,8 @@
 //! One argument parser for the artifact-writing binaries.
 //!
 //! `sweep`, `fault_campaign`, `dse`, and `serve` share a vocabulary of
-//! executor flags — `--jobs`, `--batch-lanes`, `--out`, `--resume`,
-//! `--trace`, `--progress` — that used to be re-implemented as per-binary
+//! executor flags — `--jobs`, `--out`, `--resume`, `--trace`,
+//! `--progress` — that used to be re-implemented as per-binary
 //! `std::env::args` loops with subtly different error behaviour. This
 //! module parses them once into a typed [`CommonArgs`], lets each binary
 //! declare its extra flags as data ([`ArgSpec`]), and generates `--help`
@@ -41,9 +41,8 @@ pub struct ArgSpec {
 /// The common executor flags, with their help lines. A binary opts into a
 /// subset via [`CommandSpec::common`]; flags outside the subset are
 /// rejected like any unknown flag.
-pub const COMMON_FLAGS: [ArgSpec; 6] = [
+pub const COMMON_FLAGS: [ArgSpec; 5] = [
     ArgSpec { name: "--jobs", value: Some("N"), help: "worker threads (0 or absent = one per core)" },
-    ArgSpec { name: "--batch-lanes", value: Some("N"), help: "lockstep SoA lanes per batched claim (0 = off)" },
     ArgSpec { name: "--out", value: Some("DIR"), help: "output directory for artifacts" },
     ArgSpec { name: "--resume", value: Some("DIR"), help: "resume from DIR's completion journal" },
     ArgSpec { name: "--trace", value: None, help: "record executor spans; write trace.json into --out" },
@@ -82,8 +81,6 @@ pub struct CommandSpec {
 pub struct CommonArgs {
     /// `--jobs N`: worker count (0 = one per core).
     pub jobs: usize,
-    /// `--batch-lanes N`: lockstep lanes per batched claim (0 = off).
-    pub batch_lanes: usize,
     /// `--out DIR`.
     pub out: Option<PathBuf>,
     /// `--resume DIR`.
@@ -293,7 +290,6 @@ impl CommandSpec {
         };
         match name {
             "--jobs" => common.jobs = count(value)?,
-            "--batch-lanes" => common.batch_lanes = count(value)?,
             "--out" => common.out = Some(PathBuf::from(value.unwrap_or_default())),
             "--resume" => common.resume = Some(PathBuf::from(value.unwrap_or_default())),
             "--trace" => common.trace = true,
@@ -328,8 +324,7 @@ impl CommandSpec {
 mod tests {
     use super::*;
 
-    const ALL_COMMON: &[&str] =
-        &["--jobs", "--batch-lanes", "--out", "--resume", "--trace", "--progress"];
+    const ALL_COMMON: &[&str] = &["--jobs", "--out", "--resume", "--trace", "--progress"];
 
     fn spec() -> CommandSpec {
         CommandSpec {
@@ -351,14 +346,13 @@ mod tests {
     #[test]
     fn parses_common_flags_both_styles() {
         let p = spec()
-            .parse(&s(&["--jobs", "4", "--batch-lanes=8", "--trace", "--out", "d", "--progress=off"]))
+            .parse(&s(&["--jobs", "4", "--resume=r", "--trace", "--out", "d", "--progress=off"]))
             .unwrap();
         assert_eq!(p.common.jobs, 4);
-        assert_eq!(p.common.batch_lanes, 8);
+        assert_eq!(p.common.resume.as_deref(), Some(std::path::Path::new("r")));
         assert!(p.common.trace);
         assert_eq!(p.common.out.as_deref(), Some(std::path::Path::new("d")));
         assert_eq!(p.common.progress, Some(ProgressMode::Off));
-        assert_eq!(p.common.resume, None);
     }
 
     #[test]
@@ -381,7 +375,7 @@ mod tests {
         for needle in ["demo binary", "usage: demo", "--jobs N", "--progress plain|json|off", "--seed N", "--help"] {
             assert!(text.contains(needle), "help missing {needle:?}:\n{text}");
         }
-        assert!(!text.contains("--batch-lanes"), "unaccepted common flag leaked into help");
+        assert!(!text.contains("--resume"), "unaccepted common flag leaked into help");
     }
 
     #[test]
@@ -411,7 +405,7 @@ mod tests {
         }
         // A common flag outside the command's subset is unknown.
         let narrow = CommandSpec { common: &["--jobs"], ..spec() };
-        match narrow.parse(&s(&["--batch-lanes", "2"])) {
+        match narrow.parse(&s(&["--resume", "r"])) {
             Err(CliError::Usage(msg)) => assert!(msg.contains("unknown flag")),
             other => panic!("expected usage error, got {other:?}"),
         }

@@ -85,7 +85,7 @@ const P_SM_NOMINAL_W: f64 = 8.0;
 const LOOP_POWER_AT_T60_W: f64 = 0.08;
 
 /// Planned runs one worker steps in lockstep as one batch. Each lane owns a
-/// full rig (about 97 KB for the 4×4 stack) and, for a cross-layer
+/// full rig (about 94 KB for the 4×4 stack) and, for a cross-layer
 /// worst-case run, a controller (about 25 KB), so the width trades peak
 /// memory for speed: on the full golden grid at two workers, 8 lanes
 /// raised peak RSS by about 40% and 4 lanes by about 15%, while 4 lanes

@@ -126,9 +126,6 @@ pub struct ServeOptions {
     /// Settings every request is evaluated under. Part of experiment
     /// identity and (via the applied config) of every suite key.
     pub settings: RunSettings,
-    /// Lane width of the server's scenario-task claims (see
-    /// [`Executor::new`]; `0`/`1` = scalar).
-    pub batch_lanes: usize,
 }
 
 /// What [`Server::open`] found in the store: the startup half of the
@@ -182,7 +179,6 @@ impl Server {
         };
         let executor = Executor::new(
             ExecutorConfig::default(),
-            opts.batch_lanes,
             Some(root.clone()),
             state.preloaded,
         );

@@ -3,13 +3,13 @@
 //! runs through.
 //!
 //! An [`Executor`] is a value built once per run from an immutable policy:
-//! the retry/watchdog [`ExecutorConfig`], the batch-lane width, the journal
-//! directory, and the resume [`Preload`]. It owns everything the run
-//! mutates: the suite memo, the in-flight list idle workers steal from,
-//! the quarantine list, and the [`ShardStats`] counters. Two executors in
-//! one process share no work, no journal, and no memo — only the
-//! per-thread solver pools (pure workspace), the process-wide tracer and
-//! progress sink, and the test-only chaos plan.
+//! the retry/watchdog [`ExecutorConfig`], the journal directory, and the
+//! resume [`Preload`]. It owns everything the run mutates: the suite memo,
+//! the in-flight list idle workers steal from, the quarantine list, and
+//! the [`ShardStats`] counters. Two executors in one process share no
+//! work, no journal, and no memo — only the per-thread solver pools (pure
+//! workspace), the process-wide tracer and progress sink, and the
+//! test-only chaos plan.
 //!
 //! * **Claim loop** (`Executor::run_claims`): scoped workers claim item
 //!   indices in a priority order and fill canonical result slots; a worker
@@ -294,169 +294,27 @@ impl SuiteJob {
         self.next.load(Ordering::Relaxed) < N_TASKS
     }
 
-    /// Claims and runs one task group on the calling thread's pool: one
-    /// scenario under the default scalar configuration, or up to the
-    /// executor's lane width of scenarios advanced in lockstep as lanes of
-    /// one batched SoA circuit solve. Returns `false` when every task was
-    /// already claimed. `via` labels the claim in the trace: `"claim"` from
-    /// the suite's own requester, `"steal"` from an idle worker.
+    /// Claims and runs one scenario task on the calling thread's pool.
+    /// Returns `false` when every task was already claimed. `via` labels
+    /// the claim in the trace: `"claim"` from the suite's own requester,
+    /// `"steal"` from an idle worker.
     fn run_one_task(&self, exec: &Executor, via: &'static str) -> bool {
-        let width = exec.batch_lanes.min(N_TASKS);
-        let start = self.next.fetch_add(width, Ordering::Relaxed);
-        if start >= N_TASKS {
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        let Some(&id) = ScenarioId::ALL.get(i) else {
             return false;
-        }
+        };
         exec.update_queue_depth_gauge();
-        let end = (start + width).min(N_TASKS);
-        // Preloaded (journal-replayed) slots consume their claim without
-        // running anything; likewise once the suite assembled (which
-        // empties the slots), nothing is left to compute.
-        let mut todo: Vec<(usize, ScenarioId)> = Vec::with_capacity(end - start);
         {
             let st = self.state.lock().expect("suite job state poisoned");
-            if st.done.is_none() {
-                for i in start..end {
-                    if matches!(st.slots[i], Slot::Empty) {
-                        todo.push((i, ScenarioId::ALL[i]));
-                    }
-                }
+            // Preloaded (journal-replayed) slots consume their claim
+            // without running anything; likewise once the suite assembled
+            // (which empties the slots), nothing is left to compute.
+            if st.done.is_some() || !matches!(st.slots[i], Slot::Empty) {
+                return true;
             }
         }
-        // Scenarios with scheduled chaos stay on the scalar path, so
-        // injected panics and stalls keep exercising the per-task isolation
-        // machinery they target; a group that cannot reach two lanes runs
-        // scalar entirely.
-        let mut lanes: Vec<(usize, ScenarioId)> = Vec::new();
-        let mut scalar: Vec<(usize, ScenarioId)> = Vec::new();
-        for &(i, id) in &todo {
-            if width >= 2 && chaos::chaos_for(id, 0).is_none() {
-                lanes.push((i, id));
-            } else {
-                scalar.push((i, id));
-            }
-        }
-        if lanes.len() < 2 {
-            scalar = todo;
-            lanes.clear();
-        }
-        if !lanes.is_empty() {
-            self.run_lane_group(exec, &lanes, via, &mut scalar);
-        }
-        for (i, id) in scalar {
-            self.run_scalar_task(exec, i, id, via);
-        }
+        self.run_scalar_task(exec, i, id, via);
         true
-    }
-
-    /// Runs `lanes` (≥ 2 scenarios) through one batched SoA solve on the
-    /// calling thread's pool. Lanes that succeed are journaled and filled;
-    /// lanes that fail — and every lane, if the batch attempt panics — are
-    /// pushed onto `fallback` for the scalar path, whose full
-    /// retry/quarantine machinery then owns them. Batched reports are
-    /// bit-identical to scalar ones (`vs_core::CosimPool` holds that line),
-    /// so which path produced a slot is unobservable in artifacts.
-    fn run_lane_group(
-        &self,
-        exec: &Executor,
-        lanes: &[(usize, ScenarioId)],
-        via: &'static str,
-        fallback: &mut Vec<(usize, ScenarioId)>,
-    ) {
-        let ids: Vec<ScenarioId> = lanes.iter().map(|&(_, id)| id).collect();
-        obs::progress(
-            "task",
-            "batch",
-            &[
-                ("lanes", ids.len().to_string()),
-                ("pds", self.cfg.pds.label().to_string()),
-                ("via", via.to_string()),
-            ],
-            || {
-                format!(
-                    "  running {} scenarios batched under {} ...",
-                    ids.len(),
-                    self.cfg.pds.label()
-                )
-            },
-        );
-        let budget = exec.budget();
-        let track = obs::worker_track();
-        let span = obs::tracer().begin();
-        let started = Instant::now();
-        let outcome = isolated(|| {
-            exec.with_worker_pool(|pool| {
-                let before = pool.batch_stats().multi_lane_groups;
-                let results = pool.try_run_batch_with_pm(&self.cfg, &ids, self.pm.clone(), budget);
-                (results, pool.batch_stats().multi_lane_groups - before)
-            })
-        });
-        let wall_s = started.elapsed().as_secs_f64();
-        let end_span = |outcome: &'static str| {
-            if span.is_some() {
-                obs::tracer().end_span(
-                    track,
-                    "executor",
-                    "batch",
-                    span,
-                    &[
-                        ("suite", self.key.cache_dir()),
-                        ("lanes", ids.len().to_string()),
-                        ("via", via.to_string()),
-                        ("outcome", outcome.to_string()),
-                    ],
-                );
-            }
-        };
-        match outcome {
-            Ok((results, groups)) => {
-                end_span("ok");
-                exec.batch_groups.fetch_add(groups, Ordering::Relaxed);
-                // `with_worker_pool` counted the batch as one scenario
-                // task; account for the other lanes.
-                exec.scenario_tasks
-                    .fetch_add(ids.len() as u64 - 1, Ordering::Relaxed);
-                // Wall time is observational only; split it evenly since
-                // the lanes genuinely ran interleaved.
-                let lane_wall_s = wall_s / ids.len() as f64;
-                for (&(i, id), result) in lanes.iter().zip(results) {
-                    match result {
-                        Ok(report) => {
-                            let success = TaskSuccess {
-                                value: report,
-                                attempts: 1,
-                                attempt_wall_s: vec![lane_wall_s],
-                            };
-                            if obs::tracing_enabled() {
-                                obs::metric_inc("executor.tasks_ok", 1);
-                                obs::metric_observe_wall(
-                                    &labeled("executor.task_wall_s", &[("scenario", id.name())]),
-                                    lane_wall_s,
-                                );
-                            }
-                            exec.record_to_journal(&self.key, id, &success);
-                            self.fill_slot(i, Slot::Ready(Box::new(success.value)));
-                        }
-                        Err(_) => fallback.push((i, id)),
-                    }
-                }
-            }
-            Err(msg) => {
-                // A panic anywhere in the batch taints the whole shared
-                // attempt: rebuild the pool shard (never trust one a panic
-                // unwound through) and retry every lane on the scalar path.
-                end_span("panic");
-                obs::metric_inc("executor.task_panics", 1);
-                obs::progress(
-                    "task",
-                    "batch_panic",
-                    &[("lanes", ids.len().to_string()), ("error", msg.clone())],
-                    || format!("  batched group panicked ({msg}); retrying lanes scalar"),
-                );
-                rebuild_worker_pool();
-                obs::metric_inc("executor.pool_rebuilds", 1);
-                fallback.extend_from_slice(lanes);
-            }
-        }
     }
 
     /// Runs one already-claimed scenario task through the executor's
@@ -643,8 +501,6 @@ impl Drop for Landed<'_> {
 /// the observational counters that run accumulates.
 pub struct Executor {
     policy: ExecutorConfig,
-    /// Lane width task claims run at (1 = scalar, the default).
-    batch_lanes: usize,
     journal_dir: Option<PathBuf>,
     preloaded: Preload,
     memo: Mutex<HashMap<SuiteKey, Arc<SuiteJob>>>,
@@ -655,32 +511,22 @@ pub struct Executor {
     dc_cache_hits: AtomicU64,
     replayed: AtomicU64,
     retries: AtomicU64,
-    batch_groups: AtomicU64,
 }
 
 impl Default for Executor {
-    /// The default policy, scalar claims, no journal, no preload.
+    /// The default policy, no journal, no preload.
     fn default() -> Self {
-        Executor::new(ExecutorConfig::default(), 1, None, Preload::new())
+        Executor::new(ExecutorConfig::default(), None, Preload::new())
     }
 }
 
 impl Executor {
-    /// Builds an executor. Tasks retry under `policy`; `batch_lanes` is the
-    /// lane width scenario-task claims run at (`0`/`1` keep the scalar
-    /// path, `n ≥ 2` advances up to `n` scenarios in lockstep through one
-    /// batched SoA circuit solve — results are bit-identical either way);
-    /// completed scenarios are journaled into `journal_dir` when set; and
-    /// suites prefill journal-verified reports from `preloaded`.
-    pub fn new(
-        policy: ExecutorConfig,
-        batch_lanes: usize,
-        journal_dir: Option<PathBuf>,
-        preloaded: Preload,
-    ) -> Self {
+    /// Builds an executor. Tasks retry under `policy`; completed scenarios
+    /// are journaled into `journal_dir` when set; and suites prefill
+    /// journal-verified reports from `preloaded`.
+    pub fn new(policy: ExecutorConfig, journal_dir: Option<PathBuf>, preloaded: Preload) -> Self {
         Executor {
             policy,
-            batch_lanes: batch_lanes.max(1),
             journal_dir,
             preloaded,
             memo: Mutex::new(HashMap::new()),
@@ -691,7 +537,6 @@ impl Executor {
             dc_cache_hits: AtomicU64::new(0),
             replayed: AtomicU64::new(0),
             retries: AtomicU64::new(0),
-            batch_groups: AtomicU64::new(0),
         }
     }
 
@@ -833,7 +678,6 @@ impl Executor {
             dc_cache_hits: self.dc_cache_hits.load(Ordering::Relaxed),
             replayed: self.replayed.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
-            batch_groups: self.batch_groups.load(Ordering::Relaxed),
         }
     }
 
@@ -876,13 +720,6 @@ impl Executor {
             .map(|j| N_TASKS.saturating_sub(j.next.load(Ordering::Relaxed)))
             .sum();
         obs::metric_gauge("executor.queue_depth", depth as f64);
-    }
-
-    /// The watchdog budget one attempt runs under.
-    fn budget(&self) -> CycleBudget {
-        self.policy
-            .task_deadline
-            .map_or_else(CycleBudget::unlimited, CycleBudget::wall_clock)
     }
 
     /// Runs `f` with the calling thread's [`CosimPool`] shard, folding the
@@ -938,7 +775,10 @@ impl Executor {
                 std::thread::sleep(retry_backoff(&self.policy, tag, attempt));
                 end_span("backoff", span, &[("attempt", attempt.to_string())]);
             }
-            let budget = self.budget();
+            let budget = self
+                .policy
+                .task_deadline
+                .map_or_else(CycleBudget::unlimited, CycleBudget::wall_clock);
             let span = obs::tracer().begin();
             // Measured unconditionally: one `Instant` pair per multi-second
             // solve is free, and it keeps journal v2 metadata (and therefore
@@ -1113,10 +953,6 @@ pub struct ShardStats {
     pub replayed: u64,
     /// Retry attempts spent by the attempt loop.
     pub retries: u64,
-    /// Multi-lane SoA solve groups formed by batched task claims (0 unless
-    /// the executor was built with a lane width ≥ 2 — the guard tests use
-    /// this to prove batching did not silently fall back to scalar).
-    pub batch_groups: u64,
 }
 
 #[cfg(test)]

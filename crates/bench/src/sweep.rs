@@ -287,7 +287,6 @@ impl SweepResult {
                 ("dc_cache_hits", Json::from(self.stats.dc_cache_hits)),
                 ("replayed", Json::from(self.stats.replayed)),
                 ("retries", Json::from(self.stats.retries)),
-                ("batch_groups", Json::from(self.stats.batch_groups)),
                 ("quarantined", Json::from(self.quarantined.len() as u64)),
             ]));
         }

@@ -95,7 +95,7 @@ fn chaos_sweep_degrades_gracefully_and_resume_converges() {
         ],
         torn_writes: vec!["bfs.json".to_string(), "fig14.jsonl".to_string()],
     });
-    let exec = Executor::new(fast_retries(), 0, Some(chaos_dir.clone()), HashMap::new());
+    let exec = Executor::new(fast_retries(), Some(chaos_dir.clone()), HashMap::new());
     let chaotic = run_sweep(
         &exec,
         &SweepOptions {
@@ -165,7 +165,7 @@ fn chaos_sweep_degrades_gracefully_and_resume_converges() {
     let state = load_resume(&chaos_dir).unwrap();
     assert_eq!(state.verified_scenarios, 20, "{state:?}");
     assert_eq!(state.damaged, 1, "{state:?}");
-    let exec = Executor::new(fast_retries(), 0, Some(chaos_dir.clone()), state.preloaded);
+    let exec = Executor::new(fast_retries(), Some(chaos_dir.clone()), state.preloaded);
     let resumed = run_sweep(
         &exec,
         &SweepOptions {

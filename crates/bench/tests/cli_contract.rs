@@ -1,7 +1,7 @@
 //! Tier-1 CLI usage contract, checked against the real binaries: a
-//! duplicated flag or an empty `--flag=` value is a usage error (exit 2,
-//! stderr names the flag), never a silent last-wins or empty-string
-//! config. Each probe exits in argument parsing, long before any
+//! duplicated flag, an empty `--flag=` value, or a flag the binary does not
+//! declare is a usage error (exit 2, stderr names the flag), never a
+//! silent last-wins, empty-string, or ignored config. Each probe exits in argument parsing, long before any
 //! co-simulation work, so the whole matrix is cheap.
 
 use std::process::Command;
@@ -76,6 +76,26 @@ fn empty_flag_values_are_usage_errors_in_every_binary() {
         assert!(
             stderr.contains(&format!("{flag} needs a non-empty value")),
             "{args:?} must name the empty flag, stderr: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn removed_lane_flag_is_rejected() {
+    // Every sweep and serve claim runs one scenario; no binary takes a
+    // lane width. The flag comes before `--help`, so a binary that still
+    // accepted it would print help and exit 0 instead of starting a run.
+    for (name, bin) in [
+        ("sweep", env!("CARGO_BIN_EXE_sweep")),
+        ("serve", env!("CARGO_BIN_EXE_serve")),
+        ("dse", env!("CARGO_BIN_EXE_dse")),
+    ] {
+        let args = ["--batch-lanes", "4", "--help"];
+        let (code, stderr) = run(bin, &args);
+        assert_eq!(code, 2, "{name} {args:?} must exit 2, stderr: {stderr}");
+        assert!(
+            stderr.contains("unknown flag \"--batch-lanes\""),
+            "{name} {args:?} must name the unknown flag, stderr: {stderr}"
         );
     }
 }

@@ -26,7 +26,7 @@ fn micro() -> RunSettings {
 
 /// A journaled fig14 sweep on a fresh executor that replays `preloaded`.
 fn journaled_sweep(dir: &Path, jobs: usize, preloaded: Preload) -> vs_bench::sweep::SweepResult {
-    let exec = Executor::new(ExecutorConfig::default(), 1, Some(dir.to_path_buf()), preloaded);
+    let exec = Executor::new(ExecutorConfig::default(), Some(dir.to_path_buf()), preloaded);
     run_sweep(
         &exec,
         &SweepOptions {

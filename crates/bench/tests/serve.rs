@@ -78,7 +78,7 @@ fn has_stage(lines: &[String], stage: &str) -> bool {
 }
 
 fn open(store: PathBuf) -> Server {
-    Server::open(&ServeOptions { store, settings: micro(), batch_lanes: 1 }).expect("open store")
+    Server::open(&ServeOptions { store, settings: micro() }).expect("open store")
 }
 
 #[test]

@@ -58,7 +58,7 @@ struct Running {
 fn open(tag: &str) -> Server {
     let store = std::env::temp_dir().join(format!("vs-bench-serve-tcp-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store);
-    Server::open(&ServeOptions { store, settings: micro(), batch_lanes: 1 }).expect("open store")
+    Server::open(&ServeOptions { store, settings: micro() }).expect("open store")
 }
 
 fn start(tag: &str) -> Running {

@@ -20,11 +20,11 @@ fn micro() -> RunSettings {
     }
 }
 
-/// One sweep at the given worker count and batch-lane width, on a fresh
-/// executor. Returns the deterministic view of every artifact, the shard
-/// counters it left, and the executor it ran on.
-fn sweep(jobs: usize, batch_lanes: usize) -> (Vec<(String, String, String)>, ShardStats, Executor) {
-    let exec = Executor::new(ExecutorConfig::default(), batch_lanes, None, HashMap::new());
+/// One sweep at the given worker count, on a fresh executor. Returns the
+/// deterministic view of every artifact, the shard counters it left, and
+/// the executor it ran on.
+fn sweep(jobs: usize) -> (Vec<(String, String, String)>, ShardStats, Executor) {
+    let exec = Executor::new(ExecutorConfig::default(), None, HashMap::new());
     let result = run_sweep(
         &exec,
         &SweepOptions {
@@ -56,45 +56,27 @@ fn sharded_sweep_is_bit_identical_across_worker_counts() {
     // the observability layer being purely observational).
     obs::reset_observability_for_tests();
     obs::set_tracing(true);
-    let (a1, s1, _) = sweep(1, 0);
-    let (a2, s2, _) = sweep(2, 0);
-    let (a8, s8, _) = sweep(8, 0);
+    let (a1, s1, _) = sweep(1);
+    let (a2, s2, _) = sweep(2);
+    let (a8, s8, last) = sweep(8);
+    obs::set_tracing(false);
+    assert!(!obs::drain_trace().is_empty(), "traced sweeps must record spans");
 
     // The determinism contract: text and artifacts depend only on the
     // settings, never on worker count, claim order, or stealing.
     assert_eq!(a1, a2, "jobs=1 vs jobs=2 artifacts diverged");
     assert_eq!(a1, a8, "jobs=1 vs jobs=8 artifacts diverged");
 
-    // The same matrix with batched SoA circuit solving (4 scenario lanes
-    // per claim) must reproduce the scalar artifacts byte-for-byte — and
-    // must actually have batched (≥ 1 multi-lane SoA group), not silently
-    // fallen back to the scalar path.
-    let (b1, t1, _) = sweep(1, 4);
-    let (b2, t2, _) = sweep(2, 4);
-    let (b8, t8, last) = sweep(8, 4);
-    obs::set_tracing(false);
-    assert!(!obs::drain_trace().is_empty(), "traced sweeps must record spans");
-    assert_eq!(a1, b1, "batch-lanes=4 jobs=1 diverged from scalar artifacts");
-    assert_eq!(a1, b2, "batch-lanes=4 jobs=2 diverged from scalar artifacts");
-    assert_eq!(a1, b8, "batch-lanes=4 jobs=8 diverged from scalar artifacts");
-    for t in [t1, t2, t8] {
-        assert!(t.batch_groups >= 1, "batching silently fell back to scalar: {t:?}");
-    }
-
     // Every sweep ran all 48 scenario tasks through worker-pool shards.
-    for s in [s1, s2, s8, t1, t2, t8] {
+    for s in [s1, s2, s8] {
         assert_eq!(s.scenario_tasks, 48, "{s:?}");
     }
     // Fig8's conventional-VRM and single-layer-IVR suites solve DC
-    // operating points; 12 same-netlist tasks (scalar) or 3 lane-groups
-    // (batched) over fewer shards leave some shard running at least two,
-    // so its second run must come from the DC cache. (At jobs=8 the three
-    // batched groups can land on three distinct shards, so no pigeonhole.)
-    for s in [s1, s2, s8, t1, t2] {
-        assert!(s.dc_cache_hits >= 1, "{s:?}");
-    }
+    // operating points; 12 same-netlist tasks over fewer shards leave some
+    // shard running at least two, so its second run must come from the DC
+    // cache.
     for s in [s1, s2, s8] {
-        assert_eq!(s.batch_groups, 0, "scalar sweep formed SoA groups: {s:?}");
+        assert!(s.dc_cache_hits >= 1, "{s:?}");
     }
     // With more workers than experiments, the extra workers must have
     // stolen scenario tasks instead of exiting (fig8's suites each stay

@@ -95,7 +95,7 @@ fn traced_chaos_sweep_report_and_baseline_diff() {
         torn_writes: vec![],
     });
     let result = run_sweep(
-        &Executor::new(fast_retries(), 0, Some(dir.clone()), HashMap::new()),
+        &Executor::new(fast_retries(), Some(dir.clone()), HashMap::new()),
         &SweepOptions {
             jobs: 2,
             only: Some(vec![ExperimentId::Fig14]),

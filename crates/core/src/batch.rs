@@ -1,4 +1,4 @@
-//! Batched co-simulation: run many scenarios back-to-back on one reusable
+//! Pooled co-simulation: run many scenarios back-to-back on one reusable
 //! circuit-solver workspace.
 //!
 //! Every [`Cosim`] owns a transient circuit solver whose warm-up —
@@ -11,14 +11,11 @@
 //! applies on an exact netlist fingerprint match), which the
 //! `workspace_reuse` integration test asserts bit-for-bit.
 
-use vs_circuit::{
-    step_lanes_with_recovery, BatchScratch, BatchStats, RecoveryPolicy, SolverError,
-    SolverWorkspace, StepReport, Transient,
-};
+use vs_circuit::SolverWorkspace;
 use vs_gpu::WorkloadProfile;
 
 use crate::config::CosimConfig;
-use crate::cosim::{Cosim, CosimReport, CyclePhase, PowerManagement, RunState};
+use crate::cosim::{Cosim, CosimReport, PowerManagement};
 use crate::fault::FaultPlan;
 use crate::scenarios::ScenarioId;
 use crate::supervisor::{CosimError, CycleBudget, SupervisedReport, SupervisorConfig};
@@ -43,10 +40,6 @@ use crate::supervisor::{CosimError, CycleBudget, SupervisedReport, SupervisorCon
 #[derive(Debug, Default)]
 pub struct CosimPool {
     workspace: SolverWorkspace,
-    /// Workspaces for batch lanes beyond the first, recycled across batches.
-    extra: Vec<SolverWorkspace>,
-    /// Cumulative batched-solve ledger across every batch this pool ran.
-    batch_stats: BatchStats,
 }
 
 impl CosimPool {
@@ -56,19 +49,16 @@ impl CosimPool {
     }
 
     /// How many runs served their DC operating point from the pool's cache
-    /// instead of recomputing it, across the primary workspace and every
-    /// batch-lane workspace. Only single-layer rigs solve a DC operating
-    /// point (stacked rigs initialize analytically), so this stays 0 for
-    /// stacked-only batches.
+    /// instead of recomputing it. Only single-layer rigs solve a DC
+    /// operating point (stacked rigs initialize analytically), so this
+    /// stays 0 for a pool that only ran stacked rigs.
     pub fn dc_cache_hits(&self) -> u64 {
         self.workspace.dc_cache_hits()
-            + self.extra.iter().map(SolverWorkspace::dc_cache_hits).sum::<u64>()
     }
 
-    /// How many runs have gone through this pool (batched lanes count one
-    /// run each).
+    /// How many runs have gone through this pool.
     pub fn runs(&self) -> u64 {
-        self.workspace.runs() + self.extra.iter().map(SolverWorkspace::runs).sum::<u64>()
+        self.workspace.runs()
     }
 
     /// Runs one catalogue scenario under `cfg` on the pooled workspace.
@@ -166,159 +156,8 @@ impl CosimPool {
         result
     }
 
-    /// Cumulative counters from every batched ([`CosimPool::run_batch`] /
-    /// [`CosimPool::try_run_batch_with_pm`]) solve this pool has driven.
-    /// Stays at its default for a pool that only ran scalar scenarios.
-    pub fn batch_stats(&self) -> BatchStats {
-        self.batch_stats
-    }
-
-    /// Runs several catalogue scenarios as lanes of one batched SoA circuit
-    /// solve (see [`CosimPool::try_run_batch_with_pm`]), panicking on the
-    /// first error — the batch twin of [`CosimPool::run_scenario`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any lane's circuit solver fails irrecoverably or trips a
-    /// deadline (see [`Cosim::run`]).
-    pub fn run_batch(&mut self, cfg: &CosimConfig, ids: &[ScenarioId]) -> Vec<CosimReport> {
-        self.try_run_batch_with_pm(cfg, ids, PowerManagement::default(), CycleBudget::unlimited())
-            .into_iter()
-            .map(|r| match r {
-                Ok(report) => report,
-                Err(e) => panic!("PDS transient step: {e}"),
-            })
-            .collect()
-    }
-
-    /// Runs several catalogue scenarios under one `cfg` in lockstep, as
-    /// lanes of a batched SoA circuit solve: every GPU cycle, each live
-    /// lane runs its own timing/power/fault phases, then all lanes' staged
-    /// circuit solves advance through one
-    /// [`vs_circuit::step_lanes_with_recovery`] call. Because every lane
-    /// shares `cfg` (one PDS kind ⇒ one netlist fingerprint, timestep, and
-    /// integration method), the lanes form a shared-factor group and the
-    /// kernel amortizes one LU across the batch; lanes that finish, fault,
-    /// or trip their budget early simply drop out of the group. Results are
-    /// **bit-identical** to running each scenario through
-    /// [`CosimPool::try_run_scenario_with_pm`] — the differential suites in
-    /// `vs-circuit` and this module's tests hold that line.
-    ///
-    /// Fewer than two scenarios fall back to the scalar path unchanged.
-    /// Telemetry is not recorded in batch mode (lanes are built with
-    /// [`vs_telemetry::Telemetry::disabled`], the scalar default), and the
-    /// per-cycle `CircuitSolve` stage span is not measured because the
-    /// solve is no longer a per-lane operation.
-    ///
-    /// Each returned slot is `Ok` with that lane's report or the first
-    /// [`CosimError`] that lane recorded; one lane's error never disturbs
-    /// the others. Lane workspaces are recycled across batches like the
-    /// scalar pool workspace.
-    pub fn try_run_batch_with_pm(
-        &mut self,
-        cfg: &CosimConfig,
-        ids: &[ScenarioId],
-        pm: PowerManagement,
-        budget: CycleBudget,
-    ) -> Vec<Result<CosimReport, CosimError>> {
-        if ids.len() < 2 {
-            return ids
-                .iter()
-                .map(|&id| self.try_run_scenario_with_pm(cfg, id, pm.clone(), budget))
-                .collect();
-        }
-        // Mirror `try_run` exactly: default supervisor, no fault plan.
-        let sup = SupervisorConfig::default();
-        let plan = FaultPlan::none();
-        let n = ids.len();
-        let mut workspaces: Vec<SolverWorkspace> = Vec::with_capacity(n);
-        workspaces.push(std::mem::take(&mut self.workspace));
-        for _ in 1..n {
-            workspaces.push(self.extra.pop().unwrap_or_default());
-        }
-        let mut cosims: Vec<Cosim> = ids
-            .iter()
-            .zip(workspaces)
-            .map(|(&id, ws)| {
-                let profile = id.profile();
-                Cosim::builder(cfg, &profile)
-                    .power_management(pm.clone())
-                    .workspace(ws)
-                    .budget(budget)
-                    .build()
-            })
-            .collect();
-        let mut states: Vec<RunState> = cosims
-            .iter_mut()
-            .map(|c| c.run_begin(&sup, &plan))
-            .collect();
-
-        let mut done = vec![false; n];
-        let mut scratch = BatchScratch::default();
-        let mut stats = BatchStats::default();
-        let mut results: Vec<Result<StepReport, SolverError>> = Vec::with_capacity(n);
-        let mut solving: Vec<usize> = Vec::with_capacity(n);
-        let mut policies: Vec<RecoveryPolicy> = Vec::with_capacity(n);
-        loop {
-            solving.clear();
-            policies.clear();
-            for i in 0..n {
-                if done[i] {
-                    continue;
-                }
-                match cosims[i].cycle_pre(&mut states[i], &plan) {
-                    CyclePhase::Finished => done[i] = true,
-                    CyclePhase::Solve => {
-                        cosims[i].batch_stage(&states[i]);
-                        policies.push(cosims[i].batch_policy());
-                        solving.push(i);
-                    }
-                }
-            }
-            if solving.is_empty() {
-                break;
-            }
-            // Disjoint `&mut` lane borrows come from one pass over
-            // `iter_mut`; `solving` is ascending by construction.
-            let mut lanes: Vec<&mut Transient> = Vec::with_capacity(solving.len());
-            let mut want = solving.iter().copied().peekable();
-            for (i, cosim) in cosims.iter_mut().enumerate() {
-                if want.peek() == Some(&i) {
-                    want.next();
-                    lanes.push(cosim.batch_solver());
-                }
-            }
-            step_lanes_with_recovery(&mut lanes, &policies, &mut scratch, &mut stats, &mut results);
-            drop(lanes);
-            for (&i, step) in solving.iter().zip(results.drain(..)) {
-                if cosims[i].batch_finish_solve(&mut states[i], step) {
-                    cosims[i].cycle_post(&mut states[i], &sup, &plan);
-                } else {
-                    done[i] = true;
-                }
-            }
-        }
-        self.batch_stats.absorb(&stats);
-
-        let mut out = Vec::with_capacity(n);
-        for (idx, (mut cosim, st)) in cosims.into_iter().zip(states).enumerate() {
-            let run = cosim.run_finish(st, &sup);
-            let ws = cosim.into_workspace();
-            if idx == 0 {
-                self.workspace = ws;
-            } else {
-                self.extra.push(ws);
-            }
-            out.push(match run.error {
-                Some(e) => Err(e),
-                None => Ok(run.report),
-            });
-        }
-        out
-    }
-
     /// Runs one workload profile under a supervisor and fault plan on the
-    /// pooled workspace (the batch equivalent of
+    /// pooled workspace (the pooled twin of
     /// [`Cosim::run_supervised`]).
     pub fn run_supervised(
         &mut self,
@@ -421,119 +260,6 @@ mod tests {
         assert!(again.completed);
         assert_eq!(pool.dc_cache_hits(), hits + 1);
         assert_eq!(again.cycles, ok.cycles);
-    }
-
-    /// Bitwise-comparable facets of a report (the fields a drifted solver
-    /// trajectory cannot fake).
-    fn facets(r: &CosimReport) -> (u64, u64, u64, u64, u64, bool) {
-        (
-            r.cycles,
-            r.ledger.board_input_j.to_bits(),
-            r.min_sm_voltage.to_bits(),
-            r.max_sm_voltage.to_bits(),
-            r.instructions,
-            r.completed,
-        )
-    }
-
-    #[test]
-    fn batched_lanes_match_scalar_runs_bit_for_bit() {
-        let cfg = tiny(PdsKind::VsCrossLayer { area_mult: 0.2 });
-        let ids = [ScenarioId::Heartwall, ScenarioId::Hotspot, ScenarioId::Bfs];
-        let mut scalar_pool = CosimPool::new();
-        let scalar: Vec<CosimReport> = ids
-            .iter()
-            .map(|&id| {
-                scalar_pool
-                    .try_run_scenario_with_pm(
-                        &cfg,
-                        id,
-                        PowerManagement::default(),
-                        CycleBudget::unlimited(),
-                    )
-                    .unwrap()
-            })
-            .collect();
-
-        let mut pool = CosimPool::new();
-        let batched =
-            pool.try_run_batch_with_pm(&cfg, &ids, PowerManagement::default(), CycleBudget::unlimited());
-        assert_eq!(batched.len(), ids.len());
-        for ((id, s), b) in ids.iter().zip(&scalar).zip(&batched) {
-            let b = b.as_ref().unwrap();
-            assert_eq!(facets(s), facets(b), "{id} diverged under batching");
-        }
-        // All three lanes share one netlist fingerprint, so the batch runs
-        // on the shared-factor fast path until lanes start finishing.
-        let stats = pool.batch_stats();
-        assert!(stats.multi_lane_groups > 0, "{stats:?}");
-        assert!(stats.shared_factor_groups > 0, "{stats:?}");
-        assert_eq!(stats.mask_exits, 0, "{stats:?}");
-        assert!(stats.lane_steps >= scalar.iter().map(|r| r.cycles).sum::<u64>());
-    }
-
-    #[test]
-    fn batch_of_one_falls_back_to_scalar_path() {
-        let cfg = tiny(PdsKind::ConventionalVrm);
-        let mut pool = CosimPool::new();
-        let scalar = pool
-            .try_run_scenario_with_pm(
-                &cfg,
-                ScenarioId::Heartwall,
-                PowerManagement::default(),
-                CycleBudget::unlimited(),
-            )
-            .unwrap();
-        let batched = pool.try_run_batch_with_pm(
-            &cfg,
-            &[ScenarioId::Heartwall],
-            PowerManagement::default(),
-            CycleBudget::unlimited(),
-        );
-        assert_eq!(facets(&scalar), facets(batched[0].as_ref().unwrap()));
-        // The singleton never touched the batched kernel.
-        assert_eq!(pool.batch_stats(), BatchStats::default());
-        assert_eq!(pool.runs(), 2);
-    }
-
-    #[test]
-    fn batched_lane_budget_trip_spares_the_other_lanes() {
-        let cfg = tiny(PdsKind::VsCrossLayer { area_mult: 0.2 });
-        let ids = [ScenarioId::Heartwall, ScenarioId::Hotspot];
-        let mut pool = CosimPool::new();
-        let short = pool
-            .try_run_scenario_with_pm(
-                &cfg,
-                ScenarioId::Heartwall,
-                PowerManagement::default(),
-                CycleBudget::unlimited(),
-            )
-            .unwrap();
-        // Every lane shares the watchdog budget; pick one only the longer
-        // scenario exceeds so exactly one lane dies.
-        let keep = pool
-            .try_run_scenario_with_pm(
-                &cfg,
-                ScenarioId::Hotspot,
-                PowerManagement::default(),
-                CycleBudget::unlimited(),
-            )
-            .unwrap();
-        let (fast, slow, fast_idx) = if short.cycles <= keep.cycles {
-            (&short, &keep, 0usize)
-        } else {
-            (&keep, &short, 1usize)
-        };
-        assert!(fast.cycles < slow.cycles, "scenarios must differ in length");
-        let budget = CycleBudget::tripping_at(fast.cycles + 1);
-        let batched = pool.try_run_batch_with_pm(&cfg, &ids, PowerManagement::default(), budget);
-        let survivor = batched[fast_idx].as_ref().unwrap();
-        assert_eq!(facets(fast), facets(survivor));
-        let err = batched[1 - fast_idx].as_ref().unwrap_err();
-        assert!(
-            matches!(err, CosimError::DeadlineExceeded { .. }),
-            "expected a deadline trip, got {err:?}"
-        );
     }
 
     #[test]

@@ -11,13 +11,10 @@
 //!
 //! The run loop is factored into explicit phases ([`Cosim::run_begin`],
 //! [`Cosim::cycle_pre`], [`Cosim::scalar_solve`], [`Cosim::cycle_post`],
-//! [`Cosim::run_finish`]) around a [`RunState`] so the batched driver in
-//! [`crate::CosimPool::try_run_batch_with_pm`] can interleave several runs
-//! and advance their circuit solves through one SoA kernel;
-//! [`Cosim::run_supervised`] is exactly the scalar composition of those
-//! phases, so the factoring cannot change scalar results.
+//! [`Cosim::run_finish`]) around a [`RunState`] that carries every
+//! loop-carried value; [`Cosim::run_supervised`] is their composition.
 
-use vs_circuit::{RecoveryPolicy, SolverError, SolverWorkspace, StepReport, Transient};
+use vs_circuit::{SolverWorkspace, StepReport};
 use vs_control::{ControllerConfig, DccDac, SmCommand, VoltageController};
 use vs_gpu::{build_kernel, Gpu, GpuConfig, GpuCycleEvents, SchedulerKind, SmStats, WorkloadProfile};
 use vs_hypervisor::{DfsConfig, DfsGovernor, GatingAccountant, PgConfig, VsAwareHypervisor};
@@ -111,8 +108,8 @@ impl<'a> CosimBuilder<'a> {
     }
 
     /// Builds the circuit solver inside a reusable [`SolverWorkspace`]
-    /// (see [`crate::CosimPool`] for the batch API that recycles one
-    /// workspace across scenarios). Reuse never changes results.
+    /// (see [`crate::CosimPool`], which recycles one workspace across
+    /// scenarios). Reuse never changes results.
     pub fn workspace(mut self, workspace: SolverWorkspace) -> Self {
         self.workspace = workspace;
         self
@@ -296,7 +293,7 @@ pub struct Cosim {
 const LAYER_MIN_V_BOUNDS: [f64; 9] = [0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 1.00, 1.05, 1.10];
 
 /// Where one supervised run stands after [`Cosim::cycle_pre`].
-pub(crate) enum CyclePhase {
+enum CyclePhase {
     /// The run loop is over: kernel retired, cycle cap reached, watchdog
     /// tripped, or a fault-application error was recorded in the state.
     Finished,
@@ -305,13 +302,11 @@ pub(crate) enum CyclePhase {
     Solve,
 }
 
-/// All loop-carried state of one supervised run, factored out of
-/// [`Cosim::run_supervised`] so the batched driver can interleave the cycle
-/// phases of several runs (lanes) and advance their staged circuit solves
-/// through one SoA kernel. Construct with [`Cosim::run_begin`], consume with
-/// [`Cosim::run_finish`], and always pass the same `sup`/`plan` to every
-/// phase of one run.
-pub(crate) struct RunState {
+/// All loop-carried state of one supervised run, threaded through the
+/// cycle phases of [`Cosim::run_supervised`]. Construct with
+/// [`Cosim::run_begin`], consume with [`Cosim::run_finish`], and always
+/// pass the same `sup`/`plan` to every phase of one run.
+struct RunState {
     n_sms: usize,
     dt: f64,
     v_nominal: f64,
@@ -415,7 +410,7 @@ impl Cosim {
     /// Sets up one supervised run: installs the recovery policy, allocates
     /// every loop-carried buffer, enables gating if requested, and emits the
     /// telemetry manifest.
-    pub(crate) fn run_begin(&mut self, sup: &SupervisorConfig, plan: &FaultPlan) -> RunState {
+    fn run_begin(&mut self, sup: &SupervisorConfig, plan: &FaultPlan) -> RunState {
         let n_sms = self.rig.n_sms();
         let dt = 1.0 / self.power.clock_hz();
         let v_nominal = self.power.v_nominal();
@@ -519,7 +514,7 @@ impl Cosim {
     /// power model, and circuit-boundary fault application. On
     /// [`CyclePhase::Solve`] the cycle's loads sit in the state, ready to
     /// stage onto the solver.
-    pub(crate) fn cycle_pre(&mut self, st: &mut RunState, plan: &FaultPlan) -> CyclePhase {
+    fn cycle_pre(&mut self, st: &mut RunState, plan: &FaultPlan) -> CyclePhase {
         if self.gpu.done() || self.gpu.cycle() >= self.cfg.max_cycles {
             return CyclePhase::Finished;
         }
@@ -584,23 +579,14 @@ impl Cosim {
         CyclePhase::Solve
     }
 
-    /// One cycle's circuit solve, scalar path: stage loads, advance the rig
-    /// one timestep under its recovery policy, absorb the result. Returns
-    /// `false` when the solver gave up and the run loop must stop.
-    pub(crate) fn scalar_solve(&mut self, st: &mut RunState) -> bool {
+    /// One cycle's circuit solve: stage loads, advance the rig one timestep
+    /// under its recovery policy, and book the result. Recovery activity
+    /// accumulates on success; the first error is recorded. Returns `false`
+    /// when the solver gave up and the run loop must stop.
+    fn scalar_solve(&mut self, st: &mut RunState) -> bool {
         let span = self.telemetry.stages.start();
         let step = self.rig.step(&st.sm_watts, &st.dcc_power, &st.fake_watts);
         self.telemetry.stages.stop(Stage::CircuitSolve, span);
-        self.absorb_solve(st, step)
-    }
-
-    /// Books one cycle's solve result: recovery activity accumulates on
-    /// success, the first error is recorded and stops the run.
-    fn absorb_solve(
-        &mut self,
-        st: &mut RunState,
-        step: Result<StepReport, SolverError>,
-    ) -> bool {
         match step {
             Ok(r) => {
                 st.recovery.absorb(&r);
@@ -616,46 +602,11 @@ impl Cosim {
         }
     }
 
-    /// Stages this cycle's loads onto the rig's solver controls without
-    /// stepping — the batched driver's replacement for the staging half of
-    /// [`Cosim::scalar_solve`].
-    pub(crate) fn batch_stage(&mut self, st: &RunState) {
-        self.rig
-            .stage_loads(&st.sm_watts, &st.dcc_power, &st.fake_watts);
-    }
-
-    /// The rig's transient solver, lent to the batched SoA kernel as one
-    /// lane.
-    pub(crate) fn batch_solver(&mut self) -> &mut Transient {
-        self.rig.solver_mut()
-    }
-
-    /// The rig's active recovery policy (installed by [`Cosim::run_begin`]
-    /// from the supervisor), which the batched kernel applies to this lane.
-    pub(crate) fn batch_policy(&self) -> RecoveryPolicy {
-        self.rig.recovery_policy()
-    }
-
-    /// Settles one batched solve result for this lane: on success books the
-    /// rig's per-step energy (the tail of [`crate::rig::PdsRig::step`]) and
-    /// absorbs the report; on error records it. Returns `false` when the
-    /// lane's run loop must stop.
-    pub(crate) fn batch_finish_solve(
-        &mut self,
-        st: &mut RunState,
-        step: Result<StepReport, SolverError>,
-    ) -> bool {
-        if step.is_ok() {
-            self.rig.finish_step(&st.fake_watts);
-        }
-        self.absorb_solve(st, step)
-    }
-
     /// One cycle's post-solve phase: voltage statistics, guardband tracking,
     /// decimated telemetry, the voltage-smoothing controller, epoch power
     /// management, and the frequency-scale accumulator.
     #[allow(clippy::too_many_lines)]
-    pub(crate) fn cycle_post(&mut self, st: &mut RunState, sup: &SupervisorConfig, plan: &FaultPlan) {
+    fn cycle_post(&mut self, st: &mut RunState, sup: &SupervisorConfig, plan: &FaultPlan) {
         let cycle = st.cycle;
         self.rig.sm_voltages_into(&mut st.voltages);
         for (sm, v) in st.voltages.iter().enumerate() {
@@ -796,7 +747,7 @@ impl Cosim {
     /// Closes one supervised run: final statistics, telemetry flush, verdict
     /// classification, and report assembly.
     #[allow(clippy::too_many_lines)]
-    pub(crate) fn run_finish(&mut self, st: RunState, sup: &SupervisorConfig) -> SupervisedReport {
+    fn run_finish(&mut self, st: RunState, sup: &SupervisorConfig) -> SupervisedReport {
         let RunState {
             dt,
             below_guard_cycles,

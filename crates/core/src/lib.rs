@@ -14,10 +14,13 @@
 //!   configurations and get a [`CosimReport`] with PDE, loss breakdown,
 //!   supply-noise statistics, and imbalance histograms.
 //! * [`CosimPool`] — run many scenarios back-to-back on one recycled
-//!   circuit-solver workspace (the allocation-free batch hot path behind
-//!   the sweep runner; see DESIGN.md, "The zero-allocation hot path").
+//!   circuit-solver workspace (the allocation-free hot path behind the
+//!   sweep executor; see DESIGN.md, "The zero-allocation hot path").
 //! * [`run_worst_case`] — the synthetic worst-case imbalance scenario
 //!   behind the paper's reliability guarantee (Figs. 9–10).
+//! * [`RigLanes`] + [`run_worst_case_lanes`] — step several circuit-only
+//!   rigs in lockstep through one batched SoA circuit solve, bit-identical
+//!   to stepping each alone (dse's lanes of 4).
 //! * [`PowerManagement`] — bolt on DFS, power gating, and the VS-aware
 //!   hypervisor for the collaborative-power-management studies
 //!   (Figs. 15–17).

@@ -254,10 +254,10 @@ impl PdsRig {
 
     /// First phase of [`PdsRig::step`]: validates the slices and stages this
     /// cycle's loads onto the solver's control inputs without stepping.
-    /// The batched co-simulation driver stages every lane, advances all of
-    /// them through one SoA solve, then settles each with
-    /// [`PdsRig::finish_step`]; `step` is exactly this composition, so the
-    /// split cannot change scalar results.
+    /// [`RigLanes::step`] stages every lane, advances all of them through
+    /// one SoA solve, then settles each with [`PdsRig::finish_step`];
+    /// `step` is exactly this composition, so the split cannot change
+    /// scalar results.
     ///
     /// # Panics
     ///
@@ -302,16 +302,10 @@ impl PdsRig {
 
     /// Last phase of [`PdsRig::step`]: books the accepted step's fake and
     /// controller energy. Call only after the staged step was accepted (the
-    /// scalar path skips it on error, and so must batch drivers).
+    /// scalar path skips it on error, and so does [`RigLanes::step`]).
     pub(crate) fn finish_step(&mut self, fake_power_w: &[f64]) {
         self.fake_j += fake_power_w.iter().sum::<f64>() * self.dt;
         self.elapsed_controller_j += self.controller_power_w * self.dt;
-    }
-
-    /// The underlying transient solver, for the batched driver that advances
-    /// several rigs' staged steps through one SoA kernel.
-    pub(crate) fn solver_mut(&mut self) -> &mut Transient {
-        &mut self.sim
     }
 
     /// Replaces the adaptive solver-recovery policy (default:
@@ -319,11 +313,6 @@ impl PdsRig {
     /// every solver hiccup surface immediately).
     pub fn set_recovery_policy(&mut self, policy: RecoveryPolicy) {
         self.recovery = policy;
-    }
-
-    /// The active solver-recovery policy.
-    pub fn recovery_policy(&self) -> RecoveryPolicy {
-        self.recovery
     }
 
     /// Scales one column's CR-IVR ladder to `factor` of its nominal

@@ -52,8 +52,8 @@ impl Default for SupervisorConfig {
 /// deterministic `trip_at_cycle` hook that test/chaos harnesses use to
 /// simulate a stalled task without real waiting. An exceeded budget aborts
 /// the run with [`CosimError::DeadlineExceeded`]; the default
-/// ([`CycleBudget::unlimited`]) reduces the check to two `None` branches and
-/// is guarded against regression by `bench_hotpath`.
+/// ([`CycleBudget::unlimited`]) reduces the check to two `None` branches,
+/// whose cost the benchmark's `vs-core.ns_per_cycle` probe records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CycleBudget {
     /// Wall-clock deadline; `None` = no wall-clock limit.

@@ -13,8 +13,10 @@
 #              campaign byte-for-byte against goldens/fault_campaign.jsonl,
 #              diffs the dse Pareto frontier against
 #              goldens/dse_frontier.jsonl under the shared tolerances,
-#              and refreshes the batched lane-scaling row in
-#              BENCH_hotpath.json. Leaves the suite manifest at target/sweep/
+#              and runs the perf guards in benches/perf.rs (zero-allocation
+#              rig step, GPU allocations per cycle, per-lane batched solve
+#              cost falling from 1 to 8 lanes, disabled telemetry and
+#              tracing overhead). Leaves the suite manifest at target/sweep/
 #              as the uploadable artifact.
 #
 # Runs from the repository root regardless of the caller's cwd.
@@ -44,13 +46,8 @@ if [[ "${1:-}" == "--golden" ]]; then
         --json target/fault_campaign.jsonl > /dev/null
     diff goldens/fault_campaign.jsonl target/fault_campaign.jsonl \
         && echo "fault-campaign golden: OK"
-    echo "== batched lane-scaling record =="
-    # Re-measures per-lane SoA solve cost at N=1/2/4/8 (asserting it falls
-    # monotonically) and rewrites the lane_scaling_record row of the
-    # committed artifact in place.
-    VS_BENCH_SCALE=0.04 VS_BENCH_MAX_CYCLES=250000 \
-        cargo run --release -q -p vs-bench --bin bench_hotpath -- \
-        --record-lane-scaling BENCH_hotpath.json > /dev/null
+    echo "== perf guards =="
+    cargo bench -p vs-bench --bench perf
     echo "suite manifest artifact: target/sweep/manifest.jsonl"
     echo "tier-2 golden gate: OK"
     exit 0
