@@ -1,5 +1,6 @@
 //! The design-space-exploration driver: thousands of configurations
-//! through lockstep run batches, with a Pareto-frontier artifact.
+//! through shared trunks and lockstep tails, with a Pareto-frontier
+//! artifact.
 //!
 //! ```text
 //! dse [--grid tiny|full|paper] [--space SPEC] [--jobs N]
@@ -11,15 +12,27 @@
 //! Enumerates an axis space (`--grid full` is the built-in 1728-point
 //! exploration; `--space "stack=4x4|8x2,area=0.1|0.2,latency=60"` builds a
 //! custom one in the shared sweep grammar, unmentioned axes staying at the
-//! paper point), evaluates every unique configuration through lockstep
-//! batches of shared runs, writes `dse_frontier.jsonl` into `--out`
-//! (default `target/dse`), prints the frontier, and checks the executable
-//! frontier claims — notably that the paper's 4×4 / 0.2× cross-layer
-//! design point is non-dominated. Points share simulation runs; stderr
-//! reports how many distinct PDE and worst-case runs executed
-//! (`[dse] runs: 162 pde + 882 worst-case for 1728 point(s)` on the full
-//! grid) and how many of their lane-solves went through multi-lane
-//! lockstep groups (`[dse] lanes: ...`), and `--trace` spans each run.
+//! paper point), evaluates every unique configuration through shared runs,
+//! writes `dse_frontier.jsonl` into `--out` (default `target/dse`), prints
+//! the frontier, and checks the executable frontier claims — notably that
+//! the paper's 4×4 / 0.2× cross-layer design point is non-dominated.
+//! Points share simulation runs, and the runs share trajectories: one
+//! trunk per steady-load rig books its PDE runs and forks its worst-case
+//! runs at the gate. Stderr reports, on the full grid at the golden
+//! profile:
+//!
+//! ```text
+//! [dse] runs: 162 pde + 882 worst-case for 1728 point(s)
+//! [dse] lanes: 1814400 of 1852200 lane-solve(s) in multi-lane groups, 37800 alone, over 491400 shared step(s)
+//! [dse] trunks: 18 trunk(s), 882 fork(s), 0 fallback(s); 1964700 lane-step(s) = 112500 trunk + 1852200 tail
+//! ```
+//!
+//! `runs` counts the distinct runs computed; `lanes` splits the lockstep
+//! tail steps into multi-lane groups and lone solves; `trunks` counts the
+//! trunks, the worst-case runs that forked from one and those that fell
+//! back to their full run, and the lane-steps taken, scalar trunk steps
+//! plus lockstep tail steps. `--trace` spans each trunk and each run, and
+//! counts `dse.trunks`, `dse.forks` and `dse.fallbacks`.
 //!
 //! Crash safety matches `sweep`: each completed point lands atomically in
 //! a `points/` cache and is journaled with a checksum; `--resume DIR`
@@ -151,6 +164,15 @@ fn main() -> ExitCode {
     eprintln!(
         "[dse] lanes: {} of {} lane-solve(s) in multi-lane groups, {} alone, over {} shared step(s)",
         lanes.multi_lane_solves, lanes.lane_steps, lanes.singleton_solves, lanes.shared_steps,
+    );
+    eprintln!(
+        "[dse] trunks: {} trunk(s), {} fork(s), {} fallback(s); {} lane-step(s) = {} trunk + {} tail",
+        result.trunks,
+        result.forks,
+        result.fallbacks,
+        result.trunk_steps + lanes.lane_steps,
+        result.trunk_steps,
+        lanes.lane_steps,
     );
 
     print_frontier(&result);

@@ -1,6 +1,6 @@
 //! The design-space-exploration driver: evaluates an [`AxisSpace`]'s cross
-//! product — thousands of [`ConfigPoint`]s — through lockstep batches of
-//! shared runs and distills the results into a Pareto-frontier artifact.
+//! product — thousands of [`ConfigPoint`]s — as a tree of shared
+//! trajectories and distills the results into a Pareto-frontier artifact.
 //!
 //! A point's metrics come from two short circuit-level runs on a recycled
 //! [`SolverWorkspace`]:
@@ -18,10 +18,30 @@
 //! controller axes only through the overhead watts, and a circuit-only
 //! worst-case run builds no controller at all. So [`run_dse`] keys each
 //! run by exactly the inputs it reads (`PdeRun::stable_key_into`,
-//! [`WorstCaseConfig::stable_key_into`]) and simulates each distinct run
+//! [`WorstCaseConfig::stable_key_into`]) and computes each distinct run
 //! once: the full 1728-point grid needs 162 PDE runs and 882 worst-case
 //! runs. [`evaluate_point`] runs both for one point with nothing shared;
 //! it is the oracle the tests hold the shared runs to, bit for bit.
+//!
+//! The runs share more than their keys: their trajectories. Until the
+//! gate, a worst-case run steps its rig under the steady per-SM load, and
+//! the controller stays idle while every voltage sits above its threshold,
+//! staging exactly that load. The PDE runs of the same rig step the same
+//! circuit under the same load, and differ only in the overhead booked
+//! beside the solve. So `run_dse` keys **trunks** by what a steady-load
+//! trajectory reads (`Trunk::stable_key_into`: the stacked netlist's area
+//! and geometry, the time step, the per-SM load and the recovery policy).
+//! One trunk per key steps scalar, books every PDE run of its key from
+//! its one rig ([`vs_core::PdsRig::ledger_at_controller_power`]), records
+//! its per-SM voltages up to the gate and snapshots its rig there. Each
+//! worst-case run **forks** from the snapshot
+//! ([`vs_core::fork_worst_case_lanes`]): it replays its controller over the
+//! recorded voltages, checking its staged loads against the trunk's bit
+//! for bit, and steps only its tail, in lockstep lanes. A run whose loads
+//! leave the trunk's before the gate, or whose trunk gave up before it,
+//! **falls back** to its full run. The full grid steps 18 trunks of 6 250
+//! steps and 882 tails of 2 100 at the golden profile: 1 964 700
+//! lane-steps where the runs stepped whole would take 4 099 500.
 //!
 //! The frontier is computed over the three objectives the paper trades
 //! against each other: **maximize PDE, minimize CR-IVR area, maximize the
@@ -31,33 +51,34 @@
 //!
 //! Scheduling is dse's own batch cursor, not the executor's claim loop.
 //! Before the workers start, the distinct runs of the *pending* points are
-//! planned and cut into batches: up to `LANES` (4) runs of one kind that
-//! share a stack geometry and CR-IVR area, hence one netlist. Batches are
-//! listed bucket by bucket in point order, a bucket's PDE batches before
-//! its worst-case batches, and workers claim them off one atomic cursor.
-//! A worker steps a batch's runs in lockstep ([`vs_core::RigLanes`],
-//! [`vs_core::run_worst_case_lanes`]): one shared solve per step for all
-//! lanes, exactly each run's scalar floating-point work, so every result
-//! is bit-identical to the run stepped alone. Run length depends only on
-//! the settings, so no lane idles at a batch's tail. Every pending point
-//! waits on its two runs, and the worker that lands the second journals
-//! the point ([`crate::journal::record_point`]). Point identity routes
-//! through [`SuiteKey`]: duplicate points evaluate once, and `dse
-//! --resume` replays verified metrics and plans only the runs its lost
-//! points read. Artifacts are bit-identical whatever the worker count or
-//! resume history.
+//! planned, grouped under their trunks, and cut into batches: each trunk,
+//! then its tail batches of up to `LANES` (4) worst-case runs that fork
+//! at one gate. Batches are listed trunk by trunk in point order, and
+//! workers claim them off one atomic cursor. A tail batch whose snapshot
+//! is not yet published waits on it; its trunk sits earlier on the cursor,
+//! so it is already running and no schedule deadlocks, and a trunk that
+//! panics wakes its waiters, which panic in turn. The last tail batch of a
+//! gate takes the snapshot out of the plan, so about one pair per worker
+//! holds one at a time. Every result is bit-identical to the run stepped
+//! alone. Every pending point waits on its two runs, and the worker that
+//! lands the second journals the point ([`crate::journal::record_point`]).
+//! Point identity routes through [`SuiteKey`]: duplicate points evaluate
+//! once, and `dse --resume` replays verified metrics and plans only the
+//! runs its lost points read, stepping each trunk only as far as they
+//! need. Artifacts are bit-identical whatever the worker count or resume
+//! history.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
-use vs_circuit::{BatchStats, SolverWorkspace};
+use vs_circuit::{BatchStats, RecoveryPolicy, SolverWorkspace};
 use vs_core::{
-    run_worst_case_in, run_worst_case_lanes, PdsKind, PdsRig, RigLanes, StackGeometry,
-    WorstCaseConfig, WorstCaseVoltages,
+    fork_worst_case_lanes, run_worst_case_in, ForkCounts, GateSnapshot, PdsKind, PdsRig,
+    StackGeometry, WorstCaseConfig, WorstCaseVoltages,
 };
 use vs_telemetry::{
     labeled, DsePointRow, Event, Registry, RunArtifact, RunManifest, StageSample, SCHEMA_VERSION,
@@ -84,12 +105,17 @@ const P_SM_NOMINAL_W: f64 = 8.0;
 /// loop costs proportionally more ([`control_overhead_w`]).
 const LOOP_POWER_AT_T60_W: f64 = 0.08;
 
-/// Planned runs one worker steps in lockstep as one batch. Each lane owns a
-/// full rig (about 94 KB for the 4×4 stack) and, for a cross-layer
-/// worst-case run, a controller (about 25 KB), so the width trades peak
-/// memory for speed: on the full golden grid at two workers, 8 lanes
-/// raised peak RSS by about 40% and 4 lanes by about 15%, while 4 lanes
-/// kept most of the 8-lane speed-up.
+/// Worst-case tails one worker steps in lockstep as one batch. Each lane
+/// owns a full rig, cloned from its trunk's snapshot (about 94 KB for the
+/// 4×4 stack), and, for a cross-layer run, a controller (about 25 KB), so
+/// the width trades peak memory for speed. Before the trunks, when every
+/// run stepped whole, 8 lanes raised dse_full's peak RSS by about 40% and
+/// 4 lanes by about 15% on the full golden grid at two workers, while 4
+/// lanes kept most of the 8-lane speed-up. The trunks add a snapshot and
+/// its record per pair being forked: over ten alternating benchmark pairs
+/// per seed on a two-vCPU host, dse_full's peak RSS read medians of
+/// 6.11 → 6.48 MiB at seed 42 and 6.13 → 6.41 MiB at seed 7 (+6% and
+/// +4.5%, inside the benchmark's 20% bound).
 const LANES: usize = 4;
 
 /// Quiescent/control power of one per-layer charge-recycling IVR domain,
@@ -142,14 +168,26 @@ pub struct DseResult {
     pub evaluated: usize,
     /// Points whose metrics replayed from the resume journal.
     pub replayed: usize,
-    /// Distinct PDE runs executed: one per PDE-run key the evaluated
+    /// Distinct PDE runs computed: one per PDE-run key the evaluated
     /// points read.
     pub pde_runs: usize,
-    /// Distinct worst-case runs executed: one per [`WorstCaseConfig`] key
+    /// Distinct worst-case runs computed: one per [`WorstCaseConfig`] key
     /// the evaluated points read.
     pub worst_case_runs: usize,
-    /// Lockstep solve counters summed over every batch of runs: how many
-    /// lane-solves went through multi-lane groups and how many alone.
+    /// Trunks stepped: one per distinct steady-load trajectory the planned
+    /// runs share.
+    pub trunks: usize,
+    /// Steps the trunks took, summed (each trunk steps scalar).
+    pub trunk_steps: u64,
+    /// Worst-case runs that forked from their trunk's gate snapshot and
+    /// stepped only their tails.
+    pub forks: usize,
+    /// Worst-case runs that stepped in full instead: their staged loads
+    /// left the trunk's before the gate, or the trunk gave up before it.
+    pub fallbacks: usize,
+    /// Lockstep solve counters summed over every tail batch (fallbacks
+    /// included): how many lane-solves went through multi-lane groups and
+    /// how many alone.
     pub batch_stats: BatchStats,
     /// Worker threads actually used.
     pub jobs: usize,
@@ -269,38 +307,6 @@ impl PdeRun {
         }
         (rig.ledger().pde(), rig.into_workspace())
     }
-
-    /// Runs several PDE runs of one length in lockstep ([`RigLanes`]) and
-    /// returns their PDEs in order, bit-identical to [`PdeRun::run`]'s: a
-    /// lane the solver gives up on retires at its last accepted state, as
-    /// the scalar loop breaks. Rigs are built in workspaces popped from
-    /// `workspaces`, which get them back; the solve counters go to `stats`.
-    fn run_lanes(
-        runs: &[&PdeRun],
-        workspaces: &mut Vec<SolverWorkspace>,
-        stats: &mut BatchStats,
-    ) -> Vec<f64> {
-        let steps = runs.first().map_or(0, |run| run.steps);
-        assert!(
-            runs.iter().all(|run| run.steps == steps),
-            "lockstep PDE runs must share one step count"
-        );
-        let loads: Vec<(Vec<f64>, Vec<f64>)> = runs.iter().map(|run| run.loads()).collect();
-        let mut lanes = RigLanes::new(
-            runs.iter()
-                .map(|run| run.rig(workspaces.pop().unwrap_or_default()))
-                .collect(),
-        );
-        for _ in 0..steps {
-            lanes.step(|i| (&loads[i].0, &loads[i].1, &loads[i].1));
-        }
-        let pdes = (0..runs.len())
-            .map(|i| lanes.rig(i).ledger().pde())
-            .collect();
-        stats.absorb(&lanes.stats());
-        workspaces.extend(lanes.into_rigs().into_iter().map(PdsRig::into_workspace));
-        pdes
-    }
 }
 
 /// The worst-case gating run of `point` under `settings`: one layer gates
@@ -342,8 +348,93 @@ pub fn evaluate_point(
     (metrics, workspace)
 }
 
+/// A steady-load trajectory of one stacked rig, holding exactly the inputs
+/// it reads. Every PDE run and every pre-gate prefix of a worst-case run
+/// with the same key steps the same circuit under the same loads, bit for
+/// bit: the PDS family does not reach the netlist
+/// ([`PdsRig::with_params_in`] builds circuit-only and cross-layer rigs
+/// through one arm), the overhead watts are booked beside the solve, and
+/// an idle controller stages exactly the steady load (checked per cycle by
+/// the fork).
+#[derive(Debug, Clone, Copy)]
+struct Trunk {
+    /// CR-IVR area of the stacked netlist, as a multiple of the GPU die.
+    area_mult: f64,
+    /// Stack geometry.
+    geometry: StackGeometry,
+    /// Time step, seconds.
+    dt: f64,
+    /// Uniform per-SM load, watts (no ballast, no fake instructions).
+    p_sm_w: f64,
+    /// The rig's solver-recovery policy.
+    recovery: RecoveryPolicy,
+}
+
+impl Trunk {
+    /// The trunk a PDE run's trajectory follows.
+    fn of_pde(run: &PdeRun) -> Trunk {
+        let (PdsKind::VsCircuitOnly { area_mult } | PdsKind::VsCrossLayer { area_mult }) = run.kind
+        else {
+            unreachable!("dse explores the stacked families only")
+        };
+        Trunk {
+            area_mult,
+            geometry: run.geometry,
+            dt: 1.0 / CLOCK_HZ,
+            p_sm_w: run.p_sm_w,
+            recovery: RecoveryPolicy::default(),
+        }
+    }
+
+    /// The trunk a worst-case run follows up to its gate.
+    fn of_worst_case(cfg: &WorstCaseConfig) -> Trunk {
+        Trunk {
+            area_mult: cfg.area_mult,
+            geometry: cfg.geometry,
+            dt: cfg.dt(),
+            p_sm_w: cfg.p_sm_w,
+            recovery: RecoveryPolicy::default(),
+        }
+    }
+
+    /// Appends this trunk's stable identity key: every field's bit pattern
+    /// in declaration order (the exhaustive destructuring, of the recovery
+    /// policy too, makes adding a field without extending the key a
+    /// compile error).
+    fn stable_key_into(&self, out: &mut Vec<u64>) {
+        let Trunk { area_mult, geometry, dt, p_sm_w, recovery } = *self;
+        let RecoveryPolicy {
+            max_attempts,
+            max_halvings,
+            backward_euler_after,
+            sanitize_controls,
+        } = recovery;
+        out.push(area_mult.to_bits());
+        geometry.stable_key_into(out);
+        out.extend([
+            dt.to_bits(),
+            p_sm_w.to_bits(),
+            u64::from(max_attempts),
+            u64::from(max_halvings),
+            u64::from(backward_euler_after),
+            u64::from(sanitize_controls),
+        ]);
+    }
+
+    /// The trunk's rig at controller power 0: each PDE run books its own
+    /// overhead from it. Built in a fresh workspace, which the trunk drops
+    /// when it ends: a worker's pool would otherwise hold one idle rig
+    /// while the worker steps the tails, whose rigs are clones.
+    fn rig(&self) -> PdsRig {
+        let kind = PdsKind::VsCircuitOnly { area_mult: self.area_mult };
+        let mut rig = PdsRig::with_params(kind, &self.geometry.pdn_params(), self.dt, 0.0);
+        rig.set_recovery_policy(self.recovery);
+        rig
+    }
+}
+
 /// A distinct run, the pending points that read it (as indices into the
-/// pending list), and the slot its result lands in once a worker executes
+/// pending list), and the slot its result lands in once a worker computes
 /// it.
 struct Planned<R, T> {
     run: R,
@@ -380,35 +471,139 @@ fn plan<R, T>(
     (distinct, slots)
 }
 
-/// Up to `LANES` planned runs of one kind that share a stack geometry and
-/// CR-IVR area (hence one netlist, so the lanes share one factorization),
-/// as indices into that kind's plan.
-enum Batch {
-    Pde(Vec<usize>),
-    WorstCase(Vec<usize>),
+/// Where a trunk stands at one of its gates.
+enum GateState {
+    /// The trunk has not reached the gate yet.
+    Pending,
+    /// The trunk reached the gate (`Some`, its snapshot) or gave up before
+    /// it (`None`: every run forking here falls back). The last tail batch
+    /// takes the snapshot out, leaving `None` behind for nobody.
+    Published(Option<Arc<GateSnapshot>>),
+    /// The trunk panicked before the gate.
+    Abandoned,
 }
 
-/// Steps the `batch` runs of `plan` in lockstep through `step`, fills their
-/// result slots, and returns each run's readers for the caller to land.
-/// Under tracing every run becomes a `dse`/`name` span covering the whole
-/// batch on the worker's track, labelled by a point that reads it
-/// (`point_of`), and bumps `counter`; untraced, tracing costs one relaxed
-/// load.
+/// A trunk's gate: the step its worst-case runs fork at, the runs, and
+/// the snapshot slot their tail batches wait on.
+struct Gate {
+    /// Steps before the gate ([`WorstCaseConfig::pre_gate_steps`]).
+    step: u64,
+    /// The worst-case runs forking here, as indices into their plan.
+    runs: Vec<usize>,
+    /// The gate's state, and how many tail batches have yet to take it.
+    state: Mutex<(GateState, usize)>,
+    /// Signalled when the state leaves [`GateState::Pending`].
+    published: Condvar,
+}
+
+impl Gate {
+    /// A pending gate at `step`, with no runs or tail batches yet.
+    fn new(step: u64) -> Gate {
+        Gate {
+            step,
+            runs: Vec::new(),
+            state: Mutex::new((GateState::Pending, 0)),
+            published: Condvar::new(),
+        }
+    }
+
+    /// Locks the state. No code panics while holding the lock, so a
+    /// poisoned lock still holds a consistent state; taking it anyway keeps
+    /// a trunk that unwinds from panicking again in [`AbandonOnDrop`].
+    fn lock(&self) -> MutexGuard<'_, (GateState, usize)> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Moves a pending gate to `next` and wakes its waiters; a gate already
+    /// published stays as it is.
+    fn settle(&self, next: GateState) {
+        let mut state = self.lock();
+        if matches!(state.0, GateState::Pending) {
+            state.0 = next;
+            self.published.notify_all();
+        }
+    }
+
+    /// Waits until the trunk has published this gate and takes its
+    /// snapshot: a shared handle, or the plan's own handle for the gate's
+    /// last tail batch, so the snapshot is freed once that batch's forks
+    /// have cloned it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trunk panicked before the gate.
+    fn take(&self) -> Option<Arc<GateSnapshot>> {
+        let mut state = self
+            .published
+            .wait_while(self.lock(), |(state, _)| matches!(state, GateState::Pending))
+            .unwrap_or_else(PoisonError::into_inner);
+        let (gate, tails_left) = &mut *state;
+        let GateState::Published(snapshot) = gate else {
+            drop(state);
+            panic!("a dse trunk panicked before its gate");
+        };
+        *tails_left -= 1;
+        if *tails_left == 0 {
+            snapshot.take()
+        } else {
+            snapshot.clone()
+        }
+    }
+}
+
+/// Abandons every gate of a trunk still pending when the guard drops, so a
+/// trunk that panics wakes its tail batches instead of leaving them
+/// waiting. A trunk that finishes has published every gate, and the guard
+/// changes nothing.
+struct AbandonOnDrop<'g>(&'g [Gate]);
+
+impl Drop for AbandonOnDrop<'_> {
+    fn drop(&mut self) {
+        for gate in self.0 {
+            gate.settle(GateState::Abandoned);
+        }
+    }
+}
+
+/// A planned trunk: the PDE runs it books and the gates its worst-case
+/// runs fork at.
+struct TrunkPlan {
+    trunk: Trunk,
+    /// The PDE runs booked from this trunk, as indices into their plan.
+    pde_runs: Vec<usize>,
+    /// One gate per distinct pre-gate step count among its worst-case
+    /// runs (one on every built-in grid).
+    gates: Vec<Gate>,
+}
+
+/// One claim off the cursor: a trunk, or up to `LANES` worst-case runs
+/// that fork at one gate of a trunk (one netlist, so the lanes share one
+/// factorization), as indices into their plans.
+enum Batch {
+    Trunk(usize),
+    Tail { trunk: usize, gate: usize, runs: Vec<usize> },
+}
+
+/// Sets the result slots of the `batch` runs of `plan` from `step`, and
+/// returns each run's readers for the caller to land. Under tracing every
+/// run becomes a `dse`/`name` span from `started` on the worker's track,
+/// labelled by a point that reads it (`point_of`), and bumps `counter`;
+/// untraced, tracing costs one relaxed load.
 fn execute<'p, 'u, R, T: std::fmt::Debug>(
     plan: &'p [Planned<R, T>],
     batch: &[usize],
     (name, counter): (&str, &str),
+    started: Option<Instant>,
     point_of: impl Fn(usize) -> &'u ConfigPoint,
     step: impl FnOnce(&[&R]) -> Vec<T>,
 ) -> Vec<&'p [usize]> {
-    let started = obs::tracer().begin();
     let planned: Vec<&Planned<R, T>> = batch.iter().map(|&r| &plan[r]).collect();
     let runs: Vec<&R> = planned.iter().map(|p| &p.run).collect();
     for (p, result) in planned.iter().zip(step(&runs)) {
         p.result.set(result).expect("each planned run executes once");
         if started.is_some() {
-            let point = point_of(p.readers[0]);
             obs::metric_inc(counter, 1);
+            let point = point_of(p.readers[0]);
             obs::tracer().end_span(
                 obs::worker_track(),
                 "dse",
@@ -425,10 +620,124 @@ fn execute<'p, 'u, R, T: std::fmt::Debug>(
     planned.iter().map(|p| p.readers.as_slice()).collect()
 }
 
+/// Steps `plan`'s trunk scalar, as far as its pending runs read: it books
+/// each PDE run at that run's step count, and publishes each gate's
+/// snapshot (the rig, the per-SM voltages it recorded before the gate, and
+/// its loads) at that gate's step. If the solver gives up, the rig stays
+/// at its last accepted state: the gates not yet reached publish no
+/// snapshot, so their runs fall back, and the PDE runs not yet booked book
+/// the truncated run, as [`PdeRun::run`] does. Lands the booked runs'
+/// readers through `land` and returns the steps taken.
+fn run_trunk<'u>(
+    plan: &TrunkPlan,
+    pde_plan: &[Planned<PdeRun, f64>],
+    point_of: impl Fn(usize) -> &'u ConfigPoint + Copy,
+    land: impl Fn(&[usize]),
+) -> u64 {
+    let started = obs::tracer().begin();
+    let abandon = AbandonOnDrop(&plan.gates);
+    let mut rig = plan.trunk.rig();
+    let n_sms = rig.n_sms();
+    let loads = vec![plan.trunk.p_sm_w; n_sms];
+    let zeros = vec![0.0; n_sms];
+    let recorded = plan.gates.iter().map(|gate| gate.step).max().unwrap_or(0);
+    let mut record: Vec<f64> = Vec::with_capacity(recorded as usize * n_sms);
+    let mut voltages = Vec::with_capacity(n_sms);
+    let book = |rig: &PdsRig, due: &dyn Fn(u64) -> bool| {
+        let runs: Vec<usize> = plan
+            .pde_runs
+            .iter()
+            .copied()
+            .filter(|&r| pde_plan[r].result.get().is_none() && due(pde_plan[r].run.steps))
+            .collect();
+        let counter = ("pde_run", "dse.pde_runs");
+        let booked = execute(pde_plan, &runs, counter, started, point_of, |runs| {
+            runs.iter()
+                .map(|run| rig.ledger_at_controller_power(run.overhead_w).pde())
+                .collect()
+        });
+        for readers in booked {
+            land(readers);
+        }
+    };
+
+    let mut stops: Vec<u64> = plan.gates.iter().map(|gate| gate.step).collect();
+    stops.extend(plan.pde_runs.iter().map(|&r| pde_plan[r].run.steps));
+    stops.sort_unstable();
+    stops.dedup();
+    let mut steps = 0;
+    'stepping: for &stop in &stops {
+        while steps < stop {
+            steps += 1;
+            if rig.step(&loads, &zeros, &zeros).is_err() {
+                break 'stepping;
+            }
+            if steps <= recorded {
+                rig.sm_voltages_into(&mut voltages);
+                record.extend_from_slice(&voltages);
+            }
+        }
+        for gate in plan.gates.iter().filter(|gate| gate.step == stop) {
+            // The last gate takes the record: nothing is recorded after it.
+            let prefix = if stop == recorded {
+                std::mem::take(&mut record)
+            } else {
+                record[..stop as usize * n_sms].to_vec()
+            };
+            gate.settle(GateState::Published(Some(Arc::new(GateSnapshot {
+                rig: rig.clone(),
+                voltages: prefix,
+                sm_power_w: loads.clone(),
+                dcc_power_w: zeros.clone(),
+                fake_power_w: zeros.clone(),
+            }))));
+        }
+        book(&rig, &|run_steps| run_steps == stop);
+    }
+    // After a give-up: the unreached gates fall back, and the unbooked PDE
+    // runs book the truncated run. After a full trunk, both are no-ops.
+    for gate in &plan.gates {
+        gate.settle(GateState::Published(None));
+    }
+    book(&rig, &|_| true);
+    drop(abandon);
+
+    obs::metric_inc("dse.trunks", 1);
+    obs::tracer().end_span(
+        obs::worker_track(),
+        "dse",
+        "trunk",
+        started,
+        &[
+            ("stack", plan.trunk.geometry.to_string()),
+            ("area", plan.trunk.area_mult.to_string()),
+            ("steps", steps.to_string()),
+        ],
+    );
+    steps
+}
+
+/// What one worker stepped, summed over the workers at the end of the run.
+#[derive(Default)]
+struct Stepped {
+    batch_stats: BatchStats,
+    trunk_steps: u64,
+    forks: ForkCounts,
+}
+
+impl Stepped {
+    fn absorb(&mut self, other: &Stepped) {
+        self.batch_stats.absorb(&other.batch_stats);
+        self.trunk_steps += other.trunk_steps;
+        self.forks.forks += other.forks.forks;
+        self.forks.fallbacks += other.forks.fallbacks;
+    }
+}
+
 /// Runs the exploration: enumerate, dedup by [`SuiteKey`], plan the
-/// distinct runs the pending points read, step them in lockstep batches
-/// over the worker pool, journal each point as its last run lands, and
-/// mark the Pareto frontier.
+/// distinct runs the pending points read under their trunks, step the
+/// trunks and fork their tails over the worker pool, journal each point as
+/// its last run lands, and mark the Pareto frontier.
 pub fn run_dse(opts: &DseOptions) -> DseResult {
     let started = Instant::now();
     let enumerated_points = opts.space.points();
@@ -461,7 +770,7 @@ pub fn run_dse(opts: &DseOptions) -> DseResult {
     let evaluated = pending.len();
 
     // Plan the distinct runs of the pending points only: replayed points
-    // read no run, so a resume executes just what its lost points need.
+    // read no run, so a resume computes just what its lost points need.
     let settings = &opts.settings;
     let (pde_plan, pde_of): (Vec<Planned<PdeRun, f64>>, _) = plan(
         pending.iter().map(|&i| PdeRun::of(&unique[i].0, settings)),
@@ -472,38 +781,59 @@ pub fn run_dse(opts: &DseOptions) -> DseResult {
         WorstCaseConfig::stable_key_into,
     );
 
-    // Batches: each kind's runs bucketed by (stack, area) in the pending
-    // points' order and cut into lanes; a bucket's PDE batches precede its
-    // worst-case batches. Enumeration puts the stack axis outermost and the
-    // area next, so the buckets come out in point order and the points of
-    // one bucket complete together.
-    let point_of = |reader: usize| &unique[pending[reader]].0;
-    let bucket_key = |point: &ConfigPoint| (point.stack, point.area.to_bits());
-    let mut bucket_of: HashMap<(StackGeometry, u64), usize> = HashMap::new();
-    for &i in &pending {
-        let next = bucket_of.len();
-        bucket_of.entry(bucket_key(&unique[i].0)).or_insert(next);
-    }
-    let bucket = |reader: usize| bucket_of[&bucket_key(point_of(reader))];
-    let mut buckets: Vec<(Vec<usize>, Vec<usize>)> = vec![Default::default(); bucket_of.len()];
-    for (run, planned) in pde_plan.iter().enumerate() {
-        buckets[bucket(planned.readers[0])].0.push(run);
-    }
-    for (run, planned) in worst_plan.iter().enumerate() {
-        buckets[bucket(planned.readers[0])].1.push(run);
-    }
-    let batches: Vec<Batch> = buckets
-        .iter()
-        .flat_map(|(pde, worst)| {
-            pde.chunks(LANES)
-                .map(|runs| Batch::Pde(runs.to_vec()))
-                .chain(
-                    worst
-                        .chunks(LANES)
-                        .map(|runs| Batch::WorstCase(runs.to_vec())),
-                )
+    // Trunks: every planned run joins the trunk its trajectory follows,
+    // visited at its first reader, so the trunks come out in point order
+    // (stack-major, then area, by enumeration) and a trunk steps only as
+    // far as its pending runs read.
+    let mut trunks: Vec<TrunkPlan> = Vec::new();
+    let mut trunk_index: HashMap<Vec<u64>, usize> = HashMap::new();
+    let mut trunk_of = |trunks: &mut Vec<TrunkPlan>, trunk: Trunk| {
+        let mut words = Vec::new();
+        trunk.stable_key_into(&mut words);
+        *trunk_index.entry(words).or_insert_with(|| {
+            trunks.push(TrunkPlan { trunk, pde_runs: Vec::new(), gates: Vec::new() });
+            trunks.len() - 1
         })
-        .collect();
+    };
+    for reader in 0..evaluated {
+        let pde = pde_of[reader];
+        if pde_plan[pde].readers[0] == reader {
+            let t = trunk_of(&mut trunks, Trunk::of_pde(&pde_plan[pde].run));
+            trunks[t].pde_runs.push(pde);
+        }
+        let worst = worst_of[reader];
+        if worst_plan[worst].readers[0] == reader {
+            let cfg = &worst_plan[worst].run;
+            let t = trunk_of(&mut trunks, Trunk::of_worst_case(cfg));
+            let gates = &mut trunks[t].gates;
+            let step = cfg.pre_gate_steps();
+            let g = match gates.iter().position(|gate| gate.step == step) {
+                Some(g) => g,
+                None => {
+                    gates.push(Gate::new(step));
+                    gates.len() - 1
+                }
+            };
+            gates[g].runs.push(worst);
+        }
+    }
+
+    // Batches: each trunk, then its tail batches of up to LANES runs per
+    // gate. Every tail batch sits after its trunk on the cursor, so the
+    // trunk it waits on is already claimed.
+    let mut batches: Vec<Batch> = Vec::new();
+    for (t, trunk) in trunks.iter_mut().enumerate() {
+        batches.push(Batch::Trunk(t));
+        for (g, gate) in trunk.gates.iter_mut().enumerate() {
+            let before = batches.len();
+            batches.extend(
+                gate.runs
+                    .chunks(LANES)
+                    .map(|lanes| Batch::Tail { trunk: t, gate: g, runs: lanes.to_vec() }),
+            );
+            gate.state.get_mut().unwrap_or_else(PoisonError::into_inner).1 = batches.len() - before;
+        }
+    }
 
     // Every pending point waits on two runs; the worker that lands the
     // second journals it.
@@ -527,8 +857,9 @@ pub fn run_dse(opts: &DseOptions) -> DseResult {
     let jobs = effective_jobs(opts.jobs);
     let next_batch = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
-    let batch_stats = Mutex::new(BatchStats::default());
+    let totals = Mutex::new(Stepped::default());
     let progress_every = (evaluated / 20).max(1);
+    let point_of = |reader: usize| &unique[pending[reader]].0;
 
     // Counts one landed run against each point that reads it and completes
     // the points it was the last run of.
@@ -562,36 +893,49 @@ pub fn run_dse(opts: &DseOptions) -> DseResult {
         for _ in 0..jobs {
             scope.spawn(|| {
                 let mut workspaces: Vec<SolverWorkspace> = Vec::new();
-                let mut stats = BatchStats::default();
+                let mut stepped = Stepped::default();
                 while let Some(batch) = batches.get(next_batch.fetch_add(1, Ordering::Relaxed)) {
-                    let landed = match batch {
-                        Batch::Pde(runs) => execute(
-                            &pde_plan,
-                            runs,
-                            ("pde_run", "dse.pde_runs"),
-                            point_of,
-                            |runs| PdeRun::run_lanes(runs, &mut workspaces, &mut stats),
-                        ),
-                        Batch::WorstCase(runs) => execute(
-                            &worst_plan,
-                            runs,
-                            ("worst_case_run", "dse.worst_case_runs"),
-                            point_of,
-                            |runs| {
-                                let cfgs: Vec<WorstCaseConfig> =
-                                    runs.iter().map(|&cfg| cfg.clone()).collect();
-                                run_worst_case_lanes(&cfgs, &mut workspaces, &mut stats)
-                            },
-                        ),
-                    };
-                    for readers in landed {
-                        land(readers);
+                    match batch {
+                        Batch::Trunk(t) => {
+                            let trunk = &trunks[*t];
+                            stepped.trunk_steps += run_trunk(trunk, &pde_plan, point_of, land);
+                        }
+                        Batch::Tail { trunk, gate, runs } => {
+                            let snapshot = trunks[*trunk].gates[*gate].take();
+                            let mut counts = ForkCounts::default();
+                            let landed = execute(
+                                &worst_plan,
+                                runs,
+                                ("worst_case_run", "dse.worst_case_runs"),
+                                obs::tracer().begin(),
+                                point_of,
+                                |runs| {
+                                    let cfgs: Vec<WorstCaseConfig> =
+                                        runs.iter().map(|&cfg| cfg.clone()).collect();
+                                    let (voltages, forked) = fork_worst_case_lanes(
+                                        &cfgs,
+                                        snapshot,
+                                        &mut workspaces,
+                                        &mut stepped.batch_stats,
+                                    );
+                                    counts = forked;
+                                    voltages
+                                },
+                            );
+                            obs::metric_inc("dse.forks", counts.forks as u64);
+                            obs::metric_inc("dse.fallbacks", counts.fallbacks as u64);
+                            stepped.forks.forks += counts.forks;
+                            stepped.forks.fallbacks += counts.fallbacks;
+                            for readers in landed {
+                                land(readers);
+                            }
+                        }
                     }
                 }
-                batch_stats
+                totals
                     .lock()
-                    .expect("dse batch stats poisoned")
-                    .absorb(&stats);
+                    .expect("dse step totals poisoned")
+                    .absorb(&stepped);
             });
         }
     });
@@ -616,6 +960,7 @@ pub fn run_dse(opts: &DseOptions) -> DseResult {
         .collect();
     mark_frontier(&mut rows);
 
+    let stepped = totals.into_inner().expect("dse step totals poisoned");
     DseResult {
         points: unique.into_iter().map(|(p, _)| p).collect(),
         rows,
@@ -624,7 +969,11 @@ pub fn run_dse(opts: &DseOptions) -> DseResult {
         replayed,
         pde_runs: pde_plan.len(),
         worst_case_runs: worst_plan.len(),
-        batch_stats: batch_stats.into_inner().expect("dse batch stats poisoned"),
+        trunks: trunks.len(),
+        trunk_steps: stepped.trunk_steps,
+        forks: stepped.forks.forks,
+        fallbacks: stepped.forks.fallbacks,
+        batch_stats: stepped.batch_stats,
         jobs,
         settings: opts.settings,
         total_wall_s: started.elapsed().as_secs_f64(),
@@ -816,6 +1165,73 @@ mod tests {
         let paper_claim = claims.iter().find(|c| c.name == "paper_point_on_frontier").unwrap();
         assert!(!paper_claim.pass);
         assert!(paper_claim.detail.contains("0 of 1"));
+    }
+
+    fn trunk_key(trunk: Trunk) -> Vec<u64> {
+        let mut words = Vec::new();
+        trunk.stable_key_into(&mut words);
+        words
+    }
+
+    /// Both families' runs at one (stack, area, load) follow one trunk:
+    /// `PdsRig::with_params_in` builds circuit-only and cross-layer rigs
+    /// through one arm, so the two kinds step bit-identical circuits.
+    #[test]
+    fn both_families_at_one_area_share_a_trunk() {
+        let settings = RunSettings::tiny_profile();
+        let cross = ConfigPoint::paper();
+        let circuit = ConfigPoint { pds: PdsFamily::Circuit, latency: 120, ..cross };
+        let key = trunk_key(Trunk::of_pde(&PdeRun::of(&cross, &settings)));
+        for point in [cross, circuit] {
+            assert_eq!(trunk_key(Trunk::of_pde(&PdeRun::of(&point, &settings))), key, "{point}");
+            let worst = worst_case_config(&point, &settings);
+            assert_eq!(trunk_key(Trunk::of_worst_case(&worst)), key, "{point}");
+        }
+        // The plant's own inputs key apart.
+        for other in [
+            ConfigPoint { area: 0.4, ..cross },
+            ConfigPoint { stack: StackGeometry::new(8, 2), ..cross },
+            ConfigPoint { workload: 0.5, ..cross },
+        ] {
+            assert_ne!(trunk_key(Trunk::of_pde(&PdeRun::of(&other, &settings))), key, "{other}");
+        }
+
+        let params = StackGeometry::PAPER.pdn_params();
+        let rig = |kind| PdsRig::with_params(kind, &params, 1.0 / CLOCK_HZ, 0.3);
+        let mut circuit = rig(PdsKind::VsCircuitOnly { area_mult: 0.2 });
+        let mut cross = rig(PdsKind::VsCrossLayer { area_mult: 0.2 });
+        let loads: Vec<f64> = (0..16).map(|sm| 4.0 + 0.5 * (sm % 5) as f64).collect();
+        let zeros = vec![0.0; 16];
+        let bits = |rig: &PdsRig| -> Vec<u64> {
+            let mut words: Vec<u64> = rig.sm_voltages().iter().map(|v| v.to_bits()).collect();
+            words.extend([rig.ledger().pde().to_bits(), rig.ledger().board_input_j.to_bits()]);
+            words
+        };
+        for _ in 0..200 {
+            circuit.step(&loads, &zeros, &zeros).unwrap();
+            cross.step(&loads, &zeros, &zeros).unwrap();
+            assert_eq!(bits(&circuit), bits(&cross));
+        }
+    }
+
+    /// A tail batch waiting on a gate whose trunk panics panics too,
+    /// instead of waiting forever: dse then exits through the panic path,
+    /// as it does when any run panics.
+    #[test]
+    fn a_trunk_that_panics_wakes_its_waiting_tails() {
+        let gates = [Gate::new(10)];
+        gates[0].lock().1 = 2;
+        std::thread::scope(|scope| {
+            let tails: Vec<_> = (0..2).map(|_| scope.spawn(|| gates[0].take())).collect();
+            let trunk = scope.spawn(|| {
+                let _abandon = AbandonOnDrop(&gates);
+                panic!("a trunk panics before its gate");
+            });
+            assert!(trunk.join().is_err());
+            for tail in tails {
+                assert!(tail.join().is_err(), "the waiting tail panics instead of hanging");
+            }
+        });
     }
 
     #[test]

@@ -423,7 +423,18 @@ impl FromStr for AxisSpace {
             }
             match key {
                 "stack" => {
-                    axis!(stacks, |a: &&str| a.parse::<StackGeometry>().ok(), "expected LxC (e.g. 4x4)")
+                    // Cosim and the worst-case controller drive the GPU's
+                    // SMs, so a stack must arrange exactly that many.
+                    let n_sms = vs_gpu::GpuConfig::default().n_sms;
+                    let expects = format!("expected LxC arranging the GPU's {n_sms} SMs (e.g. 4x4)");
+                    axis!(
+                        stacks,
+                        |a: &&str| a
+                            .parse::<StackGeometry>()
+                            .ok()
+                            .filter(|g| g.n_sms() as usize == n_sms),
+                        &expects
+                    )
                 }
                 "area" => axis!(areas, |a: &&str| parse_pos_f64(a), "expected a positive area multiple"),
                 "pds" => axis!(pds, |a: &&str| parse_pds(a), "expected cross or circuit"),
@@ -488,6 +499,7 @@ mod tests {
             ("flux=9", "unknown axis"),
             ("area=0.2,area=0.4", "twice"),
             ("stack=1x16", "LxC"),
+            ("stack=2x4", "16 SMs"),
             ("area=-0.2", "positive"),
             ("pds=vrm", "cross or circuit"),
             ("latency=0", "positive cycle count"),

@@ -1,8 +1,10 @@
 //! Tier-1 CLI usage contract, checked against the real binaries: a
 //! duplicated flag, an empty `--flag=` value, or a flag the binary does not
 //! declare is a usage error (exit 2, stderr names the flag), never a
-//! silent last-wins, empty-string, or ignored config. Each probe exits in argument parsing, long before any
-//! co-simulation work, so the whole matrix is cheap.
+//! silent last-wins, empty-string, or ignored config, and a design space the
+//! GPU cannot hold is rejected the same way. Each probe exits in argument
+//! parsing, long before any co-simulation work, so the whole matrix is
+//! cheap.
 
 use std::process::Command;
 
@@ -98,4 +100,17 @@ fn removed_lane_flag_is_rejected() {
             "{name} {args:?} must name the unknown flag, stderr: {stderr}"
         );
     }
+}
+
+#[test]
+fn dse_rejects_a_stack_that_does_not_arrange_the_gpus_sms() {
+    // The GPU has 16 SMs; a 2x4 stack holds 8. The space parser rejects it
+    // before any run starts, instead of a controller panicking mid-run.
+    let args = ["--space", "stack=2x4", "--profile", "tiny", "--progress", "off"];
+    let (code, stderr) = run(env!("CARGO_BIN_EXE_dse"), &args);
+    assert_eq!(code, 2, "dse {args:?} must exit 2, stderr: {stderr}");
+    assert!(
+        stderr.contains("stack=2x4") && stderr.contains("16 SMs"),
+        "dse {args:?} must name the word and the SM count, stderr: {stderr}"
+    );
 }

@@ -3,9 +3,10 @@
 //! whatever the worker count, and `--resume` after
 //! an injected torn write (plus a tampered point cache) recomputes exactly
 //! the lost points and converges to the undisturbed bytes. On a 128-point
-//! grid the shared runs, stepped in lockstep lanes, reproduce the
-//! per-point oracle bit for bit, and the traced binary spans each executed
-//! run once.
+//! grid the shared runs, forked from their trunks and stepped in lockstep
+//! lanes, reproduce the per-point oracle bit for bit, as do the runs of a
+//! grid whose eager controllers force fallbacks; and the traced binary
+//! spans each trunk and each computed run once.
 //!
 //! The chaos phases share one `#[test]` on purpose: the chaos plan is
 //! process-wide and the harness runs a binary's `#[test]` functions
@@ -129,6 +130,7 @@ fn dse_artifacts_are_schedule_invariant_and_resume_converges() {
     assert_eq!(resumed.evaluated, 2, "only the torn and tampered points rerun");
     assert_ne!(points[3].area, points[17].area);
     assert_eq!((resumed.pde_runs, resumed.worst_case_runs), (2, 2));
+    assert_eq!((resumed.trunks, resumed.forks), (2, 2));
     assert_eq!(resumed.artifact(true).to_jsonl(), ref_bytes);
 
     // The healed journal now verifies everything.
@@ -144,30 +146,51 @@ fn dse_artifacts_are_schedule_invariant_and_resume_converges() {
 const ORACLE_GRID: &str = "stack=2x8|4x4,area=0.1|1.72,pds=cross|circuit,vth=0.88|0.9,\
      latency=30|120,weights=1:0:0|0.4:0.2:0.4,detector=oddd|cpm";
 
-#[test]
-fn shared_runs_match_the_per_point_oracle() {
-    let space: AxisSpace = ORACLE_GRID.parse().expect("grid spec");
-    assert_eq!(space.len(), 128);
-    // PDE: per (stack, area), one circuit run plus one cross run per
-    // (latency, detector) = 4 x 5. Worst case: per (stack, area), one
-    // circuit run plus one cross run per controller setting = 4 x 17.
-    let expected_runs = (20, 68);
-
+/// Runs `space` through `run_dse` at jobs 1 and 8, holds every row to the
+/// per-point oracle bit for bit, and returns the runs' results.
+fn runs_matching_the_oracle(space: &AxisSpace) -> Vec<vs_bench::dse::DseResult> {
     let oracle: Vec<_> = space
         .points()
         .iter()
         .map(|p| evaluate_point(p, &micro(), SolverWorkspace::new()).0)
         .collect();
-    for jobs in [1, 8] {
-        let shared = run_dse(&DseOptions {
-            jobs,
-            settings: micro(),
-            space: space.clone(),
-            ..DseOptions::default()
-        });
-        assert_eq!(shared.evaluated, 128);
-        assert_eq!((shared.pde_runs, shared.worst_case_runs), expected_runs);
-        // The runs stepped in lockstep: most lane-solves went through
+    [1, 8]
+        .into_iter()
+        .map(|jobs| {
+            let shared = run_dse(&DseOptions {
+                jobs,
+                settings: micro(),
+                space: space.clone(),
+                ..DseOptions::default()
+            });
+            assert_eq!(shared.evaluated, space.len());
+            for ((point, row), m) in shared.points.iter().zip(&shared.rows).zip(&oracle) {
+                let bits = |a: f64, b: f64| a.to_bits() == b.to_bits();
+                assert!(
+                    bits(row.pde, m.pde) && bits(row.worst_v, m.worst_v) && bits(row.final_v, m.final_v),
+                    "{point} at jobs={jobs}: {row:?} vs oracle {m:?}"
+                );
+            }
+            shared
+        })
+        .collect()
+}
+
+#[test]
+fn shared_runs_match_the_per_point_oracle() {
+    let space: AxisSpace = ORACLE_GRID.parse().expect("grid spec");
+    assert_eq!(space.len(), 128);
+    for shared in runs_matching_the_oracle(&space) {
+        let jobs = shared.jobs;
+        // PDE: per (stack, area), one circuit run plus one cross run per
+        // (latency, detector) = 4 x 5. Worst case: per (stack, area), one
+        // circuit run plus one cross run per controller setting = 4 x 17.
+        assert_eq!((shared.pde_runs, shared.worst_case_runs), (20, 68));
+        // One trunk per (stack, area). At 0.88 and 0.9 V no controller
+        // acts before the gate, so every worst-case run forks.
+        assert_eq!(shared.trunks, 4);
+        assert_eq!((shared.forks, shared.fallbacks), (68, 0), "jobs={jobs}");
+        // The tails stepped in lockstep: most lane-solves went through
         // multi-lane groups, so a fallback to singleton solves fails here.
         let lanes = shared.batch_stats;
         assert!(lanes.multi_lane_groups > 0, "jobs={jobs}: {lanes:?}");
@@ -175,13 +198,26 @@ fn shared_runs_match_the_per_point_oracle() {
             lanes.multi_lane_solves > lanes.singleton_solves,
             "jobs={jobs}: {lanes:?}"
         );
-        for ((point, row), m) in shared.points.iter().zip(&shared.rows).zip(&oracle) {
-            let bits = |a: f64, b: f64| a.to_bits() == b.to_bits();
-            assert!(
-                bits(row.pde, m.pde) && bits(row.worst_v, m.worst_v) && bits(row.final_v, m.final_v),
-                "{point} at jobs={jobs}: {row:?} vs oracle {m:?}"
-            );
-        }
+    }
+}
+
+#[test]
+fn runs_whose_controllers_act_before_the_gate_fall_back_to_the_oracle() {
+    // Under the steady load the 2x8 stack's layers sit just below the 1 V
+    // nominal, so a 1.1 V threshold throttles long before the gate and
+    // those runs must fall back; the 4x4 stack's layers sit above nominal,
+    // where the controller stages the steady load, so its runs fork.
+    let space: AxisSpace =
+        "stack=2x8|4x4,area=0.2|1.72,pds=cross|circuit,vth=0.9|1.1,latency=30|120"
+            .parse()
+            .expect("grid spec");
+    assert_eq!(space.len(), 32);
+    for shared in runs_matching_the_oracle(&space) {
+        assert_eq!(shared.trunks, 4);
+        assert_eq!(shared.worst_case_runs, 4 * 5);
+        assert_eq!(shared.forks + shared.fallbacks, shared.worst_case_runs);
+        let (forks, fallbacks) = (shared.forks, shared.fallbacks);
+        assert!(forks > 0 && fallbacks > 0, "{forks} forks, {fallbacks} fallbacks");
     }
 }
 
@@ -204,12 +240,32 @@ fn traced_binary_spans_each_executed_run_once() {
         stderr.lines().any(|l| l == "[dse] runs: 9 pde + 9 worst-case for 12 point(s)"),
         "{stderr}"
     );
+    // One trunk per area, 512 steps each (the PDE length); the 9 worst-case
+    // runs fork at step 410 of 1024 and step 614 each.
+    assert!(
+        stderr.lines().any(|l| l
+            == "[dse] trunks: 3 trunk(s), 9 fork(s), 0 fallback(s); \
+                7062 lane-step(s) = 1536 trunk + 5526 tail"),
+        "{stderr}"
+    );
 
     let text = std::fs::read_to_string(dir.join("trace.json")).expect("trace.json");
     let (events, metrics) = parse_chrome_trace(&text).expect("trace parses");
     let metrics = metrics.expect("trace embeds the executor metrics");
     assert_eq!(metrics.counter("dse.pde_runs"), Some(9));
     assert_eq!(metrics.counter("dse.worst_case_runs"), Some(9));
+    assert_eq!(metrics.counter("dse.trunks"), Some(3));
+    assert_eq!(metrics.counter("dse.forks"), Some(9));
+    assert_eq!(metrics.counter("dse.fallbacks").unwrap_or(0), 0);
+    let trunks: Vec<_> = events
+        .iter()
+        .filter(|e| e.cat == "dse" && e.name == "trunk")
+        .collect();
+    assert_eq!(trunks.len(), 3, "trunk spans");
+    for span in trunks {
+        assert!(matches!(span.phase, TracePhase::Complete { .. }));
+        assert_eq!((span.arg("stack"), span.arg("steps")), (Some("4x4"), Some("512")));
+    }
     for name in ["pde_run", "worst_case_run"] {
         let spans: Vec<_> = events
             .iter()

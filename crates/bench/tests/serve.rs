@@ -166,18 +166,26 @@ fn concurrent_requests_join_and_cold_restarts_serve_from_store() {
     assert_eq!(journaled(&server_b), 12, "B journals into its own store");
     assert_eq!(journaled(&server_a), 12, "A's store holds exactly its own entries");
 
-    // Hostile requests answer degraded instead of killing the session.
-    for bad in [
-        "not json",
-        r#"{"id":"x","kind":"warp_drive"}"#,
-        r#"{"id":"x","kind":"point","point":"area=inf"}"#,
-        r#"{"id":"x","kind":"diff_baseline","baseline":"/nonexistent","candidate":"/nonexistent"}"#,
-        r#"{"id":"x","kind":"experiment","experiment":"fig99"}"#,
+    // Hostile requests answer degraded instead of killing the session. The
+    // malformed ones are rejected before any work starts, so they never
+    // reach `running`; a diff names stores that only its run reads, so it
+    // announces `running` before it degrades.
+    for (bad, runs) in [
+        ("not json", false),
+        (r#"{"id":"x","kind":"warp_drive"}"#, false),
+        (r#"{"id":"x","kind":"point","point":"area=inf"}"#, false),
+        (r#"{"id":"x","kind":"point","point":"stack=2x4"}"#, false),
+        (
+            r#"{"id":"x","kind":"diff_baseline","baseline":"/nonexistent","candidate":"/nonexistent"}"#,
+            true,
+        ),
+        (r#"{"id":"x","kind":"experiment","experiment":"fig99"}"#, false),
     ] {
         let mut buf = Vec::new();
         assert!(server4.handle_line(bad, &mut buf).unwrap(), "{bad}");
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("\"name\":\"degraded\""), "{bad} -> {text}");
+        assert_eq!(text.contains("\"name\":\"running\""), runs, "{bad} -> {text}");
     }
     // Shutdown closes the session.
     let mut buf = Vec::new();

@@ -21,6 +21,13 @@
 //! * [`RigLanes`] + [`run_worst_case_lanes`] — step several circuit-only
 //!   rigs in lockstep through one batched SoA circuit solve, bit-identical
 //!   to stepping each alone (dse's lanes of 4).
+//! * [`GateSnapshot`] + [`fork_worst_case_lanes`] — fork worst-case runs
+//!   from one steady-load trunk at their gate: each replays its controller
+//!   over the trunk's recorded voltages and steps only its tail, or falls
+//!   back to its full run if its loads leave the trunk's before the gate.
+//!   A [`PdsRig`] clone forks a rig, and
+//!   [`PdsRig::ledger_at_controller_power`] books one trajectory's ledger
+//!   at any controller power (dse's trunks).
 //! * [`PowerManagement`] — bolt on DFS, power gating, and the VS-aware
 //!   hypervisor for the collaborative-power-management studies
 //!   (Figs. 15–17).
@@ -68,8 +75,9 @@ pub use fault::{CrIvrFault, FaultEvent, FaultKind, FaultPlan, FaultWindow, LoadG
 pub use imbalance::ImbalanceHistogram;
 pub use rig::{EnergyLedger, PdsRig, RigLanes};
 pub use scenarios::{
-    run_worst_case, run_worst_case_in, run_worst_case_lanes, worst_voltage_for, ScenarioId,
-    UnknownScenario, WorstCaseConfig, WorstCaseResult, WorstCaseVoltages,
+    fork_worst_case_lanes, run_worst_case, run_worst_case_in, run_worst_case_lanes,
+    worst_voltage_for, ForkCounts, GateSnapshot, ScenarioId, UnknownScenario, WorstCaseConfig,
+    WorstCaseResult, WorstCaseVoltages,
 };
 pub use seed::derive_seed;
 pub use supervisor::{CosimError, CycleBudget, RunVerdict, SupervisedReport, SupervisorConfig};

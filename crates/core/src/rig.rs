@@ -71,6 +71,7 @@ impl EnergyLedger {
     }
 }
 
+#[derive(Clone)]
 enum RigKind {
     Single {
         pdn: SingleLayerPdn,
@@ -86,6 +87,11 @@ enum RigKind {
 }
 
 /// A PDS under co-simulation: netlist + running transient + accounting.
+///
+/// A clone forks the rig: the clone holds the whole circuit state and the
+/// energy books, so stepping it under the loads the original would see
+/// yields the original's voltages and ledger bit for bit.
+#[derive(Clone)]
 pub struct PdsRig {
     kind: RigKind,
     sim: Transient,
@@ -93,7 +99,9 @@ pub struct PdsRig {
     fake_j: f64,
     dcc_power_w: Vec<f64>,
     controller_power_w: f64,
-    elapsed_controller_j: f64,
+    /// Steps accepted so far, each booked by [`PdsRig::finish_step`]; the
+    /// controller's energy is booked over them when the books close.
+    accepted_steps: u64,
     dt: f64,
     recovery: RecoveryPolicy,
     /// Nominal per-stage recycler conductances (stacked rigs), indexed like
@@ -159,7 +167,7 @@ impl PdsRig {
                     fake_j: 0.0,
                     dcc_power_w: vec![0.0; n_sms],
                     controller_power_w,
-                    elapsed_controller_j: 0.0,
+                    accepted_steps: 0,
                     dt,
                     recovery: RecoveryPolicy::default(),
                     nominal_recycler_g: Vec::new(),
@@ -191,7 +199,7 @@ impl PdsRig {
                     fake_j: 0.0,
                     dcc_power_w: vec![0.0; n_sms],
                     controller_power_w,
-                    elapsed_controller_j: 0.0,
+                    accepted_steps: 0,
                     dt,
                     recovery: RecoveryPolicy::default(),
                     nominal_recycler_g,
@@ -300,12 +308,13 @@ impl PdsRig {
         self.dcc_power_w.copy_from_slice(dcc_power_w);
     }
 
-    /// Last phase of [`PdsRig::step`]: books the accepted step's fake and
-    /// controller energy. Call only after the staged step was accepted (the
-    /// scalar path skips it on error, and so does [`RigLanes::step`]).
+    /// Last phase of [`PdsRig::step`]: books the accepted step's fake
+    /// energy and counts the step. Call only after the staged step was
+    /// accepted (the scalar path skips it on error, and so does
+    /// [`RigLanes::step`]).
     pub(crate) fn finish_step(&mut self, fake_power_w: &[f64]) {
         self.fake_j += fake_power_w.iter().sum::<f64>() * self.dt;
-        self.elapsed_controller_j += self.controller_power_w * self.dt;
+        self.accepted_steps += 1;
     }
 
     /// Replaces the adaptive solver-recovery policy (default:
@@ -395,10 +404,26 @@ impl PdsRig {
 
     /// Closes the books: computes the full energy ledger for the run.
     pub fn ledger(&self) -> EnergyLedger {
+        self.ledger_at_controller_power(self.controller_power_w)
+    }
+
+    /// The ledger this rig would close with had it been built at
+    /// `controller_power_w`. The controller's energy is
+    /// `controller_power_w × dt` summed once per accepted step, in step
+    /// order, and the controller power never reaches the circuit, so a rig
+    /// built at that power and stepped under the same loads closes with
+    /// this ledger bit for bit ([`PdsRig::ledger`] is this at the rig's
+    /// own power). dse books every PDE variant of a steady-load trajectory
+    /// from one rig this way.
+    pub fn ledger_at_controller_power(&self, controller_power_w: f64) -> EnergyLedger {
+        let mut controller_j = 0.0;
+        for _ in 0..self.accepted_steps {
+            controller_j += controller_power_w * self.dt;
+        }
         let e = self.sim.energy();
         let mut ledger = EnergyLedger {
             fake_j: self.fake_j,
-            controller_j: self.elapsed_controller_j,
+            controller_j,
             ..EnergyLedger::default()
         };
         match &self.kind {
@@ -422,13 +447,13 @@ impl PdsRig {
                     ledger.ivr_loss_j = load_j * (1.0 - eta);
                     let vrm_in = e.source_delivered_j / HV_VRM_EFFICIENCY;
                     ledger.vrm_loss_j = vrm_in - e.source_delivered_j;
-                    ledger.board_input_j = vrm_in + self.elapsed_controller_j;
+                    ledger.board_input_j = vrm_in + controller_j;
                 } else {
                     ledger.sm_load_j = load_j;
                     let eta = vrm_efficiency(0.6);
                     let vrm_in = e.source_delivered_j / eta;
                     ledger.vrm_loss_j = vrm_in - e.source_delivered_j;
-                    ledger.board_input_j = vrm_in + self.elapsed_controller_j;
+                    ledger.board_input_j = vrm_in + controller_j;
                 }
             }
             RigKind::Stacked { pdn, crivr, area } => {
@@ -468,7 +493,7 @@ impl PdsRig {
                     + ledger.level_shifter_j
                     + switching_j
                     + ledger.crivr_overhead_j
-                    + self.elapsed_controller_j;
+                    + controller_j;
             }
         }
         ledger

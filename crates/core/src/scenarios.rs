@@ -7,8 +7,19 @@
 //! CR-IVR; the cross-layer design lets the voltage-smoothing loop throttle
 //! the loaded layers and ballast the gated one, surviving with a fraction of
 //! the regulator area.
+//!
+//! Three drivers run the scenario, all on one per-cycle lane type, so they
+//! agree bit for bit: [`run_worst_case_in`] steps one run scalar and keeps
+//! the Fig. 9 trace; [`run_worst_case_lanes`] steps several in lockstep
+//! through one shared solve; and [`fork_worst_case_lanes`] starts runs from
+//! a [`GateSnapshot`] — a steady-load trunk stopped at the gate — so that
+//! they step only their post-gate tails. Before the gate a run's loads are
+//! the steady load for as long as its controller stays idle, which the
+//! fork checks cycle by cycle, falling back to the full run when it does
+//! not hold.
 
 use std::fmt;
+use std::ops::Deref;
 use std::str::FromStr;
 
 use vs_circuit::{BatchStats, LaneOutcome, SolverWorkspace, Trace};
@@ -232,6 +243,29 @@ impl WorstCaseConfig {
             gated_layer as u64,
         ]);
     }
+
+    /// The scenario's time step, seconds: one GPU cycle.
+    pub fn dt(&self) -> f64 {
+        1.0 / CLOCK_HZ
+    }
+
+    /// Steps before the layer gates (all of them if the run ends first).
+    /// Up to there the run steps its rig under the steady per-SM load,
+    /// unless its controller acts early; this is the prefix a fork from a
+    /// trunk skips ([`fork_worst_case_lanes`]).
+    pub fn pre_gate_steps(&self) -> u64 {
+        self.gate_step().min(self.total_steps())
+    }
+
+    /// The step at which the layer gates.
+    fn gate_step(&self) -> u64 {
+        (self.gate_at_s / self.dt()).round() as u64
+    }
+
+    /// Steps in the whole run.
+    fn total_steps(&self) -> u64 {
+        (self.duration_s / self.dt()).round() as u64
+    }
 }
 
 /// Outcome of a worst-case run.
@@ -259,12 +293,71 @@ pub struct WorstCaseVoltages {
 /// GPU clock the worst-case scenario steps at.
 const CLOCK_HZ: f64 = 700e6;
 
+/// A steady-load trajectory stopped at a worst-case run's gate: a trunk.
+/// Before the gate, a worst-case run steps the same circuit under the
+/// same loads as every other run of its rig whose controller stays idle,
+/// so one trunk can stand in for all of their prefixes.
+/// [`fork_worst_case_lanes`] starts each such run from here and steps only
+/// its tail.
+pub struct GateSnapshot {
+    /// The trunk's rig after its pre-gate steps. It must be the netlist,
+    /// time step and recovery policy of the runs that fork from it.
+    pub rig: PdsRig,
+    /// Per-SM voltages after each pre-gate step, step-major
+    /// ([`PdsRig::sm_voltages`] order).
+    pub voltages: Vec<f64>,
+    /// The per-SM power the trunk stepped under on every step, watts.
+    pub sm_power_w: Vec<f64>,
+    /// The per-SM DCC ballast power it stepped under, watts.
+    pub dcc_power_w: Vec<f64>,
+    /// The per-SM fake-instruction power it stepped under, watts.
+    pub fake_power_w: Vec<f64>,
+}
+
+impl GateSnapshot {
+    /// Steps the trunk took before the snapshot.
+    pub fn steps(&self) -> u64 {
+        (self.voltages.len() / self.rig.n_sms()) as u64
+    }
+}
+
+/// How the runs of one [`fork_worst_case_lanes`] call started.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ForkCounts {
+    /// Runs that forked from the trunk and stepped only their tails.
+    pub forks: usize,
+    /// Runs that stepped in full from a fresh rig.
+    pub fallbacks: usize,
+}
+
+/// Whether two slices hold the same values bit for bit (so `0.0` and
+/// `-0.0`, or two NaNs, are told apart as the solver would).
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// The scenario's rig, built in `workspace`.
+fn worst_case_rig(cfg: &WorstCaseConfig, workspace: SolverWorkspace) -> PdsRig {
+    let pds = if cfg.cross_layer {
+        PdsKind::VsCrossLayer {
+            area_mult: cfg.area_mult,
+        }
+    } else {
+        PdsKind::VsCircuitOnly {
+            area_mult: cfg.area_mult,
+        }
+    };
+    PdsRig::with_params_in(pds, &cfg.geometry.pdn_params(), cfg.dt(), 0.08, workspace)
+}
+
 /// One worst-case run's per-cycle logic, shared by the scalar driver
 /// ([`run_worst_case_in`], which keeps the Fig. 9 trace) and the lockstep
-/// one ([`run_worst_case_lanes`]). Each cycle [`WorstCaseLane::stage`]
-/// fills the loads the rig steps under; once the rig has stepped,
-/// [`WorstCaseLane::settle`] reads its voltages, updates the controller
-/// and tracks the worst and final loaded-SM voltage.
+/// ones ([`run_worst_case_lanes`], [`fork_worst_case_lanes`]). Each cycle
+/// [`WorstCaseLane::stage`] fills the loads the rig steps under; once the
+/// rig has stepped, [`WorstCaseLane::settle`] takes its voltages, updates
+/// the controller and tracks the worst and final loaded-SM voltage. A fork
+/// settles its pre-gate cycles on a trunk's recorded voltages instead
+/// ([`WorstCaseLane::replay`]).
 struct WorstCaseLane {
     controller: Option<VoltageController>,
     n_layers: usize,
@@ -280,7 +373,6 @@ struct WorstCaseLane {
     sm_watts: Vec<f64>,
     dcc_watts: Vec<f64>,
     fake_watts: Vec<f64>,
-    voltages: Vec<f64>,
     worst_after_event: f64,
     final_voltage: f64,
 }
@@ -291,27 +383,16 @@ impl WorstCaseLane {
     /// Power of one fake SP op per cycle, watts per unit fake rate.
     const E_FAKE_W_PER_RATE: f64 = 4.5e-9 * CLOCK_HZ;
 
-    /// The scenario's rig, built in `workspace`, and the lane that drives
-    /// it.
+    /// The lane that drives `cfg`'s run, at cycle 0.
     ///
     /// # Panics
     ///
     /// Panics if `gated_layer` is out of range for the configured stack.
-    fn new(cfg: &WorstCaseConfig, workspace: SolverWorkspace) -> (PdsRig, WorstCaseLane) {
-        let dt = 1.0 / CLOCK_HZ;
-        let pds = if cfg.cross_layer {
-            PdsKind::VsCrossLayer {
-                area_mult: cfg.area_mult,
-            }
-        } else {
-            PdsKind::VsCircuitOnly {
-                area_mult: cfg.area_mult,
-            }
-        };
-        let rig = PdsRig::with_params_in(pds, &cfg.geometry.pdn_params(), dt, 0.08, workspace);
-        let (n_layers, n_columns) = rig.topology();
+    fn new(cfg: &WorstCaseConfig) -> WorstCaseLane {
+        let n_layers = cfg.geometry.n_layers as usize;
+        let n_columns = cfg.geometry.n_columns as usize;
         assert!(cfg.gated_layer < n_layers);
-        let n_sms = rig.n_sms();
+        let n_sms = n_layers * n_columns;
 
         let controller_cfg = ControllerConfig {
             v_threshold: cfg.v_threshold,
@@ -320,7 +401,7 @@ impl WorstCaseLane {
             detector: cfg.detector,
             ..ControllerConfig::default()
         };
-        let lane = WorstCaseLane {
+        WorstCaseLane {
             controller: cfg
                 .cross_layer
                 .then(|| VoltageController::new(controller_cfg)),
@@ -330,17 +411,15 @@ impl WorstCaseLane {
             p_sm_w: cfg.p_sm_w,
             p_floor_w: cfg.p_floor_w,
             p_dynamic: (cfg.p_sm_w - cfg.p_floor_w).max(0.0),
-            gate_cycle: (cfg.gate_at_s / dt).round() as u64,
-            total_cycles: (cfg.duration_s / dt).round() as u64,
+            gate_cycle: cfg.gate_step(),
+            total_cycles: cfg.total_steps(),
             cycle: 0,
             sm_watts: vec![cfg.p_sm_w; n_sms],
             dcc_watts: vec![0.0; n_sms],
             fake_watts: vec![0.0; n_sms],
-            voltages: Vec::with_capacity(n_sms),
             worst_after_event: f64::INFINITY,
             final_voltage: 0.0,
-        };
-        (rig, lane)
+        }
     }
 
     fn gated(&self) -> bool {
@@ -390,13 +469,12 @@ impl WorstCaseLane {
         (&self.sm_watts, &self.dcc_watts, &self.fake_watts)
     }
 
-    /// Reads the stepped rig's voltages, feeds them to the controller, and
-    /// tracks the minimum voltage among SMs that are still running, which
-    /// it returns.
-    fn settle(&mut self, rig: &PdsRig) -> f64 {
-        rig.sm_voltages_into(&mut self.voltages);
+    /// Settles the cycle on the rig's per-SM `voltages`: feeds them to the
+    /// controller, and tracks the minimum voltage among SMs that are still
+    /// running, which it returns.
+    fn settle(&mut self, voltages: &[f64]) -> f64 {
         if let Some(ctrl) = self.controller.as_mut() {
-            ctrl.update(&self.voltages);
+            ctrl.update(voltages);
         }
         let gated = self.gated();
         let mut v_min = f64::INFINITY;
@@ -405,7 +483,7 @@ impl WorstCaseLane {
                 continue;
             }
             for col in 0..self.n_columns {
-                v_min = v_min.min(self.voltages[layer * self.n_columns + col]);
+                v_min = v_min.min(voltages[layer * self.n_columns + col]);
             }
         }
         if gated {
@@ -414,6 +492,39 @@ impl WorstCaseLane {
         self.final_voltage = v_min;
         self.cycle += 1;
         v_min
+    }
+
+    /// Catches up on `trunk`'s pre-gate steps without a solve: each cycle
+    /// stages this run's loads, checks them against the trunk's bit for
+    /// bit, and settles on the voltages the trunk recorded, which leaves
+    /// the lane exactly as a full run leaves it at the gate. Returns false
+    /// at the first cycle whose loads differ: there the run leaves the
+    /// trunk's trajectory, so it cannot fork (the lane is then part-way and
+    /// must be discarded).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot is not at this run's gate or not of its
+    /// stack.
+    fn replay(&mut self, trunk: &GateSnapshot) -> bool {
+        assert_eq!(
+            trunk.steps(),
+            self.gate_cycle.min(self.total_cycles),
+            "a fork starts at its run's gate"
+        );
+        assert_eq!(trunk.rig.topology(), (self.n_layers, self.n_columns));
+        for voltages in trunk.voltages.chunks_exact(self.sm_watts.len()) {
+            self.stage();
+            let (sm, dcc, fake) = self.loads();
+            if !(same_bits(sm, &trunk.sm_power_w)
+                && same_bits(dcc, &trunk.dcc_power_w)
+                && same_bits(fake, &trunk.fake_power_w))
+            {
+                return false;
+            }
+            self.settle(voltages);
+        }
+        true
     }
 
     fn voltages(&self) -> WorstCaseVoltages {
@@ -445,14 +556,17 @@ pub fn run_worst_case_in(
     cfg: &WorstCaseConfig,
     workspace: SolverWorkspace,
 ) -> (WorstCaseResult, SolverWorkspace) {
-    let (mut rig, mut lane) = WorstCaseLane::new(cfg, workspace);
+    let mut rig = worst_case_rig(cfg, workspace);
+    let mut lane = WorstCaseLane::new(cfg);
+    let mut voltages = Vec::with_capacity(rig.n_sms());
     let mut trace = Trace::new("min loaded SM voltage");
     for _ in 0..lane.total_cycles {
         lane.stage();
         let (sm, dcc, fake) = lane.loads();
         rig.step(sm, dcc, fake)
             .expect("worst-case scenario steps cleanly");
-        let v_min = lane.settle(&rig);
+        rig.sm_voltages_into(&mut voltages);
+        let v_min = lane.settle(&voltages);
         trace.push(rig.time(), v_min);
     }
     let WorstCaseVoltages {
@@ -465,6 +579,52 @@ pub fn run_worst_case_in(
         final_voltage,
     };
     (result, rig.into_workspace())
+}
+
+/// Steps `lanes` in lockstep, lane `i` on rig `i`, from their common cycle
+/// to the end of their runs: each cycle every lane stages its loads, all
+/// rigs step through one shared solve ([`RigLanes`]), and each lane
+/// settles on its rig's voltages. Returns the rigs. Both lockstep drivers
+/// run through this one loop, whether their lanes start fresh or forked.
+///
+/// # Panics
+///
+/// Panics if the lanes' cycles or run lengths differ, or if a lane's solver
+/// gives up (as [`run_worst_case_in`] does).
+fn step_lanes(
+    rigs: Vec<PdsRig>,
+    lanes: &mut [WorstCaseLane],
+    stats: &mut BatchStats,
+) -> Vec<PdsRig> {
+    let (cycle, total) = lanes
+        .first()
+        .map_or((0, 0), |lane| (lane.cycle, lane.total_cycles));
+    assert!(
+        lanes
+            .iter()
+            .all(|lane| (lane.cycle, lane.total_cycles) == (cycle, total)),
+        "lockstep worst-case runs must share one cycle and run length"
+    );
+    let mut rigs = RigLanes::new(rigs);
+    let mut voltages = Vec::new();
+    for _ in cycle..total {
+        for lane in lanes.iter_mut() {
+            lane.stage();
+        }
+        if let Some(LaneOutcome::Faulted(e)) = rigs
+            .step(|i| lanes[i].loads())
+            .iter()
+            .find(|outcome| !outcome.advanced())
+        {
+            panic!("worst-case scenario steps cleanly: {e:?}");
+        }
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            rigs.rig(i).sm_voltages_into(&mut voltages);
+            lane.settle(&voltages);
+        }
+    }
+    stats.absorb(&rigs.stats());
+    rigs.into_rigs()
 }
 
 /// Runs several worst-case scenarios in lockstep, as the lanes of one
@@ -486,34 +646,93 @@ pub fn run_worst_case_lanes(
     workspaces: &mut Vec<SolverWorkspace>,
     stats: &mut BatchStats,
 ) -> Vec<WorstCaseVoltages> {
-    let (rigs, mut lanes): (Vec<PdsRig>, Vec<WorstCaseLane>) = cfgs
+    let rigs = cfgs
         .iter()
-        .map(|cfg| WorstCaseLane::new(cfg, workspaces.pop().unwrap_or_default()))
-        .unzip();
-    let total_cycles = lanes.first().map_or(0, |lane| lane.total_cycles);
-    assert!(
-        lanes.iter().all(|lane| lane.total_cycles == total_cycles),
-        "lockstep worst-case runs must share one run length"
-    );
-    let mut rigs = RigLanes::new(rigs);
-    for _ in 0..total_cycles {
-        for lane in &mut lanes {
-            lane.stage();
-        }
-        if let Some(LaneOutcome::Faulted(e)) = rigs
-            .step(|i| lanes[i].loads())
-            .iter()
-            .find(|outcome| !outcome.advanced())
-        {
-            panic!("worst-case scenario steps cleanly: {e:?}");
-        }
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            lane.settle(rigs.rig(i));
+        .map(|cfg| worst_case_rig(cfg, workspaces.pop().unwrap_or_default()))
+        .collect();
+    let mut lanes: Vec<WorstCaseLane> = cfgs.iter().map(WorstCaseLane::new).collect();
+    let rigs = step_lanes(rigs, &mut lanes, stats);
+    workspaces.extend(rigs.into_iter().map(PdsRig::into_workspace));
+    lanes.iter().map(WorstCaseLane::voltages).collect()
+}
+
+/// Runs several worst-case scenarios in lockstep like
+/// [`run_worst_case_lanes`], forking each from `trunk` where it can: the
+/// driver dse runs its worst-case runs through.
+///
+/// Each run first replays its pre-gate cycles on the trunk's record
+/// without a solve, comparing its staged loads with the trunk's bit for
+/// bit; that brings its controller exactly where a full run has it at the
+/// gate. The runs that match clone the trunk's rig and step only their
+/// tails, in lockstep. A run whose loads differ in some cycle (a
+/// controller that acts before the gate) falls back, and so does every run
+/// when `trunk` is `None` (the trunk's solver gave up before the gate):
+/// the fallbacks run in full through [`run_worst_case_lanes`], on
+/// workspaces from `workspaces`. Either way each run's voltages are
+/// bit-identical to [`run_worst_case_in`]'s, returned in `cfgs` order with
+/// the fork and fallback counts.
+///
+/// `trunk` is any handle to the snapshot (a reference, an `Arc`); the
+/// driver drops it once the forks have cloned its rig, before the tails
+/// step. The forks' rigs are clones, not pool workspaces, so they are
+/// dropped when the tails end and `workspaces` does not grow with every
+/// fork.
+///
+/// # Panics
+///
+/// Panics if `trunk` is not at the runs' gate step or not of their stack,
+/// if the runs' lengths differ, if a `gated_layer` is out of range, or if
+/// a lane's solver gives up. The trunk must step the runs' netlist (CR-IVR
+/// area and geometry) at their time step and recovery policy: a key over
+/// those inputs is the caller's to check.
+pub fn fork_worst_case_lanes(
+    cfgs: &[WorstCaseConfig],
+    trunk: Option<impl Deref<Target = GateSnapshot>>,
+    workspaces: &mut Vec<SolverWorkspace>,
+    stats: &mut BatchStats,
+) -> (Vec<WorstCaseVoltages>, ForkCounts) {
+    let mut forks: Vec<(usize, WorstCaseLane)> = Vec::new();
+    let mut fallbacks: Vec<usize> = Vec::new();
+    for (i, cfg) in cfgs.iter().enumerate() {
+        let mut lane = WorstCaseLane::new(cfg);
+        match &trunk {
+            Some(trunk) if lane.replay(trunk) => forks.push((i, lane)),
+            _ => fallbacks.push(i),
         }
     }
-    stats.absorb(&rigs.stats());
-    workspaces.extend(rigs.into_rigs().into_iter().map(PdsRig::into_workspace));
-    lanes.iter().map(WorstCaseLane::voltages).collect()
+    let counts = ForkCounts {
+        forks: forks.len(),
+        fallbacks: fallbacks.len(),
+    };
+    let rigs = match &trunk {
+        Some(trunk) if !forks.is_empty() => vec![trunk.rig.clone(); forks.len()],
+        _ => Vec::new(),
+    };
+    // The forks own their rigs now: let the snapshot go before the tails
+    // step, so a caller handing over its last handle frees it here.
+    drop(trunk);
+    let mut out: Vec<Option<WorstCaseVoltages>> = vec![None; cfgs.len()];
+    if !forks.is_empty() {
+        let (at, mut lanes): (Vec<usize>, Vec<WorstCaseLane>) = forks.into_iter().unzip();
+        drop(step_lanes(rigs, &mut lanes, stats));
+        for (i, lane) in at.into_iter().zip(&lanes) {
+            out[i] = Some(lane.voltages());
+        }
+    }
+    if !fallbacks.is_empty() {
+        let full: Vec<WorstCaseConfig> = fallbacks.iter().map(|&i| cfgs[i].clone()).collect();
+        for (&i, voltages) in fallbacks
+            .iter()
+            .zip(run_worst_case_lanes(&full, workspaces, stats))
+        {
+            out[i] = Some(voltages);
+        }
+    }
+    let voltages = out
+        .into_iter()
+        .map(|v| v.expect("every run forked or fell back"))
+        .collect();
+    (voltages, counts)
 }
 
 /// Fig. 10 sweep point: worst-case voltage for an (area, latency) pair.

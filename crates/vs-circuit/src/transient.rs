@@ -304,7 +304,11 @@ pub struct EnergyReport {
 /// assert!((sim.voltage(out) - 1.0).abs() < 1e-3);
 /// # Ok::<(), vs_circuit::SolverError>(())
 /// ```
-#[derive(Debug)]
+///
+/// A clone forks the analysis: it holds the whole solver state (solution,
+/// reactive states, factors, energy books), so stepping the clone performs
+/// exactly the floating-point work the original would, bit for bit.
+#[derive(Debug, Clone)]
 pub struct Transient {
     netlist: Netlist,
     dt: f64,

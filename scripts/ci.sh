@@ -66,10 +66,11 @@ echo "== pooled workspace reuse + sharded-sweep determinism =="
 cargo test --release -q -p vs-core --test workspace_reuse
 cargo test --release -q -p vs-bench --test sweep_shard
 
-echo "== sparse LU vs dense oracle + batched SoA solving: differential + property + mask-fuzz + lockstep-lane suites =="
+echo "== sparse LU vs dense oracle + batched SoA solving: differential + property + mask-fuzz + lockstep-lane + trunk-fork suites =="
 cargo test --release -q -p vs-core --test sparse_vs_dense
 cargo test --release -q -p vs-circuit --test batched_vs_scalar
 cargo test --release -q -p vs-core --test lockstep_lanes
+cargo test --release -q -p vs-core --test trunk_fork
 cargo test --release -q -p vs-circuit --test lane_permutation
 cargo test --release -q -p vs-circuit --test batched_mask_fuzz
 
