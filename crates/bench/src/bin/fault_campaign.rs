@@ -19,11 +19,10 @@
 //! `VS_BENCH_SCALE` / `VS_BENCH_MAX_CYCLES` shorten or lengthen the runs as
 //! for `sweep`.
 //!
-//! Pass `--json <path>` (or set `VS_FAULT_JSON=<path>`; `-` means stdout) to
-//! also emit the table as a machine-readable JSONL artifact in the
-//! `vs-telemetry` run-artifact schema: a manifest line followed by one
-//! `fault_row` event per campaign cell. File sinks are written atomically
-//! (tmp + rename).
+//! Pass `--json <path>` (`-` means stdout) to also emit the table as a
+//! machine-readable JSONL artifact in the `vs-telemetry` run-artifact
+//! schema: a manifest line followed by one `fault_row` event per campaign
+//! cell. File sinks are written atomically (tmp + rename).
 //!
 //! Exit codes follow the `sweep` contract: 0 success, 2 environment/usage
 //! error, 3 internal error (panic outside every isolation boundary,
@@ -34,7 +33,7 @@ use std::process::ExitCode;
 
 use vs_bench::campaign::run_campaign;
 use vs_bench::cli::{ArgSpec, CommandSpec};
-use vs_bench::{print_table, volts, BenchEnv, Executor};
+use vs_bench::{print_table, volts, Executor};
 use vs_core::{ScenarioId, SupervisorConfig};
 use vs_telemetry::{write_atomic, Event, RunArtifact, RunManifest, SCHEMA_VERSION};
 
@@ -45,24 +44,19 @@ const SPEC: CommandSpec = CommandSpec {
     extras: &[ArgSpec {
         name: "--json",
         value: Some("PATH"),
-        help: "also emit the table as a JSONL artifact (- = stdout; wins over VS_FAULT_JSON)",
+        help: "also emit the table as a JSONL artifact (- = stdout)",
     }],
     positionals: &[],
 };
 
 fn main() -> ExitCode {
     vs_bench::install_panic_hook("fault_campaign");
-    let env = BenchEnv::from_env_or_exit();
-    let settings = env.settings;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let parsed = SPEC.parse_or_exit(&args);
     parsed.common.apply_observability();
+    let settings = parsed.run_settings_or_exit();
     let jobs = parsed.common.jobs;
-    // `--json PATH` wins over `VS_FAULT_JSON`; `-` means stdout.
-    let json_sink = parsed
-        .extra("--json")
-        .map(str::to_string)
-        .or_else(|| env.fault_json.clone());
+    let json_sink = parsed.extra("--json");
     let supervisor = SupervisorConfig::default();
     let benchmark = ScenarioId::Heartwall.profile();
 
@@ -117,7 +111,7 @@ fn main() -> ExitCode {
         if sink == "-" {
             print!("{}", artifact.to_jsonl());
         } else {
-            write_atomic(std::path::Path::new(&sink), artifact.to_jsonl().as_bytes())
+            write_atomic(std::path::Path::new(sink), artifact.to_jsonl().as_bytes())
                 .unwrap_or_else(|e| {
                     eprintln!("error: writing {sink}: {e}");
                     std::process::exit(2);

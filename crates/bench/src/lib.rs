@@ -213,51 +213,6 @@ impl RunSettings {
     }
 }
 
-/// Typed view of the bench-process environment: the run settings plus the
-/// optional JSONL sink path honoured by the artifact-writing binaries
-/// (`VS_FAULT_JSON` for `fault_campaign`, with `-` meaning stdout).
-///
-/// Binaries read the environment exactly once, through this type, instead
-/// of scattering `std::env::var` calls; [`BenchEnv::from_env_or_exit`]
-/// rejects malformed values with exit status 2.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchEnv {
-    /// Scale / cycle-cap / seed settings from `VS_BENCH_SCALE` and
-    /// `VS_BENCH_MAX_CYCLES`.
-    pub settings: RunSettings,
-    /// JSONL artifact sink from `VS_FAULT_JSON` (CLI `--json` overrides it).
-    pub fault_json: Option<String>,
-}
-
-impl BenchEnv {
-    /// Reads the bench environment (`VS_BENCH_SCALE`, `VS_BENCH_MAX_CYCLES`,
-    /// `VS_FAULT_JSON`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SettingsError`] when a settings variable is set but
-    /// malformed (unset variables fall back to the defaults; the sink is
-    /// free-form and never rejected).
-    pub fn try_from_env() -> Result<BenchEnv, SettingsError> {
-        Ok(BenchEnv {
-            settings: RunSettings::try_from_env()?,
-            fault_json: std::env::var("VS_FAULT_JSON").ok(),
-        })
-    }
-
-    /// [`BenchEnv::try_from_env`] for binaries: prints the error and exits
-    /// with status 2 on malformed input.
-    pub fn from_env_or_exit() -> BenchEnv {
-        match BenchEnv::try_from_env() {
-            Ok(env) => env,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-}
-
 /// The four PDS configurations in Table III order.
 pub fn pds_configs() -> [PdsKind; 4] {
     [

@@ -2,9 +2,9 @@
 //! duplicated flag, an empty `--flag=` value, or a flag the binary does not
 //! declare is a usage error (exit 2, stderr names the flag), never a
 //! silent last-wins, empty-string, or ignored config, and a design space the
-//! GPU cannot hold is rejected the same way. Each probe exits in argument
-//! parsing, long before any co-simulation work, so the whole matrix is
-//! cheap.
+//! GPU cannot hold or a malformed `VS_BENCH_*` value is rejected the same
+//! way. Each probe exits in argument parsing, long before any co-simulation
+//! work, so the whole matrix is cheap.
 
 use std::process::Command;
 
@@ -113,4 +113,55 @@ fn dse_rejects_a_stack_that_does_not_arrange_the_gpus_sms() {
         stderr.contains("stack=2x4") && stderr.contains("16 SMs"),
         "dse {args:?} must name the word and the SM count, stderr: {stderr}"
     );
+}
+
+#[test]
+fn malformed_env_profile_is_rejected_before_any_run() {
+    // Every driver whose settings default to the env profile resolves it
+    // before it starts work: the run never falls back to the default scale,
+    // writes no output directory or store, and prints nothing on stdout.
+    let dir = std::env::temp_dir().join(format!("vs-bench-cli-env-{}", std::process::id()));
+    let out = dir.join("out");
+    let out_arg = out.to_str().expect("utf-8 temp path");
+    let probes: [(&str, &str, &[&str]); 4] = [
+        (
+            "sweep run",
+            env!("CARGO_BIN_EXE_sweep"),
+            &["run", "--out", out_arg],
+        ),
+        ("dse", env!("CARGO_BIN_EXE_dse"), &["--out", out_arg]),
+        (
+            "serve --stdio",
+            env!("CARGO_BIN_EXE_serve"),
+            &["--stdio", "--store", out_arg],
+        ),
+        ("fault_campaign", env!("CARGO_BIN_EXE_fault_campaign"), &[]),
+    ];
+    for (name, bin, args) in probes {
+        let output = Command::new(bin)
+            .args(args)
+            .env("VS_BENCH_SCALE", "not-a-number")
+            .output()
+            .expect("spawn binary");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{name} must exit 2, stderr: {stderr}"
+        );
+        assert!(
+            stderr.contains("VS_BENCH_SCALE") && stderr.contains("not-a-number"),
+            "{name} must name the bad variable and value, stderr: {stderr}"
+        );
+        assert!(
+            output.stdout.is_empty(),
+            "{name} printed before rejecting its settings"
+        );
+        assert!(
+            !out.exists(),
+            "{name} created {} before rejecting its settings",
+            out.display()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -391,8 +391,8 @@ impl PdsRig {
         self.sim.into_workspace()
     }
 
-    /// Force-gate (or restore) every SM of one stack layer (worst-case
-    /// scenario helper); no-op on single-layer rigs.
+    /// True for a voltage-stacked rig (the SMs sit in series layers), false
+    /// for a single-layer PDS (conventional VRM or IVR).
     pub fn is_stacked(&self) -> bool {
         matches!(self.kind, RigKind::Stacked { .. })
     }

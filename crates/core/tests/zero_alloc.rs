@@ -1,20 +1,25 @@
-//! Steady-state transient stepping must perform **zero heap allocations per
-//! cycle** — the acceptance bar for the batched co-simulation hot path. A
-//! counting global allocator wraps the system allocator; after warm-up, a
-//! window of `step()` / `step_with_recovery()` calls must leave the
-//! allocation counter untouched. The count is per thread: the harness runs
-//! these tests concurrently, and a shared count would charge one test's
-//! set-up allocations to another's measured window.
+//! Steady-state stepping must perform **zero heap allocations per cycle**
+//! — the acceptance bar for the co-simulation hot path, checked at each
+//! layer it runs through: the transient solver, the scalar PDS rig and the
+//! GPU model. A counting global allocator wraps the system allocator; after
+//! warm-up, a window of steps must leave the allocation counter untouched
+//! (or, for the GPU model, under its per-cycle bound). The count is per
+//! thread: the harness runs these tests concurrently, and a shared count
+//! would charge one test's set-up allocations to another's measured window.
 //!
-//! The netlist below is a miniature of the stacked power-delivery system the
-//! co-simulation drives: a stacked source, per-layer decap + load current
-//! sources (externally controlled), a charge-recycler ladder, an inductive
-//! supply path, and a switch — every element kind the hot path stamps.
+//! The solver tests drive a miniature of the stacked power-delivery system
+//! the co-simulation drives: a stacked source, per-layer decap + load
+//! current sources (externally controlled), a charge-recycler ladder, an
+//! inductive supply path, and a switch — every element kind the hot path
+//! stamps.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::hint::black_box;
 
 use vs_circuit::{Integration, Netlist, RecoveryPolicy, SolverWorkspace, Transient, Waveform};
+use vs_core::{PdsKind, PdsRig};
+use vs_gpu::{benchmark, build_kernel, Gpu, GpuConfig, GpuCycleEvents, SchedulerKind};
 
 struct CountingAlloc;
 
@@ -30,18 +35,24 @@ fn count_one() {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// the caller's `GlobalAlloc` obligations carry over to the system
+// allocator, and counting touches only a const-initialized thread-local.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        // SAFETY: `layout` comes from our caller, who upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by `System` (through this wrapper) with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one();
+        // SAFETY: as for `dealloc`, and our caller upholds `realloc`'s size contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -183,4 +194,68 @@ fn warmed_refactor_is_allocation_free() {
         cycle(&mut sim, i);
     }
     assert_eq!(allocs() - before, 0, "warmed refactors allocated");
+}
+
+/// The scalar rig hot path must stay allocation-free per cycle.
+/// `PdsRig::step` is the composition `stage_loads` → `step_with_recovery` →
+/// `finish_step` — the seams `RigLanes` hooks into — and splitting it must
+/// not have introduced per-cycle heap traffic. Same bar as the solver tests
+/// above, one layer up: warm the rig, then a window of steady-state steps
+/// must leave the counting allocator untouched.
+#[test]
+fn scalar_rig_step_is_allocation_free() {
+    let mut rig = PdsRig::new(PdsKind::VsCrossLayer { area_mult: 0.2 }, 1.0 / 700e6, 0.08);
+    let p = vec![8.0; 16];
+    let z = vec![0.0; 16];
+    for _ in 0..64 {
+        rig.step(&p, &z, &z).expect("warm-up step");
+    }
+    let before = allocs();
+    for _ in 0..1_000 {
+        rig.step(black_box(&p), &z, &z).expect("guarded step");
+    }
+    let delta = allocs() - before;
+    println!("scalar_rig_step alloc guard: {delta} allocations over 1000 cycles (limit 0)");
+    assert_eq!(
+        delta, 0,
+        "scalar rig.step allocated {delta} times over 1000 cycles: \
+         the stage_loads/step/finish_step split is no longer allocation-free"
+    );
+}
+
+/// The GPU model's per-cycle path must not allocate in steady state.
+/// bfs keeps the DRAM channels busy, so an allocation per DRAM completion
+/// shows here as about 0.26 allocations per cycle. After warm-up a window
+/// of `Gpu::tick_into` cycles must stay under 0.01; what remains is map and
+/// queue growth to new high-water marks.
+#[test]
+fn gpu_tick_into_bfs_stays_under_its_allocation_bound() {
+    const MAX_ALLOCS_PER_CYCLE: f64 = 0.01;
+    const WARMUP: u64 = 20_000;
+    const WINDOW: u64 = 100_000;
+    let cfg = GpuConfig::default();
+    let kernel = build_kernel(&benchmark("bfs").expect("bfs profile"), &cfg, 1);
+    let mut gpu = Gpu::new(&cfg, &kernel, SchedulerKind::Gto);
+    let mut events = GpuCycleEvents::new();
+    for _ in 0..WARMUP {
+        gpu.tick_into(&mut events);
+    }
+    let before = allocs();
+    let mut cycles = 0u64;
+    while cycles < WINDOW && !gpu.done() {
+        gpu.tick_into(black_box(&mut events));
+        cycles += 1;
+    }
+    let delta = allocs() - before;
+    let per_cycle = delta as f64 / cycles.max(1) as f64;
+    println!(
+        "gpu_tick_into bfs alloc guard: {delta} allocations over {cycles} cycles \
+         ({per_cycle:.4}/cycle, limit {MAX_ALLOCS_PER_CYCLE})"
+    );
+    assert_eq!(cycles, WINDOW, "bfs finished inside the guarded window");
+    assert!(
+        per_cycle <= MAX_ALLOCS_PER_CYCLE,
+        "bfs Gpu::tick_into allocated {per_cycle:.4} times per cycle \
+         (limit {MAX_ALLOCS_PER_CYCLE}): the memory path allocates per cycle again"
+    );
 }

@@ -102,6 +102,10 @@ impl Default for GpuConfig {
     }
 }
 
+/// Most resident warps an SM can hold: the scheduler tracks warps in
+/// 128-bit masks.
+pub(crate) const MAX_WARPS_PER_SM: usize = 128;
+
 impl GpuConfig {
     /// Maximum resident warps per SM (48 for the default configuration).
     pub fn warps_per_sm(&self) -> usize {
@@ -117,8 +121,8 @@ impl GpuConfig {
     ///
     /// # Panics
     ///
-    /// Panics if a field is zero where it must not be, or warp/thread counts
-    /// do not divide evenly.
+    /// Panics if a field is zero where it must not be, warp/thread counts
+    /// do not divide evenly, or an SM would hold more than 128 warps.
     pub fn validate(&self) {
         assert!(self.n_sms > 0 && self.clock_hz > 0.0);
         assert!(self.threads_per_warp > 0);
@@ -126,6 +130,11 @@ impl GpuConfig {
             self.threads_per_sm % self.threads_per_warp,
             0,
             "threads_per_sm must be a multiple of the warp size"
+        );
+        assert!(
+            self.warps_per_sm() <= MAX_WARPS_PER_SM,
+            "{} warps per SM exceed the scheduler's {MAX_WARPS_PER_SM}",
+            self.warps_per_sm()
         );
         assert!(self.warps_per_cta > 0 && self.warps_per_cta <= self.warps_per_sm());
         assert!(self.issue_width >= 1);
@@ -155,6 +164,16 @@ mod tests {
     fn validate_rejects_ragged_warps() {
         let c = GpuConfig {
             threads_per_sm: 100,
+            ..GpuConfig::default()
+        };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "warps per SM exceed")]
+    fn validate_rejects_more_than_128_warps() {
+        let c = GpuConfig {
+            threads_per_sm: 32 * 129,
             ..GpuConfig::default()
         };
         c.validate();

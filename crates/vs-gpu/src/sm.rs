@@ -15,7 +15,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use crate::cache::{Cache, CacheConfig, CacheOutcome};
-use crate::config::GpuConfig;
+use crate::config::{GpuConfig, MAX_WARPS_PER_SM};
 use crate::isa::{AccessPattern, ExecUnit, Instruction, MemSpace, Opcode};
 use crate::mem::{MemRequest, MemResponse, MemorySystem, ReqKind};
 use crate::workload::Kernel;
@@ -248,9 +248,6 @@ pub struct Sm {
     /// Warps currently stalled at a barrier; lets the per-cycle barrier
     /// resolution exit immediately when nobody is waiting.
     barrier_waiting: u32,
-    /// False when the warp pool exceeds 128 warps and the masks cannot be
-    /// represented; scans then fall back to the full-check path.
-    mask_enabled: bool,
     warps_per_cta: usize,
     l1: Cache,
     control: SmControl,
@@ -286,7 +283,17 @@ pub struct Sm {
 impl Sm {
     /// Creates an SM running `kernel`. Work is drawn from a shared
     /// [`WorkPool`]; each warp starts holding one batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kernel holds more than 128 warps per SM, the width of
+    /// the scheduler's warp masks.
     pub fn new(id: usize, config: &GpuConfig, kernel: &Kernel, scheduler: SchedulerKind) -> Self {
+        assert!(
+            kernel.warps_per_sm <= MAX_WARPS_PER_SM,
+            "kernel holds {} warps per SM; the scheduler's masks hold {MAX_WARPS_PER_SM}",
+            kernel.warps_per_sm
+        );
         let warps: Vec<WarpCtx> = (0..kernel.warps_per_sm)
             .map(|_| WarpCtx {
                 pc: 0,
@@ -317,7 +324,6 @@ impl Sm {
             .map(|i| matches!(i.opcode, Opcode::Ld(MemSpace::Global) | Opcode::Atom))
             .collect();
         let live_warps = warps.len() as u32;
-        let mask_enabled = warps.len() <= 128;
         let ready_mask = if warps.len() >= 128 {
             u128::MAX
         } else {
@@ -334,7 +340,6 @@ impl Sm {
             live_mask: ready_mask,
             active_mask: 0,
             barrier_waiting: 0,
-            mask_enabled,
             warps_per_cta: config.warps_per_cta,
             l1: Cache::new(
                 CacheConfig {
@@ -421,23 +426,19 @@ impl Sm {
     /// Records that `w` may have become issuable again.
     #[inline]
     fn mark_maybe_ready(&mut self, w: usize) {
-        if self.mask_enabled {
-            self.ready_mask |= 1u128 << w;
-        }
+        self.ready_mask |= 1u128 << w;
     }
 
     /// [`Sm::warp_ready`] with the maybe-ready fast path: a cleared mask bit
     /// short-circuits to false, and a full check that fails clears the bit.
     fn warp_ready_lazy(&mut self, w: usize) -> bool {
-        if self.mask_enabled && self.ready_mask & (1u128 << w) == 0 {
+        if self.ready_mask & (1u128 << w) == 0 {
             return false;
         }
         if self.warp_ready(w) {
             true
         } else {
-            if self.mask_enabled {
-                self.ready_mask &= !(1u128 << w);
-            }
+            self.ready_mask &= !(1u128 << w);
             false
         }
     }
@@ -445,11 +446,7 @@ impl Sm {
     /// Active-set membership test for the two-level scheduler.
     #[inline]
     fn in_active_set(&self, w: usize) -> bool {
-        if self.mask_enabled {
-            self.active_mask & (1u128 << w) != 0
-        } else {
-            self.active_set.contains(&w)
-        }
+        self.active_mask & (1u128 << w) != 0
     }
 
     fn unit_mut(&mut self, u: ExecUnit) -> &mut UnitState {
@@ -520,7 +517,7 @@ impl Sm {
 
     /// Next inactive, non-done, *ready* warp in round-robin order.
     fn find_ready_inactive(&mut self) -> Option<usize> {
-        if self.mask_enabled && self.ready_mask & !self.active_mask == 0 {
+        if self.ready_mask & !self.active_mask == 0 {
             return None; // no inactive warp can be ready
         }
         let n = self.warps.len();
@@ -539,7 +536,7 @@ impl Sm {
 
     /// Next inactive, non-done warp (ready or not) in round-robin order.
     fn find_any_inactive(&mut self) -> Option<usize> {
-        if self.mask_enabled && self.live_mask & !self.active_mask == 0 {
+        if self.live_mask & !self.active_mask == 0 {
             return None; // every live warp is already in the active set
         }
         let n = self.warps.len();
@@ -794,11 +791,9 @@ impl Sm {
                     } else {
                         ctx.done = true;
                         self.live_warps -= 1;
-                        if self.mask_enabled {
-                            let bit = !(1u128 << w);
-                            self.live_mask &= bit;
-                            self.ready_mask &= bit;
-                        }
+                        let bit = !(1u128 << w);
+                        self.live_mask &= bit;
+                        self.ready_mask &= bit;
                     }
                 } else {
                     ctx.pc = 0;
@@ -864,58 +859,32 @@ impl Sm {
                 // greedy pointer is snapshotted so mid-loop updates do not
                 // reshuffle candidates.
                 let greedy = self.greedy;
-                if self.mask_enabled {
-                    let mut cand = self.ready_mask;
-                    let mut greedy_pending = cand & (1u128 << greedy) != 0;
-                    cand &= !(1u128 << greedy);
-                    while issued < 2 && self.grants_left > 0 {
-                        let w = if greedy_pending {
-                            greedy_pending = false;
-                            greedy
-                        } else if cand != 0 {
-                            let w = cand.trailing_zeros() as usize;
-                            cand &= cand - 1;
-                            w
-                        } else {
-                            break;
-                        };
-                        if self.warps[w].done {
-                            self.ready_mask &= !(1u128 << w);
-                            continue;
-                        }
-                        match self.try_issue(w, now, mem, pool, &mut stats) {
-                            IssueOutcome::Issued => {
-                                issued += 1;
-                                self.grants_left -= 1;
-                                self.greedy = w;
-                            }
-                            IssueOutcome::NotReady => self.ready_mask &= !(1u128 << w),
-                            IssueOutcome::PortBlocked => {}
-                        }
+                let mut cand = self.ready_mask;
+                let mut greedy_pending = cand & (1u128 << greedy) != 0;
+                cand &= !(1u128 << greedy);
+                while issued < 2 && self.grants_left > 0 {
+                    let w = if greedy_pending {
+                        greedy_pending = false;
+                        greedy
+                    } else if cand != 0 {
+                        let w = cand.trailing_zeros() as usize;
+                        cand &= cand - 1;
+                        w
+                    } else {
+                        break;
+                    };
+                    if self.warps[w].done {
+                        self.ready_mask &= !(1u128 << w);
+                        continue;
                     }
-                } else {
-                    for pos in 0..n {
-                        if issued >= 2 || self.grants_left == 0 {
-                            break;
-                        }
-                        let w = if pos == 0 {
-                            greedy
-                        } else {
-                            let k = pos - 1;
-                            if k < greedy {
-                                k
-                            } else {
-                                k + 1
-                            }
-                        };
-                        if w >= n || self.warps[w].done {
-                            continue;
-                        }
-                        if self.try_issue(w, now, mem, pool, &mut stats) == IssueOutcome::Issued {
+                    match self.try_issue(w, now, mem, pool, &mut stats) {
+                        IssueOutcome::Issued => {
                             issued += 1;
                             self.grants_left -= 1;
                             self.greedy = w;
                         }
+                        IssueOutcome::NotReady => self.ready_mask &= !(1u128 << w),
+                        IssueOutcome::PortBlocked => {}
                     }
                 }
             }
@@ -927,22 +896,18 @@ impl Sm {
                 // execution-unit usage, lengthening the idle windows the
                 // gating logic needs, without convoying the whole SM.
                 self.active_set.retain(|&w| !self.warps[w].done);
-                if self.mask_enabled {
-                    self.active_mask = self
-                        .active_set
-                        .iter()
-                        .fold(0u128, |m, &w| m | (1u128 << w));
-                }
+                self.active_mask = self
+                    .active_set
+                    .iter()
+                    .fold(0u128, |m, &w| m | (1u128 << w));
                 // Swap blocked active warps for ready inactive ones.
                 for slot in 0..self.active_set.len() {
                     let w = self.active_set[slot];
                     if !self.warp_ready_lazy(w) {
                         if let Some(repl) = self.find_ready_inactive() {
                             self.active_set[slot] = repl;
-                            if self.mask_enabled {
-                                self.active_mask &= !(1u128 << w);
-                                self.active_mask |= 1u128 << repl;
-                            }
+                            self.active_mask &= !(1u128 << w);
+                            self.active_mask |= 1u128 << repl;
                         }
                     }
                 }
@@ -951,9 +916,7 @@ impl Sm {
                     match self.find_any_inactive() {
                         Some(w) => {
                             self.active_set.push(w);
-                            if self.mask_enabled {
-                                self.active_mask |= 1u128 << w;
-                            }
+                            self.active_mask |= 1u128 << w;
                         }
                         None => break,
                     }

@@ -13,11 +13,11 @@
 #              campaign byte-for-byte against goldens/fault_campaign.jsonl,
 #              diffs the dse Pareto frontier against
 #              goldens/dse_frontier.jsonl under the shared tolerances,
-#              and runs the perf guards in benches/perf.rs (zero-allocation
-#              rig step, GPU allocations per cycle, per-lane batched solve
-#              cost falling from 1 to 8 lanes, disabled telemetry and
-#              tracing overhead). Leaves the suite manifest at target/sweep/
-#              as the uploadable artifact.
+#              and runs the timing guards in benches/perf.rs (per-lane
+#              batched solve cost falling from 1 to 8 lanes, disabled
+#              telemetry overhead, disabled executor tracing overhead).
+#              Leaves the suite manifest at target/sweep/ as the uploadable
+#              artifact.
 #
 # Runs from the repository root regardless of the caller's cwd.
 set -euo pipefail
@@ -73,6 +73,9 @@ cargo test --release -q -p vs-core --test lockstep_lanes
 cargo test --release -q -p vs-core --test trunk_fork
 cargo test --release -q -p vs-circuit --test lane_permutation
 cargo test --release -q -p vs-circuit --test batched_mask_fuzz
+
+echo "== zero-allocation guards: solver, rig and GPU hot paths, optimized =="
+cargo test --release -q -p vs-core --test zero_alloc
 
 echo "== chaos smoke: panic/stall/torn-write survival + journaled resume =="
 cargo test --release -q -p vs-bench --test chaos
