@@ -1,10 +1,26 @@
 //! Figures 3–17 of the evaluation.
 
-use vs_core::{run_worst_case, CosimConfig, PdsKind, PowerManagement, WorstCaseConfig};
+use std::sync::Arc;
+
+use vs_core::{run_worst_case, CosimConfig, CosimReport, PdsKind, PowerManagement, WorstCaseConfig};
 use vs_hypervisor::{DfsConfig, PgConfig};
 
 use super::{tables::pds_slug, Recorder};
 use crate::{benchmark_names, pct, pds_configs, volts, BaselineCache, Executor, RunSettings};
+
+/// Runs the conventional baseline suite and `suites` as one batch on
+/// `exec`: the baseline, and each suite's reports in request order.
+fn run_with_baseline(
+    exec: &Executor,
+    settings: &RunSettings,
+    suites: &[(CosimConfig, PowerManagement)],
+) -> (BaselineCache, Vec<Arc<Vec<CosimReport>>>) {
+    let mut all = vec![BaselineCache::suite(settings)];
+    all.extend_from_slice(suites);
+    let mut runs = exec.run_suites(&all);
+    let baseline = BaselineCache::new(&runs.remove(0));
+    (baseline, runs)
+}
 
 /// Fig. 3: effective impedance of the voltage-stacked GPU, without (a) and
 /// with (b) the CR-IVR.
@@ -104,10 +120,13 @@ pub(super) fn fig5(r: &mut Recorder) {
 /// Fig. 8: power delivery efficiency and loss breakdown across benchmarks
 /// and PDS configurations.
 pub(super) fn fig8(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
+    let suites: Vec<_> = pds_configs()
+        .into_iter()
+        .map(|pds| (settings.config(pds), PowerManagement::default()))
+        .collect();
+    let all = exec.run_suites(&suites);
     let mut summary_rows = Vec::new();
-    for pds in pds_configs() {
-        let cfg = settings.config(pds);
-        let runs = exec.run_suite(&cfg, &PowerManagement::default());
+    for (pds, runs) in pds_configs().into_iter().zip(&all) {
         let rows: Vec<Vec<String>> = runs
             .iter()
             .map(|run| {
@@ -356,20 +375,24 @@ pub(super) fn fig11(settings: &RunSettings, r: &mut Recorder) {
 /// Fig. 12: performance penalty of voltage smoothing vs the controller's
 /// trigger threshold.
 pub(super) fn fig12(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
-    crate::obs::progress_step("building conventional baselines ...");
-    let baseline = BaselineCache::build(exec, settings);
     // Our PDN's effective decap (die + package) compresses benchmark
     // supply noise into ~0.97-1.0 V, so the sweep spans that band; the
     // paper's 0.7-1.0 V axis maps onto it (see EXPERIMENTS.md).
     let thresholds = [0.90, 0.94, 0.96, 0.98, 1.00];
+    crate::obs::progress_step("running the baseline and 5 threshold suites ...");
+    let suites: Vec<_> = thresholds
+        .iter()
+        .map(|&th| {
+            let cfg = CosimConfig {
+                v_threshold: th,
+                ..settings.config(PdsKind::VsCrossLayer { area_mult: 0.2 })
+            };
+            (cfg, PowerManagement::default())
+        })
+        .collect();
+    let (baseline, all) = run_with_baseline(exec, settings, &suites);
     let mut rows: Vec<Vec<String>> = benchmark_names().into_iter().map(|n| vec![n]).collect();
-    for th in thresholds {
-        crate::obs::progress_step(&format!("threshold {th} ..."));
-        let cfg = CosimConfig {
-            v_threshold: th,
-            ..settings.config(PdsKind::VsCrossLayer { area_mult: 0.2 })
-        };
-        let runs = exec.run_suite(&cfg, &PowerManagement::default());
+    for (th, runs) in thresholds.into_iter().zip(&all) {
         for (row, run) in rows.iter_mut().zip(runs.iter()) {
             let p = baseline.perf_penalty(run).max(0.0);
             r.gauge_labeled(
@@ -393,8 +416,6 @@ pub(super) fn fig12(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
 /// DIWS / FII / DCC weight combinations.
 pub(super) fn fig13(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
     use vs_control::ActuatorWeights;
-    crate::obs::progress_step("building conventional baselines ...");
-    let baseline = BaselineCache::build(exec, settings);
     let combos = [
         ("DIWS", "diws", ActuatorWeights::DIWS_ONLY),
         ("FII", "fii", ActuatorWeights::FII_ONLY),
@@ -407,17 +428,23 @@ pub(super) fn fig13(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
             ActuatorWeights::new(0.6, 0.2, 0.2),
         ),
     ];
+    crate::obs::progress_step("running the baseline and 6 actuator-weight suites ...");
+    let suites: Vec<_> = combos
+        .iter()
+        .map(|&(_, _, weights)| {
+            let cfg = CosimConfig {
+                weights,
+                // Noise-scaled equivalent of the paper's 0.9 V threshold (our
+                // effective decap compresses the noise band; EXPERIMENTS.md).
+                v_threshold: 0.97,
+                ..settings.config(PdsKind::VsCrossLayer { area_mult: 0.2 })
+            };
+            (cfg, PowerManagement::default())
+        })
+        .collect();
+    let (baseline, all) = run_with_baseline(exec, settings, &suites);
     let mut rows = Vec::new();
-    for (label, slug, weights) in combos {
-        crate::obs::progress_step(&format!("weights {label} ..."));
-        let cfg = CosimConfig {
-            weights,
-            // Noise-scaled equivalent of the paper's 0.9 V threshold (our
-            // effective decap compresses the noise band; EXPERIMENTS.md).
-            v_threshold: 0.97,
-            ..settings.config(PdsKind::VsCrossLayer { area_mult: 0.2 })
-        };
-        let runs = exec.run_suite(&cfg, &PowerManagement::default());
+    for ((label, slug, _), runs) in combos.into_iter().zip(&all) {
         let n = runs.len() as f64;
         let penalty: f64 =
             runs.iter().map(|run| baseline.perf_penalty(run).max(0.0)).sum::<f64>() / n;
@@ -438,15 +465,15 @@ pub(super) fn fig13(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
 /// Fig. 14: per-benchmark performance penalty and net energy saving of the
 /// cross-layer VS GPU vs the conventional PDS.
 pub(super) fn fig14(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
-    crate::obs::progress_step("building conventional baselines ...");
-    let baseline = BaselineCache::build(exec, settings);
-    crate::obs::progress_step("running cross-layer suite ...");
+    crate::obs::progress_step("running the baseline and cross-layer suites ...");
     let cfg = CosimConfig {
         // Noise-scaled equivalent of the paper's 0.9 V threshold.
         v_threshold: 0.97,
         ..settings.config(PdsKind::VsCrossLayer { area_mult: 0.2 })
     };
-    let runs = exec.run_suite(&cfg, &PowerManagement::default());
+    let (baseline, mut all) =
+        run_with_baseline(exec, settings, &[(cfg, PowerManagement::default())]);
+    let runs = all.pop().expect("one suite requested");
     let rows: Vec<Vec<String>> = runs
         .iter()
         .map(|run| {
@@ -481,8 +508,6 @@ pub(super) fn fig14(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
 /// Fig. 15: DFS on the conventional vs the voltage-stacked GPU — total
 /// normalized energy (computation + delivery loss).
 pub(super) fn fig15(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
-    crate::obs::progress_step("building no-DFS conventional baselines ...");
-    let baseline = BaselineCache::build(exec, settings);
     let pm_conv = PowerManagement {
         dfs: Some(DfsConfig::with_goal(0.7)),
         ..PowerManagement::default()
@@ -492,13 +517,19 @@ pub(super) fn fig15(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
         use_hypervisor: true,
         ..PowerManagement::default()
     };
-    crate::obs::progress_step("running DFS on the conventional PDS ...");
-    let conv = exec.run_suite(&settings.config(PdsKind::ConventionalVrm), &pm_conv);
-    crate::obs::progress_step("running DFS on the cross-layer VS PDS (with VS-aware hypervisor) ...");
-    let vs = exec.run_suite(
-        &settings.config(PdsKind::VsCrossLayer { area_mult: 0.2 }),
-        &pm_vs,
+    crate::obs::progress_step(
+        "running the no-DFS baseline and DFS on the conventional and cross-layer VS PDS \
+         (with VS-aware hypervisor) ...",
     );
+    let (baseline, all) = run_with_baseline(
+        exec,
+        settings,
+        &[
+            (settings.config(PdsKind::ConventionalVrm), pm_conv),
+            (settings.config(PdsKind::VsCrossLayer { area_mult: 0.2 }), pm_vs),
+        ],
+    );
+    let (conv, vs) = (&all[0], &all[1]);
     let rows: Vec<Vec<String>> = conv
         .iter()
         .zip(vs.iter())
@@ -538,7 +569,7 @@ pub(super) fn fig15(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
             .sum::<f64>()
             / runs.len() as f64
     };
-    let (avg_conv, avg_vs) = (avg(&conv), avg(&vs));
+    let (avg_conv, avg_vs) = (avg(conv), avg(vs));
     r.gauge_labeled("energy_norm_avg", &[("pm", "dfs"), ("pds", "conv")], avg_conv);
     r.gauge_labeled("energy_norm_avg", &[("pm", "dfs"), ("pds", "vs")], avg_vs);
     r.gauge("dfs_saving_pts", avg_conv - avg_vs);
@@ -549,8 +580,6 @@ pub(super) fn fig15(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
 
 /// Fig. 16: power gating on the conventional vs the voltage-stacked GPU.
 pub(super) fn fig16(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
-    crate::obs::progress_step("building no-PG conventional baselines ...");
-    let baseline = BaselineCache::build(exec, settings);
     let pm_conv = PowerManagement {
         pg: Some(PgConfig::default()),
         ..PowerManagement::default()
@@ -560,13 +589,19 @@ pub(super) fn fig16(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
         use_hypervisor: true,
         ..PowerManagement::default()
     };
-    crate::obs::progress_step("running PG on the conventional PDS ...");
-    let conv = exec.run_suite(&settings.config(PdsKind::ConventionalVrm), &pm_conv);
-    crate::obs::progress_step("running PG on the cross-layer VS PDS (with VS-aware hypervisor) ...");
-    let vs = exec.run_suite(
-        &settings.config(PdsKind::VsCrossLayer { area_mult: 0.2 }),
-        &pm_vs,
+    crate::obs::progress_step(
+        "running the no-PG baseline and PG on the conventional and cross-layer VS PDS \
+         (with VS-aware hypervisor) ...",
     );
+    let (baseline, all) = run_with_baseline(
+        exec,
+        settings,
+        &[
+            (settings.config(PdsKind::ConventionalVrm), pm_conv),
+            (settings.config(PdsKind::VsCrossLayer { area_mult: 0.2 }), pm_vs),
+        ],
+    );
+    let (conv, vs) = (&all[0], &all[1]);
     let rows: Vec<Vec<String>> = conv
         .iter()
         .zip(vs.iter())
@@ -606,7 +641,7 @@ pub(super) fn fig16(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
             .sum::<f64>()
             / runs.len() as f64
     };
-    let (avg_conv, avg_vs) = (avg(&conv), avg(&vs));
+    let (avg_conv, avg_vs) = (avg(conv), avg(vs));
     r.gauge_labeled("energy_norm_avg", &[("pm", "pg"), ("pds", "conv")], avg_conv);
     r.gauge_labeled("energy_norm_avg", &[("pm", "pg"), ("pds", "vs")], avg_vs);
     r.gauge("pg_saving_pts", avg_conv - avg_vs);
@@ -658,13 +693,14 @@ pub(super) fn fig17(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
             },
         ),
     ];
+    crate::obs::progress_step("running the 5 power-management suites ...");
+    let suites: Vec<_> = configs
+        .iter()
+        .map(|(_, _, pm)| (settings.config(PdsKind::VsCrossLayer { area_mult: 0.2 }), pm.clone()))
+        .collect();
+    let all = exec.run_suites(&suites);
     let mut rows = Vec::new();
-    for (label, slug, pm) in configs {
-        crate::obs::progress_step(&format!("running suite: {label} ..."));
-        let runs = exec.run_suite(
-            &settings.config(PdsKind::VsCrossLayer { area_mult: 0.2 }),
-            &pm,
-        );
+    for ((label, slug, _), runs) in configs.into_iter().zip(&all) {
         // Worst, average, best by the balanced (<10%) fraction.
         let mut by_balance: Vec<_> = runs.iter().collect();
         by_balance.sort_by(|a, b| {

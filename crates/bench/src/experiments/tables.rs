@@ -82,8 +82,12 @@ pub(super) fn table3(exec: &Executor, settings: &RunSettings, r: &mut Recorder) 
     let mut rows = Vec::new();
     let mut conventional_loss = 0.0;
     let mut cross_layer = (0.0, 0.0);
-    for pds in pds_configs() {
-        let runs = exec.run_suite(&settings.config(pds), &vs_core::PowerManagement::default());
+    let suites: Vec<_> = pds_configs()
+        .into_iter()
+        .map(|pds| (settings.config(pds), vs_core::PowerManagement::default()))
+        .collect();
+    let all = exec.run_suites(&suites);
+    for (pds, runs) in pds_configs().into_iter().zip(&all) {
         let n = runs.len() as f64;
         let pde: f64 = runs.iter().map(vs_core::CosimReport::pde).sum::<f64>() / n;
         let area = match pds {

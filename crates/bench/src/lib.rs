@@ -230,11 +230,15 @@ pub struct BaselineCache {
 }
 
 impl BaselineCache {
-    /// Runs (or joins) the conventional baseline suite on `exec`.
-    pub fn build(exec: &Executor, settings: &RunSettings) -> Self {
-        let cfg = settings.config(PdsKind::ConventionalVrm);
-        let runs = exec
-            .run_suite(&cfg, &PowerManagement::default())
+    /// The conventional baseline suite, as an [`Executor::run_suites`]
+    /// request: experiments batch it with their own suites.
+    pub fn suite(settings: &RunSettings) -> (CosimConfig, PowerManagement) {
+        (settings.config(PdsKind::ConventionalVrm), PowerManagement::default())
+    }
+
+    /// Indexes the baseline suite's reports by benchmark.
+    pub fn new(reports: &[CosimReport]) -> Self {
+        let runs = reports
             .iter()
             .map(|r| (r.benchmark.clone(), r.clone()))
             .collect();

@@ -56,6 +56,14 @@ pub struct RunStatsSummary {
     pub retries: u64,
     /// Tasks quarantined.
     pub quarantined: u64,
+    /// Group tasks run, each on one GPU trunk.
+    pub groups: u64,
+    /// GPU cycles the group runs ticked, re-ticked prefixes included.
+    pub gpu_ticks: u64,
+    /// Group members that left their trunk and parked.
+    pub parked: u64,
+    /// GPU cycles parked members re-ticked.
+    pub prefix_reticks: u64,
 }
 
 /// Wall-time statistics for one scenario, aggregated over every suite that
@@ -187,6 +195,10 @@ impl RunReport {
                         replayed: c("replayed"),
                         retries: c("retries"),
                         quarantined: c("quarantined"),
+                        groups: c("groups"),
+                        gpu_ticks: c("gpu_ticks"),
+                        parked: c("parked"),
+                        prefix_reticks: c("prefix_reticks"),
                     });
                 }
                 Some("experiment") => {
@@ -310,6 +322,11 @@ impl RunReport {
                 "  executor: {} scenario tasks, {} steals, {} DC-cache hits, {} replays, \
                  {} retries, {} quarantined\n",
                 s.scenario_tasks, s.steals, s.dc_cache_hits, s.replayed, s.retries, s.quarantined
+            ));
+            out.push_str(&format!(
+                "  GPU trunks: {} group task(s) ticked {} GPU cycle(s); {} member(s) parked, \
+                 re-ticking {} prefix cycle(s)\n",
+                s.groups, s.gpu_ticks, s.parked, s.prefix_reticks
             ));
         }
         if let Some(saved) = self.replay_savings_s {

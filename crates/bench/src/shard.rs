@@ -1,11 +1,11 @@
 //! The executor: the claim loop behind sweep and campaign, memoized suites
-//! sharded into scenario tasks, and the crash-safe attempt loop every task
-//! runs through.
+//! run as batches of group tasks, and the crash-safe attempt loop every
+//! task runs through.
 //!
 //! An [`Executor`] is a value built once per run from an immutable policy:
 //! the retry/watchdog [`ExecutorConfig`], the journal directory, and the
 //! resume [`Preload`]. It owns everything the run mutates: the suite memo,
-//! the in-flight list idle workers steal from, the quarantine list, and
+//! the in-flight batches idle workers steal from, the quarantine list, and
 //! the [`ShardStats`] counters. Two executors in one process share no
 //! work, no journal, and no memo — only the per-thread solver pools (pure
 //! workspace), the process-wide tracer and progress sink, and the
@@ -13,27 +13,40 @@
 //!
 //! * **Claim loop** (`Executor::run_claims`): scoped workers claim item
 //!   indices in a priority order and fill canonical result slots; a worker
-//!   whose queue has drained steals scenario tasks from suites still in
+//!   whose queue has drained steals group tasks from batches still in
 //!   flight instead of exiting. [`crate::sweep::run_sweep`] runs its
 //!   experiments on it, [`crate::campaign::run_campaign`] its fault cells.
-//! * **Suites** ([`Executor::run_suite`]): a memoized suite is a job whose
-//!   twelve [`ScenarioId`] runs are individually claimable tasks. Every
-//!   requester *joins the computation* — it claims and runs unclaimed
-//!   scenarios instead of idling — and waits by stealing elsewhere.
+//! * **Batches** ([`Executor::run_suites`]): one call requests every suite
+//!   an experiment needs. Each suite is a memoized job of twelve
+//!   [`ScenarioId`] slots. The batch splits its pending suites, per
+//!   scenario, into *group tasks*: the suites whose runs share a
+//!   [`TrunkKey`] (kernel, scheduler, initial SM controls). A group task
+//!   claims the (suite, scenario) slots nobody has claimed yet, so each
+//!   runs at most once per executor, and runs them as one group on one GPU
+//!   trunk ([`vs_core::CosimPool::run_group`]): they tick one GPU until
+//!   their SM controls diverge, each report bit-identical to its lone run.
+//!   Every requester *joins the computation* — it claims and runs
+//!   unclaimed group tasks instead of idling — and waits by stealing
+//!   elsewhere. [`Executor::run_suite`] is a batch of one suite, whose
+//!   group tasks hold one run each (serve's point requests).
 //!
 //! Each worker thread owns a long-lived [`CosimPool`] shard (a thread-local),
 //! so solver buffers and the DC operating-point cache are reused across every
-//! scenario the thread runs, whichever suite or executor the task came from.
+//! scenario the thread runs, whichever batch or executor the task came from.
 //!
 //! # Crash safety
 //!
-//! Every scenario task and campaign cell runs through one attempt loop
+//! Every run and campaign cell goes through one attempt loop
 //! (`Executor::attempt`, built on [`isolated`]): panics are caught, the
 //! thread's pool shard is rebuilt (a panic can unwind through a
 //! half-stepped solver, so the shard is never trusted afterwards — the
 //! `UnwindSafe` audit behind the `AssertUnwindSafe`), and the attempt is
 //! retried with seeded jittered backoff under an optional watchdog
-//! [`CycleBudget`] deadline. A scenario task that exhausts its attempts is
+//! [`CycleBudget`] deadline. Attempts stay per (suite, scenario): a group
+//! task's shared run is attempt 0 of each member, under one watchdog of
+//! `task_deadline` × its member count, and a member whose attempt 0 failed
+//! (its own watchdog or solver, or a panic of the whole group) retries
+//! alone from attempt 1. A run that exhausts its attempts is
 //! **quarantined** ([`QuarantineRecord`], read back through
 //! [`Executor::quarantined`]): its suite completes *degraded* — missing that
 //! scenario's report — instead of aborting the process. Completed scenarios
@@ -42,11 +55,12 @@
 //! missing work recomputes.
 //!
 //! Determinism contract: a suite's reports are assembled in
-//! [`ScenarioId::ALL`] order from per-scenario slots, and workspace reuse
-//! never changes results (see `vs_core::CosimPool`), so the memoized value —
-//! and every artifact derived from it — is bit-identical whatever the worker
-//! count, claim order, or stealing pattern. Only stderr progress lines and
-//! the observational [`ShardStats`] counters vary.
+//! [`ScenarioId::ALL`] order from per-scenario slots, a group member's
+//! report is bit-identical to its lone run, and workspace reuse never
+//! changes results (see `vs_core::CosimPool`), so the memoized value — and
+//! every artifact derived from it — is bit-identical whatever the worker
+//! count, claim order, grouping, or stealing pattern. Only stderr progress
+//! lines and the observational [`ShardStats`] counters vary.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -58,7 +72,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use vs_core::{
-    CosimConfig, CosimError, CosimPool, CosimReport, CycleBudget, PowerManagement, ScenarioId,
+    CosimConfig, CosimError, CosimPool, CosimReport, CycleBudget, GroupRun, GroupStats,
+    PowerManagement, ScenarioId, SupervisorConfig, TrunkKey,
 };
 use vs_telemetry::{fnv1a_64, labeled};
 
@@ -197,9 +212,12 @@ enum Slot {
     Failed,
 }
 
-/// Mutable half of a [`SuiteJob`]: per-scenario result slots plus the
-/// assembled value once all twelve are in.
+/// Mutable half of a [`SuiteJob`]: per-scenario claims and result slots
+/// plus the assembled value once all twelve are in.
 struct JobState {
+    /// Whether a group task has claimed each scenario (journal-replayed
+    /// slots start claimed): each (suite, scenario) runs at most once.
+    claimed: [bool; N_TASKS],
     slots: Vec<Slot>,
     filled: usize,
     done: Option<Arc<Vec<CosimReport>>>,
@@ -229,15 +247,14 @@ impl JobState {
     }
 }
 
-/// One memoized suite computation with individually claimable scenario
-/// tasks.
+/// One memoized suite computation. Its twelve scenarios are claimed one
+/// at a time, by the group tasks of whichever batches request the suite.
 struct SuiteJob {
     key: SuiteKey,
     cfg: CosimConfig,
     pm: PowerManagement,
-    /// Claim counter over [`ScenarioId::ALL`]; `fetch_add` hands each task
-    /// to exactly one worker.
-    next: AtomicUsize,
+    /// Which GPU trunk this suite's runs can share.
+    trunk: TrunkKey,
     state: Mutex<JobState>,
     cv: Condvar,
 }
@@ -246,14 +263,13 @@ impl SuiteJob {
     fn new(exec: &Executor, key: SuiteKey, cfg: CosimConfig, pm: PowerManagement) -> Self {
         // Prefill slots from the resume preload: journal-verified reports
         // short-circuit their tasks entirely (counted as replays).
+        let mut claimed = [false; N_TASKS];
         let mut slots: Vec<Slot> = (0..N_TASKS).map(|_| Slot::Empty).collect();
         let mut filled = 0;
         for (id, report) in exec.preloaded.get(&key).into_iter().flatten() {
-            let i = ScenarioId::ALL
-                .iter()
-                .position(|s| s == id)
-                .expect("catalogue scenario");
-            if matches!(slots[i], Slot::Empty) {
+            let i = scenario_index(*id);
+            if !claimed[i] {
+                claimed[i] = true;
                 slots[i] = Slot::Ready(Box::new(report.clone()));
                 filled += 1;
                 exec.replayed.fetch_add(1, Ordering::Relaxed);
@@ -272,6 +288,7 @@ impl SuiteJob {
             }
         }
         let mut state = JobState {
+            claimed,
             slots,
             filled,
             done: None,
@@ -280,164 +297,26 @@ impl SuiteJob {
         state.assemble_if_complete();
         SuiteJob {
             key,
+            trunk: TrunkKey::new(&cfg, &pm),
             cfg,
             pm,
-            next: AtomicUsize::new(0),
             state: Mutex::new(state),
             cv: Condvar::new(),
         }
     }
 
-    /// True while unclaimed scenario tasks remain (a claim may still lose
-    /// the race; [`SuiteJob::run_one_task`] is the authority).
-    fn has_unclaimed(&self) -> bool {
-        self.next.load(Ordering::Relaxed) < N_TASKS
+    fn state(&self) -> std::sync::MutexGuard<'_, JobState> {
+        self.state.lock().expect("suite job state poisoned")
     }
 
-    /// Claims and runs one scenario task on the calling thread's pool.
-    /// Returns `false` when every task was already claimed. `via` labels
-    /// the claim in the trace: `"claim"` from the suite's own requester,
-    /// `"steal"` from an idle worker.
-    fn run_one_task(&self, exec: &Executor, via: &'static str) -> bool {
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        let Some(&id) = ScenarioId::ALL.get(i) else {
-            return false;
-        };
-        exec.update_queue_depth_gauge();
-        {
-            let st = self.state.lock().expect("suite job state poisoned");
-            // Preloaded (journal-replayed) slots consume their claim
-            // without running anything; likewise once the suite assembled
-            // (which empties the slots), nothing is left to compute.
-            if st.done.is_some() || !matches!(st.slots[i], Slot::Empty) {
-                return true;
-            }
-        }
-        self.run_scalar_task(exec, i, id, via);
-        true
-    }
-
-    /// Runs one already-claimed scenario task through the executor's
-    /// attempt loop (chaos injection included) and decides its slot.
-    fn run_scalar_task(&self, exec: &Executor, i: usize, id: ScenarioId, via: &'static str) {
-        obs::progress(
-            "task",
-            "run",
-            &[
-                ("scenario", id.name().to_string()),
-                ("pds", self.cfg.pds.label().to_string()),
-                ("via", via.to_string()),
-            ],
-            || format!("  running {} under {} ...", id, self.cfg.pds.label()),
-        );
-        let track = obs::worker_track();
-        let task_span = obs::tracer().begin();
-        let tag = format!("{}:{}", self.key.to_hex(), id.name());
-        let labels = [
-            ("suite", self.key.cache_dir()),
-            ("scenario", id.name().to_string()),
-        ];
-        // The isolation boundary lives in `attempt`; this outer guard only
-        // catches the *unexpected* (a panic in the scheduler itself, or one
-        // escaping the boundary), which still poisons the job so waiters
-        // fail loudly instead of hanging.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            exec.attempt(&tag, &labels, |attempt, pool, budget| {
-                let budget = match chaos::chaos_for(id, attempt) {
-                    Some(ChaosMode::Panic) => {
-                        panic!("chaos: injected panic for {id} (attempt {attempt})")
-                    }
-                    Some(ChaosMode::Stall { at_cycle }) => CycleBudget::tripping_at(at_cycle),
-                    None => budget,
-                };
-                pool.try_run_scenario_with_pm(&self.cfg, id, self.pm.clone(), budget)
-            })
-        }));
-        let end_task = |outcome: &'static str, attempts: u32| {
-            if task_span.is_some() {
-                obs::tracer().end_span(
-                    track,
-                    "executor",
-                    "task",
-                    task_span,
-                    &[
-                        ("suite", self.key.cache_dir()),
-                        ("scenario", id.name().to_string()),
-                        ("pds", self.cfg.pds.label().to_string()),
-                        ("via", via.to_string()),
-                        ("outcome", outcome.to_string()),
-                        ("attempts", attempts.to_string()),
-                    ],
-                );
-            }
-        };
-        match outcome {
-            Ok(Ok(success)) => {
-                end_task("ok", success.attempts);
-                if obs::tracing_enabled() {
-                    obs::metric_inc("executor.tasks_ok", 1);
-                    obs::metric_observe_wall(
-                        &labeled("executor.task_wall_s", &[("scenario", id.name())]),
-                        success.attempt_wall_s.iter().sum(),
-                    );
-                }
-                exec.record_to_journal(&self.key, id, &success);
-                self.fill_slot(i, Slot::Ready(Box::new(success.value)));
-            }
-            Ok(Err(failure)) => {
-                end_task("quarantined", failure.attempts);
-                obs::metric_inc("executor.quarantines", 1);
-                obs::tracer().instant(
-                    track,
-                    "executor",
-                    "quarantine",
-                    &[
-                        ("suite", self.key.cache_dir()),
-                        ("scenario", id.name().to_string()),
-                        ("attempts", failure.attempts.to_string()),
-                    ],
-                );
-                obs::progress(
-                    "task",
-                    "quarantine",
-                    &[
-                        ("scenario", id.name().to_string()),
-                        ("pds", self.cfg.pds.label().to_string()),
-                        ("attempts", failure.attempts.to_string()),
-                    ],
-                    || {
-                        format!(
-                            "  quarantining {} under {} after {} attempt(s)",
-                            id,
-                            self.cfg.pds.label(),
-                            failure.attempts
-                        )
-                    },
-                );
-                exec.quarantined
-                    .lock()
-                    .expect("quarantine list poisoned")
-                    .push(QuarantineRecord {
-                        suite: self.key.clone(),
-                        scenario: id,
-                        attempts: failure.attempts,
-                        errors: failure.errors,
-                    });
-                self.fill_slot(i, Slot::Failed);
-            }
-            Err(payload) => {
-                {
-                    let mut st = self.state.lock().expect("suite job state poisoned");
-                    st.poisoned = true;
-                }
-                self.cv.notify_all();
-                resume_unwind(payload)
-            }
-        }
+    /// Claims scenario `i` for the caller: `false` if a task already has
+    /// it (or replayed it from the journal).
+    fn claim(&self, i: usize) -> bool {
+        !std::mem::replace(&mut self.state().claimed[i], true)
     }
 
     fn fill_slot(&self, i: usize, slot: Slot) {
-        let mut st = self.state.lock().expect("suite job state poisoned");
+        let mut st = self.state();
         st.slots[i] = slot;
         st.filled += 1;
         if st.assemble_if_complete() {
@@ -446,11 +325,15 @@ impl SuiteJob {
         }
     }
 
+    fn poison(&self) {
+        self.state().poisoned = true;
+        self.cv.notify_all();
+    }
+
     /// Blocks until the suite is assembled, helping `exec`'s other
-    /// in-flight suites while waiting (this thread's claimable work here is
-    /// already gone). A degraded suite (quarantined tasks) returns with
-    /// those reports missing; consult [`Executor::quarantined`] for what
-    /// was lost.
+    /// in-flight batches while waiting. A degraded suite (quarantined
+    /// tasks) returns with those reports missing; consult
+    /// [`Executor::quarantined`] for what was lost.
     ///
     /// # Panics
     ///
@@ -459,7 +342,7 @@ impl SuiteJob {
     fn wait(&self, exec: &Executor) -> Arc<Vec<CosimReport>> {
         loop {
             {
-                let st = self.state.lock().expect("suite job state poisoned");
+                let st = self.state();
                 assert!(
                     !st.poisoned,
                     "a worker panicked while running this suite; see its report above"
@@ -468,11 +351,12 @@ impl SuiteJob {
                     return done.clone();
                 }
             }
-            // Steal a scenario from some other suite rather than idling; if
+            // Steal a group task from some batch rather than idling; if
             // nothing is stealable, park briefly on the condvar (timed, so
-            // newly created jobs become stealable without a notification).
-            if !exec.steal_scenario_task() {
-                let st = self.state.lock().expect("suite job state poisoned");
+            // newly created batches become stealable without a
+            // notification).
+            if !exec.steal_group_task() {
+                let st = self.state();
                 if st.done.is_none() && !st.poisoned {
                     let _ = self
                         .cv
@@ -481,6 +365,80 @@ impl SuiteJob {
                 }
             }
         }
+    }
+}
+
+/// The position of `id` in [`ScenarioId::ALL`], which orders suite slots.
+fn scenario_index(id: ScenarioId) -> usize {
+    ScenarioId::ALL
+        .iter()
+        .position(|s| *s == id)
+        .expect("catalogue scenario")
+}
+
+/// One scenario of a batch's suites that share a trunk key: claimed as one
+/// task, run as one group on one GPU trunk.
+struct GroupTask {
+    scenario: ScenarioId,
+    jobs: Vec<Arc<SuiteJob>>,
+}
+
+/// The claimable work of one [`Executor::run_suites`] call: per scenario,
+/// one group task per trunk key among its suites.
+struct Batch {
+    tasks: Vec<GroupTask>,
+    /// Claim counter over `tasks`; `fetch_add` hands each task to exactly
+    /// one worker.
+    next: AtomicUsize,
+}
+
+impl Batch {
+    fn new(jobs: &[Arc<SuiteJob>]) -> Self {
+        let mut tasks: Vec<GroupTask> = Vec::new();
+        for scenario in ScenarioId::ALL {
+            let first = tasks.len();
+            for job in jobs {
+                match tasks[first..]
+                    .iter_mut()
+                    .find(|t| t.jobs[0].trunk == job.trunk)
+                {
+                    Some(task) => task.jobs.push(job.clone()),
+                    None => tasks.push(GroupTask {
+                        scenario,
+                        jobs: vec![job.clone()],
+                    }),
+                }
+            }
+        }
+        Batch {
+            tasks,
+            next: AtomicUsize::new(0),
+        }
+    }
+
+    /// Group tasks nobody has claimed yet.
+    fn unclaimed(&self) -> usize {
+        self.tasks
+            .len()
+            .saturating_sub(self.next.load(Ordering::Relaxed))
+    }
+
+    /// Claims the next group task and runs the scenario runs it could
+    /// claim, on the calling thread's pool. Returns `false` when every task
+    /// was already claimed. `via` labels the claim in the trace: `"claim"`
+    /// from the batch's own requester, `"steal"` from an idle worker.
+    fn run_one_task(&self, exec: &Executor, via: &'static str) -> bool {
+        let Some(task) = self.tasks.get(self.next.fetch_add(1, Ordering::Relaxed)) else {
+            return false;
+        };
+        exec.update_queue_depth_gauge();
+        let i = scenario_index(task.scenario);
+        let members: Vec<Arc<SuiteJob>> =
+            task.jobs.iter().filter(|j| j.claim(i)).cloned().collect();
+        if !members.is_empty() {
+            exec.run_group_task(task.scenario, &members, via);
+        }
+        true
     }
 }
 
@@ -497,20 +455,24 @@ impl Drop for Landed<'_> {
 }
 
 /// One run's executor: the immutable policy it was built with, plus the
-/// suite memo, the in-flight list stealers scan, the quarantine list, and
-/// the observational counters that run accumulates.
+/// suite memo, the in-flight batches stealers scan, the quarantine list,
+/// and the observational counters that run accumulates.
 pub struct Executor {
     policy: ExecutorConfig,
     journal_dir: Option<PathBuf>,
     preloaded: Preload,
     memo: Mutex<HashMap<SuiteKey, Arc<SuiteJob>>>,
-    in_flight: Mutex<Vec<Arc<SuiteJob>>>,
+    in_flight: Mutex<Vec<Arc<Batch>>>,
     quarantined: Mutex<Vec<QuarantineRecord>>,
     scenario_tasks: AtomicU64,
     steals: AtomicU64,
     dc_cache_hits: AtomicU64,
     replayed: AtomicU64,
     retries: AtomicU64,
+    groups: AtomicU64,
+    gpu_ticks: AtomicU64,
+    parked: AtomicU64,
+    prefix_reticks: AtomicU64,
 }
 
 impl Default for Executor {
@@ -537,13 +499,17 @@ impl Executor {
             dc_cache_hits: AtomicU64::new(0),
             replayed: AtomicU64::new(0),
             retries: AtomicU64::new(0),
+            groups: AtomicU64::new(0),
+            gpu_ticks: AtomicU64::new(0),
+            parked: AtomicU64::new(0),
+            prefix_reticks: AtomicU64::new(0),
         }
     }
 
     /// Runs `task` over the item indices in `order` on `jobs` scoped
     /// workers and returns the results in canonical (index) slots. Each
     /// worker claims the next index in `order`; once `order` is exhausted
-    /// it steals scenario tasks from suites still in flight until every
+    /// it steals group tasks from batches still in flight until every
     /// item has landed, so workers beyond the item count still help.
     /// `order` must be a permutation of `0..order.len()`.
     pub(crate) fn run_claims<R: Send>(
@@ -564,7 +530,7 @@ impl Executor {
                         slots.lock().expect("result slots poisoned")[i] = Some(result);
                     }
                     while completed.load(Ordering::Acquire) < order.len() {
-                        if !self.steal_scenario_task() {
+                        if !self.steal_group_task() {
                             std::thread::sleep(Duration::from_millis(1));
                         }
                     }
@@ -579,10 +545,15 @@ impl Executor {
             .collect()
     }
 
-    /// Runs (or joins) the memoized suite of `cfg` under `pm`: all twelve
-    /// scenarios, reports in [`ScenarioId::ALL`] order. Concurrent requesters
-    /// share one computation, each claiming and running unclaimed scenarios.
-    /// A quarantined scenario leaves its report out (degraded suite); see
+    /// Runs (or joins) the memoized suites of `suites`, each a `(cfg, pm)`
+    /// pair, as one batch: all twelve scenarios of each, reports in
+    /// [`ScenarioId::ALL`] order, suites in request order. Per scenario,
+    /// the runs of suites that share a [`TrunkKey`] form one group task and
+    /// tick one GPU trunk until their SM controls diverge
+    /// ([`vs_core::CosimPool::run_group`]). Concurrent requesters share one
+    /// computation: a task claims only the (suite, scenario) runs nobody
+    /// has claimed, so each runs at most once per executor. A quarantined
+    /// scenario leaves its report out (degraded suite); see
     /// [`Executor::quarantined`].
     ///
     /// # Panics
@@ -590,19 +561,50 @@ impl Executor {
     /// Panics only if a worker panicked *outside* the isolation boundary —
     /// solver failures, deadline trips, and in-task panics all flow into the
     /// retry/quarantine machinery instead.
+    pub fn run_suites(
+        &self,
+        suites: &[(CosimConfig, PowerManagement)],
+    ) -> Vec<Arc<Vec<CosimReport>>> {
+        let jobs: Vec<Arc<SuiteJob>> = suites.iter().map(|(cfg, pm)| self.job(cfg, pm)).collect();
+        let mut pending: Vec<Arc<SuiteJob>> = Vec::with_capacity(jobs.len());
+        for job in &jobs {
+            if job.state().done.is_none() && !pending.iter().any(|p| Arc::ptr_eq(p, job)) {
+                pending.push(job.clone());
+            }
+        }
+        if !pending.is_empty() {
+            let batch = Arc::new(Batch::new(&pending));
+            self.in_flight
+                .lock()
+                .expect("in-flight batch list poisoned")
+                .push(batch.clone());
+            self.update_queue_depth_gauge();
+            // Join the computation: claim group tasks until none remain,
+            // then help elsewhere until the last claimed run lands.
+            while batch.run_one_task(self, "claim") {}
+        }
+        jobs.iter().map(|job| job.wait(self)).collect()
+    }
+
+    /// [`Executor::run_suites`] for one suite: a batch of one, whose group
+    /// tasks each hold one run.
+    ///
+    /// # Panics
+    ///
+    /// As [`Executor::run_suites`].
     pub fn run_suite(&self, cfg: &CosimConfig, pm: &PowerManagement) -> Arc<Vec<CosimReport>> {
-        let key = SuiteKey::new(cfg, pm);
-        let job = self
-            .memo
+        self.run_suites(&[(cfg.clone(), pm.clone())])
+            .pop()
+            .expect("one suite requested")
+    }
+
+    /// The memoized job of `cfg` under `pm`, created on first request.
+    fn job(&self, cfg: &CosimConfig, pm: &PowerManagement) -> Arc<SuiteJob> {
+        self.memo
             .lock()
             .expect("suite memo poisoned")
-            .entry(key)
+            .entry(SuiteKey::new(cfg, pm))
             .or_insert_with_key(|key| {
-                let job = Arc::new(SuiteJob::new(self, key.clone(), cfg.clone(), pm.clone()));
-                self.in_flight
-                    .lock()
-                    .expect("in-flight suite list poisoned")
-                    .push(job.clone());
                 if obs::tracing_enabled() {
                     obs::metric_inc("executor.suites_enqueued", 1);
                     obs::tracer().instant(
@@ -614,15 +616,10 @@ impl Executor {
                             ("pds", cfg.pds.label().to_string()),
                         ],
                     );
-                    self.update_queue_depth_gauge();
                 }
-                job
+                Arc::new(SuiteJob::new(self, key.clone(), cfg.clone(), pm.clone()))
             })
-            .clone();
-        // Join the computation: claim tasks until none remain, then help
-        // elsewhere until the last claimed task lands.
-        while job.run_one_task(self, "claim") {}
-        job.wait(self)
+            .clone()
     }
 
     /// Whether `key`'s suite would resolve without running a single scenario
@@ -633,22 +630,14 @@ impl Executor {
     /// — [`Executor::run_suite`] remains the authority on what actually runs.
     pub fn suite_is_warm(&self, key: &SuiteKey) -> bool {
         if let Some(job) = self.memo.lock().expect("suite memo poisoned").get(key) {
-            if job
-                .state
-                .lock()
-                .expect("suite job state poisoned")
-                .done
-                .is_some()
-            {
+            if job.state().done.is_some() {
                 return true;
             }
         }
         self.preloaded.get(key).is_some_and(|entries| {
             let mut have = [false; N_TASKS];
             for (id, _) in entries {
-                if let Some(i) = ScenarioId::ALL.iter().position(|s| s == id) {
-                    have[i] = true;
-                }
+                have[scenario_index(*id)] = true;
             }
             have.iter().all(|&b| b)
         })
@@ -663,39 +652,41 @@ impl Executor {
             .lock()
             .expect("quarantine list poisoned")
             .clone();
-        records.sort_by_key(|q| {
-            let pos = ScenarioId::ALL.iter().position(|s| *s == q.scenario);
-            (q.suite.to_hex(), pos)
-        });
+        records.sort_by_key(|q| (q.suite.to_hex(), scenario_index(q.scenario)));
         records
     }
 
     /// A snapshot of this executor's [`ShardStats`].
     pub fn stats(&self) -> ShardStats {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         ShardStats {
-            scenario_tasks: self.scenario_tasks.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            dc_cache_hits: self.dc_cache_hits.load(Ordering::Relaxed),
-            replayed: self.replayed.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
+            scenario_tasks: load(&self.scenario_tasks),
+            steals: load(&self.steals),
+            dc_cache_hits: load(&self.dc_cache_hits),
+            replayed: load(&self.replayed),
+            retries: load(&self.retries),
+            groups: load(&self.groups),
+            gpu_ticks: load(&self.gpu_ticks),
+            parked: load(&self.parked),
+            prefix_reticks: load(&self.prefix_reticks),
         }
     }
 
-    /// Claims and runs one scenario task from any in-flight suite. Returns
-    /// `true` if a task was run. This is what idle workers spin on once
+    /// Claims and runs one group task from any in-flight batch. Returns
+    /// `true` if a task was claimed. This is what idle workers spin on once
     /// their own queue drains.
-    fn steal_scenario_task(&self) -> bool {
-        let job = {
+    fn steal_group_task(&self) -> bool {
+        let batch = {
             let mut in_flight = self
                 .in_flight
                 .lock()
-                .expect("in-flight suite list poisoned");
-            // Suites with every task claimed can never be stolen from again.
-            in_flight.retain(|j| j.has_unclaimed());
+                .expect("in-flight batch list poisoned");
+            // Batches with every task claimed can never be stolen from again.
+            in_flight.retain(|b| b.unclaimed() > 0);
             in_flight.first().cloned()
         };
-        match job {
-            Some(job) if job.run_one_task(self, "steal") => {
+        match batch {
+            Some(batch) if batch.run_one_task(self, "steal") => {
                 self.steals.fetch_add(1, Ordering::Relaxed);
                 obs::metric_inc("executor.steals", 1);
                 true
@@ -704,8 +695,8 @@ impl Executor {
         }
     }
 
-    /// Recomputes the executor queue-depth gauge: unclaimed scenario tasks
-    /// across every in-flight suite. Gated on tracing (it takes the
+    /// Recomputes the executor queue-depth gauge: unclaimed group tasks
+    /// across every in-flight batch. Gated on tracing (it takes the
     /// in-flight lock, which claims should not pay for when nobody is
     /// watching).
     fn update_queue_depth_gauge(&self) {
@@ -715,25 +706,39 @@ impl Executor {
         let depth: usize = self
             .in_flight
             .lock()
-            .expect("in-flight suite list poisoned")
+            .expect("in-flight batch list poisoned")
             .iter()
-            .map(|j| N_TASKS.saturating_sub(j.next.load(Ordering::Relaxed)))
+            .map(|b| b.unclaimed())
             .sum();
         obs::metric_gauge("executor.queue_depth", depth as f64);
     }
 
-    /// Runs `f` with the calling thread's [`CosimPool`] shard, folding the
-    /// pool's DC-cache-hit delta into this executor's [`ShardStats`].
-    fn with_worker_pool<R>(&self, f: impl FnOnce(&mut CosimPool) -> R) -> R {
+    /// Runs `f` with the calling thread's [`CosimPool`] shard for `runs`
+    /// scenario runs (or campaign cells), folding the pool's DC-cache-hit
+    /// delta into this executor's [`ShardStats`].
+    fn with_worker_pool<R>(&self, runs: usize, f: impl FnOnce(&mut CosimPool) -> R) -> R {
         WORKER_POOL.with(|cell| {
             let mut pool = cell.borrow_mut();
             let hits_before = pool.dc_cache_hits();
             let out = f(&mut pool);
-            self.scenario_tasks.fetch_add(1, Ordering::Relaxed);
+            self.scenario_tasks.fetch_add(runs as u64, Ordering::Relaxed);
             self.dc_cache_hits
                 .fetch_add(pool.dc_cache_hits() - hits_before, Ordering::Relaxed);
             out
         })
+    }
+
+    /// Folds one group run's trunk counters into [`ShardStats`] and the
+    /// `cosim.*` metrics.
+    fn count_trunk(&self, stats: &GroupStats) {
+        for (counter, metric, by) in [
+            (&self.gpu_ticks, "cosim.gpu_ticks", stats.gpu_ticks),
+            (&self.parked, "cosim.parked", stats.parked),
+            (&self.prefix_reticks, "cosim.prefix_reticks", stats.prefix_reticks),
+        ] {
+            counter.fetch_add(by, Ordering::Relaxed);
+            obs::metric_inc(metric, by);
+        }
     }
 
     /// Runs one task under the full isolation policy: each attempt gets
@@ -757,23 +762,29 @@ impl Executor {
         labels: &[(&'static str, String)],
         run: impl Fn(u32, &mut CosimPool, CycleBudget) -> Result<T, CosimError>,
     ) -> Result<TaskSuccess<T>, TaskFailure> {
+        self.retry(Vec::new(), Vec::new(), tag, labels, run)
+    }
+
+    /// The attempt loop of [`Executor::attempt`], entered after
+    /// `errors.len()` failed attempts whose errors and wall seconds are
+    /// given (a group member's shared attempt 0).
+    fn retry<T>(
+        &self,
+        mut errors: Vec<String>,
+        mut walls: Vec<f64>,
+        tag: &str,
+        labels: &[(&'static str, String)],
+        run: impl Fn(u32, &mut CosimPool, CycleBudget) -> Result<T, CosimError>,
+    ) -> Result<TaskSuccess<T>, TaskFailure> {
         let attempts = self.policy.max_attempts.max(1);
-        let track = obs::worker_track();
-        let end_span = |name: &str, span: Option<Instant>, extra: &[(&'static str, String)]| {
-            if span.is_some() {
-                let args: Vec<_> = labels.iter().chain(extra).cloned().collect();
-                obs::tracer().end_span(track, "executor", name, span, &args);
-            }
-        };
-        let mut errors = Vec::new();
-        let mut walls = Vec::new();
-        for attempt in 0..attempts {
+        let first = u32::try_from(errors.len()).unwrap_or(u32::MAX);
+        for attempt in first..attempts {
             if attempt > 0 {
                 self.retries.fetch_add(1, Ordering::Relaxed);
                 obs::metric_inc("executor.retries", 1);
                 let span = obs::tracer().begin();
                 std::thread::sleep(retry_backoff(&self.policy, tag, attempt));
-                end_span("backoff", span, &[("attempt", attempt.to_string())]);
+                end_span("backoff", span, labels, &[("attempt", attempt.to_string())]);
             }
             let budget = self
                 .policy
@@ -784,47 +795,282 @@ impl Executor {
             // solve is free, and it keeps journal v2 metadata (and therefore
             // `report` on resumed runs) independent of whether tracing was on.
             let started = Instant::now();
-            let outcome = isolated(|| self.with_worker_pool(|pool| run(attempt, pool, budget)));
+            let outcome = isolated(|| self.with_worker_pool(1, |pool| run(attempt, pool, budget)));
             walls.push(started.elapsed().as_secs_f64());
-            let label = match &outcome {
-                Ok(Ok(_)) => "ok",
-                Ok(Err(CosimError::DeadlineExceeded { .. })) => "deadline",
-                Ok(Err(_)) => "error",
-                Err(_) => "panic",
-            };
-            end_span(
-                "attempt",
-                span,
-                &[
-                    ("attempt", attempt.to_string()),
-                    ("outcome", label.to_string()),
-                ],
-            );
             match outcome {
                 Ok(Ok(value)) => {
+                    end_attempt(span, labels, attempt, "ok");
                     return Ok(TaskSuccess {
                         value,
                         attempts: attempt + 1,
                         attempt_wall_s: walls,
                     });
                 }
-                Ok(Err(e)) => {
-                    if label == "deadline" {
-                        obs::metric_inc("executor.deadline_trips", 1);
-                    }
-                    errors.push(format!("attempt {attempt}: {}", error_chain(&e)));
-                }
+                Ok(Err(e)) => errors.push(failed_attempt(span, labels, attempt, &e)),
                 Err(msg) => {
-                    obs::metric_inc("executor.task_panics", 1);
-                    errors.push(format!("attempt {attempt}: panic: {msg}"));
-                    let span = obs::tracer().begin();
-                    rebuild_worker_pool();
-                    obs::metric_inc("executor.pool_rebuilds", 1);
-                    end_span("pool_rebuild", span, &[]);
+                    errors.push(panicked_attempt(span, labels, attempt, &msg));
+                    self.rebuild_pool(labels);
                 }
             }
         }
         Err(TaskFailure { attempts, errors })
+    }
+
+    /// Replaces the calling thread's pool shard after a panic unwound
+    /// through it.
+    fn rebuild_pool(&self, labels: &[(&'static str, String)]) {
+        let span = obs::tracer().begin();
+        rebuild_worker_pool();
+        obs::metric_inc("executor.pool_rebuilds", 1);
+        end_span("pool_rebuild", span, labels, &[]);
+    }
+
+    /// Runs one claimed group task: its members' runs of `id`, one per
+    /// suite in `members`. Attempt 0 runs them together on one GPU trunk
+    /// under one watchdog of `task_deadline` × the member count; a member
+    /// whose attempt 0 failed (its watchdog, its solver, or a panic of the
+    /// whole group) retries alone from attempt 1. Each member decides its
+    /// own slot, journaled and filled or quarantined, as soon as its
+    /// outcome is known: the members that succeeded together first.
+    fn run_group_task(&self, id: ScenarioId, members: &[Arc<SuiteJob>], via: &'static str) {
+        for job in members {
+            obs::progress(
+                "task",
+                "run",
+                &[
+                    ("scenario", id.name().to_string()),
+                    ("pds", job.cfg.pds.label().to_string()),
+                    ("via", via.to_string()),
+                ],
+                || format!("  running {} under {} ...", id, job.cfg.pds.label()),
+            );
+        }
+        let task_span = obs::tracer().begin();
+        // The isolation boundary lives in the attempts; this outer guard
+        // only catches the *unexpected* (a panic in the scheduler itself,
+        // or one escaping the boundary), which still poisons the members'
+        // jobs so waiters fail loudly instead of hanging.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let (firsts, wall) = self.shared_attempt(id, members);
+            let mut failed = Vec::new();
+            for (job, first) in members.iter().zip(firsts) {
+                match first {
+                    Ok(value) => {
+                        let success = TaskSuccess {
+                            value,
+                            attempts: 1,
+                            attempt_wall_s: vec![wall],
+                        };
+                        self.settle(job, id, via, task_span, Ok(success));
+                    }
+                    Err(error) => failed.push((job, error)),
+                }
+            }
+            for (job, error) in failed {
+                let run = |attempt, pool: &mut CosimPool, budget| {
+                    let mut alone = [GroupRun {
+                        cfg: job.cfg.clone(),
+                        pm: job.pm.clone(),
+                        budget,
+                    }];
+                    let (mut results, _) = self.run_attempt(pool, id, attempt, &mut alone);
+                    results.pop().expect("one run, one result")
+                };
+                let tag = format!("{}:{}", job.key.to_hex(), id.name());
+                let outcome =
+                    self.retry(vec![error], vec![wall], &tag, &task_labels(&job.key, id), run);
+                self.settle(job, id, via, task_span, outcome);
+            }
+        }));
+        if let Err(payload) = outcome {
+            for job in members {
+                job.poison();
+            }
+            resume_unwind(payload)
+        }
+    }
+
+    /// The shared attempt 0 of a group task's members, as one group on one
+    /// GPU trunk: per member, its report or the attempt's line of its error
+    /// history, and the member's share of the attempt's wall seconds (so
+    /// the journal's task walls still add up to the time spent).
+    fn shared_attempt(
+        &self,
+        id: ScenarioId,
+        members: &[Arc<SuiteJob>],
+    ) -> (Vec<Result<CosimReport, String>>, f64) {
+        let n = members.len();
+        let budget = self.policy.task_deadline.map_or_else(CycleBudget::unlimited, |d| {
+            CycleBudget::wall_clock(d.saturating_mul(u32::try_from(n).unwrap_or(u32::MAX)))
+        });
+        let mut runs: Vec<GroupRun> = members
+            .iter()
+            .map(|job| GroupRun {
+                cfg: job.cfg.clone(),
+                pm: job.pm.clone(),
+                budget,
+            })
+            .collect();
+        let labels: Vec<[(&'static str, String); 2]> =
+            members.iter().map(|job| task_labels(&job.key, id)).collect();
+        let span = obs::tracer().begin();
+        let started = Instant::now();
+        let outcome =
+            isolated(|| self.with_worker_pool(n, |pool| self.run_attempt(pool, id, 0, &mut runs)));
+        let wall = started.elapsed().as_secs_f64() / n as f64;
+        self.groups.fetch_add(1, Ordering::Relaxed);
+        obs::metric_inc("executor.groups", 1);
+        let forks = outcome.as_ref().map_or(0, |(_, parked)| *parked);
+        end_span(
+            "group",
+            span,
+            &[
+                ("scenario", id.name().to_string()),
+                ("members", n.to_string()),
+                ("forks", forks.to_string()),
+            ],
+            &[],
+        );
+        let firsts = match outcome {
+            Ok((results, _)) => results
+                .into_iter()
+                .zip(&labels)
+                .map(|(result, labels)| {
+                    result
+                        .map_err(|e| failed_attempt(span, labels, 0, &e))
+                        .inspect(|_| end_attempt(span, labels, 0, "ok"))
+                })
+                .collect(),
+            Err(msg) => {
+                let errors = labels
+                    .iter()
+                    .map(|labels| Err(panicked_attempt(span, labels, 0, &msg)))
+                    .collect();
+                self.rebuild_pool(&labels[0]);
+                errors
+            }
+        };
+        (firsts, wall)
+    }
+
+    /// Runs `runs` of `id` as one group on `pool`, as attempt `attempt`
+    /// under the chaos plan's injection for it (a panic, or every run's
+    /// watchdog tripping at a cycle). Returns each run's report or error,
+    /// and how many members parked.
+    fn run_attempt(
+        &self,
+        pool: &mut CosimPool,
+        id: ScenarioId,
+        attempt: u32,
+        runs: &mut [GroupRun],
+    ) -> (Vec<Result<CosimReport, CosimError>>, u64) {
+        match chaos::chaos_for(id, attempt) {
+            Some(ChaosMode::Panic) => panic!("chaos: injected panic for {id} (attempt {attempt})"),
+            Some(ChaosMode::Stall { at_cycle }) => {
+                for run in runs.iter_mut() {
+                    run.budget = CycleBudget::tripping_at(at_cycle);
+                }
+            }
+            None => {}
+        }
+        let group = pool.run_group(&id.profile(), runs, &SupervisorConfig::default());
+        self.count_trunk(&group.stats);
+        let results = group
+            .reports
+            .into_iter()
+            .map(|run| match run.error {
+                Some(e) => Err(e),
+                None => Ok(run.report),
+            })
+            .collect();
+        (results, group.stats.parked)
+    }
+
+    /// Decides one member's slot from its attempts: journal and fill it,
+    /// or quarantine it.
+    fn settle(
+        &self,
+        job: &SuiteJob,
+        id: ScenarioId,
+        via: &'static str,
+        task_span: Option<Instant>,
+        outcome: Result<TaskSuccess<CosimReport>, TaskFailure>,
+    ) {
+        let track = obs::worker_track();
+        let end_task = |outcome: &'static str, attempts: u32| {
+            if task_span.is_some() {
+                obs::tracer().end_span(
+                    track,
+                    "executor",
+                    "task",
+                    task_span,
+                    &[
+                        ("suite", job.key.cache_dir()),
+                        ("scenario", id.name().to_string()),
+                        ("pds", job.cfg.pds.label().to_string()),
+                        ("via", via.to_string()),
+                        ("outcome", outcome.to_string()),
+                        ("attempts", attempts.to_string()),
+                    ],
+                );
+            }
+        };
+        let i = scenario_index(id);
+        match outcome {
+            Ok(success) => {
+                end_task("ok", success.attempts);
+                if obs::tracing_enabled() {
+                    obs::metric_inc("executor.tasks_ok", 1);
+                    obs::metric_observe_wall(
+                        &labeled("executor.task_wall_s", &[("scenario", id.name())]),
+                        success.attempt_wall_s.iter().sum(),
+                    );
+                }
+                self.record_to_journal(&job.key, id, &success);
+                job.fill_slot(i, Slot::Ready(Box::new(success.value)));
+            }
+            Err(failure) => {
+                end_task("quarantined", failure.attempts);
+                obs::metric_inc("executor.quarantines", 1);
+                obs::tracer().instant(
+                    track,
+                    "executor",
+                    "quarantine",
+                    &[
+                        ("suite", job.key.cache_dir()),
+                        ("scenario", id.name().to_string()),
+                        ("attempts", failure.attempts.to_string()),
+                    ],
+                );
+                obs::progress(
+                    "task",
+                    "quarantine",
+                    &[
+                        ("scenario", id.name().to_string()),
+                        ("pds", job.cfg.pds.label().to_string()),
+                        ("attempts", failure.attempts.to_string()),
+                    ],
+                    || {
+                        format!(
+                            "  quarantining {} under {} after {} attempt(s)",
+                            id,
+                            job.cfg.pds.label(),
+                            failure.attempts
+                        )
+                    },
+                );
+                self.quarantined
+                    .lock()
+                    .expect("quarantine list poisoned")
+                    .push(QuarantineRecord {
+                        suite: job.key.clone(),
+                        scenario: id,
+                        attempts: failure.attempts,
+                        errors: failure.errors,
+                    });
+                job.fill_slot(i, Slot::Failed);
+            }
+        }
     }
 
     /// Appends a finished scenario to the resume journal, when this
@@ -857,6 +1103,76 @@ impl Executor {
             eprintln!("  warning: journaling {id}: {e} (resume will recompute it)");
         }
     }
+}
+
+/// The span labels naming one (suite, scenario) task.
+fn task_labels(key: &SuiteKey, id: ScenarioId) -> [(&'static str, String); 2] {
+    [
+        ("suite", key.cache_dir()),
+        ("scenario", id.name().to_string()),
+    ]
+}
+
+/// Ends an executor span named `name` that began at `span`, labeled with
+/// `labels` and `extra`; free when tracing is off (`span` is `None`).
+fn end_span(
+    name: &str,
+    span: Option<Instant>,
+    labels: &[(&'static str, String)],
+    extra: &[(&'static str, String)],
+) {
+    if span.is_some() {
+        let args: Vec<_> = labels.iter().chain(extra).cloned().collect();
+        obs::tracer().end_span(obs::worker_track(), "executor", name, span, &args);
+    }
+}
+
+/// Ends an `attempt` span with its `outcome`.
+fn end_attempt(
+    span: Option<Instant>,
+    labels: &[(&'static str, String)],
+    attempt: u32,
+    outcome: &str,
+) {
+    end_span(
+        "attempt",
+        span,
+        labels,
+        &[
+            ("attempt", attempt.to_string()),
+            ("outcome", outcome.to_string()),
+        ],
+    );
+}
+
+/// Closes an attempt that returned `e` (a watchdog trip or a run error)
+/// and returns its line of the task's error history.
+fn failed_attempt(
+    span: Option<Instant>,
+    labels: &[(&'static str, String)],
+    attempt: u32,
+    e: &CosimError,
+) -> String {
+    if let CosimError::DeadlineExceeded { .. } = e {
+        end_attempt(span, labels, attempt, "deadline");
+        obs::metric_inc("executor.deadline_trips", 1);
+    } else {
+        end_attempt(span, labels, attempt, "error");
+    }
+    format!("attempt {attempt}: {}", error_chain(e))
+}
+
+/// Closes an attempt that panicked with `msg` and returns its line of the
+/// task's error history. The caller rebuilds the pool shard.
+fn panicked_attempt(
+    span: Option<Instant>,
+    labels: &[(&'static str, String)],
+    attempt: u32,
+    msg: &str,
+) -> String {
+    end_attempt(span, labels, attempt, "panic");
+    obs::metric_inc("executor.task_panics", 1);
+    format!("attempt {attempt}: panic: {msg}")
 }
 
 thread_local! {
@@ -943,9 +1259,11 @@ fn retry_backoff(exec: &ExecutorConfig, tag: &str, attempt: u32) -> Duration {
 /// any artifact: they depend on scheduling).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardStats {
-    /// Scenario runs served by worker-pool shards.
+    /// Scenario runs (and campaign cells) served by worker-pool shards,
+    /// one per member of each attempt: a group's shared attempt counts
+    /// each of its members.
     pub scenario_tasks: u64,
-    /// Tasks claimed by a worker other than the suite's requester.
+    /// Group tasks claimed by a worker other than the batch's requester.
     pub steals: u64,
     /// Scenario runs whose DC operating point came from a shard's cache.
     pub dc_cache_hits: u64,
@@ -953,6 +1271,15 @@ pub struct ShardStats {
     pub replayed: u64,
     /// Retry attempts spent by the attempt loop.
     pub retries: u64,
+    /// Group tasks run: each ticks one GPU trunk for its members' shared
+    /// attempt.
+    pub groups: u64,
+    /// GPU cycles ticked by group runs, re-ticked prefixes included.
+    pub gpu_ticks: u64,
+    /// Group members that left their trunk and parked.
+    pub parked: u64,
+    /// GPU cycles parked members re-ticked to rebuild their prefixes.
+    pub prefix_reticks: u64,
 }
 
 #[cfg(test)]
@@ -1019,7 +1346,7 @@ mod tests {
     fn steal_with_no_in_flight_suites_is_a_noop() {
         // An executor with nothing in flight must return false rather than
         // block or panic.
-        assert!(!Executor::default().steal_scenario_task());
+        assert!(!Executor::default().steal_group_task());
     }
 
     #[test]

@@ -5,13 +5,18 @@
 //! Level 1 is the executor's claim loop (`Executor::run_claims`): each
 //! worker claims the next experiment in *priority order* (heaviest suites
 //! first, see [`schedule_order`]), results landing at canonical slots, and
-//! runs it with a *copy* of the shared [`RunSettings`]. Level 2:
-//! experiments that run benchmark suites fan those out into per-scenario
-//! tasks (see [`crate::shard`]); a worker whose experiment queue has
-//! drained steals scenario tasks from suites still in flight instead of
-//! exiting, so `--jobs 8` helps even a single-experiment sweep.
+//! runs it with a *copy* of the shared [`RunSettings`]. Level 2: an
+//! experiment that runs benchmark suites requests all of them, its
+//! conventional baseline included, as one batch, which fans out into
+//! per-scenario group tasks (see [`crate::shard`]): per scenario, the
+//! runs that can share a GPU trunk tick one GPU until their SM controls
+//! diverge. A worker whose experiment queue has drained steals group tasks
+//! from batches still in flight instead of exiting, so `--jobs 8` helps
+//! even a single-experiment sweep. The manifest's `run_stats` line counts
+//! the group tasks, the GPU cycles they ticked, and the members that
+//! parked and re-ticked their prefixes.
 //!
-//! Crash safety: every experiment (and every scenario task, one level down)
+//! Crash safety: every experiment (and every scenario run, one level down)
 //! runs inside an isolation boundary — a panic becomes a failed run in the
 //! result, not a dead process. Scenario tasks that exhaust their retries
 //! quarantine, and the sweep completes **degraded**: [`SweepResult`]
@@ -79,7 +84,7 @@ pub struct SweepResult {
     /// scenario) for a deterministic manifest.
     pub quarantined: Vec<QuarantineRecord>,
     /// The executor's counters at the end of the sweep (tasks, steals,
-    /// cache hits, replays, retries). Observational — scheduling-dependent
+    /// cache hits, replays, retries, GPU trunks). Observational — scheduling-dependent
     /// — so they appear only in the non-deterministic manifest
     /// (`run_stats` line), never in golden trees.
     pub stats: ShardStats,
@@ -103,7 +108,7 @@ pub fn effective_jobs(jobs: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// Approximate scenario-task count of an experiment: how many suite runs
+/// Approximate scenario-run count of an experiment: how many suite runs
 /// its computation triggers (x12 scenarios), from the experiment
 /// definitions. Only the *relative order* matters — this is the priority
 /// weight for [`schedule_order`] — so the numbers are maintained as rough
@@ -140,7 +145,7 @@ pub fn schedule_order(ids: &[ExperimentId]) -> Vec<usize> {
 }
 
 /// Runs the sweep on `exec`: a pool of `jobs` workers drains the experiment
-/// queue (priority order), then steals scenario tasks from in-flight suites
+/// queue (priority order), then steals group tasks from in-flight batches
 /// until everything lands. The pool is *not* capped at the experiment count
 /// — extra workers go straight to scenario stealing.
 pub fn run_sweep(exec: &Executor, opts: &SweepOptions) -> SweepResult {
@@ -288,6 +293,10 @@ impl SweepResult {
                 ("replayed", Json::from(self.stats.replayed)),
                 ("retries", Json::from(self.stats.retries)),
                 ("quarantined", Json::from(self.quarantined.len() as u64)),
+                ("groups", Json::from(self.stats.groups)),
+                ("gpu_ticks", Json::from(self.stats.gpu_ticks)),
+                ("parked", Json::from(self.stats.parked)),
+                ("prefix_reticks", Json::from(self.stats.prefix_reticks)),
             ]));
         }
         for run in &self.runs {

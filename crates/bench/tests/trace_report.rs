@@ -125,7 +125,20 @@ fn traced_chaos_sweep_report_and_baseline_diff() {
     let count = |name: &str| events.iter().filter(|e| e.name == name).count();
     assert_eq!(count("backoff"), 6, "one backoff per retry");
     assert_eq!(count("quarantine"), 2);
-    assert_eq!(count("pool_rebuild"), 6, "every panic poisons its shard");
+    // A panic poisons the shard it unwound through: bfs's group attempt
+    // panics once for both suites' runs, heartwall's solo retries four times.
+    assert_eq!(count("pool_rebuild"), 5, "every panic poisons its shard");
+    // Per scenario, the two suites' runs share one group task and trunk.
+    assert_eq!(count("group"), 12, "a group span per group task");
+    assert!(
+        events
+            .iter()
+            .filter(|e| e.name == "group")
+            .all(|e| e.arg("members") == Some("2") && e.arg("forks").is_some()),
+        "group spans name their members and forks"
+    );
+    assert_eq!(metrics.counter("executor.groups"), Some(12));
+    assert!(metrics.counter("cosim.gpu_ticks").is_some_and(|t| t > 0));
     assert!(count("task") >= 24, "a task span per scenario task");
     assert!(count("artifact_write") >= 2, "fig14.jsonl + manifest.jsonl");
     assert_eq!(metrics.counter("executor.retries"), Some(6));

@@ -1,26 +1,34 @@
-//! Pooled co-simulation: run many scenarios back-to-back on one reusable
-//! circuit-solver workspace.
+//! Pooled co-simulation: run many scenarios back-to-back on reusable
+//! circuit-solver workspaces, alone or as groups sharing one GPU trunk.
 //!
 //! Every [`Cosim`] owns a transient circuit solver whose warm-up —
 //! matrix/vector buffers, LU scratch, and the DC operating point of the
 //! netlist — is pure overhead when runs execute in sequence (a suite sweep,
-//! a parameter scan, a fault campaign). [`CosimPool`] keeps one
-//! [`SolverWorkspace`] alive across runs: each run is constructed *in* the
+//! a parameter scan, a fault campaign). [`CosimPool`] keeps its
+//! [`SolverWorkspace`]s alive across runs: each run is constructed *in* a
 //! workspace, and torn back *into* it when it finishes. Reuse never changes
 //! results (the workspace re-initializes from the netlist; the DC cache only
 //! applies on an exact netlist fingerprint match), which the
 //! `workspace_reuse` integration test asserts bit-for-bit.
+//!
+//! [`CosimPool::run_group`] runs several configurations of one workload
+//! that share a [`TrunkKey`] on one GPU trunk (see the `cosim` module
+//! docs): the group's runs tick one GPU until their SM controls diverge,
+//! and each report is bit-identical to running that configuration alone
+//! (the `trunk_group` integration test). The pool keeps one workspace per
+//! group position, so position `i` of every group reuses the same
+//! workspace; single runs use the first.
 
 use vs_circuit::SolverWorkspace;
 use vs_gpu::WorkloadProfile;
 
 use crate::config::CosimConfig;
-use crate::cosim::{Cosim, CosimReport, PowerManagement};
+use crate::cosim::{run_group, Cosim, CosimReport, GroupOutcome, GroupRun, PowerManagement};
 use crate::fault::FaultPlan;
 use crate::scenarios::ScenarioId;
-use crate::supervisor::{CosimError, CycleBudget, SupervisedReport, SupervisorConfig};
+use crate::supervisor::{CycleBudget, SupervisedReport, SupervisorConfig};
 
-/// Runs scenarios back-to-back, recycling one [`SolverWorkspace`] so every
+/// Runs scenarios back-to-back, recycling [`SolverWorkspace`]s so every
 /// run after the first skips the circuit solver's warm-up allocations (and,
 /// for a repeated PDS configuration, its DC operating-point solve).
 ///
@@ -39,11 +47,12 @@ use crate::supervisor::{CosimError, CycleBudget, SupervisedReport, SupervisorCon
 /// ```
 #[derive(Debug, Default)]
 pub struct CosimPool {
-    workspace: SolverWorkspace,
+    /// One workspace per group position; single runs use the first.
+    workspaces: Vec<SolverWorkspace>,
 }
 
 impl CosimPool {
-    /// An empty pool; the workspace warms up on the first run.
+    /// An empty pool; each workspace warms up on its first run.
     pub fn new() -> Self {
         Self::default()
     }
@@ -53,12 +62,20 @@ impl CosimPool {
     /// operating point (stacked rigs initialize analytically), so this
     /// stays 0 for a pool that only ran stacked rigs.
     pub fn dc_cache_hits(&self) -> u64 {
-        self.workspace.dc_cache_hits()
+        self.workspaces.iter().map(SolverWorkspace::dc_cache_hits).sum()
     }
 
     /// How many runs have gone through this pool.
     pub fn runs(&self) -> u64 {
-        self.workspace.runs()
+        self.workspaces.iter().map(SolverWorkspace::runs).sum()
+    }
+
+    /// The first `n` workspaces, created on first use.
+    fn workspaces(&mut self, n: usize) -> &mut [SolverWorkspace] {
+        if self.workspaces.len() < n {
+            self.workspaces.resize_with(n, SolverWorkspace::new);
+        }
+        &mut self.workspaces[..n]
     }
 
     /// Runs one catalogue scenario under `cfg` on the pooled workspace.
@@ -72,8 +89,7 @@ impl CosimPool {
     }
 
     /// Runs one catalogue scenario under `cfg` with power management on the
-    /// pooled workspace (the per-task unit of the sweep's scenario-level
-    /// sharding: each worker thread owns one pool and feeds it these).
+    /// pooled workspace.
     ///
     /// # Panics
     ///
@@ -102,58 +118,14 @@ impl CosimPool {
         profile: &WorkloadProfile,
         pm: PowerManagement,
     ) -> CosimReport {
-        let workspace = std::mem::take(&mut self.workspace);
+        let ws = &mut self.workspaces(1)[0];
         let mut cosim = Cosim::builder(cfg, profile)
             .power_management(pm)
-            .workspace(workspace)
+            .workspace(std::mem::take(ws))
             .build();
         let report = cosim.run();
-        self.workspace = cosim.into_workspace();
+        *ws = cosim.into_workspace();
         report
-    }
-
-    /// Fallible twin of [`CosimPool::run_scenario_with_pm`]: runs under a
-    /// watchdog [`CycleBudget`] and returns solver failures or deadline
-    /// trips as an error. The workspace is recovered on *both* paths, so a
-    /// timed-out task does not cost the pool its warm solver state.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`CosimError`] the supervised run recorded.
-    pub fn try_run_scenario_with_pm(
-        &mut self,
-        cfg: &CosimConfig,
-        id: ScenarioId,
-        pm: PowerManagement,
-        budget: CycleBudget,
-    ) -> Result<CosimReport, CosimError> {
-        let profile = id.profile();
-        self.try_run_profile(cfg, &profile, pm, budget)
-    }
-
-    /// Fallible twin of [`CosimPool::run_profile`] under a watchdog
-    /// [`CycleBudget`]; recovers the workspace whether the run completes or
-    /// errors.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`CosimError`] the supervised run recorded.
-    pub fn try_run_profile(
-        &mut self,
-        cfg: &CosimConfig,
-        profile: &WorkloadProfile,
-        pm: PowerManagement,
-        budget: CycleBudget,
-    ) -> Result<CosimReport, CosimError> {
-        let workspace = std::mem::take(&mut self.workspace);
-        let mut cosim = Cosim::builder(cfg, profile)
-            .power_management(pm)
-            .workspace(workspace)
-            .budget(budget)
-            .build();
-        let result = cosim.try_run();
-        self.workspace = cosim.into_workspace();
-        result
     }
 
     /// Runs one workload profile under a supervisor and fault plan on the
@@ -170,9 +142,10 @@ impl CosimPool {
     }
 
     /// [`CosimPool::run_supervised`] with a watchdog [`CycleBudget`]: a
-    /// deadline trip surfaces as [`CosimError::DeadlineExceeded`] in the
-    /// report's `error` slot (and classifies as an aborted verdict), letting
-    /// the fault campaign's sharded executor retry wedged cells.
+    /// deadline trip surfaces as [`crate::CosimError::DeadlineExceeded`] in
+    /// the report's `error` slot (and classifies as an aborted verdict),
+    /// letting the fault campaign's sharded executor retry wedged cells.
+    /// The workspace is recovered whether the run completes or errors.
     pub fn run_supervised_with_budget(
         &mut self,
         cfg: &CosimConfig,
@@ -181,14 +154,33 @@ impl CosimPool {
         plan: &FaultPlan,
         budget: CycleBudget,
     ) -> SupervisedReport {
-        let workspace = std::mem::take(&mut self.workspace);
+        let ws = &mut self.workspaces(1)[0];
         let mut cosim = Cosim::builder(cfg, profile)
-            .workspace(workspace)
+            .workspace(std::mem::take(ws))
             .budget(budget)
             .build();
         let report = cosim.run_supervised(sup, plan);
-        self.workspace = cosim.into_workspace();
+        *ws = cosim.into_workspace();
         report
+    }
+
+    /// Runs `runs` of `profile` as one group on one GPU trunk, run `i` in
+    /// the pool's workspace `i`, without faults. Each report is
+    /// bit-identical to [`CosimPool::run_supervised_with_budget`] of that
+    /// run alone; a watchdog trip or solver failure ends that run only.
+    /// The workspaces are recovered however the runs end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `runs` is empty or its runs do not share one
+    /// [`crate::TrunkKey`].
+    pub fn run_group(
+        &mut self,
+        profile: &WorkloadProfile,
+        runs: &[GroupRun],
+        sup: &SupervisorConfig,
+    ) -> GroupOutcome {
+        run_group(profile, runs, sup, self.workspaces(runs.len()))
     }
 }
 
@@ -196,6 +188,7 @@ impl CosimPool {
 mod tests {
     use super::*;
     use crate::config::PdsKind;
+    use crate::supervisor::CosimError;
 
     fn tiny(pds: PdsKind) -> CosimConfig {
         CosimConfig {
@@ -233,33 +226,30 @@ mod tests {
     #[test]
     fn tripped_budget_errors_and_keeps_workspace_warm() {
         let cfg = tiny(PdsKind::ConventionalVrm);
+        let profile = ScenarioId::Heartwall.profile();
+        let sup = SupervisorConfig::default();
+        let run = |budget| GroupRun {
+            cfg: cfg.clone(),
+            pm: PowerManagement::default(),
+            budget,
+        };
         let mut pool = CosimPool::new();
         // Warm the DC cache, then trip a budget deterministically mid-run.
         let ok = pool.run_scenario(&cfg, ScenarioId::Heartwall);
         assert!(ok.completed);
-        let err = pool
-            .try_run_scenario_with_pm(
-                &cfg,
-                ScenarioId::Heartwall,
-                PowerManagement::default(),
-                CycleBudget::tripping_at(100),
-            )
-            .unwrap_err();
-        assert!(matches!(err, CosimError::DeadlineExceeded { cycle: 100 }));
+        let tripped = pool.run_group(&profile, &[run(CycleBudget::tripping_at(100))], &sup);
+        assert!(matches!(
+            tripped.reports[0].error,
+            Some(CosimError::DeadlineExceeded { cycle: 100 })
+        ));
         // The workspace survived the failed run: the next run still serves
         // its DC operating point from the cache.
         let hits = pool.dc_cache_hits();
-        let again = pool
-            .try_run_scenario_with_pm(
-                &cfg,
-                ScenarioId::Heartwall,
-                PowerManagement::default(),
-                CycleBudget::unlimited(),
-            )
-            .unwrap();
-        assert!(again.completed);
+        let again = pool.run_group(&profile, &[run(CycleBudget::unlimited())], &sup);
+        assert!(again.reports[0].error.is_none());
+        assert!(again.reports[0].report.completed);
         assert_eq!(pool.dc_cache_hits(), hits + 1);
-        assert_eq!(again.cycles, ok.cycles);
+        assert_eq!(again.reports[0].report.cycles, ok.cycles);
     }
 
     #[test]

@@ -9,14 +9,35 @@
 //! controller's (latency-delayed) commands feed back into the next cycle's
 //! issue widths, fake-instruction rates, and DCC ballast currents.
 //!
-//! The run loop is factored into explicit phases ([`Cosim::run_begin`],
-//! [`Cosim::cycle_pre`], [`Cosim::scalar_solve`], [`Cosim::cycle_post`],
-//! [`Cosim::run_finish`]) around a [`RunState`] that carries every
-//! loop-carried value; [`Cosim::run_supervised`] is their composition.
+//! A run splits into its GPU, the *trunk*, and its `Member` half: power
+//! model, PDS rig, controller, DFS/PG/hypervisor, and the SM controls its
+//! GPU ticks under. The GPU hears the rest of the run only through those
+//! controls, so runs of one workload that share a [`TrunkKey`] (kernel
+//! seed, workload scale, cycle cap, scheduler, initial controls) tick
+//! identical GPUs until their controls first differ.
+//!
+//! The run loop is factored into explicit phases around a `RunState` that
+//! carries every loop-carried value. Per cycle the trunk ticks once, and
+//! each member riding it steps its own phases from the trunk's events:
+//! `cycle_pre` (power model, circuit-boundary faults), `scalar_solve`,
+//! and `cycle_post` (statistics, controller, epoch power management, which
+//! write the member's controls). Then the fork rule runs: riders whose
+//! controls, compared bit for bit, still match the trunk's ride on, and the
+//! others *park*. If no rider matches, the last rider keeps the trunk (its
+//! controls become the trunk's) and the others park. So the trunk's
+//! controls change only while one member rides it, and a parked member's
+//! prefix always ran under the initial controls: once the trunk is dropped,
+//! each parked member re-ticks that prefix on a fresh GPU built from the
+//! kernel and finishes alone. No GPU is ever cloned, so a group holds at
+//! most one GPU at a time. [`crate::CosimPool::run_group`] runs a group;
+//! [`Cosim::run_supervised`] is the one-member case of the same loop.
 
 use vs_circuit::{SolverWorkspace, StepReport};
 use vs_control::{ControllerConfig, DccDac, SmCommand, VoltageController};
-use vs_gpu::{build_kernel, Gpu, GpuConfig, GpuCycleEvents, SchedulerKind, SmStats, WorkloadProfile};
+use vs_gpu::{
+    build_kernel, Gpu, GpuConfig, GpuCycleEvents, Kernel, SchedulerKind, SmControl, SmStats,
+    WorkloadProfile,
+};
 use vs_hypervisor::{DfsConfig, DfsGovernor, GatingAccountant, PgConfig, VsAwareHypervisor};
 use vs_num::Rng;
 use vs_power::{PowerModel, SmPower};
@@ -118,20 +139,19 @@ impl<'a> CosimBuilder<'a> {
     /// Assembles the co-simulation: GPU, power model, PDS rig, controller,
     /// and the optional power-management governors.
     pub fn build(self) -> Cosim {
+        let gpu = TrunkSpec::new(self.cfg, &self.pm, self.profile).gpu();
+        Cosim {
+            gpu,
+            sup: self.sup,
+            member: self.member(),
+        }
+    }
+
+    /// Assembles everything of the run but its GPU.
+    fn member(self) -> Member {
         let cfg = self.cfg;
         let pm = self.pm;
         let gpu_config = GpuConfig::default();
-        let mut kernel = build_kernel(self.profile, &gpu_config, cfg.seed);
-        if cfg.workload_scale < 1.0 {
-            kernel.iterations =
-                ((f64::from(kernel.iterations) * cfg.workload_scale).round() as u32).max(1);
-        }
-        let scheduler = if pm.pg.is_some_and(|p| p.gates_scheduler) {
-            SchedulerKind::TwoLevelGates
-        } else {
-            SchedulerKind::Gto
-        };
-        let gpu = Gpu::new(&gpu_config, &kernel, scheduler);
         let power = PowerModel::fermi_40nm();
         let controller_cfg = ControllerConfig {
             v_threshold: cfg.v_threshold,
@@ -165,12 +185,11 @@ impl<'a> CosimBuilder<'a> {
         let hypervisor = pm.use_hypervisor.then(|| {
             VsAwareHypervisor::new(pm.hypervisor_config.unwrap_or_default())
         });
-        Cosim {
+        let controls = vec![initial_control(&pm); gpu_config.n_sms];
+        Member {
             cfg: cfg.clone(),
             pm,
-            sup: self.sup,
             budget: self.budget,
-            gpu,
             power,
             rig,
             controller,
@@ -179,7 +198,86 @@ impl<'a> CosimBuilder<'a> {
             gating_acc: GatingAccountant::new(),
             benchmark: self.profile.name.clone(),
             telemetry: self.telemetry,
+            controls,
         }
+    }
+}
+
+/// The SM controls every run starts from: the defaults, with execution-unit
+/// gating on when power gating is enabled.
+fn initial_control(pm: &PowerManagement) -> SmControl {
+    SmControl {
+        unit_gating: pm.pg.is_some_and(|p| p.enabled),
+        ..SmControl::default()
+    }
+}
+
+/// What a run's GPU trajectory depends on besides its workload profile:
+/// the kernel (seed, workload scale), the cycle cap, the scheduler
+/// (`pg.gates_scheduler`) and the initial SM controls (`pg.enabled`). Runs
+/// of one workload with equal keys tick identical GPUs until their SM
+/// controls first differ, so they may share a trunk
+/// ([`crate::CosimPool::run_group`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TrunkKey {
+    seed: u64,
+    workload_scale: u64,
+    max_cycles: u64,
+    gates_scheduler: bool,
+    unit_gating: bool,
+}
+
+impl TrunkKey {
+    /// The trunk key of a run of `cfg` under `pm`.
+    pub fn new(cfg: &CosimConfig, pm: &PowerManagement) -> Self {
+        TrunkKey {
+            seed: cfg.seed,
+            workload_scale: cfg.workload_scale.to_bits(),
+            max_cycles: cfg.max_cycles,
+            gates_scheduler: pm.pg.is_some_and(|p| p.gates_scheduler),
+            unit_gating: initial_control(pm).unit_gating,
+        }
+    }
+}
+
+/// How to build a run's GPU at cycle 0: the kernel, the scheduler and the
+/// initial controls. A group keeps one to rebuild its parked members'
+/// GPUs.
+struct TrunkSpec {
+    config: GpuConfig,
+    kernel: Kernel,
+    scheduler: SchedulerKind,
+    control: SmControl,
+}
+
+impl TrunkSpec {
+    fn new(cfg: &CosimConfig, pm: &PowerManagement, profile: &WorkloadProfile) -> Self {
+        let config = GpuConfig::default();
+        let mut kernel = build_kernel(profile, &config, cfg.seed);
+        if cfg.workload_scale < 1.0 {
+            kernel.iterations =
+                ((f64::from(kernel.iterations) * cfg.workload_scale).round() as u32).max(1);
+        }
+        let scheduler = if pm.pg.is_some_and(|p| p.gates_scheduler) {
+            SchedulerKind::TwoLevelGates
+        } else {
+            SchedulerKind::Gto
+        };
+        TrunkSpec {
+            config,
+            kernel,
+            scheduler,
+            control: initial_control(pm),
+        }
+    }
+
+    /// A fresh GPU at cycle 0 under the initial controls.
+    fn gpu(&self) -> Gpu {
+        let mut gpu = Gpu::new(&self.config, &self.kernel, self.scheduler);
+        for sm in 0..gpu.n_sms() {
+            gpu.set_sm_control(sm, self.control);
+        }
+        gpu
     }
 }
 
@@ -273,11 +371,17 @@ impl CosimReport {
 /// from cycle zero (running it a second time returns immediately with the
 /// finished state).
 pub struct Cosim {
+    gpu: Gpu,
+    sup: SupervisorConfig,
+    member: Member,
+}
+
+/// Everything of one run but its GPU: what steps per cycle from the GPU's
+/// events, and the SM controls it wants its GPU to tick under.
+pub(crate) struct Member {
     cfg: CosimConfig,
     pm: PowerManagement,
-    sup: SupervisorConfig,
     budget: CycleBudget,
-    gpu: Gpu,
     power: PowerModel,
     rig: PdsRig,
     controller: Option<VoltageController>,
@@ -286,26 +390,19 @@ pub struct Cosim {
     gating_acc: GatingAccountant,
     benchmark: String,
     telemetry: Telemetry,
+    /// Written by the controller and the epoch power management; the fork
+    /// rule compares them with the trunk's after every post-solve phase.
+    controls: Vec<SmControl>,
 }
 
 /// Upper bounds for the per-layer minimum-voltage histogram recorded under
 /// the `voltage.layer_min_v` metric (volts).
 const LAYER_MIN_V_BOUNDS: [f64; 9] = [0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 1.00, 1.05, 1.10];
 
-/// Where one supervised run stands after [`Cosim::cycle_pre`].
-enum CyclePhase {
-    /// The run loop is over: kernel retired, cycle cap reached, watchdog
-    /// tripped, or a fault-application error was recorded in the state.
-    Finished,
-    /// This cycle's (possibly faulted) loads are computed and the circuit
-    /// solve is next.
-    Solve,
-}
-
 /// All loop-carried state of one supervised run, threaded through the
-/// cycle phases of [`Cosim::run_supervised`]. Construct with
-/// [`Cosim::run_begin`], consume with [`Cosim::run_finish`], and always
-/// pass the same `sup`/`plan` to every phase of one run.
+/// cycle phases. Construct with `Member::run_begin`, consume with
+/// `Member::run_finish`, and always pass the same `sup`/`plan` to every
+/// phase of one run.
 struct RunState {
     n_sms: usize,
     dt: f64,
@@ -330,16 +427,298 @@ struct RunState {
     sm_watts: Vec<f64>,
     fake_watts: Vec<f64>,
     table_fake: f64,
-    events: GpuCycleEvents,
     voltages: Vec<f64>,
     sensed: Vec<f64>,
     commands: Vec<SmCommand>,
     stride: u64,
     layer_min: Vec<f64>,
     issue_max: f64,
-    /// The cycle number captured by the latest [`Cosim::cycle_pre`], used by
-    /// the solve and post phases of the same cycle.
+    /// The GPU cycle count after this cycle's tick, captured by
+    /// `Member::cycle_pre` for the solve and post phases of the same cycle.
     cycle: u64,
+}
+
+/// How one member of a group used the GPU trunk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ride {
+    /// Finished on the trunk; its controls never left the trunk's.
+    Shared,
+    /// Its controls left the trunk's after cycle `at` while other members
+    /// rode on: it parked, re-ticked those `at` cycles on a fresh GPU, and
+    /// finished alone.
+    Parked {
+        /// GPU cycles it had ridden the trunk.
+        at: u64,
+    },
+    /// Its controls left the trunk's after cycle `at` when no other rider's
+    /// matched: it kept the trunk, which ran under its controls from then on.
+    Kept {
+        /// GPU cycles it had ridden the trunk unchanged.
+        at: u64,
+    },
+}
+
+/// What one group run did with its GPU. Observational: it never enters a
+/// report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct GroupStats {
+    /// GPU cycles ticked: the trunk's, plus each parked member's re-ticked
+    /// prefix and lone tail.
+    pub gpu_ticks: u64,
+    /// Members that parked.
+    pub parked: u64,
+    /// GPU cycles the parked members re-ticked to rebuild their prefixes
+    /// (counted in `gpu_ticks` too).
+    pub prefix_reticks: u64,
+}
+
+/// One run of a group: its configuration, power management and watchdog
+/// budget. The group's runs share the workload profile and a [`TrunkKey`].
+#[derive(Debug, Clone)]
+pub struct GroupRun {
+    /// The run's configuration.
+    pub cfg: CosimConfig,
+    /// The run's power management.
+    pub pm: PowerManagement,
+    /// The run's watchdog budget (see [`CosimBuilder::budget`]).
+    pub budget: CycleBudget,
+}
+
+/// The result of [`crate::CosimPool::run_group`]: one report and one ride
+/// per run, in the order of the runs, plus the trunk's counters.
+#[derive(Debug)]
+pub struct GroupOutcome {
+    /// Each run's report, bit-identical to running it alone.
+    pub reports: Vec<SupervisedReport>,
+    /// How each run used the trunk.
+    pub rides: Vec<Ride>,
+    /// What the group did with its GPU.
+    pub stats: GroupStats,
+}
+
+/// The members of one group as they step against a trunk: one run state
+/// and report slot per member, who still rides, and who parked where.
+struct Group<'m> {
+    members: &'m mut [Member],
+    states: Vec<Option<RunState>>,
+    reports: Vec<Option<SupervisedReport>>,
+    rides: Vec<Ride>,
+    riders: Vec<usize>,
+    parked: Vec<(usize, u64)>,
+    events: GpuCycleEvents,
+    stats: GroupStats,
+}
+
+impl<'m> Group<'m> {
+    /// Begins every member's run; all of them ride.
+    fn new(members: &'m mut [Member], sup: &SupervisorConfig, plan: &FaultPlan) -> Self {
+        let n = members.len();
+        let states = members
+            .iter_mut()
+            .map(|m| Some(m.run_begin(sup, plan)))
+            .collect();
+        Group {
+            members,
+            states,
+            reports: (0..n).map(|_| None).collect(),
+            rides: vec![Ride::Shared; n],
+            riders: (0..n).collect(),
+            parked: Vec::with_capacity(n),
+            events: GpuCycleEvents::new(),
+            stats: GroupStats::default(),
+        }
+    }
+
+    /// Steps the riders against `gpu` until each has finished or parked.
+    /// Per cycle: the loop condition and each rider's watchdog, one tick,
+    /// each rider's pre-solve, solve and post-solve phases, then the fork
+    /// rule. A rider that stops (watchdog, fault or solver error) finishes
+    /// at once, reading the GPU as a lone run would.
+    fn ride(&mut self, gpu: &mut Gpu, sup: &SupervisorConfig, plan: &FaultPlan) {
+        let mut riders = std::mem::take(&mut self.riders);
+        let Some(&first) = riders.first() else { return };
+        let max_cycles = self.members[first].cfg.max_cycles;
+        let over = |gpu: &Gpu| gpu.done() || gpu.cycle() >= max_cycles;
+        while !riders.is_empty() && !over(gpu) {
+            let cycle = gpu.cycle();
+            riders.retain(|&m| {
+                if !self.members[m].budget.exceeded(cycle) {
+                    return true;
+                }
+                self.state(m).error = Some(CosimError::DeadlineExceeded { cycle });
+                self.finish(m, gpu, sup);
+                false
+            });
+            let Some(&first) = riders.first() else { break };
+            let span = self.members[first].telemetry.stages.start();
+            gpu.tick_into(&mut self.events);
+            self.stats.gpu_ticks += 1;
+            for &m in &riders {
+                self.members[m].telemetry.stages.stop(Stage::GpuStep, span);
+            }
+            let now = gpu.cycle();
+            riders.retain(|&m| {
+                let st = self.states[m].as_mut().expect("a rider's run is open");
+                let member = &mut self.members[m];
+                if member.cycle_pre(&self.events, now, st, plan) && member.scalar_solve(st) {
+                    member.cycle_post(gpu, st, sup, plan);
+                    return true;
+                }
+                self.finish(m, gpu, sup);
+                false
+            });
+            // Past the last tick, controls no longer matter: nobody forks.
+            if !over(gpu) {
+                self.fork(&mut riders, gpu);
+            }
+        }
+        for &m in &riders {
+            self.finish(m, gpu, sup);
+        }
+        riders.clear();
+        self.riders = riders;
+    }
+
+    /// The fork rule, after every rider's post-solve phase: riders whose
+    /// controls match the trunk's bit for bit ride on, and the others park.
+    /// If none match, the last rider keeps the trunk (its controls become
+    /// the trunk's) and the others park, so the trunk's controls change
+    /// only while a single member rides it.
+    fn fork(&mut self, riders: &mut Vec<usize>, gpu: &mut Gpu) {
+        let at = gpu.cycle();
+        let keeper = if riders
+            .iter()
+            .any(|&m| same_controls(&self.members[m].controls, gpu))
+        {
+            None
+        } else {
+            riders.last().copied()
+        };
+        if let Some(k) = keeper {
+            for (sm, c) in self.members[k].controls.iter().enumerate() {
+                gpu.set_sm_control(sm, *c);
+            }
+            if self.rides[k] == Ride::Shared {
+                self.rides[k] = Ride::Kept { at };
+            }
+        }
+        riders.retain(|&m| {
+            let stays = match keeper {
+                Some(k) => m == k,
+                None => same_controls(&self.members[m].controls, gpu),
+            };
+            if !stays {
+                self.rides[m] = Ride::Parked { at };
+                self.parked.push((m, at));
+                self.stats.parked += 1;
+            }
+            stays
+        });
+    }
+
+    /// Re-ticks each parked member's prefix on a fresh GPU from `spec` and
+    /// runs it to its end alone, one GPU at a time.
+    fn finish_parked(&mut self, spec: &TrunkSpec, sup: &SupervisorConfig, plan: &FaultPlan) {
+        for (m, at) in std::mem::take(&mut self.parked) {
+            let mut gpu = spec.gpu();
+            for _ in 0..at {
+                gpu.tick_into(&mut self.events);
+            }
+            self.stats.gpu_ticks += at;
+            self.stats.prefix_reticks += at;
+            for (sm, c) in self.members[m].controls.iter().enumerate() {
+                gpu.set_sm_control(sm, *c);
+            }
+            self.riders.push(m);
+            self.ride(&mut gpu, sup, plan);
+        }
+    }
+
+    fn state(&mut self, m: usize) -> &mut RunState {
+        self.states[m].as_mut().expect("a rider's run is open")
+    }
+
+    fn finish(&mut self, m: usize, gpu: &Gpu, sup: &SupervisorConfig) {
+        let st = self.states[m].take().expect("a run finishes once");
+        self.reports[m] = Some(self.members[m].run_finish(st, gpu, sup));
+    }
+
+    fn into_outcome(self) -> GroupOutcome {
+        GroupOutcome {
+            reports: self
+                .reports
+                .into_iter()
+                .map(|r| r.expect("every member finished"))
+                .collect(),
+            rides: self.rides,
+            stats: self.stats,
+        }
+    }
+}
+
+/// Whether `controls` equal the GPU's bit for bit.
+fn same_controls(controls: &[SmControl], gpu: &Gpu) -> bool {
+    controls.iter().enumerate().all(|(sm, a)| {
+        let b = gpu.sm_control(sm);
+        // Exhaustive, so a new control field cannot be left out.
+        let SmControl {
+            issue_width,
+            fake_rate,
+            freq_scale,
+            sm_gated,
+            unit_gating,
+            gating_idle_detect,
+        } = *a;
+        issue_width.to_bits() == b.issue_width.to_bits()
+            && fake_rate.to_bits() == b.fake_rate.to_bits()
+            && freq_scale.to_bits() == b.freq_scale.to_bits()
+            && sm_gated == b.sm_gated
+            && unit_gating == b.unit_gating
+            && gating_idle_detect == b.gating_idle_detect
+    })
+}
+
+/// Runs `runs` of `profile` on one GPU trunk, each member built in the
+/// matching workspace of `workspaces` and torn back into it.
+///
+/// # Panics
+///
+/// Panics if `runs` is empty, if the runs do not share one [`TrunkKey`],
+/// or if `workspaces` is shorter than `runs`.
+pub(crate) fn run_group(
+    profile: &WorkloadProfile,
+    runs: &[GroupRun],
+    sup: &SupervisorConfig,
+    workspaces: &mut [SolverWorkspace],
+) -> GroupOutcome {
+    let lead = runs.first().expect("a group has at least one run");
+    let key = TrunkKey::new(&lead.cfg, &lead.pm);
+    assert!(
+        runs.iter().all(|r| TrunkKey::new(&r.cfg, &r.pm) == key),
+        "a group's runs must share one trunk key"
+    );
+    assert!(workspaces.len() >= runs.len(), "one workspace per run");
+    let spec = TrunkSpec::new(&lead.cfg, &lead.pm, profile);
+    let mut members: Vec<Member> = runs
+        .iter()
+        .zip(workspaces.iter_mut())
+        .map(|(run, ws)| {
+            Cosim::builder(&run.cfg, profile)
+                .power_management(run.pm.clone())
+                .budget(run.budget)
+                .workspace(std::mem::take(ws))
+                .member()
+        })
+        .collect();
+    let plan = FaultPlan::none();
+    let mut group = Group::new(&mut members, sup, &plan);
+    group.ride(&mut spec.gpu(), sup, &plan);
+    group.finish_parked(&spec, sup, &plan);
+    let outcome = group.into_outcome();
+    for (ws, member) in workspaces.iter_mut().zip(members) {
+        *ws = member.rig.into_workspace();
+    }
+    outcome
 }
 
 impl Cosim {
@@ -352,7 +731,7 @@ impl Cosim {
     /// [`SolverWorkspace`] so the next scenario skips its warm-up
     /// allocations (the mechanism behind [`crate::CosimPool`]).
     pub fn into_workspace(self) -> SolverWorkspace {
-        self.rig.into_workspace()
+        self.member.rig.into_workspace()
     }
 
     /// Runs to kernel completion (or the cycle cap) and reports.
@@ -377,7 +756,7 @@ impl Cosim {
 
     /// Like [`Cosim::run`] but returns solver failures and watchdog
     /// deadline trips (see [`CosimBuilder::budget`]) as an error instead of
-    /// panicking — the entry point the crash-safe sweep executor uses.
+    /// panicking.
     ///
     /// # Errors
     ///
@@ -395,21 +774,20 @@ impl Cosim {
     /// policy on the rig, interprets `plan` every cycle (sensing, actuation,
     /// CR-IVR, and load faults), tracks per-layer time below the voltage
     /// guardband, and classifies the finished run into a
-    /// [`crate::RunVerdict`] instead of panicking on solver failure.
+    /// [`crate::RunVerdict`] instead of panicking on solver failure. It is
+    /// the one-member case of the group loop (see the module docs): the
+    /// lone member always keeps its trunk, so it never parks.
     pub fn run_supervised(&mut self, sup: &SupervisorConfig, plan: &FaultPlan) -> SupervisedReport {
-        let mut st = self.run_begin(sup, plan);
-        while let CyclePhase::Solve = self.cycle_pre(&mut st, plan) {
-            if !self.scalar_solve(&mut st) {
-                break;
-            }
-            self.cycle_post(&mut st, sup, plan);
-        }
-        self.run_finish(st, sup)
+        let mut group = Group::new(std::slice::from_mut(&mut self.member), sup, plan);
+        group.ride(&mut self.gpu, sup, plan);
+        let mut outcome = group.into_outcome();
+        outcome.reports.pop().expect("one member, one report")
     }
+}
 
+impl Member {
     /// Sets up one supervised run: installs the recovery policy, allocates
-    /// every loop-carried buffer, enables gating if requested, and emits the
-    /// telemetry manifest.
+    /// every loop-carried buffer, and emits the telemetry manifest.
     fn run_begin(&mut self, sup: &SupervisorConfig, plan: &FaultPlan) -> RunState {
         let n_sms = self.rig.n_sms();
         let dt = 1.0 / self.power.clock_hz();
@@ -433,15 +811,6 @@ impl Cosim {
         };
         let histogram = ImbalanceHistogram::new(self.rig.topology());
         let epoch_cycles = self.pm.dfs.map_or(4096, |d| d.epoch_cycles);
-
-        // Enable gating up front if requested.
-        if self.pm.pg.is_some_and(|p| p.enabled) {
-            for sm in 0..n_sms {
-                let mut c = self.gpu.sm_control(sm);
-                c.unit_gating = true;
-                self.gpu.set_sm_control(sm, c);
-            }
-        }
 
         let stride = u64::from(self.cfg.trace_stride.max(1));
         let issue_max = self
@@ -499,7 +868,6 @@ impl Cosim {
             table_fake: self.power.table().e_fake,
             // Reusable hot-loop buffers: the steady-state cycle allocates
             // nothing (see DESIGN.md, "The zero-allocation hot path").
-            events: GpuCycleEvents::new(),
             voltages: Vec::with_capacity(n_sms),
             sensed: Vec::with_capacity(n_sms),
             commands: Vec::with_capacity(n_sms),
@@ -510,28 +878,23 @@ impl Cosim {
         }
     }
 
-    /// One cycle's pre-solve phase: loop condition, watchdog, GPU tick,
-    /// power model, and circuit-boundary fault application. On
-    /// [`CyclePhase::Solve`] the cycle's loads sit in the state, ready to
-    /// stage onto the solver.
-    fn cycle_pre(&mut self, st: &mut RunState, plan: &FaultPlan) -> CyclePhase {
-        if self.gpu.done() || self.gpu.cycle() >= self.cfg.max_cycles {
-            return CyclePhase::Finished;
-        }
-        if self.budget.exceeded(self.gpu.cycle()) {
-            st.error = Some(CosimError::DeadlineExceeded {
-                cycle: self.gpu.cycle(),
-            });
-            return CyclePhase::Finished;
-        }
-        let span = self.telemetry.stages.start();
-        self.gpu.tick_into(&mut st.events);
-        self.telemetry.stages.stop(Stage::GpuStep, span);
+    /// One cycle's pre-solve phase, from the trunk's `events` of the tick
+    /// that brought the GPU to `cycle`: power model and circuit-boundary
+    /// fault application. Returns `false` when a fault could not be applied
+    /// (the error sits in the state) and the run must stop; otherwise the
+    /// cycle's loads sit in the state, ready to stage onto the solver.
+    fn cycle_pre(
+        &mut self,
+        events: &GpuCycleEvents,
+        cycle: u64,
+        st: &mut RunState,
+        plan: &FaultPlan,
+    ) -> bool {
         self.rig.sm_voltages_into(&mut st.voltages);
 
         let span = self.telemetry.stages.start();
         for sm in 0..st.n_sms {
-            let s = &st.events.per_sm[sm];
+            let s = &events.per_sm[sm];
             let mut p = self.power.sm_power_w(s);
             if self.cfg.voltage_scaled_power {
                 p = self.power.voltage_scaled(p, st.voltages[sm]);
@@ -548,7 +911,6 @@ impl Cosim {
         // Scheduled faults at the circuit boundary: CR-IVR degradation
         // retunes the netlist on window edges; load glitches corrupt the
         // power telemetry the solver is about to consume.
-        let cycle = self.gpu.cycle();
         st.cycle = cycle;
         for (i, ev) in plan.events().iter().enumerate() {
             match ev.kind {
@@ -573,10 +935,7 @@ impl Cosim {
                 _ => {}
             }
         }
-        if st.error.is_some() {
-            return CyclePhase::Finished;
-        }
-        CyclePhase::Solve
+        st.error.is_none()
     }
 
     /// One cycle's circuit solve: stage loads, advance the rig one timestep
@@ -604,15 +963,23 @@ impl Cosim {
 
     /// One cycle's post-solve phase: voltage statistics, guardband tracking,
     /// decimated telemetry, the voltage-smoothing controller, epoch power
-    /// management, and the frequency-scale accumulator.
+    /// management, and the frequency-scale accumulator. The controller and
+    /// the epoch power management write the member's controls; `gpu` is
+    /// read only for the DFS epoch's instruction counts.
     #[allow(clippy::too_many_lines)]
-    fn cycle_post(&mut self, st: &mut RunState, sup: &SupervisorConfig, plan: &FaultPlan) {
+    fn cycle_post(
+        &mut self,
+        gpu: &Gpu,
+        st: &mut RunState,
+        sup: &SupervisorConfig,
+        plan: &FaultPlan,
+    ) {
         let cycle = st.cycle;
         self.rig.sm_voltages_into(&mut st.voltages);
         for (sm, v) in st.voltages.iter().enumerate() {
             st.min_v = st.min_v.min(*v);
             st.max_v = st.max_v.max(*v);
-            if self.cfg.record_traces && self.gpu.cycle().is_multiple_of(st.stride) {
+            if self.cfg.record_traces && cycle.is_multiple_of(st.stride) {
                 st.traces[sm].push(self.rig.time(), *v);
             }
         }
@@ -683,20 +1050,19 @@ impl Cosim {
                 }
             }
             for (sm, cmd) in st.commands.iter().enumerate() {
-                let mut c = self.gpu.sm_control(sm);
+                let c = &mut self.controls[sm];
                 c.issue_width = cmd.issue_width;
                 c.fake_rate = cmd.fake_rate;
-                self.gpu.set_sm_control(sm, c);
                 st.dcc_power[sm] = cmd.dcc_power_w;
             }
             self.telemetry.stages.stop(Stage::ControllerUpdate, span);
         }
 
         // Higher-level power management on epoch boundaries.
-        if self.gpu.cycle().is_multiple_of(st.epoch_cycles) {
+        if cycle.is_multiple_of(st.epoch_cycles) {
             let span = self.telemetry.stages.start();
             if let Some(gov) = self.dfs.as_mut() {
-                let stats = self.gpu.sm_stats();
+                let stats = gpu.sm_stats();
                 let instr: Vec<u64> = (0..st.n_sms)
                     .map(|i| stats[i].instructions - st.epoch_instr_base[i])
                     .collect();
@@ -716,10 +1082,9 @@ impl Cosim {
                 }
                 for sm in 0..st.n_sms {
                     gov.set_frequency(sm, freqs[sm]);
-                    let mut c = self.gpu.sm_control(sm);
+                    let c = &mut self.controls[sm];
                     c.freq_scale = freqs[sm] / gov.config().base_hz;
                     c.unit_gating = gates[sm];
-                    self.gpu.set_sm_control(sm, c);
                 }
             } else if let Some(hv) = self.hypervisor.as_mut() {
                 if let Some(ctrl) = self.controller.as_ref() {
@@ -729,25 +1094,21 @@ impl Cosim {
                     let mut freqs = vec![700e6; st.n_sms];
                     let mut gates = vec![true; st.n_sms];
                     hv.map_commands(&mut freqs, &mut gates);
-                    for (sm, gate) in gates.iter().enumerate() {
-                        let mut c = self.gpu.sm_control(sm);
+                    for (c, gate) in self.controls.iter_mut().zip(&gates) {
                         c.unit_gating = *gate;
-                        self.gpu.set_sm_control(sm, c);
                     }
                 }
             }
             self.telemetry.stages.stop(Stage::HypervisorRemap, span);
         }
-        st.freq_scale_acc += (0..st.n_sms)
-            .map(|i| self.gpu.sm_control(i).freq_scale)
-            .sum::<f64>()
-            / st.n_sms as f64;
+        st.freq_scale_acc +=
+            self.controls.iter().map(|c| c.freq_scale).sum::<f64>() / st.n_sms as f64;
     }
 
     /// Closes one supervised run: final statistics, telemetry flush, verdict
     /// classification, and report assembly.
     #[allow(clippy::too_many_lines)]
-    fn run_finish(&mut self, st: RunState, sup: &SupervisorConfig) -> SupervisedReport {
+    fn run_finish(&mut self, st: RunState, gpu: &Gpu, sup: &SupervisorConfig) -> SupervisedReport {
         let RunState {
             dt,
             below_guard_cycles,
@@ -760,8 +1121,8 @@ impl Cosim {
             freq_scale_acc,
             ..
         } = st;
-        let cycles = self.gpu.cycle();
-        let completed = self.gpu.done();
+        let cycles = gpu.cycle();
+        let completed = gpu.done();
         let ledger = self.rig.ledger();
         let gating_saved_j = if self.pm.pg.is_some() {
             self.gating_acc.net_energy_saved_j(&self.power)
@@ -773,7 +1134,7 @@ impl Cosim {
             pds: self.cfg.pds,
             cycles,
             completed,
-            instructions: self.gpu.total_instructions(),
+            instructions: gpu.total_instructions(),
             ledger,
             min_sm_voltage: min_v,
             max_sm_voltage: max_v,
@@ -800,7 +1161,7 @@ impl Cosim {
         let below_guardband_s =
             below_guard_cycles.iter().copied().max().unwrap_or(0) as f64 * dt;
         if self.telemetry.is_enabled() {
-            let stats = self.gpu.sm_stats();
+            let stats = gpu.sm_stats();
             for (sm, s) in stats.iter().enumerate() {
                 let sm_label = sm.to_string();
                 let labels = [("sm", sm_label.as_str())];
@@ -845,7 +1206,7 @@ impl Cosim {
             let gpu = GpuCounters {
                 per_sm_ipc: stats.iter().map(SmStats::ipc).collect(),
                 per_sm_stall_fraction: stats.iter().map(SmStats::stall_fraction).collect(),
-                instructions: self.gpu.total_instructions(),
+                instructions: gpu.total_instructions(),
                 fake_instructions: stats.iter().map(|s| s.fake_instructions).sum(),
             };
             self.telemetry.emit(|| Event::Gpu(gpu));

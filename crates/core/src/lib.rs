@@ -13,9 +13,13 @@
 //!   the twelve [`ScenarioId`] benchmarks under any of the four PDS
 //!   configurations and get a [`CosimReport`] with PDE, loss breakdown,
 //!   supply-noise statistics, and imbalance histograms.
-//! * [`CosimPool`] — run many scenarios back-to-back on one recycled
-//!   circuit-solver workspace (the allocation-free hot path behind the
+//! * [`CosimPool`] — run many scenarios back-to-back on recycled
+//!   circuit-solver workspaces (the allocation-free hot path behind the
 //!   sweep executor; see DESIGN.md, "The zero-allocation hot path").
+//! * [`CosimPool::run_group`] + [`TrunkKey`] — run several configurations
+//!   of one workload on one GPU trunk until their SM controls diverge,
+//!   each report bit-identical to its lone run (the sweep executor's
+//!   group tasks; see DESIGN.md, "Sweep GPU trunks").
 //! * [`run_worst_case`] — the synthetic worst-case imbalance scenario
 //!   behind the paper's reliability guarantee (Figs. 9–10).
 //! * [`RigLanes`] + [`run_worst_case_lanes`] — step several circuit-only
@@ -70,7 +74,10 @@ mod supervisor;
 
 pub use batch::CosimPool;
 pub use config::{CosimConfig, ParseGeometryError, PdsKind, StackGeometry};
-pub use cosim::{run_scenario, Cosim, CosimBuilder, CosimReport, PowerManagement};
+pub use cosim::{
+    run_scenario, Cosim, CosimBuilder, CosimReport, GroupOutcome, GroupRun, GroupStats,
+    PowerManagement, Ride, TrunkKey,
+};
 pub use fault::{CrIvrFault, FaultEvent, FaultKind, FaultPlan, FaultWindow, LoadGlitch};
 pub use imbalance::ImbalanceHistogram;
 pub use rig::{EnergyLedger, PdsRig, RigLanes};

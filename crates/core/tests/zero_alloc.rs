@@ -1,7 +1,7 @@
 //! Steady-state stepping must perform **zero heap allocations per cycle**
 //! — the acceptance bar for the co-simulation hot path, checked at each
-//! layer it runs through: the transient solver, the scalar PDS rig and the
-//! GPU model. A counting global allocator wraps the system allocator; after
+//! layer it runs through: the transient solver, the scalar PDS rig, the
+//! GPU model, and the group loop that steps several runs on one GPU trunk. A counting global allocator wraps the system allocator; after
 //! warm-up, a window of steps must leave the allocation counter untouched
 //! (or, for the GPU model, under its per-cycle bound). The count is per
 //! thread: the harness runs these tests concurrently, and a shared count
@@ -18,7 +18,11 @@ use std::cell::Cell;
 use std::hint::black_box;
 
 use vs_circuit::{Integration, Netlist, RecoveryPolicy, SolverWorkspace, Transient, Waveform};
-use vs_core::{PdsKind, PdsRig};
+use vs_control::ActuatorWeights;
+use vs_core::{
+    CosimConfig, CosimPool, CycleBudget, GroupRun, PdsKind, PdsRig, PowerManagement, Ride,
+    ScenarioId, SupervisorConfig,
+};
 use vs_gpu::{benchmark, build_kernel, Gpu, GpuConfig, GpuCycleEvents, SchedulerKind};
 
 struct CountingAlloc;
@@ -257,5 +261,65 @@ fn gpu_tick_into_bfs_stays_under_its_allocation_bound() {
         per_cycle <= MAX_ALLOCS_PER_CYCLE,
         "bfs Gpu::tick_into allocated {per_cycle:.4} times per cycle \
          (limit {MAX_ALLOCS_PER_CYCLE}): the memory path allocates per cycle again"
+    );
+}
+
+/// A group's shared cycle must not allocate either: one trunk tick, then
+/// each member's power model, circuit solve, controller and the fork
+/// rule's control comparison. Two runs of the same two-member group differ
+/// only in where both members' watchdogs trip, so the difference of their
+/// allocation counts is what the cycles between the two trip points
+/// allocated (the GPU model's token maps hash with fixed keys, so two
+/// identical runs allocate identically). The members are a conventional
+/// run and a cross-layer run with DCC-only weights, whose controller acts
+/// on the circuit alone, so both ride the trunk through the window.
+#[test]
+fn shared_group_cycle_is_allocation_free() {
+    const WARMUP: u64 = 2_000;
+    const WINDOW: u64 = 2_000;
+    let profile = ScenarioId::Heartwall.profile();
+    let sup = SupervisorConfig::default();
+    let runs = |trip: u64| -> Vec<GroupRun> {
+        let base = CosimConfig {
+            workload_scale: 0.05,
+            ..CosimConfig::default()
+        };
+        [
+            CosimConfig { pds: PdsKind::ConventionalVrm, ..base.clone() },
+            CosimConfig { weights: ActuatorWeights::DCC_ONLY, ..base },
+        ]
+        .map(|cfg| GroupRun {
+            cfg,
+            pm: PowerManagement::default(),
+            budget: CycleBudget::tripping_at(trip),
+        })
+        .to_vec()
+    };
+    let mut pool = CosimPool::new();
+    // Warm-up: the pool's two workspaces reach their sizes.
+    pool.run_group(&profile, &runs(WARMUP), &sup);
+    let mut counted = |trip: u64| {
+        let runs = runs(trip);
+        let before = allocs();
+        let outcome = pool.run_group(&profile, &runs, &sup);
+        let delta = allocs() - before;
+        assert_eq!(outcome.rides, [Ride::Shared, Ride::Shared], "both ride the trunk");
+        assert_eq!(outcome.stats.gpu_ticks, trip, "one tick per shared cycle");
+        for r in &outcome.reports {
+            assert_eq!(r.report.cycles, trip, "both stop at the trip");
+        }
+        delta
+    };
+    let short = counted(WARMUP);
+    let long = counted(WARMUP + WINDOW);
+    let delta = long.saturating_sub(short);
+    println!(
+        "shared group cycle alloc guard: {delta} allocations over {WINDOW} cycles \
+         ({short} for the run to {WARMUP}, {long} to {}; limit 0)",
+        WARMUP + WINDOW
+    );
+    assert_eq!(
+        long, short,
+        "a two-member group allocated {delta} times over {WINDOW} shared cycles"
     );
 }

@@ -7,7 +7,9 @@
 //! Responses cross the interconnect back and wake the issuing warp.
 
 use std::cmp::Reverse;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
 
 use crate::cache::{Cache, CacheConfig, CacheOutcome, CacheStats};
 use crate::config::GpuConfig;
@@ -70,6 +72,11 @@ pub struct MemStats {
     pub atomics: u64,
 }
 
+/// A map keyed by request token. The hasher has fixed keys, so when the
+/// map grows, and so how often the model allocates, is the same in every
+/// run; the maps are never iterated, so results never depended on it.
+pub(crate) type TokenMap<V> = HashMap<u64, V, BuildHasherDefault<DefaultHasher>>;
+
 /// The shared L2 + DRAM subsystem.
 #[derive(Debug)]
 pub struct MemorySystem {
@@ -77,17 +84,17 @@ pub struct MemorySystem {
     l2_hit_latency: u64,
     n_channels: usize,
     to_l2: BinaryHeap<Reverse<Timed<u64>>>,
-    to_l2_payload: HashMap<u64, MemRequest>,
+    to_l2_payload: TokenMap<MemRequest>,
     l2_queues: Vec<VecDeque<MemRequest>>,
     l2_banks: Vec<Cache>,
     l2_busy_until: Vec<u64>,
     dram: Vec<DramChannel>,
-    dram_pending: HashMap<u64, MemRequest>,
+    dram_pending: TokenMap<MemRequest>,
     /// One channel's completed DRAM tokens, refilled per channel per cycle
     /// so the hot path allocates nothing.
     dram_done: Vec<u64>,
     responses: BinaryHeap<Reverse<Timed<u64>>>,
-    response_payload: HashMap<u64, MemResponse>,
+    response_payload: TokenMap<MemResponse>,
     next_token: u64,
     stats: MemStats,
 }
@@ -106,7 +113,7 @@ impl MemorySystem {
             l2_hit_latency: u64::from(config.l2_hit_latency),
             n_channels: n,
             to_l2: BinaryHeap::new(),
-            to_l2_payload: HashMap::new(),
+            to_l2_payload: TokenMap::default(),
             l2_queues: vec![VecDeque::new(); n],
             l2_banks: (0..n).map(|_| Cache::new(bank_cfg, true)).collect(),
             l2_busy_until: vec![0; n],
@@ -122,10 +129,10 @@ impl MemorySystem {
                     })
                 })
                 .collect(),
-            dram_pending: HashMap::new(),
+            dram_pending: TokenMap::default(),
             dram_done: Vec::new(),
             responses: BinaryHeap::new(),
-            response_payload: HashMap::new(),
+            response_payload: TokenMap::default(),
             next_token: 0,
             stats: MemStats::default(),
         }

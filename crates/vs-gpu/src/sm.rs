@@ -12,12 +12,12 @@
 //! execution units can be power-gated (Warped-Gates-style PG).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use crate::cache::{Cache, CacheConfig, CacheOutcome};
 use crate::config::{GpuConfig, MAX_WARPS_PER_SM};
 use crate::isa::{AccessPattern, ExecUnit, Instruction, MemSpace, Opcode};
-use crate::mem::{MemRequest, MemResponse, MemorySystem, ReqKind};
+use crate::mem::{MemRequest, MemResponse, MemorySystem, ReqKind, TokenMap};
 use crate::workload::Kernel;
 
 /// Warp scheduler policy.
@@ -266,7 +266,7 @@ pub struct Sm {
     sfu: UnitState,
     lsu: UnitState,
     writebacks: BinaryHeap<Reverse<(u64, usize, u32)>>,
-    outstanding: HashMap<u64, (usize, u32, u32)>, // token -> (warp, reg mask, remaining)
+    outstanding: TokenMap<(usize, u32, u32)>, // token -> (warp, reg mask, remaining)
     next_token: u64,
     freq_acc: f64,
     fake_acc: f64,
@@ -362,7 +362,7 @@ impl Sm {
             sfu: UnitState::default(),
             lsu: UnitState::default(),
             writebacks: BinaryHeap::new(),
-            outstanding: HashMap::new(),
+            outstanding: TokenMap::default(),
             next_token: 0,
             freq_acc: 0.0,
             fake_acc: 0.0,

@@ -66,19 +66,21 @@ echo "== pooled workspace reuse + sharded-sweep determinism =="
 cargo test --release -q -p vs-core --test workspace_reuse
 cargo test --release -q -p vs-bench --test sweep_shard
 
-echo "== sparse LU vs dense oracle + batched SoA solving: differential + property + mask-fuzz + lockstep-lane + trunk-fork suites =="
+echo "== sparse LU vs dense oracle + batched SoA solving + GPU trunks: differential + property + mask-fuzz + lockstep-lane + trunk-fork + trunk-group suites =="
 cargo test --release -q -p vs-core --test sparse_vs_dense
 cargo test --release -q -p vs-circuit --test batched_vs_scalar
 cargo test --release -q -p vs-core --test lockstep_lanes
 cargo test --release -q -p vs-core --test trunk_fork
+cargo test --release -q -p vs-core --test trunk_group
 cargo test --release -q -p vs-circuit --test lane_permutation
 cargo test --release -q -p vs-circuit --test batched_mask_fuzz
 
-echo "== zero-allocation guards: solver, rig and GPU hot paths, optimized =="
+echo "== zero-allocation guards: solver, rig, GPU and group hot paths, optimized =="
 cargo test --release -q -p vs-core --test zero_alloc
 
 echo "== chaos smoke: panic/stall/torn-write survival + journaled resume =="
 cargo test --release -q -p vs-bench --test chaos
+cargo test --release -q -p vs-bench --test chaos_groups
 cargo test --release -q -p vs-bench --test resume
 cargo test --release -q -p vs-bench --test campaign_jobs
 
