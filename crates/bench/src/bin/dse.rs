@@ -34,8 +34,10 @@
 //! plus lockstep tail steps. `--trace` spans each trunk and each run, and
 //! counts `dse.trunks`, `dse.forks` and `dse.fallbacks`.
 //!
-//! Crash safety matches `sweep`: each completed point lands atomically in
-//! a `points/` cache and is journaled with a checksum; `--resume DIR`
+//! Crash safety matches `sweep`: each trunk is one task on the same
+//! executor, and a trunk that panics retries with seeded backoff. As a
+//! trunk's task returns, each of its points lands atomically in a
+//! `points/` cache and is journaled with a checksum; `--resume DIR`
 //! replays verified metrics and recomputes only missing or damaged points,
 //! converging to the same bytes an undisturbed run produces.
 //! `--deterministic` writes the wall-time-free artifact goldens are
@@ -49,15 +51,17 @@
 //! | 0 | success — frontier claims and diffs passed |
 //! | 1 | a frontier claim or golden diff failed |
 //! | 2 | environment/usage error |
-//! | 3 | internal error (panic; structured JSONL on stderr) |
+//! | 3 | internal error: a trunk failed every attempt, or another panic (JSONL on stderr) |
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use vs_bench::cli::{ArgSpec, CommandSpec, PROFILE_FLAG, SEED_FLAG};
 use vs_bench::dse::{check_frontier_claims, run_dse, DseOptions, DseResult, FRONTIER_FILE};
+use vs_bench::report::load_tolerances;
+use vs_bench::shard::{ExecutorConfig, Preload};
 use vs_bench::space::AxisSpace;
-use vs_bench::journal;
+use vs_bench::{journal, Executor};
 use vs_telemetry::{diff_artifacts, RunArtifact, ToleranceSpec};
 
 const SPEC: CommandSpec = CommandSpec {
@@ -123,14 +127,14 @@ fn main() -> ExitCode {
         preloaded = state.verified;
     }
 
-    let result = run_dse(&DseOptions {
-        jobs: parsed.common.jobs,
-        settings,
-        space,
-        // Golden (deterministic) trees carry no journal.
-        journal_dir: (!deterministic).then(|| out.clone()),
-        preloaded,
-    });
+    // Golden (deterministic) trees carry no journal.
+    let exec = Executor::new(
+        ExecutorConfig::default(),
+        (!deterministic).then(|| out.clone()),
+        Preload::new(),
+    );
+    let opts = DseOptions { jobs: parsed.common.jobs, settings, space, preloaded };
+    let result = run_dse(&exec, &opts);
     let path = result
         .write_to(&out, deterministic)
         .unwrap_or_else(|e| fail(&format!("cannot write dse to {}: {e}", out.display())));
@@ -231,15 +235,9 @@ fn diff_against(
         .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", path.display())));
     let golden_artifact = RunArtifact::parse_jsonl(&text)
         .unwrap_or_else(|e| fail(&format!("cannot parse {}: {e}", path.display())));
-    let spec = match tolerances {
-        Some(p) => {
-            let text = std::fs::read_to_string(p)
-                .unwrap_or_else(|e| fail(&format!("cannot read tolerance file {p}: {e}")));
-            ToleranceSpec::from_json_str(&text)
-                .unwrap_or_else(|e| fail(&format!("bad tolerance file {p}: {e}")))
-        }
-        None => ToleranceSpec::exact(),
-    };
+    let spec = tolerances
+        .map_or(Ok(ToleranceSpec::exact()), load_tolerances)
+        .unwrap_or_else(|e| fail(&e));
     let report = diff_artifacts(&golden_artifact, &result.artifact(deterministic), &spec);
     if report.is_pass() {
         println!("golden diff: PASS ({} metrics within tolerance)", report.compared());

@@ -163,17 +163,15 @@ fn parse_only(raw: &str) -> Vec<ExperimentId> {
         .collect()
 }
 
+/// The tolerance spec at `path`, else [`DEFAULT_TOLERANCES`] when that file
+/// is present, else exact comparison.
 fn load_tolerances(path: Option<&str>) -> ToleranceSpec {
-    let (path, required) = match path {
-        Some(p) => (p, true),
-        None => (DEFAULT_TOLERANCES, false),
+    let path = match path {
+        Some(path) => path,
+        None if Path::new(DEFAULT_TOLERANCES).exists() => DEFAULT_TOLERANCES,
+        None => return ToleranceSpec::exact(),
     };
-    match std::fs::read_to_string(path) {
-        Ok(text) => ToleranceSpec::from_json_str(&text)
-            .unwrap_or_else(|e| fail(&format!("bad tolerance file {path}: {e}"))),
-        Err(e) if required => fail(&format!("cannot read tolerance file {path}: {e}")),
-        Err(_) => ToleranceSpec::exact(),
-    }
+    vs_bench::report::load_tolerances(path).unwrap_or_else(|e| fail(&e))
 }
 
 /// `sweep show [id,...]`: each experiment's text on stdout, nothing

@@ -12,6 +12,10 @@
 //!   attempt under a deterministic [`vs_core::CycleBudget`] that trips at a
 //!   chosen cycle, exercising the watchdog path without wall-clock waits
 //!   (the 1-core-host rule).
+//! * [`panics_trunk`] — consulted by dse before each attempt of a trunk
+//!   task, keyed by the trunk as [`chaos_for`] is by scenario; a trunk
+//!   scheduled with [`schedule_trunk_panic`] panics inside the isolation
+//!   boundary.
 //! * [`torn_write`] — consulted by the crash-safe write paths. A matching
 //!   file is written *directly* (no tmp + rename), truncated at a seeded
 //!   offset, and its journal record is suppressed — exactly the on-disk
@@ -68,6 +72,19 @@ struct ChaosState {
     plan: ChaosPlan,
     /// Names already torn under this plan (each tears once).
     torn_done: HashSet<String>,
+    /// dse trunk tasks that panic: the trunk's label and how many leading
+    /// attempts (see [`schedule_trunk_panic`]).
+    trunk_panics: Vec<(String, u32)>,
+}
+
+impl ChaosState {
+    fn new(plan: ChaosPlan) -> ChaosState {
+        ChaosState {
+            plan,
+            torn_done: HashSet::new(),
+            trunk_panics: Vec::new(),
+        }
+    }
 }
 
 fn state() -> &'static Mutex<Option<ChaosState>> {
@@ -78,10 +95,7 @@ fn state() -> &'static Mutex<Option<ChaosState>> {
 /// Installs `plan` process-wide (replacing any previous plan and its
 /// torn-write bookkeeping). Tests only; pair with [`clear_chaos_plan`].
 pub fn install_chaos_plan(plan: ChaosPlan) {
-    *state().lock().expect("chaos state poisoned") = Some(ChaosState {
-        plan,
-        torn_done: HashSet::new(),
-    });
+    *state().lock().expect("chaos state poisoned") = Some(ChaosState::new(plan));
 }
 
 /// Removes the installed plan; every hook reverts to a no-op.
@@ -98,6 +112,30 @@ pub fn chaos_for(scenario: ScenarioId, attempt: u32) -> Option<ChaosMode> {
         .iter()
         .find(|e| e.scenario == scenario && attempt < e.attempts)
         .map(|e| e.mode)
+}
+
+/// Schedules a panic on attempts `0..attempts` of the dse trunk task named
+/// `trunk`, its coordinates in the point grammar
+/// (`stack=4x4,area=0.2,workload=1`), on top of the installed plan (an
+/// empty one if none is). Tests only; [`install_chaos_plan`] and
+/// [`clear_chaos_plan`] drop it.
+pub fn schedule_trunk_panic(trunk: &str, attempts: u32) {
+    let mut guard = state().lock().expect("chaos state poisoned");
+    guard
+        .get_or_insert_with(|| ChaosState::new(ChaosPlan::default()))
+        .trunk_panics
+        .push((trunk.to_string(), attempts));
+}
+
+/// Whether the dse trunk task named `trunk` is scheduled to panic on
+/// `attempt`.
+pub fn panics_trunk(trunk: &str, attempt: u32) -> bool {
+    let guard = state().lock().expect("chaos state poisoned");
+    guard.as_ref().is_some_and(|st| {
+        st.trunk_panics
+            .iter()
+            .any(|(name, attempts)| name == trunk && attempt < *attempts)
+    })
 }
 
 /// If `name`'s write is scheduled to tear (and has not torn yet under this

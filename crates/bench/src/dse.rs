@@ -28,16 +28,18 @@
 //! the controller stays idle while every voltage sits above its threshold,
 //! staging exactly that load. The PDE runs of the same rig step the same
 //! circuit under the same load, and differ only in the overhead booked
-//! beside the solve. So `run_dse` keys **trunks** by what a steady-load
-//! trajectory reads (`Trunk::stable_key_into`: the stacked netlist's area
-//! and geometry, the time step, the per-SM load and the recovery policy).
-//! One trunk per key steps scalar, books every PDE run of its key from
-//! its one rig ([`vs_core::PdsRig::ledger_at_controller_power`]), records
-//! its per-SM voltages up to the gate and snapshots its rig there. Each
-//! worst-case run **forks** from the snapshot
-//! ([`vs_core::fork_worst_case_lanes`]): it replays its controller over the
-//! recorded voltages, checking its staged loads against the trunk's bit
-//! for bit, and steps only its tail, in lockstep lanes. A run whose loads
+//! beside the solve. So `run_dse` groups the pending points by **trunk**,
+//! keyed by what a steady-load trajectory reads (`Trunk::stable_key_into`:
+//! the stacked netlist's area and geometry, the time step, the per-SM load
+//! and the recovery policy). Both runs of a point follow its trunk, and
+//! each run's key holds every trunk field, so no two trunks share a run.
+//! Each trunk is one task. It steps one scalar rig to the gate, recording
+//! its per-SM voltages; **forks** each of its worst-case runs there
+//! ([`vs_core::fork_worst_case_lanes`]), in lockstep lanes: a fork replays
+//! its controller over the recorded voltages, checking its staged loads
+//! against the trunk's bit for bit, and steps only its tail; then it steps
+//! on to the PDE length and books each of its PDE runs from the one rig
+//! ([`vs_core::PdsRig::ledger_at_controller_power`]). A run whose loads
 //! leave the trunk's before the gate, or whose trunk gave up before it,
 //! **falls back** to its full run. The full grid steps 18 trunks of 6 250
 //! steps and 882 tails of 2 100 at the golden profile: 1 964 700
@@ -49,47 +51,41 @@
 //! point is at least as good in all three and strictly better in one
 //! (strict Pareto dominance; exact ties do not dominate each other).
 //!
-//! Scheduling is dse's own batch cursor, not the executor's claim loop.
-//! Before the workers start, the distinct runs of the *pending* points are
-//! planned, grouped under their trunks, and cut into batches: each trunk,
-//! then its tail batches of up to `LANES` (4) worst-case runs that fork
-//! at one gate. Batches are listed trunk by trunk in point order, and
-//! workers claim them off one atomic cursor. A tail batch whose snapshot
-//! is not yet published waits on it; its trunk sits earlier on the cursor,
-//! so it is already running and no schedule deadlocks, and a trunk that
-//! panics wakes its waiters, which panic in turn. The last tail batch of a
-//! gate takes the snapshot out of the plan, so about one pair per worker
-//! holds one at a time. Every result is bit-identical to the run stepped
-//! alone. Every pending point waits on its two runs, and the worker that
-//! lands the second journals the point ([`crate::journal::record_point`]).
-//! Point identity routes through [`SuiteKey`]: duplicate points evaluate
-//! once, and `dse --resume` replays verified metrics and plans only the
-//! runs its lost points read, stepping each trunk only as far as they
-//! need. Artifacts are bit-identical whatever the worker count or resume
-//! history.
+//! Scheduling is the executor's ([`Executor`]). The trunk tasks, in point
+//! order, go through its claim loop, each under its attempt loop: a trunk
+//! that panics retries with seeded backoff, and only a trunk that exhausts
+//! its attempts panics `run_dse` (the binary exits 3). A task is pure — it
+//! reads its trunk and its points' runs and returns its points' metrics
+//! with what it stepped — so a retry repeats it bit for bit. The worker
+//! that ran a trunk journals its points ([`crate::journal::record_point`],
+//! into the executor's journal directory) as the task returns. Point
+//! identity routes through [`SuiteKey`]: duplicate points evaluate once,
+//! and `dse --resume` replays verified metrics and steps only the trunks
+//! its lost points read. Artifacts are bit-identical whatever the worker
+//! count, retry or resume history.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use vs_circuit::{BatchStats, RecoveryPolicy, SolverWorkspace};
 use vs_core::{
     fork_worst_case_lanes, run_worst_case_in, ForkCounts, GateSnapshot, PdsKind, PdsRig,
-    StackGeometry, WorstCaseConfig, WorstCaseVoltages,
+    StackGeometry, WorstCaseConfig,
 };
 use vs_telemetry::{
     labeled, DsePointRow, Event, Registry, RunArtifact, RunManifest, StageSample, SCHEMA_VERSION,
 };
 
+use crate::chaos;
 use crate::journal;
 use crate::obs;
 use crate::shard::SuiteKey;
 use crate::space::{AxisSpace, ConfigPoint, PdsFamily};
 use crate::sweep::effective_jobs;
-use crate::RunSettings;
+use crate::{Executor, RunSettings};
 
 /// The frontier artifact's file name inside a dse output directory.
 pub const FRONTIER_FILE: &str = "dse_frontier.jsonl";
@@ -105,17 +101,19 @@ const P_SM_NOMINAL_W: f64 = 8.0;
 /// loop costs proportionally more ([`control_overhead_w`]).
 const LOOP_POWER_AT_T60_W: f64 = 0.08;
 
-/// Worst-case tails one worker steps in lockstep as one batch. Each lane
-/// owns a full rig, cloned from its trunk's snapshot (about 94 KB for the
-/// 4×4 stack), and, for a cross-layer run, a controller (about 25 KB), so
-/// the width trades peak memory for speed. Before the trunks, when every
-/// run stepped whole, 8 lanes raised dse_full's peak RSS by about 40% and
-/// 4 lanes by about 15% on the full golden grid at two workers, while 4
-/// lanes kept most of the 8-lane speed-up. The trunks add a snapshot and
-/// its record per pair being forked: over ten alternating benchmark pairs
-/// per seed on a two-vCPU host, dse_full's peak RSS read medians of
-/// 6.11 → 6.48 MiB at seed 42 and 6.13 → 6.41 MiB at seed 7 (+6% and
-/// +4.5%, inside the benchmark's 20% bound).
+/// Worst-case tails a trunk task steps in lockstep as one batch. Each lane
+/// owns a full rig, cloned from its trunk's rig at the gate (about 94 KB
+/// for the 4×4 stack), and, for a cross-layer run, a controller (about
+/// 25 KB), so the width trades peak memory for speed. Before the trunks,
+/// when every run stepped whole, 8 lanes raised dse_full's peak RSS by
+/// about 40% and 4 lanes by about 15% on the full golden grid at two
+/// workers, while 4 lanes kept most of the 8-lane speed-up. A trunk task
+/// also holds its rig and its pre-gate record (about 179 KB on the 4×4
+/// stack at the golden profile) while its tails step: when the trunks came
+/// in, over ten alternating benchmark pairs per seed on a two-vCPU host,
+/// dse_full's peak RSS read medians of 6.11 → 6.48 MiB at seed 42 and
+/// 6.13 → 6.41 MiB at seed 7 (+6% and +4.5%, inside the benchmark's 20%
+/// bound).
 const LANES: usize = 4;
 
 /// Quiescent/control power of one per-layer charge-recycling IVR domain,
@@ -136,7 +134,9 @@ pub struct PointMetrics {
     pub final_v: f64,
 }
 
-/// What to explore and how.
+/// What to explore and how. Completed points are journaled into the
+/// executor's journal directory, if it has one (none for deterministic and
+/// golden runs).
 #[derive(Debug, Clone, Default)]
 pub struct DseOptions {
     /// Worker threads; 0 = one per available core.
@@ -146,9 +146,6 @@ pub struct DseOptions {
     pub settings: RunSettings,
     /// The design space to enumerate.
     pub space: AxisSpace,
-    /// Where to journal completed points for `--resume`; `None` disables
-    /// journaling (deterministic/golden runs).
-    pub journal_dir: Option<PathBuf>,
     /// Verified metrics replayed from a journal, keyed by
     /// [`SuiteKey::to_hex`] (see [`crate::journal::load_dse_resume`]).
     pub preloaded: HashMap<String, PointMetrics>,
@@ -421,303 +418,86 @@ impl Trunk {
         ]);
     }
 
+    /// This trunk's stable identity key ([`Trunk::stable_key_into`]).
+    fn key(&self) -> Vec<u64> {
+        let mut words = Vec::new();
+        self.stable_key_into(&mut words);
+        words
+    }
+
     /// The trunk's rig at controller power 0: each PDE run books its own
-    /// overhead from it. Built in a fresh workspace, which the trunk drops
-    /// when it ends: a worker's pool would otherwise hold one idle rig
-    /// while the worker steps the tails, whose rigs are clones.
+    /// overhead from it. Built in a fresh workspace, which the task drops
+    /// with the rig.
     fn rig(&self) -> PdsRig {
         let kind = PdsKind::VsCircuitOnly { area_mult: self.area_mult };
         let mut rig = PdsRig::with_params(kind, &self.geometry.pdn_params(), self.dt, 0.0);
         rig.set_recovery_policy(self.recovery);
         rig
     }
-}
 
-/// A distinct run, the pending points that read it (as indices into the
-/// pending list), and the slot its result lands in once a worker computes
-/// it.
-struct Planned<R, T> {
-    run: R,
-    readers: Vec<usize>,
-    result: OnceLock<T>,
-}
-
-/// Dedups the pending points' runs by their key words, in first-appearance
-/// order: returns the distinct runs with their readers and empty result
-/// slots, and each pending point's index into them.
-fn plan<R, T>(
-    runs: impl Iterator<Item = R>,
-    key: impl Fn(&R, &mut Vec<u64>),
-) -> (Vec<Planned<R, T>>, Vec<usize>) {
-    let mut distinct: Vec<Planned<R, T>> = Vec::new();
-    let mut index: HashMap<Vec<u64>, usize> = HashMap::new();
-    let slots = runs
-        .enumerate()
-        .map(|(reader, run)| {
-            let mut words = Vec::new();
-            key(&run, &mut words);
-            let slot = *index.entry(words).or_insert_with(|| {
-                distinct.push(Planned {
-                    run,
-                    readers: Vec::new(),
-                    result: OnceLock::new(),
-                });
-                distinct.len() - 1
-            });
-            distinct[slot].readers.push(reader);
-            slot
-        })
-        .collect();
-    (distinct, slots)
-}
-
-/// Where a trunk stands at one of its gates.
-enum GateState {
-    /// The trunk has not reached the gate yet.
-    Pending,
-    /// The trunk reached the gate (`Some`, its snapshot) or gave up before
-    /// it (`None`: every run forking here falls back). The last tail batch
-    /// takes the snapshot out, leaving `None` behind for nobody.
-    Published(Option<Arc<GateSnapshot>>),
-    /// The trunk panicked before the gate.
-    Abandoned,
-}
-
-/// A trunk's gate: the step its worst-case runs fork at, the runs, and
-/// the snapshot slot their tail batches wait on.
-struct Gate {
-    /// Steps before the gate ([`WorstCaseConfig::pre_gate_steps`]).
-    step: u64,
-    /// The worst-case runs forking here, as indices into their plan.
-    runs: Vec<usize>,
-    /// The gate's state, and how many tail batches have yet to take it.
-    state: Mutex<(GateState, usize)>,
-    /// Signalled when the state leaves [`GateState::Pending`].
-    published: Condvar,
-}
-
-impl Gate {
-    /// A pending gate at `step`, with no runs or tail batches yet.
-    fn new(step: u64) -> Gate {
-        Gate {
-            step,
-            runs: Vec::new(),
-            state: Mutex::new((GateState::Pending, 0)),
-            published: Condvar::new(),
-        }
-    }
-
-    /// Locks the state. No code panics while holding the lock, so a
-    /// poisoned lock still holds a consistent state; taking it anyway keeps
-    /// a trunk that unwinds from panicking again in [`AbandonOnDrop`].
-    fn lock(&self) -> MutexGuard<'_, (GateState, usize)> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Moves a pending gate to `next` and wakes its waiters; a gate already
-    /// published stays as it is.
-    fn settle(&self, next: GateState) {
-        let mut state = self.lock();
-        if matches!(state.0, GateState::Pending) {
-            state.0 = next;
-            self.published.notify_all();
-        }
-    }
-
-    /// Waits until the trunk has published this gate and takes its
-    /// snapshot: a shared handle, or the plan's own handle for the gate's
-    /// last tail batch, so the snapshot is freed once that batch's forks
-    /// have cloned it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trunk panicked before the gate.
-    fn take(&self) -> Option<Arc<GateSnapshot>> {
-        let mut state = self
-            .published
-            .wait_while(self.lock(), |(state, _)| matches!(state, GateState::Pending))
-            .unwrap_or_else(PoisonError::into_inner);
-        let (gate, tails_left) = &mut *state;
-        let GateState::Published(snapshot) = gate else {
-            drop(state);
-            panic!("a dse trunk panicked before its gate");
-        };
-        *tails_left -= 1;
-        if *tails_left == 0 {
-            snapshot.take()
-        } else {
-            snapshot.clone()
-        }
-    }
-}
-
-/// Abandons every gate of a trunk still pending when the guard drops, so a
-/// trunk that panics wakes its tail batches instead of leaving them
-/// waiting. A trunk that finishes has published every gate, and the guard
-/// changes nothing.
-struct AbandonOnDrop<'g>(&'g [Gate]);
-
-impl Drop for AbandonOnDrop<'_> {
-    fn drop(&mut self) {
-        for gate in self.0 {
-            gate.settle(GateState::Abandoned);
-        }
-    }
-}
-
-/// A planned trunk: the PDE runs it books and the gates its worst-case
-/// runs fork at.
-struct TrunkPlan {
-    trunk: Trunk,
-    /// The PDE runs booked from this trunk, as indices into their plan.
-    pde_runs: Vec<usize>,
-    /// One gate per distinct pre-gate step count among its worst-case
-    /// runs (one on every built-in grid).
-    gates: Vec<Gate>,
-}
-
-/// One claim off the cursor: a trunk, or up to `LANES` worst-case runs
-/// that fork at one gate of a trunk (one netlist, so the lanes share one
-/// factorization), as indices into their plans.
-enum Batch {
-    Trunk(usize),
-    Tail { trunk: usize, gate: usize, runs: Vec<usize> },
-}
-
-/// Sets the result slots of the `batch` runs of `plan` from `step`, and
-/// returns each run's readers for the caller to land. Under tracing every
-/// run becomes a `dse`/`name` span from `started` on the worker's track,
-/// labelled by a point that reads it (`point_of`), and bumps `counter`;
-/// untraced, tracing costs one relaxed load.
-fn execute<'p, 'u, R, T: std::fmt::Debug>(
-    plan: &'p [Planned<R, T>],
-    batch: &[usize],
-    (name, counter): (&str, &str),
-    started: Option<Instant>,
-    point_of: impl Fn(usize) -> &'u ConfigPoint,
-    step: impl FnOnce(&[&R]) -> Vec<T>,
-) -> Vec<&'p [usize]> {
-    let planned: Vec<&Planned<R, T>> = batch.iter().map(|&r| &plan[r]).collect();
-    let runs: Vec<&R> = planned.iter().map(|p| &p.run).collect();
-    for (p, result) in planned.iter().zip(step(&runs)) {
-        p.result.set(result).expect("each planned run executes once");
+    /// Ends a `dse`/`name` span of one of this trunk's runs that began at
+    /// `started`, on the worker's track, labelled by the run's stack, area
+    /// and family, and bumps `counter`; free when tracing is off (`started`
+    /// is `None`).
+    fn end_run_span(&self, name: &str, counter: &str, started: Option<Instant>, cross: bool) {
         if started.is_some() {
             obs::metric_inc(counter, 1);
-            let point = point_of(p.readers[0]);
+            let family = if cross { PdsFamily::Cross } else { PdsFamily::Circuit };
             obs::tracer().end_span(
                 obs::worker_track(),
                 "dse",
                 name,
                 started,
                 &[
-                    ("stack", point.stack.to_string()),
-                    ("area", point.area.to_string()),
-                    ("family", point.pds.to_string()),
+                    ("stack", self.geometry.to_string()),
+                    ("area", self.area_mult.to_string()),
+                    ("family", family.to_string()),
                 ],
             );
         }
     }
-    planned.iter().map(|p| p.readers.as_slice()).collect()
 }
 
-/// Steps `plan`'s trunk scalar, as far as its pending runs read: it books
-/// each PDE run at that run's step count, and publishes each gate's
-/// snapshot (the rig, the per-SM voltages it recorded before the gate, and
-/// its loads) at that gate's step. If the solver gives up, the rig stays
-/// at its last accepted state: the gates not yet reached publish no
-/// snapshot, so their runs fall back, and the PDE runs not yet booked book
-/// the truncated run, as [`PdeRun::run`] does. Lands the booked runs'
-/// readers through `land` and returns the steps taken.
-fn run_trunk<'u>(
-    plan: &TrunkPlan,
-    pde_plan: &[Planned<PdeRun, f64>],
-    point_of: impl Fn(usize) -> &'u ConfigPoint + Copy,
-    land: impl Fn(&[usize]),
-) -> u64 {
-    let started = obs::tracer().begin();
-    let abandon = AbandonOnDrop(&plan.gates);
-    let mut rig = plan.trunk.rig();
-    let n_sms = rig.n_sms();
-    let loads = vec![plan.trunk.p_sm_w; n_sms];
-    let zeros = vec![0.0; n_sms];
-    let recorded = plan.gates.iter().map(|gate| gate.step).max().unwrap_or(0);
-    let mut record: Vec<f64> = Vec::with_capacity(recorded as usize * n_sms);
-    let mut voltages = Vec::with_capacity(n_sms);
-    let book = |rig: &PdsRig, due: &dyn Fn(u64) -> bool| {
-        let runs: Vec<usize> = plan
-            .pde_runs
-            .iter()
-            .copied()
-            .filter(|&r| pde_plan[r].result.get().is_none() && due(pde_plan[r].run.steps))
-            .collect();
-        let counter = ("pde_run", "dse.pde_runs");
-        let booked = execute(pde_plan, &runs, counter, started, point_of, |runs| {
-            runs.iter()
-                .map(|run| rig.ledger_at_controller_power(run.overhead_w).pde())
-                .collect()
-        });
-        for readers in booked {
-            land(readers);
-        }
-    };
-
-    let mut stops: Vec<u64> = plan.gates.iter().map(|gate| gate.step).collect();
-    stops.extend(plan.pde_runs.iter().map(|&r| pde_plan[r].run.steps));
-    stops.sort_unstable();
-    stops.dedup();
-    let mut steps = 0;
-    'stepping: for &stop in &stops {
-        while steps < stop {
-            steps += 1;
-            if rig.step(&loads, &zeros, &zeros).is_err() {
-                break 'stepping;
-            }
-            if steps <= recorded {
-                rig.sm_voltages_into(&mut voltages);
-                record.extend_from_slice(&voltages);
-            }
-        }
-        for gate in plan.gates.iter().filter(|gate| gate.step == stop) {
-            // The last gate takes the record: nothing is recorded after it.
-            let prefix = if stop == recorded {
-                std::mem::take(&mut record)
-            } else {
-                record[..stop as usize * n_sms].to_vec()
-            };
-            gate.settle(GateState::Published(Some(Arc::new(GateSnapshot {
-                rig: rig.clone(),
-                voltages: prefix,
-                sm_power_w: loads.clone(),
-                dcc_power_w: zeros.clone(),
-                fake_power_w: zeros.clone(),
-            }))));
-        }
-        book(&rig, &|run_steps| run_steps == stop);
-    }
-    // After a give-up: the unreached gates fall back, and the unbooked PDE
-    // runs book the truncated run. After a full trunk, both are no-ops.
-    for gate in &plan.gates {
-        gate.settle(GateState::Published(None));
-    }
-    book(&rig, &|_| true);
-    drop(abandon);
-
-    obs::metric_inc("dse.trunks", 1);
-    obs::tracer().end_span(
-        obs::worker_track(),
-        "dse",
-        "trunk",
-        started,
-        &[
-            ("stack", plan.trunk.geometry.to_string()),
-            ("area", plan.trunk.area_mult.to_string()),
-            ("steps", steps.to_string()),
-        ],
-    );
-    steps
+/// Dedups `items` by their key words, in first-appearance order: returns
+/// the distinct items and each item's index into them.
+fn dedup<T>(
+    items: impl Iterator<Item = T>,
+    key: impl Fn(&T, &mut Vec<u64>),
+) -> (Vec<T>, Vec<usize>) {
+    let mut distinct: Vec<T> = Vec::new();
+    let mut index: HashMap<Vec<u64>, usize> = HashMap::new();
+    let slots = items
+        .map(|item| {
+            let mut words = Vec::new();
+            key(&item, &mut words);
+            *index.entry(words).or_insert_with(|| {
+                distinct.push(item);
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    (distinct, slots)
 }
 
-/// What one worker stepped, summed over the workers at the end of the run.
+/// One trunk's work: the distinct runs its pending points read and, per
+/// point, which two of them.
+struct TrunkTask {
+    trunk: Trunk,
+    /// The trunk in the point grammar (`stack=4x4,area=0.2,workload=1`):
+    /// the label of its attempts and its key in the chaos plan.
+    label: String,
+    /// The trunk's pending points, in point order, as indices into the
+    /// pending list.
+    readers: Vec<usize>,
+    /// The distinct PDE runs, and each reader's index into them.
+    pde_runs: Vec<PdeRun>,
+    pde_of: Vec<usize>,
+    /// The distinct worst-case runs, and each reader's index into them.
+    worst_runs: Vec<WorstCaseConfig>,
+    worst_of: Vec<usize>,
+}
+
+/// What a trunk task stepped; the run sums them over its tasks.
 #[derive(Default)]
 struct Stepped {
     batch_stats: BatchStats,
@@ -734,11 +514,176 @@ impl Stepped {
     }
 }
 
-/// Runs the exploration: enumerate, dedup by [`SuiteKey`], plan the
-/// distinct runs the pending points read under their trunks, step the
-/// trunks and fork their tails over the worker pool, journal each point as
-/// its last run lands, and mark the Pareto frontier.
-pub fn run_dse(opts: &DseOptions) -> DseResult {
+/// What a trunk task returns: its readers' metrics, in order, and what it
+/// stepped.
+struct TrunkOutcome {
+    metrics: Vec<PointMetrics>,
+    stepped: Stepped,
+}
+
+impl TrunkTask {
+    /// The task of `trunk` for the pending points `readers` (in point order)
+    /// under `settings`, its runs deduped by their keys.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some reader's worst-case run follows another trunk.
+    fn new(
+        trunk: Trunk,
+        readers: Vec<usize>,
+        point_of: impl Fn(usize) -> ConfigPoint,
+        settings: &RunSettings,
+    ) -> TrunkTask {
+        let points: Vec<ConfigPoint> = readers.iter().map(|&r| point_of(r)).collect();
+        let (pde_runs, pde_of) = dedup(
+            points.iter().map(|p| PdeRun::of(p, settings)),
+            PdeRun::stable_key_into,
+        );
+        let (worst_runs, worst_of) = dedup(
+            points.iter().map(|p| worst_case_config(p, settings)),
+            WorstCaseConfig::stable_key_into,
+        );
+        // The forks clone this trunk's rig, so they must step its netlist.
+        let key = trunk.key();
+        assert!(
+            worst_runs.iter().all(|cfg| Trunk::of_worst_case(cfg).key() == key),
+            "a point's worst-case run follows its PDE run's trunk"
+        );
+        let p = &points[0];
+        TrunkTask {
+            trunk,
+            label: format!("stack={},area={},workload={}", p.stack, p.area, p.workload),
+            readers,
+            pde_runs,
+            pde_of,
+            worst_runs,
+            worst_of,
+        }
+    }
+
+    /// Steps the trunk scalar to the gate, recording its per-SM voltages;
+    /// forks every worst-case run there, in lockstep lanes of `LANES`; then
+    /// steps on to the PDE length and books every PDE run from the one rig.
+    /// If the solver gives up, the rig stays at its last accepted state:
+    /// before the gate, every worst-case run falls back to its full run,
+    /// and the PDE runs book the truncated run, as [`PdeRun::run`] does.
+    /// Pure in the task. Under tracing the trunk is a `dse`/`trunk` span,
+    /// each PDE run a `dse`/`pde_run` span from the trunk's start to its
+    /// booking, and each worst-case run a `dse`/`worst_case_run` span over
+    /// its tail batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the runs share one gate and one PDE length, the gate
+    /// first: both depend only on the settings.
+    fn run(&self) -> TrunkOutcome {
+        let started = obs::tracer().begin();
+        let gate = self.worst_runs[0].pre_gate_steps();
+        let length = self.pde_runs[0].steps;
+        assert!(
+            gate <= length && self.pde_runs.iter().all(|run| run.steps == length),
+            "{}: one PDE length per trunk, after its gate",
+            self.label
+        );
+        let mut stepped = Stepped::default();
+        let mut rig = self.trunk.rig();
+        let n_sms = rig.n_sms();
+        let loads = vec![self.trunk.p_sm_w; n_sms];
+        let zeros = vec![0.0; n_sms];
+        let mut record: Vec<f64> = Vec::with_capacity(gate as usize * n_sms);
+        let mut voltages = Vec::with_capacity(n_sms);
+        let mut steps = 0;
+        let mut gave_up = false;
+        while steps < gate && !gave_up {
+            steps += 1;
+            gave_up = rig.step(&loads, &zeros, &zeros).is_err();
+            if !gave_up {
+                rig.sm_voltages_into(&mut voltages);
+                record.extend_from_slice(&voltages);
+            }
+        }
+
+        // The forks read the rig and its record through the snapshot and
+        // clone the rig; the trunk takes its rig back after them.
+        let snapshot = GateSnapshot {
+            rig,
+            voltages: record,
+            sm_power_w: loads,
+            dcc_power_w: zeros.clone(),
+            fake_power_w: zeros,
+        };
+        let mut workspaces: Vec<SolverWorkspace> = Vec::new();
+        let mut worst = Vec::with_capacity(self.worst_runs.len());
+        for lanes in self.worst_runs.chunks(LANES) {
+            let span = obs::tracer().begin();
+            let (voltages, counts) = fork_worst_case_lanes(
+                lanes,
+                (!gave_up).then_some(&snapshot),
+                &mut workspaces,
+                &mut stepped.batch_stats,
+            );
+            for cfg in lanes {
+                let counter = "dse.worst_case_runs";
+                self.trunk.end_run_span("worst_case_run", counter, span, cfg.cross_layer);
+            }
+            obs::metric_inc("dse.forks", counts.forks as u64);
+            obs::metric_inc("dse.fallbacks", counts.fallbacks as u64);
+            stepped.forks.forks += counts.forks;
+            stepped.forks.fallbacks += counts.fallbacks;
+            worst.extend(voltages);
+        }
+        let GateSnapshot { mut rig, sm_power_w: loads, fake_power_w: zeros, .. } = snapshot;
+
+        while steps < length && !gave_up {
+            steps += 1;
+            gave_up = rig.step(&loads, &zeros, &zeros).is_err();
+        }
+        let pde: Vec<f64> = self
+            .pde_runs
+            .iter()
+            .map(|run| {
+                let cross = matches!(run.kind, PdsKind::VsCrossLayer { .. });
+                self.trunk.end_run_span("pde_run", "dse.pde_runs", started, cross);
+                rig.ledger_at_controller_power(run.overhead_w).pde()
+            })
+            .collect();
+        stepped.trunk_steps = steps;
+        obs::metric_inc("dse.trunks", 1);
+        obs::tracer().end_span(
+            obs::worker_track(),
+            "dse",
+            "trunk",
+            started,
+            &[
+                ("stack", self.trunk.geometry.to_string()),
+                ("area", self.trunk.area_mult.to_string()),
+                ("steps", steps.to_string()),
+            ],
+        );
+
+        let metrics = self
+            .pde_of
+            .iter()
+            .zip(&self.worst_of)
+            .map(|(&p, &w)| PointMetrics {
+                pde: pde[p],
+                worst_v: worst[w].worst_voltage,
+                final_v: worst[w].final_voltage,
+            })
+            .collect();
+        TrunkOutcome { metrics, stepped }
+    }
+}
+
+/// Runs the exploration on `exec`: enumerate, dedup by [`SuiteKey`], group
+/// the pending points by trunk, run one task per trunk through the
+/// executor's claim and attempt loops, journal each task's points as it
+/// returns, and mark the Pareto frontier.
+///
+/// # Panics
+///
+/// Panics if a trunk task panics on every attempt.
+pub fn run_dse(exec: &Executor, opts: &DseOptions) -> DseResult {
     let started = Instant::now();
     let enumerated_points = opts.space.points();
     let enumerated = enumerated_points.len();
@@ -769,113 +714,53 @@ pub fn run_dse(opts: &DseOptions) -> DseResult {
     }
     let evaluated = pending.len();
 
-    // Plan the distinct runs of the pending points only: replayed points
-    // read no run, so a resume computes just what its lost points need.
+    // Group the pending points by trunk, in point order, so the trunks
+    // come out stack-major, then by area. Replayed points read no run, so
+    // a resume steps just the trunks its lost points read.
     let settings = &opts.settings;
-    let (pde_plan, pde_of): (Vec<Planned<PdeRun, f64>>, _) = plan(
-        pending.iter().map(|&i| PdeRun::of(&unique[i].0, settings)),
-        PdeRun::stable_key_into,
+    let point_of = |reader: usize| unique[pending[reader]].0;
+    let (trunks, trunk_of) = dedup(
+        (0..evaluated).map(|reader| Trunk::of_pde(&PdeRun::of(&point_of(reader), settings))),
+        Trunk::stable_key_into,
     );
-    let (worst_plan, worst_of): (Vec<Planned<WorstCaseConfig, WorstCaseVoltages>>, _) = plan(
-        pending.iter().map(|&i| worst_case_config(&unique[i].0, settings)),
-        WorstCaseConfig::stable_key_into,
-    );
-
-    // Trunks: every planned run joins the trunk its trajectory follows,
-    // visited at its first reader, so the trunks come out in point order
-    // (stack-major, then area, by enumeration) and a trunk steps only as
-    // far as its pending runs read.
-    let mut trunks: Vec<TrunkPlan> = Vec::new();
-    let mut trunk_index: HashMap<Vec<u64>, usize> = HashMap::new();
-    let mut trunk_of = |trunks: &mut Vec<TrunkPlan>, trunk: Trunk| {
-        let mut words = Vec::new();
-        trunk.stable_key_into(&mut words);
-        *trunk_index.entry(words).or_insert_with(|| {
-            trunks.push(TrunkPlan { trunk, pde_runs: Vec::new(), gates: Vec::new() });
-            trunks.len() - 1
-        })
-    };
-    for reader in 0..evaluated {
-        let pde = pde_of[reader];
-        if pde_plan[pde].readers[0] == reader {
-            let t = trunk_of(&mut trunks, Trunk::of_pde(&pde_plan[pde].run));
-            trunks[t].pde_runs.push(pde);
-        }
-        let worst = worst_of[reader];
-        if worst_plan[worst].readers[0] == reader {
-            let cfg = &worst_plan[worst].run;
-            let t = trunk_of(&mut trunks, Trunk::of_worst_case(cfg));
-            let gates = &mut trunks[t].gates;
-            let step = cfg.pre_gate_steps();
-            let g = match gates.iter().position(|gate| gate.step == step) {
-                Some(g) => g,
-                None => {
-                    gates.push(Gate::new(step));
-                    gates.len() - 1
-                }
-            };
-            gates[g].runs.push(worst);
-        }
+    let mut readers: Vec<Vec<usize>> = vec![Vec::new(); trunks.len()];
+    for (reader, &t) in trunk_of.iter().enumerate() {
+        readers[t].push(reader);
     }
-
-    // Batches: each trunk, then its tail batches of up to LANES runs per
-    // gate. Every tail batch sits after its trunk on the cursor, so the
-    // trunk it waits on is already claimed.
-    let mut batches: Vec<Batch> = Vec::new();
-    for (t, trunk) in trunks.iter_mut().enumerate() {
-        batches.push(Batch::Trunk(t));
-        for (g, gate) in trunk.gates.iter_mut().enumerate() {
-            let before = batches.len();
-            batches.extend(
-                gate.runs
-                    .chunks(LANES)
-                    .map(|lanes| Batch::Tail { trunk: t, gate: g, runs: lanes.to_vec() }),
-            );
-            gate.state.get_mut().unwrap_or_else(PoisonError::into_inner).1 = batches.len() - before;
-        }
-    }
-
-    // Every pending point waits on two runs; the worker that lands the
-    // second journals it.
-    let waiting: Vec<AtomicU8> = (0..evaluated).map(|_| AtomicU8::new(2)).collect();
-    let metrics_of = |reader: usize| {
-        let pde = *pde_plan[pde_of[reader]]
-            .result
-            .get()
-            .expect("PDE run executed");
-        let worst = worst_plan[worst_of[reader]]
-            .result
-            .get()
-            .expect("worst-case run executed");
-        PointMetrics {
-            pde,
-            worst_v: worst.worst_voltage,
-            final_v: worst.final_voltage,
-        }
-    };
+    let tasks: Vec<TrunkTask> = trunks
+        .into_iter()
+        .zip(readers)
+        .map(|(trunk, readers)| TrunkTask::new(trunk, readers, point_of, settings))
+        .collect();
 
     let jobs = effective_jobs(opts.jobs);
-    let next_batch = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
-    let totals = Mutex::new(Stepped::default());
     let progress_every = (evaluated / 20).max(1);
-    let point_of = |reader: usize| &unique[pending[reader]].0;
-
-    // Counts one landed run against each point that reads it and completes
-    // the points it was the last run of.
-    let land = |readers: &[usize]| {
-        for &reader in readers {
-            // AcqRel pairs this worker's result store with the other
-            // run's, so the worker that lands a point's second run reads
-            // both results.
-            if waiting[reader].fetch_sub(1, Ordering::AcqRel) != 1 {
-                continue;
+    let order: Vec<usize> = (0..tasks.len()).collect();
+    let outcomes = exec.run_claims(jobs, &order, |t| {
+        let task = &tasks[t];
+        let labels = [("trunk", task.label.clone())];
+        let attempts = exec.attempt(&task.label, &labels, |attempt, _, _| {
+            if chaos::panics_trunk(&task.label, attempt) {
+                panic!("chaos: injected panic for trunk {} (attempt {attempt})", task.label);
             }
+            Ok(task.run())
+        });
+        let outcome = match attempts {
+            Ok(success) => success.value,
+            Err(failure) => panic!(
+                "dse trunk {} failed {} attempt(s): {}",
+                task.label,
+                failure.attempts,
+                failure.errors.join("; ")
+            ),
+        };
+        for (&reader, metrics) in task.readers.iter().zip(&outcome.metrics) {
             let (point, key) = &unique[pending[reader]];
-            if let Some(dir) = &opts.journal_dir {
+            if let Some(dir) = exec.journal_dir() {
                 // Best-effort, like scenario journaling: a lost record costs
                 // a recompute on resume, never the run.
-                let _ = journal::record_point(dir, key, &point.to_string(), &metrics_of(reader));
+                let _ = journal::record_point(dir, key, &point.to_string(), metrics);
             }
             let n = done.fetch_add(1, Ordering::Relaxed) + 1;
             if n.is_multiple_of(progress_every) || n == evaluated {
@@ -887,61 +772,15 @@ pub fn run_dse(opts: &DseOptions) -> DseResult {
                 );
             }
         }
-    };
-
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| {
-                let mut workspaces: Vec<SolverWorkspace> = Vec::new();
-                let mut stepped = Stepped::default();
-                while let Some(batch) = batches.get(next_batch.fetch_add(1, Ordering::Relaxed)) {
-                    match batch {
-                        Batch::Trunk(t) => {
-                            let trunk = &trunks[*t];
-                            stepped.trunk_steps += run_trunk(trunk, &pde_plan, point_of, land);
-                        }
-                        Batch::Tail { trunk, gate, runs } => {
-                            let snapshot = trunks[*trunk].gates[*gate].take();
-                            let mut counts = ForkCounts::default();
-                            let landed = execute(
-                                &worst_plan,
-                                runs,
-                                ("worst_case_run", "dse.worst_case_runs"),
-                                obs::tracer().begin(),
-                                point_of,
-                                |runs| {
-                                    let cfgs: Vec<WorstCaseConfig> =
-                                        runs.iter().map(|&cfg| cfg.clone()).collect();
-                                    let (voltages, forked) = fork_worst_case_lanes(
-                                        &cfgs,
-                                        snapshot,
-                                        &mut workspaces,
-                                        &mut stepped.batch_stats,
-                                    );
-                                    counts = forked;
-                                    voltages
-                                },
-                            );
-                            obs::metric_inc("dse.forks", counts.forks as u64);
-                            obs::metric_inc("dse.fallbacks", counts.fallbacks as u64);
-                            stepped.forks.forks += counts.forks;
-                            stepped.forks.fallbacks += counts.fallbacks;
-                            for readers in landed {
-                                land(readers);
-                            }
-                        }
-                    }
-                }
-                totals
-                    .lock()
-                    .expect("dse step totals poisoned")
-                    .absorb(&stepped);
-            });
-        }
+        outcome
     });
 
-    for (reader, &i) in pending.iter().enumerate() {
-        slots[i] = Some(metrics_of(reader));
+    let mut stepped = Stepped::default();
+    for (task, outcome) in tasks.iter().zip(&outcomes) {
+        stepped.absorb(&outcome.stepped);
+        for (&reader, &metrics) in task.readers.iter().zip(&outcome.metrics) {
+            slots[pending[reader]] = Some(metrics);
+        }
     }
     let mut rows: Vec<DsePointRow> = unique
         .iter()
@@ -960,16 +799,15 @@ pub fn run_dse(opts: &DseOptions) -> DseResult {
         .collect();
     mark_frontier(&mut rows);
 
-    let stepped = totals.into_inner().expect("dse step totals poisoned");
     DseResult {
         points: unique.into_iter().map(|(p, _)| p).collect(),
         rows,
         enumerated,
         evaluated,
         replayed,
-        pde_runs: pde_plan.len(),
-        worst_case_runs: worst_plan.len(),
-        trunks: trunks.len(),
+        pde_runs: tasks.iter().map(|task| task.pde_runs.len()).sum(),
+        worst_case_runs: tasks.iter().map(|task| task.worst_runs.len()).sum(),
+        trunks: tasks.len(),
         trunk_steps: stepped.trunk_steps,
         forks: stepped.forks.forks,
         fallbacks: stepped.forks.fallbacks,
@@ -1167,12 +1005,6 @@ mod tests {
         assert!(paper_claim.detail.contains("0 of 1"));
     }
 
-    fn trunk_key(trunk: Trunk) -> Vec<u64> {
-        let mut words = Vec::new();
-        trunk.stable_key_into(&mut words);
-        words
-    }
-
     /// Both families' runs at one (stack, area, load) follow one trunk:
     /// `PdsRig::with_params_in` builds circuit-only and cross-layer rigs
     /// through one arm, so the two kinds step bit-identical circuits.
@@ -1181,11 +1013,11 @@ mod tests {
         let settings = RunSettings::tiny_profile();
         let cross = ConfigPoint::paper();
         let circuit = ConfigPoint { pds: PdsFamily::Circuit, latency: 120, ..cross };
-        let key = trunk_key(Trunk::of_pde(&PdeRun::of(&cross, &settings)));
+        let key = Trunk::of_pde(&PdeRun::of(&cross, &settings)).key();
         for point in [cross, circuit] {
-            assert_eq!(trunk_key(Trunk::of_pde(&PdeRun::of(&point, &settings))), key, "{point}");
+            assert_eq!(Trunk::of_pde(&PdeRun::of(&point, &settings)).key(), key, "{point}");
             let worst = worst_case_config(&point, &settings);
-            assert_eq!(trunk_key(Trunk::of_worst_case(&worst)), key, "{point}");
+            assert_eq!(Trunk::of_worst_case(&worst).key(), key, "{point}");
         }
         // The plant's own inputs key apart.
         for other in [
@@ -1193,7 +1025,7 @@ mod tests {
             ConfigPoint { stack: StackGeometry::new(8, 2), ..cross },
             ConfigPoint { workload: 0.5, ..cross },
         ] {
-            assert_ne!(trunk_key(Trunk::of_pde(&PdeRun::of(&other, &settings))), key, "{other}");
+            assert_ne!(Trunk::of_pde(&PdeRun::of(&other, &settings)).key(), key, "{other}");
         }
 
         let params = StackGeometry::PAPER.pdn_params();
@@ -1212,26 +1044,6 @@ mod tests {
             cross.step(&loads, &zeros, &zeros).unwrap();
             assert_eq!(bits(&circuit), bits(&cross));
         }
-    }
-
-    /// A tail batch waiting on a gate whose trunk panics panics too,
-    /// instead of waiting forever: dse then exits through the panic path,
-    /// as it does when any run panics.
-    #[test]
-    fn a_trunk_that_panics_wakes_its_waiting_tails() {
-        let gates = [Gate::new(10)];
-        gates[0].lock().1 = 2;
-        std::thread::scope(|scope| {
-            let tails: Vec<_> = (0..2).map(|_| scope.spawn(|| gates[0].take())).collect();
-            let trunk = scope.spawn(|| {
-                let _abandon = AbandonOnDrop(&gates);
-                panic!("a trunk panics before its gate");
-            });
-            assert!(trunk.join().is_err());
-            for tail in tails {
-                assert!(tail.join().is_err(), "the waiting tail panics instead of hanging");
-            }
-        });
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! state a `SIGKILL` between steps 1 and 2 produces.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::io;
 use std::path::Path;
 use std::str::FromStr;
@@ -90,28 +91,45 @@ pub fn record_scenario(
     attempt_wall_s: &[f64],
 ) -> io::Result<()> {
     let rel = scenario_cache_rel(key, id);
-    let path = dir.join(&rel);
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
     let bytes = payload(key, id, report).into_bytes();
-    let file_name = format!("{}.json", id.name());
-    if let Some(cut) = chaos::torn_write(&file_name, bytes.len()) {
-        // Simulated SIGKILL between artifact write and journal append: the
-        // file lands torn under its final name and is never journaled.
-        return std::fs::write(&path, &bytes[..cut]);
-    }
-    write_atomic(&path, &bytes)?;
     let record = JournalRecord::ScenarioDone {
         suite: key.to_hex(),
         scenario: id.name().to_string(),
-        file: rel,
+        file: rel.clone(),
         checksum: checksum_hex(&bytes),
         attempts: Some(u64::from(attempts)),
         attempt_wall_s: Some(attempt_wall_s.to_vec()),
     };
+    write_then_journal(dir, &rel, &bytes, &record)
+}
+
+/// Writes `bytes` atomically to `dir/rel`, creating its directory, then
+/// appends `record` to the journal: the order that keeps the journal an
+/// under-approximation of the work on disk. A chaos tear scheduled for the
+/// file's name instead writes a truncated file directly and skips the
+/// record — the state a `SIGKILL` between the two steps leaves.
+fn write_then_journal(
+    dir: &Path,
+    rel: &str,
+    bytes: &[u8],
+    record: &JournalRecord,
+) -> io::Result<()> {
+    let path = dir.join(rel);
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
+    }
+    let file_name = path.file_name().map(|name| name.to_string_lossy().into_owned());
+    if let Some(cut) = file_name.and_then(|name| chaos::torn_write(&name, bytes.len())) {
+        return std::fs::write(&path, &bytes[..cut]);
+    }
+    write_atomic(&path, bytes)?;
+    append(dir, record)
+}
+
+/// Appends `record` to `dir`'s journal under the append lock.
+fn append(dir: &Path, record: &JournalRecord) -> io::Result<()> {
     let _guard = APPEND_LOCK.lock().expect("journal append lock poisoned");
-    append_journal(&dir.join(JOURNAL_FILE), &record)
+    append_journal(&dir.join(JOURNAL_FILE), record)
 }
 
 /// Appends an experiment-artifact completion record to the journal.
@@ -125,8 +143,7 @@ pub fn record_experiment(dir: &Path, id: &str, file: &str, bytes: &[u8]) -> io::
         file: file.to_string(),
         checksum: checksum_hex(bytes),
     };
-    let _guard = APPEND_LOCK.lock().expect("journal append lock poisoned");
-    append_journal(&dir.join(JOURNAL_FILE), &record)
+    append(dir, &record)
 }
 
 /// The cache path for one dse point's metrics, relative to the dse
@@ -158,8 +175,8 @@ fn point_payload(key: &SuiteKey, point: &str, m: &PointMetrics) -> String {
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors; the dse executor treats them as
-/// best-effort (a lost record costs a recompute on resume, not the run).
+/// Propagates filesystem errors; dse treats them as best-effort (a lost
+/// record costs a recompute on resume, not the run).
 pub fn record_point(
     dir: &Path,
     key: &SuiteKey,
@@ -167,24 +184,14 @@ pub fn record_point(
     metrics: &PointMetrics,
 ) -> io::Result<()> {
     let rel = point_cache_rel(key);
-    let path = dir.join(&rel);
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
     let bytes = point_payload(key, point, metrics).into_bytes();
-    let file_name = format!("{}.json", key.cache_dir());
-    if let Some(cut) = chaos::torn_write(&file_name, bytes.len()) {
-        return std::fs::write(&path, &bytes[..cut]);
-    }
-    write_atomic(&path, &bytes)?;
     let record = JournalRecord::PointDone {
         key: key.to_hex(),
         point: point.to_string(),
-        file: rel,
+        file: rel.clone(),
         checksum: checksum_hex(&bytes),
     };
-    let _guard = APPEND_LOCK.lock().expect("journal append lock poisoned");
-    append_journal(&dir.join(JOURNAL_FILE), &record)
+    write_then_journal(dir, &rel, &bytes, &record)
 }
 
 /// What a dse journal replay recovered.
@@ -211,20 +218,13 @@ pub struct DseResumeState {
 ///
 /// Propagates only filesystem errors from reading the journal itself.
 pub fn load_dse_resume(dir: &Path) -> io::Result<DseResumeState> {
-    let mut state = DseResumeState::default();
-    let text = match std::fs::read_to_string(dir.join(JOURNAL_FILE)) {
-        Ok(text) => text,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(state),
-        Err(e) => return Err(e),
-    };
-    let (records, skipped) = read_journal(&text);
-    state.skipped_lines = skipped;
-    let mut points: HashMap<String, (String, String, String)> = HashMap::new();
-    for rec in records {
-        if let JournalRecord::PointDone { key, point, file, checksum } = rec {
-            points.insert(key, (point, file, checksum));
+    let (points, skipped_lines) = replay(dir, |record| match record {
+        JournalRecord::PointDone { key, point, file, checksum } => {
+            Some((key, (point, file, checksum)))
         }
-    }
+        _ => None,
+    })?;
+    let mut state = DseResumeState { skipped_lines, ..DseResumeState::default() };
     for (key_hex, (point, file, checksum)) in points {
         match verify_point(dir, &key_hex, &point, &file, &checksum) {
             Some(metrics) => {
@@ -234,6 +234,24 @@ pub fn load_dse_resume(dir: &Path) -> io::Result<DseResumeState> {
         }
     }
     Ok(state)
+}
+
+/// Replays `dir`'s completion journal leniently: a missing journal is an
+/// empty replay, lines the reader cannot parse are skipped and counted, and
+/// of the records `pick` keys, the last one per key wins — a
+/// resumed-then-crashed run re-journals work it redid, and the newest file
+/// is the one on disk.
+pub(crate) fn replay<K: Eq + Hash, V>(
+    dir: &Path,
+    pick: impl Fn(JournalRecord) -> Option<(K, V)>,
+) -> io::Result<(HashMap<K, V>, usize)> {
+    let text = match std::fs::read_to_string(dir.join(JOURNAL_FILE)) {
+        Ok(text) => text,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((HashMap::new(), 0)),
+        Err(e) => return Err(e),
+    };
+    let (records, skipped) = read_journal(&text);
+    Ok((records.into_iter().filter_map(pick).collect(), skipped))
 }
 
 /// Full verification of one point record: the named file must exist, hash
@@ -293,48 +311,44 @@ pub struct ResumeState {
 /// Propagates only filesystem errors from reading the journal itself
 /// (other than it not existing).
 pub fn load_resume(dir: &Path) -> io::Result<ResumeState> {
-    let mut state = ResumeState::default();
-    let text = match std::fs::read_to_string(dir.join(JOURNAL_FILE)) {
-        Ok(text) => text,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(state),
-        Err(e) => return Err(e),
-    };
-    let (records, skipped) = read_journal(&text);
-    state.skipped_lines = skipped;
-
-    // Last record wins per unit of work.
-    let mut scenarios: HashMap<(String, String), (String, String)> = HashMap::new();
-    let mut experiments: HashMap<String, (String, String)> = HashMap::new();
-    for rec in records {
-        match rec {
-            JournalRecord::ScenarioDone { suite, scenario, file, checksum, .. } => {
-                scenarios.insert((suite, scenario), (file, checksum));
-            }
-            JournalRecord::ExperimentDone { id, file, checksum } => {
-                experiments.insert(id, (file, checksum));
-            }
-            // Point records belong to the dse resume path
-            // ([`load_dse_resume`]); the sweep reader ignores them.
-            JournalRecord::InternalError { .. } | JournalRecord::PointDone { .. } => {}
+    // Point records belong to the dse resume path ([`load_dse_resume`]);
+    // the sweep reader ignores them.
+    let (units, skipped_lines) = replay(dir, |record| match record {
+        JournalRecord::ScenarioDone { suite, scenario, file, checksum, .. } => {
+            Some((SweepUnit::Scenario(suite, scenario), (file, checksum)))
         }
-    }
-
-    for ((suite_hex, scenario_name), (file, checksum)) in scenarios {
-        match verify_scenario(dir, &suite_hex, &scenario_name, &file, &checksum) {
-            Some((key, id, report)) => {
-                state.verified_scenarios += 1;
-                state.preloaded.entry(key).or_default().push((id, report));
-            }
-            None => state.damaged += 1,
+        JournalRecord::ExperimentDone { id, file, checksum } => {
+            Some((SweepUnit::Experiment(id), (file, checksum)))
         }
-    }
-    for (_, (file, checksum)) in experiments {
-        match std::fs::read(dir.join(&file)) {
-            Ok(bytes) if checksum_hex(&bytes) == checksum => state.verified_experiments += 1,
-            _ => state.damaged += 1,
+        JournalRecord::InternalError { .. } | JournalRecord::PointDone { .. } => None,
+    })?;
+    let mut state = ResumeState { skipped_lines, ..ResumeState::default() };
+    for (unit, (file, checksum)) in units {
+        match unit {
+            SweepUnit::Scenario(suite_hex, scenario_name) => {
+                match verify_scenario(dir, &suite_hex, &scenario_name, &file, &checksum) {
+                    Some((key, id, report)) => {
+                        state.verified_scenarios += 1;
+                        state.preloaded.entry(key).or_default().push((id, report));
+                    }
+                    None => state.damaged += 1,
+                }
+            }
+            SweepUnit::Experiment(_) => match std::fs::read(dir.join(&file)) {
+                Ok(bytes) if checksum_hex(&bytes) == checksum => state.verified_experiments += 1,
+                _ => state.damaged += 1,
+            },
         }
     }
     Ok(state)
+}
+
+/// A unit of sweep work a journal record completes: a (suite, scenario)
+/// run, by their hex key and name, or an experiment artifact, by its id.
+#[derive(PartialEq, Eq, Hash)]
+enum SweepUnit {
+    Scenario(String, String),
+    Experiment(String),
 }
 
 /// Full verification of one scenario record: the named file must exist,

@@ -616,6 +616,19 @@ fn baseline_artifact_set(dir: &Path) -> Result<Vec<String>, String> {
     Ok(files)
 }
 
+/// Reads and parses the tolerance spec at `path` (the `--tolerances` file
+/// of `sweep` and `dse`, the `tolerances` field of a serve diff request).
+///
+/// # Errors
+///
+/// A message naming `path`: the file could not be read, or it holds no
+/// valid spec.
+pub fn load_tolerances(path: &str) -> Result<ToleranceSpec, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read tolerance file {path}: {e}"))?;
+    ToleranceSpec::from_json_str(&text).map_err(|e| format!("bad tolerance file {path}: {e}"))
+}
+
 /// Diffs every artifact the baseline store declares against the candidate
 /// store under `spec`. A baseline artifact missing or unparseable in the
 /// candidate fails; candidate-only artifacts are noted, not failed.

@@ -72,7 +72,7 @@ use std::time::Duration;
 
 use vs_core::{PowerManagement, ScenarioId};
 use vs_telemetry::json::{self, Json};
-use vs_telemetry::{checksum_hex, fnv1a_64, read_journal, write_atomic, JournalRecord, RequestEvent, ToleranceSpec, SCHEMA_VERSION};
+use vs_telemetry::{checksum_hex, fnv1a_64, write_atomic, JournalRecord, RequestEvent, ToleranceSpec, SCHEMA_VERSION};
 
 use crate::shard::{ExecutorConfig, SuiteKey};
 use crate::space::{AxisSpace, ConfigPoint};
@@ -185,19 +185,10 @@ impl Server {
 
         // Index experiment artifacts (load_resume verifies but does not
         // return them; requests re-verify the bytes on every hit anyway).
-        let mut experiments = HashMap::new();
-        match std::fs::read_to_string(root.join(journal::JOURNAL_FILE)) {
-            Ok(text) => {
-                let (records, _) = read_journal(&text);
-                for rec in records {
-                    if let JournalRecord::ExperimentDone { id, file, checksum } = rec {
-                        experiments.insert(id, (file, checksum));
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
+        let (experiments, _) = journal::replay(&root, |record| match record {
+            JournalRecord::ExperimentDone { id, file, checksum } => Some((id, (file, checksum))),
+            _ => None,
+        })?;
 
         Ok(Server {
             root,
@@ -478,20 +469,10 @@ impl Server {
             return emit(out, req, "degraded", &[("error", "diff_baseline needs \"baseline\" and \"candidate\"".to_string())]);
         };
         let spec = match parsed.get("tolerances").and_then(Json::as_str) {
-            Some(path) => {
-                let text = match std::fs::read_to_string(path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        return emit(out, req, "degraded", &[("error", format!("cannot read tolerance file {path}: {e}"))]);
-                    }
-                };
-                match ToleranceSpec::from_json_str(&text) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        return emit(out, req, "degraded", &[("error", format!("bad tolerance file {path}: {e}"))]);
-                    }
-                }
-            }
+            Some(path) => match report::load_tolerances(path) {
+                Ok(spec) => spec,
+                Err(e) => return emit(out, req, "degraded", &[("error", e)]),
+            },
             None => ToleranceSpec::exact(),
         };
         emit(out, req, "running", &[("baseline", baseline.to_string()), ("candidate", candidate.to_string())])?;

@@ -15,7 +15,8 @@
 //!   indices in a priority order and fill canonical result slots; a worker
 //!   whose queue has drained steals group tasks from batches still in
 //!   flight instead of exiting. [`crate::sweep::run_sweep`] runs its
-//!   experiments on it, [`crate::campaign::run_campaign`] its fault cells.
+//!   experiments on it, [`crate::campaign::run_campaign`] its fault cells,
+//!   and [`crate::dse::run_dse`] its trunk tasks.
 //! * **Batches** ([`Executor::run_suites`]): one call requests every suite
 //!   an experiment needs. Each suite is a memoized job of twelve
 //!   [`ScenarioId`] slots. The batch splits its pending suites, per
@@ -36,7 +37,7 @@
 //!
 //! # Crash safety
 //!
-//! Every run and campaign cell goes through one attempt loop
+//! Every run, campaign cell and dse trunk goes through one attempt loop
 //! (`Executor::attempt`, built on [`isolated`]): panics are caught, the
 //! thread's pool shard is rebuilt (a panic can unwind through a
 //! half-stepped solver, so the shard is never trusted afterwards — the
@@ -49,10 +50,11 @@
 //! alone from attempt 1. A run that exhausts its attempts is
 //! **quarantined** ([`QuarantineRecord`], read back through
 //! [`Executor::quarantined`]): its suite completes *degraded* — missing that
-//! scenario's report — instead of aborting the process. Completed scenarios
-//! are appended to the executor's resume journal (see [`crate::journal`]),
-//! and suites prefill verified reports from the preload so only damaged or
-//! missing work recomputes.
+//! scenario's report — instead of aborting the process; a dse trunk that
+//! exhausts its attempts panics `run_dse` instead, since a frontier has no
+//! degraded form. Completed scenarios are appended to the executor's
+//! resume journal (see [`crate::journal`]), and suites prefill verified
+//! reports from the preload so only damaged or missing work recomputes.
 //!
 //! Determinism contract: a suite's reports are assembled in
 //! [`ScenarioId::ALL`] order from per-scenario slots, a group member's
@@ -66,7 +68,7 @@ use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -144,8 +146,8 @@ impl SuiteKey {
     }
 }
 
-/// Retry / watchdog policy of the executor's attempt loop (scenario tasks
-/// and campaign cells).
+/// Retry / watchdog policy of the executor's attempt loop (scenario tasks,
+/// campaign cells and dse trunks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutorConfig {
     /// Attempts per task before quarantine (min 1).
@@ -484,8 +486,8 @@ impl Default for Executor {
 
 impl Executor {
     /// Builds an executor. Tasks retry under `policy`; completed scenarios
-    /// are journaled into `journal_dir` when set; and suites prefill
-    /// journal-verified reports from `preloaded`.
+    /// and dse points are journaled into `journal_dir` when set; and suites
+    /// prefill journal-verified reports from `preloaded`.
     pub fn new(policy: ExecutorConfig, journal_dir: Option<PathBuf>, preloaded: Preload) -> Self {
         Executor {
             policy,
@@ -654,6 +656,11 @@ impl Executor {
             .clone();
         records.sort_by_key(|q| (q.suite.to_hex(), scenario_index(q.scenario)));
         records
+    }
+
+    /// Where this executor journals completed work, if it journals.
+    pub(crate) fn journal_dir(&self) -> Option<&Path> {
+        self.journal_dir.as_deref()
     }
 
     /// A snapshot of this executor's [`ShardStats`].

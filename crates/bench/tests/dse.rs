@@ -14,14 +14,15 @@
 //! other tests neither journal nor write artifacts in this process, so
 //! the plan never reaches them.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use vs_bench::chaos::{clear_chaos_plan, install_chaos_plan, ChaosPlan};
 use vs_bench::dse::{evaluate_point, run_dse, DseOptions};
 use vs_bench::journal::{load_dse_resume, point_cache_rel};
+use vs_bench::shard::{ExecutorConfig, Preload};
 use vs_bench::space::AxisSpace;
-use vs_bench::RunSettings;
+use vs_bench::{Executor, RunSettings};
 use vs_circuit::SolverWorkspace;
 use vs_telemetry::{parse_chrome_trace, TracePhase};
 
@@ -41,6 +42,11 @@ fn grid() -> AxisSpace {
         .expect("grid spec")
 }
 
+/// An executor that journals into `dir`.
+fn journaling(dir: &Path) -> Executor {
+    Executor::new(ExecutorConfig::default(), Some(dir.to_path_buf()), Preload::new())
+}
+
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("vs-bench-dse-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -53,7 +59,7 @@ fn dse_artifacts_are_schedule_invariant_and_resume_converges() {
 
     // Phase 1 — undisturbed reference: one worker.
     clear_chaos_plan();
-    let reference = run_dse(&DseOptions {
+    let reference = run_dse(&Executor::default(), &DseOptions {
         jobs: 1,
         settings: micro(),
         space: grid(),
@@ -68,7 +74,7 @@ fn dse_artifacts_are_schedule_invariant_and_resume_converges() {
     // Phase 2 — determinism matrix: more workers reorder the schedule but
     // never the bytes.
     for jobs in [2, 8] {
-        let run = run_dse(&DseOptions {
+        let run = run_dse(&Executor::default(), &DseOptions {
             jobs,
             settings: micro(),
             space: grid(),
@@ -88,11 +94,10 @@ fn dse_artifacts_are_schedule_invariant_and_resume_converges() {
         tasks: vec![],
         torn_writes: vec![format!("{}.json", torn_key.cache_dir())],
     });
-    let chaos_run = run_dse(&DseOptions {
+    let chaos_run = run_dse(&journaling(&dir), &DseOptions {
         jobs: 2,
         settings,
         space: grid(),
-        journal_dir: Some(dir.clone()),
         ..DseOptions::default()
     });
     clear_chaos_plan();
@@ -119,11 +124,10 @@ fn dse_artifacts_are_schedule_invariant_and_resume_converges() {
     // Phase 4 — resume: exactly the two lost points recompute, executing
     // only the runs they read (at different areas they share neither
     // run), and the artifact converges to the undisturbed bytes.
-    let resumed = run_dse(&DseOptions {
+    let resumed = run_dse(&journaling(&dir), &DseOptions {
         jobs: 2,
         settings,
         space: grid(),
-        journal_dir: Some(dir.clone()),
         preloaded: state.verified,
     });
     assert_eq!(resumed.replayed, 62);
@@ -157,7 +161,7 @@ fn runs_matching_the_oracle(space: &AxisSpace) -> Vec<vs_bench::dse::DseResult> 
     [1, 8]
         .into_iter()
         .map(|jobs| {
-            let shared = run_dse(&DseOptions {
+            let shared = run_dse(&Executor::default(), &DseOptions {
                 jobs,
                 settings: micro(),
                 space: space.clone(),
@@ -280,7 +284,7 @@ fn traced_binary_spans_each_executed_run_once() {
     }
 
     // Tracing is observational: the frontier matches the untraced run.
-    let untraced = run_dse(&DseOptions {
+    let untraced = run_dse(&Executor::default(), &DseOptions {
         jobs: 1,
         settings: micro(),
         space: AxisSpace::tiny_grid(),

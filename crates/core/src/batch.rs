@@ -129,23 +129,12 @@ impl CosimPool {
     }
 
     /// Runs one workload profile under a supervisor and fault plan on the
-    /// pooled workspace (the pooled twin of
-    /// [`Cosim::run_supervised`]).
-    pub fn run_supervised(
-        &mut self,
-        cfg: &CosimConfig,
-        profile: &WorkloadProfile,
-        sup: &SupervisorConfig,
-        plan: &FaultPlan,
-    ) -> SupervisedReport {
-        self.run_supervised_with_budget(cfg, profile, sup, plan, CycleBudget::unlimited())
-    }
-
-    /// [`CosimPool::run_supervised`] with a watchdog [`CycleBudget`]: a
-    /// deadline trip surfaces as [`crate::CosimError::DeadlineExceeded`] in
-    /// the report's `error` slot (and classifies as an aborted verdict),
-    /// letting the fault campaign's sharded executor retry wedged cells.
-    /// The workspace is recovered whether the run completes or errors.
+    /// pooled workspace (the pooled twin of [`Cosim::run_supervised`]),
+    /// under a watchdog [`CycleBudget`]: a deadline trip surfaces as
+    /// [`crate::CosimError::DeadlineExceeded`] in the report's `error` slot
+    /// (and classifies as an aborted verdict), letting the fault campaign's
+    /// sharded executor retry wedged cells. The workspace is recovered
+    /// whether the run completes or errors.
     pub fn run_supervised_with_budget(
         &mut self,
         cfg: &CosimConfig,

@@ -214,15 +214,6 @@ impl Default for CosimConfig {
 }
 
 impl CosimConfig {
-    /// The conventional baseline against which penalties and savings are
-    /// normalized.
-    pub fn conventional_baseline() -> Self {
-        CosimConfig {
-            pds: PdsKind::ConventionalVrm,
-            ..CosimConfig::default()
-        }
-    }
-
     /// Appends this config's stable identity key: every field's bit pattern
     /// in declaration order. Two configs push the same words iff they are
     /// bit-identical, so the result is safe to use as a cache key (unlike

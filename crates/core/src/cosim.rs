@@ -754,22 +754,6 @@ impl Cosim {
         run.report
     }
 
-    /// Like [`Cosim::run`] but returns solver failures and watchdog
-    /// deadline trips (see [`CosimBuilder::budget`]) as an error instead of
-    /// panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`CosimError`] the supervised run recorded.
-    pub fn try_run(&mut self) -> Result<CosimReport, CosimError> {
-        let sup = self.sup;
-        let run = self.run_supervised(&sup, &FaultPlan::none());
-        match run.error {
-            Some(e) => Err(e),
-            None => Ok(run.report),
-        }
-    }
-
     /// Runs under a supervisor: installs the supervisor's solver-recovery
     /// policy on the rig, interprets `plan` every cycle (sensing, actuation,
     /// CR-IVR, and load faults), tracks per-layer time below the voltage

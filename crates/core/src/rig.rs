@@ -64,11 +64,6 @@ impl EnergyLedger {
             self.useful_j() / self.board_input_j
         }
     }
-
-    /// Total PDS loss (input minus useful).
-    pub fn total_loss_j(&self) -> f64 {
-        self.board_input_j - self.useful_j()
-    }
 }
 
 #[derive(Clone)]

@@ -19,7 +19,6 @@
 //! not hold.
 
 use std::fmt;
-use std::ops::Deref;
 use std::str::FromStr;
 
 use vs_circuit::{BatchStats, LaneOutcome, SolverWorkspace, Trace};
@@ -672,11 +671,8 @@ pub fn run_worst_case_lanes(
 /// bit-identical to [`run_worst_case_in`]'s, returned in `cfgs` order with
 /// the fork and fallback counts.
 ///
-/// `trunk` is any handle to the snapshot (a reference, an `Arc`); the
-/// driver drops it once the forks have cloned its rig, before the tails
-/// step. The forks' rigs are clones, not pool workspaces, so they are
-/// dropped when the tails end and `workspaces` does not grow with every
-/// fork.
+/// The forks' rigs are clones, not pool workspaces, so they are dropped
+/// when the tails end and `workspaces` does not grow with every fork.
 ///
 /// # Panics
 ///
@@ -687,7 +683,7 @@ pub fn run_worst_case_lanes(
 /// those inputs is the caller's to check.
 pub fn fork_worst_case_lanes(
     cfgs: &[WorstCaseConfig],
-    trunk: Option<impl Deref<Target = GateSnapshot>>,
+    trunk: Option<&GateSnapshot>,
     workspaces: &mut Vec<SolverWorkspace>,
     stats: &mut BatchStats,
 ) -> (Vec<WorstCaseVoltages>, ForkCounts) {
@@ -695,7 +691,7 @@ pub fn fork_worst_case_lanes(
     let mut fallbacks: Vec<usize> = Vec::new();
     for (i, cfg) in cfgs.iter().enumerate() {
         let mut lane = WorstCaseLane::new(cfg);
-        match &trunk {
+        match trunk {
             Some(trunk) if lane.replay(trunk) => forks.push((i, lane)),
             _ => fallbacks.push(i),
         }
@@ -704,13 +700,10 @@ pub fn fork_worst_case_lanes(
         forks: forks.len(),
         fallbacks: fallbacks.len(),
     };
-    let rigs = match &trunk {
+    let rigs = match trunk {
         Some(trunk) if !forks.is_empty() => vec![trunk.rig.clone(); forks.len()],
         _ => Vec::new(),
     };
-    // The forks own their rigs now: let the snapshot go before the tails
-    // step, so a caller handing over its last handle frees it here.
-    drop(trunk);
     let mut out: Vec<Option<WorstCaseVoltages>> = vec![None; cfgs.len()];
     if !forks.is_empty() {
         let (at, mut lanes): (Vec<usize>, Vec<WorstCaseLane>) = forks.into_iter().unzip();

@@ -247,26 +247,6 @@ impl AcAnalysis {
         let sol = self.solve(freq_hz, stimuli)?;
         Ok(sol.voltage_between(sense_a, sense_b))
     }
-
-    /// Sweeps `impedance` magnitudes over logarithmically-spaced frequencies.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first solve error.
-    pub fn impedance_sweep(
-        &self,
-        f_start_hz: f64,
-        f_stop_hz: f64,
-        points: usize,
-        a: NodeId,
-        b: NodeId,
-    ) -> Result<Vec<(f64, f64)>, NetlistError> {
-        let mut out = Vec::with_capacity(points);
-        for f in log_space(f_start_hz, f_stop_hz, points) {
-            out.push((f, self.impedance(f, a, b)?.abs()));
-        }
-        Ok(out)
-    }
 }
 
 /// `points` logarithmically spaced values from `start` to `stop` inclusive.

@@ -393,9 +393,4 @@ impl BatchedTransient {
         }
         &self.outcomes
     }
-
-    /// Tears the batch down into its lanes, in lane order.
-    pub fn into_lanes(self) -> Vec<Transient> {
-        self.lanes
-    }
 }

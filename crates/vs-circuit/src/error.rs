@@ -112,16 +112,3 @@ impl From<NetlistError> for SolverError {
         SolverError::Netlist(e)
     }
 }
-
-impl SolverError {
-    /// True for failures that adaptive recovery can plausibly clear
-    /// (non-finite inputs, divergence); false for structural errors.
-    pub fn is_recoverable(&self) -> bool {
-        matches!(
-            self,
-            SolverError::NonFinite { .. }
-                | SolverError::Divergence { .. }
-                | SolverError::Singular { .. }
-        )
-    }
-}

@@ -23,6 +23,11 @@ use vs_num::{Matrix, SparseLu};
 /// Sentinel for "this element has no entry in the index map".
 const NO_INDEX: usize = usize::MAX;
 
+/// Node voltages above this magnitude, volts, are classified as
+/// [`SolverError::Divergence`]: far above any physical supply rail but small
+/// enough to catch blow-ups long before they reach infinity.
+const DIVERGENCE_LIMIT_V: f64 = 1e4;
+
 /// Numerical integration method for reactive elements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Integration {
@@ -345,8 +350,6 @@ pub struct Transient {
     /// mean a bit-identical stamp matrix and therefore bit-identical LU
     /// factors.
     fingerprint: u64,
-    /// Node voltages above this magnitude are classified as divergence.
-    divergence_limit_v: f64,
     /// Carried through from the owning [`SolverWorkspace`], if any.
     dc_cache: Option<DcCache>,
     dc_hits: u64,
@@ -571,7 +574,6 @@ impl Transient {
             per_element_absorbed_j,
             energy: EnergyReport::default(),
             fingerprint: 0,
-            divergence_limit_v: 1e4,
             dc_cache: ws.dc_cache,
             dc_hits: ws.dc_hits,
             runs: ws.runs + 1,
@@ -937,14 +939,6 @@ impl Transient {
         self.method
     }
 
-    /// Sets the node-voltage magnitude beyond which a candidate solution is
-    /// rejected as [`SolverError::Divergence`]. Defaults to 10 kV — far
-    /// above any physical supply rail but small enough to catch blow-ups
-    /// long before they reach infinity.
-    pub fn set_divergence_limit(&mut self, volts: f64) {
-        self.divergence_limit_v = volts.abs();
-    }
-
     /// Voltage of `node` at the last accepted step.
     pub fn voltage(&self, node: NodeId) -> f64 {
         match self.netlist.node_var(node) {
@@ -1003,7 +997,7 @@ impl Transient {
     /// * [`SolverError::NonFinite`] — the candidate solution contains NaN or
     ///   infinity (e.g. a non-finite control input).
     /// * [`SolverError::Divergence`] — a node voltage exceeded the
-    ///   divergence limit ([`Transient::set_divergence_limit`]).
+    ///   divergence limit (10 kV).
     pub fn step(&mut self) -> Result<(), SolverError> {
         let t_new = self.time + self.dt;
         self.build_rhs(t_new);
@@ -1097,11 +1091,11 @@ impl Transient {
         for &v in &self.rhs[..self.n_node_vars] {
             v_max = v_max.max(v.abs());
         }
-        if v_max > self.divergence_limit_v {
+        if v_max > DIVERGENCE_LIMIT_V {
             return Err(SolverError::Divergence {
                 time_s: self.time,
                 v_max,
-                limit_v: self.divergence_limit_v,
+                limit_v: DIVERGENCE_LIMIT_V,
             });
         }
 
@@ -1193,25 +1187,6 @@ impl Transient {
             self.step()?;
         }
         Ok(())
-    }
-
-    /// Advances by `n` steps with [`Transient::step_with_recovery`] applied
-    /// at every step, accumulating recovery activity into one report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first unrecoverable stepping error.
-    pub fn run_with_recovery(
-        &mut self,
-        n: usize,
-        policy: &RecoveryPolicy,
-    ) -> Result<StepReport, SolverError> {
-        let mut total = StepReport::default();
-        for _ in 0..n {
-            let r = self.step_with_recovery(policy)?;
-            total.absorb(&r);
-        }
-        Ok(total)
     }
 
     fn snapshot(&self) -> Snapshot {

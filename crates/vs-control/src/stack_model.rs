@@ -95,19 +95,6 @@ impl StackModel {
         kk
     }
 
-    /// Discretized closed-loop system for gain `k` and control period
-    /// `t_sample` seconds (sensing + computation + actuation latency).
-    pub fn closed_loop_discrete(&self, k: f64, t_sample: f64) -> DiscreteStateSpace {
-        let ss = self.state_space();
-        let acl = ss.closed_loop(&self.proportional_feedback(k));
-        // Sampled proportional control: the state evolves under zero-order
-        // hold of the feedback computed from the last sample. For the pure
-        // integrator grid this is Ad = I + Acl * T exactly (A=0 makes higher
-        // powers of A vanish only in the open loop), so discretize the
-        // closed loop matrix directly.
-        StateSpace::new(acl, Matrix::zeros(self.n_layers - 1, 1)).c2d(t_sample)
-    }
-
     /// Sampled-data closed loop: the controller samples `X` every
     /// `t_sample`, holds `U = K X(n)` for the whole period, and the plant
     /// integrates it. For `A = 0` the exact sampled dynamics are

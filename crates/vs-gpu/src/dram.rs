@@ -104,11 +104,6 @@ impl DramChannel {
         }
     }
 
-    /// Queue depth (requests not yet started).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// True when no work is queued or in flight.
     pub fn is_idle(&self) -> bool {
         self.queue.is_empty() && self.in_flight.is_empty()

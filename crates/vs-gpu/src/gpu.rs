@@ -1,7 +1,7 @@
 //! Whole-GPU simulator: 16 SMs sharing a banked L2 and DRAM channels.
 
 use crate::config::GpuConfig;
-use crate::mem::{MemResponse, MemStats, MemorySystem};
+use crate::mem::{MemResponse, MemorySystem};
 use crate::sm::{SchedulerKind, Sm, SmControl, SmCycleStats, SmStats, WorkPool};
 use crate::workload::Kernel;
 
@@ -161,11 +161,6 @@ impl Gpu {
     /// Per-SM lifetime statistics.
     pub fn sm_stats(&self) -> Vec<SmStats> {
         self.sms.iter().map(Sm::stats).collect()
-    }
-
-    /// Memory-subsystem statistics.
-    pub fn mem_stats(&self) -> MemStats {
-        self.mem.stats()
     }
 
     /// Total instructions retired across all SMs.

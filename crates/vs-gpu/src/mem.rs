@@ -11,9 +11,9 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
 
-use crate::cache::{Cache, CacheConfig, CacheOutcome, CacheStats};
+use crate::cache::{Cache, CacheConfig, CacheOutcome};
 use crate::config::GpuConfig;
-use crate::dram::{DramChannel, DramConfig, DramRequest, DramStats};
+use crate::dram::{DramChannel, DramConfig, DramRequest};
 
 /// Kind of request submitted by an SM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -273,16 +273,6 @@ impl MemorySystem {
     /// Subsystem-level statistics.
     pub fn stats(&self) -> MemStats {
         self.stats
-    }
-
-    /// Per-partition L2 statistics.
-    pub fn l2_stats(&self) -> Vec<CacheStats> {
-        self.l2_banks.iter().map(|c| c.stats()).collect()
-    }
-
-    /// Per-channel DRAM statistics.
-    pub fn dram_stats(&self) -> Vec<DramStats> {
-        self.dram.iter().map(|d| d.stats()).collect()
     }
 }
 

@@ -402,11 +402,6 @@ impl Sm {
         self.stats
     }
 
-    /// L1 statistics.
-    pub fn l1_stats(&self) -> crate::cache::CacheStats {
-        self.l1.stats()
-    }
-
     /// Delivers a memory response to this SM.
     pub fn on_response(&mut self, resp: &MemResponse) {
         if let Some((warp, mask, remaining)) = self.outstanding.get_mut(&resp.instr_token) {

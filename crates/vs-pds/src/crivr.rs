@@ -45,12 +45,6 @@ impl CrIvrConfig {
         area_model.conductance_for_area(self.area_mm2)
     }
 
-    /// Per-stage conductance when the total capacity is split across
-    /// `n_ladders` ladders (the netlist builder uses `n_sub_ivrs`).
-    pub fn stage_conductance(&self, area_model: &AreaModel, n_ladders: usize) -> f64 {
-        self.total_conductance(area_model) / n_ladders.max(1) as f64
-    }
-
     /// Static overhead power of the regulator (control + gate drive), watts.
     pub fn overhead_power_w(&self, area_model: &AreaModel) -> f64 {
         self.overhead_w_per_siemens * self.total_conductance(area_model)

@@ -214,17 +214,6 @@ impl StackedPdn {
         sim.voltage(self.sm_top[layer][col]) - sim.voltage(self.sm_bottom[layer][col])
     }
 
-    /// All SM voltages, layer-major.
-    pub fn all_sm_voltages(&self, sim: &Transient) -> Vec<f64> {
-        let mut v = Vec::with_capacity(self.params.n_sms());
-        for layer in 0..self.params.n_layers {
-            for col in 0..self.params.n_columns {
-                v.push(self.sm_voltage(sim, layer, col));
-            }
-        }
-        v
-    }
-
     /// Balanced initial node voltages (layer voltages evenly divided) for
     /// starting a transient at the stacked equilibrium.
     pub fn balanced_initial_state(&self) -> (Vec<f64>, Vec<f64>) {

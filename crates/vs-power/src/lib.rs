@@ -264,15 +264,6 @@ impl EnergyAccountant {
         self.dynamic_j() + self.leakage_j()
     }
 
-    /// Per-SM total energy, joules.
-    pub fn per_sm_j(&self) -> Vec<f64> {
-        self.dynamic_j
-            .iter()
-            .zip(&self.leakage_j)
-            .map(|(d, l)| d + l)
-            .collect()
-    }
-
     /// Cycles recorded.
     pub fn cycles(&self) -> u64 {
         self.cycles

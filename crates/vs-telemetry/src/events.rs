@@ -9,7 +9,6 @@
 //! change.
 
 use std::fmt;
-use std::io::{self, Write};
 
 use crate::json::{self, Json};
 use crate::metrics::MetricsSnapshot;
@@ -536,15 +535,6 @@ impl RunArtifact {
             out.push('\n');
         }
         out
-    }
-
-    /// Writes the JSONL stream to `w`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_jsonl(&self, w: &mut impl Write) -> io::Result<()> {
-        w.write_all(self.to_jsonl().as_bytes())
     }
 
     /// Parses a JSONL stream back into events. Blank lines are skipped;

@@ -81,6 +81,7 @@ cargo test --release -q -p vs-core --test zero_alloc
 echo "== chaos smoke: panic/stall/torn-write survival + journaled resume =="
 cargo test --release -q -p vs-bench --test chaos
 cargo test --release -q -p vs-bench --test chaos_groups
+cargo test --release -q -p vs-bench --test chaos_dse
 cargo test --release -q -p vs-bench --test resume
 cargo test --release -q -p vs-bench --test campaign_jobs
 
@@ -93,16 +94,21 @@ cargo test --release -q -p vs-bench --test dse
 cargo run --release -q -p vs-bench --bin dse -- \
     --profile tiny --out target/dse-smoke --progress off > /dev/null
 # Full 1728-point grid at the tiny profile, once on one worker and once on
-# every core: the shared runs must land the same frontier bytes whatever
-# the schedule.
-cargo run --release -q -p vs-bench --bin dse -- \
+# every core: the shared runs must land the same frontier bytes, and the
+# plan the same run, lane and trunk counters, whatever the schedule.
+DSE_J1=$(cargo run --release -q -p vs-bench --bin dse -- \
     --grid full --profile tiny --deterministic --jobs 1 \
-    --out target/dse-full-j1 --progress off > /dev/null
-cargo run --release -q -p vs-bench --bin dse -- \
+    --out target/dse-full-j1 --progress off 2>&1 > /dev/null)
+DSE_J0=$(cargo run --release -q -p vs-bench --bin dse -- \
     --grid full --profile tiny --deterministic --jobs 0 \
-    --out target/dse-full --progress off > /dev/null
+    --out target/dse-full --progress off 2>&1 > /dev/null)
 cmp target/dse-full-j1/dse_frontier.jsonl target/dse-full/dse_frontier.jsonl
-echo "dse smoke (tiny grid + full grid at jobs 1 and all cores, identical frontiers): OK"
+dse_counters() { grep -E '^\[dse\] (runs|lanes|trunks):' <<< "$1" || true; }
+[[ $(dse_counters "$DSE_J1" | wc -l) -eq 3 ]] \
+    || { echo "dse smoke: missing [dse] counter lines" >&2; exit 1; }
+diff <(dse_counters "$DSE_J1") <(dse_counters "$DSE_J0") \
+    || { echo "dse smoke: counters differ between jobs 1 and all cores" >&2; exit 1; }
+echo "dse smoke (tiny grid + full grid at jobs 1 and all cores, identical frontiers and counters): OK"
 
 echo "== diff-baseline self-check =="
 # The regression gate must accept a store against itself and reject a
