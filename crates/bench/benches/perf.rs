@@ -10,7 +10,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use vs_bench::obs;
+use vs_bench::Executor;
 use vs_circuit::{BatchedTransient, Integration, RecoveryPolicy, Transient};
 use vs_pds::{AreaModel, CrIvrConfig, PdnParams, StackedPdn};
 use vs_telemetry::{Stage, Telemetry};
@@ -147,24 +147,24 @@ fn bench_telemetry_overhead() {
 }
 
 /// Guard: the executor tracing instrumentation in the task lifecycle must
-/// be free when tracing is off. With the tracer disabled, every probe a
-/// scenario task passes — the span-begin check, the gated executor metric
-/// calls, the queue-depth gate — reduces to one relaxed atomic load each.
-/// Same shape as the telemetry guard above: assert on the best of five
-/// trials.
+/// be free when tracing is off. On an executor whose tracer is off (the
+/// default), every probe a scenario task passes — the span-begin check,
+/// the gated executor metric calls, the queue-depth gate — reduces to one
+/// relaxed atomic load each. Same shape as the telemetry guard above:
+/// assert on the best of five trials.
 fn bench_trace_overhead() {
     const MAX_DISABLED_NS: f64 = 250.0;
-    obs::set_tracing(false);
+    let exec = black_box(Executor::default());
     let task_probes = || {
         // One task's worth of disabled instrumentation: task + attempt
         // span begins, the ok-counter, the labeled wall histogram, and
         // the queue-depth gauge.
-        black_box(obs::tracer().begin());
-        black_box(obs::tracer().begin());
-        obs::metric_inc("executor.tasks_ok", 1);
-        obs::metric_observe_wall("executor.task_wall_s{scenario=bfs}", 0.5);
-        obs::metric_gauge("executor.queue_depth", 0.0);
-        black_box(obs::tracing_enabled());
+        black_box(exec.tracer().begin());
+        black_box(exec.tracer().begin());
+        exec.metric_inc("executor.tasks_ok", 1);
+        exec.metric_observe_wall("executor.task_wall_s{scenario=bfs}", 0.5);
+        exec.metric_gauge("executor.queue_depth", 0.0);
+        black_box(exec.tracer().is_enabled());
     };
     let mut measured = f64::INFINITY;
     for _ in 0..5 {

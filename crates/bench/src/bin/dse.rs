@@ -133,16 +133,14 @@ fn main() -> ExitCode {
         (!deterministic).then(|| out.clone()),
         Preload::new(),
     );
+    exec.tracer().set_enabled(parsed.common.trace);
     let opts = DseOptions { jobs: parsed.common.jobs, settings, space, preloaded };
     let result = run_dse(&exec, &opts);
     let path = result
         .write_to(&out, deterministic)
         .unwrap_or_else(|e| fail(&format!("cannot write dse to {}: {e}", out.display())));
     if parsed.common.trace {
-        let text = vs_telemetry::chrome_trace_json(
-            &vs_bench::obs::drain_trace(),
-            Some(&vs_bench::obs::metrics_snapshot()),
-        );
+        let text = vs_telemetry::chrome_trace_json(&exec.tracer().drain(), Some(&exec.metrics()));
         let trace_path = out.join(vs_bench::report::TRACE_FILE);
         match vs_telemetry::write_atomic(&trace_path, text.as_bytes()) {
             Ok(()) => eprintln!("[dse] trace -> {}", trace_path.display()),

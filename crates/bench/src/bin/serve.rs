@@ -71,6 +71,7 @@ fn main() -> ExitCode {
         .unwrap_or_else(|| PathBuf::from("target/serve-store"));
     let server = Server::open(&ServeOptions { store, settings })
         .unwrap_or_else(|e| fail(&format!("cannot open store: {e}")));
+    server.executor().tracer().set_enabled(parsed.common.trace);
     let r = &server.store_report;
     eprintln!(
         "[serve] store {} (fingerprint {}): {} scenario(s) + {} experiment(s) verified, \

@@ -58,7 +58,7 @@ use vs_bench::cli::{ArgSpec, CommandSpec, PROFILE_FLAG, SEED_FLAG};
 use vs_bench::report::{diff_baseline, RunReport, TRACE_FILE};
 use vs_bench::shard::{ExecutorConfig, Preload};
 use vs_bench::sweep::{run_sweep, SweepOptions};
-use vs_bench::{journal, obs, Executor, ExperimentId};
+use vs_bench::{journal, Executor, ExperimentId};
 use vs_telemetry::{chrome_trace_json, diff_artifacts, write_atomic, RunArtifact, ToleranceSpec};
 
 const DEFAULT_TOLERANCES: &str = "goldens/tolerances.json";
@@ -239,17 +239,18 @@ fn run_main(args: &[String]) -> ExitCode {
         (!deterministic).then(|| out.clone()),
         preloaded,
     );
+    exec.tracer().set_enabled(trace);
     let result = run_sweep(&exec, &SweepOptions { jobs: parsed.common.jobs, only, settings });
     let written = if deterministic {
-        result.write_deterministic_to(&out)
+        result.write_deterministic_to(&exec, &out)
     } else {
-        result.write_to(&out)
+        result.write_to(&exec, &out)
     };
     if let Err(e) = written {
         fail(&format!("cannot write sweep to {}: {e}", out.display()));
     }
     if trace {
-        let text = chrome_trace_json(&obs::drain_trace(), Some(&obs::metrics_snapshot()));
+        let text = chrome_trace_json(&exec.tracer().drain(), Some(&exec.metrics()));
         let path = out.join(TRACE_FILE);
         match write_atomic(&path, text.as_bytes()) {
             Ok(()) => eprintln!("[sweep] trace -> {} (load at ui.perfetto.dev)", path.display()),

@@ -244,10 +244,9 @@ pub fn run_campaign(exec: &Executor, settings: &RunSettings, jobs: usize) -> Vec
             ],
             || format!("  {} under {} ...", sc.name, pds.label()),
         );
-        let span = obs::tracer().begin();
+        let span = exec.tracer().begin();
         let cell = run_cell(exec, settings, pds, sc, &supervisor, &benchmark);
-        obs::tracer().end_span(
-            obs::worker_track(),
+        exec.tracer().end_span(
             "campaign",
             "campaign_cell",
             span,

@@ -1,32 +1,35 @@
 //! Orchestration-layer chaos injection: the upward extension of the PR-1
 //! `FaultPlan` idea from the *circuit* to the *scheduler*.
 //!
-//! A [`ChaosPlan`] is a seeded schedule of failures for the sweep's own
-//! machinery — worker panics, watchdog deadline stalls, and torn artifact
-//! writes — installed process-wide by tests so the crash-safety tier can
-//! prove the sweep survives every mode and `--resume` converges to
-//! bit-identical artifacts. Injection points:
+//! A [`ChaosPlan`] is a seeded schedule of failures for the executor's own
+//! machinery — worker panics, watchdog deadline stalls, and torn cache
+//! writes. A test installs one on an executor
+//! ([`crate::Executor::with_chaos`]), which keeps it with its tear-once
+//! bookkeeping, so the crash-safety tier can prove the sweep survives
+//! every mode and `--resume` converges to bit-identical artifacts, and two
+//! executors in one process never see each other's plan. Injection points,
+//! each reading its executor's plan:
 //!
-//! * [`chaos_for`] — consulted by the shard executor before each scenario
+//! * `chaos_for` — consulted by the executor before each scenario
 //!   attempt. `Panic` panics inside the isolation boundary; `Stall` runs the
 //!   attempt under a deterministic [`vs_core::CycleBudget`] that trips at a
 //!   chosen cycle, exercising the watchdog path without wall-clock waits
 //!   (the 1-core-host rule).
-//! * [`panics_trunk`] — consulted by dse before each attempt of a trunk
-//!   task, keyed by the trunk as [`chaos_for`] is by scenario; a trunk
-//!   scheduled with [`schedule_trunk_panic`] panics inside the isolation
-//!   boundary.
-//! * [`torn_write`] — consulted by the crash-safe write paths. A matching
-//!   file is written *directly* (no tmp + rename), truncated at a seeded
-//!   offset, and its journal record is suppressed — exactly the on-disk
-//!   state a `SIGKILL` between write and journal append leaves behind. Each
-//!   name tears at most once per installed plan, so a resumed sweep heals.
+//! * `panics_trunk` — consulted by dse before each attempt of a trunk
+//!   task, keyed by the trunk as `chaos_for` is by scenario; a trunk listed
+//!   in [`ChaosPlan::trunk_panics`] panics inside the isolation boundary.
+//! * `torn_write` — consulted by the journal's cache writes (scenario
+//!   reports and dse points). A matching file is written *directly* (no
+//!   tmp + rename), truncated at a seeded offset, and its journal record is
+//!   suppressed — exactly the on-disk state a `SIGKILL` between write and
+//!   journal append leaves behind. Each name tears at most once per
+//!   executor, so a resumed run heals.
 //!
-//! Nothing here runs in production: without an installed plan every hook is
-//! a `None` branch.
+//! Nothing here runs in production: an executor built without a plan has
+//! an empty one, and every hook finds nothing scheduled.
 
 use std::collections::HashSet;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use vs_core::ScenarioId;
 use vs_telemetry::fnv1a_64;
@@ -57,7 +60,7 @@ pub struct ChaosEvent {
     pub attempts: u32,
 }
 
-/// A seeded chaos schedule for one sweep.
+/// A seeded chaos schedule for one executor.
 #[derive(Debug, Clone, Default)]
 pub struct ChaosPlan {
     /// Seed for torn-write offsets.
@@ -66,107 +69,81 @@ pub struct ChaosPlan {
     pub tasks: Vec<ChaosEvent>,
     /// File names (not paths) whose next write is torn.
     pub torn_writes: Vec<String>,
+    /// dse trunk tasks that panic: each trunk's coordinates in the point
+    /// grammar (`stack=4x4,area=0.2,workload=1`) and how many leading
+    /// attempts panic.
+    pub trunk_panics: Vec<(String, u32)>,
 }
 
-struct ChaosState {
+/// A [`ChaosPlan`] installed on one executor, with the names it has torn
+/// so far (each tears once).
+#[derive(Debug, Default)]
+pub(crate) struct Chaos {
     plan: ChaosPlan,
-    /// Names already torn under this plan (each tears once).
-    torn_done: HashSet<String>,
-    /// dse trunk tasks that panic: the trunk's label and how many leading
-    /// attempts (see [`schedule_trunk_panic`]).
-    trunk_panics: Vec<(String, u32)>,
+    torn_done: Mutex<HashSet<String>>,
 }
 
-impl ChaosState {
-    fn new(plan: ChaosPlan) -> ChaosState {
-        ChaosState {
+impl Chaos {
+    /// Installs `plan`, nothing torn yet.
+    #[must_use]
+    pub(crate) fn new(plan: ChaosPlan) -> Chaos {
+        Chaos {
             plan,
-            torn_done: HashSet::new(),
-            trunk_panics: Vec::new(),
+            torn_done: Mutex::new(HashSet::new()),
         }
     }
-}
 
-fn state() -> &'static Mutex<Option<ChaosState>> {
-    static STATE: OnceLock<Mutex<Option<ChaosState>>> = OnceLock::new();
-    STATE.get_or_init(|| Mutex::new(None))
-}
+    /// The failure scheduled for `scenario` on `attempt`, if any.
+    #[must_use]
+    pub(crate) fn chaos_for(&self, scenario: ScenarioId, attempt: u32) -> Option<ChaosMode> {
+        self.plan
+            .tasks
+            .iter()
+            .find(|e| e.scenario == scenario && attempt < e.attempts)
+            .map(|e| e.mode)
+    }
 
-/// Installs `plan` process-wide (replacing any previous plan and its
-/// torn-write bookkeeping). Tests only; pair with [`clear_chaos_plan`].
-pub fn install_chaos_plan(plan: ChaosPlan) {
-    *state().lock().expect("chaos state poisoned") = Some(ChaosState::new(plan));
-}
-
-/// Removes the installed plan; every hook reverts to a no-op.
-pub fn clear_chaos_plan() {
-    *state().lock().expect("chaos state poisoned") = None;
-}
-
-/// The failure scheduled for `scenario` on `attempt`, if any.
-pub fn chaos_for(scenario: ScenarioId, attempt: u32) -> Option<ChaosMode> {
-    let guard = state().lock().expect("chaos state poisoned");
-    let st = guard.as_ref()?;
-    st.plan
-        .tasks
-        .iter()
-        .find(|e| e.scenario == scenario && attempt < e.attempts)
-        .map(|e| e.mode)
-}
-
-/// Schedules a panic on attempts `0..attempts` of the dse trunk task named
-/// `trunk`, its coordinates in the point grammar
-/// (`stack=4x4,area=0.2,workload=1`), on top of the installed plan (an
-/// empty one if none is). Tests only; [`install_chaos_plan`] and
-/// [`clear_chaos_plan`] drop it.
-pub fn schedule_trunk_panic(trunk: &str, attempts: u32) {
-    let mut guard = state().lock().expect("chaos state poisoned");
-    guard
-        .get_or_insert_with(|| ChaosState::new(ChaosPlan::default()))
-        .trunk_panics
-        .push((trunk.to_string(), attempts));
-}
-
-/// Whether the dse trunk task named `trunk` is scheduled to panic on
-/// `attempt`.
-pub fn panics_trunk(trunk: &str, attempt: u32) -> bool {
-    let guard = state().lock().expect("chaos state poisoned");
-    guard.as_ref().is_some_and(|st| {
-        st.trunk_panics
+    /// Whether the dse trunk task named `trunk` is scheduled to panic on
+    /// `attempt`.
+    #[must_use]
+    pub(crate) fn panics_trunk(&self, trunk: &str, attempt: u32) -> bool {
+        self.plan
+            .trunk_panics
             .iter()
             .any(|(name, attempts)| name == trunk && attempt < *attempts)
-    })
-}
+    }
 
-/// If `name`'s write is scheduled to tear (and has not torn yet under this
-/// plan), consumes the event and returns the seeded truncation offset in
-/// `1..len` (`None` for empty payloads — nothing to tear).
-pub fn torn_write(name: &str, len: usize) -> Option<usize> {
-    if len < 2 {
-        return None;
+    /// If `name`'s write is scheduled to tear (and has not torn yet under
+    /// this plan), consumes the event and returns the seeded truncation
+    /// offset in `1..len` (`None` for empty payloads — nothing to tear).
+    pub(crate) fn torn_write(&self, name: &str, len: usize) -> Option<usize> {
+        if len < 2 || !self.plan.torn_writes.iter().any(|n| n == name) {
+            return None;
+        }
+        if !self
+            .torn_done
+            .lock()
+            .expect("chaos bookkeeping poisoned")
+            .insert(name.to_string())
+        {
+            return None;
+        }
+        let h = fnv1a_64(format!("torn:{}:{name}", self.plan.seed).as_bytes());
+        Some(1 + (h as usize) % (len - 1))
     }
-    let mut guard = state().lock().expect("chaos state poisoned");
-    let st = guard.as_mut()?;
-    if !st.plan.torn_writes.iter().any(|n| n == name) || !st.torn_done.insert(name.to_string()) {
-        return None;
-    }
-    let h = fnv1a_64(format!("torn:{}:{name}", st.plan.seed).as_bytes());
-    Some(1 + (h as usize) % (len - 1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // One #[test] per aspect would race on the process-global plan with the
-    // rest of the suite; this module owns its assertions serially instead.
     #[test]
     fn plan_schedules_and_consumes_deterministically() {
-        clear_chaos_plan();
-        assert_eq!(chaos_for(ScenarioId::Bfs, 0), None);
-        assert_eq!(torn_write("a.jsonl", 100), None);
+        let none = Chaos::default();
+        assert_eq!(none.chaos_for(ScenarioId::Bfs, 0), None);
+        assert_eq!(none.torn_write("a.jsonl", 100), None);
 
-        install_chaos_plan(ChaosPlan {
+        let chaos = Chaos::new(ChaosPlan {
             seed: 7,
             tasks: vec![
                 ChaosEvent {
@@ -181,39 +158,36 @@ mod tests {
                 },
             ],
             torn_writes: vec!["a.jsonl".to_string()],
+            trunk_panics: vec![],
         });
         // Attempt gating: first N attempts poisoned, later ones clean.
-        assert_eq!(chaos_for(ScenarioId::Bfs, 0), Some(ChaosMode::Panic));
-        assert_eq!(chaos_for(ScenarioId::Bfs, 1), Some(ChaosMode::Panic));
-        assert_eq!(chaos_for(ScenarioId::Bfs, 2), None);
+        assert_eq!(chaos.chaos_for(ScenarioId::Bfs, 0), Some(ChaosMode::Panic));
+        assert_eq!(chaos.chaos_for(ScenarioId::Bfs, 1), Some(ChaosMode::Panic));
+        assert_eq!(chaos.chaos_for(ScenarioId::Bfs, 2), None);
         assert_eq!(
-            chaos_for(ScenarioId::Hotspot, 0),
+            chaos.chaos_for(ScenarioId::Hotspot, 0),
             Some(ChaosMode::Stall { at_cycle: 500 })
         );
-        assert_eq!(chaos_for(ScenarioId::Hotspot, 1), None);
-        assert_eq!(chaos_for(ScenarioId::Heartwall, 0), None);
+        assert_eq!(chaos.chaos_for(ScenarioId::Hotspot, 1), None);
+        assert_eq!(chaos.chaos_for(ScenarioId::Heartwall, 0), None);
 
         // Torn writes: seeded offset in 1..len, consumed exactly once.
-        let off = torn_write("a.jsonl", 100).expect("scheduled tear");
+        let off = chaos.torn_write("a.jsonl", 100).expect("scheduled tear");
         assert!((1..100).contains(&off));
-        assert_eq!(torn_write("a.jsonl", 100), None, "tears only once");
-        assert_eq!(torn_write("b.jsonl", 100), None, "unscheduled name");
+        assert_eq!(chaos.torn_write("a.jsonl", 100), None, "tears only once");
+        assert_eq!(chaos.torn_write("b.jsonl", 100), None, "unscheduled name");
 
         // Reinstalling the same plan resets the bookkeeping and reproduces
         // the same offset (it is a pure function of seed and name).
-        install_chaos_plan(ChaosPlan {
-            seed: 7,
-            tasks: vec![],
-            torn_writes: vec!["a.jsonl".to_string()],
-        });
-        assert_eq!(torn_write("a.jsonl", 100), Some(off));
+        let tear_a = || {
+            Chaos::new(ChaosPlan {
+                seed: 7,
+                torn_writes: vec!["a.jsonl".to_string()],
+                ..ChaosPlan::default()
+            })
+        };
+        assert_eq!(tear_a().torn_write("a.jsonl", 100), Some(off));
         // Degenerate payloads cannot tear.
-        install_chaos_plan(ChaosPlan {
-            seed: 7,
-            tasks: vec![],
-            torn_writes: vec!["a.jsonl".to_string()],
-        });
-        assert_eq!(torn_write("a.jsonl", 1), None);
-        clear_chaos_plan();
+        assert_eq!(tear_a().torn_write("a.jsonl", 1), None);
     }
 }

@@ -92,15 +92,13 @@ pub struct CommonArgs {
 }
 
 impl CommonArgs {
-    /// Applies the process-wide observability switches (progress sink,
-    /// executor tracing). Separate from parsing so tests can parse without
-    /// mutating global state.
+    /// Sets the process-wide progress mode, if `--progress` was given.
+    /// Separate from parsing so tests can parse without mutating global
+    /// state. `--trace` is the binary's to apply, to the executor it
+    /// builds.
     pub fn apply_observability(&self) {
         if let Some(mode) = self.progress {
             crate::obs::set_progress(mode);
-        }
-        if self.trace {
-            crate::obs::set_tracing(true);
         }
     }
 }

@@ -57,8 +57,8 @@
 //! its attempts panics `run_dse` (the binary exits 3). A task is pure — it
 //! reads its trunk and its points' runs and returns its points' metrics
 //! with what it stepped — so a retry repeats it bit for bit. The worker
-//! that ran a trunk journals its points ([`crate::journal::record_point`],
-//! into the executor's journal directory) as the task returns. Point
+//! that ran a trunk journals its points (`journal::record_point`, into
+//! the executor's journal directory) as the task returns. Point
 //! identity routes through [`SuiteKey`]: duplicate points evaluate once,
 //! and `dse --resume` replays verified metrics and steps only the trunks
 //! its lost points read. Artifacts are bit-identical whatever the worker
@@ -79,7 +79,6 @@ use vs_telemetry::{
     labeled, DsePointRow, Event, Registry, RunArtifact, RunManifest, StageSample, SCHEMA_VERSION,
 };
 
-use crate::chaos;
 use crate::journal;
 use crate::obs;
 use crate::shard::SuiteKey;
@@ -436,15 +435,21 @@ impl Trunk {
     }
 
     /// Ends a `dse`/`name` span of one of this trunk's runs that began at
-    /// `started`, on the worker's track, labelled by the run's stack, area
-    /// and family, and bumps `counter`; free when tracing is off (`started`
-    /// is `None`).
-    fn end_run_span(&self, name: &str, counter: &str, started: Option<Instant>, cross: bool) {
+    /// `started`, on `exec`'s tracer, labelled by the run's stack, area and
+    /// family, and bumps `counter`; free when tracing is off (`started` is
+    /// `None`).
+    fn end_run_span(
+        &self,
+        exec: &Executor,
+        name: &str,
+        counter: &str,
+        started: Option<Instant>,
+        cross: bool,
+    ) {
         if started.is_some() {
-            obs::metric_inc(counter, 1);
+            exec.metric_inc(counter, 1);
             let family = if cross { PdsFamily::Cross } else { PdsFamily::Circuit };
-            obs::tracer().end_span(
-                obs::worker_track(),
+            exec.tracer().end_span(
                 "dse",
                 name,
                 started,
@@ -567,17 +572,17 @@ impl TrunkTask {
     /// If the solver gives up, the rig stays at its last accepted state:
     /// before the gate, every worst-case run falls back to its full run,
     /// and the PDE runs book the truncated run, as [`PdeRun::run`] does.
-    /// Pure in the task. Under tracing the trunk is a `dse`/`trunk` span,
-    /// each PDE run a `dse`/`pde_run` span from the trunk's start to its
-    /// booking, and each worst-case run a `dse`/`worst_case_run` span over
-    /// its tail batch.
+    /// Pure in the task. Under `exec`'s tracing the trunk is a `dse`/`trunk`
+    /// span, each PDE run a `dse`/`pde_run` span from the trunk's start to
+    /// its booking, and each worst-case run a `dse`/`worst_case_run` span
+    /// over its tail batch.
     ///
     /// # Panics
     ///
     /// Panics unless the runs share one gate and one PDE length, the gate
     /// first: both depend only on the settings.
-    fn run(&self) -> TrunkOutcome {
-        let started = obs::tracer().begin();
+    fn run(&self, exec: &Executor) -> TrunkOutcome {
+        let started = exec.tracer().begin();
         let gate = self.worst_runs[0].pre_gate_steps();
         let length = self.pde_runs[0].steps;
         assert!(
@@ -615,7 +620,7 @@ impl TrunkTask {
         let mut workspaces: Vec<SolverWorkspace> = Vec::new();
         let mut worst = Vec::with_capacity(self.worst_runs.len());
         for lanes in self.worst_runs.chunks(LANES) {
-            let span = obs::tracer().begin();
+            let span = exec.tracer().begin();
             let (voltages, counts) = fork_worst_case_lanes(
                 lanes,
                 (!gave_up).then_some(&snapshot),
@@ -624,10 +629,10 @@ impl TrunkTask {
             );
             for cfg in lanes {
                 let counter = "dse.worst_case_runs";
-                self.trunk.end_run_span("worst_case_run", counter, span, cfg.cross_layer);
+                self.trunk.end_run_span(exec, "worst_case_run", counter, span, cfg.cross_layer);
             }
-            obs::metric_inc("dse.forks", counts.forks as u64);
-            obs::metric_inc("dse.fallbacks", counts.fallbacks as u64);
+            exec.metric_inc("dse.forks", counts.forks as u64);
+            exec.metric_inc("dse.fallbacks", counts.fallbacks as u64);
             stepped.forks.forks += counts.forks;
             stepped.forks.fallbacks += counts.fallbacks;
             worst.extend(voltages);
@@ -643,14 +648,13 @@ impl TrunkTask {
             .iter()
             .map(|run| {
                 let cross = matches!(run.kind, PdsKind::VsCrossLayer { .. });
-                self.trunk.end_run_span("pde_run", "dse.pde_runs", started, cross);
+                self.trunk.end_run_span(exec, "pde_run", "dse.pde_runs", started, cross);
                 rig.ledger_at_controller_power(run.overhead_w).pde()
             })
             .collect();
         stepped.trunk_steps = steps;
-        obs::metric_inc("dse.trunks", 1);
-        obs::tracer().end_span(
-            obs::worker_track(),
+        exec.metric_inc("dse.trunks", 1);
+        exec.tracer().end_span(
             "dse",
             "trunk",
             started,
@@ -741,10 +745,10 @@ pub fn run_dse(exec: &Executor, opts: &DseOptions) -> DseResult {
         let task = &tasks[t];
         let labels = [("trunk", task.label.clone())];
         let attempts = exec.attempt(&task.label, &labels, |attempt, _, _| {
-            if chaos::panics_trunk(&task.label, attempt) {
+            if exec.chaos().panics_trunk(&task.label, attempt) {
                 panic!("chaos: injected panic for trunk {} (attempt {attempt})", task.label);
             }
-            Ok(task.run())
+            Ok(task.run(exec))
         });
         let outcome = match attempts {
             Ok(success) => success.value,
@@ -760,7 +764,7 @@ pub fn run_dse(exec: &Executor, opts: &DseOptions) -> DseResult {
             if let Some(dir) = exec.journal_dir() {
                 // Best-effort, like scenario journaling: a lost record costs
                 // a recompute on resume, never the run.
-                let _ = journal::record_point(dir, key, &point.to_string(), metrics);
+                let _ = journal::record_point(dir, exec.chaos(), key, &point.to_string(), metrics);
             }
             let n = done.fetch_add(1, Ordering::Relaxed) + 1;
             if n.is_multiple_of(progress_every) || n == evaluated {
@@ -875,10 +879,9 @@ impl DseResult {
     }
 
     /// Writes the frontier artifact into `dir` as [`FRONTIER_FILE`]
-    /// (atomic tmp + rename, honouring a scheduled chaos tear by name) and,
-    /// when journaling, records its checksum for resume verification.
-    /// Deterministic mode writes the wall-time-free form and never
-    /// journals — the golden-blessing contract.
+    /// (atomic tmp + rename) and, when journaling, records its checksum for
+    /// resume verification. Deterministic mode writes the wall-time-free
+    /// form and never journals — the golden-blessing contract.
     ///
     /// # Errors
     ///
@@ -887,14 +890,8 @@ impl DseResult {
         std::fs::create_dir_all(dir)?;
         let bytes = self.artifact(deterministic).to_jsonl().into_bytes();
         let path = dir.join(FRONTIER_FILE);
-        let torn = if let Some(cut) = crate::chaos::torn_write(FRONTIER_FILE, bytes.len()) {
-            std::fs::write(&path, &bytes[..cut])?;
-            true
-        } else {
-            vs_telemetry::write_atomic(&path, &bytes)?;
-            false
-        };
-        if !deterministic && !torn {
+        vs_telemetry::write_atomic(&path, &bytes)?;
+        if !deterministic {
             journal::record_experiment(dir, "dse_frontier", FRONTIER_FILE, &bytes)?;
         }
         Ok(path)

@@ -18,10 +18,11 @@
 //! survive all three checks; everything else (torn files, corrupted journal
 //! lines, checksum mismatches) is counted as damaged and recomputed.
 //!
-//! The chaos harness taps both writes here: a scheduled
-//! [`crate::chaos::torn_write`] replaces the atomic write with a direct
-//! truncated one *and suppresses the journal append* — the exact on-disk
-//! state a `SIGKILL` between steps 1 and 2 produces.
+//! The chaos harness taps both writes here: the caller passes its
+//! executor's chaos plan, and a tear the plan schedules replaces the
+//! atomic write with a direct truncated one *and suppresses the journal
+//! append* — the exact on-disk state a `SIGKILL` between steps 1 and 2
+//! produces.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -37,7 +38,7 @@ use vs_telemetry::{
     read_journal, write_atomic, JournalRecord,
 };
 
-use crate::chaos;
+use crate::chaos::Chaos;
 use crate::dse::PointMetrics;
 use crate::shard::{Preload, SuiteKey};
 
@@ -69,8 +70,8 @@ fn payload(key: &SuiteKey, id: ScenarioId, report: &CosimReport) -> String {
 }
 
 /// Persists one finished scenario: atomic cache write, then journal append.
-/// A scheduled chaos tear (keyed by the cache file's name) instead writes a
-/// truncated file directly and skips the journal line.
+/// A tear `chaos` schedules (keyed by the cache file's name) instead writes
+/// a truncated file directly and skips the journal line.
 ///
 /// `attempts` and `attempt_wall_s` travel as schema-v2 journal metadata
 /// (attempt count and per-attempt wall seconds) so `sweep report` can
@@ -82,8 +83,9 @@ fn payload(key: &SuiteKey, id: ScenarioId, report: &CosimReport) -> String {
 ///
 /// Propagates filesystem errors; the shard executor treats them as
 /// best-effort (a lost record costs a recompute on resume, not the sweep).
-pub fn record_scenario(
+pub(crate) fn record_scenario(
     dir: &Path,
+    chaos: &Chaos,
     key: &SuiteKey,
     id: ScenarioId,
     report: &CosimReport,
@@ -100,16 +102,17 @@ pub fn record_scenario(
         attempts: Some(u64::from(attempts)),
         attempt_wall_s: Some(attempt_wall_s.to_vec()),
     };
-    write_then_journal(dir, &rel, &bytes, &record)
+    write_then_journal(dir, chaos, &rel, &bytes, &record)
 }
 
 /// Writes `bytes` atomically to `dir/rel`, creating its directory, then
 /// appends `record` to the journal: the order that keeps the journal an
-/// under-approximation of the work on disk. A chaos tear scheduled for the
-/// file's name instead writes a truncated file directly and skips the
+/// under-approximation of the work on disk. A tear `chaos` schedules for
+/// the file's name instead writes a truncated file directly and skips the
 /// record — the state a `SIGKILL` between the two steps leaves.
 fn write_then_journal(
     dir: &Path,
+    chaos: &Chaos,
     rel: &str,
     bytes: &[u8],
     record: &JournalRecord,
@@ -119,7 +122,7 @@ fn write_then_journal(
         std::fs::create_dir_all(parent)?;
     }
     let file_name = path.file_name().map(|name| name.to_string_lossy().into_owned());
-    if let Some(cut) = file_name.and_then(|name| chaos::torn_write(&name, bytes.len())) {
+    if let Some(cut) = file_name.and_then(|name| chaos.torn_write(&name, bytes.len())) {
         return std::fs::write(&path, &bytes[..cut]);
     }
     write_atomic(&path, bytes)?;
@@ -170,15 +173,16 @@ fn point_payload(key: &SuiteKey, point: &str, m: &PointMetrics) -> String {
 
 /// Persists one evaluated dse point with the same crash-safety order as
 /// [`record_scenario`]: atomic cache write first, journal append second.
-/// A scheduled chaos tear (keyed by the cache file's name) writes a
+/// A tear `chaos` schedules (keyed by the cache file's name) writes a
 /// truncated file directly and skips the journal line.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors; dse treats them as best-effort (a lost
 /// record costs a recompute on resume, not the run).
-pub fn record_point(
+pub(crate) fn record_point(
     dir: &Path,
+    chaos: &Chaos,
     key: &SuiteKey,
     point: &str,
     metrics: &PointMetrics,
@@ -191,7 +195,7 @@ pub fn record_point(
         file: rel.clone(),
         checksum: checksum_hex(&bytes),
     };
-    write_then_journal(dir, &rel, &bytes, &record)
+    write_then_journal(dir, chaos, &rel, &bytes, &record)
 }
 
 /// What a dse journal replay recovered.
@@ -407,10 +411,11 @@ mod tests {
         let mut pool = CosimPool::new();
         let a = pool.run_scenario_with_pm(&cfg, ScenarioId::Bfs, pm.clone());
         let b = pool.run_scenario_with_pm(&cfg, ScenarioId::Hotspot, pm.clone());
-        record_scenario(&dir, &key, ScenarioId::Bfs, &a, 1, &[0.1]).unwrap();
-        record_scenario(&dir, &key, ScenarioId::Hotspot, &b, 1, &[0.1]).unwrap();
+        let chaos = Chaos::default();
+        record_scenario(&dir, &chaos, &key, ScenarioId::Bfs, &a, 1, &[0.1]).unwrap();
+        record_scenario(&dir, &chaos, &key, ScenarioId::Hotspot, &b, 1, &[0.1]).unwrap();
         // Re-journaling the same scenario must dedupe (last record wins).
-        record_scenario(&dir, &key, ScenarioId::Bfs, &a, 1, &[0.1]).unwrap();
+        record_scenario(&dir, &chaos, &key, ScenarioId::Bfs, &a, 1, &[0.1]).unwrap();
 
         let state = load_resume(&dir).unwrap();
         assert_eq!(state.verified_scenarios, 2);
@@ -468,10 +473,11 @@ mod tests {
         let kb = b.suite_key(&settings);
         let ma = PointMetrics { pde: 0.912345678901234, worst_v: 0.87, final_v: 0.99 };
         let mb = PointMetrics { pde: 0.93, worst_v: 0.81, final_v: 0.98 };
-        record_point(&dir, &ka, &a.to_string(), &ma).unwrap();
-        record_point(&dir, &kb, &b.to_string(), &mb).unwrap();
+        let chaos = Chaos::default();
+        record_point(&dir, &chaos, &ka, &a.to_string(), &ma).unwrap();
+        record_point(&dir, &chaos, &kb, &b.to_string(), &mb).unwrap();
         // Re-journaling dedupes (last record wins).
-        record_point(&dir, &ka, &a.to_string(), &ma).unwrap();
+        record_point(&dir, &chaos, &ka, &a.to_string(), &ma).unwrap();
 
         let state = load_dse_resume(&dir).unwrap();
         assert_eq!(state.verified.len(), 2);

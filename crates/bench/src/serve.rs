@@ -2,12 +2,12 @@
 //! [`Executor`], backed by a content-addressed artifact store.
 //!
 //! The server accepts **line-delimited JSON requests** (one object per
-//! line) and streams back **request-lifecycle events** in the
-//! [`vs_telemetry::RequestEvent`] wire form — the same `lifecycle_json`
-//! vocabulary the `--progress json` sink already speaks. Framing is
-//! hand-rolled over `BufRead` lines, so the same handler serves a TCP
-//! socket (a thread per connection, at most [`MAX_CONNECTIONS`] at once)
-//! and stdio (tests, CI smoke).
+//! line) and streams back **request-lifecycle events**: one
+//! [`vs_telemetry::lifecycle_json`] line each, category `serve`, the
+//! request id first in its args — the vocabulary the `--progress json`
+//! sink already speaks. Framing is hand-rolled over `BufRead` lines, so
+//! the same handler serves a TCP socket (a thread per connection, at most
+//! [`MAX_CONNECTIONS`] at once) and stdio (tests, CI smoke).
 //!
 //! # Protocol
 //!
@@ -72,7 +72,9 @@ use std::time::Duration;
 
 use vs_core::{PowerManagement, ScenarioId};
 use vs_telemetry::json::{self, Json};
-use vs_telemetry::{checksum_hex, fnv1a_64, write_atomic, JournalRecord, RequestEvent, ToleranceSpec, SCHEMA_VERSION};
+use vs_telemetry::{
+    checksum_hex, fnv1a_64, lifecycle_json, write_atomic, JournalRecord, ToleranceSpec, SCHEMA_VERSION,
+};
 
 use crate::shard::{ExecutorConfig, SuiteKey};
 use crate::space::{AxisSpace, ConfigPoint};
@@ -492,17 +494,18 @@ impl Server {
     }
 }
 
-/// Emits one response event: a [`RequestEvent`] line written to `out` in
-/// one piece, mirrored to the stderr progress sink. Only `running` is
-/// flushed here, since blocking work follows it; every other event waits
-/// for the flush that ends the request.
+/// Emits one response event: a `serve` lifecycle line (the request id
+/// first in its args) written to `out` in one piece, mirrored to the
+/// stderr progress sink. Only `running` is flushed here, since blocking
+/// work follows it; every other event waits for the flush that ends the
+/// request.
 fn emit(out: &mut dyn Write, req: &str, stage: &str, args: &[(&str, String)]) -> io::Result<()> {
-    let ev = RequestEvent::new(req, stage, args);
-    obs::progress("serve", stage, &wire_args(req, args), || {
+    let wire = wire_args(req, args);
+    obs::progress("serve", stage, &wire, || {
         let detail: Vec<String> = args.iter().map(|(k, v)| format!("{k}={v}")).collect();
         format!("[serve] {req} {stage} {}", detail.join(" "))
     });
-    let mut line = ev.to_json().to_string_compact();
+    let mut line = lifecycle_json("serve", stage, &wire).to_string_compact();
     line.push('\n');
     out.write_all(line.as_bytes())?;
     if stage == "running" {
@@ -620,6 +623,25 @@ pub fn serve_tcp(server: &Arc<Server>, listener: TcpListener) -> io::Result<()> 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The response wire form is byte-stable: a `serve` lifecycle object,
+    /// the request id first in its args, one line per event.
+    #[test]
+    fn emit_writes_the_serve_wire_form() {
+        let mut out = Vec::new();
+        emit(
+            &mut out,
+            "r1",
+            "done",
+            &[("key", "00ab".to_string()), ("scenarios", "12".to_string())],
+        )
+        .unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "{\"type\":\"lifecycle\",\"cat\":\"serve\",\"name\":\"done\",\
+             \"args\":{\"req\":\"r1\",\"key\":\"00ab\",\"scenarios\":\"12\"}}\n"
+        );
+    }
 
     #[test]
     fn solver_revision_is_part_of_the_code_identity() {

@@ -6,10 +6,12 @@
 //! the retry/watchdog [`ExecutorConfig`], the journal directory, and the
 //! resume [`Preload`]. It owns everything the run mutates: the suite memo,
 //! the in-flight batches idle workers steal from, the quarantine list, and
-//! the [`ShardStats`] counters. Two executors in one process share no
-//! work, no journal, and no memo — only the per-thread solver pools (pure
-//! workspace), the process-wide tracer and progress sink, and the
-//! test-only chaos plan.
+//! the [`ShardStats`] counters. It also owns everything the run records or
+//! injects: its [`Tracer`], the metrics registry that records while that
+//! tracer is on, and the chaos plan a test installs
+//! ([`Executor::with_chaos`]). Two executors in one process share no work,
+//! no journal, no memo, no trace and no plan — only the per-thread solver
+//! pools (pure workspace) and the progress sink ([`crate::obs`]).
 //!
 //! * **Claim loop** (`Executor::run_claims`): scoped workers claim item
 //!   indices in a priority order and fill canonical result slots; a worker
@@ -77,13 +79,18 @@ use vs_core::{
     CosimConfig, CosimError, CosimPool, CosimReport, CycleBudget, GroupRun, GroupStats,
     PowerManagement, ScenarioId, SupervisorConfig, TrunkKey,
 };
-use vs_telemetry::{fnv1a_64, labeled};
+use vs_telemetry::{fnv1a_64, labeled, MetricsSnapshot, Registry, Tracer};
 
-use crate::chaos::{self, ChaosMode};
+use crate::chaos::{Chaos, ChaosMode, ChaosPlan};
 use crate::obs;
 
 /// Tasks per suite: one per catalogue scenario.
 const N_TASKS: usize = ScenarioId::ALL.len();
+
+/// Bucket bounds (seconds) for the per-scenario task wall-time histograms.
+/// Tasks range from milliseconds (micro test profiles) to minutes (default
+/// scale on a loaded host).
+const TASK_WALL_BOUNDS: &[f64] = &[0.01, 0.05, 0.25, 1.0, 5.0, 30.0, 120.0, 600.0];
 
 /// Journal-verified scenario reports per suite (see
 /// [`crate::journal::load_resume`]): a suite prefills these slots instead of
@@ -275,10 +282,9 @@ impl SuiteJob {
                 slots[i] = Slot::Ready(Box::new(report.clone()));
                 filled += 1;
                 exec.replayed.fetch_add(1, Ordering::Relaxed);
-                if obs::tracing_enabled() {
-                    obs::metric_inc("executor.replays", 1);
-                    obs::tracer().instant(
-                        obs::worker_track(),
+                if exec.tracer.is_enabled() {
+                    exec.metric_inc("executor.replays", 1);
+                    exec.tracer.instant(
                         "journal",
                         "replay",
                         &[
@@ -458,11 +464,18 @@ impl Drop for Landed<'_> {
 
 /// One run's executor: the immutable policy it was built with, plus the
 /// suite memo, the in-flight batches stealers scan, the quarantine list,
-/// and the observational counters that run accumulates.
+/// the observational counters that run accumulates, its tracer and
+/// metrics, and its chaos plan.
 pub struct Executor {
     policy: ExecutorConfig,
     journal_dir: Option<PathBuf>,
     preloaded: Preload,
+    /// Off until turned on ([`Executor::tracer`]).
+    tracer: Tracer,
+    /// Executor metrics; every mutator is a no-op while `tracer` is off.
+    metrics: Mutex<Registry>,
+    /// Empty unless a test installed a plan ([`Executor::with_chaos`]).
+    chaos: Chaos,
     memo: Mutex<HashMap<SuiteKey, Arc<SuiteJob>>>,
     in_flight: Mutex<Vec<Arc<Batch>>>,
     quarantined: Mutex<Vec<QuarantineRecord>>,
@@ -487,12 +500,16 @@ impl Default for Executor {
 impl Executor {
     /// Builds an executor. Tasks retry under `policy`; completed scenarios
     /// and dse points are journaled into `journal_dir` when set; and suites
-    /// prefill journal-verified reports from `preloaded`.
+    /// prefill journal-verified reports from `preloaded`. Tracing starts
+    /// off, and no chaos plan is installed.
     pub fn new(policy: ExecutorConfig, journal_dir: Option<PathBuf>, preloaded: Preload) -> Self {
         Executor {
             policy,
             journal_dir,
             preloaded,
+            tracer: Tracer::new(),
+            metrics: Mutex::new(Registry::new()),
+            chaos: Chaos::default(),
             memo: Mutex::new(HashMap::new()),
             in_flight: Mutex::new(Vec::new()),
             quarantined: Mutex::new(Vec::new()),
@@ -506,6 +523,62 @@ impl Executor {
             parked: AtomicU64::new(0),
             prefix_reticks: AtomicU64::new(0),
         }
+    }
+
+    /// Installs `plan` on this executor (tests only): its scenario attempts,
+    /// dse trunk tasks and journal cache writes read it, and each name in
+    /// its `torn_writes` tears at most once on this executor.
+    #[must_use]
+    pub fn with_chaos(mut self, plan: ChaosPlan) -> Executor {
+        self.chaos = Chaos::new(plan);
+        self
+    }
+
+    /// This executor's tracer: every span and instant its runs record.
+    /// Off until [`Tracer::set_enabled`] turns it on, as the binaries do for
+    /// `--trace`; they export its drained events, with
+    /// [`Executor::metrics`], as one `trace.json`.
+    pub fn tracer(&self) -> &Tracer {
+        &self.tracer
+    }
+
+    /// A snapshot of this executor's metrics (for the trace export).
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.registry().snapshot()
+    }
+
+    fn registry(&self) -> std::sync::MutexGuard<'_, Registry> {
+        self.metrics.lock().expect("executor metrics poisoned")
+    }
+
+    /// Bumps an executor counter (e.g. `executor.steals`). No-op unless
+    /// this executor's tracer is on — the always-on cheap counters are the
+    /// [`ShardStats`]; this registry exists for the trace consumers.
+    pub fn metric_inc(&self, name: &str, by: u64) {
+        if self.tracer.is_enabled() {
+            self.registry().inc(name, by);
+        }
+    }
+
+    /// Sets an executor gauge (e.g. `executor.queue_depth`). No-op unless
+    /// the tracer is on.
+    pub fn metric_gauge(&self, name: &str, value: f64) {
+        if self.tracer.is_enabled() {
+            self.registry().set_gauge(name, value);
+        }
+    }
+
+    /// Records one task wall-time sample into the named histogram. No-op
+    /// unless the tracer is on.
+    pub fn metric_observe_wall(&self, name: &str, seconds: f64) {
+        if self.tracer.is_enabled() {
+            self.registry().observe(name, TASK_WALL_BOUNDS, seconds);
+        }
+    }
+
+    /// The chaos plan installed on this executor (empty by default).
+    pub(crate) fn chaos(&self) -> &Chaos {
+        &self.chaos
     }
 
     /// Runs `task` over the item indices in `order` on `jobs` scoped
@@ -607,10 +680,9 @@ impl Executor {
             .expect("suite memo poisoned")
             .entry(SuiteKey::new(cfg, pm))
             .or_insert_with_key(|key| {
-                if obs::tracing_enabled() {
-                    obs::metric_inc("executor.suites_enqueued", 1);
-                    obs::tracer().instant(
-                        obs::worker_track(),
+                if self.tracer.is_enabled() {
+                    self.metric_inc("executor.suites_enqueued", 1);
+                    self.tracer.instant(
                         "executor",
                         "suite_enqueue",
                         &[
@@ -695,7 +767,7 @@ impl Executor {
         match batch {
             Some(batch) if batch.run_one_task(self, "steal") => {
                 self.steals.fetch_add(1, Ordering::Relaxed);
-                obs::metric_inc("executor.steals", 1);
+                self.metric_inc("executor.steals", 1);
                 true
             }
             _ => false,
@@ -707,7 +779,7 @@ impl Executor {
     /// in-flight lock, which claims should not pay for when nobody is
     /// watching).
     fn update_queue_depth_gauge(&self) {
-        if !obs::tracing_enabled() {
+        if !self.tracer.is_enabled() {
             return;
         }
         let depth: usize = self
@@ -717,7 +789,7 @@ impl Executor {
             .iter()
             .map(|b| b.unclaimed())
             .sum();
-        obs::metric_gauge("executor.queue_depth", depth as f64);
+        self.metric_gauge("executor.queue_depth", depth as f64);
     }
 
     /// Runs `f` with the calling thread's [`CosimPool`] shard for `runs`
@@ -744,7 +816,7 @@ impl Executor {
             (&self.prefix_reticks, "cosim.prefix_reticks", stats.prefix_reticks),
         ] {
             counter.fetch_add(by, Ordering::Relaxed);
-            obs::metric_inc(metric, by);
+            self.metric_inc(metric, by);
         }
     }
 
@@ -788,16 +860,16 @@ impl Executor {
         for attempt in first..attempts {
             if attempt > 0 {
                 self.retries.fetch_add(1, Ordering::Relaxed);
-                obs::metric_inc("executor.retries", 1);
-                let span = obs::tracer().begin();
+                self.metric_inc("executor.retries", 1);
+                let span = self.tracer.begin();
                 std::thread::sleep(retry_backoff(&self.policy, tag, attempt));
-                end_span("backoff", span, labels, &[("attempt", attempt.to_string())]);
+                self.end_span("backoff", span, labels, &[("attempt", attempt.to_string())]);
             }
             let budget = self
                 .policy
                 .task_deadline
                 .map_or_else(CycleBudget::unlimited, CycleBudget::wall_clock);
-            let span = obs::tracer().begin();
+            let span = self.tracer.begin();
             // Measured unconditionally: one `Instant` pair per multi-second
             // solve is free, and it keeps journal v2 metadata (and therefore
             // `report` on resumed runs) independent of whether tracing was on.
@@ -806,16 +878,16 @@ impl Executor {
             walls.push(started.elapsed().as_secs_f64());
             match outcome {
                 Ok(Ok(value)) => {
-                    end_attempt(span, labels, attempt, "ok");
+                    self.end_attempt(span, labels, attempt, "ok");
                     return Ok(TaskSuccess {
                         value,
                         attempts: attempt + 1,
                         attempt_wall_s: walls,
                     });
                 }
-                Ok(Err(e)) => errors.push(failed_attempt(span, labels, attempt, &e)),
+                Ok(Err(e)) => errors.push(self.failed_attempt(span, labels, attempt, &e)),
                 Err(msg) => {
-                    errors.push(panicked_attempt(span, labels, attempt, &msg));
+                    errors.push(self.panicked_attempt(span, labels, attempt, &msg));
                     self.rebuild_pool(labels);
                 }
             }
@@ -826,10 +898,10 @@ impl Executor {
     /// Replaces the calling thread's pool shard after a panic unwound
     /// through it.
     fn rebuild_pool(&self, labels: &[(&'static str, String)]) {
-        let span = obs::tracer().begin();
+        let span = self.tracer.begin();
         rebuild_worker_pool();
-        obs::metric_inc("executor.pool_rebuilds", 1);
-        end_span("pool_rebuild", span, labels, &[]);
+        self.metric_inc("executor.pool_rebuilds", 1);
+        self.end_span("pool_rebuild", span, labels, &[]);
     }
 
     /// Runs one claimed group task: its members' runs of `id`, one per
@@ -852,7 +924,7 @@ impl Executor {
                 || format!("  running {} under {} ...", id, job.cfg.pds.label()),
             );
         }
-        let task_span = obs::tracer().begin();
+        let task_span = self.tracer.begin();
         // The isolation boundary lives in the attempts; this outer guard
         // only catches the *unexpected* (a panic in the scheduler itself,
         // or one escaping the boundary), which still poisons the members'
@@ -920,15 +992,15 @@ impl Executor {
             .collect();
         let labels: Vec<[(&'static str, String); 2]> =
             members.iter().map(|job| task_labels(&job.key, id)).collect();
-        let span = obs::tracer().begin();
+        let span = self.tracer.begin();
         let started = Instant::now();
         let outcome =
             isolated(|| self.with_worker_pool(n, |pool| self.run_attempt(pool, id, 0, &mut runs)));
         let wall = started.elapsed().as_secs_f64() / n as f64;
         self.groups.fetch_add(1, Ordering::Relaxed);
-        obs::metric_inc("executor.groups", 1);
+        self.metric_inc("executor.groups", 1);
         let forks = outcome.as_ref().map_or(0, |(_, parked)| *parked);
-        end_span(
+        self.end_span(
             "group",
             span,
             &[
@@ -944,14 +1016,14 @@ impl Executor {
                 .zip(&labels)
                 .map(|(result, labels)| {
                     result
-                        .map_err(|e| failed_attempt(span, labels, 0, &e))
-                        .inspect(|_| end_attempt(span, labels, 0, "ok"))
+                        .map_err(|e| self.failed_attempt(span, labels, 0, &e))
+                        .inspect(|_| self.end_attempt(span, labels, 0, "ok"))
                 })
                 .collect(),
             Err(msg) => {
                 let errors = labels
                     .iter()
-                    .map(|labels| Err(panicked_attempt(span, labels, 0, &msg)))
+                    .map(|labels| Err(self.panicked_attempt(span, labels, 0, &msg)))
                     .collect();
                 self.rebuild_pool(&labels[0]);
                 errors
@@ -971,7 +1043,7 @@ impl Executor {
         attempt: u32,
         runs: &mut [GroupRun],
     ) -> (Vec<Result<CosimReport, CosimError>>, u64) {
-        match chaos::chaos_for(id, attempt) {
+        match self.chaos.chaos_for(id, attempt) {
             Some(ChaosMode::Panic) => panic!("chaos: injected panic for {id} (attempt {attempt})"),
             Some(ChaosMode::Stall { at_cycle }) => {
                 for run in runs.iter_mut() {
@@ -1003,11 +1075,9 @@ impl Executor {
         task_span: Option<Instant>,
         outcome: Result<TaskSuccess<CosimReport>, TaskFailure>,
     ) {
-        let track = obs::worker_track();
         let end_task = |outcome: &'static str, attempts: u32| {
             if task_span.is_some() {
-                obs::tracer().end_span(
-                    track,
+                self.tracer.end_span(
                     "executor",
                     "task",
                     task_span,
@@ -1026,9 +1096,9 @@ impl Executor {
         match outcome {
             Ok(success) => {
                 end_task("ok", success.attempts);
-                if obs::tracing_enabled() {
-                    obs::metric_inc("executor.tasks_ok", 1);
-                    obs::metric_observe_wall(
+                if self.tracer.is_enabled() {
+                    self.metric_inc("executor.tasks_ok", 1);
+                    self.metric_observe_wall(
                         &labeled("executor.task_wall_s", &[("scenario", id.name())]),
                         success.attempt_wall_s.iter().sum(),
                     );
@@ -1038,9 +1108,8 @@ impl Executor {
             }
             Err(failure) => {
                 end_task("quarantined", failure.attempts);
-                obs::metric_inc("executor.quarantines", 1);
-                obs::tracer().instant(
-                    track,
+                self.metric_inc("executor.quarantines", 1);
+                self.tracer.instant(
                     "executor",
                     "quarantine",
                     &[
@@ -1090,17 +1159,17 @@ impl Executor {
         success: &TaskSuccess<CosimReport>,
     ) {
         let Some(dir) = &self.journal_dir else { return };
-        let span = obs::tracer().begin();
+        let span = self.tracer.begin();
         let result = crate::journal::record_scenario(
             dir,
+            &self.chaos,
             key,
             id,
             &success.value,
             success.attempts,
             &success.attempt_wall_s,
         );
-        obs::tracer().end_span(
-            obs::worker_track(),
+        self.tracer.end_span(
             "journal",
             "journal_write",
             span,
@@ -1110,6 +1179,72 @@ impl Executor {
             eprintln!("  warning: journaling {id}: {e} (resume will recompute it)");
         }
     }
+
+    /// Ends an executor span named `name` that began at `span`, labeled with
+    /// `labels` and `extra`; free when tracing is off (`span` is `None`).
+    fn end_span(
+        &self,
+        name: &str,
+        span: Option<Instant>,
+        labels: &[(&'static str, String)],
+        extra: &[(&'static str, String)],
+    ) {
+        if span.is_some() {
+            let args: Vec<_> = labels.iter().chain(extra).cloned().collect();
+            self.tracer.end_span("executor", name, span, &args);
+        }
+    }
+
+    /// Ends an `attempt` span with its `outcome`.
+    fn end_attempt(
+        &self,
+        span: Option<Instant>,
+        labels: &[(&'static str, String)],
+        attempt: u32,
+        outcome: &str,
+    ) {
+        self.end_span(
+            "attempt",
+            span,
+            labels,
+            &[
+                ("attempt", attempt.to_string()),
+                ("outcome", outcome.to_string()),
+            ],
+        );
+    }
+
+    /// Closes an attempt that returned `e` (a watchdog trip or a run error)
+    /// and returns its line of the task's error history.
+    fn failed_attempt(
+        &self,
+        span: Option<Instant>,
+        labels: &[(&'static str, String)],
+        attempt: u32,
+        e: &CosimError,
+    ) -> String {
+        if let CosimError::DeadlineExceeded { .. } = e {
+            self.end_attempt(span, labels, attempt, "deadline");
+            self.metric_inc("executor.deadline_trips", 1);
+        } else {
+            self.end_attempt(span, labels, attempt, "error");
+        }
+        format!("attempt {attempt}: {}", error_chain(e))
+    }
+
+    /// Closes an attempt that panicked with `msg` and returns its line of the
+    /// task's error history. The caller rebuilds the pool shard.
+    fn panicked_attempt(
+        &self,
+        span: Option<Instant>,
+        labels: &[(&'static str, String)],
+        attempt: u32,
+        msg: &str,
+    ) -> String {
+        self.end_attempt(span, labels, attempt, "panic");
+        self.metric_inc("executor.task_panics", 1);
+        format!("attempt {attempt}: panic: {msg}")
+    }
 }
 
 /// The span labels naming one (suite, scenario) task.
@@ -1118,68 +1253,6 @@ fn task_labels(key: &SuiteKey, id: ScenarioId) -> [(&'static str, String); 2] {
         ("suite", key.cache_dir()),
         ("scenario", id.name().to_string()),
     ]
-}
-
-/// Ends an executor span named `name` that began at `span`, labeled with
-/// `labels` and `extra`; free when tracing is off (`span` is `None`).
-fn end_span(
-    name: &str,
-    span: Option<Instant>,
-    labels: &[(&'static str, String)],
-    extra: &[(&'static str, String)],
-) {
-    if span.is_some() {
-        let args: Vec<_> = labels.iter().chain(extra).cloned().collect();
-        obs::tracer().end_span(obs::worker_track(), "executor", name, span, &args);
-    }
-}
-
-/// Ends an `attempt` span with its `outcome`.
-fn end_attempt(
-    span: Option<Instant>,
-    labels: &[(&'static str, String)],
-    attempt: u32,
-    outcome: &str,
-) {
-    end_span(
-        "attempt",
-        span,
-        labels,
-        &[
-            ("attempt", attempt.to_string()),
-            ("outcome", outcome.to_string()),
-        ],
-    );
-}
-
-/// Closes an attempt that returned `e` (a watchdog trip or a run error)
-/// and returns its line of the task's error history.
-fn failed_attempt(
-    span: Option<Instant>,
-    labels: &[(&'static str, String)],
-    attempt: u32,
-    e: &CosimError,
-) -> String {
-    if let CosimError::DeadlineExceeded { .. } = e {
-        end_attempt(span, labels, attempt, "deadline");
-        obs::metric_inc("executor.deadline_trips", 1);
-    } else {
-        end_attempt(span, labels, attempt, "error");
-    }
-    format!("attempt {attempt}: {}", error_chain(e))
-}
-
-/// Closes an attempt that panicked with `msg` and returns its line of the
-/// task's error history. The caller rebuilds the pool shard.
-fn panicked_attempt(
-    span: Option<Instant>,
-    labels: &[(&'static str, String)],
-    attempt: u32,
-    msg: &str,
-) -> String {
-    end_attempt(span, labels, attempt, "panic");
-    obs::metric_inc("executor.task_panics", 1);
-    format!("attempt {attempt}: panic: {msg}")
 }
 
 thread_local! {
@@ -1347,6 +1420,19 @@ mod tests {
         assert_eq!(key.cache_dir().len(), 16);
         assert_eq!(SuiteKey::from_hex(""), None);
         assert_eq!(SuiteKey::from_hex("xyz"), None);
+    }
+
+    #[test]
+    fn metrics_are_gated_on_tracing() {
+        let exec = Executor::default();
+        exec.metric_inc("executor.test_gate", 1);
+        assert_eq!(exec.metrics().counter("executor.test_gate"), None);
+        exec.tracer().set_enabled(true);
+        exec.metric_inc("executor.test_gate", 2);
+        exec.metric_observe_wall("executor.test_wall", 0.5);
+        let snap = exec.metrics();
+        assert_eq!(snap.counter("executor.test_gate"), Some(2));
+        assert_eq!(snap.histogram("executor.test_wall").unwrap().total, 1);
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //! naming every lost (suite, scenario) with its error chain, and the
 //! `sweep` binary exits 4. Artifacts are written atomically (tmp + rename)
 //! and journaled, so `sweep --resume` can replay verified work (see
-//! [`crate::journal`]).
+//! [`crate::journal`]). The executor that ran the sweep also writes it
+//! ([`SweepResult::write_to`]): its tracer records the artifact writes
+//! beside the run's task spans.
 //!
 //! Determinism: experiments share no RNG stream or mutable state (the
 //! executor's suite memo assembles its reports in canonical scenario
@@ -41,7 +43,7 @@ use vs_telemetry::{json::Json, DegradedEntry, Event, RunArtifact, StageSample};
 
 use crate::obs;
 use crate::shard::{self, QuarantineRecord, ShardStats};
-use crate::{chaos, journal, Executor, ExperimentId, ExperimentOutput, RunSettings};
+use crate::{journal, Executor, ExperimentId, ExperimentOutput, RunSettings};
 
 /// What to run and how.
 #[derive(Debug, Clone, Default)]
@@ -182,12 +184,11 @@ fn run_experiment(exec: &Executor, id: ExperimentId, settings: &RunSettings) -> 
         &[("id", id.name().to_string())],
         || format!("[sweep] {} ...", id.name()),
     );
-    let span = obs::tracer().begin();
+    let span = exec.tracer().begin();
     let t0 = Instant::now();
     let outcome = shard::isolated(|| id.run(exec, settings));
     let wall_s = t0.elapsed().as_secs_f64();
-    obs::tracer().end_span(
-        obs::worker_track(),
+    exec.tracer().end_span(
         "experiment",
         "experiment",
         span,
@@ -237,7 +238,9 @@ impl SweepResult {
     /// (the deterministic events plus one appended wall-time event) and a
     /// `manifest.jsonl` suite summary (a `suite` header line, one
     /// `experiment` line per run, and — in a degraded sweep — one
-    /// `degraded` line per quarantined scenario task).
+    /// `degraded` line per quarantined scenario task). `exec` is the
+    /// executor that ran the sweep: its tracer records one
+    /// `artifact_write` span per file.
     ///
     /// Every file lands via tmp-file + rename ([`vs_telemetry::write_atomic`])
     /// and each artifact is journaled with its content checksum, so a crash
@@ -247,8 +250,8 @@ impl SweepResult {
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn write_to(&self, dir: &Path) -> io::Result<()> {
-        self.write_impl(dir, false)
+    pub fn write_to(&self, exec: &Executor, dir: &Path) -> io::Result<()> {
+        self.write_impl(exec, dir, false)
     }
 
     /// Like [`SweepResult::write_to`] but with every wall-time field left
@@ -260,11 +263,11 @@ impl SweepResult {
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn write_deterministic_to(&self, dir: &Path) -> io::Result<()> {
-        self.write_impl(dir, true)
+    pub fn write_deterministic_to(&self, exec: &Executor, dir: &Path) -> io::Result<()> {
+        self.write_impl(exec, dir, true)
     }
 
-    fn write_impl(&self, dir: &Path, deterministic: bool) -> io::Result<()> {
+    fn write_impl(&self, exec: &Executor, dir: &Path, deterministic: bool) -> io::Result<()> {
         std::fs::create_dir_all(dir)?;
         let mut suite = vec![
             ("type", Json::from("suite")),
@@ -320,8 +323,8 @@ impl SweepResult {
                 }
                 let file = format!("{}.jsonl", run.id.name());
                 let bytes = artifact.to_jsonl().into_bytes();
-                let torn = write_file(dir, &file, &bytes)?;
-                if !deterministic && !torn {
+                write_file(exec, dir, &file, &bytes)?;
+                if !deterministic {
                     journal::record_experiment(dir, run.id.name(), &file, &bytes)?;
                 }
                 line.push(("artifact", Json::from(file)));
@@ -346,36 +349,25 @@ impl SweepResult {
             text.push_str(&line.to_string_compact());
             text.push('\n');
         }
-        write_file(dir, MANIFEST_FILE, text.as_bytes()).map(|_| ())
+        write_file(exec, dir, MANIFEST_FILE, text.as_bytes())
     }
 }
 
-/// Writes one sweep file atomically — unless the chaos plan scheduled this
-/// name to tear, in which case a truncated file lands *directly* under the
-/// final name (and the caller must skip journaling it). Returns whether
-/// the write was torn.
-fn write_file(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<bool> {
-    let path = dir.join(name);
-    let span = obs::tracer().begin();
-    let torn = if let Some(cut) = chaos::torn_write(name, bytes.len()) {
-        std::fs::write(&path, &bytes[..cut])?;
-        true
-    } else {
-        vs_telemetry::write_atomic(&path, bytes)?;
-        false
-    };
-    obs::tracer().end_span(
-        obs::worker_track(),
+/// Writes one sweep file atomically, as an `artifact_write` span on
+/// `exec`'s tracer.
+fn write_file(exec: &Executor, dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
+    let span = exec.tracer().begin();
+    vs_telemetry::write_atomic(&dir.join(name), bytes)?;
+    exec.tracer().end_span(
         "artifact",
         "artifact_write",
         span,
         &[
             ("file", name.to_string()),
             ("bytes", bytes.len().to_string()),
-            ("torn", torn.to_string()),
         ],
     );
-    Ok(torn)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -7,17 +7,11 @@
 //! lanes, reproduce the per-point oracle bit for bit, as do the runs of a
 //! grid whose eager controllers force fallbacks; and the traced binary
 //! spans each trunk and each computed run once.
-//!
-//! The chaos phases share one `#[test]` on purpose: the chaos plan is
-//! process-wide and the harness runs a binary's `#[test]` functions
-//! concurrently — splitting them up would race the global state. The
-//! other tests neither journal nor write artifacts in this process, so
-//! the plan never reaches them.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use vs_bench::chaos::{clear_chaos_plan, install_chaos_plan, ChaosPlan};
+use vs_bench::chaos::ChaosPlan;
 use vs_bench::dse::{evaluate_point, run_dse, DseOptions};
 use vs_bench::journal::{load_dse_resume, point_cache_rel};
 use vs_bench::shard::{ExecutorConfig, Preload};
@@ -58,7 +52,6 @@ fn dse_artifacts_are_schedule_invariant_and_resume_converges() {
     assert_eq!(grid().len(), 64);
 
     // Phase 1 — undisturbed reference: one worker.
-    clear_chaos_plan();
     let reference = run_dse(&Executor::default(), &DseOptions {
         jobs: 1,
         settings: micro(),
@@ -89,18 +82,17 @@ fn dse_artifacts_are_schedule_invariant_and_resume_converges() {
     let settings = micro();
     let points = grid().points();
     let torn_key = points[17].suite_key(&settings);
-    install_chaos_plan(ChaosPlan {
+    let plan = ChaosPlan {
         seed: 7,
-        tasks: vec![],
         torn_writes: vec![format!("{}.json", torn_key.cache_dir())],
-    });
-    let chaos_run = run_dse(&journaling(&dir), &DseOptions {
+        ..ChaosPlan::default()
+    };
+    let chaos_run = run_dse(&journaling(&dir).with_chaos(plan), &DseOptions {
         jobs: 2,
         settings,
         space: grid(),
         ..DseOptions::default()
     });
-    clear_chaos_plan();
     assert_eq!(chaos_run.artifact(true).to_jsonl(), ref_bytes);
 
     // Tamper a second, successfully journaled cache: its checksum must

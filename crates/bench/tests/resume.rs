@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 
 use vs_bench::journal::load_resume;
 use vs_bench::shard::{ExecutorConfig, Preload};
-use vs_bench::sweep::{run_sweep, SweepOptions};
+use vs_bench::sweep::{run_sweep, SweepOptions, SweepResult};
 use vs_bench::{Executor, ExperimentId, RunSettings};
 use vs_telemetry::fnv1a_64;
 
@@ -24,17 +24,19 @@ fn micro() -> RunSettings {
     }
 }
 
-/// A journaled fig14 sweep on a fresh executor that replays `preloaded`.
-fn journaled_sweep(dir: &Path, jobs: usize, preloaded: Preload) -> vs_bench::sweep::SweepResult {
+/// A journaled fig14 sweep on a fresh executor that replays `preloaded`,
+/// with the executor that ran it.
+fn journaled_sweep(dir: &Path, jobs: usize, preloaded: Preload) -> (SweepResult, Executor) {
     let exec = Executor::new(ExecutorConfig::default(), Some(dir.to_path_buf()), preloaded);
-    run_sweep(
+    let result = run_sweep(
         &exec,
         &SweepOptions {
             jobs,
             only: Some(vec![ExperimentId::Fig14]),
             settings: micro(),
         },
-    )
+    );
+    (result, exec)
 }
 
 /// Every scenario cache file under `dir/scenarios/`, sorted for a stable
@@ -55,9 +57,9 @@ fn torn_writes_are_recomputed_exactly_and_artifacts_converge() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Reference run: journaled, then written deterministically.
-    let fresh = journaled_sweep(&dir, 2, Preload::new());
+    let (fresh, exec) = journaled_sweep(&dir, 2, Preload::new());
     assert!(!fresh.is_degraded());
-    fresh.write_deterministic_to(&dir).unwrap();
+    fresh.write_deterministic_to(&exec, &dir).unwrap();
     let fresh_artifact = std::fs::read(dir.join("fig14.jsonl")).unwrap();
     let caches = cache_files(&dir);
     assert_eq!(caches.len(), 24, "fig14 journals both suites fully");
@@ -93,14 +95,14 @@ fn torn_writes_are_recomputed_exactly_and_artifacts_converge() {
             "round {round}: {state:?}"
         );
 
-        let resumed = journaled_sweep(&dir, jobs, state.preloaded);
+        let (resumed, exec) = journaled_sweep(&dir, jobs, state.preloaded);
         assert!(!resumed.is_degraded(), "round {round}");
         let stats = resumed.stats;
         // Exactly the damaged scenarios recomputed, everything else replayed.
         assert_eq!(stats.scenario_tasks, victims.len() as u64, "round {round}: {stats:?}");
         assert_eq!(stats.replayed, (24 - victims.len()) as u64, "round {round}: {stats:?}");
 
-        resumed.write_deterministic_to(&dir).unwrap();
+        resumed.write_deterministic_to(&exec, &dir).unwrap();
         let healed = std::fs::read(dir.join("fig14.jsonl")).unwrap();
         assert_eq!(
             healed, fresh_artifact,
@@ -126,12 +128,12 @@ fn torn_writes_are_recomputed_exactly_and_artifacts_converge() {
     assert_eq!(state.verified_scenarios, 22, "{state:?}");
     assert_eq!(state.damaged, 0, "{state:?}");
 
-    let resumed = journaled_sweep(&dir, 2, state.preloaded);
+    let (resumed, exec) = journaled_sweep(&dir, 2, state.preloaded);
     assert!(!resumed.is_degraded());
     let stats = resumed.stats;
     assert_eq!(stats.scenario_tasks, 2, "{stats:?}");
     assert_eq!(stats.replayed, 22, "{stats:?}");
-    resumed.write_deterministic_to(&dir).unwrap();
+    resumed.write_deterministic_to(&exec, &dir).unwrap();
     assert_eq!(std::fs::read(dir.join("fig14.jsonl")).unwrap(), fresh_artifact);
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -12,24 +12,24 @@
 //!    `scenario_tasks == 0` is the no-worker-pool proof: the pool
 //!    thread-local is only ever touched by the task path that increments
 //!    that counter;
-//! 3. a torn cache entry (chaos hook tears `bfs.json` mid-byte and skips
-//!    its journal append) makes the restarted server recompute exactly
-//!    the damaged scenario — 1 task, 11 replays — and still converge to
-//!    the same response bytes;
+//! 3. a torn cache entry (`bfs.json` truncated mid-byte, its journal line
+//!    dropped: the state a crash between cache write and journal append
+//!    leaves) makes the restarted server recompute exactly the damaged
+//!    scenario — 1 task, 11 replays — and still converge to the same
+//!    response bytes;
 //! 4. two servers on two fresh stores in one process are independent: the
 //!    second computes the point on its own executor and journals into its
 //!    own store, while the first one's store and stats stay put.
-//!
-//! One `#[test]` on purpose: the chaos plan is process-wide.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use vs_bench::chaos::{clear_chaos_plan, install_chaos_plan, ChaosPlan};
-use vs_bench::journal::load_resume;
+use vs_bench::journal::{load_resume, scenario_cache_rel, JOURNAL_FILE};
 use vs_bench::serve::{ServeOptions, Server};
+use vs_bench::shard::SuiteKey;
 use vs_bench::space::ConfigPoint;
 use vs_bench::RunSettings;
+use vs_core::ScenarioId;
 
 /// Small enough for debug-mode CI: one suite, 12 scenarios.
 fn micro() -> RunSettings {
@@ -81,13 +81,30 @@ fn open(store: PathBuf) -> Server {
     Server::open(&ServeOptions { store, settings: micro() }).expect("open store")
 }
 
+/// Leaves `id`'s cache entry of `key`'s suite in `root` as a crash between
+/// its cache write and its journal append does: the file truncated
+/// mid-byte, its `scenario_done` line gone from the journal.
+fn tear_scenario(root: &Path, key: &SuiteKey, id: ScenarioId) {
+    let cache = root.join(scenario_cache_rel(key, id));
+    let bytes = std::fs::read(&cache).expect("cache entry");
+    std::fs::write(&cache, &bytes[..bytes.len() / 2]).unwrap();
+    let journal = root.join(JOURNAL_FILE);
+    let scenario = format!("\"scenario\":\"{}\"", id.name());
+    let kept: String = std::fs::read_to_string(&journal)
+        .unwrap()
+        .lines()
+        .filter(|l| !(l.contains("\"scenario_done\"") && l.contains(&scenario)))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    std::fs::write(&journal, kept).unwrap();
+}
+
 #[test]
 fn concurrent_requests_join_and_cold_restarts_serve_from_store() {
     let store = tmp("store");
     let key = "area=0.2".parse::<ConfigPoint>().unwrap().suite_key(&micro());
 
     // Round 1 — two concurrent identical requests, one computation.
-    clear_chaos_plan();
     let server = Arc::new(open(store.clone()));
     assert_eq!(server.store_report.verified_scenarios, 0);
     assert!(!server.executor().suite_is_warm(&key), "fresh store must be cold");
@@ -126,14 +143,9 @@ fn concurrent_requests_join_and_cold_restarts_serve_from_store() {
     // Round 3 — torn cache entry: recompute exactly the damaged scenario.
     let store = tmp("torn");
     let server3 = open(store.clone());
-    install_chaos_plan(ChaosPlan {
-        seed: 1,
-        tasks: vec![],
-        torn_writes: vec!["bfs.json".to_string()],
-    });
     let done3 = done_line(&handle(&server3, POINT_REQ));
-    clear_chaos_plan();
     assert_eq!(done3, done, "same point, same settings, same response");
+    tear_scenario(server3.root(), &key, ScenarioId::Bfs);
 
     let server4 = open(store);
     // The torn write lands before the journal append, so the entry is an

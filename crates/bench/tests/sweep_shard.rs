@@ -1,14 +1,11 @@
 //! Tier-1: the scenario-sharded sweep is deterministic across worker
 //! counts, and the per-worker pool shards actually pay off.
-//!
-//! One `#[test]` on purpose: the whole matrix runs traced, and the tracer
-//! is process-wide.
 
 use std::collections::HashMap;
 
 use vs_bench::shard::{ExecutorConfig, ShardStats};
 use vs_bench::sweep::{run_sweep, SweepOptions};
-use vs_bench::{benchmark_names, obs, Executor, ExperimentId, RunSettings};
+use vs_bench::{benchmark_names, Executor, ExperimentId, RunSettings};
 use vs_core::{PdsKind, PowerManagement};
 
 /// Small enough for debug-mode CI: fig8 runs 4 suites x 12 scenarios.
@@ -20,11 +17,12 @@ fn micro() -> RunSettings {
     }
 }
 
-/// One sweep at the given worker count, on a fresh executor. Returns the
-/// deterministic view of every artifact, the shard counters it left, and
-/// the executor it ran on.
+/// One traced sweep at the given worker count, on a fresh executor.
+/// Returns the deterministic view of every artifact, the shard counters it
+/// left, and the executor it ran on.
 fn sweep(jobs: usize) -> (Vec<(String, String, String)>, ShardStats, Executor) {
     let exec = Executor::new(ExecutorConfig::default(), None, HashMap::new());
+    exec.tracer().set_enabled(true);
     let result = run_sweep(
         &exec,
         &SweepOptions {
@@ -54,13 +52,11 @@ fn sharded_sweep_is_bit_identical_across_worker_counts() {
     // Tracing on for the whole comparison: recording spans and executor
     // metrics must never leak into artifact bytes (the acceptance bar for
     // the observability layer being purely observational).
-    obs::reset_observability_for_tests();
-    obs::set_tracing(true);
-    let (a1, s1, _) = sweep(1);
-    let (a2, s2, _) = sweep(2);
+    let (a1, s1, e1) = sweep(1);
+    let (a2, s2, e2) = sweep(2);
     let (a8, s8, last) = sweep(8);
-    obs::set_tracing(false);
-    assert!(!obs::drain_trace().is_empty(), "traced sweeps must record spans");
+    let events: Vec<_> = [&e1, &e2, &last].iter().flat_map(|e| e.tracer().drain()).collect();
+    assert!(!events.is_empty(), "traced sweeps must record spans");
 
     // The determinism contract: text and artifacts depend only on the
     // settings, never on worker count, claim order, or stealing.

@@ -2,16 +2,11 @@
 //! trace with retry/quarantine spans and executor metrics, the run report
 //! names the quarantined (suite, scenario) pairs with per-scenario p95s,
 //! and `diff-baseline` gates drift between artifact stores.
-//!
-//! One `#[test]` on purpose: the chaos plan and observability globals
-//! (tracer, executor metric registry) are process-wide, and the harness
-//! runs `#[test]` functions of one binary concurrently.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-use vs_bench::chaos::{clear_chaos_plan, install_chaos_plan, ChaosEvent, ChaosMode, ChaosPlan};
-use vs_bench::obs;
+use vs_bench::chaos::{ChaosEvent, ChaosMode, ChaosPlan};
 use vs_bench::report::{diff_baseline, RunReport, TRACE_FILE};
 use vs_bench::shard::ExecutorConfig;
 use vs_bench::sweep::{run_sweep, SweepOptions};
@@ -79,9 +74,7 @@ fn traced_chaos_sweep_report_and_baseline_diff() {
     // Phase 1 — chaos sweep with tracing on: bfs panics once per suite
     // (retry + backoff spans), heartwall trips the watchdog then panics
     // through its remaining attempts (quarantined in both fig14 suites).
-    obs::reset_observability_for_tests();
-    obs::set_tracing(true);
-    install_chaos_plan(ChaosPlan {
+    let plan = ChaosPlan {
         seed: 11,
         tasks: vec![
             ChaosEvent { scenario: ScenarioId::Bfs, mode: ChaosMode::Panic, attempts: 1 },
@@ -93,25 +86,26 @@ fn traced_chaos_sweep_report_and_baseline_diff() {
             ChaosEvent { scenario: ScenarioId::Heartwall, mode: ChaosMode::Panic, attempts: 3 },
         ],
         torn_writes: vec![],
-    });
+        trunk_panics: vec![],
+    };
+    let exec = Executor::new(fast_retries(), Some(dir.clone()), HashMap::new()).with_chaos(plan);
+    exec.tracer().set_enabled(true);
     let result = run_sweep(
-        &Executor::new(fast_retries(), Some(dir.clone()), HashMap::new()),
+        &exec,
         &SweepOptions {
             jobs: 2,
             only: Some(vec![ExperimentId::Fig14]),
             settings: micro(),
         },
     );
-    clear_chaos_plan();
     assert!(result.is_degraded());
     assert_eq!(result.quarantined.len(), 2, "{:?}", result.quarantined);
-    result.write_to(&dir).unwrap();
-    obs::set_tracing(false);
+    result.write_to(&exec, &dir).unwrap();
 
     // The trace carries the whole lifecycle: attempts by outcome, retry
     // backoffs, pool rebuilds after panics, and quarantine instants.
-    let events = obs::drain_trace();
-    let metrics = obs::metrics_snapshot();
+    let events = exec.tracer().drain();
+    let metrics = exec.metrics();
     let attempts = |outcome: &str| {
         events
             .iter()
@@ -236,7 +230,6 @@ fn traced_chaos_sweep_report_and_baseline_diff() {
     assert!(no_metrics.is_none());
     assert_eq!(reparsed, generated);
 
-    obs::reset_observability_for_tests();
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&drift_dir);
 }

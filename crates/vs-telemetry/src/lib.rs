@@ -73,8 +73,7 @@ pub use metrics::{
 };
 pub use profile::{Stage, StageProfiler};
 pub use trace::{
-    chrome_trace_json, lifecycle_json, parse_chrome_trace, RequestEvent, TraceEvent, TracePhase,
-    Tracer, REQUEST_STAGES,
+    chrome_trace_json, lifecycle_json, parse_chrome_trace, TraceEvent, TracePhase, Tracer,
 };
 
 /// This crate's version (recorded in run manifests).

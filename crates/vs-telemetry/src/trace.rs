@@ -2,20 +2,21 @@
 //!
 //! The sweep's orchestration layer (suite enqueue, scenario claim/steal,
 //! attempts, backoff, quarantine, journal replay — see `vs-bench`'s `shard`
-//! module) records its lifecycle through a process-wide [`Tracer`]: spans
+//! module) records its lifecycle through its executor's [`Tracer`]: spans
 //! ([`TracePhase::Complete`]) and point events ([`TracePhase::Instant`]) on
-//! per-worker tracks, exportable as a Chrome/Perfetto `trace.json` via
+//! per-thread tracks, exportable as a Chrome/Perfetto `trace.json` via
 //! [`chrome_trace_json`] and parseable back with [`parse_chrome_trace`].
 //!
 //! # Identity vs. wall time
 //!
 //! Trace events follow the same rule as the run-artifact schema: wall times
 //! are *recorded* but never part of a run's **identity**. An event's
-//! identity is its name, category, and args ([`TraceEvent::identity_json`]);
-//! its timestamps and track are observational — they depend on scheduling
-//! and the host, so no artifact comparison may consult them. This is what
-//! lets a sweep run with tracing enabled and still produce bit-identical
-//! deterministic artifacts at any worker count.
+//! identity is its name, category, and args (the fields
+//! [`lifecycle_json`] prints); its timestamps and track are observational —
+//! they depend on scheduling and the host, so no artifact comparison may
+//! consult them. This is what lets a sweep run with tracing enabled and
+//! still produce bit-identical deterministic artifacts at any worker
+//! count.
 //!
 //! # Overhead
 //!
@@ -25,8 +26,10 @@
 //! `vs-bench` perf harness guards this stays under the noise floor of the
 //! co-simulation cycle.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
+use std::thread::ThreadId;
 use std::time::Instant;
 
 use crate::json::{self, Json};
@@ -57,7 +60,7 @@ pub struct TraceEvent {
     pub name: String,
     /// Category (e.g. `"executor"`, `"journal"`, `"artifact"`).
     pub cat: String,
-    /// Track (Chrome `tid`): one per worker thread.
+    /// Track (Chrome `tid`): one per recording thread.
     pub track: u64,
     /// Timing: span or instant. **Observational** — never identity.
     pub phase: TracePhase,
@@ -67,19 +70,6 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// The event's identity as JSON: name, category, and args — everything
-    /// *except* the wall-time fields (`phase`) and the scheduling-dependent
-    /// track. Two runs of the same work agree on identities even when their
-    /// timelines differ.
-    #[must_use]
-    pub fn identity_json(&self) -> Json {
-        Json::obj([
-            ("cat", Json::from(self.cat.as_str())),
-            ("name", Json::from(self.name.as_str())),
-            ("args", args_json(&self.args)),
-        ])
-    }
-
     /// Convenience: the value of an arg by key.
     #[must_use]
     pub fn arg(&self, key: &str) -> Option<&str> {
@@ -93,83 +83,6 @@ fn args_json(args: &[(String, String)]) -> Json {
             .map(|(k, v)| (k.clone(), Json::from(v.as_str())))
             .collect(),
     )
-}
-
-/// The sweep service's request-lifecycle stages, in protocol order: a
-/// request is `accepted`, then either `cached` (served from the
-/// content-addressed store) or `running` (computed), and ends `done` or
-/// `degraded`. Stage names double as [`lifecycle_json`] event names under
-/// the `"serve"` category, so a progress stream and a response stream
-/// parse identically.
-pub const REQUEST_STAGES: [&str; 5] = ["accepted", "cached", "running", "done", "degraded"];
-
-/// One line of the sweep service's response stream: a request-scoped
-/// lifecycle event. The wire form is exactly
-/// `lifecycle_json("serve", stage, [("req", req), ...args])` — one compact
-/// JSON object per line — so serve responses reuse the `--progress=json`
-/// vocabulary instead of inventing a second framing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RequestEvent {
-    /// The client-chosen request id this event answers.
-    pub req: String,
-    /// Lifecycle stage (one of [`REQUEST_STAGES`]).
-    pub stage: String,
-    /// Stage-specific context, order-preserving (order is part of the
-    /// byte-identity of a response line).
-    pub args: Vec<(String, String)>,
-}
-
-impl RequestEvent {
-    /// Builds an event for `req` at `stage` with `args` context.
-    #[must_use]
-    pub fn new(req: &str, stage: &str, args: &[(&str, String)]) -> RequestEvent {
-        RequestEvent {
-            req: req.to_string(),
-            stage: stage.to_string(),
-            args: args.iter().map(|(k, v)| ((*k).to_string(), v.clone())).collect(),
-        }
-    }
-
-    /// The one-line wire form (`"type":"lifecycle","cat":"serve"`, the
-    /// request id first in `args`).
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let mut args: Vec<(&str, String)> = Vec::with_capacity(self.args.len() + 1);
-        args.push(("req", self.req.clone()));
-        args.extend(self.args.iter().map(|(k, v)| (k.as_str(), v.clone())));
-        lifecycle_json("serve", &self.stage, &args)
-    }
-
-    /// Parses a wire-form line back; `None` for anything that is not a
-    /// serve lifecycle event (wrong type/category, missing `req`, or
-    /// non-string args).
-    #[must_use]
-    pub fn from_json(v: &Json) -> Option<RequestEvent> {
-        if v.get("type")?.as_str()? != "lifecycle" || v.get("cat")?.as_str()? != "serve" {
-            return None;
-        }
-        let stage = v.get("name")?.as_str()?.to_string();
-        let Json::Obj(pairs) = v.get("args")? else {
-            return None;
-        };
-        let mut req = None;
-        let mut args = Vec::new();
-        for (k, val) in pairs {
-            let val = val.as_str()?.to_string();
-            if k == "req" && req.is_none() {
-                req = Some(val);
-            } else {
-                args.push((k.clone(), val));
-            }
-        }
-        Some(RequestEvent { req: req?, stage, args })
-    }
-
-    /// Convenience: the value of a context arg by key.
-    #[must_use]
-    pub fn arg(&self, key: &str) -> Option<&str> {
-        self.args.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
-    }
 }
 
 /// A lifecycle event in the one-line JSON form the `--progress=json` sink
@@ -196,16 +109,25 @@ pub fn lifecycle_json(cat: &str, name: &str, args: &[(&str, String)]) -> Json {
 /// A shared, thread-safe span/event recorder.
 ///
 /// Constructed disabled; [`Tracer::set_enabled`] flips recording at run
-/// time. All methods take `&self` so one `static` tracer can serve every
-/// worker thread — recording appends under a mutex, which is amortized
-/// against task-granularity work (seconds per span), never the per-cycle
-/// hot loop.
+/// time. All methods take `&self` so one tracer can serve every worker
+/// thread of its owner — recording appends under a mutex, which is
+/// amortized against task-granularity work (seconds per span), never the
+/// per-cycle hot loop. Each recording thread gets its own track, assigned
+/// by the tracer on the thread's first event.
 #[derive(Debug)]
 pub struct Tracer {
     enabled: AtomicBool,
     epoch: Instant,
-    events: Mutex<Vec<TraceEvent>>,
-    next_track: AtomicU64,
+    buffer: Mutex<Buffer>,
+}
+
+/// What a [`Tracer`] has recorded, and the track of each thread that
+/// recorded it.
+#[derive(Debug, Default)]
+struct Buffer {
+    events: Vec<TraceEvent>,
+    /// Tracks in first-event order: the first recording thread is track 0.
+    tracks: HashMap<ThreadId, u64>,
 }
 
 impl Default for Tracer {
@@ -222,8 +144,7 @@ impl Tracer {
         Tracer {
             enabled: AtomicBool::new(false),
             epoch: Instant::now(),
-            events: Mutex::new(Vec::new()),
-            next_track: AtomicU64::new(0),
+            buffer: Mutex::new(Buffer::default()),
         }
     }
 
@@ -239,13 +160,6 @@ impl Tracer {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Allocates a fresh track id (worker threads take one each; the ids
-    /// become Chrome `tid`s).
-    #[must_use]
-    pub fn allocate_track(&self) -> u64 {
-        self.next_track.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Opens a span: `None` when disabled, so the matching
     /// [`Tracer::end_span`] is a no-op and the disabled path costs one
     /// branch (the [`crate::StageProfiler`] pattern).
@@ -255,69 +169,44 @@ impl Tracer {
         self.is_enabled().then(Instant::now)
     }
 
-    /// Closes a span opened by [`Tracer::begin`] and records it. No-op when
-    /// the span is `None` (tracing was disabled at `begin`).
-    pub fn end_span(
-        &self,
-        track: u64,
-        cat: &str,
-        name: &str,
-        started: Option<Instant>,
-        args: &[(&str, String)],
-    ) {
+    /// Closes a span opened by [`Tracer::begin`] and records it on the
+    /// calling thread's track. No-op when the span is `None` (tracing was
+    /// disabled at `begin`).
+    pub fn end_span(&self, cat: &str, name: &str, started: Option<Instant>, args: &[(&str, String)]) {
         let Some(started) = started else { return };
         let start_ns = saturating_ns(self.epoch, started);
         let dur_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.push(TraceEvent {
-            name: name.to_string(),
-            cat: cat.to_string(),
-            track,
-            phase: TracePhase::Complete { start_ns, dur_ns },
-            args: own_args(args),
-        });
+        self.push(cat, name, TracePhase::Complete { start_ns, dur_ns }, args);
     }
 
-    /// Records a point event. No-op when disabled.
-    pub fn instant(&self, track: u64, cat: &str, name: &str, args: &[(&str, String)]) {
+    /// Records a point event on the calling thread's track. No-op when
+    /// disabled.
+    pub fn instant(&self, cat: &str, name: &str, args: &[(&str, String)]) {
         if !self.is_enabled() {
             return;
         }
         let at_ns = saturating_ns(self.epoch, Instant::now());
-        self.push(TraceEvent {
+        self.push(cat, name, TracePhase::Instant { at_ns }, args);
+    }
+
+    fn push(&self, cat: &str, name: &str, phase: TracePhase, args: &[(&str, String)]) {
+        let mut buffer = self.buffer.lock().expect("trace buffer poisoned");
+        let next = buffer.tracks.len() as u64;
+        let track = *buffer.tracks.entry(std::thread::current().id()).or_insert(next);
+        buffer.events.push(TraceEvent {
             name: name.to_string(),
             cat: cat.to_string(),
             track,
-            phase: TracePhase::Instant { at_ns },
+            phase,
             args: own_args(args),
         });
     }
 
-    fn push(&self, event: TraceEvent) {
-        self.events.lock().expect("trace buffer poisoned").push(event);
-    }
-
-    /// Events recorded so far (cloned; recording continues).
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.events.lock().expect("trace buffer poisoned").clone()
-    }
-
-    /// Takes every recorded event, leaving the buffer empty.
+    /// Takes every recorded event, leaving the buffer empty. Threads keep
+    /// their tracks.
     #[must_use]
     pub fn drain(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.events.lock().expect("trace buffer poisoned"))
-    }
-
-    /// How many events are buffered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.lock().expect("trace buffer poisoned").len()
-    }
-
-    /// Whether the buffer is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        std::mem::take(&mut self.buffer.lock().expect("trace buffer poisoned").events)
     }
 }
 
@@ -485,44 +374,15 @@ mod tests {
         }
     }
 
-    /// The request-lifecycle schema: wire form is byte-stable and parses
-    /// back losslessly, and non-serve lifecycle lines are rejected rather
-    /// than misattributed to a request.
-    #[test]
-    fn request_events_round_trip_the_serve_wire_form() {
-        let ev = RequestEvent::new(
-            "r1",
-            "done",
-            &[("key", "00ab".to_string()), ("scenarios", "12".to_string())],
-        );
-        let line = ev.to_json().to_string_compact();
-        assert_eq!(
-            line,
-            "{\"type\":\"lifecycle\",\"cat\":\"serve\",\"name\":\"done\",\
-             \"args\":{\"req\":\"r1\",\"key\":\"00ab\",\"scenarios\":\"12\"}}"
-        );
-        let parsed = RequestEvent::from_json(&crate::json::parse(&line).unwrap()).unwrap();
-        assert_eq!(parsed, ev);
-        assert_eq!(parsed.arg("scenarios"), Some("12"));
-        assert!(REQUEST_STAGES.contains(&parsed.stage.as_str()));
-
-        // Wrong category (an executor progress line) is not a serve event.
-        let other = lifecycle_json("sweep", "done", &[("req", "r1".to_string())]);
-        assert_eq!(RequestEvent::from_json(&other), None);
-        // Missing req: not attributable to any request.
-        let anon = lifecycle_json("serve", "done", &[("key", "00ab".to_string())]);
-        assert_eq!(RequestEvent::from_json(&anon), None);
-    }
-
     #[test]
     fn disabled_tracer_records_nothing() {
         let t = Tracer::new();
         assert!(!t.is_enabled());
         let s = t.begin();
         assert!(s.is_none());
-        t.end_span(0, "executor", "attempt", s, &[]);
-        t.instant(0, "executor", "quarantine", &[]);
-        assert!(t.is_empty());
+        t.end_span("executor", "attempt", s, &[]);
+        t.instant("executor", "quarantine", &[]);
+        assert!(t.drain().is_empty());
     }
 
     #[test]
@@ -531,22 +391,29 @@ mod tests {
         t.set_enabled(true);
         let s = t.begin();
         assert!(s.is_some());
-        t.end_span(3, "executor", "attempt", s, &[("outcome", "ok".to_string())]);
-        t.instant(3, "executor", "steal", &[]);
+        t.end_span("executor", "attempt", s, &[("outcome", "ok".to_string())]);
+        t.instant("executor", "steal", &[]);
         let events = t.drain();
         assert_eq!(events.len(), 2);
         assert!(matches!(events[0].phase, TracePhase::Complete { .. }));
         assert_eq!(events[0].arg("outcome"), Some("ok"));
         assert!(matches!(events[1].phase, TracePhase::Instant { .. }));
-        assert!(t.is_empty(), "drain leaves the buffer empty");
+        assert!(t.drain().is_empty(), "drain leaves the buffer empty");
     }
 
     #[test]
-    fn track_allocation_is_unique() {
+    fn each_recording_thread_gets_one_track() {
         let t = Tracer::new();
-        let a = t.allocate_track();
-        let b = t.allocate_track();
-        assert_ne!(a, b);
+        t.set_enabled(true);
+        t.instant("executor", "steal", &[]);
+        t.instant("executor", "steal", &[]);
+        std::thread::scope(|s| {
+            s.spawn(|| t.instant("executor", "steal", &[]));
+        });
+        let tracks: Vec<u64> = t.drain().iter().map(|e| e.track).collect();
+        let (a, b, other) = (tracks[0], tracks[1], tracks[2]);
+        assert_eq!(a, b);
+        assert_ne!(a, other);
     }
 
     #[test]
@@ -585,17 +452,6 @@ mod tests {
         assert!(parse_chrome_trace("not json").is_err());
         assert!(parse_chrome_trace("{}").is_err());
         assert!(parse_chrome_trace("{\"traceEvents\":[{\"name\":\"x\"}]}").is_err());
-    }
-
-    #[test]
-    fn identity_excludes_wall_time_and_track() {
-        let a = span(0, "task", 0, 10);
-        let b = span(9, "task", 123_456, 999);
-        assert_eq!(
-            a.identity_json().to_string_compact(),
-            b.identity_json().to_string_compact(),
-            "identity must ignore track and timestamps"
-        );
     }
 
     #[test]

@@ -80,8 +80,6 @@ cargo test --release -q -p vs-core --test zero_alloc
 
 echo "== chaos smoke: panic/stall/torn-write survival + journaled resume =="
 cargo test --release -q -p vs-bench --test chaos
-cargo test --release -q -p vs-bench --test chaos_groups
-cargo test --release -q -p vs-bench --test chaos_dse
 cargo test --release -q -p vs-bench --test resume
 cargo test --release -q -p vs-bench --test campaign_jobs
 
