@@ -41,28 +41,30 @@
 //! replays verified metrics and recomputes only missing or damaged points,
 //! converging to the same bytes an undisturbed run produces.
 //! `--deterministic` writes the wall-time-free artifact goldens are
-//! blessed in. `--diff GOLDEN` compares the artifact against a blessed one
-//! through the tolerance engine.
+//! blessed in. `--diff GOLDEN` diffs the frontier file just written against
+//! `GOLDEN` (a frontier file, or a directory holding `dse_frontier.jsonl`)
+//! as `sweep diff-baseline` does, under `--tolerances` (default exact), and
+//! prints the verdict's rendering.
 //!
 //! # Exit codes
 //!
 //! | code | meaning |
 //! |-----:|---------|
 //! | 0 | success — frontier claims and diffs passed |
-//! | 1 | a frontier claim or golden diff failed |
-//! | 2 | environment/usage error |
+//! | 1 | a frontier claim or golden diff failed (a drifted metric, an unparseable golden) |
+//! | 2 | environment/usage error (bad flag, no such golden, unwritable output) |
 //! | 3 | internal error: a trunk failed every attempt, or another panic (JSONL on stderr) |
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use vs_bench::cli::{ArgSpec, CommandSpec, PROFILE_FLAG, SEED_FLAG};
 use vs_bench::dse::{check_frontier_claims, run_dse, DseOptions, DseResult, FRONTIER_FILE};
-use vs_bench::report::load_tolerances;
+use vs_bench::report::{diff_baseline, load_tolerances};
 use vs_bench::shard::{ExecutorConfig, Preload};
 use vs_bench::space::AxisSpace;
 use vs_bench::{journal, Executor};
-use vs_telemetry::{diff_artifacts, RunArtifact, ToleranceSpec};
+use vs_telemetry::ToleranceSpec;
 
 const SPEC: CommandSpec = CommandSpec {
     prog: "dse",
@@ -74,7 +76,7 @@ const SPEC: CommandSpec = CommandSpec {
         PROFILE_FLAG,
         SEED_FLAG,
         ArgSpec { name: "--deterministic", value: None, help: "wall-time-free artifact, no journal (golden mode)" },
-        ArgSpec { name: "--diff", value: Some("GOLDEN"), help: "diff the artifact against a blessed one" },
+        ArgSpec { name: "--diff", value: Some("GOLDEN"), help: "diff the frontier against a blessed one (file, or a directory holding it)" },
         ArgSpec { name: "--tolerances", value: Some("FILE"), help: "per-metric tolerance spec for --diff" },
     ],
     positionals: &[],
@@ -190,8 +192,15 @@ fn main() -> ExitCode {
         ok &= claim.pass;
     }
 
-    if let Some(golden) = parsed.extra("--diff") {
-        ok &= diff_against(golden, &result, parsed.extra("--tolerances"), deterministic);
+    if let Some(golden) = parsed.extra("--diff").map(Path::new) {
+        let golden = if golden.is_dir() { golden.join(FRONTIER_FILE) } else { golden.to_path_buf() };
+        let spec = parsed
+            .extra("--tolerances")
+            .map_or(Ok(ToleranceSpec::exact()), load_tolerances)
+            .unwrap_or_else(|e| fail(&e));
+        let verdict = diff_baseline(&golden, &path, &spec).unwrap_or_else(|e| fail(&e));
+        print!("{}", verdict.render());
+        ok &= verdict.is_pass();
     }
     if ok {
         eprintln!("[dse] exit 0: success — frontier claims and diffs passed");
@@ -219,30 +228,4 @@ fn print_frontier(result: &DseResult) {
         &["point", "PDE", "area", "worst V"],
         &rows,
     );
-}
-
-fn diff_against(
-    golden: &str,
-    result: &DseResult,
-    tolerances: Option<&str>,
-    deterministic: bool,
-) -> bool {
-    let golden_path = std::path::Path::new(golden);
-    let path = if golden_path.is_dir() { golden_path.join(FRONTIER_FILE) } else { golden_path.to_path_buf() };
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", path.display())));
-    let golden_artifact = RunArtifact::parse_jsonl(&text)
-        .unwrap_or_else(|e| fail(&format!("cannot parse {}: {e}", path.display())));
-    let spec = tolerances
-        .map_or(Ok(ToleranceSpec::exact()), load_tolerances)
-        .unwrap_or_else(|e| fail(&e));
-    let report = diff_artifacts(&golden_artifact, &result.artifact(deterministic), &spec);
-    if report.is_pass() {
-        println!("golden diff: PASS ({} metrics within tolerance)", report.compared());
-        true
-    } else {
-        println!("golden diff: FAIL");
-        print!("{report}");
-        false
-    }
 }

@@ -6,8 +6,7 @@
 //!             [--resume DIR] [--diff GOLDEN_DIR] [--tolerances FILE]
 //!             [--trace] [--progress plain|json|off]
 //! sweep show [id,...] [--profile env|golden|tiny] [--seed N]
-//! sweep diff <golden dir|file> <candidate dir|file> [--tolerances FILE]
-//! sweep diff-baseline <baseline dir> <candidate dir> [--tolerances FILE]
+//! sweep diff-baseline <baseline dir|file> <candidate dir|file> [--tolerances FILE]
 //! sweep report <dir>
 //! sweep list
 //! ```
@@ -15,17 +14,19 @@
 //! `run` executes the catalogue across a worker pool, writes one JSONL
 //! artifact per experiment plus `manifest.jsonl` into `--out` (default
 //! `target/sweep`), and checks the EXPERIMENTS.md headline claims. With
-//! `--diff` it then compares every artifact against the goldens. `show`
+//! `--diff GOLDEN_DIR` it then runs `diff-baseline GOLDEN_DIR <out>` and
+//! prints the verdict's rendering. `show`
 //! runs the named experiments (the whole catalogue when none is named) and
 //! prints their text on stdout, writing no files; with more than one, each
 //! text follows a `################ <id> ################` header.
 //!
 //! Crash safety: artifacts land atomically (tmp + rename) and every
-//! completed unit of work is appended to `<out>/journal.jsonl` with a
+//! completed scenario run is appended to `<out>/journal.jsonl` with a
 //! content checksum. `--resume DIR` replays that journal — verified
-//! scenario reports are installed instead of recomputed, and only missing,
-//! torn, or checksum-mismatched work runs again, converging to the same
-//! bytes an undisturbed run produces. Scenario tasks that keep failing are
+//! scenario reports are installed instead of recomputed, only missing,
+//! torn, or checksum-mismatched scenarios run again, and every experiment
+//! is rebuilt from them, converging to the same bytes an undisturbed run
+//! produces. Scenario tasks that keep failing are
 //! retried with backoff and then quarantined: the sweep completes
 //! *degraded*, with a `degraded` manifest section naming each lost
 //! (suite, scenario) and its error chain.
@@ -37,8 +38,12 @@
 //! artifact bytes. `sweep report DIR` joins a finished run's manifest,
 //! journal, and trace into per-suite wall time, slowest scenarios
 //! (p50/p95/max), retries, quarantines, and replay savings.
-//! `sweep diff-baseline` compares two artifact stores through the
-//! tolerance-aware metric differ and prints a machine-readable verdict.
+//! `sweep diff-baseline` compares two artifact stores, or two artifact
+//! files, through the tolerance-aware metric differ and prints a
+//! machine-readable verdict. Every golden diff (`diff-baseline`, `run
+//! --diff`, `dse --diff`) fails the same way: a drifted metric, or a
+//! missing or unparseable artifact, exits 1 naming the key or the file; a
+//! baseline path that does not exist exits 2.
 //!
 //! # Exit codes
 //!
@@ -46,7 +51,7 @@
 //! |-----:|---------|
 //! | 0 | success — everything ran, claims and diffs passed |
 //! | 1 | a headline claim or golden diff failed |
-//! | 2 | environment/usage error (bad flag, malformed `VS_BENCH_*`, unreadable file) |
+//! | 2 | environment/usage error (bad flag, malformed `VS_BENCH_*`, no such baseline, unwritable output) |
 //! | 3 | internal error — a panic outside every isolation boundary (structured JSONL on stderr) |
 //! | 4 | degraded — the sweep completed but quarantined tasks and/or failed experiments (see the manifest) |
 
@@ -59,7 +64,7 @@ use vs_bench::report::{diff_baseline, RunReport, TRACE_FILE};
 use vs_bench::shard::{ExecutorConfig, Preload};
 use vs_bench::sweep::{run_sweep, SweepOptions};
 use vs_bench::{journal, Executor, ExperimentId};
-use vs_telemetry::{chrome_trace_json, diff_artifacts, write_atomic, RunArtifact, ToleranceSpec};
+use vs_telemetry::{chrome_trace_json, write_atomic, RunArtifact, ToleranceSpec};
 
 const DEFAULT_TOLERANCES: &str = "goldens/tolerances.json";
 
@@ -78,7 +83,7 @@ const RUN_SPEC: CommandSpec = CommandSpec {
         PROFILE_FLAG,
         SEED_FLAG,
         ArgSpec { name: "--deterministic", value: None, help: "wall-time-free artifacts, no journal (golden mode)" },
-        ArgSpec { name: "--diff", value: Some("GOLDEN"), help: "diff every artifact against a blessed tree" },
+        ArgSpec { name: "--diff", value: Some("GOLDEN"), help: "diff the output against a blessed tree (as diff-baseline)" },
         TOLERANCES_FLAG,
     ],
     positionals: &[],
@@ -92,17 +97,9 @@ const SHOW_SPEC: CommandSpec = CommandSpec {
     positionals: &["ID,..."],
 };
 
-const DIFF_SPEC: CommandSpec = CommandSpec {
-    prog: "sweep diff",
-    about: "Diff a candidate artifact (or tree) against a golden one",
-    common: &[],
-    extras: &[TOLERANCES_FLAG],
-    positionals: &["GOLDEN", "CANDIDATE"],
-};
-
 const DIFF_BASELINE_SPEC: CommandSpec = CommandSpec {
     prog: "sweep diff-baseline",
-    about: "Regression gate: compare two artifact stores, machine-readable verdict on stdout",
+    about: "Regression gate: compare two artifact stores (or two artifact files), machine-readable verdict on stdout",
     common: &[],
     extras: &[TOLERANCES_FLAG],
     positionals: &["BASELINE", "CANDIDATE"],
@@ -139,7 +136,6 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        Some("diff") => diff_main(&args[1..]),
         Some("diff-baseline") => diff_baseline_main(&args[1..]),
         Some("report") => report_main(&args[1..]),
         Some("show") => show_main(&args[1..]),
@@ -208,7 +204,7 @@ fn run_main(args: &[String]) -> ExitCode {
         .clone()
         .unwrap_or_else(|| PathBuf::from("target/sweep"));
     let only: Option<Vec<ExperimentId>> = parsed.extra("--only").map(parse_only);
-    let diff_dir: Option<PathBuf> = parsed.extra("--diff").map(PathBuf::from);
+    let golden: Option<PathBuf> = parsed.extra("--diff").map(PathBuf::from);
     let tolerances = parsed.extra("--tolerances");
     let deterministic = parsed.has("--deterministic");
     let trace = parsed.common.trace;
@@ -222,10 +218,9 @@ fn run_main(args: &[String]) -> ExitCode {
         let state = journal::load_resume(dir)
             .unwrap_or_else(|e| fail(&format!("cannot read journal in {}: {e}", dir.display())));
         eprintln!(
-            "[sweep] resume: {} scenario(s) + {} artifact(s) verified, \
+            "[sweep] resume: {} scenario(s) verified, \
              {} damaged entr{} to recompute, {} journal line(s) skipped",
             state.verified_scenarios,
-            state.verified_experiments,
             state.damaged,
             if state.damaged == 1 { "y" } else { "ies" },
             state.skipped_lines,
@@ -299,9 +294,11 @@ fn run_main(args: &[String]) -> ExitCode {
         }
     }
 
-    if let Some(golden) = diff_dir {
+    if let Some(golden) = golden {
         let spec = load_tolerances(tolerances);
-        ok &= diff_trees(&golden, &out, &spec);
+        let verdict = diff_baseline(&golden, &out, &spec).unwrap_or_else(|e| fail(&e));
+        print!("{}", verdict.render());
+        ok &= verdict.is_pass();
     }
     if result.is_degraded() {
         eprintln!(
@@ -324,21 +321,6 @@ fn run_main(args: &[String]) -> ExitCode {
     }
 }
 
-fn diff_main(args: &[String]) -> ExitCode {
-    let parsed = DIFF_SPEC.parse_or_exit(args);
-    let [golden, candidate] = parsed.positionals.as_slice() else {
-        eprintln!("error: expected two paths");
-        eprintln!("{}", DIFF_SPEC.usage());
-        return ExitCode::from(2);
-    };
-    let spec = load_tolerances(parsed.extra("--tolerances"));
-    if diff_trees(Path::new(golden), Path::new(candidate), &spec) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 /// `sweep report <dir>`: the joined run report.
 fn report_main(args: &[String]) -> ExitCode {
     let parsed = REPORT_SPEC.parse_or_exit(args);
@@ -356,9 +338,10 @@ fn report_main(args: &[String]) -> ExitCode {
     }
 }
 
-/// `sweep diff-baseline <baseline> <candidate>`: the regression gate.
-/// Machine-readable verdict on stdout, human rendering on stderr;
-/// exit 0 on pass, 1 on drift, 2 on environment errors.
+/// `sweep diff-baseline <baseline> <candidate>`: the regression gate, over
+/// two directories or two files. Machine-readable verdict on stdout, human
+/// rendering on stderr; exit 0 on pass, 1 on drift or a missing or
+/// unparseable artifact, 2 when the baseline path is unusable.
 fn diff_baseline_main(args: &[String]) -> ExitCode {
     let parsed = DIFF_BASELINE_SPEC.parse_or_exit(args);
     let [baseline, candidate] = parsed.positionals.as_slice() else {
@@ -375,77 +358,7 @@ fn diff_baseline_main(args: &[String]) -> ExitCode {
         summarize(0, "baseline diff passed — candidate within tolerance");
         ExitCode::SUCCESS
     } else {
-        summarize(1, "baseline diff failed — candidate drifted from the baseline");
+        summarize(1, "baseline diff failed — an artifact drifted, or is missing or unparseable");
         ExitCode::FAILURE
     }
-}
-
-fn read_artifact(path: &Path) -> RunArtifact {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", path.display())));
-    RunArtifact::parse_jsonl(&text)
-        .unwrap_or_else(|e| fail(&format!("cannot parse {}: {e}", path.display())))
-}
-
-/// Diffs candidate against golden (both either single artifact files or
-/// directories of `<experiment>.jsonl`). Prints per-experiment results;
-/// returns overall pass.
-fn diff_trees(golden: &Path, candidate: &Path, spec: &ToleranceSpec) -> bool {
-    let pairs: Vec<(String, PathBuf, PathBuf)> = if golden.is_dir() {
-        let mut stems: Vec<String> = std::fs::read_dir(golden)
-            .unwrap_or_else(|e| fail(&format!("cannot list {}: {e}", golden.display())))
-            .filter_map(|entry| {
-                let name = entry.ok()?.file_name().into_string().ok()?;
-                let stem = name.strip_suffix(".jsonl")?;
-                // The suite manifest carries wall time, not metrics; the
-                // fault-campaign and dse artifacts are not produced by the
-                // sweep and are diffed separately by `scripts/ci.sh
-                // --golden`; the completion journal is bookkeeping, not an
-                // artifact.
-                (stem != "manifest"
-                    && stem != "fault_campaign"
-                    && stem != "dse_frontier"
-                    && stem != "journal")
-                    .then(|| stem.to_string())
-            })
-            .collect();
-        stems.sort();
-        stems
-            .into_iter()
-            .map(|stem| {
-                let file = format!("{stem}.jsonl");
-                (stem, golden.join(&file), candidate.join(&file))
-            })
-            .collect()
-    } else {
-        let stem = golden
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "artifact".to_string());
-        vec![(stem, golden.to_path_buf(), candidate.to_path_buf())]
-    };
-    if pairs.is_empty() {
-        fail(&format!("no *.jsonl artifacts in {}", golden.display()));
-    }
-
-    let mut all_pass = true;
-    println!("golden diff ({} artifacts):", pairs.len());
-    for (stem, golden_path, candidate_path) in pairs {
-        if !candidate_path.exists() {
-            println!("  FAIL {stem}: missing candidate artifact {}", candidate_path.display());
-            all_pass = false;
-            continue;
-        }
-        let g = read_artifact(&golden_path);
-        let c = read_artifact(&candidate_path);
-        let report = diff_artifacts(&g, &c, spec);
-        if report.is_pass() {
-            println!("  PASS {stem}: {} metrics within tolerance", report.compared());
-        } else {
-            println!("  FAIL {stem}:");
-            print!("{report}");
-            all_pass = false;
-        }
-    }
-    all_pass
 }

@@ -879,9 +879,8 @@ impl DseResult {
     }
 
     /// Writes the frontier artifact into `dir` as [`FRONTIER_FILE`]
-    /// (atomic tmp + rename) and, when journaling, records its checksum for
-    /// resume verification. Deterministic mode writes the wall-time-free
-    /// form and never journals — the golden-blessing contract.
+    /// (atomic tmp + rename). Deterministic mode writes the wall-time-free
+    /// form — the golden-blessing contract.
     ///
     /// # Errors
     ///
@@ -891,9 +890,6 @@ impl DseResult {
         let bytes = self.artifact(deterministic).to_jsonl().into_bytes();
         let path = dir.join(FRONTIER_FILE);
         vs_telemetry::write_atomic(&path, &bytes)?;
-        if !deterministic {
-            journal::record_experiment(dir, "dse_frontier", FRONTIER_FILE, &bytes)?;
-        }
         Ok(path)
     }
 }

@@ -135,7 +135,9 @@ fn append(dir: &Path, record: &JournalRecord) -> io::Result<()> {
     append_journal(&dir.join(JOURNAL_FILE), record)
 }
 
-/// Appends an experiment-artifact completion record to the journal.
+/// Appends an experiment-artifact completion record to the journal. Only
+/// the serve store journals experiment artifacts: a sweep recomputes every
+/// experiment on `--resume`, so it never reads such a record back.
 ///
 /// # Errors
 ///
@@ -292,67 +294,47 @@ pub struct ResumeState {
     pub preloaded: Preload,
     /// Scenario records that survived checksum + parse verification.
     pub verified_scenarios: usize,
-    /// Experiment-artifact records whose files still hash correctly.
-    pub verified_experiments: usize,
-    /// Journaled entries whose files were missing, torn, or unparseable —
+    /// Scenario records whose files were missing, torn, or unparseable —
     /// their work recomputes.
     pub damaged: usize,
     /// Journal lines skipped by the lenient reader (torn tail, corruption).
     pub skipped_lines: usize,
 }
 
-/// Replays `dir`'s completion journal, verifying every record against the
-/// bytes actually on disk. A missing journal yields an empty state (the
-/// resume then recomputes everything), never an error: the journal is an
-/// optimization, not a source of truth.
+/// Replays `dir`'s completion journal, verifying every scenario record
+/// against the bytes actually on disk. A missing journal yields an empty
+/// state (the resume then recomputes everything), never an error: the
+/// journal is an optimization, not a source of truth.
 ///
-/// Duplicate records for the same (suite, scenario) or experiment keep the
-/// *last* occurrence — a resumed-then-crashed sweep re-journals work it
-/// redid, and the newest file is the one on disk.
+/// Duplicate records for the same (suite, scenario) keep the *last*
+/// occurrence — a resumed-then-crashed sweep re-journals work it redid, and
+/// the newest file is the one on disk.
 ///
 /// # Errors
 ///
 /// Propagates only filesystem errors from reading the journal itself
 /// (other than it not existing).
 pub fn load_resume(dir: &Path) -> io::Result<ResumeState> {
-    // Point records belong to the dse resume path ([`load_dse_resume`]);
-    // the sweep reader ignores them.
-    let (units, skipped_lines) = replay(dir, |record| match record {
+    // Point records belong to the dse resume path ([`load_dse_resume`]),
+    // experiment records to the serve store ([`crate::serve::Server::open`]);
+    // the sweep reader ignores both.
+    let (scenarios, skipped_lines) = replay(dir, |record| match record {
         JournalRecord::ScenarioDone { suite, scenario, file, checksum, .. } => {
-            Some((SweepUnit::Scenario(suite, scenario), (file, checksum)))
+            Some(((suite, scenario), (file, checksum)))
         }
-        JournalRecord::ExperimentDone { id, file, checksum } => {
-            Some((SweepUnit::Experiment(id), (file, checksum)))
-        }
-        JournalRecord::InternalError { .. } | JournalRecord::PointDone { .. } => None,
+        _ => None,
     })?;
     let mut state = ResumeState { skipped_lines, ..ResumeState::default() };
-    for (unit, (file, checksum)) in units {
-        match unit {
-            SweepUnit::Scenario(suite_hex, scenario_name) => {
-                match verify_scenario(dir, &suite_hex, &scenario_name, &file, &checksum) {
-                    Some((key, id, report)) => {
-                        state.verified_scenarios += 1;
-                        state.preloaded.entry(key).or_default().push((id, report));
-                    }
-                    None => state.damaged += 1,
-                }
+    for ((suite_hex, scenario_name), (file, checksum)) in scenarios {
+        match verify_scenario(dir, &suite_hex, &scenario_name, &file, &checksum) {
+            Some((key, id, report)) => {
+                state.verified_scenarios += 1;
+                state.preloaded.entry(key).or_default().push((id, report));
             }
-            SweepUnit::Experiment(_) => match std::fs::read(dir.join(&file)) {
-                Ok(bytes) if checksum_hex(&bytes) == checksum => state.verified_experiments += 1,
-                _ => state.damaged += 1,
-            },
+            None => state.damaged += 1,
         }
     }
     Ok(state)
-}
-
-/// A unit of sweep work a journal record completes: a (suite, scenario)
-/// run, by their hex key and name, or an experiment artifact, by its id.
-#[derive(PartialEq, Eq, Hash)]
-enum SweepUnit {
-    Scenario(String, String),
-    Experiment(String),
 }
 
 /// Full verification of one scenario record: the named file must exist,
@@ -448,16 +430,6 @@ mod tests {
             ScenarioId::Hotspot,
             "only the intact record replays"
         );
-
-        // An experiment record verifies by checksum alone.
-        std::fs::write(dir.join("fig.jsonl"), b"artifact-bytes").unwrap();
-        record_experiment(&dir, "fig", "fig.jsonl", b"artifact-bytes").unwrap();
-        let state = load_resume(&dir).unwrap();
-        assert_eq!(state.verified_experiments, 1);
-        std::fs::write(dir.join("fig.jsonl"), b"tampered").unwrap();
-        let state = load_resume(&dir).unwrap();
-        assert_eq!(state.verified_experiments, 0);
-        assert_eq!(state.damaged, 2, "torn cache + mismatched artifact");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

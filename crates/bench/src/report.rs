@@ -1,5 +1,5 @@
 //! Post-run analysis of a sweep directory: the `sweep report` joiner and
-//! the `sweep diff-baseline` regression gate.
+//! the golden-diff gate.
 //!
 //! [`RunReport`] joins the three things a finished sweep leaves behind —
 //! `manifest.jsonl` (what ran, what degraded), `journal.jsonl` (per-task
@@ -10,20 +10,22 @@
 //!
 //! [`diff_baseline`] compares two artifact stores (e.g. two revisions'
 //! sweep outputs) file by file through [`vs_telemetry::diff_artifacts`],
-//! using the baseline's manifest to enumerate what must exist. This is the
-//! regression mode a sweep service would run on every request: a
-//! machine-readable [`BaselineVerdict`] and a nonzero exit on drift.
+//! using the baseline's manifest to enumerate what must exist, or two
+//! single artifact files. It is the one golden-diff path: `sweep
+//! diff-baseline`, `sweep run --diff`, `dse --diff` and serve's
+//! `diff_baseline` request all answer with its [`BaselineVerdict`], so a
+//! missing or unparseable file fails the same way everywhere.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 
 use vs_telemetry::{
-    diff_artifacts, json::{self, Json}, parse_chrome_trace, read_journal, DegradedEntry,
-    DiffOutcome, JournalRecord, RunArtifact, ToleranceSpec, TracePhase,
+    diff_artifacts, json::{self, Json}, parse_chrome_trace, DegradedEntry, JournalRecord,
+    RunArtifact, ToleranceSpec, TracePhase,
 };
 
-use crate::journal::JOURNAL_FILE;
+use crate::journal;
 use crate::shard::SuiteKey;
 use crate::sweep::MANIFEST_FILE;
 
@@ -228,20 +230,15 @@ impl RunReport {
     /// Lenient throughout: a missing journal or v1 records (no metadata)
     /// simply contribute nothing.
     fn load_journal(&mut self, dir: &Path) {
-        let Ok(text) = std::fs::read_to_string(dir.join(JOURNAL_FILE)) else {
+        // Last record wins per (suite, scenario) — the resume semantics.
+        let Ok((last, _skipped)) = journal::replay(dir, |record| match record {
+            JournalRecord::ScenarioDone { suite, scenario, attempts, attempt_wall_s, .. } => {
+                Some(((suite, scenario), (attempts, attempt_wall_s)))
+            }
+            _ => None,
+        }) else {
             return;
         };
-        let (records, _skipped) = read_journal(&text);
-        // Last record wins per (suite, scenario) — the resume semantics.
-        type TaskMeta = (Option<u64>, Option<Vec<f64>>);
-        let mut last: HashMap<(String, String), TaskMeta> = HashMap::new();
-        for rec in records {
-            if let JournalRecord::ScenarioDone { suite, scenario, attempts, attempt_wall_s, .. } =
-                rec
-            {
-                last.insert((suite, scenario), (attempts, attempt_wall_s));
-            }
-        }
         let mut by_scenario: HashMap<String, (u64, u64, Vec<f64>)> = HashMap::new();
         for ((_suite, scenario), (attempts, walls)) in last {
             let Some(walls) = walls else { continue };
@@ -472,7 +469,8 @@ fn load_trace_summary(dir: &Path) -> Option<TraceSummary> {
 /// One artifact's comparison inside a [`BaselineVerdict`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArtifactVerdict {
-    /// Artifact file name (relative to both stores).
+    /// Artifact file name (relative to both stores; for a file pair, the
+    /// baseline file's name).
     pub file: String,
     /// Whether it passed.
     pub pass: bool,
@@ -629,19 +627,29 @@ pub fn load_tolerances(path: &str) -> Result<ToleranceSpec, String> {
     ToleranceSpec::from_json_str(&text).map_err(|e| format!("bad tolerance file {path}: {e}"))
 }
 
-/// Diffs every artifact the baseline store declares against the candidate
-/// store under `spec`. A baseline artifact missing or unparseable in the
-/// candidate fails; candidate-only artifacts are noted, not failed.
+/// Diffs `baseline` against `candidate` under `spec`: two directories, or
+/// two artifact files. A directory pair diffs every artifact the baseline
+/// store declares against the same file in the candidate store, and notes
+/// candidate-only artifacts without failing them. A file pair diffs the one
+/// artifact. A missing or unparseable file on either side fails its
+/// artifact, naming the file.
 ///
 /// # Errors
 ///
-/// A message when the baseline store itself is unreadable (no directory,
-/// malformed manifest) — an environment error, distinct from drift.
+/// A message when the baseline path itself is unusable (no such file or
+/// directory, a malformed manifest, no declared artifacts) — an
+/// environment error, distinct from drift.
 pub fn diff_baseline(
     baseline: &Path,
     candidate: &Path,
     spec: &ToleranceSpec,
 ) -> Result<BaselineVerdict, String> {
+    if baseline.is_file() {
+        return Ok(BaselineVerdict {
+            artifacts: vec![diff_one(baseline, candidate, spec)],
+            extra_in_candidate: Vec::new(),
+        });
+    }
     let files = baseline_artifact_set(baseline)?;
     if files.is_empty() {
         return Err(format!(
@@ -651,7 +659,9 @@ pub fn diff_baseline(
     }
     let mut verdict = BaselineVerdict::default();
     for file in &files {
-        verdict.artifacts.push(diff_one(baseline, candidate, file, spec));
+        verdict
+            .artifacts
+            .push(diff_one(&baseline.join(file), &candidate.join(file), spec));
     }
     // Candidate-only .jsonl artifacts (schema growth) are worth a note.
     if let Ok(entries) = std::fs::read_dir(candidate) {
@@ -670,54 +680,39 @@ pub fn diff_baseline(
     Ok(verdict)
 }
 
-fn diff_one(baseline: &Path, candidate: &Path, file: &str, spec: &ToleranceSpec) -> ArtifactVerdict {
-    let fail = |msg: String| ArtifactVerdict {
-        file: file.to_string(),
-        pass: false,
-        compared: 0,
-        failures: vec![msg],
+/// The per-file step of every golden diff: reads and parses both artifact
+/// files and diffs them under `spec`. A file that cannot be read or parsed
+/// fails the artifact with one message naming its side and path.
+fn diff_one(baseline: &Path, candidate: &Path, spec: &ToleranceSpec) -> ArtifactVerdict {
+    let read = |side: &str, path: &Path| {
+        std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| RunArtifact::parse_jsonl(&text).map_err(|e| e.to_string()))
+            .map_err(|e| format!("{side} {}: {e}", path.display()))
     };
-    let read = |dir: &Path, side: &str| -> Result<RunArtifact, String> {
-        let text = std::fs::read_to_string(dir.join(file))
-            .map_err(|e| format!("{side} {}: {e}", dir.join(file).display()))?;
-        RunArtifact::parse_jsonl(&text).map_err(|e| format!("{side} {file}: {e}"))
-    };
-    let base = match read(baseline, "baseline") {
-        Ok(a) => a,
-        Err(e) => return fail(e),
-    };
-    let cand = match read(candidate, "candidate") {
-        Ok(a) => a,
-        Err(e) => return fail(e),
-    };
-    let diff = diff_artifacts(&base, &cand, spec);
-    ArtifactVerdict {
-        file: file.to_string(),
-        pass: diff.is_pass(),
-        compared: diff.compared(),
-        failures: diff
-            .failures()
-            .map(|f| match &f.outcome {
-                DiffOutcome::Mismatch { golden, candidate, tolerance } => format!(
-                    "{}: golden {golden} vs candidate {candidate} (tol abs {} rel {})",
-                    f.key, tolerance.abs, tolerance.rel
-                ),
-                DiffOutcome::MissingInCandidate { golden } => {
-                    format!("{}: missing in candidate (golden {golden})", f.key)
-                }
-                DiffOutcome::ShapeMismatch { detail } => format!("{}: {detail}", f.key),
-                DiffOutcome::Pass { .. } | DiffOutcome::ExtraInCandidate { .. } => {
-                    unreachable!("failures() yields only failing outcomes")
-                }
-            })
-            .chain(diff.manifest_mismatch.iter().map(|m| format!("manifest mismatch: {m}")))
-            .collect(),
+    let file = baseline.file_name().unwrap_or_default().to_string_lossy().into_owned();
+    match read("baseline", baseline).and_then(|base| Ok((base, read("candidate", candidate)?))) {
+        Ok((base, cand)) => {
+            let diff = diff_artifacts(&base, &cand, spec);
+            ArtifactVerdict {
+                file,
+                pass: diff.is_pass(),
+                compared: diff.compared(),
+                failures: diff
+                    .failures()
+                    .map(ToString::to_string)
+                    .chain(diff.manifest_mismatch.iter().map(|m| format!("manifest mismatch: {m}")))
+                    .collect(),
+            }
+        }
+        Err(e) => ArtifactVerdict { file, pass: false, compared: 0, failures: vec![e] },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::JOURNAL_FILE;
 
     #[test]
     fn quantiles_interpolate_between_order_statistics() {

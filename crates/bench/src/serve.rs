@@ -164,19 +164,31 @@ pub struct Server {
 
 impl Server {
     /// Opens (or creates) the store, replays its journal into the
-    /// executor's preload, and indexes experiment artifacts. The server's
-    /// executor journals into the store.
+    /// executor's preload, and indexes and verifies experiment artifacts.
+    /// The server's executor journals into the store.
     pub fn open(opts: &ServeOptions) -> io::Result<Server> {
         let fingerprint = code_fingerprint();
         let root = opts.store.join(&fingerprint);
         std::fs::create_dir_all(&root)?;
 
         let state = journal::load_resume(&root)?;
+        // Requests re-verify an indexed artifact's bytes on every hit, so a
+        // damaged one stays indexed and recomputes when first requested.
+        let (experiments, _) = journal::replay(&root, |record| match record {
+            JournalRecord::ExperimentDone { id, file, checksum } => Some((id, (file, checksum))),
+            _ => None,
+        })?;
+        let verified_experiments = experiments
+            .values()
+            .filter(|(file, checksum)| {
+                std::fs::read(root.join(file)).is_ok_and(|bytes| checksum_hex(&bytes) == *checksum)
+            })
+            .count();
         let store_report = StoreReport {
             fingerprint,
             verified_scenarios: state.verified_scenarios,
-            verified_experiments: state.verified_experiments,
-            damaged: state.damaged,
+            verified_experiments,
+            damaged: state.damaged + experiments.len() - verified_experiments,
             skipped_lines: state.skipped_lines,
         };
         let executor = Executor::new(
@@ -184,13 +196,6 @@ impl Server {
             Some(root.clone()),
             state.preloaded,
         );
-
-        // Index experiment artifacts (load_resume verifies but does not
-        // return them; requests re-verify the bytes on every hit anyway).
-        let (experiments, _) = journal::replay(&root, |record| match record {
-            JournalRecord::ExperimentDone { id, file, checksum } => Some((id, (file, checksum))),
-            _ => None,
-        })?;
 
         Ok(Server {
             root,

@@ -22,9 +22,10 @@
 //! quarantine, and the sweep completes **degraded**: [`SweepResult`]
 //! carries the quarantine records, the manifest grows a `degraded` section
 //! naming every lost (suite, scenario) with its error chain, and the
-//! `sweep` binary exits 4. Artifacts are written atomically (tmp + rename)
-//! and journaled, so `sweep --resume` can replay verified work (see
-//! [`crate::journal`]). The executor that ran the sweep also writes it
+//! `sweep` binary exits 4. Artifacts are written atomically (tmp + rename),
+//! and every finished scenario run is journaled, so `sweep --resume` can
+//! replay verified work (see [`crate::journal`]) and recompute the
+//! experiments from it. The executor that ran the sweep also writes it
 //! ([`SweepResult::write_to`]): its tracer records the artifact writes
 //! beside the run's task spans.
 //!
@@ -43,7 +44,7 @@ use vs_telemetry::{json::Json, DegradedEntry, Event, RunArtifact, StageSample};
 
 use crate::obs;
 use crate::shard::{self, QuarantineRecord, ShardStats};
-use crate::{journal, Executor, ExperimentId, ExperimentOutput, RunSettings};
+use crate::{Executor, ExperimentId, ExperimentOutput, RunSettings};
 
 /// What to run and how.
 #[derive(Debug, Clone, Default)]
@@ -242,10 +243,10 @@ impl SweepResult {
     /// executor that ran the sweep: its tracer records one
     /// `artifact_write` span per file.
     ///
-    /// Every file lands via tmp-file + rename ([`vs_telemetry::write_atomic`])
-    /// and each artifact is journaled with its content checksum, so a crash
-    /// at any instant leaves no torn file under a final name and `--resume`
-    /// can verify what completed.
+    /// Every file lands via tmp-file + rename ([`vs_telemetry::write_atomic`]),
+    /// so a crash at any instant leaves no torn file under a final name. No
+    /// artifact is journaled: `--resume` replays the journaled scenario runs
+    /// and recomputes every experiment from them.
     ///
     /// # Errors
     ///
@@ -257,8 +258,7 @@ impl SweepResult {
     /// Like [`SweepResult::write_to`] but with every wall-time field left
     /// out — artifacts carry only schema-deterministic events and the
     /// manifest omits `wall_s`/`total_wall_s`. This is the mode goldens are
-    /// blessed in, so re-running it produces byte-identical files. No
-    /// journal records are written (golden trees carry no journal).
+    /// blessed in, so re-running it produces byte-identical files.
     ///
     /// # Errors
     ///
@@ -324,9 +324,6 @@ impl SweepResult {
                 let file = format!("{}.jsonl", run.id.name());
                 let bytes = artifact.to_jsonl().into_bytes();
                 write_file(exec, dir, &file, &bytes)?;
-                if !deterministic {
-                    journal::record_experiment(dir, run.id.name(), &file, &bytes)?;
-                }
                 line.push(("artifact", Json::from(file)));
             }
             line.push(("settings_dependent", Json::from(run.id.settings_dependent())));

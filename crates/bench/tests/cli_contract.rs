@@ -5,8 +5,20 @@
 //! GPU cannot hold or a malformed `VS_BENCH_*` value is rejected the same
 //! way. Each probe exits in argument parsing, long before any co-simulation
 //! work, so the whole matrix is cheap.
+//!
+//! The golden-diff contract is checked the same way, on the three entry
+//! points that diff artifacts: `sweep diff-baseline` (two directories or
+//! two files), `sweep run --diff` and `dse --diff`. Each exits 0 within
+//! tolerance and 1 on drift, naming the key; 1, naming the file, when a
+//! candidate artifact is missing or unparseable or a baseline artifact is
+//! unparseable; and 2 when the baseline path does not exist. The runs
+//! behind them are the constant experiments and one dse point at the tiny
+//! profile, a fraction of a second each.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use vs_telemetry::json::{self, Json};
 
 /// The long-running drivers whose flag surface the serve/sweep/dse/fault
 /// campaign walkthroughs lean on.
@@ -164,4 +176,193 @@ fn malformed_env_profile_is_rejected_before_any_run() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
+const DSE: &str = env!("CARGO_BIN_EXE_dse");
+
+/// The checked-in golden tree.
+fn goldens() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../goldens")
+}
+
+/// A fresh scratch directory for one test.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("vs-bench-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn s(path: &Path) -> &str {
+    path.to_str().expect("utf-8 temp path")
+}
+
+/// Runs `bin args`, returning (exit code, stdout then stderr).
+fn run_all(bin: &str, args: &[&str]) -> (i32, String) {
+    let out = Command::new(bin).args(args).output().expect("spawn binary");
+    (
+        out.status.code().expect("exit code"),
+        format!(
+            "{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        ),
+    )
+}
+
+/// Asserts that `bin args` exits `code` and that its output holds `needle`.
+fn expect(bin: &str, args: &[&str], code: i32, needle: &str) {
+    let (got, output) = run_all(bin, args);
+    assert_eq!(got, code, "{args:?} must exit {code}, output:\n{output}");
+    assert!(output.contains(needle), "{args:?} must name {needle:?}, output:\n{output}");
+}
+
+/// Puts a `9` in front of the value of the first key in `path` that
+/// starts with `key`.
+fn perturb(path: &Path, key: &str) {
+    let text = std::fs::read_to_string(path).unwrap();
+    let at = text.find(&format!("\"{key}")).unwrap_or_else(|| panic!("no {key} in {}", path.display()));
+    let value = at + text[at..].find("\":").expect("a value") + 2;
+    std::fs::write(path, format!("{}9{}", &text[..value], &text[value..])).unwrap();
+}
+
+/// Cuts `path` to half its bytes, mid-line.
+fn truncate(path: &Path) {
+    let bytes = std::fs::read(path).unwrap();
+    std::fs::write(path, &bytes[..bytes.len() / 2]).unwrap();
+}
+
+#[test]
+fn diff_baseline_checks_the_manifest_set_of_a_store_or_one_file_pair() {
+    let dir = scratch("diff-baseline");
+    let copy = dir.join("copy");
+    std::fs::create_dir_all(&copy).unwrap();
+
+    // The manifest declares exactly the artifacts a listing of the golden
+    // directory finds once the manifest, the artifacts that other binaries
+    // write, and the journal are left out.
+    let manifest = std::fs::read_to_string(goldens().join("manifest.jsonl")).unwrap();
+    let mut declared: Vec<String> = manifest
+        .lines()
+        .map(|line| json::parse(line).expect("manifest line"))
+        .filter_map(|v| v.get("artifact").and_then(Json::as_str).map(str::to_string))
+        .collect();
+    declared.sort();
+    let mut listed: Vec<String> = std::fs::read_dir(goldens())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| {
+            name.strip_suffix(".jsonl").is_some_and(|stem| {
+                !["manifest", "fault_campaign", "dse_frontier", "journal"].contains(&stem)
+            })
+        })
+        .collect();
+    listed.sort();
+    assert_eq!(declared, listed);
+    assert_eq!(declared.len(), 20);
+    for file in declared.iter().map(String::as_str).chain(["manifest.jsonl"]) {
+        std::fs::copy(goldens().join(file), copy.join(file)).unwrap();
+    }
+
+    // Directories: the copy passes; each way of breaking it fails.
+    let golden_dir = goldens();
+    let pair = [s(&golden_dir), s(&copy)];
+    expect(SWEEP, &["diff-baseline", pair[0], pair[1]], 0, "\"artifacts\":20,\"failed\":0");
+    let fig8 = copy.join("fig8.jsonl");
+    perturb(&fig8, "pde_avg{pds=ivr}");
+    expect(SWEEP, &["diff-baseline", pair[0], pair[1]], 1, "pde_avg{pds=ivr}");
+    truncate(&fig8);
+    expect(SWEEP, &["diff-baseline", pair[0], pair[1]], 1, s(&fig8));
+    std::fs::remove_file(&fig8).unwrap();
+    expect(SWEEP, &["diff-baseline", pair[0], pair[1]], 1, s(&fig8));
+    // An unparseable baseline artifact fails the same way.
+    std::fs::copy(goldens().join("fig8.jsonl"), &fig8).unwrap();
+    let torn_base = dir.join("torn-base");
+    std::fs::create_dir_all(&torn_base).unwrap();
+    for file in ["manifest.jsonl", "fig8.jsonl"] {
+        std::fs::copy(copy.join(file), torn_base.join(file)).unwrap();
+    }
+    let torn_fig8 = torn_base.join("fig8.jsonl");
+    truncate(&torn_fig8);
+    expect(SWEEP, &["diff-baseline", s(&torn_base), s(&copy)], 1, s(&torn_fig8));
+    let nowhere = dir.join("nowhere");
+    expect(SWEEP, &["diff-baseline", s(&nowhere), s(&copy)], 2, "nowhere");
+
+    // One file pair.
+    let golden_fig8 = goldens().join("fig8.jsonl");
+    let files = [s(&golden_fig8), s(&fig8)];
+    expect(SWEEP, &["diff-baseline", files[0], files[1]], 0, "fig8.jsonl");
+    perturb(&fig8, "pde_avg{pds=ivr}");
+    expect(SWEEP, &["diff-baseline", files[0], files[1]], 1, "pde_avg{pds=ivr}");
+    truncate(&fig8);
+    expect(SWEEP, &["diff-baseline", files[0], files[1]], 1, s(&fig8));
+    std::fs::remove_file(&fig8).unwrap();
+    expect(SWEEP, &["diff-baseline", files[0], files[1]], 1, s(&fig8));
+    std::fs::copy(&golden_fig8, &fig8).unwrap();
+    expect(SWEEP, &["diff-baseline", s(&torn_fig8), files[1]], 1, s(&torn_fig8));
+    let missing = dir.join("missing.jsonl");
+    expect(SWEEP, &["diff-baseline", s(&missing), files[1]], 2, "missing.jsonl");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sweep_run_diffs_its_output_against_a_golden_tree() {
+    let dir = scratch("sweep-diff");
+    let (golden, golden3, out) = (dir.join("a"), dir.join("a3"), dir.join("b"));
+    let run = ["run", "--profile", "tiny", "--progress", "off", "--only"];
+    for (only, tree) in [("table1,fig5", &golden), ("table1,fig3,fig5", &golden3)] {
+        let args = [&run[..], &[only, "--deterministic", "--out", s(tree)]].concat();
+        expect(SWEEP, &args, 0, "exit 0");
+    }
+    let diff = |tree: &Path, code: i32, needle: &str| {
+        let args = [&run[..], &["table1,fig5", "--out", s(&out), "--diff", s(tree)]].concat();
+        expect(SWEEP, &args, code, needle);
+    };
+    diff(&golden, 0, "fig5.jsonl");
+    // A golden artifact the run does not write is a missing candidate;
+    // a stale unparseable file in its place fails the same way.
+    let fig3 = out.join("fig3.jsonl");
+    diff(&golden3, 1, s(&fig3));
+    std::fs::write(&fig3, b"{\"type\":").unwrap();
+    diff(&golden3, 1, s(&fig3));
+    let fig5 = golden.join("fig5.jsonl");
+    let blessed = std::fs::read(&fig5).unwrap();
+    perturb(&fig5, "actuation_cycles{mech=dfs}");
+    diff(&golden, 1, "actuation_cycles{mech=dfs}");
+    std::fs::write(&fig5, &blessed).unwrap();
+    truncate(&fig5);
+    diff(&golden, 1, s(&fig5));
+    diff(&dir.join("nowhere"), 2, "nowhere");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn dse_diffs_its_frontier_against_a_golden_file_or_directory() {
+    let dir = scratch("dse-diff");
+    let (golden, out) = (dir.join("a"), dir.join("b"));
+    let run = ["--space", "area=0.2", "--profile", "tiny", "--deterministic", "--progress", "off"];
+    expect(DSE, &[&run[..], &["--out", s(&golden)]].concat(), 0, "exit 0");
+    let diff = |against: &Path, code: i32, needle: &str| {
+        let args = [&run[..], &["--out", s(&out), "--diff", s(against)]].concat();
+        expect(DSE, &args, code, needle);
+    };
+    let frontier = golden.join("dse_frontier.jsonl");
+    diff(&golden, 0, "exit 0");
+    diff(&frontier, 0, "exit 0");
+    perturb(&frontier, "dse.pde{");
+    diff(&golden, 1, "dse.pde{");
+    truncate(&frontier);
+    diff(&frontier, 1, s(&frontier));
+    diff(&dir.join("nowhere"), 2, "nowhere");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_sweep_diff_subcommand_is_gone() {
+    // `diff-baseline` takes a file pair too, so `diff` is no subcommand:
+    // the default `run` rejects it as a stray argument.
+    let (code, stderr) = run(SWEEP, &["diff", "a", "b"]);
+    assert_eq!(code, 2, "stderr: {stderr}");
+    assert!(stderr.contains("unexpected argument \"diff\""), "stderr: {stderr}");
 }

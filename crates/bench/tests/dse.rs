@@ -2,7 +2,8 @@
 //! runs. A 64-point grid produces bit-identical frontier artifacts
 //! whatever the worker count, and `--resume` after
 //! an injected torn write (plus a tampered point cache) recomputes exactly
-//! the lost points and converges to the undisturbed bytes. On a 128-point
+//! the lost points and converges to the undisturbed bytes, with only point
+//! records in the journal. On a 128-point
 //! grid the shared runs, forked from their trunks and stepped in lockstep
 //! lanes, reproduce the per-point oracle bit for bit, as do the runs of a
 //! grid whose eager controllers force fallbacks; and the traced binary
@@ -13,12 +14,12 @@ use std::process::Command;
 
 use vs_bench::chaos::ChaosPlan;
 use vs_bench::dse::{evaluate_point, run_dse, DseOptions};
-use vs_bench::journal::{load_dse_resume, point_cache_rel};
+use vs_bench::journal::{load_dse_resume, point_cache_rel, JOURNAL_FILE};
 use vs_bench::shard::{ExecutorConfig, Preload};
 use vs_bench::space::AxisSpace;
 use vs_bench::{Executor, RunSettings};
 use vs_circuit::SolverWorkspace;
-use vs_telemetry::{parse_chrome_trace, TracePhase};
+use vs_telemetry::{parse_chrome_trace, read_journal, JournalRecord, TracePhase};
 
 /// Small enough for debug-mode CI: every point runs at the step clamps.
 fn micro() -> RunSettings {
@@ -39,6 +40,19 @@ fn grid() -> AxisSpace {
 /// An executor that journals into `dir`.
 fn journaling(dir: &Path) -> Executor {
     Executor::new(ExecutorConfig::default(), Some(dir.to_path_buf()), Preload::new())
+}
+
+/// Asserts that `dir`'s journal holds only `point_done` records: a
+/// resumed dse rebuilds its frontier from the points, so it journals
+/// nothing else.
+fn assert_only_points_journaled(dir: &Path) {
+    let text = std::fs::read_to_string(dir.join(JOURNAL_FILE)).expect("journal");
+    let (records, skipped) = read_journal(&text);
+    assert_eq!(skipped, 0);
+    assert!(!records.is_empty());
+    for record in records {
+        assert!(matches!(record, JournalRecord::PointDone { .. }), "{record:?}");
+    }
 }
 
 fn tmp(tag: &str) -> PathBuf {
@@ -94,6 +108,8 @@ fn dse_artifacts_are_schedule_invariant_and_resume_converges() {
         ..DseOptions::default()
     });
     assert_eq!(chaos_run.artifact(true).to_jsonl(), ref_bytes);
+    chaos_run.write_to(&dir, false).expect("frontier written");
+    assert_only_points_journaled(&dir);
 
     // Tamper a second, successfully journaled cache: its checksum must
     // flag it damaged on replay.
@@ -128,6 +144,8 @@ fn dse_artifacts_are_schedule_invariant_and_resume_converges() {
     assert_eq!((resumed.pde_runs, resumed.worst_case_runs), (2, 2));
     assert_eq!((resumed.trunks, resumed.forks), (2, 2));
     assert_eq!(resumed.artifact(true).to_jsonl(), ref_bytes);
+    resumed.write_to(&dir, false).expect("frontier written");
+    assert_only_points_journaled(&dir);
 
     // The healed journal now verifies everything.
     let healed = load_dse_resume(&dir).expect("journal replays");

@@ -11,7 +11,9 @@
 //!    replays, and the `done` line is still byte-identical.
 //!    `scenario_tasks == 0` is the no-worker-pool proof: the pool
 //!    thread-local is only ever touched by the task path that increments
-//!    that counter;
+//!    that counter. Then a truncated experiment artifact boots as 1
+//!    damaged, and its request recomputes it (`running`) to a
+//!    byte-identical `done`;
 //! 3. a torn cache entry (`bfs.json` truncated mid-byte, its journal line
 //!    dropped: the state a crash between cache write and journal append
 //!    leaves) makes the restarted server recompute exactly the damaged
@@ -125,7 +127,7 @@ fn concurrent_requests_join_and_cold_restarts_serve_from_store() {
     assert!(exp_done.contains("\"checksum\""), "{exp_done}");
 
     // Round 2 — cold restart: replay from the store, no worker pool.
-    let server2 = open(store);
+    let server2 = open(store.clone());
     assert_eq!(server2.store_report.verified_scenarios, 12, "{:?}", server2.store_report);
     assert_eq!(server2.store_report.verified_experiments, 1, "{:?}", server2.store_report);
     assert_eq!(server2.store_report.damaged, 0, "{:?}", server2.store_report);
@@ -139,6 +141,28 @@ fn concurrent_requests_join_and_cold_restarts_serve_from_store() {
     let exp_lines = handle(&server2, EXP_REQ);
     assert!(has_stage(&exp_lines, "cached"), "{exp_lines:#?}");
     assert_eq!(done_line(&exp_lines), exp_done, "experiment hit must be byte-identical");
+
+    // A truncated experiment artifact: the boot counts it damaged, and the
+    // request recomputes it to the same bytes.
+    let experiments: Vec<PathBuf> = std::fs::read_dir(server2.root().join("experiments"))
+        .expect("experiment store")
+        .map(|e| e.expect("entry").path())
+        .collect();
+    let [artifact] = experiments.as_slice() else {
+        panic!("one experiment artifact expected: {experiments:?}");
+    };
+    let bytes = std::fs::read(artifact).unwrap();
+    std::fs::write(artifact, &bytes[..bytes.len() / 2]).unwrap();
+    let torn = open(store.clone());
+    assert_eq!(torn.store_report.verified_experiments, 0, "{:?}", torn.store_report);
+    assert_eq!(torn.store_report.verified_scenarios, 12, "{:?}", torn.store_report);
+    assert_eq!(torn.store_report.damaged, 1, "{:?}", torn.store_report);
+    let exp_lines = handle(&torn, EXP_REQ);
+    assert!(has_stage(&exp_lines, "running"), "{exp_lines:#?}");
+    assert_eq!(done_line(&exp_lines), exp_done, "a recomputed artifact must be byte-identical");
+    let healed = open(store);
+    assert_eq!(healed.store_report.verified_experiments, 1, "{:?}", healed.store_report);
+    assert_eq!(healed.store_report.damaged, 0, "{:?}", healed.store_report);
 
     // Round 3 — torn cache entry: recompute exactly the damaged scenario.
     let store = tmp("torn");

@@ -267,6 +267,31 @@ pub struct DiffEntry {
     pub outcome: DiffOutcome,
 }
 
+impl fmt::Display for DiffEntry {
+    /// `key: what happened`, e.g. `pde{pds=ivr}: golden 0.86 vs candidate
+    /// 0.9 (tol abs 0.005 rel 0)`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let key = &self.key;
+        match &self.outcome {
+            DiffOutcome::Pass { golden, candidate } => {
+                write!(f, "{key}: golden {golden} vs candidate {candidate}")
+            }
+            DiffOutcome::Mismatch { golden, candidate, tolerance } => write!(
+                f,
+                "{key}: golden {golden} vs candidate {candidate} (tol abs {} rel {})",
+                tolerance.abs, tolerance.rel
+            ),
+            DiffOutcome::MissingInCandidate { golden } => {
+                write!(f, "{key}: missing in candidate (golden {golden})")
+            }
+            DiffOutcome::ExtraInCandidate { candidate } => {
+                write!(f, "{key}: extra in candidate ({candidate})")
+            }
+            DiffOutcome::ShapeMismatch { detail } => write!(f, "{key}: {detail}"),
+        }
+    }
+}
+
 /// Result of diffing a candidate against a golden.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DiffReport {
@@ -308,26 +333,10 @@ impl fmt::Display for DiffReport {
             failures
         )?;
         for e in &self.entries {
-            match &e.outcome {
+            match e.outcome {
                 DiffOutcome::Pass { .. } => {}
-                DiffOutcome::Mismatch {
-                    golden,
-                    candidate,
-                    tolerance,
-                } => writeln!(
-                    f,
-                    "  FAIL {}: golden {golden} vs candidate {candidate} (tol abs {} rel {})",
-                    e.key, tolerance.abs, tolerance.rel
-                )?,
-                DiffOutcome::MissingInCandidate { golden } => {
-                    writeln!(f, "  FAIL {}: missing in candidate (golden {golden})", e.key)?;
-                }
-                DiffOutcome::ExtraInCandidate { candidate } => {
-                    writeln!(f, "  note {}: extra in candidate ({candidate})", e.key)?;
-                }
-                DiffOutcome::ShapeMismatch { detail } => {
-                    writeln!(f, "  FAIL {}: {detail}", e.key)?;
-                }
+                DiffOutcome::ExtraInCandidate { .. } => writeln!(f, "  note {e}")?,
+                _ => writeln!(f, "  FAIL {e}")?,
             }
         }
         Ok(())
@@ -632,6 +641,28 @@ mod tests {
             .entries
             .iter()
             .any(|e| matches!(e.outcome, DiffOutcome::ExtraInCandidate { .. })));
+    }
+
+    #[test]
+    fn report_lines_are_the_failing_and_extra_entries() {
+        let g = snap(&[("a", 1.0), ("b{x=1}", 2.0), ("c", 3.0)]);
+        let c = snap(&[("a", 1.5), ("c", 3.0), ("d", 4.0)]);
+        let r = diff_snapshots(&g, &c, &ToleranceSpec::uniform(Tolerance { abs: 0.25, rel: 0.0 }));
+        let lines: Vec<String> = r.failures().map(ToString::to_string).collect();
+        assert_eq!(
+            lines,
+            [
+                "a: golden 1 vs candidate 1.5 (tol abs 0.25 rel 0)",
+                "b{x=1}: missing in candidate (golden 2)",
+            ]
+        );
+        assert_eq!(
+            r.to_string(),
+            "4 metrics compared, 2 failing\n\
+             \x20 FAIL a: golden 1 vs candidate 1.5 (tol abs 0.25 rel 0)\n\
+             \x20 FAIL b{x=1}: missing in candidate (golden 2)\n\
+             \x20 note d: extra in candidate (4)\n"
+        );
     }
 
     #[test]

@@ -45,7 +45,8 @@ if [[ "${1:-}" == "--golden" ]]; then
         cargo run --release -q -p vs-bench --bin fault_campaign -- \
         --json target/fault_campaign.jsonl > /dev/null
     diff goldens/fault_campaign.jsonl target/fault_campaign.jsonl \
-        && echo "fault-campaign golden: OK"
+        || { echo "fault-campaign golden: artifact differs" >&2; exit 1; }
+    echo "fault-campaign golden: OK"
     echo "== perf guards =="
     cargo bench -p vs-bench --bench perf
     echo "suite manifest artifact: target/sweep/manifest.jsonl"
@@ -109,11 +110,12 @@ diff <(dse_counters "$DSE_J1") <(dse_counters "$DSE_J0") \
 echo "dse smoke (tiny grid + full grid at jobs 1 and all cores, identical frontiers and counters): OK"
 
 echo "== diff-baseline self-check =="
-# The regression gate must accept a store against itself and reject a
-# tolerance-violating perturbation with a nonzero exit.
+# The regression gate must accept a store (or one artifact file) against
+# itself and reject a tolerance-violating perturbation with a nonzero exit.
 SWEEP=target/release/sweep
 "$SWEEP" diff-baseline goldens goldens > /dev/null \
-    && echo "diff-baseline goldens vs goldens: OK (exit 0)"
+    || { echo "diff-baseline rejected goldens against themselves" >&2; exit 1; }
+echo "diff-baseline goldens vs goldens: OK (exit 0)"
 PERTURBED=$(mktemp -d)
 trap 'rm -rf "$PERTURBED"' EXIT
 cp goldens/*.jsonl "$PERTURBED"/
@@ -123,6 +125,14 @@ if "$SWEEP" diff-baseline goldens "$PERTURBED" > /dev/null 2>&1; then
     exit 1
 fi
 echo "diff-baseline perturbed candidate: OK (nonzero exit)"
+"$SWEEP" diff-baseline goldens/fig8.jsonl goldens/fig8.jsonl > /dev/null 2>&1 \
+    || { echo "diff-baseline rejected fig8.jsonl against itself" >&2; exit 1; }
+echo "diff-baseline fig8.jsonl vs itself: OK (exit 0)"
+if "$SWEEP" diff-baseline goldens/fig8.jsonl "$PERTURBED/fig8.jsonl" > /dev/null 2>&1; then
+    echo "diff-baseline accepted a perturbed candidate file" >&2
+    exit 1
+fi
+echo "diff-baseline perturbed candidate file: OK (nonzero exit)"
 
 echo "== serve smoke: stdio session, content-addressed cache hit =="
 # Two cold processes against one store: the first computes and journals,
