@@ -44,7 +44,9 @@
 //! blessed in. `--diff GOLDEN` diffs the frontier file just written against
 //! `GOLDEN` (a frontier file, or a directory holding `dse_frontier.jsonl`)
 //! as `sweep diff-baseline` does, under `--tolerances` (default exact), and
-//! prints the verdict's rendering.
+//! prints the verdict's rendering. Both paths are checked before the
+//! exploration runs: a missing golden or tolerance file exits 2 at once,
+//! with no artifact written.
 //!
 //! # Exit codes
 //!
@@ -107,6 +109,26 @@ fn main() -> ExitCode {
     if space.is_empty() {
         fail("the axis space is empty");
     }
+    // The diff's inputs resolve before the run, so a mistyped golden or
+    // tolerance path fails in milliseconds, not after the exploration.
+    let diff = parsed.extra("--diff").map(Path::new).map(|golden| {
+        let golden = if golden.is_dir() {
+            golden.join(FRONTIER_FILE)
+        } else {
+            golden.to_path_buf()
+        };
+        if !golden.is_file() {
+            fail(&format!(
+                "golden frontier {} does not exist",
+                golden.display()
+            ));
+        }
+        let spec = parsed
+            .extra("--tolerances")
+            .map_or(Ok(ToleranceSpec::exact()), load_tolerances)
+            .unwrap_or_else(|e| fail(&e));
+        (golden, spec)
+    });
 
     let deterministic = parsed.has("--deterministic");
     let mut out = parsed
@@ -142,11 +164,9 @@ fn main() -> ExitCode {
         .write_to(&out, deterministic)
         .unwrap_or_else(|e| fail(&format!("cannot write dse to {}: {e}", out.display())));
     if parsed.common.trace {
-        let text = vs_telemetry::chrome_trace_json(&exec.tracer().drain(), Some(&exec.metrics()));
-        let trace_path = out.join(vs_bench::report::TRACE_FILE);
-        match vs_telemetry::write_atomic(&trace_path, text.as_bytes()) {
-            Ok(()) => eprintln!("[dse] trace -> {}", trace_path.display()),
-            Err(e) => eprintln!("[dse] cannot write trace {}: {e}", trace_path.display()),
+        match exec.write_trace(&out) {
+            Ok(trace_path) => eprintln!("[dse] trace -> {}", trace_path.display()),
+            Err(e) => eprintln!("[dse] cannot write trace into {}: {e}", out.display()),
         }
     }
     eprintln!(
@@ -192,12 +212,7 @@ fn main() -> ExitCode {
         ok &= claim.pass;
     }
 
-    if let Some(golden) = parsed.extra("--diff").map(Path::new) {
-        let golden = if golden.is_dir() { golden.join(FRONTIER_FILE) } else { golden.to_path_buf() };
-        let spec = parsed
-            .extra("--tolerances")
-            .map_or(Ok(ToleranceSpec::exact()), load_tolerances)
-            .unwrap_or_else(|e| fail(&e));
+    if let Some((golden, spec)) = diff {
         let verdict = diff_baseline(&golden, &path, &spec).unwrap_or_else(|e| fail(&e));
         print!("{}", verdict.render());
         ok &= verdict.is_pass();

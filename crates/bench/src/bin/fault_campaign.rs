@@ -7,14 +7,14 @@
 //! railed DAC, a dead sub-IVR, or NaN power telemetry degrades a run instead
 //! of killing the sweep.
 //!
-//! The scenario catalogue, the per-cell row/event builders, and the
-//! parallel runner live in [`vs_bench::campaign`]; this binary only
-//! routes the two outputs (note their deliberate asymmetry: the printed
-//! table truncates errors to their headline, the JSONL artifact keeps the
-//! full string). `--jobs N` spreads the supervised runs over N workers —
-//! each on its own long-lived solver pool, under the same panic-isolation
-//! and retry policy as the sweep's scenario tasks — without changing a byte
-//! of the output.
+//! The scenario catalogue, the parallel runner and the table row live in
+//! [`vs_bench::campaign`]; this binary only routes the campaign's rows to
+//! the two outputs (note their deliberate asymmetry: the printed table
+//! truncates errors to their headline, the JSONL artifact keeps the full
+//! string). `--jobs N` spreads the supervised runs over N workers — each on
+//! its own long-lived solver pool, under the same panic-isolation and retry
+//! policy as the sweep's scenario tasks — without changing a byte of the
+//! output.
 //!
 //! `VS_BENCH_SCALE` / `VS_BENCH_MAX_CYCLES` shorten or lengthen the runs as
 //! for `sweep`.
@@ -31,7 +31,7 @@
 
 use std::process::ExitCode;
 
-use vs_bench::campaign::run_campaign;
+use vs_bench::campaign::{run_campaign, table_row};
 use vs_bench::cli::{ArgSpec, CommandSpec};
 use vs_bench::{print_table, volts, Executor};
 use vs_core::{ScenarioId, SupervisorConfig};
@@ -60,8 +60,10 @@ fn main() -> ExitCode {
     let supervisor = SupervisorConfig::default();
     let benchmark = ScenarioId::Heartwall.profile();
 
-    let cells = run_campaign(&Executor::default(), &settings, jobs);
-    let quarantined = cells.iter().filter(|c| c.verdict == "quarantined").count();
+    let rows = run_campaign(&Executor::default(), &settings, jobs);
+    let quarantined = rows.iter().filter(|r| r.verdict == "quarantined").count();
+    let cells = rows.len();
+    let table: Vec<Vec<String>> = rows.iter().map(table_row).collect();
 
     let mut events = vec![Event::Manifest(RunManifest {
         schema_version: SCHEMA_VERSION,
@@ -76,11 +78,7 @@ fn main() -> ExitCode {
             vs_telemetry::crate_version().to_string(),
         )],
     })];
-    let mut rows = Vec::new();
-    for cell in &cells {
-        events.push(cell.event());
-        rows.push(cell.table_row());
-    }
+    events.extend(rows.into_iter().map(Event::FaultRow));
 
     print_table(
         "Fault campaign: verdicts under injected faults (guardband 0.8 V)",
@@ -95,7 +93,7 @@ fn main() -> ExitCode {
             "sanitized",
             "error",
         ],
-        &rows,
+        &table,
     );
     println!(
         "\nverdicts: healthy = no excursion/recovery; degraded = recovered or \
@@ -124,9 +122,6 @@ fn main() -> ExitCode {
         eprintln!("[fault_campaign] exit 4: degraded — quarantined cells were skipped");
         return ExitCode::from(4);
     }
-    eprintln!(
-        "[fault_campaign] exit 0: success — {} cell(s) ran, none quarantined",
-        cells.len()
-    );
+    eprintln!("[fault_campaign] exit 0: success — {cells} cell(s) ran, none quarantined");
     ExitCode::SUCCESS
 }

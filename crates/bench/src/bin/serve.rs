@@ -22,6 +22,10 @@
 //! responses without constructing a worker pool. See
 //! `vs_bench::serve` for the protocol and cache-key contract.
 //!
+//! `--trace` records the server executor's spans and, when the stdio
+//! session or the TCP listener ends, writes them with its metrics as
+//! `<store>/<code-fingerprint>/trace.json`.
+//!
 //! # Exit codes
 //!
 //! | code | meaning |
@@ -71,6 +75,7 @@ fn main() -> ExitCode {
         .unwrap_or_else(|| PathBuf::from("target/serve-store"));
     let server = Server::open(&ServeOptions { store, settings })
         .unwrap_or_else(|e| fail(&format!("cannot open store: {e}")));
+    let server = Arc::new(server);
     server.executor().tracer().set_enabled(parsed.common.trace);
     let r = &server.store_report;
     eprintln!(
@@ -101,8 +106,16 @@ fn main() -> ExitCode {
             let local = listener.local_addr().map(|a| a.to_string()).unwrap_or_else(|_| addr.to_string());
             println!("listening {local}");
             let _ = io::stdout().flush();
-            serve_tcp(&Arc::new(server), listener)
-                .unwrap_or_else(|e| fail(&format!("listener failed: {e}")));
+            serve_tcp(&server, listener).unwrap_or_else(|e| fail(&format!("listener failed: {e}")));
+        }
+    }
+    if parsed.common.trace {
+        match server.executor().write_trace(server.root()) {
+            Ok(path) => eprintln!("[serve] trace -> {}", path.display()),
+            Err(e) => eprintln!(
+                "[serve] cannot write trace into {}: {e}",
+                server.root().display()
+            ),
         }
     }
     ExitCode::SUCCESS

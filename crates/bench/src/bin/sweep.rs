@@ -43,7 +43,9 @@
 //! machine-readable verdict. Every golden diff (`diff-baseline`, `run
 //! --diff`, `dse --diff`) fails the same way: a drifted metric, or a
 //! missing or unparseable artifact, exits 1 naming the key or the file; a
-//! baseline path that does not exist exits 2.
+//! baseline path that does not exist exits 2. `run --diff` checks its
+//! baseline path and reads `--tolerances` before it simulates, so either
+//! missing exits 2 at once, with no artifact written.
 //!
 //! # Exit codes
 //!
@@ -60,11 +62,11 @@ use std::process::ExitCode;
 
 use vs_bench::claims::{check_claims, ClaimResult};
 use vs_bench::cli::{ArgSpec, CommandSpec, PROFILE_FLAG, SEED_FLAG};
-use vs_bench::report::{diff_baseline, RunReport, TRACE_FILE};
+use vs_bench::report::{diff_baseline, RunReport};
 use vs_bench::shard::{ExecutorConfig, Preload};
 use vs_bench::sweep::{run_sweep, SweepOptions};
 use vs_bench::{journal, Executor, ExperimentId};
-use vs_telemetry::{chrome_trace_json, write_atomic, RunArtifact, ToleranceSpec};
+use vs_telemetry::{RunArtifact, ToleranceSpec};
 
 const DEFAULT_TOLERANCES: &str = "goldens/tolerances.json";
 
@@ -204,11 +206,18 @@ fn run_main(args: &[String]) -> ExitCode {
         .clone()
         .unwrap_or_else(|| PathBuf::from("target/sweep"));
     let only: Option<Vec<ExperimentId>> = parsed.extra("--only").map(parse_only);
-    let golden: Option<PathBuf> = parsed.extra("--diff").map(PathBuf::from);
-    let tolerances = parsed.extra("--tolerances");
     let deterministic = parsed.has("--deterministic");
     let trace = parsed.common.trace;
     let settings = parsed.run_settings_or_exit();
+    // The diff's inputs resolve before the run, so a mistyped golden or
+    // tolerance path fails in milliseconds, not after the sweep.
+    let diff = parsed.extra("--diff").map(|golden| {
+        let golden = PathBuf::from(golden);
+        if !golden.exists() {
+            fail(&format!("baseline {} does not exist", golden.display()));
+        }
+        (golden, load_tolerances(parsed.extra("--tolerances")))
+    });
 
     let mut preloaded = Preload::new();
     if let Some(dir) = &parsed.common.resume {
@@ -245,11 +254,12 @@ fn run_main(args: &[String]) -> ExitCode {
         fail(&format!("cannot write sweep to {}: {e}", out.display()));
     }
     if trace {
-        let text = chrome_trace_json(&exec.tracer().drain(), Some(&exec.metrics()));
-        let path = out.join(TRACE_FILE);
-        match write_atomic(&path, text.as_bytes()) {
-            Ok(()) => eprintln!("[sweep] trace -> {} (load at ui.perfetto.dev)", path.display()),
-            Err(e) => eprintln!("[sweep] cannot write trace {}: {e}", path.display()),
+        match exec.write_trace(&out) {
+            Ok(path) => eprintln!(
+                "[sweep] trace -> {} (load at ui.perfetto.dev)",
+                path.display()
+            ),
+            Err(e) => eprintln!("[sweep] cannot write trace into {}: {e}", out.display()),
         }
     }
     eprintln!(
@@ -294,8 +304,7 @@ fn run_main(args: &[String]) -> ExitCode {
         }
     }
 
-    if let Some(golden) = golden {
-        let spec = load_tolerances(tolerances);
+    if let Some((golden, spec)) = diff {
         let verdict = diff_baseline(&golden, &out, &spec).unwrap_or_else(|e| fail(&e));
         print!("{}", verdict.render());
         ok &= verdict.is_pass();

@@ -1,28 +1,31 @@
-//! The fault-injection campaign as a library: the scenario catalogue and
-//! the per-cell row/event builders the `fault_campaign` binary prints.
+//! The fault-injection campaign as a library: the scenario catalogue, the
+//! runner, and the table row the `fault_campaign` binary prints.
 //!
-//! Extracted from the binary so the two views of a cell's error are pinned
-//! by tests: the human table keeps only the headline (everything before the
-//! first `"; last error"`), while the JSONL [`Event::FaultRow`] carries the
-//! **full** error string — truncating the machine-readable artifact would
-//! destroy exactly the detail a post-mortem needs.
+//! Each cell's result is a [`FaultCampaignRow`] end to end, and the two
+//! views of its error are pinned by tests: the human table keeps only the
+//! headline (everything before the first `"; last error"`), while the JSONL
+//! `fault_row` event carries the **full** error string — truncating the
+//! machine-readable artifact would destroy exactly the detail a
+//! post-mortem needs.
 //!
 //! [`run_campaign`] executes the whole campaign on the caller's
 //! [`Executor`]: its claim loop spreads the cells over the workers, and each
-//! cell's supervised run goes through the executor's attempt loop — the
-//! calling worker's long-lived [`vs_core::CosimPool`] shard inside an
+//! cell runs as a one-member group ([`vs_core::CosimPool::run_group`],
+//! its fault plan riding in the [`GroupRun`]) through the executor's
+//! attempt loop — the calling worker's long-lived pool shard inside an
 //! isolation boundary, panics and watchdog trips retried with seeded
 //! backoff — so a cell that exhausts its attempts lands as a `quarantined`
 //! verdict instead of killing the campaign. Cells fill canonical slots, so
-//! the outcome list (and every artifact built from it) is byte-identical at
+//! the row list (and every artifact built from it) is byte-identical at
 //! any `--jobs`.
 
 use vs_control::{ActuatorFault, DetectorFault};
 use vs_core::{
-    CosimError, CrIvrFault, FaultKind, FaultPlan, FaultWindow, LoadGlitch, PdsKind, ScenarioId,
-    SupervisedReport, SupervisorConfig,
+    CosimError, CrIvrFault, FaultKind, FaultPlan, FaultWindow, GroupRun, LoadGlitch, PdsKind,
+    PowerManagement, ScenarioId, SupervisedReport, SupervisorConfig,
 };
-use vs_telemetry::{Event, FaultCampaignRow};
+use vs_gpu::WorkloadProfile;
+use vs_telemetry::FaultCampaignRow;
 
 use crate::obs;
 use crate::sweep::effective_jobs;
@@ -206,7 +209,7 @@ pub fn campaign_pds() -> [PdsKind; 2] {
 }
 
 /// Runs the full fault campaign — every applicable (PDS, fault scenario)
-/// cell — on `exec` across `jobs` workers, returning the outcomes in
+/// cell — on `exec` across `jobs` workers, returning the rows in
 /// canonical (serial-loop) order.
 ///
 /// Each cell runs through the executor's attempt loop: a panic or a
@@ -214,9 +217,9 @@ pub fn campaign_pds() -> [PdsKind; 2] {
 /// shard is rebuilt after a panic), and a cell that exhausts its attempts
 /// becomes a `quarantined` verdict carrying the per-attempt error chain —
 /// the campaign always completes. Because results fill canonical slots and
-/// runs share no mutable state, the outcome list is byte-identical
-/// whatever the worker count.
-pub fn run_campaign(exec: &Executor, settings: &RunSettings, jobs: usize) -> Vec<CellOutcome> {
+/// runs share no mutable state, the row list is byte-identical whatever
+/// the worker count.
+pub fn run_campaign(exec: &Executor, settings: &RunSettings, jobs: usize) -> Vec<FaultCampaignRow> {
     let supervisor = SupervisorConfig::default();
     let benchmark = ScenarioId::Heartwall.profile();
     let scenarios = fault_scenarios(settings.seed);
@@ -245,7 +248,7 @@ pub fn run_campaign(exec: &Executor, settings: &RunSettings, jobs: usize) -> Vec
             || format!("  {} under {} ...", sc.name, pds.label()),
         );
         let span = exec.tracer().begin();
-        let cell = run_cell(exec, settings, pds, sc, &supervisor, &benchmark);
+        let row = run_cell(exec, settings, pds, sc, &supervisor, &benchmark);
         exec.tracer().end_span(
             "campaign",
             "campaign_cell",
@@ -253,22 +256,23 @@ pub fn run_campaign(exec: &Executor, settings: &RunSettings, jobs: usize) -> Vec
             &[
                 ("fault", sc.name.to_string()),
                 ("pds", pds.label().to_string()),
-                ("verdict", cell.verdict.clone()),
+                ("verdict", row.verdict.clone()),
             ],
         );
-        cell
+        row
     })
 }
 
-/// Runs one campaign cell through the executor's attempt loop.
+/// Runs one campaign cell, a one-member group carrying the cell's fault
+/// plan, through the executor's attempt loop.
 fn run_cell(
     exec: &Executor,
     settings: &RunSettings,
     pds: PdsKind,
     sc: &FaultScenario,
     supervisor: &SupervisorConfig,
-    benchmark: &vs_gpu::WorkloadProfile,
-) -> CellOutcome {
+    benchmark: &WorkloadProfile,
+) -> FaultCampaignRow {
     let cfg = settings.config(pds);
     let tag = format!("campaign:{}:{}", pds.label(), sc.name);
     let labels = [
@@ -276,7 +280,17 @@ fn run_cell(
         ("pds", pds.label().to_string()),
     ];
     let outcome = exec.attempt(&tag, &labels, |_, pool, budget| {
-        let run = pool.run_supervised_with_budget(&cfg, benchmark, supervisor, &sc.plan, budget);
+        let run = GroupRun {
+            cfg: cfg.clone(),
+            pm: PowerManagement::default(),
+            budget,
+            plan: sc.plan.clone(),
+        };
+        let run = pool
+            .run_group(benchmark, &[run], supervisor)
+            .reports
+            .pop()
+            .expect("one run, one report");
         // A deadline trip is the watchdog's business (retry), not a
         // campaign verdict: the supervised run records it as an error.
         match run.error {
@@ -285,7 +299,7 @@ fn run_cell(
         }
     });
     let failure = match outcome {
-        Ok(success) => return CellOutcome::from_run(pds, sc.name, &success.value),
+        Ok(success) => return cell_row(pds, sc.name, &success.value),
         Err(failure) => failure,
     };
     let attempts = failure.attempts;
@@ -299,7 +313,7 @@ fn run_cell(
         ],
         || format!("  quarantining campaign cell {tag} after {attempts} attempt(s)"),
     );
-    CellOutcome {
+    FaultCampaignRow {
         pds: pds.label().to_string(),
         fault: sc.name.to_string(),
         verdict: "quarantined".to_string(),
@@ -319,87 +333,47 @@ pub fn short_error(full: &str) -> String {
     full.split("; last error").next().unwrap_or(full).to_string()
 }
 
-/// One campaign cell's outcome, holding the **full** error string. The two
-/// serializations differ on purpose: [`CellOutcome::event`] keeps the whole
-/// error, [`CellOutcome::table_row`] shows only [`short_error`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellOutcome {
-    /// PDS label (`PdsKind::label`).
-    pub pds: String,
-    /// Scenario name.
-    pub fault: String,
-    /// Verdict label.
-    pub verdict: String,
-    /// Minimum SM voltage over the run, volts.
-    pub min_sm_v: f64,
-    /// Fraction of cycles below the guardband.
-    pub below_guardband_fraction: f64,
-    /// Worst-layer time below the guardband, microseconds.
-    pub below_guardband_us: f64,
-    /// Solver retries.
-    pub retries: u64,
-    /// Sanitized control commands.
-    pub sanitized: u64,
-    /// Full error string, if the run errored.
-    pub error: Option<String>,
+/// Collapses one supervised run into its campaign row, holding the
+/// **full** error string.
+fn cell_row(pds: PdsKind, fault: &str, run: &SupervisedReport) -> FaultCampaignRow {
+    FaultCampaignRow {
+        pds: pds.label().to_string(),
+        fault: fault.to_string(),
+        verdict: run.verdict.label().to_string(),
+        min_sm_v: run.report.min_sm_voltage,
+        below_guardband_fraction: run.below_guardband_fraction(),
+        below_guardband_us: run.below_guardband_s * 1e6,
+        retries: u64::from(run.recovery.retries),
+        sanitized: u64::from(run.recovery.sanitized_controls),
+        error: run.error.as_ref().map(std::string::ToString::to_string),
+    }
 }
 
-impl CellOutcome {
-    /// Collapses one supervised run into a campaign cell.
-    pub fn from_run(pds: PdsKind, fault: &str, run: &SupervisedReport) -> Self {
-        CellOutcome {
-            pds: pds.label().to_string(),
-            fault: fault.to_string(),
-            verdict: run.verdict.label().to_string(),
-            min_sm_v: run.report.min_sm_voltage,
-            below_guardband_fraction: run.below_guardband_fraction(),
-            below_guardband_us: run.below_guardband_s * 1e6,
-            retries: u64::from(run.recovery.retries),
-            sanitized: u64::from(run.recovery.sanitized_controls),
-            error: run.error.as_ref().map(std::string::ToString::to_string),
-        }
-    }
-
-    /// The machine-readable JSONL event: full error string, never
-    /// truncated.
-    pub fn event(&self) -> Event {
-        Event::FaultRow(FaultCampaignRow {
-            pds: self.pds.clone(),
-            fault: self.fault.clone(),
-            verdict: self.verdict.clone(),
-            min_sm_v: self.min_sm_v,
-            below_guardband_fraction: self.below_guardband_fraction,
-            below_guardband_us: self.below_guardband_us,
-            retries: self.retries,
-            sanitized: self.sanitized,
-            error: self.error.clone(),
-        })
-    }
-
-    /// The human table row: error reduced to its headline.
-    pub fn table_row(&self) -> Vec<String> {
-        vec![
-            self.pds.clone(),
-            self.fault.clone(),
-            self.verdict.clone(),
-            volts(self.min_sm_v),
-            pct(self.below_guardband_fraction),
-            format!("{:.1}", self.below_guardband_us),
-            self.retries.to_string(),
-            self.sanitized.to_string(),
-            self.error
-                .as_ref()
-                .map_or_else(|| "-".to_string(), |e| short_error(e)),
-        ]
-    }
+/// The human table row of a campaign row: its error reduced to the
+/// headline ([`short_error`]); the JSONL `fault_row` event keeps it whole.
+pub fn table_row(row: &FaultCampaignRow) -> Vec<String> {
+    vec![
+        row.pds.clone(),
+        row.fault.clone(),
+        row.verdict.clone(),
+        volts(row.min_sm_v),
+        pct(row.below_guardband_fraction),
+        format!("{:.1}", row.below_guardband_us),
+        row.retries.to_string(),
+        row.sanitized.to_string(),
+        row.error
+            .as_ref()
+            .map_or_else(|| "-".to_string(), |e| short_error(e)),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vs_telemetry::Event;
 
-    fn cell(error: Option<&str>) -> CellOutcome {
-        CellOutcome {
+    fn cell(error: Option<&str>) -> FaultCampaignRow {
+        FaultCampaignRow {
             pds: "VS cross-layer".to_string(),
             fault: "short to rail (1 GW)".to_string(),
             verdict: "aborted".to_string(),
@@ -429,20 +403,20 @@ mod tests {
         let c = cell(Some(full));
 
         // Human table: headline only.
-        let row = c.table_row();
+        let row = table_row(&c);
         assert_eq!(row[8], "recovery exhausted after 3 retries at cycle 1042");
 
         // JSONL event: the complete string, including the nested detail.
-        let json = c.event().to_json().to_string_compact();
+        let json = Event::FaultRow(c).to_json().to_string_compact();
         assert!(json.contains("last error: divergence at t=1.489e-06s"), "{json}");
         assert!(json.contains("recovery exhausted after 3 retries"), "{json}");
     }
 
     #[test]
     fn errorless_cell_renders_a_dash() {
-        let row = cell(None).table_row();
+        let row = table_row(&cell(None));
         assert_eq!(row[8], "-");
-        let json = cell(None).event().to_json().to_string_compact();
+        let json = Event::FaultRow(cell(None)).to_json().to_string_compact();
         assert!(json.contains("\"error\":null"), "{json}");
     }
 

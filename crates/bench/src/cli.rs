@@ -45,7 +45,7 @@ pub const COMMON_FLAGS: [ArgSpec; 5] = [
     ArgSpec { name: "--jobs", value: Some("N"), help: "worker threads (0 or absent = one per core)" },
     ArgSpec { name: "--out", value: Some("DIR"), help: "output directory for artifacts" },
     ArgSpec { name: "--resume", value: Some("DIR"), help: "resume from DIR's completion journal" },
-    ArgSpec { name: "--trace", value: None, help: "record executor spans; write trace.json into --out" },
+    ArgSpec { name: "--trace", value: None, help: "record executor spans; write trace.json into --out (serve: into its store directory)" },
     ArgSpec { name: "--progress", value: Some("plain|json|off"), help: "progress narration mode on stderr" },
 ];
 

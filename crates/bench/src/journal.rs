@@ -391,8 +391,8 @@ mod tests {
         let pm = PowerManagement::default();
         let key = SuiteKey::new(&cfg, &pm);
         let mut pool = CosimPool::new();
-        let a = pool.run_scenario_with_pm(&cfg, ScenarioId::Bfs, pm.clone());
-        let b = pool.run_scenario_with_pm(&cfg, ScenarioId::Hotspot, pm.clone());
+        let a = pool.run_scenario(&cfg, ScenarioId::Bfs);
+        let b = pool.run_scenario(&cfg, ScenarioId::Hotspot);
         let chaos = Chaos::default();
         record_scenario(&dir, &chaos, &key, ScenarioId::Bfs, &a, 1, &[0.1]).unwrap();
         record_scenario(&dir, &chaos, &key, ScenarioId::Hotspot, &b, 1, &[0.1]).unwrap();

@@ -26,7 +26,7 @@ use vs_telemetry::{
 };
 
 use crate::journal;
-use crate::shard::SuiteKey;
+use crate::shard::{ShardStats, SuiteKey};
 use crate::sweep::MANIFEST_FILE;
 
 /// The trace export's file name inside a sweep output directory.
@@ -41,31 +41,6 @@ pub struct ExperimentSummary {
     pub wall_s: Option<f64>,
     /// Whether the run failed (panicked out of its isolation boundary).
     pub failed: bool,
-}
-
-/// The manifest's `run_stats` executor counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RunStatsSummary {
-    /// Scenario runs served by worker-pool shards.
-    pub scenario_tasks: u64,
-    /// Tasks claimed by stealing workers.
-    pub steals: u64,
-    /// DC operating-point cache hits.
-    pub dc_cache_hits: u64,
-    /// Tasks replayed from the resume journal.
-    pub replayed: u64,
-    /// Retry attempts spent.
-    pub retries: u64,
-    /// Tasks quarantined.
-    pub quarantined: u64,
-    /// Group tasks run, each on one GPU trunk.
-    pub groups: u64,
-    /// GPU cycles the group runs ticked, re-ticked prefixes included.
-    pub gpu_ticks: u64,
-    /// Group members that left their trunk and parked.
-    pub parked: u64,
-    /// GPU cycles parked members re-ticked.
-    pub prefix_reticks: u64,
 }
 
 /// Wall-time statistics for one scenario, aggregated over every suite that
@@ -119,7 +94,7 @@ pub struct RunReport {
     /// Experiments in manifest order.
     pub experiments: Vec<ExperimentSummary>,
     /// The `run_stats` counters, when the manifest has them.
-    pub run_stats: Option<RunStatsSummary>,
+    pub run_stats: Option<ShardStats>,
     /// Quarantined (suite, scenario) tasks with their error chains.
     pub quarantined: Vec<DegradedEntry>,
     /// Per-scenario wall statistics, slowest p95 first. Empty when the
@@ -188,21 +163,7 @@ impl RunReport {
                     report.jobs = v.get("jobs").and_then(Json::as_u64);
                     report.total_wall_s = v.get("total_wall_s").and_then(Json::as_f64);
                 }
-                Some("run_stats") => {
-                    let c = |k: &str| v.get(k).and_then(Json::as_u64).unwrap_or(0);
-                    report.run_stats = Some(RunStatsSummary {
-                        scenario_tasks: c("scenario_tasks"),
-                        steals: c("steals"),
-                        dc_cache_hits: c("dc_cache_hits"),
-                        replayed: c("replayed"),
-                        retries: c("retries"),
-                        quarantined: c("quarantined"),
-                        groups: c("groups"),
-                        gpu_ticks: c("gpu_ticks"),
-                        parked: c("parked"),
-                        prefix_reticks: c("prefix_reticks"),
-                    });
-                }
+                Some("run_stats") => report.run_stats = Some(ShardStats::from_json(&v)),
                 Some("experiment") => {
                     report.experiments.push(ExperimentSummary {
                         id: v

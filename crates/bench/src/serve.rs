@@ -62,7 +62,7 @@
 //! bytes under [`MAX_LINE_BYTES`]; an over-long or non-UTF-8 line answers
 //! `degraded` and the session goes on.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -279,26 +279,23 @@ impl Server {
             Err(e) => return emit(out, req, "degraded", &[("error", e.to_string())]),
         };
         let (key, summary) = self.run_point(req, &point, out)?;
-        match summary {
-            Some(args) => {
-                let mut all = vec![("key", key.cache_dir()), ("point", point.to_string())];
-                all.extend(args);
-                emit(out, req, "done", &all)
-            }
-            None => Ok(()), // degraded already emitted
-        }
+        let Some(summary) = summary else {
+            return Ok(()); // degraded already emitted
+        };
+        let mut all = vec![("key", key.cache_dir()), ("point", point.to_string())];
+        all.extend(summary.args());
+        emit(out, req, "done", &all)
     }
 
     /// Runs (or replays) one point's suite, emitting the provenance event.
-    /// Returns the done-line summary args, or `None` after emitting
-    /// `degraded` for an incomplete (quarantined) suite.
-    #[allow(clippy::type_complexity)]
+    /// Returns the suite's summary, or `None` after emitting `degraded` for
+    /// an incomplete (quarantined) suite.
     fn run_point(
         &self,
         req: &str,
         point: &ConfigPoint,
         out: &mut dyn Write,
-    ) -> io::Result<(SuiteKey, Option<Vec<(&'static str, String)>>)> {
+    ) -> io::Result<(SuiteKey, Option<PointSummary>)> {
         let key = point.suite_key(&self.settings);
         let warm = self.executor.suite_is_warm(&key);
         let stage = if warm { "cached" } else { "running" };
@@ -319,19 +316,15 @@ impl Server {
             )?;
             return Ok((key, None));
         }
-        let min_v = reports
-            .iter()
-            .map(|r| r.min_sm_voltage)
-            .fold(f64::INFINITY, f64::min);
-        let completed = reports.iter().filter(|r| r.completed).count();
-        Ok((
-            key,
-            Some(vec![
-                ("scenarios", reports.len().to_string()),
-                ("completed", completed.to_string()),
-                ("min_v", min_v.to_string()),
-            ]),
-        ))
+        let summary = PointSummary {
+            scenarios: reports.len(),
+            completed: reports.iter().filter(|r| r.completed).count(),
+            min_v: reports
+                .iter()
+                .map(|r| r.min_sm_voltage)
+                .fold(f64::INFINITY, f64::min),
+        };
+        Ok((key, Some(summary)))
     }
 
     /// An axis space: evaluate every unique point in the grid, streaming
@@ -348,24 +341,15 @@ impl Server {
         if points.is_empty() {
             return emit(out, req, "degraded", &[("error", "the axis space is empty".to_string())]);
         }
-        let (mut unique, mut degraded, mut min_v) = (HashMap::new(), 0usize, f64::INFINITY);
+        let (mut unique, mut degraded, mut min_v) = (HashSet::new(), 0usize, f64::INFINITY);
         for point in &points {
-            let key = point.suite_key(&self.settings);
-            if unique.contains_key(&key) {
+            if !unique.insert(point.suite_key(&self.settings)) {
                 continue;
             }
-            let (_, summary) = self.run_point(req, point, out)?;
-            match summary {
-                Some(args) => {
-                    if let Some((_, v)) = args.iter().find(|(k, _)| *k == "min_v") {
-                        if let Ok(v) = v.parse::<f64>() {
-                            min_v = min_v.min(v);
-                        }
-                    }
-                }
+            match self.run_point(req, point, out)?.1 {
+                Some(summary) => min_v = min_v.min(summary.min_v),
                 None => degraded += 1,
             }
-            unique.insert(key, ());
         }
         if degraded > 0 {
             return emit(
@@ -496,6 +480,27 @@ impl Server {
             ),
             Err(e) => emit(out, req, "degraded", &[("error", e)]),
         }
+    }
+}
+
+/// One point's suite, as its `done` line summarizes it.
+struct PointSummary {
+    /// Scenario reports in the suite.
+    scenarios: usize,
+    /// Of those, the runs whose kernel completed.
+    completed: usize,
+    /// The lowest SM voltage over the suite, volts.
+    min_v: f64,
+}
+
+impl PointSummary {
+    /// The summary's `done`-line args.
+    fn args(&self) -> [(&'static str, String); 3] {
+        [
+            ("scenarios", self.scenarios.to_string()),
+            ("completed", self.completed.to_string()),
+            ("min_v", self.min_v.to_string()),
+        ]
     }
 }
 

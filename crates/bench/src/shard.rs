@@ -69,6 +69,7 @@
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::io;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -76,10 +77,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use vs_core::{
-    CosimConfig, CosimError, CosimPool, CosimReport, CycleBudget, GroupRun, GroupStats,
+    CosimConfig, CosimError, CosimPool, CosimReport, CycleBudget, FaultPlan, GroupRun, GroupStats,
     PowerManagement, ScenarioId, SupervisorConfig, TrunkKey,
 };
-use vs_telemetry::{fnv1a_64, labeled, MetricsSnapshot, Registry, Tracer};
+use vs_telemetry::json::Json;
+use vs_telemetry::{
+    chrome_trace_json, fnv1a_64, labeled, write_atomic, MetricsSnapshot, Registry, Tracer,
+};
 
 use crate::chaos::{Chaos, ChaosMode, ChaosPlan};
 use crate::obs;
@@ -163,8 +167,6 @@ pub struct ExecutorConfig {
     pub backoff_base_ms: u64,
     /// Backoff ceiling, milliseconds.
     pub backoff_cap_ms: u64,
-    /// Seed for the deterministic backoff jitter.
-    pub backoff_seed: u64,
     /// Per-attempt wall-clock deadline, checked cooperatively inside the
     /// run loop via [`CycleBudget::wall_clock`]; `None` = no watchdog.
     pub task_deadline: Option<Duration>,
@@ -176,7 +178,6 @@ impl Default for ExecutorConfig {
             max_attempts: 3,
             backoff_base_ms: 10,
             backoff_cap_ms: 500,
-            backoff_seed: 0,
             task_deadline: None,
         }
     }
@@ -283,7 +284,6 @@ impl SuiteJob {
                 filled += 1;
                 exec.replayed.fetch_add(1, Ordering::Relaxed);
                 if exec.tracer.is_enabled() {
-                    exec.metric_inc("executor.replays", 1);
                     exec.tracer.instant(
                         "journal",
                         "replay",
@@ -537,23 +537,47 @@ impl Executor {
     /// This executor's tracer: every span and instant its runs record.
     /// Off until [`Tracer::set_enabled`] turns it on, as the binaries do for
     /// `--trace`; they export its drained events, with
-    /// [`Executor::metrics`], as one `trace.json`.
+    /// [`Executor::metrics`], as one `trace.json` ([`Executor::write_trace`]).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
 
-    /// A snapshot of this executor's metrics (for the trace export).
+    /// A snapshot of this executor's metrics (for the trace export): the
+    /// gated registry, plus the [`ShardStats`] counters under their trace
+    /// names (`executor.steals`, `cosim.gpu_ticks`, …), so a trace and the
+    /// manifest's `run_stats` line read one count.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.registry().snapshot()
+        let mut snapshot = self.registry().snapshot();
+        snapshot.counters.extend(
+            self.stats()
+                .trace_counters()
+                .map(|(name, value)| (name.to_string(), value)),
+        );
+        snapshot.counters.sort();
+        snapshot
+    }
+
+    /// Drains this executor's trace into `dir`'s `trace.json`: the recorded
+    /// events and [`Executor::metrics`] as one Chrome/Perfetto file, written
+    /// atomically. Returns the file's path.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the write's filesystem error.
+    pub fn write_trace(&self, dir: &Path) -> io::Result<PathBuf> {
+        let text = chrome_trace_json(&self.tracer.drain(), Some(&self.metrics()));
+        let path = dir.join(crate::report::TRACE_FILE);
+        write_atomic(&path, text.as_bytes())?;
+        Ok(path)
     }
 
     fn registry(&self) -> std::sync::MutexGuard<'_, Registry> {
         self.metrics.lock().expect("executor metrics poisoned")
     }
 
-    /// Bumps an executor counter (e.g. `executor.steals`). No-op unless
+    /// Bumps an executor counter (e.g. `executor.tasks_ok`). No-op unless
     /// this executor's tracer is on — the always-on cheap counters are the
-    /// [`ShardStats`]; this registry exists for the trace consumers.
+    /// [`ShardStats`], which [`Executor::metrics`] exports beside these.
     pub fn metric_inc(&self, name: &str, by: u64) {
         if self.tracer.is_enabled() {
             self.registry().inc(name, by);
@@ -738,12 +762,14 @@ impl Executor {
     /// A snapshot of this executor's [`ShardStats`].
     pub fn stats(&self) -> ShardStats {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let quarantined = self.quarantined.lock().expect("quarantine list poisoned").len();
         ShardStats {
             scenario_tasks: load(&self.scenario_tasks),
             steals: load(&self.steals),
             dc_cache_hits: load(&self.dc_cache_hits),
             replayed: load(&self.replayed),
             retries: load(&self.retries),
+            quarantined: quarantined as u64,
             groups: load(&self.groups),
             gpu_ticks: load(&self.gpu_ticks),
             parked: load(&self.parked),
@@ -767,7 +793,6 @@ impl Executor {
         match batch {
             Some(batch) if batch.run_one_task(self, "steal") => {
                 self.steals.fetch_add(1, Ordering::Relaxed);
-                self.metric_inc("executor.steals", 1);
                 true
             }
             _ => false,
@@ -807,17 +832,11 @@ impl Executor {
         })
     }
 
-    /// Folds one group run's trunk counters into [`ShardStats`] and the
-    /// `cosim.*` metrics.
+    /// Folds one group run's trunk counters into [`ShardStats`].
     fn count_trunk(&self, stats: &GroupStats) {
-        for (counter, metric, by) in [
-            (&self.gpu_ticks, "cosim.gpu_ticks", stats.gpu_ticks),
-            (&self.parked, "cosim.parked", stats.parked),
-            (&self.prefix_reticks, "cosim.prefix_reticks", stats.prefix_reticks),
-        ] {
-            counter.fetch_add(by, Ordering::Relaxed);
-            self.metric_inc(metric, by);
-        }
+        self.gpu_ticks.fetch_add(stats.gpu_ticks, Ordering::Relaxed);
+        self.parked.fetch_add(stats.parked, Ordering::Relaxed);
+        self.prefix_reticks.fetch_add(stats.prefix_reticks, Ordering::Relaxed);
     }
 
     /// Runs one task under the full isolation policy: each attempt gets
@@ -860,7 +879,6 @@ impl Executor {
         for attempt in first..attempts {
             if attempt > 0 {
                 self.retries.fetch_add(1, Ordering::Relaxed);
-                self.metric_inc("executor.retries", 1);
                 let span = self.tracer.begin();
                 std::thread::sleep(retry_backoff(&self.policy, tag, attempt));
                 self.end_span("backoff", span, labels, &[("attempt", attempt.to_string())]);
@@ -951,6 +969,7 @@ impl Executor {
                         cfg: job.cfg.clone(),
                         pm: job.pm.clone(),
                         budget,
+                        plan: FaultPlan::none(),
                     }];
                     let (mut results, _) = self.run_attempt(pool, id, attempt, &mut alone);
                     results.pop().expect("one run, one result")
@@ -988,6 +1007,7 @@ impl Executor {
                 cfg: job.cfg.clone(),
                 pm: job.pm.clone(),
                 budget,
+                plan: FaultPlan::none(),
             })
             .collect();
         let labels: Vec<[(&'static str, String); 2]> =
@@ -998,7 +1018,6 @@ impl Executor {
             isolated(|| self.with_worker_pool(n, |pool| self.run_attempt(pool, id, 0, &mut runs)));
         let wall = started.elapsed().as_secs_f64() / n as f64;
         self.groups.fetch_add(1, Ordering::Relaxed);
-        self.metric_inc("executor.groups", 1);
         let forks = outcome.as_ref().map_or(0, |(_, parked)| *parked);
         self.end_span(
             "group",
@@ -1108,7 +1127,6 @@ impl Executor {
             }
             Err(failure) => {
                 end_task("quarantined", failure.attempts);
-                self.metric_inc("executor.quarantines", 1);
                 self.tracer.instant(
                     "executor",
                     "quarantine",
@@ -1320,23 +1338,27 @@ fn error_chain(e: &dyn std::error::Error) -> String {
 
 /// Deterministic jittered backoff for retry `attempt` (1-based): an
 /// exponential delay in `[exp/2, exp]` where `exp = base * 2^(attempt-1)`
-/// capped, jittered by a seeded hash of (seed, task tag, attempt) so
-/// colliding retries decorrelate reproducibly — no wall-clock or RNG state
-/// enters the schedule.
+/// capped, jittered by a hash of (task tag, attempt) so colliding retries
+/// decorrelate reproducibly — no wall-clock or RNG state enters the
+/// schedule. The hashed text keeps the `0` it has always carried for a seed.
 fn retry_backoff(exec: &ExecutorConfig, tag: &str, attempt: u32) -> Duration {
     let exp = exec
         .backoff_base_ms
         .saturating_mul(1u64 << attempt.saturating_sub(1).min(10))
         .min(exec.backoff_cap_ms)
         .max(1);
-    let text = format!("backoff:{}:{tag}:{attempt}", exec.backoff_seed);
+    let text = format!("backoff:0:{tag}:{attempt}");
     let h = fnv1a_64(text.as_bytes());
     let half = exp / 2;
     Duration::from_millis(half + h % (exp - half + 1))
 }
 
 /// Observational counters for the scenario-level scheduler (never part of
-/// any artifact: they depend on scheduling).
+/// any artifact: they depend on scheduling). The one store of the
+/// executor's run counters: a sweep's manifest carries them as its
+/// `run_stats` line ([`ShardStats::to_json`], read back by
+/// [`ShardStats::from_json`]), and [`Executor::metrics`] exports them under
+/// their trace names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardStats {
     /// Scenario runs (and campaign cells) served by worker-pool shards,
@@ -1351,6 +1373,8 @@ pub struct ShardStats {
     pub replayed: u64,
     /// Retry attempts spent by the attempt loop.
     pub retries: u64,
+    /// Scenario tasks quarantined ([`Executor::quarantined`]).
+    pub quarantined: u64,
     /// Group tasks run: each ticks one GPU trunk for its members' shared
     /// attempt.
     pub groups: u64,
@@ -1360,6 +1384,78 @@ pub struct ShardStats {
     pub parked: u64,
     /// GPU cycles parked members re-ticked to rebuild their prefixes.
     pub prefix_reticks: u64,
+}
+
+impl ShardStats {
+    /// Each counter as (manifest key, trace name, value), in manifest
+    /// order. The trace name is `None` for the two counters a trace never
+    /// carried.
+    fn entries(&self) -> [(&'static str, Option<&'static str>, u64); 10] {
+        let ShardStats {
+            scenario_tasks,
+            steals,
+            dc_cache_hits,
+            replayed,
+            retries,
+            quarantined,
+            groups,
+            gpu_ticks,
+            parked,
+            prefix_reticks,
+        } = *self;
+        [
+            ("scenario_tasks", None, scenario_tasks),
+            ("steals", Some("executor.steals"), steals),
+            ("dc_cache_hits", None, dc_cache_hits),
+            ("replayed", Some("executor.replays"), replayed),
+            ("retries", Some("executor.retries"), retries),
+            ("quarantined", Some("executor.quarantines"), quarantined),
+            ("groups", Some("executor.groups"), groups),
+            ("gpu_ticks", Some("cosim.gpu_ticks"), gpu_ticks),
+            ("parked", Some("cosim.parked"), parked),
+            (
+                "prefix_reticks",
+                Some("cosim.prefix_reticks"),
+                prefix_reticks,
+            ),
+        ]
+    }
+
+    /// The counters a trace carries, under their trace names.
+    fn trace_counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        self.entries()
+            .into_iter()
+            .filter_map(|(_, name, value)| Some((name?, value)))
+    }
+
+    /// The manifest's `run_stats` line.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let mut fields = vec![("type", Json::from("run_stats"))];
+        fields.extend(
+            self.entries()
+                .map(|(key, _, value)| (key, Json::from(value))),
+        );
+        Json::obj(fields)
+    }
+
+    /// Reads a `run_stats` line back; a missing key reads 0.
+    #[must_use]
+    pub fn from_json(line: &Json) -> ShardStats {
+        let c = |key: &str| line.get(key).and_then(Json::as_u64).unwrap_or(0);
+        ShardStats {
+            scenario_tasks: c("scenario_tasks"),
+            steals: c("steals"),
+            dc_cache_hits: c("dc_cache_hits"),
+            replayed: c("replayed"),
+            retries: c("retries"),
+            quarantined: c("quarantined"),
+            groups: c("groups"),
+            gpu_ticks: c("gpu_ticks"),
+            parked: c("parked"),
+            prefix_reticks: c("prefix_reticks"),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -87,9 +87,9 @@ pub struct SweepResult {
     /// scenario) for a deterministic manifest.
     pub quarantined: Vec<QuarantineRecord>,
     /// The executor's counters at the end of the sweep (tasks, steals,
-    /// cache hits, replays, retries, GPU trunks). Observational — scheduling-dependent
-    /// — so they appear only in the non-deterministic manifest
-    /// (`run_stats` line), never in golden trees.
+    /// cache hits, replays, retries, quarantines, GPU trunks).
+    /// Observational — scheduling-dependent — so they appear only in the
+    /// non-deterministic manifest (`run_stats` line), never in golden trees.
     pub stats: ShardStats,
 }
 
@@ -126,7 +126,8 @@ fn cost_weight(id: ExperimentId) -> u64 {
         ExperimentId::Fig8 | ExperimentId::Table3 => 48,
         // baseline + conventional-PM + VS-PM suites
         ExperimentId::Fig15 | ExperimentId::Fig16 | ExperimentId::Fig17 => 36,
-        // latency sensitivity: a handful of suites
+        // no suite: 24 co-sims (circuit-only and cross-layer per
+        // scenario) on a private pool, about two suites' worth
         ExperimentId::Fig11 => 30,
         // baseline + cross-layer suite
         ExperimentId::Fig14 => 24,
@@ -288,19 +289,7 @@ impl SweepResult {
             // they never enter deterministic (golden) manifests — and the
             // golden byte-diff skips manifest files entirely, so growing
             // this line is schema-safe.
-            manifest_lines.push(Json::obj([
-                ("type", Json::from("run_stats")),
-                ("scenario_tasks", Json::from(self.stats.scenario_tasks)),
-                ("steals", Json::from(self.stats.steals)),
-                ("dc_cache_hits", Json::from(self.stats.dc_cache_hits)),
-                ("replayed", Json::from(self.stats.replayed)),
-                ("retries", Json::from(self.stats.retries)),
-                ("quarantined", Json::from(self.quarantined.len() as u64)),
-                ("groups", Json::from(self.stats.groups)),
-                ("gpu_ticks", Json::from(self.stats.gpu_ticks)),
-                ("parked", Json::from(self.stats.parked)),
-                ("prefix_reticks", Json::from(self.stats.prefix_reticks)),
-            ]));
+            manifest_lines.push(self.stats.to_json());
         }
         for run in &self.runs {
             let mut line = vec![

@@ -6,6 +6,7 @@
 
 use vs_bench::campaign::{campaign_pds, fault_scenarios, run_campaign};
 use vs_bench::{Executor, RunSettings};
+use vs_telemetry::Event;
 
 /// Small enough for debug-mode CI: 21 supervised heartwall runs per sweep.
 fn micro() -> RunSettings {
@@ -32,17 +33,17 @@ fn campaign_is_bit_identical_across_worker_counts() {
 
     let mut runs = Vec::new();
     for jobs in [1usize, 2, 8] {
-        let cells = run_campaign(&Executor::default(), &settings, jobs);
+        let rows = run_campaign(&Executor::default(), &settings, jobs);
         // 14 cross-layer cells + 7 circuit-only cells, canonical order.
-        assert_eq!(cells.len(), 21, "--jobs {jobs}");
+        assert_eq!(rows.len(), 21, "--jobs {jobs}");
         assert!(
-            cells.iter().all(|c| c.verdict != "quarantined"),
+            rows.iter().all(|r| r.verdict != "quarantined"),
             "--jobs {jobs}: clean campaign must not quarantine"
         );
-        // Byte-level view: the JSONL event each cell would emit.
-        let jsonl: Vec<String> = cells
-            .iter()
-            .map(|c| c.event().to_json().to_string_compact())
+        // Byte-level view: the JSONL event each row is emitted as.
+        let jsonl: Vec<String> = rows
+            .into_iter()
+            .map(|r| Event::FaultRow(r).to_json().to_string_compact())
             .collect();
         runs.push((jobs, jsonl));
     }

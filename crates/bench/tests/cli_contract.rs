@@ -11,14 +11,22 @@
 //! two files), `sweep run --diff` and `dse --diff`. Each exits 0 within
 //! tolerance and 1 on drift, naming the key; 1, naming the file, when a
 //! candidate artifact is missing or unparseable or a baseline artifact is
-//! unparseable; and 2 when the baseline path does not exist. The runs
-//! behind them are the constant experiments and one dse point at the tiny
-//! profile, a fraction of a second each.
+//! unparseable; and 2 when the baseline path does not exist. `sweep run
+//! --diff` and `dse --diff` check the baseline and the tolerance file
+//! before they simulate, so a missing one exits 2 with nothing written.
+//! The runs behind them are the constant experiments and one dse point at
+//! the tiny profile, a fraction of a second each.
+//!
+//! `serve --stdio --trace` writes its trace into its store directory when
+//! the session ends.
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
+use vs_bench::serve::code_fingerprint;
 use vs_telemetry::json::{self, Json};
+use vs_telemetry::parse_chrome_trace;
 
 /// The long-running drivers whose flag surface the serve/sweep/dse/fault
 /// campaign walkthroughs lean on.
@@ -180,6 +188,7 @@ fn malformed_env_profile_is_rejected_before_any_run() {
 
 const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
 const DSE: &str = env!("CARGO_BIN_EXE_dse");
+const SERVE: &str = env!("CARGO_BIN_EXE_serve");
 
 /// The checked-in golden tree.
 fn goldens() -> PathBuf {
@@ -333,7 +342,23 @@ fn sweep_run_diffs_its_output_against_a_golden_tree() {
     std::fs::write(&fig5, &blessed).unwrap();
     truncate(&fig5);
     diff(&golden, 1, s(&fig5));
-    diff(&dir.join("nowhere"), 2, "nowhere");
+    // A missing golden or tolerance file exits 2 before the sweep runs:
+    // a fresh --out holds no manifest afterwards.
+    let fresh = dir.join("fresh");
+    let early = |extra: &[&str], needle: &str| {
+        let args = [&run[..], &["table1,fig5", "--out", s(&fresh)], extra].concat();
+        expect(SWEEP, &args, 2, needle);
+        assert!(
+            !fresh.join("manifest.jsonl").exists(),
+            "{extra:?} ran the sweep first"
+        );
+    };
+    early(&["--diff", s(&dir.join("nowhere"))], "nowhere");
+    let no_spec = dir.join("no-tolerances.json");
+    early(
+        &["--diff", s(&golden), "--tolerances", s(&no_spec)],
+        "no-tolerances.json",
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -354,8 +379,67 @@ fn dse_diffs_its_frontier_against_a_golden_file_or_directory() {
     diff(&golden, 1, "dse.pde{");
     truncate(&frontier);
     diff(&frontier, 1, s(&frontier));
-    diff(&dir.join("nowhere"), 2, "nowhere");
+    // A missing golden or tolerance file exits 2 before dse runs: a fresh
+    // --out holds no frontier afterwards.
+    let fresh = dir.join("fresh");
+    let early = |extra: &[&str], needle: &str| {
+        let args = [&run[..], &["--out", s(&fresh)], extra].concat();
+        expect(DSE, &args, 2, needle);
+        assert!(
+            !fresh.join("dse_frontier.jsonl").exists(),
+            "{extra:?} ran dse first"
+        );
+    };
+    early(&["--diff", s(&dir.join("nowhere"))], "nowhere");
+    let no_spec = dir.join("no-tolerances.json");
+    early(
+        &["--diff", s(&golden), "--tolerances", s(&no_spec)],
+        "no-tolerances.json",
+    );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn serve_writes_its_trace_into_the_store() {
+    let store = scratch("serve-trace");
+    let mut child = Command::new(SERVE)
+        .args([
+            "--stdio",
+            "--trace",
+            "--progress",
+            "off",
+            "--store",
+            s(&store),
+        ])
+        .env("VS_BENCH_SCALE", "0.02")
+        .env("VS_BENCH_MAX_CYCLES", "8000")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(
+            b"{\"id\":\"p\",\"kind\":\"point\",\"point\":\"area=0.2\"}\n\
+              {\"id\":\"z\",\"kind\":\"shutdown\"}\n",
+        )
+        .expect("write requests");
+    let out = child.wait_with_output().expect("serve exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    let trace = store.join(code_fingerprint()).join("trace.json");
+    let text = std::fs::read_to_string(&trace)
+        .unwrap_or_else(|e| panic!("{}: {e}; stderr: {stderr}", trace.display()));
+    let (events, metrics) = parse_chrome_trace(&text).expect("trace parses");
+    // One task span per scenario of the point's suite, and the executor's
+    // run counters under their trace names.
+    assert_eq!(events.iter().filter(|e| e.name == "task").count(), 12);
+    let metrics = metrics.expect("the trace embeds the executor metrics");
+    assert_eq!(metrics.counter("executor.groups"), Some(12));
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]

@@ -22,6 +22,11 @@
 //! 4. two servers on two fresh stores in one process are independent: the
 //!    second computes the point on its own executor and journals into its
 //!    own store, while the first one's store and stats stay put.
+//!
+//! A second test sends `space` requests: each unique point runs once
+//! (`running`), its own `point` request then answers `cached`, a repeat
+//! answers `cached` per point with a byte-identical `done`, and equal
+//! points count once.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -32,6 +37,7 @@ use vs_bench::shard::SuiteKey;
 use vs_bench::space::ConfigPoint;
 use vs_bench::RunSettings;
 use vs_core::ScenarioId;
+use vs_telemetry::json::{self, Json};
 
 /// Small enough for debug-mode CI: one suite, 12 scenarios.
 fn micro() -> RunSettings {
@@ -226,4 +232,79 @@ fn concurrent_requests_join_and_cold_restarts_serve_from_store() {
     // Shutdown closes the session.
     let mut buf = Vec::new();
     assert!(!server4.handle_line(r#"{"id":"z","kind":"shutdown"}"#, &mut buf).unwrap());
+}
+
+/// A response line's stage (`accepted`, `running`, `done`, ...).
+fn stage(line: &str) -> String {
+    let v = json::parse(line).expect("response line is JSON");
+    v.get("name")
+        .and_then(Json::as_str)
+        .expect("a stage")
+        .to_string()
+}
+
+/// The value of a response line's arg `key`.
+fn arg(line: &str, key: &str) -> String {
+    let v = json::parse(line).expect("response line is JSON");
+    v.get("args")
+        .and_then(|args| args.get(key))
+        .and_then(Json::as_str)
+        .unwrap_or_else(|| panic!("no {key} in {line}"))
+        .to_string()
+}
+
+fn stages(lines: &[String]) -> Vec<String> {
+    lines.iter().map(|l| stage(l)).collect()
+}
+
+#[test]
+fn space_requests_run_each_unique_point_once_and_replay_byte_identically() {
+    let server = open(tmp("space"));
+    let space = r#"{"id":"s","kind":"space","space":"area=0.2|0.4"}"#;
+    let lines = handle(&server, space);
+    assert_eq!(
+        stages(&lines),
+        ["accepted", "running", "running", "done"],
+        "{lines:#?}"
+    );
+    let done = lines.last().expect("a done line").clone();
+    assert_eq!(arg(&done, "points"), "2");
+    assert_eq!(arg(&done, "unique"), "2");
+
+    // Each point's own request answers from the suite the space ran, and
+    // the space's min_v is the smaller of the two points'.
+    let mut min_v = f64::INFINITY;
+    for area in ["0.2", "0.4"] {
+        let req = format!(r#"{{"id":"p","kind":"point","point":"area={area}"}}"#);
+        let point = handle(&server, &req);
+        assert_eq!(stages(&point), ["accepted", "cached", "done"], "{point:#?}");
+        let v: f64 = arg(&done_line(&point), "min_v")
+            .parse()
+            .expect("min_v is a number");
+        min_v = min_v.min(v);
+    }
+    assert_eq!(arg(&done, "min_v"), min_v.to_string());
+
+    // A repeat answers cached per point, with a byte-identical done.
+    let again = handle(&server, space);
+    assert_eq!(
+        stages(&again),
+        ["accepted", "cached", "cached", "done"],
+        "{again:#?}"
+    );
+    assert_eq!(
+        again.last(),
+        Some(&done),
+        "a replayed space must be byte-identical"
+    );
+
+    // Two equal points are one unique point (the paper point, cached).
+    let dup = handle(
+        &server,
+        r#"{"id":"d","kind":"space","space":"latency=60|60"}"#,
+    );
+    assert_eq!(stages(&dup), ["accepted", "cached", "done"], "{dup:#?}");
+    let dup_done = done_line(&dup);
+    assert_eq!(arg(&dup_done, "points"), "2");
+    assert_eq!(arg(&dup_done, "unique"), "1");
 }

@@ -12,6 +12,7 @@ use vs_bench::shard::ExecutorConfig;
 use vs_bench::sweep::{run_sweep, SweepOptions};
 use vs_bench::{Executor, ExperimentId, RunSettings};
 use vs_core::{derive_seed, ScenarioId};
+use vs_telemetry::json::{self, Json};
 use vs_telemetry::{
     chrome_trace_json, parse_chrome_trace, write_atomic, ToleranceSpec, TraceEvent, TracePhase,
 };
@@ -163,6 +164,27 @@ fn traced_chaos_sweep_report_and_baseline_diff() {
     let stats = report.run_stats.expect("write_to records run_stats");
     assert_eq!(stats.quarantined, 2);
     assert_eq!(stats.retries, 6);
+    // The manifest line keeps the keys the benchmark ledger reads.
+    let manifest = std::fs::read_to_string(dir.join("manifest.jsonl")).unwrap();
+    let line = manifest.lines().find(|l| l.contains("\"run_stats\"")).unwrap();
+    let Json::Obj(fields) = json::parse(line).unwrap() else { panic!("{line}") };
+    let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "type",
+            "scenario_tasks",
+            "steals",
+            "dc_cache_hits",
+            "replayed",
+            "retries",
+            "quarantined",
+            "groups",
+            "gpu_ticks",
+            "parked",
+            "prefix_reticks"
+        ]
+    );
     let bfs = report
         .scenarios
         .iter()

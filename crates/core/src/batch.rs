@@ -1,7 +1,7 @@
 //! Pooled co-simulation: run many scenarios back-to-back on reusable
 //! circuit-solver workspaces, alone or as groups sharing one GPU trunk.
 //!
-//! Every [`Cosim`] owns a transient circuit solver whose warm-up —
+//! Every [`Cosim`](crate::Cosim) owns a transient circuit solver whose warm-up —
 //! matrix/vector buffers, LU scratch, and the DC operating point of the
 //! netlist — is pure overhead when runs execute in sequence (a suite sweep,
 //! a parameter scan, a fault campaign). [`CosimPool`] keeps its
@@ -17,16 +17,18 @@
 //! and each report is bit-identical to running that configuration alone
 //! (the `trunk_group` integration test). The pool keeps one workspace per
 //! group position, so position `i` of every group reuses the same
-//! workspace; single runs use the first.
+//! workspace. It is the pool's one way into the co-simulation:
+//! [`CosimPool::run_profile`] and [`CosimPool::run_scenario`] are groups of
+//! one, and a fault-campaign cell is a one-member group carrying its plan.
 
 use vs_circuit::SolverWorkspace;
 use vs_gpu::WorkloadProfile;
 
 use crate::config::CosimConfig;
-use crate::cosim::{run_group, Cosim, CosimReport, GroupOutcome, GroupRun, PowerManagement};
+use crate::cosim::{run_group, CosimReport, GroupOutcome, GroupRun, PowerManagement};
 use crate::fault::FaultPlan;
 use crate::scenarios::ScenarioId;
-use crate::supervisor::{CycleBudget, SupervisedReport, SupervisorConfig};
+use crate::supervisor::{CycleBudget, SupervisorConfig};
 
 /// Runs scenarios back-to-back, recycling [`SolverWorkspace`]s so every
 /// run after the first skips the circuit solver's warm-up allocations (and,
@@ -83,81 +85,46 @@ impl CosimPool {
     /// # Panics
     ///
     /// Panics if the circuit solver fails irrecoverably (see
-    /// [`Cosim::run`]); the workspace is lost with the panic.
+    /// [`Cosim::run`](crate::Cosim::run)).
     pub fn run_scenario(&mut self, cfg: &CosimConfig, id: ScenarioId) -> CosimReport {
-        self.run_scenario_with_pm(cfg, id, PowerManagement::default())
-    }
-
-    /// Runs one catalogue scenario under `cfg` with power management on the
-    /// pooled workspace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit solver fails irrecoverably (see
-    /// [`Cosim::run`]); the workspace is lost with the panic.
-    pub fn run_scenario_with_pm(
-        &mut self,
-        cfg: &CosimConfig,
-        id: ScenarioId,
-        pm: PowerManagement,
-    ) -> CosimReport {
-        let profile = id.profile();
-        self.run_profile(cfg, &profile, pm)
+        self.run_profile(cfg, &id.profile(), PowerManagement::default())
     }
 
     /// Runs one workload profile under `cfg` with power management on the
-    /// pooled workspace.
+    /// pooled workspace: a one-member [`CosimPool::run_group`] without
+    /// faults or watchdog, bit-identical to [`Cosim::run`](crate::Cosim::run).
     ///
     /// # Panics
     ///
     /// Panics if the circuit solver fails irrecoverably (see
-    /// [`Cosim::run`]); the workspace is lost with the panic.
+    /// [`Cosim::run`](crate::Cosim::run)).
     pub fn run_profile(
         &mut self,
         cfg: &CosimConfig,
         profile: &WorkloadProfile,
         pm: PowerManagement,
     ) -> CosimReport {
-        let ws = &mut self.workspaces(1)[0];
-        let mut cosim = Cosim::builder(cfg, profile)
-            .power_management(pm)
-            .workspace(std::mem::take(ws))
-            .build();
-        let report = cosim.run();
-        *ws = cosim.into_workspace();
-        report
-    }
-
-    /// Runs one workload profile under a supervisor and fault plan on the
-    /// pooled workspace (the pooled twin of [`Cosim::run_supervised`]),
-    /// under a watchdog [`CycleBudget`]: a deadline trip surfaces as
-    /// [`crate::CosimError::DeadlineExceeded`] in the report's `error` slot
-    /// (and classifies as an aborted verdict), letting the fault campaign's
-    /// sharded executor retry wedged cells. The workspace is recovered
-    /// whether the run completes or errors.
-    pub fn run_supervised_with_budget(
-        &mut self,
-        cfg: &CosimConfig,
-        profile: &WorkloadProfile,
-        sup: &SupervisorConfig,
-        plan: &FaultPlan,
-        budget: CycleBudget,
-    ) -> SupervisedReport {
-        let ws = &mut self.workspaces(1)[0];
-        let mut cosim = Cosim::builder(cfg, profile)
-            .workspace(std::mem::take(ws))
-            .budget(budget)
-            .build();
-        let report = cosim.run_supervised(sup, plan);
-        *ws = cosim.into_workspace();
-        report
+        let run = GroupRun {
+            cfg: cfg.clone(),
+            pm,
+            budget: CycleBudget::unlimited(),
+            plan: FaultPlan::none(),
+        };
+        let mut outcome = self.run_group(profile, &[run], &SupervisorConfig::default());
+        let run = outcome.reports.pop().expect("one run, one report");
+        if let Some(e) = run.error {
+            panic!("PDS transient step: {e}");
+        }
+        run.report
     }
 
     /// Runs `runs` of `profile` as one group on one GPU trunk, run `i` in
-    /// the pool's workspace `i`, without faults. Each report is
-    /// bit-identical to [`CosimPool::run_supervised_with_budget`] of that
-    /// run alone; a watchdog trip or solver failure ends that run only.
-    /// The workspaces are recovered however the runs end.
+    /// the pool's workspace `i`, each under its own watchdog budget and
+    /// fault plan. Each report is bit-identical to
+    /// [`Cosim::run_supervised`](crate::Cosim::run_supervised) of that run
+    /// alone; a watchdog trip, fault or solver failure ends that run only.
+    /// The workspaces are recovered however the runs end. Every run of the
+    /// pool goes through here.
     ///
     /// # Panics
     ///
@@ -221,6 +188,7 @@ mod tests {
             cfg: cfg.clone(),
             pm: PowerManagement::default(),
             budget,
+            plan: FaultPlan::none(),
         };
         let mut pool = CosimPool::new();
         // Warm the DC cache, then trip a budget deterministically mid-run.

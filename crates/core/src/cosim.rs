@@ -10,11 +10,12 @@
 //! issue widths, fake-instruction rates, and DCC ballast currents.
 //!
 //! A run splits into its GPU, the *trunk*, and its `Member` half: power
-//! model, PDS rig, controller, DFS/PG/hypervisor, and the SM controls its
-//! GPU ticks under. The GPU hears the rest of the run only through those
-//! controls, so runs of one workload that share a [`TrunkKey`] (kernel
-//! seed, workload scale, cycle cap, scheduler, initial controls) tick
-//! identical GPUs until their controls first differ.
+//! model, PDS rig, controller, DFS/PG/hypervisor, its watchdog budget and
+//! fault plan, and the SM controls its GPU ticks under. The GPU hears the
+//! rest of the run only through those controls, so runs of one workload
+//! that share a [`TrunkKey`] (kernel seed, workload scale, cycle cap,
+//! scheduler, initial controls) tick identical GPUs until their controls
+//! first differ, whatever faults each injects.
 //!
 //! The run loop is factored into explicit phases around a `RunState` that
 //! carries every loop-carried value. Per cycle the trunk ticks once, and
@@ -72,7 +73,6 @@ pub struct CosimBuilder<'a> {
     cfg: &'a CosimConfig,
     profile: &'a WorkloadProfile,
     pm: PowerManagement,
-    sup: SupervisorConfig,
     budget: CycleBudget,
     telemetry: Telemetry,
     workspace: SolverWorkspace,
@@ -80,13 +80,12 @@ pub struct CosimBuilder<'a> {
 
 impl<'a> CosimBuilder<'a> {
     /// Starts a builder for running `profile` under `cfg` with no power
-    /// management, the default supervisor, and telemetry disabled.
+    /// management and telemetry disabled.
     pub fn new(cfg: &'a CosimConfig, profile: &'a WorkloadProfile) -> Self {
         CosimBuilder {
             cfg,
             profile,
             pm: PowerManagement::default(),
-            sup: SupervisorConfig::default(),
             budget: CycleBudget::unlimited(),
             telemetry: Telemetry::disabled(),
             workspace: SolverWorkspace::new(),
@@ -96,14 +95,6 @@ impl<'a> CosimBuilder<'a> {
     /// Enables DFS / PG / hypervisor power management for the run.
     pub fn power_management(mut self, pm: PowerManagement) -> Self {
         self.pm = pm;
-        self
-    }
-
-    /// Sets the supervisor policy [`Cosim::run`] applies (recovery policy,
-    /// guardband, tolerance). [`Cosim::run_supervised`] still takes its
-    /// supervisor explicitly.
-    pub fn supervisor(mut self, sup: SupervisorConfig) -> Self {
-        self.sup = sup;
         self
     }
 
@@ -142,13 +133,12 @@ impl<'a> CosimBuilder<'a> {
         let gpu = TrunkSpec::new(self.cfg, &self.pm, self.profile).gpu();
         Cosim {
             gpu,
-            sup: self.sup,
-            member: self.member(),
+            member: self.member(FaultPlan::none()),
         }
     }
 
-    /// Assembles everything of the run but its GPU.
-    fn member(self) -> Member {
+    /// Assembles everything of the run but its GPU, to run under `plan`.
+    fn member(self, plan: FaultPlan) -> Member {
         let cfg = self.cfg;
         let pm = self.pm;
         let gpu_config = GpuConfig::default();
@@ -190,6 +180,7 @@ impl<'a> CosimBuilder<'a> {
             cfg: cfg.clone(),
             pm,
             budget: self.budget,
+            plan,
             power,
             rig,
             controller,
@@ -372,7 +363,6 @@ impl CosimReport {
 /// finished state).
 pub struct Cosim {
     gpu: Gpu,
-    sup: SupervisorConfig,
     member: Member,
 }
 
@@ -382,6 +372,8 @@ pub(crate) struct Member {
     cfg: CosimConfig,
     pm: PowerManagement,
     budget: CycleBudget,
+    /// Interpreted every cycle: sensing, actuation, CR-IVR and load faults.
+    plan: FaultPlan,
     power: PowerModel,
     rig: PdsRig,
     controller: Option<VoltageController>,
@@ -401,8 +393,8 @@ const LAYER_MIN_V_BOUNDS: [f64; 9] = [0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 1.00, 
 
 /// All loop-carried state of one supervised run, threaded through the
 /// cycle phases. Construct with `Member::run_begin`, consume with
-/// `Member::run_finish`, and always pass the same `sup`/`plan` to every
-/// phase of one run.
+/// `Member::run_finish`, and always pass the same `sup` to every phase of
+/// one run.
 struct RunState {
     n_sms: usize,
     dt: f64,
@@ -472,8 +464,9 @@ pub struct GroupStats {
     pub prefix_reticks: u64,
 }
 
-/// One run of a group: its configuration, power management and watchdog
-/// budget. The group's runs share the workload profile and a [`TrunkKey`].
+/// One run of a group: its configuration, power management, watchdog
+/// budget and fault plan. The group's runs share the workload profile and
+/// a [`TrunkKey`]; a fault plan acts on its own run's member side only.
 #[derive(Debug, Clone)]
 pub struct GroupRun {
     /// The run's configuration.
@@ -482,6 +475,8 @@ pub struct GroupRun {
     pub pm: PowerManagement,
     /// The run's watchdog budget (see [`CosimBuilder::budget`]).
     pub budget: CycleBudget,
+    /// The faults the run injects (see [`Cosim::run_supervised`]).
+    pub plan: FaultPlan,
 }
 
 /// The result of [`crate::CosimPool::run_group`]: one report and one ride
@@ -511,12 +506,9 @@ struct Group<'m> {
 
 impl<'m> Group<'m> {
     /// Begins every member's run; all of them ride.
-    fn new(members: &'m mut [Member], sup: &SupervisorConfig, plan: &FaultPlan) -> Self {
+    fn new(members: &'m mut [Member], sup: &SupervisorConfig) -> Self {
         let n = members.len();
-        let states = members
-            .iter_mut()
-            .map(|m| Some(m.run_begin(sup, plan)))
-            .collect();
+        let states = members.iter_mut().map(|m| Some(m.run_begin(sup))).collect();
         Group {
             members,
             states,
@@ -534,7 +526,7 @@ impl<'m> Group<'m> {
     /// each rider's pre-solve, solve and post-solve phases, then the fork
     /// rule. A rider that stops (watchdog, fault or solver error) finishes
     /// at once, reading the GPU as a lone run would.
-    fn ride(&mut self, gpu: &mut Gpu, sup: &SupervisorConfig, plan: &FaultPlan) {
+    fn ride(&mut self, gpu: &mut Gpu, sup: &SupervisorConfig) {
         let mut riders = std::mem::take(&mut self.riders);
         let Some(&first) = riders.first() else { return };
         let max_cycles = self.members[first].cfg.max_cycles;
@@ -560,8 +552,8 @@ impl<'m> Group<'m> {
             riders.retain(|&m| {
                 let st = self.states[m].as_mut().expect("a rider's run is open");
                 let member = &mut self.members[m];
-                if member.cycle_pre(&self.events, now, st, plan) && member.scalar_solve(st) {
-                    member.cycle_post(gpu, st, sup, plan);
+                if member.cycle_pre(&self.events, now, st) && member.scalar_solve(st) {
+                    member.cycle_post(gpu, st, sup);
                     return true;
                 }
                 self.finish(m, gpu, sup);
@@ -618,7 +610,7 @@ impl<'m> Group<'m> {
 
     /// Re-ticks each parked member's prefix on a fresh GPU from `spec` and
     /// runs it to its end alone, one GPU at a time.
-    fn finish_parked(&mut self, spec: &TrunkSpec, sup: &SupervisorConfig, plan: &FaultPlan) {
+    fn finish_parked(&mut self, spec: &TrunkSpec, sup: &SupervisorConfig) {
         for (m, at) in std::mem::take(&mut self.parked) {
             let mut gpu = spec.gpu();
             for _ in 0..at {
@@ -630,7 +622,7 @@ impl<'m> Group<'m> {
                 gpu.set_sm_control(sm, *c);
             }
             self.riders.push(m);
-            self.ride(&mut gpu, sup, plan);
+            self.ride(&mut gpu, sup);
         }
     }
 
@@ -707,13 +699,12 @@ pub(crate) fn run_group(
                 .power_management(run.pm.clone())
                 .budget(run.budget)
                 .workspace(std::mem::take(ws))
-                .member()
+                .member(run.plan.clone())
         })
         .collect();
-    let plan = FaultPlan::none();
-    let mut group = Group::new(&mut members, sup, &plan);
-    group.ride(&mut spec.gpu(), sup, &plan);
-    group.finish_parked(&spec, sup, &plan);
+    let mut group = Group::new(&mut members, sup);
+    group.ride(&mut spec.gpu(), sup);
+    group.finish_parked(&spec, sup);
     let outcome = group.into_outcome();
     for (ws, member) in workspaces.iter_mut().zip(members) {
         *ws = member.rig.into_workspace();
@@ -728,17 +719,16 @@ impl Cosim {
     }
 
     /// Tears the finished run down into the circuit solver's reusable
-    /// [`SolverWorkspace`] so the next scenario skips its warm-up
-    /// allocations (the mechanism behind [`crate::CosimPool`]).
+    /// [`SolverWorkspace`], so the next run built on it
+    /// ([`CosimBuilder::workspace`]) skips its warm-up allocations.
     pub fn into_workspace(self) -> SolverWorkspace {
         self.member.rig.into_workspace()
     }
 
     /// Runs to kernel completion (or the cycle cap) and reports.
     ///
-    /// Equivalent to a fault-free [`Cosim::run_supervised`] under the
-    /// builder's supervisor ([`SupervisorConfig::default`] unless
-    /// [`CosimBuilder::supervisor`] overrode it).
+    /// Equivalent to a fault-free [`Cosim::run_supervised`] under
+    /// [`SupervisorConfig::default`].
     ///
     /// # Panics
     ///
@@ -746,8 +736,7 @@ impl Cosim {
     /// contract of this entry point; use [`Cosim::run_supervised`] to get a
     /// verdict instead of a panic).
     pub fn run(&mut self) -> CosimReport {
-        let sup = self.sup;
-        let run = self.run_supervised(&sup, &FaultPlan::none());
+        let run = self.run_supervised(&SupervisorConfig::default(), &FaultPlan::none());
         if let Some(e) = run.error {
             panic!("PDS transient step: {e}");
         }
@@ -759,11 +748,13 @@ impl Cosim {
     /// CR-IVR, and load faults), tracks per-layer time below the voltage
     /// guardband, and classifies the finished run into a
     /// [`crate::RunVerdict`] instead of panicking on solver failure. It is
-    /// the one-member case of the group loop (see the module docs): the
-    /// lone member always keeps its trunk, so it never parks.
+    /// the one-member case of the group loop (see the module docs), with
+    /// `plan` installed on its member: the lone member always keeps its
+    /// trunk, so it never parks.
     pub fn run_supervised(&mut self, sup: &SupervisorConfig, plan: &FaultPlan) -> SupervisedReport {
-        let mut group = Group::new(std::slice::from_mut(&mut self.member), sup, plan);
-        group.ride(&mut self.gpu, sup, plan);
+        self.member.plan = plan.clone();
+        let mut group = Group::new(std::slice::from_mut(&mut self.member), sup);
+        group.ride(&mut self.gpu, sup);
         let mut outcome = group.into_outcome();
         outcome.reports.pop().expect("one member, one report")
     }
@@ -772,13 +763,13 @@ impl Cosim {
 impl Member {
     /// Sets up one supervised run: installs the recovery policy, allocates
     /// every loop-carried buffer, and emits the telemetry manifest.
-    fn run_begin(&mut self, sup: &SupervisorConfig, plan: &FaultPlan) -> RunState {
+    fn run_begin(&mut self, sup: &SupervisorConfig) -> RunState {
         let n_sms = self.rig.n_sms();
         let dt = 1.0 / self.power.clock_hz();
         let v_nominal = self.power.v_nominal();
         let (n_layers, layer_columns) = self.rig.topology();
         self.rig.set_recovery_policy(sup.recovery);
-        let streams = plan.event_streams();
+        let streams = self.plan.event_streams();
         // Last sample actually delivered to the controller per SM, for
         // dropout's sample-and-hold semantics.
         let held_sample = vec![v_nominal; n_sms];
@@ -837,7 +828,7 @@ impl Member {
             // Whether each CR-IVR fault event currently has its scale
             // applied (so window edges retune the circuit exactly once per
             // transition).
-            crivr_applied: vec![false; plan.events().len()],
+            crivr_applied: vec![false; self.plan.events().len()],
             dcc_power: vec![0.0; n_sms],
             min_v: f64::INFINITY,
             max_v: f64::NEG_INFINITY,
@@ -867,13 +858,7 @@ impl Member {
     /// fault application. Returns `false` when a fault could not be applied
     /// (the error sits in the state) and the run must stop; otherwise the
     /// cycle's loads sit in the state, ready to stage onto the solver.
-    fn cycle_pre(
-        &mut self,
-        events: &GpuCycleEvents,
-        cycle: u64,
-        st: &mut RunState,
-        plan: &FaultPlan,
-    ) -> bool {
+    fn cycle_pre(&mut self, events: &GpuCycleEvents, cycle: u64, st: &mut RunState) -> bool {
         self.rig.sm_voltages_into(&mut st.voltages);
 
         let span = self.telemetry.stages.start();
@@ -896,7 +881,7 @@ impl Member {
         // retunes the netlist on window edges; load glitches corrupt the
         // power telemetry the solver is about to consume.
         st.cycle = cycle;
-        for (i, ev) in plan.events().iter().enumerate() {
+        for (i, ev) in self.plan.events().iter().enumerate() {
             match ev.kind {
                 FaultKind::CrIvr { column, fault } => {
                     let want = ev.window.active(cycle);
@@ -951,13 +936,7 @@ impl Member {
     /// the epoch power management write the member's controls; `gpu` is
     /// read only for the DFS epoch's instruction counts.
     #[allow(clippy::too_many_lines)]
-    fn cycle_post(
-        &mut self,
-        gpu: &Gpu,
-        st: &mut RunState,
-        sup: &SupervisorConfig,
-        plan: &FaultPlan,
-    ) {
+    fn cycle_post(&mut self, gpu: &Gpu, st: &mut RunState, sup: &SupervisorConfig) {
         let cycle = st.cycle;
         self.rig.sm_voltages_into(&mut st.voltages);
         for (sm, v) in st.voltages.iter().enumerate() {
@@ -1015,7 +994,7 @@ impl Member {
             let span = self.telemetry.stages.start();
             st.sensed.clear();
             st.sensed.extend_from_slice(&st.voltages);
-            for (i, ev) in plan.events().iter().enumerate() {
+            for (i, ev) in self.plan.events().iter().enumerate() {
                 if let FaultKind::Detector { sm, fault } = ev.kind {
                     if ev.window.active(cycle) {
                         st.sensed[sm] =
@@ -1026,7 +1005,7 @@ impl Member {
             st.held_sample.copy_from_slice(&st.sensed);
             st.commands.clear();
             st.commands.extend_from_slice(ctrl.update(&st.sensed));
-            for ev in plan.events() {
+            for ev in self.plan.events() {
                 if let FaultKind::Actuator { sm, fault } = ev.kind {
                     if ev.window.active(cycle) {
                         fault.apply(&mut st.commands[sm], &st.dac);

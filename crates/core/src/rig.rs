@@ -111,18 +111,6 @@ impl PdsRig {
         Self::with_params(kind, &PdnParams::default(), dt, controller_power_w)
     }
 
-    /// Like [`PdsRig::new`], but constructing the circuit solver inside a
-    /// reusable [`SolverWorkspace`] (preallocated buffers plus the cached DC
-    /// operating point of the previous run with the same netlist).
-    pub fn new_in(
-        kind: PdsKind,
-        dt: f64,
-        controller_power_w: f64,
-        workspace: SolverWorkspace,
-    ) -> Self {
-        Self::with_params_in(kind, &PdnParams::default(), dt, controller_power_w, workspace)
-    }
-
     /// Builds the rig with explicit electrical parameters (used by the
     /// stack-depth and topology ablations).
     pub fn with_params(

@@ -47,8 +47,8 @@ impl Default for SupervisorConfig {
 /// The sweep's task watchdog cannot rely on preemption (the dev host has one
 /// core, and a wedged solver call would starve any sibling watchdog thread),
 /// so the deadline is checked *cooperatively* inside the hot loop: a
-/// wall-clock deadline sampled every [`CycleBudget::check_stride`] cycles
-/// (`Instant::now` off the hot path's every-cycle cost), plus a
+/// wall-clock deadline sampled every 1024 cycles (`Instant::now` off the
+/// hot path's every-cycle cost), plus a
 /// deterministic `trip_at_cycle` hook that test/chaos harnesses use to
 /// simulate a stalled task without real waiting. An exceeded budget aborts
 /// the run with [`CosimError::DeadlineExceeded`]; the default
@@ -63,15 +63,12 @@ pub struct CycleBudget {
     /// injection — it behaves exactly like a blown wall-clock deadline
     /// without depending on host speed.
     pub trip_at_cycle: Option<u64>,
-    /// Cycles between wall-clock checks (0 is treated as 1). The default
-    /// constructors use 1024: coarse enough that `Instant::now` never shows
-    /// up in the stage profile, fine enough that a deadline overshoots by
-    /// at most a few hundred microseconds of simulation.
-    pub check_stride: u64,
 }
 
-/// Default cycles between wall-clock deadline checks.
-const DEFAULT_CHECK_STRIDE: u64 = 1024;
+/// Cycles between wall-clock deadline checks: coarse enough that
+/// `Instant::now` never shows up in the stage profile, fine enough that a
+/// deadline overshoots by at most a few hundred microseconds of simulation.
+const CHECK_STRIDE: u64 = 1024;
 
 impl CycleBudget {
     /// No limits: the check compiles down to two `None` tests per cycle.
@@ -87,7 +84,6 @@ impl CycleBudget {
         CycleBudget {
             deadline: Some(Instant::now() + limit),
             trip_at_cycle: None,
-            check_stride: DEFAULT_CHECK_STRIDE,
         }
     }
 
@@ -98,13 +94,11 @@ impl CycleBudget {
         CycleBudget {
             deadline: None,
             trip_at_cycle: Some(cycle),
-            check_stride: DEFAULT_CHECK_STRIDE,
         }
     }
 
     /// Whether the budget is exceeded at `cycle`. Cheap when unlimited;
-    /// samples the wall clock only every [`CycleBudget::check_stride`]
-    /// cycles.
+    /// samples the wall clock only every 1024 cycles.
     #[inline]
     #[must_use]
     pub fn exceeded(&self, cycle: u64) -> bool {
@@ -114,7 +108,7 @@ impl CycleBudget {
             }
         }
         if let Some(deadline) = self.deadline {
-            if cycle.is_multiple_of(self.check_stride.max(1)) && Instant::now() >= deadline {
+            if cycle.is_multiple_of(CHECK_STRIDE) && Instant::now() >= deadline {
                 return true;
             }
         }
@@ -336,7 +330,6 @@ mod tests {
         let b = CycleBudget {
             deadline: Some(Instant::now() - Duration::from_secs(1)),
             trip_at_cycle: None,
-            check_stride: 1024,
         };
         assert!(b.exceeded(0));
         assert!(!b.exceeded(1));
@@ -345,13 +338,6 @@ mod tests {
         // A generous deadline does not trip.
         let b = CycleBudget::wall_clock(Duration::from_secs(3600));
         assert!(!b.exceeded(0));
-        // Zero stride is treated as every cycle, not a division hazard.
-        let b = CycleBudget {
-            deadline: Some(Instant::now() - Duration::from_secs(1)),
-            trip_at_cycle: None,
-            check_stride: 0,
-        };
-        assert!(b.exceeded(7));
     }
 
     #[test]

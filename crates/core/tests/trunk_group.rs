@@ -9,13 +9,15 @@
 //! thresholds and two actuator mixes, DFS through the hypervisor) and in a
 //! power-gating group on the GATES scheduler. A member whose watchdog trips
 //! inside the shared prefix fails alone, at its cycle, while its siblings
-//! stay bit-identical.
+//! stay bit-identical. Members that inject different faults share a trunk
+//! too: each plan acts on its own member only.
 
 use vs_circuit::{StepReport, TraceSummary};
-use vs_control::ActuatorWeights;
+use vs_control::{ActuatorWeights, DetectorFault};
 use vs_core::{
-    Cosim, CosimConfig, CosimError, CosimPool, CycleBudget, EnergyLedger, FaultPlan, GroupRun,
-    PdsKind, PowerManagement, Ride, ScenarioId, SupervisedReport, SupervisorConfig,
+    Cosim, CosimConfig, CosimError, CosimPool, CrIvrFault, CycleBudget, EnergyLedger, FaultKind,
+    FaultPlan, FaultWindow, GroupRun, PdsKind, PowerManagement, Ride, ScenarioId, SupervisedReport,
+    SupervisorConfig,
 };
 use vs_hypervisor::{DfsConfig, PgConfig};
 
@@ -43,6 +45,7 @@ fn run(cfg: CosimConfig, pm: PowerManagement) -> GroupRun {
         cfg,
         pm,
         budget: CycleBudget::unlimited(),
+        plan: FaultPlan::none(),
     }
 }
 
@@ -97,7 +100,7 @@ fn lone(id: ScenarioId, run: &GroupRun) -> SupervisedReport {
         .power_management(run.pm.clone())
         .budget(run.budget)
         .build()
-        .run_supervised(&SupervisorConfig::default(), &FaultPlan::none())
+        .run_supervised(&SupervisorConfig::default(), &run.plan)
 }
 
 fn ledger_bits(l: &EnergyLedger) -> [u64; 11] {
@@ -278,4 +281,59 @@ fn every_member_matches_its_lone_run_bit_for_bit() {
     assert!(shared >= 1, "some member never forks");
     assert!(parked >= 1, "some member parks and re-ticks its prefix");
     assert!(kept >= 1, "some member keeps the trunk");
+}
+
+/// One heartwall group whose members share a trunk key but inject
+/// different faults: none and a detector stuck at 1.0 V on SM 0, both
+/// cross-layer, and CR-IVR column 0 offline from cycle 1 000 on the
+/// circuit-only stack. Every member matches its lone run with its own plan,
+/// and the offline column moves its member away from the same run without
+/// it. (At this profile the stack never droops to the controller's
+/// threshold, so a detector reading a steady 1.0 V changes nothing.)
+#[test]
+fn members_with_different_fault_plans_match_their_lone_runs() {
+    let id = ScenarioId::Heartwall;
+    let none = PowerManagement::default;
+    let cross = tiny(PdsKind::VsCrossLayer { area_mult: 0.2 });
+    let circuit = tiny(PdsKind::VsCircuitOnly { area_mult: 1.72 });
+    let with_plan = |cfg: &CosimConfig, plan: FaultPlan| GroupRun {
+        plan,
+        ..run(cfg.clone(), none())
+    };
+    let stuck = FaultPlan::new(42).with(
+        FaultKind::Detector {
+            sm: 0,
+            fault: DetectorFault::StuckAt { volts: 1.0 },
+        },
+        FaultWindow::ALWAYS,
+    );
+    let offline = FaultPlan::new(42).with(
+        FaultKind::CrIvr {
+            column: 0,
+            fault: CrIvrFault::Offline,
+        },
+        FaultWindow::from(1_000),
+    );
+    let runs = [
+        with_plan(&cross, FaultPlan::none()),
+        with_plan(&cross, stuck),
+        with_plan(&circuit, offline),
+    ];
+    let outcome = CosimPool::new().run_group(&id.profile(), &runs, &SupervisorConfig::default());
+    let bits: Vec<Vec<String>> = outcome.reports.iter().map(report_bits).collect();
+    for (i, run) in runs.iter().enumerate() {
+        assert_eq!(
+            bits[i],
+            report_bits(&lone(id, run)),
+            "member {i} ({:?}, {:?}) left its lone run; ride {:?}",
+            run.cfg.pds,
+            run.plan,
+            outcome.rides[i]
+        );
+    }
+    assert_ne!(
+        bits[2],
+        report_bits(&lone(id, &run(circuit, none()))),
+        "the offline column acts on its own member"
+    );
 }

@@ -20,8 +20,8 @@ use std::hint::black_box;
 use vs_circuit::{Integration, Netlist, RecoveryPolicy, SolverWorkspace, Transient, Waveform};
 use vs_control::ActuatorWeights;
 use vs_core::{
-    CosimConfig, CosimPool, CycleBudget, GroupRun, PdsKind, PdsRig, PowerManagement, Ride,
-    ScenarioId, SupervisorConfig,
+    CosimConfig, CosimPool, CycleBudget, FaultPlan, GroupRun, PdsKind, PdsRig, PowerManagement,
+    Ride, ScenarioId, SupervisorConfig,
 };
 use vs_gpu::{benchmark, build_kernel, Gpu, GpuConfig, GpuCycleEvents, SchedulerKind};
 
@@ -292,6 +292,7 @@ fn shared_group_cycle_is_allocation_free() {
             cfg,
             pm: PowerManagement::default(),
             budget: CycleBudget::tripping_at(trip),
+            plan: FaultPlan::none(),
         })
         .to_vec()
     };
