@@ -4,7 +4,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use vs_control::{ActuatorWeights, DetectorKind};
+use vs_control::{ActuatorWeights, ControllerConfig, DetectorKind};
 use vs_pds::PdnParams;
 
 /// Stack geometry: how the SMs are arranged as series layers × parallel
@@ -188,9 +188,8 @@ pub struct CosimConfig {
     pub voltage_scaled_power: bool,
     /// Record per-SM voltage traces (costs memory; figures need it).
     pub record_traces: bool,
-    /// Decimation stride for per-cycle recording (1 = every cycle): voltage
-    /// traces keep every Nth point, and an enabled [`vs_telemetry::Telemetry`]
-    /// handle emits one [`vs_telemetry::CycleSample`] event every Nth cycle.
+    /// Decimation stride of the voltage traces (1 = every cycle): with
+    /// `record_traces` on, each SM's trace keeps every Nth cycle's point.
     pub trace_stride: u32,
 }
 
@@ -249,6 +248,25 @@ impl CosimConfig {
             u64::from(record_traces),
             u64::from(trace_stride),
         ]);
+    }
+}
+
+/// The voltage-smoothing controller's configuration for a run with these
+/// loop settings, on [`ControllerConfig::default`] for everything else. The
+/// co-simulation and the worst-case scenario both build their controllers
+/// from it.
+pub(crate) fn controller_config(
+    v_threshold: f64,
+    weights: ActuatorWeights,
+    latency_cycles: u32,
+    detector: DetectorKind,
+) -> ControllerConfig {
+    ControllerConfig {
+        v_threshold,
+        weights,
+        latency_cycles,
+        detector,
+        ..ControllerConfig::default()
     }
 }
 

@@ -36,18 +36,14 @@
 use vs_circuit::{SolverWorkspace, StepReport};
 use vs_control::{ControllerConfig, DccDac, SmCommand, VoltageController};
 use vs_gpu::{
-    build_kernel, Gpu, GpuConfig, GpuCycleEvents, Kernel, SchedulerKind, SmControl, SmStats,
-    WorkloadProfile,
+    build_kernel, Gpu, GpuConfig, GpuCycleEvents, Kernel, SchedulerKind, SmControl, WorkloadProfile,
 };
 use vs_hypervisor::{DfsConfig, DfsGovernor, GatingAccountant, PgConfig, VsAwareHypervisor};
 use vs_num::Rng;
 use vs_power::{PowerModel, SmPower};
-use vs_telemetry::{
-    labeled, ActuatorDuty, CycleSample, Event, GpuCounters, GuardbandStats, RunManifest,
-    RunSummary, SolverHealth, Stage, Telemetry, SCHEMA_VERSION,
-};
+use vs_telemetry::{Stage, Telemetry};
 
-use crate::config::{CosimConfig, PdsKind};
+use crate::config::{controller_config, CosimConfig, PdsKind};
 use crate::fault::{FaultKind, FaultPlan, LoadGlitch};
 use crate::imbalance::ImbalanceHistogram;
 use crate::rig::{EnergyLedger, PdsRig};
@@ -108,12 +104,10 @@ impl<'a> CosimBuilder<'a> {
     }
 
     /// Installs an instrumentation handle. With [`Telemetry::enabled`] the
-    /// run records stage wall times, solver health, actuator duty,
-    /// guardband and GPU counters, plus decimated cycle samples (every
-    /// [`CosimConfig::trace_stride`]th cycle), and
-    /// [`SupervisedReport::telemetry`] carries the machine-readable
-    /// artifact. The default ([`Telemetry::disabled`]) reduces every
-    /// instrumentation point to a branch.
+    /// run profiles its five stages, and [`SupervisedReport::telemetry`]
+    /// carries the profile as a one-event artifact. The default
+    /// ([`Telemetry::disabled`]) reduces every span to a branch. Telemetry
+    /// never changes what the run simulates.
     pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
@@ -143,13 +137,8 @@ impl<'a> CosimBuilder<'a> {
         let pm = self.pm;
         let gpu_config = GpuConfig::default();
         let power = PowerModel::fermi_40nm();
-        let controller_cfg = ControllerConfig {
-            v_threshold: cfg.v_threshold,
-            weights: cfg.weights,
-            latency_cycles: cfg.latency_cycles,
-            detector: cfg.detector,
-            ..ControllerConfig::default()
-        };
+        let controller_cfg =
+            controller_config(cfg.v_threshold, cfg.weights, cfg.latency_cycles, cfg.detector);
         let overhead_w = controller_cfg.controller_power_w
             + cfg.detector.power_w() * gpu_config.n_sms as f64;
         let params = cfg.geometry.pdn_params();
@@ -387,10 +376,6 @@ pub(crate) struct Member {
     controls: Vec<SmControl>,
 }
 
-/// Upper bounds for the per-layer minimum-voltage histogram recorded under
-/// the `voltage.layer_min_v` metric (volts).
-const LAYER_MIN_V_BOUNDS: [f64; 9] = [0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 1.00, 1.05, 1.10];
-
 /// All loop-carried state of one supervised run, threaded through the
 /// cycle phases. Construct with `Member::run_begin`, consume with
 /// `Member::run_finish`, and always pass the same `sup` to every phase of
@@ -423,8 +408,6 @@ struct RunState {
     sensed: Vec<f64>,
     commands: Vec<SmCommand>,
     stride: u64,
-    layer_min: Vec<f64>,
-    issue_max: f64,
     /// The GPU cycle count after this cycle's tick, captured by
     /// `Member::cycle_pre` for the solve and post phases of the same cycle.
     cycle: u64,
@@ -761,8 +744,8 @@ impl Cosim {
 }
 
 impl Member {
-    /// Sets up one supervised run: installs the recovery policy, allocates
-    /// every loop-carried buffer, and emits the telemetry manifest.
+    /// Sets up one supervised run: installs the recovery policy and
+    /// allocates every loop-carried buffer.
     fn run_begin(&mut self, sup: &SupervisorConfig) -> RunState {
         let n_sms = self.rig.n_sms();
         let dt = 1.0 / self.power.clock_hz();
@@ -786,33 +769,7 @@ impl Member {
         };
         let histogram = ImbalanceHistogram::new(self.rig.topology());
         let epoch_cycles = self.pm.dfs.map_or(4096, |d| d.epoch_cycles);
-
         let stride = u64::from(self.cfg.trace_stride.max(1));
-        let issue_max = self
-            .controller
-            .as_ref()
-            .map_or(ControllerConfig::default().issue_max, |c| {
-                c.config().issue_max
-            });
-        if self.telemetry.is_enabled() {
-            let manifest = RunManifest {
-                schema_version: SCHEMA_VERSION,
-                benchmark: self.benchmark.clone(),
-                pds: self.cfg.pds.label().to_string(),
-                seed: self.cfg.seed,
-                workload_scale: self.cfg.workload_scale,
-                max_cycles: self.cfg.max_cycles,
-                sample_stride: self.cfg.trace_stride.max(1),
-                crate_versions: vec![
-                    ("vs-core".to_string(), env!("CARGO_PKG_VERSION").to_string()),
-                    (
-                        "vs-telemetry".to_string(),
-                        vs_telemetry::crate_version().to_string(),
-                    ),
-                ],
-            };
-            self.telemetry.emit(|| Event::Manifest(manifest));
-        }
 
         RunState {
             n_sms,
@@ -847,8 +804,6 @@ impl Member {
             sensed: Vec::with_capacity(n_sms),
             commands: Vec::with_capacity(n_sms),
             stride,
-            layer_min: vec![f64::INFINITY; n_layers],
-            issue_max,
             cycle: 0,
         }
     }
@@ -931,11 +886,10 @@ impl Member {
     }
 
     /// One cycle's post-solve phase: voltage statistics, guardband tracking,
-    /// decimated telemetry, the voltage-smoothing controller, epoch power
-    /// management, and the frequency-scale accumulator. The controller and
-    /// the epoch power management write the member's controls; `gpu` is
-    /// read only for the DFS epoch's instruction counts.
-    #[allow(clippy::too_many_lines)]
+    /// the voltage-smoothing controller, epoch power management, and the
+    /// frequency-scale accumulator. The controller and the epoch power
+    /// management write the member's controls; `gpu` is read only for the
+    /// DFS epoch's instruction counts.
     fn cycle_post(&mut self, gpu: &Gpu, st: &mut RunState, sup: &SupervisorConfig) {
         let cycle = st.cycle;
         self.rig.sm_voltages_into(&mut st.voltages);
@@ -946,45 +900,16 @@ impl Member {
                 st.traces[sm].push(self.rig.time(), *v);
             }
         }
-        for (layer, slot) in st.layer_min.iter_mut().enumerate() {
+        for (layer, below) in st.below_guard_cycles.iter_mut().enumerate() {
             let lo = st.voltages[layer * st.layer_columns..(layer + 1) * st.layer_columns]
                 .iter()
                 .copied()
                 .fold(f64::INFINITY, f64::min);
-            *slot = lo;
             if lo < sup.v_guardband {
-                st.below_guard_cycles[layer] += 1;
+                *below += 1;
             }
         }
         st.histogram.record(&st.sm_watts, &st.voltages, st.v_nominal);
-
-        // Decimated telemetry sample: the physical state this cycle plus
-        // the smoothing commands currently in effect (the ones the GPU
-        // tick above just ran under).
-        if self.telemetry.is_enabled() && cycle.is_multiple_of(st.stride) {
-            let cycle_min = st.voltages.iter().copied().fold(f64::INFINITY, f64::min);
-            let cycle_max = st.voltages.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let throttled = self.controller.as_ref().map_or(0, |c| {
-                c.active_commands()
-                    .iter()
-                    .filter(|cmd| !cmd.is_neutral(st.issue_max))
-                    .count()
-            });
-            for &lo in &st.layer_min {
-                self.telemetry
-                    .registry
-                    .observe("voltage.layer_min_v", &LAYER_MIN_V_BOUNDS, lo);
-            }
-            let sample = CycleSample {
-                cycle,
-                time_s: self.rig.time(),
-                min_sm_v: cycle_min,
-                max_sm_v: cycle_max,
-                layer_min_v: st.layer_min.clone(),
-                throttled_sms: throttled as u32,
-            };
-            self.telemetry.emit(|| Event::Sample(sample));
-        }
 
         // Architecture-level voltage smoothing, through the (possibly
         // faulted) sensing and actuation chains. Physical statistics
@@ -1068,9 +993,8 @@ impl Member {
             self.controls.iter().map(|c| c.freq_scale).sum::<f64>() / st.n_sms as f64;
     }
 
-    /// Closes one supervised run: final statistics, telemetry flush, verdict
-    /// classification, and report assembly.
-    #[allow(clippy::too_many_lines)]
+    /// Closes one supervised run: final statistics, verdict classification,
+    /// the stage profile, and report assembly.
     fn run_finish(&mut self, st: RunState, gpu: &Gpu, sup: &SupervisorConfig) -> SupervisedReport {
         let RunState {
             dt,
@@ -1123,67 +1047,6 @@ impl Member {
         );
         let below_guardband_s =
             below_guard_cycles.iter().copied().max().unwrap_or(0) as f64 * dt;
-        if self.telemetry.is_enabled() {
-            let stats = gpu.sm_stats();
-            for (sm, s) in stats.iter().enumerate() {
-                let sm_label = sm.to_string();
-                let labels = [("sm", sm_label.as_str())];
-                self.telemetry
-                    .registry
-                    .set_gauge(&labeled("gpu.ipc", &labels), s.ipc());
-                self.telemetry
-                    .registry
-                    .set_gauge(&labeled("gpu.stall_fraction", &labels), s.stall_fraction());
-            }
-            self.telemetry
-                .registry
-                .inc("solver.retries", u64::from(recovery.retries));
-            self.telemetry.registry.inc(
-                "solver.sanitized_controls",
-                u64::from(recovery.sanitized_controls),
-            );
-            let solver = SolverHealth {
-                retries: u64::from(recovery.retries),
-                sanitized_controls: u64::from(recovery.sanitized_controls),
-                max_halvings: recovery.halvings,
-                used_backward_euler: recovery.used_backward_euler,
-            };
-            self.telemetry.emit(|| Event::Solver(solver));
-            if let Some(ctrl) = self.controller.as_ref() {
-                let a = ctrl.actuator_stats();
-                let duty = ActuatorDuty {
-                    diws_duty: a.diws_duty(),
-                    fii_duty: a.fii_duty(),
-                    dcc_duty: a.dcc_duty(),
-                    saturated_duty: a.saturated_duty(),
-                    throttle_fraction: ctrl.throttle_fraction(),
-                };
-                self.telemetry.emit(|| Event::Actuators(duty));
-            }
-            let guard = GuardbandStats {
-                v_guardband: sup.v_guardband,
-                cycles,
-                below_cycles: below_guard_cycles.clone(),
-            };
-            self.telemetry.emit(|| Event::Guardband(guard));
-            let gpu = GpuCounters {
-                per_sm_ipc: stats.iter().map(SmStats::ipc).collect(),
-                per_sm_stall_fraction: stats.iter().map(SmStats::stall_fraction).collect(),
-                instructions: gpu.total_instructions(),
-                fake_instructions: stats.iter().map(|s| s.fake_instructions).sum(),
-            };
-            self.telemetry.emit(|| Event::Gpu(gpu));
-            let summary = RunSummary {
-                cycles,
-                completed,
-                verdict: verdict.label().to_string(),
-                pde: report.pde(),
-                min_sm_v: report.min_sm_voltage,
-                max_sm_v: report.max_sm_voltage,
-                board_input_j: report.ledger.board_input_j,
-            };
-            self.telemetry.emit(|| Event::Summary(summary));
-        }
         let telemetry = self
             .telemetry
             .is_enabled()

@@ -39,11 +39,12 @@
 //!   seeded fault schedule (sensing, actuation, CR-IVR, load faults), a
 //!   watchdog tracking time below the 0.8 V guardband per layer, and a
 //!   [`RunVerdict`] per run instead of a panic when the solver gives up.
-//! * [`CosimBuilder::telemetry`] — observability: hand the run an enabled
-//!   [`vs_telemetry::Telemetry`] and [`SupervisedReport::telemetry`] comes
-//!   back with a machine-readable JSONL artifact (run manifest, decimated
-//!   cycle samples, per-stage wall times, solver health, actuator duty,
-//!   guardband and GPU counters).
+//! * [`CosimBuilder::telemetry`] — the stage profile: hand the run an
+//!   enabled [`vs_telemetry::Telemetry`] and [`SupervisedReport::telemetry`]
+//!   comes back holding one `stages` event, the wall time and span count of
+//!   each of the loop's five stages. Everything else a run observes (PDE,
+//!   droop, throttle fraction, guardband time, solver recovery) is in its
+//!   report, and telemetry never changes it.
 //!
 //! # Examples
 //!

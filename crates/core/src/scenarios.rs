@@ -22,10 +22,10 @@ use std::fmt;
 use std::str::FromStr;
 
 use vs_circuit::{BatchStats, LaneOutcome, SolverWorkspace, Trace};
-use vs_control::{ActuatorWeights, ControllerConfig, DetectorKind, VoltageController};
+use vs_control::{ActuatorWeights, DetectorKind, VoltageController};
 use vs_gpu::WorkloadProfile;
 
-use crate::config::{PdsKind, StackGeometry};
+use crate::config::{controller_config, PdsKind, StackGeometry};
 use crate::rig::{PdsRig, RigLanes};
 
 /// Typed identifier for the twelve benchmark scenarios of the paper's
@@ -393,13 +393,8 @@ impl WorstCaseLane {
         assert!(cfg.gated_layer < n_layers);
         let n_sms = n_layers * n_columns;
 
-        let controller_cfg = ControllerConfig {
-            v_threshold: cfg.v_threshold,
-            weights: cfg.weights,
-            latency_cycles: cfg.latency_cycles,
-            detector: cfg.detector,
-            ..ControllerConfig::default()
-        };
+        let controller_cfg =
+            controller_config(cfg.v_threshold, cfg.weights, cfg.latency_cycles, cfg.detector);
         WorstCaseLane {
             controller: cfg
                 .cross_layer

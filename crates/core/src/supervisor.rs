@@ -208,9 +208,9 @@ pub struct SupervisedReport {
     pub recovery: StepReport,
     /// The failure that aborted the run, if any.
     pub error: Option<CosimError>,
-    /// The machine-readable run artifact (manifest, decimated cycle samples,
-    /// stage profile, end-of-run stats). `Some` only when the run was given
-    /// an enabled handle via [`crate::CosimBuilder::telemetry`].
+    /// The run's stage profile as an artifact of one `stages` event. `Some`
+    /// only when the run was given an enabled handle via
+    /// [`crate::CosimBuilder::telemetry`].
     pub telemetry: Option<RunArtifact>,
 }
 

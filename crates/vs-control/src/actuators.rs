@@ -149,77 +149,6 @@ impl SmCommand {
     }
 }
 
-/// Cumulative per-mechanism actuator activity, in SM-cycles.
-///
-/// Tracked by the [`crate::VoltageController`] as commands take effect, so
-/// telemetry can report how often each mechanism fired and how long any of
-/// them sat pinned at its limit — the duty-cycle view behind the paper's
-/// <20 % throttle-fraction claim (Fig. 14).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ActuatorStats {
-    /// SM-cycles observed (SM count x controller updates).
-    pub sm_cycles: u64,
-    /// SM-cycles with a reduced issue width (DIWS active).
-    pub diws_sm_cycles: u64,
-    /// SM-cycles with fake-instruction injection (FII active).
-    pub fii_sm_cycles: u64,
-    /// SM-cycles with DCC ballast current flowing.
-    pub dcc_sm_cycles: u64,
-    /// SM-cycles with an actuator pinned at a limit: issue width cut to
-    /// zero, injection at the issue ceiling, or the DCC DAC at full scale.
-    pub saturated_sm_cycles: u64,
-}
-
-impl ActuatorStats {
-    fn duty(count: u64, total: u64) -> f64 {
-        if total == 0 {
-            0.0
-        } else {
-            count as f64 / total as f64
-        }
-    }
-
-    /// Fraction of SM-cycles with DIWS active.
-    pub fn diws_duty(&self) -> f64 {
-        Self::duty(self.diws_sm_cycles, self.sm_cycles)
-    }
-
-    /// Fraction of SM-cycles with FII active.
-    pub fn fii_duty(&self) -> f64 {
-        Self::duty(self.fii_sm_cycles, self.sm_cycles)
-    }
-
-    /// Fraction of SM-cycles with DCC ballast flowing.
-    pub fn dcc_duty(&self) -> f64 {
-        Self::duty(self.dcc_sm_cycles, self.sm_cycles)
-    }
-
-    /// Fraction of SM-cycles with an actuator saturated.
-    pub fn saturated_duty(&self) -> f64 {
-        Self::duty(self.saturated_sm_cycles, self.sm_cycles)
-    }
-
-    /// Records one in-effect command against these counters.
-    pub(crate) fn record(&mut self, cmd: &SmCommand, issue_max: f64, dcc_max_w: f64) {
-        self.sm_cycles += 1;
-        if cmd.issue_width < issue_max - 1e-12 {
-            self.diws_sm_cycles += 1;
-        }
-        if cmd.fake_rate > 0.0 {
-            self.fii_sm_cycles += 1;
-        }
-        if cmd.dcc_power_w > 0.0 {
-            self.dcc_sm_cycles += 1;
-        }
-        if cmd.issue_width <= 0.0
-            || (cmd.fake_rate > 0.0 && cmd.fake_rate >= issue_max - 1e-12)
-            || (cmd.dcc_power_w > 0.0 && cmd.dcc_power_w >= dcc_max_w - 1e-12)
-        {
-            self.saturated_sm_cycles += 1;
-        }
-    }
-}
-
 /// The issue adjuster's down-counter quantization: an average width `w` over
 /// a window of `window` cycles becomes `round(w * window)` issue grants.
 ///

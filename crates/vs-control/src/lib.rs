@@ -46,9 +46,7 @@ mod fault;
 mod ss;
 mod stack_model;
 
-pub use actuators::{
-    quantize_issue_width, ActuationTimescales, ActuatorStats, ActuatorWeights, DccDac, SmCommand,
-};
+pub use actuators::{quantize_issue_width, ActuationTimescales, ActuatorWeights, DccDac, SmCommand};
 pub use controller::{ControllerConfig, VoltageController};
 pub use fault::{ActuatorFault, DetectorFault};
 pub use design::{design_proportional, worst_case_deviation, ControlDesign};

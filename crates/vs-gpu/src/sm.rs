@@ -111,14 +111,10 @@ impl SmCycleStats {
 pub struct SmStats {
     /// Cycles the SM was clocked.
     pub active_cycles: u64,
-    /// Cycles the SM existed (clocked or not).
-    pub total_cycles: u64,
     /// Real warp instructions retired.
     pub instructions: u64,
     /// Fake instructions injected.
     pub fake_instructions: u64,
-    /// Cycles where at least one instruction issued.
-    pub issue_cycles: u64,
 }
 
 impl SmStats {
@@ -128,21 +124,6 @@ impl SmStats {
             0.0
         } else {
             self.instructions as f64 / self.active_cycles as f64
-        }
-    }
-
-    /// Cycles the SM was clocked but issued nothing (stalled on memory,
-    /// scoreboard hazards, or an empty warp pool).
-    pub fn stall_cycles(&self) -> u64 {
-        self.active_cycles.saturating_sub(self.issue_cycles)
-    }
-
-    /// Fraction of active cycles spent stalled.
-    pub fn stall_fraction(&self) -> f64 {
-        if self.active_cycles == 0 {
-            0.0
-        } else {
-            self.stall_cycles() as f64 / self.active_cycles as f64
         }
     }
 }
@@ -805,9 +786,10 @@ impl Sm {
     /// Advances the SM one GPU cycle, drawing new batches from `pool` as
     /// warps retire theirs.
     pub fn tick(&mut self, now: u64, mem: &mut MemorySystem, pool: &mut WorkPool) -> SmCycleStats {
-        let mut stats = SmCycleStats::default();
-        self.stats.total_cycles += 1;
-        stats.live_warps = self.live_warps as u8;
+        let mut stats = SmCycleStats {
+            live_warps: self.live_warps as u8,
+            ..SmCycleStats::default()
+        };
 
         // DFS clock masking and whole-SM gating.
         if self.control.sm_gated {
@@ -938,9 +920,6 @@ impl Sm {
                 self.order = order;
             }
         }
-        if issued > 0 {
-            self.stats.issue_cycles += 1;
-        }
 
         // Fake-instruction injection into issue slack (FII).
         self.fake_acc += self.control.fake_rate.clamp(0.0, 2.0);
@@ -1046,22 +1025,6 @@ mod tests {
         let cycles = run_to_completion(&mut sm, &mut mem, 2_000_000);
         assert!(sm.done(), "did not finish in {cycles} cycles");
         assert!(sm.stats().instructions > 0);
-    }
-
-    #[test]
-    fn stall_counters_partition_active_cycles() {
-        let cfg = GpuConfig::default();
-        let k = small_kernel();
-        let mut sm = Sm::new(0, &cfg, &k, SchedulerKind::Gto);
-        let mut mem = MemorySystem::new(&cfg);
-        run_to_completion(&mut sm, &mut mem, 2_000_000);
-        let s = sm.stats();
-        assert_eq!(s.stall_cycles() + s.issue_cycles, s.active_cycles);
-        let f = s.stall_fraction();
-        assert!((0.0..=1.0).contains(&f), "stall fraction {f}");
-        // heartwall has memory phases: some stall cycles must show up.
-        assert!(s.stall_cycles() > 0, "no stalls recorded: {s:?}");
-        assert_eq!(SmStats::default().stall_fraction(), 0.0);
     }
 
     #[test]

@@ -2,17 +2,16 @@
 //!
 //! The observability substrate the rest of the workspace reports through:
 //!
-//! * [`Registry`] — a low-overhead metrics store (counters, gauges,
-//!   fixed-bucket [`Histogram`]s) with per-SM/per-layer labels via
-//!   [`labeled`]. Hot loops keep plain local counters and flush here at
-//!   decimated boundaries; a disabled registry turns every mutator into a
-//!   cheap early-return.
+//! * [`Registry`] — a metrics store (counters, gauges, fixed-bucket
+//!   [`Histogram`]s) with labels via [`labeled`]. Experiments record their
+//!   figure values in one, dse its frontier, and the executor its run
+//!   counters.
 //! * [`StageProfiler`] — span-style wall-time profiling of the five
-//!   co-simulation stages ([`Stage`]), so `vs-bench` can print where the
-//!   cycles of a run actually went.
-//! * [`RunArtifact`] / [`Event`] — the machine-readable run schema: a JSONL
-//!   event stream (manifest + decimated samples + end-of-run summaries)
-//!   that figures, fault campaigns, and regression tooling parse back with
+//!   co-simulation stages ([`Stage`]), so the benchmark can attribute a
+//!   run's cycles to the layer that spent them.
+//! * [`RunArtifact`] / [`Event`] — the machine-readable artifact schema: a
+//!   JSONL event stream (manifest, metrics, dse points, fault-campaign rows,
+//!   stage profiles) that the goldens and regression tooling parse back with
 //!   [`RunArtifact::parse_jsonl`] instead of scraping stdout.
 //! * [`JournalRecord`] / [`write_atomic`] / [`fnv1a_64`] — crash-safe
 //!   artifact plumbing: atomic tmp-file + rename writes, hand-rolled
@@ -23,26 +22,27 @@
 //!   quarantine, replay) with Chrome/Perfetto `trace.json` export; wall
 //!   times are recorded but excluded from event identity, mirroring the
 //!   diff schema's wall-time exclusion.
-//! * [`Telemetry`] — the per-run handle bundling all three, with a
-//!   [`Telemetry::disabled`] mode that reduces every instrumentation point
-//!   to a branch (the perf benchmark guards this stays under the noise
-//!   floor).
+//! * [`Telemetry`] — the per-run handle: one stage profiler, with a
+//!   [`Telemetry::disabled`] mode that reduces every span to a branch (the
+//!   perf benchmark guards that this stays under the noise floor).
 //!
 //! # Examples
 //!
 //! ```
-//! use vs_telemetry::{Event, RunArtifact, SolverHealth, Stage, Telemetry};
+//! use vs_telemetry::{Event, RunArtifact, Stage, Telemetry};
 //!
 //! let mut tel = Telemetry::enabled();
 //! let span = tel.stages.start();
 //! // ... do the circuit solve ...
 //! tel.stages.stop(Stage::CircuitSolve, span);
-//! tel.registry.inc("solver.retries", 1);
-//! tel.emit(|| Event::Solver(SolverHealth { retries: 1, ..Default::default() }));
 //!
 //! let artifact = tel.into_artifact();
+//! assert!(matches!(artifact.events.as_slice(), [Event::Stages(_)]));
 //! let parsed = RunArtifact::parse_jsonl(&artifact.to_jsonl()).unwrap();
-//! assert_eq!(parsed.solver().unwrap().retries, 1);
+//! let stages = parsed.stages().unwrap();
+//! assert_eq!(stages.len(), Stage::ALL.len());
+//! assert_eq!(stages[2].stage, "circuit_solve");
+//! assert_eq!(stages[2].count, 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -61,8 +61,8 @@ pub use diff::{
     Tolerance, ToleranceSpec,
 };
 pub use events::{
-    ActuatorDuty, CycleSample, DsePointRow, Event, FaultCampaignRow, GpuCounters, GuardbandStats,
-    ParseError, RunArtifact, RunManifest, RunSummary, SolverHealth, StageSample, SCHEMA_VERSION,
+    DsePointRow, Event, FaultCampaignRow, ParseError, RunArtifact, RunManifest, StageSample,
+    SCHEMA_VERSION,
 };
 pub use journal::{
     append_journal, checksum_hex, fnv1a_64, read_journal, write_atomic, DegradedEntry,
@@ -81,30 +81,24 @@ pub fn crate_version() -> &'static str {
     env!("CARGO_PKG_VERSION")
 }
 
-/// The per-run instrumentation handle: a metrics registry, a stage
-/// profiler, and the growing event stream, all sharing one enable switch.
+/// The per-run instrumentation handle: the stage profiler of one
+/// co-simulation run.
 ///
-/// Constructed [`Telemetry::disabled`], every operation is a no-op costing
-/// a predictable branch — run loops thread it unconditionally and pay
+/// Constructed [`Telemetry::disabled`], every span is a no-op costing a
+/// predictable branch — run loops thread it unconditionally and pay
 /// nothing when observability is off.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    enabled: bool,
-    /// Metrics store (counters / gauges / histograms).
-    pub registry: Registry,
-    /// Wall-time profiler for the co-simulation stages.
+    /// Wall-time profiler for the co-simulation stages; its switch is the
+    /// handle's.
     pub stages: StageProfiler,
-    events: Vec<Event>,
 }
 
 impl Telemetry {
-    /// An active handle: spans, metrics, and events all record.
+    /// An active handle: stage spans record.
     pub fn enabled() -> Self {
         Telemetry {
-            enabled: true,
-            registry: Registry::new(),
             stages: StageProfiler::new(),
-            events: Vec::new(),
         }
     }
 
@@ -115,35 +109,18 @@ impl Telemetry {
 
     /// Whether anything records.
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.stages.is_enabled()
     }
 
-    /// Appends an event to the stream. The closure only runs when enabled,
-    /// so building the event costs nothing on the disabled path.
-    #[inline]
-    pub fn emit(&mut self, build: impl FnOnce() -> Event) {
-        if self.enabled {
-            self.events.push(build());
-        }
-    }
-
-    /// Events emitted so far.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    /// Closes the handle: appends the stage-profile and metrics exports to
-    /// the stream (when enabled and non-empty) and returns the artifact.
-    pub fn into_artifact(mut self) -> RunArtifact {
-        if self.enabled {
-            self.events.push(Event::Stages(self.stages.snapshot()));
-            if !self.registry.is_empty() {
-                self.events.push(Event::Metrics(self.registry.snapshot()));
-            }
-        }
-        RunArtifact {
-            events: self.events,
-        }
+    /// Closes the handle: an enabled one yields one `stages` event, a
+    /// disabled one an empty artifact.
+    pub fn into_artifact(self) -> RunArtifact {
+        let events = if self.is_enabled() {
+            vec![Event::Stages(self.stages.snapshot())]
+        } else {
+            Vec::new()
+        };
+        RunArtifact { events }
     }
 }
 
@@ -158,53 +135,25 @@ mod tests {
         let span = t.stages.start();
         assert!(span.is_none());
         t.stages.stop(Stage::GpuStep, span);
-        t.registry.inc("x", 1);
-        let mut built = false;
-        t.emit(|| {
-            built = true;
-            Event::Solver(SolverHealth::default())
-        });
-        assert!(!built, "event builder must not run when disabled");
-        let artifact = t.into_artifact();
-        assert!(artifact.events.is_empty());
+        assert_eq!(t.stages.count(Stage::GpuStep), 0);
+        assert!(t.into_artifact().events.is_empty());
     }
 
     #[test]
-    fn enabled_handle_collects_everything() {
+    fn enabled_handle_yields_one_stages_event() {
         let mut t = Telemetry::enabled();
-        t.stages.time(Stage::CircuitSolve, || std::hint::black_box(2 + 2));
-        t.registry.inc("solver.retries", 4);
-        t.emit(|| {
-            Event::Solver(SolverHealth {
-                retries: 4,
-                ..Default::default()
-            })
-        });
+        assert!(t.is_enabled());
+        for _ in 0..3 {
+            let span = t.stages.start();
+            t.stages.stop(Stage::CircuitSolve, span);
+        }
         let artifact = t.into_artifact();
-        assert_eq!(artifact.solver().unwrap().retries, 4);
+        assert_eq!(artifact.events.len(), 1);
         let stages = artifact.stages().unwrap();
         assert_eq!(stages.len(), Stage::ALL.len());
-        assert_eq!(
-            artifact.metrics().unwrap().counter("solver.retries"),
-            Some(4)
-        );
-    }
-
-    #[test]
-    fn artifact_roundtrips_through_jsonl() {
-        let mut t = Telemetry::enabled();
-        t.registry.observe("v", &[0.9, 1.0], 0.95);
-        t.emit(|| {
-            Event::Sample(CycleSample {
-                cycle: 16,
-                time_s: 2.3e-8,
-                min_sm_v: 0.98,
-                max_sm_v: 1.02,
-                layer_min_v: vec![0.98, 1.0],
-                throttled_sms: 0,
-            })
-        });
-        let artifact = t.into_artifact();
+        assert_eq!(stages[2].stage, "circuit_solve");
+        assert_eq!(stages[2].count, 3);
+        assert!(stages.iter().filter(|s| s.stage != "circuit_solve").all(|s| s.count == 0));
         let parsed = RunArtifact::parse_jsonl(&artifact.to_jsonl()).unwrap();
         assert_eq!(parsed, artifact);
     }

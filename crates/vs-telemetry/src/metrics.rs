@@ -1,11 +1,11 @@
-//! Low-overhead metrics: counters, gauges, and fixed-bucket histograms in a
-//! name-keyed registry.
+//! Metrics: counters, gauges, and fixed-bucket histograms in a name-keyed
+//! registry.
 //!
-//! The registry is meant for *aggregation-rate* updates (per epoch, per
-//! sample, per run) — the co-simulation hot loop keeps plain local counters
-//! and flushes them here at decimated boundaries, so the string-keyed map is
-//! never touched every cycle. Per-SM and per-layer dimensions are encoded as
-//! labels (`name{sm=3}`) with the [`labeled`] helper.
+//! The registry is meant for *aggregation-rate* updates (per run, per
+//! experiment, per task), never for per-cycle ones: experiments record
+//! their figure values in one, dse its frontier, and the executor its run
+//! counters. Labeled dimensions (per SM, per benchmark, per point) are
+//! encoded in the key (`name{sm=3}`) with the [`labeled`] helper.
 
 use std::collections::BTreeMap;
 
@@ -333,51 +333,28 @@ impl MetricsSnapshot {
 }
 
 /// A name-keyed store of counters, gauges, and histograms.
-///
-/// When built disabled every mutator is a cheap early-return, so call sites
-/// do not need their own `if telemetry` guards.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    enabled: bool,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
 impl Registry {
-    /// An active registry.
+    /// An empty registry.
     pub fn new() -> Self {
-        Registry {
-            enabled: true,
-            ..Registry::default()
-        }
-    }
-
-    /// A registry whose mutators are all no-ops.
-    pub fn disabled() -> Self {
         Registry::default()
-    }
-
-    /// Whether mutators record anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Adds `by` to the counter `name`, creating it at zero.
     #[inline]
     pub fn inc(&mut self, name: &str, by: u64) {
-        if !self.enabled {
-            return;
-        }
         *self.counters.entry(name.to_string()).or_insert(0) += by;
     }
 
     /// Sets the gauge `name` to `value`.
     #[inline]
     pub fn set_gauge(&mut self, name: &str, value: f64) {
-        if !self.enabled {
-            return;
-        }
         self.gauges.insert(name.to_string(), value);
     }
 
@@ -385,9 +362,6 @@ impl Registry {
     /// on first touch (later calls ignore `bounds`).
     #[inline]
     pub fn observe(&mut self, name: &str, bounds: &[f64], value: f64) {
-        if !self.enabled {
-            return;
-        }
         self.histograms
             .entry(name.to_string())
             .or_insert_with(|| Histogram::with_bounds(bounds))
@@ -407,11 +381,6 @@ impl Registry {
     /// A histogram by name.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
     /// Exports everything recorded so far.
@@ -495,17 +464,6 @@ mod tests {
         assert_eq!(s.counter("solver.retries"), Some(5));
         assert_eq!(s.gauge("gpu.ipc{sm=3}"), Some(1.25));
         assert_eq!(s.histogram("v.layer_min").unwrap().total, 1);
-    }
-
-    #[test]
-    fn disabled_registry_is_a_no_op() {
-        let mut r = Registry::disabled();
-        r.inc("a", 1);
-        r.set_gauge("b", 2.0);
-        r.observe("c", &[1.0], 0.5);
-        assert!(r.is_empty());
-        assert_eq!(r.counter("a"), 0);
-        assert_eq!(r.snapshot(), MetricsSnapshot::default());
     }
 
     #[test]

@@ -7,9 +7,8 @@
 
 use vs_num::Rng;
 use vs_telemetry::{
-    ActuatorDuty, CycleSample, DsePointRow, Event, FaultCampaignRow, GpuCounters, GuardbandStats,
-    HistogramSnapshot, MetricsSnapshot, RunArtifact, RunManifest, RunSummary, SolverHealth,
-    StageSample,
+    DsePointRow, Event, FaultCampaignRow, HistogramSnapshot, MetricsSnapshot, RunArtifact,
+    RunManifest, StageSample,
 };
 
 const CASES: u64 = 150;
@@ -37,7 +36,7 @@ fn f64s(rng: &mut Rng, n: usize) -> Vec<f64> {
 }
 
 fn random_event(rng: &mut Rng) -> Event {
-    match rng.below(11) {
+    match rng.below(5) {
         0 => Event::Manifest(RunManifest {
             schema_version: rng.below(10) as u32,
             benchmark: word(rng, "bench"),
@@ -50,18 +49,7 @@ fn random_event(rng: &mut Rng) -> Event {
                 .map(|_| (word(rng, "crate"), word(rng, "ver")))
                 .collect(),
         }),
-        1 => {
-            let layers = rng.index(0, 5);
-            Event::Sample(CycleSample {
-                cycle: small_u64(rng),
-                time_s: finite(rng),
-                min_sm_v: finite(rng),
-                max_sm_v: finite(rng),
-                layer_min_v: f64s(rng, layers),
-                throttled_sms: rng.below(1 << 20) as u32,
-            })
-        }
-        2 => Event::Stages(
+        1 => Event::Stages(
             (0..rng.index(0, 4))
                 .map(|_| StageSample {
                     stage: word(rng, "stage"),
@@ -70,34 +58,7 @@ fn random_event(rng: &mut Rng) -> Event {
                 })
                 .collect(),
         ),
-        3 => Event::Solver(SolverHealth {
-            retries: small_u64(rng),
-            sanitized_controls: small_u64(rng),
-            max_halvings: rng.below(1 << 20) as u32,
-            used_backward_euler: rng.chance(0.5),
-        }),
-        4 => Event::Actuators(ActuatorDuty {
-            diws_duty: finite(rng),
-            fii_duty: finite(rng),
-            dcc_duty: finite(rng),
-            saturated_duty: finite(rng),
-            throttle_fraction: finite(rng),
-        }),
-        5 => Event::Guardband(GuardbandStats {
-            v_guardband: finite(rng),
-            cycles: small_u64(rng),
-            below_cycles: (0..rng.index(0, 5)).map(|_| small_u64(rng)).collect(),
-        }),
-        6 => {
-            let (n_ipc, n_stall) = (rng.index(0, 4), rng.index(0, 4));
-            Event::Gpu(GpuCounters {
-                per_sm_ipc: f64s(rng, n_ipc),
-                per_sm_stall_fraction: f64s(rng, n_stall),
-                instructions: small_u64(rng),
-                fake_instructions: small_u64(rng),
-            })
-        }
-        7 => Event::Metrics(MetricsSnapshot {
+        2 => Event::Metrics(MetricsSnapshot {
             counters: (0..rng.index(0, 4))
                 .map(|i| (format!("c{i}-{}", rng.below(100)), small_u64(rng)))
                 .collect(),
@@ -118,16 +79,7 @@ fn random_event(rng: &mut Rng) -> Event {
                 })
                 .collect(),
         }),
-        8 => Event::Summary(RunSummary {
-            cycles: small_u64(rng),
-            completed: rng.chance(0.5),
-            verdict: word(rng, "verdict"),
-            pde: finite(rng),
-            min_sm_v: finite(rng),
-            max_sm_v: finite(rng),
-            board_input_j: finite(rng),
-        }),
-        9 => Event::FaultRow(FaultCampaignRow {
+        3 => Event::FaultRow(FaultCampaignRow {
             pds: word(rng, "pds"),
             fault: word(rng, "fault"),
             verdict: word(rng, "verdict"),
@@ -171,21 +123,15 @@ fn random_artifacts_roundtrip() {
 #[test]
 fn every_variant_roundtrips() {
     let mut rng = rng_for(0xeeee);
-    let mut seen = [false; 11];
+    let mut seen = [false; 5];
     for _ in 0..2000 {
         let event = random_event(&mut rng);
         let idx = match &event {
             Event::Manifest(_) => 0,
-            Event::Sample(_) => 1,
-            Event::Stages(_) => 2,
-            Event::Solver(_) => 3,
-            Event::Actuators(_) => 4,
-            Event::Guardband(_) => 5,
-            Event::Gpu(_) => 6,
-            Event::Metrics(_) => 7,
-            Event::Summary(_) => 8,
-            Event::FaultRow(_) => 9,
-            Event::DsePoint(_) => 10,
+            Event::Stages(_) => 1,
+            Event::Metrics(_) => 2,
+            Event::FaultRow(_) => 3,
+            Event::DsePoint(_) => 4,
         };
         seen[idx] = true;
         let artifact = RunArtifact { events: vec![event] };

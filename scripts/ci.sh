@@ -84,8 +84,11 @@ cargo test --release -q -p vs-bench --test chaos
 cargo test --release -q -p vs-bench --test resume
 cargo test --release -q -p vs-bench --test campaign_jobs
 
-echo "== observability: traced chaos sweep, run report, baseline diff =="
+echo "== observability: traced chaos sweep, run report, baseline diff, stage profile =="
 cargo test --release -q -p vs-bench --test trace_report
+# What the benchmark's stage probe assumes, on the optimized build it runs:
+# telemetry leaves a run's report untouched and records one stages event.
+cargo test --release -q -p vs-core --test telemetry
 
 echo "== dse: determinism matrix, torn-write resume, shared-run oracle, frontier claims =="
 cargo test --release -q -p vs-bench --test dse
