@@ -31,8 +31,8 @@
 //! tail steps into multi-lane groups and lone solves; `trunks` counts the
 //! trunks, the worst-case runs that forked from one and those that fell
 //! back to their full run, and the lane-steps taken, scalar trunk steps
-//! plus lockstep tail steps. `--trace` spans each trunk and each run, and
-//! counts `dse.trunks`, `dse.forks` and `dse.fallbacks`.
+//! plus lockstep tail steps. `--trace` spans each trunk and each run; the
+//! spans and these lines carry the counts.
 //!
 //! Crash safety matches `sweep`: each trunk is one task on the same
 //! executor, and a trunk that panics retries with seeded backoff. As a

@@ -185,7 +185,6 @@ mod tests {
             events: vec![Event::Metrics(MetricsSnapshot {
                 counters: Vec::new(),
                 gauges: gauges.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-                histograms: Vec::new(),
             })],
         }
     }

@@ -436,18 +436,9 @@ impl Trunk {
 
     /// Ends a `dse`/`name` span of one of this trunk's runs that began at
     /// `started`, on `exec`'s tracer, labelled by the run's stack, area and
-    /// family, and bumps `counter`; free when tracing is off (`started` is
-    /// `None`).
-    fn end_run_span(
-        &self,
-        exec: &Executor,
-        name: &str,
-        counter: &str,
-        started: Option<Instant>,
-        cross: bool,
-    ) {
+    /// family; free when tracing is off (`started` is `None`).
+    fn end_run_span(&self, exec: &Executor, name: &str, started: Option<Instant>, cross: bool) {
         if started.is_some() {
-            exec.metric_inc(counter, 1);
             let family = if cross { PdsFamily::Cross } else { PdsFamily::Circuit };
             exec.tracer().end_span(
                 "dse",
@@ -628,11 +619,9 @@ impl TrunkTask {
                 &mut stepped.batch_stats,
             );
             for cfg in lanes {
-                let counter = "dse.worst_case_runs";
-                self.trunk.end_run_span(exec, "worst_case_run", counter, span, cfg.cross_layer);
+                self.trunk
+                    .end_run_span(exec, "worst_case_run", span, cfg.cross_layer);
             }
-            exec.metric_inc("dse.forks", counts.forks as u64);
-            exec.metric_inc("dse.fallbacks", counts.fallbacks as u64);
             stepped.forks.forks += counts.forks;
             stepped.forks.fallbacks += counts.fallbacks;
             worst.extend(voltages);
@@ -648,12 +637,11 @@ impl TrunkTask {
             .iter()
             .map(|run| {
                 let cross = matches!(run.kind, PdsKind::VsCrossLayer { .. });
-                self.trunk.end_run_span(exec, "pde_run", "dse.pde_runs", started, cross);
+                self.trunk.end_run_span(exec, "pde_run", started, cross);
                 rig.ledger_at_controller_power(run.overhead_w).pde()
             })
             .collect();
         stepped.trunk_steps = steps;
-        exec.metric_inc("dse.trunks", 1);
         exec.tracer().end_span(
             "dse",
             "trunk",

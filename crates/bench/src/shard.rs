@@ -6,12 +6,12 @@
 //! the retry/watchdog [`ExecutorConfig`], the journal directory, and the
 //! resume [`Preload`]. It owns everything the run mutates: the suite memo,
 //! the in-flight batches idle workers steal from, the quarantine list, and
-//! the [`ShardStats`] counters. It also owns everything the run records or
-//! injects: its [`Tracer`], the metrics registry that records while that
-//! tracer is on, and the chaos plan a test installs
-//! ([`Executor::with_chaos`]). Two executors in one process share no work,
-//! no journal, no memo, no trace and no plan — only the per-thread solver
-//! pools (pure workspace) and the progress sink ([`crate::obs`]).
+//! the [`ShardStats`] counters, which are also its trace's metrics. It also
+//! owns everything the run records or injects: its [`Tracer`] and the chaos
+//! plan a test installs ([`Executor::with_chaos`]). Two executors in one
+//! process share no work, no journal, no memo, no trace and no plan — only
+//! the per-thread solver pools (pure workspace) and the progress sink
+//! ([`crate::obs`]).
 //!
 //! * **Claim loop** (`Executor::run_claims`): scoped workers claim item
 //!   indices in a priority order and fill canonical result slots; a worker
@@ -81,20 +81,13 @@ use vs_core::{
     PowerManagement, ScenarioId, SupervisorConfig, TrunkKey,
 };
 use vs_telemetry::json::Json;
-use vs_telemetry::{
-    chrome_trace_json, fnv1a_64, labeled, write_atomic, MetricsSnapshot, Registry, Tracer,
-};
+use vs_telemetry::{chrome_trace_json, fnv1a_64, write_atomic, MetricsSnapshot, Tracer};
 
 use crate::chaos::{Chaos, ChaosMode, ChaosPlan};
 use crate::obs;
 
 /// Tasks per suite: one per catalogue scenario.
 const N_TASKS: usize = ScenarioId::ALL.len();
-
-/// Bucket bounds (seconds) for the per-scenario task wall-time histograms.
-/// Tasks range from milliseconds (micro test profiles) to minutes (default
-/// scale on a loaded host).
-const TASK_WALL_BOUNDS: &[f64] = &[0.01, 0.05, 0.25, 1.0, 5.0, 30.0, 120.0, 600.0];
 
 /// Journal-verified scenario reports per suite (see
 /// [`crate::journal::load_resume`]): a suite prefills these slots instead of
@@ -439,7 +432,6 @@ impl Batch {
         let Some(task) = self.tasks.get(self.next.fetch_add(1, Ordering::Relaxed)) else {
             return false;
         };
-        exec.update_queue_depth_gauge();
         let i = scenario_index(task.scenario);
         let members: Vec<Arc<SuiteJob>> =
             task.jobs.iter().filter(|j| j.claim(i)).cloned().collect();
@@ -464,16 +456,14 @@ impl Drop for Landed<'_> {
 
 /// One run's executor: the immutable policy it was built with, plus the
 /// suite memo, the in-flight batches stealers scan, the quarantine list,
-/// the observational counters that run accumulates, its tracer and
-/// metrics, and its chaos plan.
+/// the observational counters that run accumulates, its tracer, and its
+/// chaos plan.
 pub struct Executor {
     policy: ExecutorConfig,
     journal_dir: Option<PathBuf>,
     preloaded: Preload,
     /// Off until turned on ([`Executor::tracer`]).
     tracer: Tracer,
-    /// Executor metrics; every mutator is a no-op while `tracer` is off.
-    metrics: Mutex<Registry>,
     /// Empty unless a test installed a plan ([`Executor::with_chaos`]).
     chaos: Chaos,
     memo: Mutex<HashMap<SuiteKey, Arc<SuiteJob>>>,
@@ -508,7 +498,6 @@ impl Executor {
             journal_dir,
             preloaded,
             tracer: Tracer::new(),
-            metrics: Mutex::new(Registry::new()),
             chaos: Chaos::default(),
             memo: Mutex::new(HashMap::new()),
             in_flight: Mutex::new(Vec::new()),
@@ -542,19 +531,21 @@ impl Executor {
         &self.tracer
     }
 
-    /// A snapshot of this executor's metrics (for the trace export): the
-    /// gated registry, plus the [`ShardStats`] counters under their trace
-    /// names (`executor.steals`, `cosim.gpu_ticks`, …), so a trace and the
-    /// manifest's `run_stats` line read one count.
+    /// This executor's metrics for the trace export: the [`ShardStats`]
+    /// counters under their trace names (`executor.steals`,
+    /// `cosim.gpu_ticks`, …), sorted by name, so a trace and the manifest's
+    /// `run_stats` line read one count.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snapshot = self.registry().snapshot();
-        snapshot.counters.extend(
-            self.stats()
-                .trace_counters()
-                .map(|(name, value)| (name.to_string(), value)),
-        );
-        snapshot.counters.sort();
-        snapshot
+        let mut counters: Vec<(String, u64)> = self
+            .stats()
+            .trace_counters()
+            .map(|(name, value)| (name.to_string(), value))
+            .collect();
+        counters.sort();
+        MetricsSnapshot {
+            counters,
+            gauges: Vec::new(),
+        }
     }
 
     /// Drains this executor's trace into `dir`'s `trace.json`: the recorded
@@ -569,35 +560,6 @@ impl Executor {
         let path = dir.join(crate::report::TRACE_FILE);
         write_atomic(&path, text.as_bytes())?;
         Ok(path)
-    }
-
-    fn registry(&self) -> std::sync::MutexGuard<'_, Registry> {
-        self.metrics.lock().expect("executor metrics poisoned")
-    }
-
-    /// Bumps an executor counter (e.g. `executor.tasks_ok`). No-op unless
-    /// this executor's tracer is on — the always-on cheap counters are the
-    /// [`ShardStats`], which [`Executor::metrics`] exports beside these.
-    pub fn metric_inc(&self, name: &str, by: u64) {
-        if self.tracer.is_enabled() {
-            self.registry().inc(name, by);
-        }
-    }
-
-    /// Sets an executor gauge (e.g. `executor.queue_depth`). No-op unless
-    /// the tracer is on.
-    pub fn metric_gauge(&self, name: &str, value: f64) {
-        if self.tracer.is_enabled() {
-            self.registry().set_gauge(name, value);
-        }
-    }
-
-    /// Records one task wall-time sample into the named histogram. No-op
-    /// unless the tracer is on.
-    pub fn metric_observe_wall(&self, name: &str, seconds: f64) {
-        if self.tracer.is_enabled() {
-            self.registry().observe(name, TASK_WALL_BOUNDS, seconds);
-        }
     }
 
     /// The chaos plan installed on this executor (empty by default).
@@ -677,7 +639,6 @@ impl Executor {
                 .lock()
                 .expect("in-flight batch list poisoned")
                 .push(batch.clone());
-            self.update_queue_depth_gauge();
             // Join the computation: claim group tasks until none remain,
             // then help elsewhere until the last claimed run lands.
             while batch.run_one_task(self, "claim") {}
@@ -705,7 +666,6 @@ impl Executor {
             .entry(SuiteKey::new(cfg, pm))
             .or_insert_with_key(|key| {
                 if self.tracer.is_enabled() {
-                    self.metric_inc("executor.suites_enqueued", 1);
                     self.tracer.instant(
                         "executor",
                         "suite_enqueue",
@@ -797,24 +757,6 @@ impl Executor {
             }
             _ => false,
         }
-    }
-
-    /// Recomputes the executor queue-depth gauge: unclaimed group tasks
-    /// across every in-flight batch. Gated on tracing (it takes the
-    /// in-flight lock, which claims should not pay for when nobody is
-    /// watching).
-    fn update_queue_depth_gauge(&self) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        let depth: usize = self
-            .in_flight
-            .lock()
-            .expect("in-flight batch list poisoned")
-            .iter()
-            .map(|b| b.unclaimed())
-            .sum();
-        self.metric_gauge("executor.queue_depth", depth as f64);
     }
 
     /// Runs `f` with the calling thread's [`CosimPool`] shard for `runs`
@@ -918,7 +860,6 @@ impl Executor {
     fn rebuild_pool(&self, labels: &[(&'static str, String)]) {
         let span = self.tracer.begin();
         rebuild_worker_pool();
-        self.metric_inc("executor.pool_rebuilds", 1);
         self.end_span("pool_rebuild", span, labels, &[]);
     }
 
@@ -1115,13 +1056,6 @@ impl Executor {
         match outcome {
             Ok(success) => {
                 end_task("ok", success.attempts);
-                if self.tracer.is_enabled() {
-                    self.metric_inc("executor.tasks_ok", 1);
-                    self.metric_observe_wall(
-                        &labeled("executor.task_wall_s", &[("scenario", id.name())]),
-                        success.attempt_wall_s.iter().sum(),
-                    );
-                }
                 self.record_to_journal(&job.key, id, &success);
                 job.fill_slot(i, Slot::Ready(Box::new(success.value)));
             }
@@ -1241,12 +1175,11 @@ impl Executor {
         attempt: u32,
         e: &CosimError,
     ) -> String {
-        if let CosimError::DeadlineExceeded { .. } = e {
-            self.end_attempt(span, labels, attempt, "deadline");
-            self.metric_inc("executor.deadline_trips", 1);
-        } else {
-            self.end_attempt(span, labels, attempt, "error");
-        }
+        let outcome = match e {
+            CosimError::DeadlineExceeded { .. } => "deadline",
+            _ => "error",
+        };
+        self.end_attempt(span, labels, attempt, outcome);
         format!("attempt {attempt}: {}", error_chain(e))
     }
 
@@ -1260,7 +1193,6 @@ impl Executor {
         msg: &str,
     ) -> String {
         self.end_attempt(span, labels, attempt, "panic");
-        self.metric_inc("executor.task_panics", 1);
         format!("attempt {attempt}: panic: {msg}")
     }
 }
@@ -1516,19 +1448,6 @@ mod tests {
         assert_eq!(key.cache_dir().len(), 16);
         assert_eq!(SuiteKey::from_hex(""), None);
         assert_eq!(SuiteKey::from_hex("xyz"), None);
-    }
-
-    #[test]
-    fn metrics_are_gated_on_tracing() {
-        let exec = Executor::default();
-        exec.metric_inc("executor.test_gate", 1);
-        assert_eq!(exec.metrics().counter("executor.test_gate"), None);
-        exec.tracer().set_enabled(true);
-        exec.metric_inc("executor.test_gate", 2);
-        exec.metric_observe_wall("executor.test_wall", 0.5);
-        let snap = exec.metrics();
-        assert_eq!(snap.counter("executor.test_gate"), Some(2));
-        assert_eq!(snap.histogram("executor.test_wall").unwrap().total, 1);
     }
 
     #[test]

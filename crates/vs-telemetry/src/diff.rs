@@ -423,67 +423,6 @@ pub fn diff_snapshots(
             });
         }
     }
-    // Histograms: structural bounds, tolerant counts/sum.
-    for gh in &golden.histograms {
-        let key = canonical_key(&gh.name);
-        let outcome = match candidate
-            .histograms
-            .iter()
-            .find(|h| canonical_key(&h.name) == key)
-        {
-            None => DiffOutcome::MissingInCandidate {
-                golden: gh.total as f64,
-            },
-            Some(ch) if ch.bounds != gh.bounds => DiffOutcome::ShapeMismatch {
-                detail: "histogram bounds changed".to_string(),
-            },
-            Some(ch) if ch.counts.len() != gh.counts.len() => DiffOutcome::ShapeMismatch {
-                detail: "histogram bucket count changed".to_string(),
-            },
-            Some(ch) => {
-                let tolerance = spec.lookup(&key);
-                let counts_ok = gh
-                    .counts
-                    .iter()
-                    .zip(&ch.counts)
-                    .all(|(a, b)| tolerance.accepts(*a as f64, *b as f64));
-                if counts_ok
-                    && tolerance.accepts(gh.sum, ch.sum)
-                    && tolerance.accepts(gh.total as f64, ch.total as f64)
-                {
-                    DiffOutcome::Pass {
-                        golden: gh.total as f64,
-                        candidate: ch.total as f64,
-                    }
-                } else {
-                    DiffOutcome::Mismatch {
-                        golden: gh.sum,
-                        candidate: ch.sum,
-                        tolerance,
-                    }
-                }
-            }
-        };
-        entries.push(DiffEntry {
-            key: format!("histogram:{key}"),
-            outcome,
-        });
-    }
-    for ch in &candidate.histograms {
-        let key = canonical_key(&ch.name);
-        if !golden
-            .histograms
-            .iter()
-            .any(|h| canonical_key(&h.name) == key)
-        {
-            entries.push(DiffEntry {
-                key: format!("histogram:{key}"),
-                outcome: DiffOutcome::ExtraInCandidate {
-                    candidate: ch.total as f64,
-                },
-            });
-        }
-    }
     entries.sort_by(|a, b| a.key.cmp(&b.key));
     DiffReport {
         entries,
@@ -610,7 +549,6 @@ mod tests {
         MetricsSnapshot {
             counters: Vec::new(),
             gauges: gauges.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-            histograms: Vec::new(),
         }
     }
 
@@ -670,7 +608,6 @@ mod tests {
         let g = MetricsSnapshot {
             counters: vec![("n".to_string(), 3)],
             gauges: Vec::new(),
-            histograms: Vec::new(),
         };
         let c = snap(&[("n", 3.0)]);
         let r = diff_snapshots(&g, &c, &ToleranceSpec::uniform(Tolerance { abs: 9.0, rel: 0.0 }));

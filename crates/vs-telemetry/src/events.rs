@@ -414,7 +414,6 @@ mod tests {
                 Event::Metrics(MetricsSnapshot {
                     counters: vec![("executor.groups".to_string(), 12)],
                     gauges: vec![("pde_avg{pds=cross}".to_string(), 0.93)],
-                    histograms: Vec::new(),
                 }),
                 Event::FaultRow(FaultCampaignRow {
                     pds: "VS cross-layer".to_string(),

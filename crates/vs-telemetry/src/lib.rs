@@ -2,10 +2,10 @@
 //!
 //! The observability substrate the rest of the workspace reports through:
 //!
-//! * [`Registry`] — a metrics store (counters, gauges, fixed-bucket
-//!   [`Histogram`]s) with labels via [`labeled`]. Experiments record their
-//!   figure values in one, dse its frontier, and the executor its run
-//!   counters.
+//! * [`Registry`] / [`MetricsSnapshot`] — named gauges with labels via
+//!   [`labeled`], in which experiments record their figure values and dse
+//!   its frontier; a snapshot also carries counters, as an executor's trace
+//!   carries its run counters.
 //! * [`StageProfiler`] — span-style wall-time profiling of the five
 //!   co-simulation stages ([`Stage`]), so the benchmark can attribute a
 //!   run's cycles to the layer that spent them.
@@ -68,9 +68,7 @@ pub use journal::{
     append_journal, checksum_hex, fnv1a_64, read_journal, write_atomic, DegradedEntry,
     JournalRecord,
 };
-pub use metrics::{
-    bucket_quantile, labeled, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
-};
+pub use metrics::{labeled, MetricsSnapshot, Registry};
 pub use profile::{Stage, StageProfiler};
 pub use trace::{
     chrome_trace_json, lifecycle_json, parse_chrome_trace, TraceEvent, TracePhase, Tracer,

@@ -437,9 +437,11 @@ mod tests {
 
     #[test]
     fn chrome_export_embeds_metrics_and_names_tracks() {
-        let mut reg = crate::Registry::new();
-        reg.inc("executor.steals", 3);
-        let text = chrome_trace_json(&[span(5, "task", 0, 10)], Some(&reg.snapshot()));
+        let metrics = MetricsSnapshot {
+            counters: vec![("executor.steals".to_string(), 3)],
+            gauges: Vec::new(),
+        };
+        let text = chrome_trace_json(&[span(5, "task", 0, 10)], Some(&metrics));
         assert!(text.contains("\"thread_name\""), "{text}");
         assert!(text.contains("worker-5"), "{text}");
         let (parsed, metrics) = parse_chrome_trace(&text).unwrap();

@@ -1,14 +1,16 @@
 //! Seeded round-trip fuzz for the hand-rolled JSONL writer/parser: random
-//! [`Event`] streams must survive `to_jsonl` -> `parse_jsonl` unchanged.
+//! [`Event`] streams must survive `to_jsonl` -> `parse_jsonl` unchanged,
+//! and so must the blessed artifacts under `goldens/`, byte for byte.
 //!
 //! Generated values stay inside the schema's representable domain: floats
 //! are finite (non-finite serializes as `null` by design) and integers fit
 //! in 53 bits (the JSON number mantissa).
 
+use std::path::Path;
+
 use vs_num::Rng;
 use vs_telemetry::{
-    DsePointRow, Event, FaultCampaignRow, HistogramSnapshot, MetricsSnapshot, RunArtifact,
-    RunManifest, StageSample,
+    DsePointRow, Event, FaultCampaignRow, MetricsSnapshot, RunArtifact, RunManifest, StageSample,
 };
 
 const CASES: u64 = 150;
@@ -29,10 +31,6 @@ fn word(rng: &mut Rng, tag: &str) -> String {
     // Exercise the string escaper too: quotes, backslashes, control chars.
     let decorations = ["", "\"quoted\"", "back\\slash", "line\nbreak", "tab\there", "µ∂"];
     format!("{tag}-{}{}", rng.below(1000), decorations[rng.index(0, decorations.len())])
-}
-
-fn f64s(rng: &mut Rng, n: usize) -> Vec<f64> {
-    (0..n).map(|_| finite(rng)).collect()
 }
 
 fn random_event(rng: &mut Rng) -> Event {
@@ -64,19 +62,6 @@ fn random_event(rng: &mut Rng) -> Event {
                 .collect(),
             gauges: (0..rng.index(0, 4))
                 .map(|i| (format!("g{i}{{k={}}}", rng.below(100)), finite(rng)))
-                .collect(),
-            histograms: (0..rng.index(0, 3))
-                .map(|i| {
-                    let n = rng.index(1, 4);
-                    let bounds = f64s(rng, n);
-                    HistogramSnapshot {
-                        name: format!("h{i}"),
-                        bounds,
-                        counts: (0..=n).map(|_| small_u64(rng)).collect(),
-                        sum: finite(rng),
-                        total: small_u64(rng),
-                    }
-                })
                 .collect(),
         }),
         3 => Event::FaultRow(FaultCampaignRow {
@@ -161,4 +146,42 @@ fn deterministic_jsonl_drops_only_wall_time() {
         assert_eq!(det.events, expect, "case {case}");
         assert!(det.events.iter().all(|e| !e.is_wall_time()));
     }
+}
+
+/// Every blessed artifact (the experiments, the dse frontier and the fault
+/// campaign; not the suite manifest, which carries no events) parses and
+/// writes back to the exact bytes it was read from — the path behind the
+/// deterministic artifact digests.
+#[test]
+fn golden_artifacts_roundtrip_byte_for_byte() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../goldens");
+    let mut checked = Vec::new();
+    for entry in std::fs::read_dir(&dir).expect("goldens directory") {
+        let path = entry.expect("goldens entry").path();
+        let name = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or_default()
+            .to_string();
+        if !name.ends_with(".jsonl") || name == "manifest.jsonl" {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("golden artifact reads");
+        let artifact = RunArtifact::parse_jsonl(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(
+            artifact.to_jsonl() == text,
+            "{name} does not write back byte for byte"
+        );
+        checked.push(name);
+    }
+    for name in ["fig8.jsonl", "dse_frontier.jsonl", "fault_campaign.jsonl"] {
+        assert!(
+            checked.iter().any(|n| n == name),
+            "{name} missing from {checked:?}"
+        );
+    }
+    assert!(
+        checked.len() >= 22,
+        "20 experiments + dse + campaign, got {checked:?}"
+    );
 }

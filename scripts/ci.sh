@@ -6,16 +6,18 @@
 #   --golden   tier-2: the golden-artifact regression suite on the
 #              reduced-cycle golden profile. Re-runs the full experiment
 #              catalogue, diffs it against goldens/*.jsonl under
-#              goldens/tolerances.json, asserts every EXPERIMENTS.md
+#              goldens/tolerances.json and then byte-for-byte (less the
+#              wall-time `stages` line), asserts every EXPERIMENTS.md
 #              headline claim, checks sweep determinism across worker
 #              counts, round-trips `sweep --resume` through the real binary
 #              against injected damage, diffs the fault-injection
 #              campaign byte-for-byte against goldens/fault_campaign.jsonl,
 #              diffs the dse Pareto frontier against
-#              goldens/dse_frontier.jsonl under the shared tolerances,
-#              and runs the timing guards in benches/perf.rs (per-lane
-#              batched solve cost falling from 1 to 8 lanes, disabled
-#              telemetry overhead, disabled executor tracing overhead).
+#              goldens/dse_frontier.jsonl under the shared tolerances and
+#              then byte-for-byte, and runs the timing guards in
+#              benches/perf.rs (per-lane batched solve cost falling from
+#              1 to 8 lanes, disabled telemetry overhead, disabled
+#              executor tracing overhead).
 #              Leaves the suite manifest at target/sweep/ as the uploadable
 #              artifact.
 #
@@ -30,6 +32,21 @@ if [[ "${1:-}" == "--golden" ]]; then
     echo "== sweep artifact =="
     cargo run --release -q -p vs-bench --bin sweep -- \
         run --profile golden --out target/sweep --diff goldens
+    # Byte for byte too: each experiment artifact, less its wall-time
+    # `stages` line, is its golden.
+    n_bytes=0
+    for golden in goldens/*.jsonl; do
+        name=$(basename "$golden")
+        case "$name" in
+            manifest.jsonl | dse_frontier.jsonl | fault_campaign.jsonl) continue ;;
+        esac
+        [[ -f "target/sweep/$name" ]] \
+            || { echo "sweep golden: target/sweep/$name missing" >&2; exit 1; }
+        grep -v '^{"type":"stages"' "target/sweep/$name" | cmp -s - "$golden" \
+            || { echo "sweep golden: $name differs from its golden" >&2; exit 1; }
+        n_bytes=$((n_bytes + 1))
+    done
+    echo "sweep golden: $n_bytes artifact(s) byte-identical"
     echo "== dse frontier artifact =="
     # Deterministic tiny-grid frontier at the golden profile, diffed
     # against the blessed artifact under the shared tolerances.
@@ -37,7 +54,9 @@ if [[ "${1:-}" == "--golden" ]]; then
         --profile golden --deterministic --out target/dse-golden \
         --progress off --diff goldens/dse_frontier.jsonl \
         --tolerances goldens/tolerances.json > /dev/null
-    echo "dse frontier golden: OK"
+    cmp goldens/dse_frontier.jsonl target/dse-golden/dse_frontier.jsonl \
+        || { echo "dse frontier golden: artifact differs" >&2; exit 1; }
+    echo "dse frontier golden: OK (byte-identical)"
     echo "== fault-campaign artifact =="
     # The campaign artifact carries no wall-time events, so the golden is
     # compared byte-for-byte at the golden profile.
