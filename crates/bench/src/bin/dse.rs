@@ -5,7 +5,7 @@
 //! ```text
 //! dse [--grid tiny|full|paper] [--space SPEC] [--jobs N]
 //!     [--out DIR] [--resume DIR] [--profile env|golden|tiny] [--seed N]
-//!     [--deterministic] [--trace] [--progress plain|json|off]
+//!     [--deterministic] [--trace] [--progress plain|off]
 //!     [--diff GOLDEN] [--tolerances FILE]
 //! ```
 //!
@@ -63,7 +63,7 @@ use std::process::ExitCode;
 use vs_bench::cli::{ArgSpec, CommandSpec, PROFILE_FLAG, SEED_FLAG};
 use vs_bench::dse::{check_frontier_claims, run_dse, DseOptions, DseResult, FRONTIER_FILE};
 use vs_bench::report::{diff_baseline, load_tolerances};
-use vs_bench::shard::{ExecutorConfig, Preload};
+use vs_bench::shard::Preload;
 use vs_bench::space::AxisSpace;
 use vs_bench::{journal, Executor};
 use vs_telemetry::ToleranceSpec;
@@ -152,11 +152,7 @@ fn main() -> ExitCode {
     }
 
     // Golden (deterministic) trees carry no journal.
-    let exec = Executor::new(
-        ExecutorConfig::default(),
-        (!deterministic).then(|| out.clone()),
-        Preload::new(),
-    );
+    let exec = Executor::new((!deterministic).then(|| out.clone()), Preload::new());
     exec.tracer().set_enabled(parsed.common.trace);
     let opts = DseOptions { jobs: parsed.common.jobs, settings, space, preloaded };
     let result = run_dse(&exec, &opts);

@@ -4,7 +4,7 @@
 //! ```text
 //! serve (--stdio | --addr HOST:PORT) [--store DIR]
 //!       [--profile env|golden|tiny] [--seed N] [--trace]
-//!       [--progress plain|json|off]
+//!       [--progress plain|off]
 //! ```
 //!
 //! `--stdio` serves exactly one session over stdin/stdout (tests, CI

@@ -4,7 +4,7 @@
 //! sweep [run] [--jobs N] [--out DIR] [--only id,...]
 //!             [--profile env|golden|tiny] [--seed N] [--deterministic]
 //!             [--resume DIR] [--diff GOLDEN_DIR] [--tolerances FILE]
-//!             [--trace] [--progress plain|json|off]
+//!             [--trace] [--progress plain|off]
 //! sweep show [id,...] [--profile env|golden|tiny] [--seed N]
 //! sweep diff-baseline <baseline dir|file> <candidate dir|file> [--tolerances FILE]
 //! sweep report <dir>
@@ -63,7 +63,7 @@ use std::process::ExitCode;
 use vs_bench::claims::{check_claims, ClaimResult};
 use vs_bench::cli::{ArgSpec, CommandSpec, PROFILE_FLAG, SEED_FLAG};
 use vs_bench::report::{diff_baseline, RunReport};
-use vs_bench::shard::{ExecutorConfig, Preload};
+use vs_bench::shard::Preload;
 use vs_bench::sweep::{run_sweep, SweepOptions};
 use vs_bench::{journal, Executor, ExperimentId};
 use vs_telemetry::{RunArtifact, ToleranceSpec};
@@ -238,11 +238,7 @@ fn run_main(args: &[String]) -> ExitCode {
     }
     // Golden (deterministic) trees carry no journal; every other run
     // journals completed work into the output directory for --resume.
-    let exec = Executor::new(
-        ExecutorConfig::default(),
-        (!deterministic).then(|| out.clone()),
-        preloaded,
-    );
+    let exec = Executor::new((!deterministic).then(|| out.clone()), preloaded);
     exec.tracer().set_enabled(trace);
     let result = run_sweep(&exec, &SweepOptions { jobs: parsed.common.jobs, only, settings });
     let written = if deterministic {

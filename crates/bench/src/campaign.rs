@@ -13,21 +13,25 @@
 //! cell runs as a one-member group ([`vs_core::CosimPool::run_group`],
 //! its fault plan riding in the [`GroupRun`]) through the executor's
 //! attempt loop — the calling worker's long-lived pool shard inside an
-//! isolation boundary, panics and watchdog trips retried with seeded
-//! backoff — so a cell that exhausts its attempts lands as a `quarantined`
-//! verdict instead of killing the campaign. Cells fill canonical slots, so
+//! isolation boundary, panics retried with seeded backoff — so a cell that
+//! exhausts its attempts lands as a `quarantined` verdict instead of
+//! killing the campaign. A cell's cycle budget is unlimited: its run ends
+//! at the cycle cap, and a solver failure is the cell's `aborted` verdict,
+//! not a retry. The campaign records no spans of its own: a traced
+//! executor records each cell's attempts. Cells fill canonical slots, so
 //! the row list (and every artifact built from it) is byte-identical at
 //! any `--jobs`.
 
 use vs_control::{ActuatorFault, DetectorFault};
 use vs_core::{
-    CosimError, CrIvrFault, FaultKind, FaultPlan, FaultWindow, GroupRun, LoadGlitch, PdsKind,
+    CrIvrFault, CycleBudget, FaultKind, FaultPlan, FaultWindow, GroupRun, LoadGlitch, PdsKind,
     PowerManagement, ScenarioId, SupervisedReport, SupervisorConfig,
 };
 use vs_gpu::WorkloadProfile;
 use vs_telemetry::FaultCampaignRow;
 
 use crate::obs;
+use crate::shard::MAX_ATTEMPTS;
 use crate::sweep::effective_jobs;
 use crate::{pct, volts, Executor, RunSettings};
 
@@ -212,13 +216,12 @@ pub fn campaign_pds() -> [PdsKind; 2] {
 /// cell — on `exec` across `jobs` workers, returning the rows in
 /// canonical (serial-loop) order.
 ///
-/// Each cell runs through the executor's attempt loop: a panic or a
-/// watchdog deadline trip retries with seeded jittered backoff (the pool
-/// shard is rebuilt after a panic), and a cell that exhausts its attempts
-/// becomes a `quarantined` verdict carrying the per-attempt error chain —
-/// the campaign always completes. Because results fill canonical slots and
-/// runs share no mutable state, the row list is byte-identical whatever
-/// the worker count.
+/// Each cell runs through the executor's attempt loop: a panic retries
+/// with seeded jittered backoff (the pool shard is rebuilt after it), and
+/// a cell that exhausts its attempts becomes a `quarantined` verdict
+/// carrying the per-attempt error chain — the campaign always completes.
+/// Because results fill canonical slots and runs share no mutable state,
+/// the row list is byte-identical whatever the worker count.
 pub fn run_campaign(exec: &Executor, settings: &RunSettings, jobs: usize) -> Vec<FaultCampaignRow> {
     let supervisor = SupervisorConfig::default();
     let benchmark = ScenarioId::Heartwall.profile();
@@ -238,28 +241,8 @@ pub fn run_campaign(exec: &Executor, settings: &RunSettings, jobs: usize) -> Vec
     exec.run_claims(jobs, &order, |i| {
         let (pds, si) = cells[i];
         let sc = &scenarios[si];
-        obs::progress(
-            "campaign",
-            "cell",
-            &[
-                ("fault", sc.name.to_string()),
-                ("pds", pds.label().to_string()),
-            ],
-            || format!("  {} under {} ...", sc.name, pds.label()),
-        );
-        let span = exec.tracer().begin();
-        let row = run_cell(exec, settings, pds, sc, &supervisor, &benchmark);
-        exec.tracer().end_span(
-            "campaign",
-            "campaign_cell",
-            span,
-            &[
-                ("fault", sc.name.to_string()),
-                ("pds", pds.label().to_string()),
-                ("verdict", row.verdict.clone()),
-            ],
-        );
-        row
+        obs::progress(|| format!("  {} under {} ...", sc.name, pds.label()));
+        run_cell(exec, settings, pds, sc, &supervisor, &benchmark)
     })
 }
 
@@ -279,40 +262,24 @@ fn run_cell(
         ("fault", sc.name.to_string()),
         ("pds", pds.label().to_string()),
     ];
-    let outcome = exec.attempt(&tag, &labels, |_, pool, budget| {
+    let outcome = exec.attempt(&tag, &labels, |_, pool| {
         let run = GroupRun {
             cfg: cfg.clone(),
             pm: PowerManagement::default(),
-            budget,
+            budget: CycleBudget::unlimited(),
             plan: sc.plan.clone(),
         };
-        let run = pool
+        Ok(pool
             .run_group(benchmark, &[run], supervisor)
             .reports
             .pop()
-            .expect("one run, one report");
-        // A deadline trip is the watchdog's business (retry), not a
-        // campaign verdict: the supervised run records it as an error.
-        match run.error {
-            Some(e @ CosimError::DeadlineExceeded { .. }) => Err(e),
-            _ => Ok(run),
-        }
+            .expect("one run, one report"))
     });
-    let failure = match outcome {
+    let errors = match outcome {
         Ok(success) => return cell_row(pds, sc.name, &success.value),
-        Err(failure) => failure,
+        Err(errors) => errors,
     };
-    let attempts = failure.attempts;
-    obs::progress(
-        "campaign",
-        "quarantine",
-        &[
-            ("fault", sc.name.to_string()),
-            ("pds", pds.label().to_string()),
-            ("attempts", attempts.to_string()),
-        ],
-        || format!("  quarantining campaign cell {tag} after {attempts} attempt(s)"),
-    );
+    obs::progress(|| format!("  quarantining campaign cell {tag} after {MAX_ATTEMPTS} attempt(s)"));
     FaultCampaignRow {
         pds: pds.label().to_string(),
         fault: sc.name.to_string(),
@@ -322,7 +289,7 @@ fn run_cell(
         below_guardband_us: 0.0,
         retries: 0,
         sanitized: 0,
-        error: Some(failure.errors.join("; ")),
+        error: Some(errors.join("; ")),
     }
 }
 

@@ -2,19 +2,19 @@
 //! `FaultPlan` idea from the *circuit* to the *scheduler*.
 //!
 //! A [`ChaosPlan`] is a seeded schedule of failures for the executor's own
-//! machinery — worker panics, watchdog deadline stalls, and torn cache
-//! writes. A test installs one on an executor
-//! ([`crate::Executor::with_chaos`]), which keeps it with its tear-once
-//! bookkeeping, so the crash-safety tier can prove the sweep survives
-//! every mode and `--resume` converges to bit-identical artifacts, and two
-//! executors in one process never see each other's plan. Injection points,
-//! each reading its executor's plan:
+//! machinery — worker panics, stalled tasks, and torn cache writes. A test
+//! installs one on an executor ([`crate::Executor::with_chaos`]), which
+//! keeps it with its tear-once bookkeeping, so the crash-safety tier can
+//! prove the sweep survives every mode and `--resume` converges to
+//! bit-identical artifacts, and two executors in one process never see
+//! each other's plan. Injection points, each reading its executor's plan:
 //!
 //! * `chaos_for` — consulted by the executor before each scenario
 //!   attempt. `Panic` panics inside the isolation boundary; `Stall` runs the
 //!   attempt under a deterministic [`vs_core::CycleBudget`] that trips at a
-//!   chosen cycle, exercising the watchdog path without wall-clock waits
-//!   (the 1-core-host rule).
+//!   chosen cycle, exercising the deadline/retry path without wall-clock
+//!   waits. No production run sets a budget: a run is bounded by its cycle
+//!   cap and the solver's recovery policy.
 //! * `panics_trunk` — consulted by dse before each attempt of a trunk
 //!   task, keyed by the trunk as `chaos_for` is by scenario; a trunk listed
 //!   in [`ChaosPlan::trunk_panics`] panics inside the isolation boundary.
@@ -40,7 +40,7 @@ pub enum ChaosMode {
     /// Panic inside the isolation boundary (exercises `catch_unwind` + pool
     /// rebuild).
     Panic,
-    /// Trip the watchdog deterministically at this cycle (exercises the
+    /// Trip the attempt's cycle budget at this cycle (exercises the
     /// deadline/retry path without real stalls).
     Stall {
         /// Cycle at which the injected budget trips.
@@ -49,7 +49,8 @@ pub enum ChaosMode {
 }
 
 /// One scheduled failure: a scenario, a mode, and how many leading attempts
-/// it poisons (`attempts >= max_attempts` forces quarantine).
+/// it poisons (`attempts >=` [`crate::shard::MAX_ATTEMPTS`] forces
+/// quarantine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosEvent {
     /// Which scenario's tasks to sabotage (every suite's instance of it).

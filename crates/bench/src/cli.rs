@@ -46,7 +46,7 @@ pub const COMMON_FLAGS: [ArgSpec; 5] = [
     ArgSpec { name: "--out", value: Some("DIR"), help: "output directory for artifacts" },
     ArgSpec { name: "--resume", value: Some("DIR"), help: "resume from DIR's completion journal" },
     ArgSpec { name: "--trace", value: None, help: "record executor spans; write trace.json into --out (serve: into its store directory)" },
-    ArgSpec { name: "--progress", value: Some("plain|json|off"), help: "progress narration mode on stderr" },
+    ArgSpec { name: "--progress", value: Some("plain|off"), help: "progress narration mode on stderr" },
 ];
 
 /// `--profile env|golden|tiny`: the [`RunSettings`] a run starts from.
@@ -370,7 +370,7 @@ mod tests {
         let CliError::Help(text) = spec.parse(&s(&["--help"])).unwrap_err() else {
             panic!("expected help");
         };
-        for needle in ["demo binary", "usage: demo", "--jobs N", "--progress plain|json|off", "--seed N", "--help"] {
+        for needle in ["demo binary", "usage: demo", "--jobs N", "--progress plain|off", "--seed N", "--help"] {
             assert!(text.contains(needle), "help missing {needle:?}:\n{text}");
         }
         assert!(!text.contains("--resume"), "unaccepted common flag leaked into help");

@@ -81,7 +81,7 @@ use vs_telemetry::{
 
 use crate::journal;
 use crate::obs;
-use crate::shard::SuiteKey;
+use crate::shard::{SuiteKey, MAX_ATTEMPTS};
 use crate::space::{AxisSpace, ConfigPoint, PdsFamily};
 use crate::sweep::effective_jobs;
 use crate::{Executor, RunSettings};
@@ -705,6 +705,7 @@ pub fn run_dse(exec: &Executor, opts: &DseOptions) -> DseResult {
         }
     }
     let evaluated = pending.len();
+    exec.count_replays(replayed);
 
     // Group the pending points by trunk, in point order, so the trunks
     // come out stack-major, then by area. Replayed points read no run, so
@@ -732,7 +733,7 @@ pub fn run_dse(exec: &Executor, opts: &DseOptions) -> DseResult {
     let outcomes = exec.run_claims(jobs, &order, |t| {
         let task = &tasks[t];
         let labels = [("trunk", task.label.clone())];
-        let attempts = exec.attempt(&task.label, &labels, |attempt, _, _| {
+        let attempts = exec.attempt(&task.label, &labels, |attempt, _| {
             if exec.chaos().panics_trunk(&task.label, attempt) {
                 panic!("chaos: injected panic for trunk {} (attempt {attempt})", task.label);
             }
@@ -740,11 +741,10 @@ pub fn run_dse(exec: &Executor, opts: &DseOptions) -> DseResult {
         });
         let outcome = match attempts {
             Ok(success) => success.value,
-            Err(failure) => panic!(
-                "dse trunk {} failed {} attempt(s): {}",
+            Err(errors) => panic!(
+                "dse trunk {} failed {MAX_ATTEMPTS} attempt(s): {}",
                 task.label,
-                failure.attempts,
-                failure.errors.join("; ")
+                errors.join("; ")
             ),
         };
         for (&reader, metrics) in task.readers.iter().zip(&outcome.metrics) {
@@ -756,12 +756,7 @@ pub fn run_dse(exec: &Executor, opts: &DseOptions) -> DseResult {
             }
             let n = done.fetch_add(1, Ordering::Relaxed) + 1;
             if n.is_multiple_of(progress_every) || n == evaluated {
-                obs::progress(
-                    "dse",
-                    "points",
-                    &[("done", n.to_string()), ("total", evaluated.to_string())],
-                    || format!("[dse] {n}/{evaluated} points"),
-                );
+                obs::progress(|| format!("[dse] {n}/{evaluated} points"));
             }
         }
         outcome

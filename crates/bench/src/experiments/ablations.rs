@@ -302,7 +302,7 @@ pub(super) fn bode(r: &mut Recorder) {
     let freqs = [0.05e6, 0.2e6, 0.8e6, 2.0e6, 5.0e6];
     let mut rows = Vec::new();
     for f in freqs {
-        crate::obs::progress_step(&format!("  measuring {f:.2e} Hz ..."));
+        crate::obs::progress(|| format!("  measuring {f:.2e} Hz ..."));
         let measured = measured_gain(f, k, t_cycles);
         // Analytic: per-step injection of a 1 A disturbance into one node is
         // (I * T / C_node); the state response is that times the z-domain

@@ -180,7 +180,7 @@ pub(super) fn fig9(r: &mut Recorder) {
     let results: Vec<_> = configs
         .iter()
         .map(|(label, slug, area, cross)| {
-            crate::obs::progress_step(&format!("  running worst case: {label} ..."));
+            crate::obs::progress(|| format!("  running worst case: {label} ..."));
             let wc = run_worst_case(&WorstCaseConfig {
                 area_mult: *area,
                 cross_layer: *cross,
@@ -249,7 +249,7 @@ pub(super) fn fig10(r: &mut Recorder) {
     let latencies = [60u32, 80, 120, 140];
     let mut rows = Vec::new();
     for area in areas {
-        crate::obs::progress_step(&format!("  area {area} ..."));
+        crate::obs::progress(|| format!("  area {area} ..."));
         let mut row = vec![format!("{area:.1}")];
         for lat in latencies {
             let v = worst_voltage(area, lat);
@@ -273,7 +273,7 @@ pub(super) fn fig10(r: &mut Recorder) {
     let areas_b = [2.0, 0.8, 0.4, 0.2];
     let mut rows_b = Vec::new();
     for lat in lats {
-        crate::obs::progress_step(&format!("  latency {lat} ..."));
+        crate::obs::progress(|| format!("  latency {lat} ..."));
         let mut row = vec![format!("{lat}")];
         for area in areas_b {
             let v = worst_voltage(area, lat);
@@ -317,7 +317,7 @@ pub(super) fn fig11(settings: &RunSettings, r: &mut Recorder) {
     let mut pool = vs_core::CosimPool::new();
     for id in vs_core::ScenarioId::ALL {
         let name = id.name();
-        crate::obs::progress_step(&format!("  running {name} (circuit-only / cross-layer) ..."));
+        crate::obs::progress(|| format!("  running {name} (circuit-only / cross-layer) ..."));
         let mk = |pds| CosimConfig {
             record_traces: true,
             // Noise-scaled equivalent of the paper's 0.9 V threshold.
@@ -379,7 +379,7 @@ pub(super) fn fig12(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
     // supply noise into ~0.97-1.0 V, so the sweep spans that band; the
     // paper's 0.7-1.0 V axis maps onto it (see EXPERIMENTS.md).
     let thresholds = [0.90, 0.94, 0.96, 0.98, 1.00];
-    crate::obs::progress_step("running the baseline and 5 threshold suites ...");
+    crate::obs::progress(|| "running the baseline and 5 threshold suites ...");
     let suites: Vec<_> = thresholds
         .iter()
         .map(|&th| {
@@ -428,7 +428,7 @@ pub(super) fn fig13(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
             ActuatorWeights::new(0.6, 0.2, 0.2),
         ),
     ];
-    crate::obs::progress_step("running the baseline and 6 actuator-weight suites ...");
+    crate::obs::progress(|| "running the baseline and 6 actuator-weight suites ...");
     let suites: Vec<_> = combos
         .iter()
         .map(|&(_, _, weights)| {
@@ -465,7 +465,7 @@ pub(super) fn fig13(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
 /// Fig. 14: per-benchmark performance penalty and net energy saving of the
 /// cross-layer VS GPU vs the conventional PDS.
 pub(super) fn fig14(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
-    crate::obs::progress_step("running the baseline and cross-layer suites ...");
+    crate::obs::progress(|| "running the baseline and cross-layer suites ...");
     let cfg = CosimConfig {
         // Noise-scaled equivalent of the paper's 0.9 V threshold.
         v_threshold: 0.97,
@@ -517,10 +517,10 @@ pub(super) fn fig15(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
         use_hypervisor: true,
         ..PowerManagement::default()
     };
-    crate::obs::progress_step(
+    crate::obs::progress(|| {
         "running the no-DFS baseline and DFS on the conventional and cross-layer VS PDS \
-         (with VS-aware hypervisor) ...",
-    );
+         (with VS-aware hypervisor) ..."
+    });
     let (baseline, all) = run_with_baseline(
         exec,
         settings,
@@ -589,10 +589,10 @@ pub(super) fn fig16(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
         use_hypervisor: true,
         ..PowerManagement::default()
     };
-    crate::obs::progress_step(
+    crate::obs::progress(|| {
         "running the no-PG baseline and PG on the conventional and cross-layer VS PDS \
-         (with VS-aware hypervisor) ...",
-    );
+         (with VS-aware hypervisor) ..."
+    });
     let (baseline, all) = run_with_baseline(
         exec,
         settings,
@@ -693,7 +693,7 @@ pub(super) fn fig17(exec: &Executor, settings: &RunSettings, r: &mut Recorder) {
             },
         ),
     ];
-    crate::obs::progress_step("running the 5 power-management suites ...");
+    crate::obs::progress(|| "running the 5 power-management suites ...");
     let suites: Vec<_> = configs
         .iter()
         .map(|(_, _, pm)| (settings.config(PdsKind::VsCrossLayer { area_mult: 0.2 }), pm.clone()))

@@ -2,12 +2,12 @@
 //! [`Executor`], backed by a content-addressed artifact store.
 //!
 //! The server accepts **line-delimited JSON requests** (one object per
-//! line) and streams back **request-lifecycle events**: one
-//! [`vs_telemetry::lifecycle_json`] line each, category `serve`, the
-//! request id first in its args — the vocabulary the `--progress json`
-//! sink already speaks. Framing is hand-rolled over `BufRead` lines, so
-//! the same handler serves a TCP socket (a thread per connection, at most
-//! [`MAX_CONNECTIONS`] at once) and stdio (tests, CI smoke).
+//! line) and streams back **request-lifecycle events**: one JSON object per
+//! line, `{"type":"lifecycle","cat":"serve","name":STAGE,"args":{…}}`, the
+//! request id first in its args. Framing is hand-rolled over `BufRead`
+//! lines, so the same handler serves a TCP socket (a thread per
+//! connection, at most [`MAX_CONNECTIONS`] at once) and stdio (tests, CI
+//! smoke).
 //!
 //! # Protocol
 //!
@@ -73,10 +73,10 @@ use std::time::Duration;
 use vs_core::{PowerManagement, ScenarioId};
 use vs_telemetry::json::{self, Json};
 use vs_telemetry::{
-    checksum_hex, fnv1a_64, lifecycle_json, write_atomic, JournalRecord, ToleranceSpec, SCHEMA_VERSION,
+    checksum_hex, fnv1a_64, write_atomic, JournalRecord, ToleranceSpec, SCHEMA_VERSION,
 };
 
-use crate::shard::{ExecutorConfig, SuiteKey};
+use crate::shard::SuiteKey;
 use crate::space::{AxisSpace, ConfigPoint};
 use crate::{journal, obs, report, Executor, ExperimentId, RunSettings};
 
@@ -191,11 +191,7 @@ impl Server {
             damaged: state.damaged + experiments.len() - verified_experiments,
             skipped_lines: state.skipped_lines,
         };
-        let executor = Executor::new(
-            ExecutorConfig::default(),
-            Some(root.clone()),
-            state.preloaded,
-        );
+        let executor = Executor::new(Some(root.clone()), state.preloaded);
 
         Ok(Server {
             root,
@@ -510,26 +506,26 @@ impl PointSummary {
 /// work follows it; every other event waits for the flush that ends the
 /// request.
 fn emit(out: &mut dyn Write, req: &str, stage: &str, args: &[(&str, String)]) -> io::Result<()> {
-    let wire = wire_args(req, args);
-    obs::progress("serve", stage, &wire, || {
+    obs::progress(|| {
         let detail: Vec<String> = args.iter().map(|(k, v)| format!("{k}={v}")).collect();
         format!("[serve] {req} {stage} {}", detail.join(" "))
     });
-    let mut line = lifecycle_json("serve", stage, &wire).to_string_compact();
+    let wire = std::iter::once(("req", req))
+        .chain(args.iter().map(|(k, v)| (*k, v.as_str())))
+        .map(|(k, v)| (k, Json::from(v)));
+    let event = Json::obj([
+        ("type", Json::from("lifecycle")),
+        ("cat", Json::from("serve")),
+        ("name", Json::from(stage)),
+        ("args", Json::obj(wire)),
+    ]);
+    let mut line = event.to_string_compact();
     line.push('\n');
     out.write_all(line.as_bytes())?;
     if stage == "running" {
         out.flush()?;
     }
     Ok(())
-}
-
-/// The full lifecycle arg list (`req` first), as the wire form carries it.
-fn wire_args<'a>(req: &'a str, args: &'a [(&'a str, String)]) -> Vec<(&'a str, String)> {
-    let mut all = Vec::with_capacity(args.len() + 1);
-    all.push(("req", req.to_string()));
-    all.extend(args.iter().map(|(k, v)| (*k, v.clone())));
-    all
 }
 
 /// Serves line-delimited requests from `input` until EOF or a `shutdown`
@@ -597,9 +593,7 @@ pub fn serve_tcp(server: &Arc<Server>, listener: TcpListener) -> io::Result<()> 
         let mut conn = match conn {
             Ok(conn) => conn,
             Err(e) => {
-                obs::progress("serve", "accept_failed", &[("error", e.to_string())], || {
-                    format!("[serve] accept failed: {e}")
-                });
+                obs::progress(|| format!("[serve] accept failed: {e}"));
                 std::thread::sleep(ACCEPT_BACKOFF);
                 continue;
             }
@@ -622,9 +616,7 @@ pub fn serve_tcp(server: &Arc<Server>, listener: TcpListener) -> io::Result<()> 
             }
         };
         if let Err(e) = std::thread::Builder::new().spawn(session) {
-            obs::progress("serve", "accept_failed", &[("error", e.to_string())], || {
-                format!("[serve] cannot start a connection thread: {e}")
-            });
+            obs::progress(|| format!("[serve] cannot start a connection thread: {e}"));
         }
     }
     Ok(())

@@ -2,16 +2,15 @@
 //! run as batches of group tasks, and the crash-safe attempt loop every
 //! task runs through.
 //!
-//! An [`Executor`] is a value built once per run from an immutable policy:
-//! the retry/watchdog [`ExecutorConfig`], the journal directory, and the
-//! resume [`Preload`]. It owns everything the run mutates: the suite memo,
-//! the in-flight batches idle workers steal from, the quarantine list, and
-//! the [`ShardStats`] counters, which are also its trace's metrics. It also
-//! owns everything the run records or injects: its [`Tracer`] and the chaos
-//! plan a test installs ([`Executor::with_chaos`]). Two executors in one
-//! process share no work, no journal, no memo, no trace and no plan — only
-//! the per-thread solver pools (pure workspace) and the progress sink
-//! ([`crate::obs`]).
+//! An [`Executor`] is a value built once per run from its journal
+//! directory and resume [`Preload`]. It owns everything the run mutates:
+//! the suite memo, the in-flight batches idle workers steal from, the
+//! quarantine list, and the [`ShardStats`] counters, which are also its
+//! trace's metrics. It also owns everything the run records or injects:
+//! its [`Tracer`] and the chaos plan a test installs
+//! ([`Executor::with_chaos`]). Two executors in one process share no work,
+//! no journal, no memo, no trace and no plan — only the per-thread solver
+//! pools (pure workspace) and the progress sink ([`crate::obs`]).
 //!
 //! * **Claim loop** (`Executor::run_claims`): scoped workers claim item
 //!   indices in a priority order and fill canonical result slots; a worker
@@ -44,12 +43,14 @@
 //! thread's pool shard is rebuilt (a panic can unwind through a
 //! half-stepped solver, so the shard is never trusted afterwards — the
 //! `UnwindSafe` audit behind the `AssertUnwindSafe`), and the attempt is
-//! retried with seeded jittered backoff under an optional watchdog
-//! [`CycleBudget`] deadline. Attempts stay per (suite, scenario): a group
-//! task's shared run is attempt 0 of each member, under one watchdog of
-//! `task_deadline` × its member count, and a member whose attempt 0 failed
-//! (its own watchdog or solver, or a panic of the whole group) retries
-//! alone from attempt 1. A run that exhausts its attempts is
+//! retried with seeded jittered backoff, [`MAX_ATTEMPTS`] attempts in all.
+//! No attempt needs a wall-clock watchdog: a run ends at its cycle cap, and
+//! each circuit step makes a bounded number of recovery attempts and
+//! halvings (the solver's `RecoveryPolicy`); a [`CycleBudget`] trip is the
+//! chaos `Stall` hook. Attempts stay per (suite, scenario): a group task's
+//! shared run is attempt 0 of each member, and a member whose attempt 0
+//! failed (its own budget trip or solver, or a panic of the whole group)
+//! retries alone from attempt 1. A run that exhausts its attempts is
 //! **quarantined** ([`QuarantineRecord`], read back through
 //! [`Executor::quarantined`]): its suite completes *degraded* — missing that
 //! scenario's report — instead of aborting the process; a dse trunk that
@@ -150,31 +151,15 @@ impl SuiteKey {
     }
 }
 
-/// Retry / watchdog policy of the executor's attempt loop (scenario tasks,
-/// campaign cells and dse trunks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecutorConfig {
-    /// Attempts per task before quarantine (min 1).
-    pub max_attempts: u32,
-    /// Base backoff before the first retry, milliseconds.
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling, milliseconds.
-    pub backoff_cap_ms: u64,
-    /// Per-attempt wall-clock deadline, checked cooperatively inside the
-    /// run loop via [`CycleBudget::wall_clock`]; `None` = no watchdog.
-    pub task_deadline: Option<Duration>,
-}
+/// Attempts per task (scenario run, campaign cell or dse trunk) before
+/// quarantine.
+pub const MAX_ATTEMPTS: u32 = 3;
 
-impl Default for ExecutorConfig {
-    fn default() -> Self {
-        ExecutorConfig {
-            max_attempts: 3,
-            backoff_base_ms: 10,
-            backoff_cap_ms: 500,
-            task_deadline: None,
-        }
-    }
-}
+/// Backoff before the first retry, milliseconds; it doubles per retry.
+const BACKOFF_BASE_MS: u64 = 10;
+
+/// Backoff ceiling, milliseconds.
+const BACKOFF_CAP_MS: u64 = 500;
 
 /// A task that exhausted its retry budget: the full per-attempt error
 /// chain, named by suite and scenario in the degraded manifest section.
@@ -188,12 +173,6 @@ pub struct QuarantineRecord {
     pub attempts: u32,
     /// One error string per attempt (error chains flattened with `": "`).
     pub errors: Vec<String>,
-}
-
-/// Outcome of `Executor::attempt` when every attempt failed.
-pub(crate) struct TaskFailure {
-    pub(crate) attempts: u32,
-    pub(crate) errors: Vec<String>,
 }
 
 /// Outcome of `Executor::attempt` when an attempt succeeded: the value
@@ -454,12 +433,11 @@ impl Drop for Landed<'_> {
     }
 }
 
-/// One run's executor: the immutable policy it was built with, plus the
-/// suite memo, the in-flight batches stealers scan, the quarantine list,
-/// the observational counters that run accumulates, its tracer, and its
-/// chaos plan.
+/// One run's executor: the journal directory and preload it was built
+/// with, plus the suite memo, the in-flight batches stealers scan, the
+/// quarantine list, the observational counters that run accumulates, its
+/// tracer, and its chaos plan.
 pub struct Executor {
-    policy: ExecutorConfig,
     journal_dir: Option<PathBuf>,
     preloaded: Preload,
     /// Off until turned on ([`Executor::tracer`]).
@@ -481,20 +459,19 @@ pub struct Executor {
 }
 
 impl Default for Executor {
-    /// The default policy, no journal, no preload.
+    /// No journal, no preload.
     fn default() -> Self {
-        Executor::new(ExecutorConfig::default(), None, Preload::new())
+        Executor::new(None, Preload::new())
     }
 }
 
 impl Executor {
-    /// Builds an executor. Tasks retry under `policy`; completed scenarios
-    /// and dse points are journaled into `journal_dir` when set; and suites
-    /// prefill journal-verified reports from `preloaded`. Tracing starts
-    /// off, and no chaos plan is installed.
-    pub fn new(policy: ExecutorConfig, journal_dir: Option<PathBuf>, preloaded: Preload) -> Self {
+    /// Builds an executor. Completed scenarios and dse points are journaled
+    /// into `journal_dir` when set, and suites prefill journal-verified
+    /// reports from `preloaded`. Tracing starts off, and no chaos plan is
+    /// installed.
+    pub fn new(journal_dir: Option<PathBuf>, preloaded: Preload) -> Self {
         Executor {
-            policy,
             journal_dir,
             preloaded,
             tracer: Tracer::new(),
@@ -719,6 +696,12 @@ impl Executor {
         self.journal_dir.as_deref()
     }
 
+    /// Counts `n` dse points replayed from the resume journal in
+    /// [`ShardStats::replayed`], beside the scenario replays.
+    pub(crate) fn count_replays(&self, n: usize) {
+        self.replayed.fetch_add(n as u64, Ordering::Relaxed);
+    }
+
     /// A snapshot of this executor's [`ShardStats`].
     pub fn stats(&self) -> ShardStats {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
@@ -782,12 +765,12 @@ impl Executor {
     }
 
     /// Runs one task under the full isolation policy: each attempt gets
-    /// the calling thread's pool shard and the watchdog budget inside
-    /// [`isolated`], a panic rebuilds the pool shard, and seeded backoff
-    /// separates attempts. `run` receives the attempt number (0-based),
-    /// the pool, and the budget. Returns the value with its attempt-count
-    /// and wall-time metadata, or the complete per-attempt error history
-    /// once attempts are exhausted.
+    /// the calling thread's pool shard inside [`isolated`], a panic
+    /// rebuilds the pool shard, and seeded backoff separates attempts.
+    /// `run` receives the attempt number (0-based) and the pool. Returns
+    /// the value with its attempt-count and wall-time metadata, or, once
+    /// [`MAX_ATTEMPTS`] attempts have failed, their error history, one line
+    /// per attempt.
     ///
     /// `tag` seeds the backoff jitter and `labels` name the task on its
     /// spans. Each attempt is traced as a span whose `outcome` arg
@@ -800,8 +783,8 @@ impl Executor {
         &self,
         tag: &str,
         labels: &[(&'static str, String)],
-        run: impl Fn(u32, &mut CosimPool, CycleBudget) -> Result<T, CosimError>,
-    ) -> Result<TaskSuccess<T>, TaskFailure> {
+        run: impl Fn(u32, &mut CosimPool) -> Result<T, CosimError>,
+    ) -> Result<TaskSuccess<T>, Vec<String>> {
         self.retry(Vec::new(), Vec::new(), tag, labels, run)
     }
 
@@ -814,27 +797,22 @@ impl Executor {
         mut walls: Vec<f64>,
         tag: &str,
         labels: &[(&'static str, String)],
-        run: impl Fn(u32, &mut CosimPool, CycleBudget) -> Result<T, CosimError>,
-    ) -> Result<TaskSuccess<T>, TaskFailure> {
-        let attempts = self.policy.max_attempts.max(1);
+        run: impl Fn(u32, &mut CosimPool) -> Result<T, CosimError>,
+    ) -> Result<TaskSuccess<T>, Vec<String>> {
         let first = u32::try_from(errors.len()).unwrap_or(u32::MAX);
-        for attempt in first..attempts {
+        for attempt in first..MAX_ATTEMPTS {
             if attempt > 0 {
                 self.retries.fetch_add(1, Ordering::Relaxed);
                 let span = self.tracer.begin();
-                std::thread::sleep(retry_backoff(&self.policy, tag, attempt));
+                std::thread::sleep(retry_backoff(tag, attempt));
                 self.end_span("backoff", span, labels, &[("attempt", attempt.to_string())]);
             }
-            let budget = self
-                .policy
-                .task_deadline
-                .map_or_else(CycleBudget::unlimited, CycleBudget::wall_clock);
             let span = self.tracer.begin();
             // Measured unconditionally: one `Instant` pair per multi-second
             // solve is free, and it keeps journal v2 metadata (and therefore
             // `report` on resumed runs) independent of whether tracing was on.
             let started = Instant::now();
-            let outcome = isolated(|| self.with_worker_pool(1, |pool| run(attempt, pool, budget)));
+            let outcome = isolated(|| self.with_worker_pool(1, |pool| run(attempt, pool)));
             walls.push(started.elapsed().as_secs_f64());
             match outcome {
                 Ok(Ok(value)) => {
@@ -852,7 +830,7 @@ impl Executor {
                 }
             }
         }
-        Err(TaskFailure { attempts, errors })
+        Err(errors)
     }
 
     /// Replaces the calling thread's pool shard after a panic unwound
@@ -864,24 +842,15 @@ impl Executor {
     }
 
     /// Runs one claimed group task: its members' runs of `id`, one per
-    /// suite in `members`. Attempt 0 runs them together on one GPU trunk
-    /// under one watchdog of `task_deadline` × the member count; a member
-    /// whose attempt 0 failed (its watchdog, its solver, or a panic of the
-    /// whole group) retries alone from attempt 1. Each member decides its
+    /// suite in `members`. Attempt 0 runs them together on one GPU trunk; a
+    /// member whose attempt 0 failed (its budget trip, its solver, or a
+    /// panic of the whole group) retries alone from attempt 1. Each member
+    /// decides its
     /// own slot, journaled and filled or quarantined, as soon as its
     /// outcome is known: the members that succeeded together first.
     fn run_group_task(&self, id: ScenarioId, members: &[Arc<SuiteJob>], via: &'static str) {
         for job in members {
-            obs::progress(
-                "task",
-                "run",
-                &[
-                    ("scenario", id.name().to_string()),
-                    ("pds", job.cfg.pds.label().to_string()),
-                    ("via", via.to_string()),
-                ],
-                || format!("  running {} under {} ...", id, job.cfg.pds.label()),
-            );
+            obs::progress(|| format!("  running {} under {} ...", id, job.cfg.pds.label()));
         }
         let task_span = self.tracer.begin();
         // The isolation boundary lives in the attempts; this outer guard
@@ -905,11 +874,11 @@ impl Executor {
                 }
             }
             for (job, error) in failed {
-                let run = |attempt, pool: &mut CosimPool, budget| {
+                let run = |attempt, pool: &mut CosimPool| {
                     let mut alone = [GroupRun {
                         cfg: job.cfg.clone(),
                         pm: job.pm.clone(),
-                        budget,
+                        budget: CycleBudget::unlimited(),
                         plan: FaultPlan::none(),
                     }];
                     let (mut results, _) = self.run_attempt(pool, id, attempt, &mut alone);
@@ -939,15 +908,12 @@ impl Executor {
         members: &[Arc<SuiteJob>],
     ) -> (Vec<Result<CosimReport, String>>, f64) {
         let n = members.len();
-        let budget = self.policy.task_deadline.map_or_else(CycleBudget::unlimited, |d| {
-            CycleBudget::wall_clock(d.saturating_mul(u32::try_from(n).unwrap_or(u32::MAX)))
-        });
         let mut runs: Vec<GroupRun> = members
             .iter()
             .map(|job| GroupRun {
                 cfg: job.cfg.clone(),
                 pm: job.pm.clone(),
-                budget,
+                budget: CycleBudget::unlimited(),
                 plan: FaultPlan::none(),
             })
             .collect();
@@ -994,7 +960,7 @@ impl Executor {
 
     /// Runs `runs` of `id` as one group on `pool`, as attempt `attempt`
     /// under the chaos plan's injection for it (a panic, or every run's
-    /// watchdog tripping at a cycle). Returns each run's report or error,
+    /// budget tripping at a cycle). Returns each run's report or error,
     /// and how many members parked.
     fn run_attempt(
         &self,
@@ -1033,7 +999,7 @@ impl Executor {
         id: ScenarioId,
         via: &'static str,
         task_span: Option<Instant>,
-        outcome: Result<TaskSuccess<CosimReport>, TaskFailure>,
+        outcome: Result<TaskSuccess<CosimReport>, Vec<String>>,
     ) {
         let end_task = |outcome: &'static str, attempts: u32| {
             if task_span.is_some() {
@@ -1059,42 +1025,32 @@ impl Executor {
                 self.record_to_journal(&job.key, id, &success);
                 job.fill_slot(i, Slot::Ready(Box::new(success.value)));
             }
-            Err(failure) => {
-                end_task("quarantined", failure.attempts);
+            Err(errors) => {
+                end_task("quarantined", MAX_ATTEMPTS);
                 self.tracer.instant(
                     "executor",
                     "quarantine",
                     &[
                         ("suite", job.key.cache_dir()),
                         ("scenario", id.name().to_string()),
-                        ("attempts", failure.attempts.to_string()),
+                        ("attempts", MAX_ATTEMPTS.to_string()),
                     ],
                 );
-                obs::progress(
-                    "task",
-                    "quarantine",
-                    &[
-                        ("scenario", id.name().to_string()),
-                        ("pds", job.cfg.pds.label().to_string()),
-                        ("attempts", failure.attempts.to_string()),
-                    ],
-                    || {
-                        format!(
-                            "  quarantining {} under {} after {} attempt(s)",
-                            id,
-                            job.cfg.pds.label(),
-                            failure.attempts
-                        )
-                    },
-                );
+                obs::progress(|| {
+                    format!(
+                        "  quarantining {} under {} after {MAX_ATTEMPTS} attempt(s)",
+                        id,
+                        job.cfg.pds.label(),
+                    )
+                });
                 self.quarantined
                     .lock()
                     .expect("quarantine list poisoned")
                     .push(QuarantineRecord {
                         suite: job.key.clone(),
                         scenario: id,
-                        attempts: failure.attempts,
-                        errors: failure.errors,
+                        attempts: MAX_ATTEMPTS,
+                        errors,
                     });
                 job.fill_slot(i, Slot::Failed);
             }
@@ -1166,7 +1122,7 @@ impl Executor {
         );
     }
 
-    /// Closes an attempt that returned `e` (a watchdog trip or a run error)
+    /// Closes an attempt that returned `e` (a budget trip or a run error)
     /// and returns its line of the task's error history.
     fn failed_attempt(
         &self,
@@ -1269,16 +1225,15 @@ fn error_chain(e: &dyn std::error::Error) -> String {
 }
 
 /// Deterministic jittered backoff for retry `attempt` (1-based): an
-/// exponential delay in `[exp/2, exp]` where `exp = base * 2^(attempt-1)`
-/// capped, jittered by a hash of (task tag, attempt) so colliding retries
+/// exponential delay in `[exp/2, exp]` where
+/// `exp = BACKOFF_BASE_MS * 2^(attempt-1)`, capped at `BACKOFF_CAP_MS`,
+/// jittered by a hash of (task tag, attempt) so colliding retries
 /// decorrelate reproducibly — no wall-clock or RNG state enters the
 /// schedule. The hashed text keeps the `0` it has always carried for a seed.
-fn retry_backoff(exec: &ExecutorConfig, tag: &str, attempt: u32) -> Duration {
-    let exp = exec
-        .backoff_base_ms
+fn retry_backoff(tag: &str, attempt: u32) -> Duration {
+    let exp = BACKOFF_BASE_MS
         .saturating_mul(1u64 << attempt.saturating_sub(1).min(10))
-        .min(exec.backoff_cap_ms)
-        .max(1);
+        .min(BACKOFF_CAP_MS);
     let text = format!("backoff:0:{tag}:{attempt}");
     let h = fnv1a_64(text.as_bytes());
     let half = exp / 2;
@@ -1301,7 +1256,8 @@ pub struct ShardStats {
     pub steals: u64,
     /// Scenario runs whose DC operating point came from a shard's cache.
     pub dc_cache_hits: u64,
-    /// Scenario tasks replayed from the resume journal instead of run.
+    /// Scenario tasks or dse points replayed from the resume journal
+    /// instead of run.
     pub replayed: u64,
     /// Retry attempts spent by the attempt loop.
     pub retries: u64,
@@ -1468,19 +1424,24 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_bounded_and_jittered() {
-        let exec = ExecutorConfig::default();
-        let a = retry_backoff(&exec, "suite:bfs", 1);
-        assert_eq!(a, retry_backoff(&exec, "suite:bfs", 1));
+        let a = retry_backoff("suite:bfs", 1);
+        assert_eq!(a, retry_backoff("suite:bfs", 1));
         // Exponential envelope: attempt k waits within [exp/2, exp] where
         // exp = base * 2^(k-1), capped.
-        for attempt in 1..6 {
-            let exp = (exec.backoff_base_ms << (attempt - 1)).min(exec.backoff_cap_ms);
-            let d = retry_backoff(&exec, "suite:bfs", attempt).as_millis() as u64;
+        for attempt in 1..8 {
+            let exp = (BACKOFF_BASE_MS << (attempt - 1)).min(BACKOFF_CAP_MS);
+            let d = retry_backoff("suite:bfs", attempt).as_millis() as u64;
             assert!(d >= exp / 2 && d <= exp, "attempt {attempt}: {d}ms vs {exp}ms");
         }
+        // A task that exhausts its attempts sleeps before each retry:
+        // 10 + 20 ms at most.
+        let slept: u128 = (1..MAX_ATTEMPTS)
+            .map(|k| retry_backoff("suite:bfs", k).as_millis())
+            .sum();
+        assert!(slept <= 30, "{slept}ms");
         // Different tasks jitter apart (with these constants).
-        let b = retry_backoff(&exec, "suite:hotspot", 1);
-        let c = retry_backoff(&exec, "suite:heartwall", 1);
+        let b = retry_backoff("suite:hotspot", 1);
+        let c = retry_backoff("suite:heartwall", 1);
         assert!(a != b || a != c, "jitter should decorrelate tasks");
     }
 }

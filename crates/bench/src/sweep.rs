@@ -180,12 +180,7 @@ pub fn run_sweep(exec: &Executor, opts: &SweepOptions) -> SweepResult {
 /// panics (most likely because a scenario it needed was quarantined)
 /// becomes a failed run, not a dead sweep.
 fn run_experiment(exec: &Executor, id: ExperimentId, settings: &RunSettings) -> ExperimentRun {
-    obs::progress(
-        "experiment",
-        "start",
-        &[("id", id.name().to_string())],
-        || format!("[sweep] {} ...", id.name()),
-    );
+    obs::progress(|| format!("[sweep] {} ...", id.name()));
     let span = exec.tracer().begin();
     let t0 = Instant::now();
     let outcome = shard::isolated(|| id.run(exec, settings));
@@ -204,21 +199,11 @@ fn run_experiment(exec: &Executor, id: ExperimentId, settings: &RunSettings) -> 
     );
     match outcome {
         Ok(output) => {
-            obs::progress(
-                "experiment",
-                "done",
-                &[("id", id.name().to_string())],
-                || format!("[sweep] {} done in {wall_s:.2}s", id.name()),
-            );
+            obs::progress(|| format!("[sweep] {} done in {wall_s:.2}s", id.name()));
             ExperimentRun { id, output, wall_s, error: None }
         }
         Err(msg) => {
-            obs::progress(
-                "experiment",
-                "failed",
-                &[("id", id.name().to_string()), ("error", msg.clone())],
-                || format!("[sweep] {} FAILED: {msg}", id.name()),
-            );
+            obs::progress(|| format!("[sweep] {} FAILED: {msg}", id.name()));
             ExperimentRun {
                 id,
                 output: ExperimentOutput {

@@ -1,5 +1,5 @@
 //! Tier-1 chaos: the executor survives injected orchestration failures —
-//! worker panics, watchdog stalls, torn cache writes — wherever its tasks
+//! worker panics, stalls, torn cache writes — wherever its tasks
 //! run them, and each executor keeps its chaos plan and its trace to
 //! itself:
 //!
@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 use vs_bench::chaos::{ChaosEvent, ChaosMode, ChaosPlan};
 use vs_bench::dse::{run_dse, DseOptions};
 use vs_bench::journal::{load_resume, JOURNAL_FILE};
-use vs_bench::shard::{ExecutorConfig, Preload};
+use vs_bench::shard::{Preload, MAX_ATTEMPTS};
 use vs_bench::sweep::{run_sweep, SweepOptions, SweepResult};
 use vs_bench::{Executor, ExperimentId, RunSettings};
 use vs_core::{CosimReport, PdsKind, PowerManagement, ScenarioId};
@@ -30,15 +30,6 @@ fn micro() -> RunSettings {
         workload_scale: 0.02,
         max_cycles: 30_000,
         seed: 42,
-    }
-}
-
-fn fast_retries() -> ExecutorConfig {
-    ExecutorConfig {
-        max_attempts: 3,
-        backoff_base_ms: 1,
-        backoff_cap_ms: 4,
-        ..ExecutorConfig::default()
     }
 }
 
@@ -78,9 +69,9 @@ fn chaos_sweep_degrades_gracefully_and_resume_converges() {
 
     // Phase 2 — the same sweep under chaos, two workers, journaled:
     //  * bfs panics once, then succeeds on retry;
-    //  * hotspot trips the watchdog deadline once, then succeeds;
-    //  * heartwall trips the deadline, then panics through every remaining
-    //    attempt — retry exhaustion, quarantined in both suites;
+    //  * hotspot stalls once (its cycle budget trips), then succeeds;
+    //  * heartwall stalls, then panics through every remaining attempt —
+    //    retry exhaustion, quarantined in both suites;
     //  * the bfs scenario-cache write tears mid-byte (simulated SIGKILL
     //    between cache write and journal append).
     let plan = ChaosPlan {
@@ -97,13 +88,16 @@ fn chaos_sweep_degrades_gracefully_and_resume_converges() {
                 mode: ChaosMode::Stall { at_cycle: 1_000 },
                 attempts: 1,
             },
-            ChaosEvent { scenario: ScenarioId::Heartwall, mode: ChaosMode::Panic, attempts: 3 },
+            ChaosEvent {
+                scenario: ScenarioId::Heartwall,
+                mode: ChaosMode::Panic,
+                attempts: MAX_ATTEMPTS,
+            },
         ],
         torn_writes: vec!["bfs.json".to_string()],
         trunk_panics: vec![],
     };
-    let exec =
-        Executor::new(fast_retries(), Some(chaos_dir.clone()), HashMap::new()).with_chaos(plan);
+    let exec = Executor::new(Some(chaos_dir.clone()), HashMap::new()).with_chaos(plan);
     let chaotic = run_sweep(
         &exec,
         &SweepOptions {
@@ -114,13 +108,14 @@ fn chaos_sweep_degrades_gracefully_and_resume_converges() {
     );
 
     // The sweep completed degraded instead of dying: heartwall exhausted
-    // its 3 attempts in both fig14 suites (baseline + cross-layer).
+    // its MAX_ATTEMPTS (3) attempts in both fig14 suites (baseline +
+    // cross-layer).
     assert!(chaotic.is_degraded());
     assert_eq!(chaotic.quarantined.len(), 2, "{:?}", chaotic.quarantined);
     for q in &chaotic.quarantined {
         assert_eq!(q.scenario, ScenarioId::Heartwall);
-        assert_eq!(q.attempts, 3);
-        assert_eq!(q.errors.len(), 3, "{:?}", q.errors);
+        assert_eq!(q.attempts, MAX_ATTEMPTS);
+        assert_eq!(q.errors.len(), MAX_ATTEMPTS as usize, "{:?}", q.errors);
         assert!(q.errors[0].contains("deadline exceeded at cycle 1000"), "{:?}", q.errors);
         assert!(q.errors[1].contains("panic"), "{:?}", q.errors);
         assert!(q.errors[2].contains("panic"), "{:?}", q.errors);
@@ -139,7 +134,7 @@ fn chaos_sweep_degrades_gracefully_and_resume_converges() {
         chaotic.quarantined.iter().map(|q| q.suite.to_hex()).collect();
     for (entry, q) in degraded.iter().zip(&chaotic.quarantined) {
         assert_eq!(entry.scenario, "heartwall");
-        assert_eq!(entry.attempts, 3);
+        assert_eq!(entry.attempts, u64::from(MAX_ATTEMPTS));
         assert!(quarantined_suites.contains(&entry.suite));
         assert_eq!(entry.errors, q.errors);
     }
@@ -180,7 +175,7 @@ fn chaos_sweep_degrades_gracefully_and_resume_converges() {
     let state = load_resume(&chaos_dir).unwrap();
     assert_eq!(state.verified_scenarios, 20, "{state:?}");
     assert_eq!(state.damaged, 1, "{state:?}");
-    let exec = Executor::new(fast_retries(), Some(chaos_dir.clone()), state.preloaded);
+    let exec = Executor::new(Some(chaos_dir.clone()), state.preloaded);
     let resumed = run_sweep(
         &exec,
         &SweepOptions {
@@ -213,7 +208,7 @@ fn chaos_sweep_degrades_gracefully_and_resume_converges() {
 
 /// fig12 runs the conventional baseline and five threshold suites in one
 /// batch, so each scenario is one six-member group on one GPU trunk. When
-/// bfs's group attempt panics and hotspot's trips every member's watchdog,
+/// bfs's group attempt panics and hotspot's trips every member's budget,
 /// each member counts that as its attempt 0 and retries alone; the sweep
 /// completes undegraded with artifacts byte-identical to an undisturbed
 /// run.
@@ -231,7 +226,7 @@ fn a_failed_group_attempt_retries_each_member_alone() {
     assert_eq!(stats.retries, 0, "{stats:?}");
     let fresh_artifact = fig12_artifact(&exec, &fresh, "fresh");
 
-    let exec = Executor::new(fast_retries(), None, HashMap::new()).with_chaos(ChaosPlan {
+    let exec = Executor::default().with_chaos(ChaosPlan {
         seed: 3,
         tasks: vec![
             ChaosEvent {
@@ -253,7 +248,7 @@ fn a_failed_group_attempt_retries_each_member_alone() {
     assert!(!chaotic.is_degraded(), "{:?}", chaotic.quarantined);
     assert!(chaotic.quarantined.is_empty());
     let stats = exec.stats();
-    // bfs's panic and hotspot's watchdog each fail the shared attempt of
+    // bfs's panic and hotspot's stall each fail the shared attempt of
     // all six members, and each member retries once, alone.
     assert_eq!(stats.retries, 2 * SUITES, "{stats:?}");
     assert_eq!(
@@ -328,7 +323,7 @@ fn panicking_trunks_retry_and_the_frontier_holds() {
             .collect(),
         ..ChaosPlan::default()
     };
-    let exec = Executor::new(ExecutorConfig::default(), Some(dir.clone()), Preload::new())
+    let exec = Executor::new(Some(dir.clone()), Preload::new())
         .with_chaos(trunk_panics(&[
             ("stack=4x4,area=0.1,workload=1", 1),
             ("stack=4x4,area=0.4,workload=1", 2),
@@ -354,9 +349,8 @@ fn panicking_trunks_retry_and_the_frontier_holds() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // A trunk that panics on every attempt takes the run down.
-    let attempts = ExecutorConfig::default().max_attempts;
     let exec = Executor::default()
-        .with_chaos(trunk_panics(&[("stack=4x4,area=0.2,workload=1", attempts)]));
+        .with_chaos(trunk_panics(&[("stack=4x4,area=0.2,workload=1", MAX_ATTEMPTS)]));
     let exhausted = catch_unwind(AssertUnwindSafe(|| run_dse(&exec, &opts)));
     assert!(exhausted.is_err(), "exhausted retries panic run_dse");
 }
@@ -375,7 +369,7 @@ fn two_executors_keep_their_own_plan_and_trace() {
     };
     let cfg = settings.config(PdsKind::VsCrossLayer { area_mult: 0.2 });
     let pm = PowerManagement::default();
-    let traced = Executor::new(fast_retries(), None, HashMap::new()).with_chaos(ChaosPlan {
+    let traced = Executor::default().with_chaos(ChaosPlan {
         tasks: vec![ChaosEvent {
             scenario: ScenarioId::Bfs,
             mode: ChaosMode::Panic,
@@ -384,7 +378,7 @@ fn two_executors_keep_their_own_plan_and_trace() {
         ..ChaosPlan::default()
     });
     traced.tracer().set_enabled(true);
-    let plain = Executor::new(fast_retries(), None, HashMap::new());
+    let plain = Executor::default();
     let (a, b) = std::thread::scope(|s| {
         let a = s.spawn(|| traced.run_suite(&cfg, &pm));
         let b = s.spawn(|| plain.run_suite(&cfg, &pm));

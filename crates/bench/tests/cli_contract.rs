@@ -1,10 +1,11 @@
 //! Tier-1 CLI usage contract, checked against the real binaries: a
-//! duplicated flag, an empty `--flag=` value, or a flag the binary does not
-//! declare is a usage error (exit 2, stderr names the flag), never a
-//! silent last-wins, empty-string, or ignored config, and a design space the
-//! GPU cannot hold or a malformed `VS_BENCH_*` value is rejected the same
-//! way. Each probe exits in argument parsing, long before any co-simulation
-//! work, so the whole matrix is cheap.
+//! duplicated flag, an empty `--flag=` value, a `--progress` mode other
+//! than `plain` or `off`, or a flag the binary does not declare is a usage
+//! error (exit 2, stderr names the flag), never a silent last-wins,
+//! empty-string, or ignored config, and a design space the GPU cannot hold
+//! or a malformed `VS_BENCH_*` value is rejected the same way. Each probe
+//! exits in argument parsing, long before any co-simulation work, so the
+//! whole matrix is cheap.
 //!
 //! The golden-diff contract is checked the same way, on the three entry
 //! points that diff artifacts: `sweep diff-baseline` (two directories or
@@ -50,7 +51,7 @@ fn run(bin: &str, args: &[&str]) -> (i32, String) {
 fn duplicated_flags_are_usage_errors_in_every_binary() {
     // `--progress` is the one flag all four drivers share.
     for (name, bin) in BINARIES {
-        let args = ["--progress", "off", "--progress=json"];
+        let args = ["--progress", "off", "--progress=plain"];
         let (code, stderr) = run(bin, &args);
         assert_eq!(code, 2, "{name} {args:?} must exit 2, stderr: {stderr}");
         assert!(
@@ -98,6 +99,20 @@ fn empty_flag_values_are_usage_errors_in_every_binary() {
         assert!(
             stderr.contains(&format!("{flag} needs a non-empty value")),
             "{args:?} must name the empty flag, stderr: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn progress_accepts_only_plain_or_off() {
+    // Progress is plain narration or nothing: no binary has a JSON mode.
+    for (name, bin) in BINARIES {
+        let args = ["--progress", "json"];
+        let (code, stderr) = run(bin, &args);
+        assert_eq!(code, 2, "{name} {args:?} must exit 2, stderr: {stderr}");
+        assert!(
+            stderr.contains("\"json\"") && stderr.contains("plain or off"),
+            "{name} {args:?} must name the mode and the accepted ones, stderr: {stderr}"
         );
     }
 }

@@ -15,7 +15,7 @@ use std::process::Command;
 use vs_bench::chaos::ChaosPlan;
 use vs_bench::dse::{evaluate_point, run_dse, DseOptions};
 use vs_bench::journal::{load_dse_resume, point_cache_rel, JOURNAL_FILE};
-use vs_bench::shard::{ExecutorConfig, Preload};
+use vs_bench::shard::Preload;
 use vs_bench::space::AxisSpace;
 use vs_bench::{Executor, RunSettings};
 use vs_circuit::SolverWorkspace;
@@ -39,7 +39,7 @@ fn grid() -> AxisSpace {
 
 /// An executor that journals into `dir`.
 fn journaling(dir: &Path) -> Executor {
-    Executor::new(ExecutorConfig::default(), Some(dir.to_path_buf()), Preload::new())
+    Executor::new(Some(dir.to_path_buf()), Preload::new())
 }
 
 /// Asserts that `dir`'s journal holds only `point_done` records: a
@@ -132,13 +132,17 @@ fn dse_artifacts_are_schedule_invariant_and_resume_converges() {
     // Phase 4 — resume: exactly the two lost points recompute, executing
     // only the runs they read (at different areas they share neither
     // run), and the artifact converges to the undisturbed bytes.
-    let resumed = run_dse(&journaling(&dir), &DseOptions {
+    let exec = journaling(&dir);
+    let resumed = run_dse(&exec, &DseOptions {
         jobs: 2,
         settings,
         space: grid(),
         preloaded: state.verified,
     });
     assert_eq!(resumed.replayed, 62);
+    // The executor counts the replayed points too, so a resumed run's
+    // trace reads the replays its `[dse]` line prints.
+    assert_eq!(exec.stats().replayed, 62);
     assert_eq!(resumed.evaluated, 2, "only the torn and tampered points rerun");
     assert_ne!(points[3].area, points[17].area);
     assert_eq!((resumed.pde_runs, resumed.worst_case_runs), (2, 2));

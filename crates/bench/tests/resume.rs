@@ -9,7 +9,7 @@
 use std::path::{Path, PathBuf};
 
 use vs_bench::journal::load_resume;
-use vs_bench::shard::{ExecutorConfig, Preload};
+use vs_bench::shard::Preload;
 use vs_bench::sweep::{run_sweep, SweepOptions, SweepResult};
 use vs_bench::{Executor, ExperimentId, RunSettings};
 use vs_telemetry::fnv1a_64;
@@ -27,7 +27,7 @@ fn micro() -> RunSettings {
 /// A journaled fig14 sweep on a fresh executor that replays `preloaded`,
 /// with the executor that ran it.
 fn journaled_sweep(dir: &Path, jobs: usize, preloaded: Preload) -> (SweepResult, Executor) {
-    let exec = Executor::new(ExecutorConfig::default(), Some(dir.to_path_buf()), preloaded);
+    let exec = Executor::new(Some(dir.to_path_buf()), preloaded);
     let result = run_sweep(
         &exec,
         &SweepOptions {

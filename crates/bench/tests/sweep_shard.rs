@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use vs_bench::shard::{ExecutorConfig, ShardStats};
+use vs_bench::shard::ShardStats;
 use vs_bench::sweep::{run_sweep, SweepOptions};
 use vs_bench::{benchmark_names, Executor, ExperimentId, RunSettings};
 use vs_core::{PdsKind, PowerManagement};
@@ -21,7 +21,7 @@ fn micro() -> RunSettings {
 /// Returns the deterministic view of every artifact, the shard counters it
 /// left, and the executor it ran on.
 fn sweep(jobs: usize) -> (Vec<(String, String, String)>, ShardStats, Executor) {
-    let exec = Executor::new(ExecutorConfig::default(), None, HashMap::new());
+    let exec = Executor::new(None, HashMap::new());
     exec.tracer().set_enabled(true);
     let result = run_sweep(
         &exec,

@@ -9,7 +9,6 @@ use std::path::PathBuf;
 
 use vs_bench::chaos::{ChaosEvent, ChaosMode, ChaosPlan};
 use vs_bench::report::{diff_baseline, RunReport, TRACE_FILE};
-use vs_bench::shard::ExecutorConfig;
 use vs_bench::sweep::{run_sweep, SweepOptions};
 use vs_bench::{Executor, ExperimentId, RunSettings};
 use vs_core::{derive_seed, ScenarioId};
@@ -21,10 +20,6 @@ use vs_telemetry::{
 /// Small enough for debug-mode CI: fig14 runs 2 suites x 12 scenarios.
 fn micro() -> RunSettings {
     RunSettings { workload_scale: 0.02, max_cycles: 30_000, seed: 42 }
-}
-
-fn fast_retries() -> ExecutorConfig {
-    ExecutorConfig { max_attempts: 3, backoff_base_ms: 1, backoff_cap_ms: 4, ..ExecutorConfig::default() }
 }
 
 fn tmp(tag: &str) -> PathBuf {
@@ -74,7 +69,7 @@ fn traced_chaos_sweep_report_and_baseline_diff() {
     let drift_dir = tmp("drift");
 
     // Phase 1 — chaos sweep with tracing on: bfs panics once per suite
-    // (retry + backoff spans), heartwall trips the watchdog then panics
+    // (retry + backoff spans), heartwall stalls then panics
     // through its remaining attempts (quarantined in both fig14 suites).
     let plan = ChaosPlan {
         seed: 11,
@@ -90,7 +85,7 @@ fn traced_chaos_sweep_report_and_baseline_diff() {
         torn_writes: vec![],
         trunk_panics: vec![],
     };
-    let exec = Executor::new(fast_retries(), Some(dir.clone()), HashMap::new()).with_chaos(plan);
+    let exec = Executor::new(Some(dir.clone()), HashMap::new()).with_chaos(plan);
     exec.tracer().set_enabled(true);
     let result = run_sweep(
         &exec,
@@ -116,7 +111,7 @@ fn traced_chaos_sweep_report_and_baseline_diff() {
     };
     // Per suite: bfs panics once, heartwall hits 1 deadline + 2 panics.
     assert_eq!(attempts("panic"), 6, "bfs 1 + heartwall 2, per suite");
-    assert_eq!(attempts("deadline"), 2, "heartwall watchdog, per suite");
+    assert_eq!(attempts("deadline"), 2, "heartwall stall, per suite");
     assert!(attempts("ok") >= 22, "11 healthy scenarios x 2 suites + bfs retries");
     let count = |name: &str| events.iter().filter(|e| e.name == name).count();
     assert_eq!(count("backoff"), 6, "one backoff per retry");

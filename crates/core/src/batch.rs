@@ -92,7 +92,7 @@ impl CosimPool {
 
     /// Runs one workload profile under `cfg` with power management on the
     /// pooled workspace: a one-member [`CosimPool::run_group`] without
-    /// faults or watchdog, bit-identical to [`Cosim::run`](crate::Cosim::run).
+    /// faults or cycle budget, bit-identical to [`Cosim::run`](crate::Cosim::run).
     ///
     /// # Panics
     ///
@@ -119,10 +119,10 @@ impl CosimPool {
     }
 
     /// Runs `runs` of `profile` as one group on one GPU trunk, run `i` in
-    /// the pool's workspace `i`, each under its own watchdog budget and
+    /// the pool's workspace `i`, each under its own cycle budget and
     /// fault plan. Each report is bit-identical to
     /// [`Cosim::run_supervised`](crate::Cosim::run_supervised) of that run
-    /// alone; a watchdog trip, fault or solver failure ends that run only.
+    /// alone; a budget trip, fault or solver failure ends that run only.
     /// The workspaces are recovered however the runs end. Every run of the
     /// pool goes through here.
     ///

@@ -10,7 +10,7 @@
 //! issue widths, fake-instruction rates, and DCC ballast currents.
 //!
 //! A run splits into its GPU, the *trunk*, and its `Member` half: power
-//! model, PDS rig, controller, DFS/PG/hypervisor, its watchdog budget and
+//! model, PDS rig, controller, DFS/PG/hypervisor, its cycle budget and
 //! fault plan, and the SM controls its GPU ticks under. The GPU hears the
 //! rest of the run only through those controls, so runs of one workload
 //! that share a [`TrunkKey`] (kernel seed, workload scale, cycle cap,
@@ -94,10 +94,10 @@ impl<'a> CosimBuilder<'a> {
         self
     }
 
-    /// Installs a cooperative watchdog budget: the run loop checks it each
-    /// cycle and aborts with [`CosimError::DeadlineExceeded`] once it is
-    /// exceeded. The default ([`CycleBudget::unlimited`]) costs two `None`
-    /// branches per cycle.
+    /// Installs a cycle budget (the chaos stall hook): the run loop checks
+    /// it each cycle and aborts with [`CosimError::DeadlineExceeded`] once
+    /// it trips. The default ([`CycleBudget::unlimited`]) costs one `None`
+    /// branch per cycle.
     pub fn budget(mut self, budget: CycleBudget) -> Self {
         self.budget = budget;
         self
@@ -447,8 +447,8 @@ pub struct GroupStats {
     pub prefix_reticks: u64,
 }
 
-/// One run of a group: its configuration, power management, watchdog
-/// budget and fault plan. The group's runs share the workload profile and
+/// One run of a group: its configuration, power management, cycle budget
+/// and fault plan. The group's runs share the workload profile and
 /// a [`TrunkKey`]; a fault plan acts on its own run's member side only.
 #[derive(Debug, Clone)]
 pub struct GroupRun {
@@ -456,7 +456,7 @@ pub struct GroupRun {
     pub cfg: CosimConfig,
     /// The run's power management.
     pub pm: PowerManagement,
-    /// The run's watchdog budget (see [`CosimBuilder::budget`]).
+    /// The run's cycle budget (see [`CosimBuilder::budget`]).
     pub budget: CycleBudget,
     /// The faults the run injects (see [`Cosim::run_supervised`]).
     pub plan: FaultPlan,
@@ -505,9 +505,9 @@ impl<'m> Group<'m> {
     }
 
     /// Steps the riders against `gpu` until each has finished or parked.
-    /// Per cycle: the loop condition and each rider's watchdog, one tick,
+    /// Per cycle: the loop condition and each rider's budget, one tick,
     /// each rider's pre-solve, solve and post-solve phases, then the fork
-    /// rule. A rider that stops (watchdog, fault or solver error) finishes
+    /// rule. A rider that stops (budget trip, fault or solver error) finishes
     /// at once, reading the GPU as a lone run would.
     fn ride(&mut self, gpu: &mut Gpu, sup: &SupervisorConfig) {
         let mut riders = std::mem::take(&mut self.riders);

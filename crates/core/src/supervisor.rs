@@ -2,14 +2,13 @@
 //! verdict classification, and structured run failures.
 //!
 //! [`crate::Cosim::run_supervised`] wraps the ordinary co-simulated run
-//! with a watchdog layer: it interprets a [`crate::FaultPlan`] every cycle,
+//! with a supervision layer: it interprets a [`crate::FaultPlan`] every cycle,
 //! drives the circuit solver through a [`RecoveryPolicy`], tracks how long
 //! each stack layer spends below the 0.8 V timing guardband (the paper's
 //! reliability line), and classifies the finished run into a
 //! [`RunVerdict`]. Sweeps get a per-cell verdict instead of a panic.
 
 use std::fmt;
-use std::time::{Duration, Instant};
 
 use vs_circuit::{RecoveryPolicy, SolverError, StepReport};
 use vs_telemetry::RunArtifact;
@@ -41,50 +40,29 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// A cooperative watchdog budget for one run, checked at the top of the
+/// A deterministic stall budget for one run, checked at the top of the
 /// [`crate::Cosim::run_supervised`] cycle loop.
 ///
-/// The sweep's task watchdog cannot rely on preemption (the dev host has one
-/// core, and a wedged solver call would starve any sibling watchdog thread),
-/// so the deadline is checked *cooperatively* inside the hot loop: a
-/// wall-clock deadline sampled every 1024 cycles (`Instant::now` off the
-/// hot path's every-cycle cost), plus a
-/// deterministic `trip_at_cycle` hook that test/chaos harnesses use to
-/// simulate a stalled task without real waiting. An exceeded budget aborts
-/// the run with [`CosimError::DeadlineExceeded`]; the default
-/// ([`CycleBudget::unlimited`]) reduces the check to two `None` branches,
+/// A run needs no wall-clock watchdog: its loop ends at the config's
+/// `max_cycles`, and each circuit step makes a bounded number of attempts
+/// and halvings under its [`RecoveryPolicy`]. The budget is the hook the
+/// executor's chaos `Stall` mode uses to simulate a wedged task without
+/// real waiting: a run whose budget trips aborts with
+/// [`CosimError::DeadlineExceeded`]. The default
+/// ([`CycleBudget::unlimited`]) reduces the check to one `None` branch,
 /// whose cost the benchmark's `vs-core.ns_per_cycle` probe records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CycleBudget {
-    /// Wall-clock deadline; `None` = no wall-clock limit.
-    pub deadline: Option<Instant>,
     /// Deterministic trip point: the run aborts once the GPU cycle reaches
-    /// this value. `None` = no trip. This is the chaos harness's stall
-    /// injection — it behaves exactly like a blown wall-clock deadline
-    /// without depending on host speed.
+    /// this value. `None` = no trip.
     pub trip_at_cycle: Option<u64>,
 }
 
-/// Cycles between wall-clock deadline checks: coarse enough that
-/// `Instant::now` never shows up in the stage profile, fine enough that a
-/// deadline overshoots by at most a few hundred microseconds of simulation.
-const CHECK_STRIDE: u64 = 1024;
-
 impl CycleBudget {
-    /// No limits: the check compiles down to two `None` tests per cycle.
+    /// No limit: the check compiles down to one `None` test per cycle.
     #[must_use]
     pub fn unlimited() -> Self {
         CycleBudget::default()
-    }
-
-    /// A wall-clock deadline of `limit` from now, checked every 1024
-    /// cycles.
-    #[must_use]
-    pub fn wall_clock(limit: Duration) -> Self {
-        CycleBudget {
-            deadline: Some(Instant::now() + limit),
-            trip_at_cycle: None,
-        }
     }
 
     /// A deterministic budget that trips once the run reaches `cycle`
@@ -92,27 +70,15 @@ impl CycleBudget {
     #[must_use]
     pub fn tripping_at(cycle: u64) -> Self {
         CycleBudget {
-            deadline: None,
             trip_at_cycle: Some(cycle),
         }
     }
 
-    /// Whether the budget is exceeded at `cycle`. Cheap when unlimited;
-    /// samples the wall clock only every 1024 cycles.
+    /// Whether the budget is exceeded at `cycle`.
     #[inline]
     #[must_use]
     pub fn exceeded(&self, cycle: u64) -> bool {
-        if let Some(trip) = self.trip_at_cycle {
-            if cycle >= trip {
-                return true;
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if cycle.is_multiple_of(CHECK_STRIDE) && Instant::now() >= deadline {
-                return true;
-            }
-        }
-        false
+        self.trip_at_cycle.is_some_and(|trip| cycle >= trip)
     }
 }
 
@@ -160,10 +126,10 @@ pub enum CosimError {
         /// The solver's final error.
         source: SolverError,
     },
-    /// The run's [`CycleBudget`] was exceeded (watchdog deadline or a
-    /// deterministic trip): the task was aborted as wedged.
+    /// The run's [`CycleBudget`] tripped: the task was aborted as
+    /// wedged.
     DeadlineExceeded {
-        /// GPU cycle at which the watchdog fired.
+        /// GPU cycle at which the budget tripped.
         cycle: u64,
     },
 }
@@ -190,7 +156,7 @@ impl std::error::Error for CosimError {
     }
 }
 
-/// Result of one supervised run: the ordinary report plus the watchdog's
+/// Result of one supervised run: the ordinary report plus the supervisor's
 /// findings.
 #[derive(Debug, Clone)]
 pub struct SupervisedReport {
@@ -320,24 +286,6 @@ mod tests {
         assert!(!b.exceeded(499));
         assert!(b.exceeded(500));
         assert!(b.exceeded(501));
-    }
-
-    #[test]
-    fn wall_clock_budget_checks_only_on_stride() {
-        // A deadline already in the past must trip on stride boundaries and
-        // stay quiet between them (the hot loop never pays Instant::now
-        // off-stride).
-        let b = CycleBudget {
-            deadline: Some(Instant::now() - Duration::from_secs(1)),
-            trip_at_cycle: None,
-        };
-        assert!(b.exceeded(0));
-        assert!(!b.exceeded(1));
-        assert!(!b.exceeded(1023));
-        assert!(b.exceeded(2048));
-        // A generous deadline does not trip.
-        let b = CycleBudget::wall_clock(Duration::from_secs(3600));
-        assert!(!b.exceeded(0));
     }
 
     #[test]

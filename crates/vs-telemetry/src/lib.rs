@@ -70,9 +70,7 @@ pub use journal::{
 };
 pub use metrics::{labeled, MetricsSnapshot, Registry};
 pub use profile::{Stage, StageProfiler};
-pub use trace::{
-    chrome_trace_json, lifecycle_json, parse_chrome_trace, TraceEvent, TracePhase, Tracer,
-};
+pub use trace::{chrome_trace_json, parse_chrome_trace, TraceEvent, TracePhase, Tracer};
 
 /// This crate's version (recorded in run manifests).
 pub fn crate_version() -> &'static str {

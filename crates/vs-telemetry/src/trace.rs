@@ -11,12 +11,11 @@
 //!
 //! Trace events follow the same rule as the run-artifact schema: wall times
 //! are *recorded* but never part of a run's **identity**. An event's
-//! identity is its name, category, and args (the fields
-//! [`lifecycle_json`] prints); its timestamps and track are observational —
-//! they depend on scheduling and the host, so no artifact comparison may
-//! consult them. This is what lets a sweep run with tracing enabled and
-//! still produce bit-identical deterministic artifacts at any worker
-//! count.
+//! identity is its name, category, and args; its timestamps and track are
+//! observational — they depend on scheduling and the host, so no artifact
+//! comparison may consult them. This is what lets a sweep run with tracing
+//! enabled and still produce bit-identical deterministic artifacts at any
+//! worker count.
 //!
 //! # Overhead
 //!
@@ -83,27 +82,6 @@ fn args_json(args: &[(String, String)]) -> Json {
             .map(|(k, v)| (k.clone(), Json::from(v.as_str())))
             .collect(),
     )
-}
-
-/// A lifecycle event in the one-line JSON form the `--progress=json` sink
-/// prints: the identity fields of a [`TraceEvent`], tagged
-/// `"type":"lifecycle"`. Progress streams and traces share this vocabulary
-/// so a scripted consumer can parse either.
-#[must_use]
-pub fn lifecycle_json(cat: &str, name: &str, args: &[(&str, String)]) -> Json {
-    Json::obj([
-        ("type", Json::from("lifecycle")),
-        ("cat", Json::from(cat)),
-        ("name", Json::from(name)),
-        (
-            "args",
-            Json::Obj(
-                args.iter()
-                    .map(|(k, v)| ((*k).to_string(), Json::from(v.as_str())))
-                    .collect(),
-            ),
-        ),
-    ])
 }
 
 /// A shared, thread-safe span/event recorder.
@@ -454,14 +432,5 @@ mod tests {
         assert!(parse_chrome_trace("not json").is_err());
         assert!(parse_chrome_trace("{}").is_err());
         assert!(parse_chrome_trace("{\"traceEvents\":[{\"name\":\"x\"}]}").is_err());
-    }
-
-    #[test]
-    fn lifecycle_json_matches_identity_vocabulary() {
-        let line = lifecycle_json("task", "claim", &[("scenario", "bfs".to_string())]);
-        let text = line.to_string_compact();
-        assert!(text.starts_with("{\"type\":\"lifecycle\""), "{text}");
-        assert!(text.contains("\"cat\":\"task\""), "{text}");
-        assert!(text.contains("\"scenario\":\"bfs\""), "{text}");
     }
 }

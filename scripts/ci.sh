@@ -112,8 +112,22 @@ cargo test --release -q -p vs-core --test telemetry
 echo "== dse: determinism matrix, torn-write resume, shared-run oracle, frontier claims =="
 cargo test --release -q -p vs-bench --test dse
 # Tiny grid: the frontier claims (paper cell non-dominated) must pass.
+rm -rf target/dse-smoke
 cargo run --release -q -p vs-bench --bin dse -- \
     --profile tiny --out target/dse-smoke --progress off > /dev/null
+# Resume the journaled run through the binary: every point replays, the
+# trace counts the replays, and the frontier (less its wall-time `stages`
+# line) comes out byte-identical.
+SMOKE_FRONTIER=$(grep -v '^{"type":"stages"' target/dse-smoke/dse_frontier.jsonl)
+DSE_RESUME=$(target/release/dse --profile tiny --resume target/dse-smoke \
+    --trace --progress off 2>&1 > /dev/null)
+grep -qF '(0 computed, 12 replayed)' <<< "$DSE_RESUME" \
+    || { echo "dse resume smoke: expected 12 replayed points: $DSE_RESUME" >&2; exit 1; }
+grep -qF '"executor.replays":12' target/dse-smoke/trace.json \
+    || { echo "dse resume smoke: trace.json does not count 12 replays" >&2; exit 1; }
+diff <(echo "$SMOKE_FRONTIER") \
+    <(grep -v '^{"type":"stages"' target/dse-smoke/dse_frontier.jsonl) \
+    || { echo "dse resume smoke: resumed frontier differs" >&2; exit 1; }
 # Full 1728-point grid at the tiny profile, once on one worker and once on
 # every core: the shared runs must land the same frontier bytes, and the
 # plan the same run, lane and trunk counters, whatever the schedule.
@@ -129,7 +143,7 @@ dse_counters() { grep -E '^\[dse\] (runs|lanes|trunks):' <<< "$1" || true; }
     || { echo "dse smoke: missing [dse] counter lines" >&2; exit 1; }
 diff <(dse_counters "$DSE_J1") <(dse_counters "$DSE_J0") \
     || { echo "dse smoke: counters differ between jobs 1 and all cores" >&2; exit 1; }
-echo "dse smoke (tiny grid + full grid at jobs 1 and all cores, identical frontiers and counters): OK"
+echo "dse smoke (tiny grid, its journaled resume, full grid at jobs 1 and all cores; identical frontiers and counters): OK"
 
 echo "== diff-baseline self-check =="
 # The regression gate must accept a store (or one artifact file) against
