@@ -39,7 +39,8 @@
 //! trunk's task returns, each of its points lands atomically in a
 //! `points/` cache and is journaled with a checksum; `--resume DIR`
 //! replays verified metrics and recomputes only missing or damaged points,
-//! converging to the same bytes an undisturbed run produces.
+//! converging to the same bytes an undisturbed run produces; it writes
+//! into DIR, so `--out` beside it is a usage error.
 //! `--deterministic` writes the wall-time-free artifact goldens are
 //! blessed in. `--diff GOLDEN` diffs the frontier file just written against
 //! `GOLDEN` (a frontier file, or a directory holding `dse_frontier.jsonl`)
@@ -62,10 +63,10 @@ use std::process::ExitCode;
 
 use vs_bench::cli::{ArgSpec, CommandSpec, PROFILE_FLAG, SEED_FLAG};
 use vs_bench::dse::{check_frontier_claims, run_dse, DseOptions, DseResult, FRONTIER_FILE};
+use vs_bench::journal::Replay;
 use vs_bench::report::{diff_baseline, load_tolerances};
-use vs_bench::shard::Preload;
 use vs_bench::space::AxisSpace;
-use vs_bench::{journal, Executor};
+use vs_bench::Executor;
 use vs_telemetry::ToleranceSpec;
 
 const SPEC: CommandSpec = CommandSpec {
@@ -131,30 +132,26 @@ fn main() -> ExitCode {
     });
 
     let deterministic = parsed.has("--deterministic");
-    let mut out = parsed
-        .common
-        .out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("target/dse"));
-    let mut preloaded = Default::default();
-    if let Some(dir) = &parsed.common.resume {
+    let out = match (&parsed.common.out, &parsed.common.resume) {
+        (Some(_), Some(_)) => fail("--out and --resume are mutually exclusive"),
         // Resume targets the journaled directory itself.
-        out = dir.clone();
-        let state = journal::load_dse_resume(dir)
+        (Some(dir), None) | (None, Some(dir)) => dir.clone(),
+        (None, None) => PathBuf::from("target/dse"),
+    };
+    let mut replay = Replay::default();
+    if let Some(dir) = &parsed.common.resume {
+        replay = Replay::load(dir)
             .unwrap_or_else(|e| fail(&format!("cannot read journal in {}: {e}", dir.display())));
         eprintln!(
             "[dse] resume: {} point(s) verified, {} damaged, {} journal line(s) skipped",
-            state.verified.len(),
-            state.damaged,
-            state.skipped_lines,
+            replay.points.verified, replay.points.damaged, replay.skipped_lines,
         );
-        preloaded = state.verified;
     }
 
     // Golden (deterministic) trees carry no journal.
-    let exec = Executor::new((!deterministic).then(|| out.clone()), Preload::new());
+    let exec = Executor::new((!deterministic).then(|| out.clone()), replay);
     exec.tracer().set_enabled(parsed.common.trace);
-    let opts = DseOptions { jobs: parsed.common.jobs, settings, space, preloaded };
+    let opts = DseOptions { jobs: parsed.common.jobs, settings, space };
     let result = run_dse(&exec, &opts);
     let path = result
         .write_to(&out, deterministic)

@@ -26,7 +26,8 @@
 //! scenario reports are installed instead of recomputed, only missing,
 //! torn, or checksum-mismatched scenarios run again, and every experiment
 //! is rebuilt from them, converging to the same bytes an undisturbed run
-//! produces. Scenario tasks that keep failing are
+//! produces. A resume writes into DIR, so `--out` beside it is a usage
+//! error. Scenario tasks that keep failing are
 //! retried with backoff and then quarantined: the sweep completes
 //! *degraded*, with a `degraded` manifest section naming each lost
 //! (suite, scenario) and its error chain.
@@ -62,10 +63,10 @@ use std::process::ExitCode;
 
 use vs_bench::claims::{check_claims, ClaimResult};
 use vs_bench::cli::{ArgSpec, CommandSpec, PROFILE_FLAG, SEED_FLAG};
+use vs_bench::journal::Replay;
 use vs_bench::report::{diff_baseline, RunReport};
-use vs_bench::shard::Preload;
 use vs_bench::sweep::{run_sweep, SweepOptions};
-use vs_bench::{journal, Executor, ExperimentId};
+use vs_bench::{Executor, ExperimentId};
 use vs_telemetry::{RunArtifact, ToleranceSpec};
 
 const DEFAULT_TOLERANCES: &str = "goldens/tolerances.json";
@@ -200,11 +201,13 @@ fn show_main(args: &[String]) -> ExitCode {
 fn run_main(args: &[String]) -> ExitCode {
     let parsed = RUN_SPEC.parse_or_exit(args);
     parsed.common.apply_observability();
-    let mut out = parsed
-        .common
-        .out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("target/sweep"));
+    let out = match (&parsed.common.out, &parsed.common.resume) {
+        (Some(_), Some(_)) => fail("--out and --resume are mutually exclusive"),
+        // Resume targets the journaled directory itself: artifacts land
+        // where the interrupted run left its verified work.
+        (Some(dir), None) | (None, Some(dir)) => dir.clone(),
+        (None, None) => PathBuf::from("target/sweep"),
+    };
     let only: Option<Vec<ExperimentId>> = parsed.extra("--only").map(parse_only);
     let deterministic = parsed.has("--deterministic");
     let trace = parsed.common.trace;
@@ -219,26 +222,22 @@ fn run_main(args: &[String]) -> ExitCode {
         (golden, load_tolerances(parsed.extra("--tolerances")))
     });
 
-    let mut preloaded = Preload::new();
+    let mut replay = Replay::default();
     if let Some(dir) = &parsed.common.resume {
-        // Resume targets the journaled directory itself: artifacts land
-        // where the interrupted run left its verified work.
-        out = dir.clone();
-        let state = journal::load_resume(dir)
+        replay = Replay::load(dir)
             .unwrap_or_else(|e| fail(&format!("cannot read journal in {}: {e}", dir.display())));
+        let damaged = replay.scenarios.damaged;
         eprintln!(
             "[sweep] resume: {} scenario(s) verified, \
-             {} damaged entr{} to recompute, {} journal line(s) skipped",
-            state.verified_scenarios,
-            state.damaged,
-            if state.damaged == 1 { "y" } else { "ies" },
-            state.skipped_lines,
+             {damaged} damaged entr{} to recompute, {} journal line(s) skipped",
+            replay.scenarios.verified,
+            if damaged == 1 { "y" } else { "ies" },
+            replay.skipped_lines,
         );
-        preloaded = state.preloaded;
     }
     // Golden (deterministic) trees carry no journal; every other run
     // journals completed work into the output directory for --resume.
-    let exec = Executor::new((!deterministic).then(|| out.clone()), preloaded);
+    let exec = Executor::new((!deterministic).then(|| out.clone()), replay);
     exec.tracer().set_enabled(trace);
     let result = run_sweep(&exec, &SweepOptions { jobs: parsed.common.jobs, only, settings });
     let written = if deterministic {

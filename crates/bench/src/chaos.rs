@@ -18,8 +18,9 @@
 //! * `panics_trunk` — consulted by dse before each attempt of a trunk
 //!   task, keyed by the trunk as `chaos_for` is by scenario; a trunk listed
 //!   in [`ChaosPlan::trunk_panics`] panics inside the isolation boundary.
-//! * `torn_write` — consulted by the journal's cache writes (scenario
-//!   reports and dse points). A matching file is written *directly* (no
+//! * `torn_write` — consulted by every journaled write (scenario reports,
+//!   dse points and serve experiment artifacts). A matching file is
+//!   written *directly* (no
 //!   tmp + rename), truncated at a seeded offset, and its journal record is
 //!   suppressed — exactly the on-disk state a `SIGKILL` between write and
 //!   journal append leaves behind. Each name tears at most once per

@@ -57,12 +57,13 @@
 //! its attempts panics `run_dse` (the binary exits 3). A task is pure — it
 //! reads its trunk and its points' runs and returns its points' metrics
 //! with what it stepped — so a retry repeats it bit for bit. The worker
-//! that ran a trunk journals its points (`journal::record_point`, into
-//! the executor's journal directory) as the task returns. Point
-//! identity routes through [`SuiteKey`]: duplicate points evaluate once,
-//! and `dse --resume` replays verified metrics and steps only the trunks
-//! its lost points read. Artifacts are bit-identical whatever the worker
-//! count, retry or resume history.
+//! that ran a trunk journals its points as the task returns, through the
+//! executor's one journal write path (`Executor::journal`), as the
+//! executor journals scenarios. Point identity routes through
+//! [`SuiteKey`]: duplicate points evaluate once, and a resumed run takes
+//! the verified metrics of its executor's journal replay, counted there
+//! as replays, and steps only the trunks its lost points read. Artifacts
+//! are bit-identical whatever the worker count, retry or resume history.
 
 use std::collections::HashMap;
 use std::io;
@@ -135,7 +136,8 @@ pub struct PointMetrics {
 
 /// What to explore and how. Completed points are journaled into the
 /// executor's journal directory, if it has one (none for deterministic and
-/// golden runs).
+/// golden runs), and points its journal replay verified are not evaluated
+/// again.
 #[derive(Debug, Clone, Default)]
 pub struct DseOptions {
     /// Worker threads; 0 = one per available core.
@@ -145,9 +147,6 @@ pub struct DseOptions {
     pub settings: RunSettings,
     /// The design space to enumerate.
     pub space: AxisSpace,
-    /// Verified metrics replayed from a journal, keyed by
-    /// [`SuiteKey::to_hex`] (see [`crate::journal::load_dse_resume`]).
-    pub preloaded: HashMap<String, PointMetrics>,
 }
 
 /// A completed exploration.
@@ -667,10 +666,11 @@ impl TrunkTask {
     }
 }
 
-/// Runs the exploration on `exec`: enumerate, dedup by [`SuiteKey`], group
-/// the pending points by trunk, run one task per trunk through the
-/// executor's claim and attempt loops, journal each task's points as it
-/// returns, and mark the Pareto frontier.
+/// Runs the exploration on `exec`: enumerate, dedup by [`SuiteKey`], take
+/// the points `exec` replays from its journal, group the pending points by
+/// trunk, run one task per trunk through the executor's claim and attempt
+/// loops, journal each task's points as it returns, and mark the Pareto
+/// frontier.
 ///
 /// # Panics
 ///
@@ -691,21 +691,17 @@ pub fn run_dse(exec: &Executor, opts: &DseOptions) -> DseResult {
         }
     }
 
-    // Install journal replays; everything else is pending work.
+    // Take the executor's journal replays; everything else is pending work.
     let mut slots: Vec<Option<PointMetrics>> = vec![None; unique.len()];
-    let mut replayed = 0;
     let mut pending: Vec<usize> = Vec::new();
-    for (i, (_, key)) in unique.iter().enumerate() {
-        match opts.preloaded.get(&key.to_hex()) {
-            Some(metrics) => {
-                slots[i] = Some(*metrics);
-                replayed += 1;
-            }
+    for (i, (point, key)) in unique.iter().enumerate() {
+        match exec.replayed_point(point, key) {
+            Some(metrics) => slots[i] = Some(metrics),
             None => pending.push(i),
         }
     }
     let evaluated = pending.len();
-    exec.count_replays(replayed);
+    let replayed = unique.len() - evaluated;
 
     // Group the pending points by trunk, in point order, so the trunks
     // come out stack-major, then by area. Replayed points read no run, so
@@ -749,11 +745,10 @@ pub fn run_dse(exec: &Executor, opts: &DseOptions) -> DseResult {
         };
         for (&reader, metrics) in task.readers.iter().zip(&outcome.metrics) {
             let (point, key) = &unique[pending[reader]];
-            if let Some(dir) = exec.journal_dir() {
-                // Best-effort, like scenario journaling: a lost record costs
-                // a recompute on resume, never the run.
-                let _ = journal::record_point(dir, exec.chaos(), key, &point.to_string(), metrics);
-            }
+            let point = point.to_string();
+            exec.journal("point", &point, |dir, chaos| {
+                journal::record_point(dir, chaos, key, &point, metrics)
+            });
             let n = done.fetch_add(1, Ordering::Relaxed) + 1;
             if n.is_multiple_of(progress_every) || n == evaluated {
                 obs::progress(|| format!("[dse] {n}/{evaluated} points"));

@@ -29,6 +29,7 @@ use std::fmt;
 
 use vs_core::{CosimConfig, CosimReport, PdsKind, PowerManagement};
 use vs_gpu::all_benchmarks;
+use vs_telemetry::json::Json;
 
 pub mod campaign;
 pub mod chaos;
@@ -52,8 +53,7 @@ pub use shard::Executor;
 /// Panics *inside* a shard isolation boundary are the executor's business
 /// (they become structured task errors, retried and quarantined); the hook
 /// prints one concise line and stands aside. A panic anywhere else is an
-/// internal error: the hook emits a structured
-/// [`vs_telemetry::JournalRecord::InternalError`] JSONL line on stderr —
+/// internal error: the hook prints its [`internal_error_line`] on stderr —
 /// machine-readable by whatever supervises the process — and exits 3, the
 /// binaries' internal-error code (see the exit contract in `bin/sweep.rs`).
 pub fn install_panic_hook(component: &'static str) {
@@ -62,13 +62,21 @@ pub fn install_panic_hook(component: &'static str) {
             eprintln!("  (isolated panic, will retry: {info})");
             return;
         }
-        let record = vs_telemetry::JournalRecord::InternalError {
-            component: component.to_string(),
-            message: info.to_string(),
-        };
-        eprintln!("{}", record.to_json().to_string_compact());
+        eprintln!("{}", internal_error_line(component, &info.to_string()));
         std::process::exit(3);
     }));
+}
+
+/// The panic hook's one-line JSON report of an internal error in
+/// `component`: `{"type":"internal_error","component":…,"message":…}`. It
+/// goes to stderr only; no journal ever holds one.
+pub fn internal_error_line(component: &str, message: &str) -> String {
+    Json::obj([
+        ("type", Json::from("internal_error")),
+        ("component", Json::from(component)),
+        ("message", Json::from(message)),
+    ])
+    .to_string_compact()
 }
 
 /// Benchmark names in the paper's presentation order.
@@ -318,6 +326,15 @@ pub fn volts(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn internal_error_line_is_pinned() {
+        assert_eq!(
+            internal_error_line("sweep", "panicked at 'boom \"x\"'"),
+            "{\"type\":\"internal_error\",\"component\":\"sweep\",\
+             \"message\":\"panicked at 'boom \\\"x\\\"'\"}"
+        );
+    }
 
     #[test]
     fn twelve_names_in_order() {

@@ -21,12 +21,12 @@ use std::fmt;
 use std::path::Path;
 
 use vs_telemetry::{
-    diff_artifacts, json::{self, Json}, parse_chrome_trace, DegradedEntry, JournalRecord,
-    RunArtifact, ToleranceSpec, TracePhase,
+    diff_artifacts, json::{self, Json}, parse_chrome_trace, RunArtifact, ToleranceSpec,
+    TracePhase,
 };
 
-use crate::journal;
-use crate::shard::{ShardStats, SuiteKey};
+use crate::journal::{self, JournalRecord};
+use crate::shard::{QuarantineRecord, ShardStats};
 use crate::sweep::MANIFEST_FILE;
 
 /// The trace export's file name inside a sweep output directory.
@@ -95,8 +95,10 @@ pub struct RunReport {
     pub experiments: Vec<ExperimentSummary>,
     /// The `run_stats` counters, when the manifest has them.
     pub run_stats: Option<ShardStats>,
-    /// Quarantined (suite, scenario) tasks with their error chains.
-    pub quarantined: Vec<DegradedEntry>,
+    /// Quarantined (suite, scenario) tasks with their error chains, from
+    /// the manifest's `degraded` lines (a line whose suite key or scenario
+    /// does not parse is skipped).
+    pub quarantined: Vec<QuarantineRecord>,
     /// Per-scenario wall statistics, slowest p95 first. Empty when the
     /// directory has no journal (e.g. a deterministic/golden tree).
     pub scenarios: Vec<ScenarioTiming>,
@@ -176,8 +178,8 @@ impl RunReport {
                     });
                 }
                 _ => {
-                    if let Some(entry) = DegradedEntry::from_json(&v) {
-                        report.quarantined.push(entry);
+                    if let Some(record) = QuarantineRecord::from_json(&v) {
+                        report.quarantined.push(record);
                     }
                 }
             }
@@ -348,12 +350,12 @@ impl RunReport {
         } else {
             out.push_str("\nquarantined:\n");
             for q in &self.quarantined {
-                let suite = SuiteKey::from_hex(&q.suite)
-                    .map_or_else(|| q.suite.clone(), |k| k.cache_dir());
                 let last_error = q.errors.last().map_or("?", String::as_str);
                 out.push_str(&format!(
-                    "  suite {suite} scenario {} after {} attempt(s): {last_error}\n",
-                    q.scenario, q.attempts
+                    "  suite {} scenario {} after {} attempt(s): {last_error}\n",
+                    q.suite.cache_dir(),
+                    q.scenario,
+                    q.attempts
                 ));
             }
         }

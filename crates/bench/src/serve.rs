@@ -42,15 +42,18 @@
 //! deleting anything.
 //!
 //! A cache hit is a checksum-verified file read — scenario hits replay
-//! through the journal preload (never constructing a worker pool), and
-//! experiment hits are served straight from the verified bytes on disk.
+//! through the executor's journal replay (never constructing a worker
+//! pool), and experiment hits are served straight from the verified bytes
+//! on disk. The server boots in one pass over its journal
+//! ([`journal::Replay::load`]), which yields the executor's replay and the
+//! experiment index alike.
 //! Concurrent identical requests dedupe through the executor's in-flight
 //! join: both connections claim tasks from the same suite job (see
 //! [`Executor::run_suite`]), and each scenario runs exactly once.
 //!
 //! Each [`Server`] owns its executor, built from its store's journal
-//! directory and resume preload, so servers in one process never share a
-//! memo, a preload, or a journal.
+//! directory and journal replay, so servers in one process never share a
+//! memo, a replay, or a journal.
 //!
 //! # Transport
 //!
@@ -72,9 +75,7 @@ use std::time::Duration;
 
 use vs_core::{PowerManagement, ScenarioId};
 use vs_telemetry::json::{self, Json};
-use vs_telemetry::{
-    checksum_hex, fnv1a_64, write_atomic, JournalRecord, ToleranceSpec, SCHEMA_VERSION,
-};
+use vs_telemetry::{checksum_hex, fnv1a_64, ToleranceSpec, SCHEMA_VERSION};
 
 use crate::shard::SuiteKey;
 use crate::space::{AxisSpace, ConfigPoint};
@@ -155,43 +156,34 @@ pub struct Server {
     root: PathBuf,
     settings: RunSettings,
     executor: Executor,
-    /// Experiment id → (relative file, checksum), last journal record
-    /// wins. Guarded so concurrent experiment requests publish atomically.
+    /// Experiment store id → (relative file, checksum) of each verified
+    /// artifact. Guarded so concurrent experiment requests publish
+    /// atomically.
     experiments: Mutex<HashMap<String, (String, String)>>,
     /// Startup store health.
     pub store_report: StoreReport,
 }
 
 impl Server {
-    /// Opens (or creates) the store, replays its journal into the
-    /// executor's preload, and indexes and verifies experiment artifacts.
-    /// The server's executor journals into the store.
+    /// Opens (or creates) the store and replays its journal in one pass:
+    /// the verified scenario reports go to the executor, which journals
+    /// into the store, and the verified experiment artifacts make the
+    /// index (a damaged one is left out and recomputes when requested).
     pub fn open(opts: &ServeOptions) -> io::Result<Server> {
         let fingerprint = code_fingerprint();
         let root = opts.store.join(&fingerprint);
         std::fs::create_dir_all(&root)?;
 
-        let state = journal::load_resume(&root)?;
-        // Requests re-verify an indexed artifact's bytes on every hit, so a
-        // damaged one stays indexed and recomputes when first requested.
-        let (experiments, _) = journal::replay(&root, |record| match record {
-            JournalRecord::ExperimentDone { id, file, checksum } => Some((id, (file, checksum))),
-            _ => None,
-        })?;
-        let verified_experiments = experiments
-            .values()
-            .filter(|(file, checksum)| {
-                std::fs::read(root.join(file)).is_ok_and(|bytes| checksum_hex(&bytes) == *checksum)
-            })
-            .count();
+        let mut replay = journal::Replay::load(&root)?;
         let store_report = StoreReport {
             fingerprint,
-            verified_scenarios: state.verified_scenarios,
-            verified_experiments,
-            damaged: state.damaged + experiments.len() - verified_experiments,
-            skipped_lines: state.skipped_lines,
+            verified_scenarios: replay.scenarios.verified,
+            verified_experiments: replay.experiments.verified,
+            damaged: replay.scenarios.damaged + replay.experiments.damaged,
+            skipped_lines: replay.skipped_lines,
         };
-        let executor = Executor::new(Some(root.clone()), state.preloaded);
+        let experiments = std::mem::take(&mut replay.artifacts);
+        let executor = Executor::new(Some(root.clone()), replay);
 
         Ok(Server {
             root,
@@ -386,7 +378,8 @@ impl Server {
     }
 
     /// One experiment: serve the artifact from the store when its bytes
-    /// still verify, otherwise run it, persist atomically, and journal.
+    /// still verify, otherwise run it and persist it through the journal's
+    /// write-then-journal step (a failed store write fails the request).
     fn handle_experiment(&self, req: &str, parsed: &Json, out: &mut dyn Write) -> io::Result<()> {
         let Some(name) = parsed.get("experiment").and_then(Json::as_str) else {
             return emit(out, req, "degraded", &[("error", "experiment request needs an \"experiment\"".to_string())]);
@@ -422,13 +415,8 @@ impl Server {
         emit(out, req, "running", &[("experiment", name.to_string()), ("file", file.clone())])?;
         let output = id.run(&self.executor, &self.settings);
         let bytes = output.artifact.to_jsonl().into_bytes();
-        let path = self.root.join(&file);
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        write_atomic(&path, &bytes)?;
-        journal::record_experiment(&self.root, &store_id, &file, &bytes)?;
-        let checksum = checksum_hex(&bytes);
+        let chaos = self.executor.chaos();
+        let checksum = journal::record_experiment(&self.root, chaos, &store_id, &file, &bytes)?;
         self.experiments
             .lock()
             .expect("experiment index poisoned")

@@ -3,7 +3,7 @@
 //! task runs through.
 //!
 //! An [`Executor`] is a value built once per run from its journal
-//! directory and resume [`Preload`]. It owns everything the run mutates:
+//! directory and journal [`Replay`]. It owns everything the run mutates:
 //! the suite memo, the in-flight batches idle workers steal from, the
 //! quarantine list, and the [`ShardStats`] counters, which are also its
 //! trace's metrics. It also owns everything the run records or injects:
@@ -55,9 +55,11 @@
 //! [`Executor::quarantined`]): its suite completes *degraded* — missing that
 //! scenario's report — instead of aborting the process; a dse trunk that
 //! exhausts its attempts panics `run_dse` instead, since a frontier has no
-//! degraded form. Completed scenarios are appended to the executor's
-//! resume journal (see [`crate::journal`]), and suites prefill verified
-//! reports from the preload so only damaged or missing work recomputes.
+//! degraded form. Completed scenarios and dse points are appended to the
+//! executor's resume journal through one write path
+//! (`Executor::journal`, see [`crate::journal`]), and the replay it was
+//! built with fills suites' slots and dse points with verified work, so
+//! only damaged or missing work recomputes.
 //!
 //! Determinism contract: a suite's reports are assembled in
 //! [`ScenarioId::ALL`] order from per-scenario slots, a group member's
@@ -85,15 +87,13 @@ use vs_telemetry::json::Json;
 use vs_telemetry::{chrome_trace_json, fnv1a_64, write_atomic, MetricsSnapshot, Tracer};
 
 use crate::chaos::{Chaos, ChaosMode, ChaosPlan};
+use crate::dse::PointMetrics;
+use crate::journal::{self, Replay};
 use crate::obs;
+use crate::space::ConfigPoint;
 
 /// Tasks per suite: one per catalogue scenario.
 const N_TASKS: usize = ScenarioId::ALL.len();
-
-/// Journal-verified scenario reports per suite (see
-/// [`crate::journal::load_resume`]): a suite prefills these slots instead of
-/// running their tasks.
-pub type Preload = HashMap<SuiteKey, Vec<(ScenarioId, CosimReport)>>;
 
 /// Stable identity of a memoized suite: the [`CosimConfig`] and
 /// [`PowerManagement`] key words (see their `stable_key_into` methods).
@@ -175,14 +175,50 @@ pub struct QuarantineRecord {
     pub errors: Vec<String>,
 }
 
+impl QuarantineRecord {
+    /// The record as its manifest `degraded` line.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("type", Json::from("degraded")),
+            ("suite", Json::from(self.suite.to_hex().as_str())),
+            ("scenario", Json::from(self.scenario.name())),
+            ("attempts", Json::from(u64::from(self.attempts))),
+            (
+                "errors",
+                Json::Arr(self.errors.iter().map(|e| Json::from(e.as_str())).collect()),
+            ),
+        ])
+    }
+
+    /// Reads a manifest `degraded` line back: `None` for any other line,
+    /// and for one whose suite key or scenario does not parse.
+    #[must_use]
+    pub fn from_json(v: &Json) -> Option<QuarantineRecord> {
+        if v.get("type")?.as_str()? != "degraded" {
+            return None;
+        }
+        Some(QuarantineRecord {
+            suite: SuiteKey::from_hex(v.get("suite")?.as_str()?)?,
+            scenario: v.get("scenario")?.as_str()?.parse().ok()?,
+            attempts: u32::try_from(v.get("attempts")?.as_u64()?).ok()?,
+            errors: v
+                .get("errors")?
+                .as_arr()?
+                .iter()
+                .map(|e| Some(e.as_str()?.to_string()))
+                .collect::<Option<Vec<_>>>()?,
+        })
+    }
+}
+
 /// Outcome of `Executor::attempt` when an attempt succeeded: the value
 /// plus the execution metadata the journal's v2 records and the trace
 /// carry. Wall times are observational — they never enter artifact bytes.
 pub(crate) struct TaskSuccess<T> {
     pub(crate) value: T,
-    /// Attempts spent, including the successful one.
-    attempts: u32,
-    /// Wall seconds per attempt, oldest first.
+    /// Wall seconds per attempt, oldest first: one per attempt spent,
+    /// the successful one included.
     attempt_wall_s: Vec<f64>,
 }
 
@@ -243,28 +279,18 @@ struct SuiteJob {
 
 impl SuiteJob {
     fn new(exec: &Executor, key: SuiteKey, cfg: CosimConfig, pm: PowerManagement) -> Self {
-        // Prefill slots from the resume preload: journal-verified reports
+        // Prefill slots from the journal replay: verified reports
         // short-circuit their tasks entirely (counted as replays).
         let mut claimed = [false; N_TASKS];
         let mut slots: Vec<Slot> = (0..N_TASKS).map(|_| Slot::Empty).collect();
         let mut filled = 0;
-        for (id, report) in exec.preloaded.get(&key).into_iter().flatten() {
+        for (id, report) in exec.replay.reports.get(&key).into_iter().flatten() {
             let i = scenario_index(*id);
             if !claimed[i] {
                 claimed[i] = true;
                 slots[i] = Slot::Ready(Box::new(report.clone()));
                 filled += 1;
-                exec.replayed.fetch_add(1, Ordering::Relaxed);
-                if exec.tracer.is_enabled() {
-                    exec.tracer.instant(
-                        "journal",
-                        "replay",
-                        &[
-                            ("suite", key.cache_dir()),
-                            ("scenario", id.name().to_string()),
-                        ],
-                    );
-                }
+                exec.count_replay(|| task_labels(&key, *id).to_vec());
             }
         }
         let mut state = JobState {
@@ -433,13 +459,14 @@ impl Drop for Landed<'_> {
     }
 }
 
-/// One run's executor: the journal directory and preload it was built
+/// One run's executor: the journal directory and replay it was built
 /// with, plus the suite memo, the in-flight batches stealers scan, the
 /// quarantine list, the observational counters that run accumulates, its
 /// tracer, and its chaos plan.
 pub struct Executor {
     journal_dir: Option<PathBuf>,
-    preloaded: Preload,
+    /// The verified scenario reports and dse points it replays.
+    replay: Replay,
     /// Off until turned on ([`Executor::tracer`]).
     tracer: Tracer,
     /// Empty unless a test installed a plan ([`Executor::with_chaos`]).
@@ -459,21 +486,22 @@ pub struct Executor {
 }
 
 impl Default for Executor {
-    /// No journal, no preload.
+    /// No journal, nothing replayed.
     fn default() -> Self {
-        Executor::new(None, Preload::new())
+        Executor::new(None, Replay::default())
     }
 }
 
 impl Executor {
     /// Builds an executor. Completed scenarios and dse points are journaled
-    /// into `journal_dir` when set, and suites prefill journal-verified
-    /// reports from `preloaded`. Tracing starts off, and no chaos plan is
-    /// installed.
-    pub fn new(journal_dir: Option<PathBuf>, preloaded: Preload) -> Self {
+    /// into `journal_dir` when set; suites prefill the verified reports of
+    /// `replay`, and `run_dse` takes its verified points
+    /// (`Executor::replayed_point`). Tracing starts off, and no chaos
+    /// plan is installed.
+    pub fn new(journal_dir: Option<PathBuf>, replay: Replay) -> Self {
         Executor {
             journal_dir,
-            preloaded,
+            replay,
             tracer: Tracer::new(),
             chaos: Chaos::default(),
             memo: Mutex::new(HashMap::new()),
@@ -658,9 +686,9 @@ impl Executor {
     }
 
     /// Whether `key`'s suite would resolve without running a single scenario
-    /// task: its memoized job has already assembled, or the resume preload
+    /// task: its memoized job has already assembled, or the journal replay
     /// covers the full scenario catalogue (a fresh job would be born
-    /// complete from journal replay). The serve layer consults this to answer
+    /// complete from it). The serve layer consults this to answer
     /// `cached` instead of `running` *before* joining the suite; it is advisory
     /// — [`Executor::run_suite`] remains the authority on what actually runs.
     pub fn suite_is_warm(&self, key: &SuiteKey) -> bool {
@@ -669,7 +697,7 @@ impl Executor {
                 return true;
             }
         }
-        self.preloaded.get(key).is_some_and(|entries| {
+        self.replay.reports.get(key).is_some_and(|entries| {
             let mut have = [false; N_TASKS];
             for (id, _) in entries {
                 have[scenario_index(*id)] = true;
@@ -691,15 +719,51 @@ impl Executor {
         records
     }
 
-    /// Where this executor journals completed work, if it journals.
-    pub(crate) fn journal_dir(&self) -> Option<&Path> {
-        self.journal_dir.as_deref()
+    /// The journal-verified metrics of `point`, whose key is `key`, if
+    /// this executor's replay holds them: a replay, counted and traced as
+    /// a suite's prefilled scenario is.
+    pub(crate) fn replayed_point(
+        &self,
+        point: &ConfigPoint,
+        key: &SuiteKey,
+    ) -> Option<PointMetrics> {
+        let metrics = *self.replay.metrics.get(key)?;
+        self.count_replay(|| vec![("point", point.to_string())]);
+        Some(metrics)
     }
 
-    /// Counts `n` dse points replayed from the resume journal in
-    /// [`ShardStats::replayed`], beside the scenario replays.
-    pub(crate) fn count_replays(&self, n: usize) {
-        self.replayed.fetch_add(n as u64, Ordering::Relaxed);
+    /// Counts one unit of work replayed from the journal instead of run in
+    /// [`ShardStats::replayed`], and traces it as a `journal`/`replay`
+    /// instant labelled `args`.
+    fn count_replay(&self, args: impl FnOnce() -> Vec<(&'static str, String)>) {
+        self.replayed.fetch_add(1, Ordering::Relaxed);
+        if self.tracer.is_enabled() {
+            self.tracer.instant("journal", "replay", &args());
+        }
+    }
+
+    /// Journals one finished unit of this executor's work, when it
+    /// journals: `write` is a `journal::record_*` call, handed the journal
+    /// directory and this executor's chaos plan. The write is a
+    /// `journal_write` span labelled `unit=name`, and best-effort: a
+    /// failed write is warned about and costs a recompute on resume, never
+    /// the run.
+    pub(crate) fn journal(
+        &self,
+        unit: &'static str,
+        name: &str,
+        write: impl FnOnce(&Path, &Chaos) -> io::Result<()>,
+    ) {
+        let Some(dir) = &self.journal_dir else { return };
+        let span = self.tracer.begin();
+        let result = write(dir, &self.chaos);
+        if span.is_some() {
+            self.tracer
+                .end_span("journal", "journal_write", span, &[(unit, name.to_string())]);
+        }
+        if let Err(e) = result {
+            eprintln!("  warning: journaling {name}: {e} (resume will recompute it)");
+        }
     }
 
     /// A snapshot of this executor's [`ShardStats`].
@@ -819,7 +883,6 @@ impl Executor {
                     self.end_attempt(span, labels, attempt, "ok");
                     return Ok(TaskSuccess {
                         value,
-                        attempts: attempt + 1,
                         attempt_wall_s: walls,
                     });
                 }
@@ -865,7 +928,6 @@ impl Executor {
                     Ok(value) => {
                         let success = TaskSuccess {
                             value,
-                            attempts: 1,
                             attempt_wall_s: vec![wall],
                         };
                         self.settle(job, id, via, task_span, Ok(success));
@@ -1001,7 +1063,7 @@ impl Executor {
         task_span: Option<Instant>,
         outcome: Result<TaskSuccess<CosimReport>, Vec<String>>,
     ) {
-        let end_task = |outcome: &'static str, attempts: u32| {
+        let end_task = |outcome: &'static str, attempts: usize| {
             if task_span.is_some() {
                 self.tracer.end_span(
                     "executor",
@@ -1021,12 +1083,15 @@ impl Executor {
         let i = scenario_index(id);
         match outcome {
             Ok(success) => {
-                end_task("ok", success.attempts);
-                self.record_to_journal(&job.key, id, &success);
+                let walls = &success.attempt_wall_s;
+                end_task("ok", walls.len());
+                self.journal("scenario", id.name(), |dir, chaos| {
+                    journal::record_scenario(dir, chaos, &job.key, id, &success.value, walls)
+                });
                 job.fill_slot(i, Slot::Ready(Box::new(success.value)));
             }
             Err(errors) => {
-                end_task("quarantined", MAX_ATTEMPTS);
+                end_task("quarantined", MAX_ATTEMPTS as usize);
                 self.tracer.instant(
                     "executor",
                     "quarantine",
@@ -1054,37 +1119,6 @@ impl Executor {
                     });
                 job.fill_slot(i, Slot::Failed);
             }
-        }
-    }
-
-    /// Appends a finished scenario to the resume journal, when this
-    /// executor journals. Journaling is best-effort: a failed write costs a
-    /// recompute on resume, never the run.
-    fn record_to_journal(
-        &self,
-        key: &SuiteKey,
-        id: ScenarioId,
-        success: &TaskSuccess<CosimReport>,
-    ) {
-        let Some(dir) = &self.journal_dir else { return };
-        let span = self.tracer.begin();
-        let result = crate::journal::record_scenario(
-            dir,
-            &self.chaos,
-            key,
-            id,
-            &success.value,
-            success.attempts,
-            &success.attempt_wall_s,
-        );
-        self.tracer.end_span(
-            "journal",
-            "journal_write",
-            span,
-            &[("scenario", id.name().to_string())],
-        );
-        if let Err(e) = result {
-            eprintln!("  warning: journaling {id}: {e} (resume will recompute it)");
         }
     }
 
@@ -1404,6 +1438,43 @@ mod tests {
         assert_eq!(key.cache_dir().len(), 16);
         assert_eq!(SuiteKey::from_hex(""), None);
         assert_eq!(SuiteKey::from_hex("xyz"), None);
+    }
+
+    #[test]
+    fn quarantine_records_roundtrip_through_their_degraded_line() {
+        let record = QuarantineRecord {
+            suite: SuiteKey::new(&cfg(4), &PowerManagement::default()),
+            scenario: ScenarioId::Hotspot,
+            attempts: 3,
+            errors: vec![
+                "attempt 0: injected panic".to_string(),
+                "attempt 1: task deadline exceeded at cycle 512".to_string(),
+                "attempt 2: injected panic".to_string(),
+            ],
+        };
+        let line = record.to_json().to_string_compact();
+        assert!(
+            line.starts_with(&format!(
+                "{{\"type\":\"degraded\",\"suite\":\"{}\",\"scenario\":\"hotspot\",\
+                 \"attempts\":3,\"errors\":[\"attempt 0: injected panic\",",
+                record.suite.to_hex()
+            )),
+            "{line}"
+        );
+        let parsed = vs_telemetry::json::parse(&line).unwrap();
+        assert_eq!(QuarantineRecord::from_json(&parsed), Some(record));
+        // Other manifest lines, and degraded lines naming no suite key or
+        // catalogue scenario, read as None.
+        for other in [
+            "{\"type\":\"suite\"}",
+            "{\"type\":\"degraded\",\"suite\":\"xyz\",\"scenario\":\"bfs\",\
+             \"attempts\":3,\"errors\":[]}",
+            "{\"type\":\"degraded\",\"suite\":\"0a\",\"scenario\":\"martian\",\
+             \"attempts\":3,\"errors\":[]}",
+        ] {
+            let v = vs_telemetry::json::parse(other).unwrap();
+            assert_eq!(QuarantineRecord::from_json(&v), None, "{other}");
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ use std::io;
 use std::path::Path;
 use std::time::Instant;
 
-use vs_telemetry::{json::Json, DegradedEntry, Event, RunArtifact, StageSample};
+use vs_telemetry::{json::Json, Event, RunArtifact, StageSample};
 
 use crate::obs;
 use crate::shard::{self, QuarantineRecord, ShardStats};
@@ -306,15 +306,7 @@ impl SweepResult {
             }
             manifest_lines.push(Json::obj(line));
         }
-        for q in &self.quarantined {
-            let entry = DegradedEntry {
-                suite: q.suite.to_hex(),
-                scenario: q.scenario.name().to_string(),
-                attempts: u64::from(q.attempts),
-                errors: q.errors.clone(),
-            };
-            manifest_lines.push(entry.to_json());
-        }
+        manifest_lines.extend(self.quarantined.iter().map(QuarantineRecord::to_json));
         let mut text = String::new();
         for line in manifest_lines {
             text.push_str(&line.to_string_compact());

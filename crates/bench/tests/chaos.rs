@@ -17,12 +17,12 @@ use std::path::{Path, PathBuf};
 
 use vs_bench::chaos::{ChaosEvent, ChaosMode, ChaosPlan};
 use vs_bench::dse::{run_dse, DseOptions};
-use vs_bench::journal::{load_resume, JOURNAL_FILE};
-use vs_bench::shard::{Preload, MAX_ATTEMPTS};
+use vs_bench::journal::{read_journal, JournalRecord, Replay, Tally, JOURNAL_FILE};
+use vs_bench::shard::{QuarantineRecord, MAX_ATTEMPTS};
 use vs_bench::sweep::{run_sweep, SweepOptions, SweepResult};
 use vs_bench::{Executor, ExperimentId, RunSettings};
 use vs_core::{CosimReport, PdsKind, PowerManagement, ScenarioId};
-use vs_telemetry::{json, read_journal, DegradedEntry, JournalRecord, RunArtifact};
+use vs_telemetry::{json, RunArtifact};
 
 /// Small enough for debug-mode CI: fig14 runs 2 suites x 12 scenarios.
 fn micro() -> RunSettings {
@@ -40,11 +40,11 @@ fn tmp(tag: &str) -> PathBuf {
 }
 
 /// Manifest `degraded` lines, parsed.
-fn degraded_lines(dir: &Path) -> Vec<DegradedEntry> {
+fn degraded_lines(dir: &Path) -> Vec<QuarantineRecord> {
     let text = std::fs::read_to_string(dir.join("manifest.jsonl")).expect("manifest");
     text.lines()
         .filter_map(|l| json::parse(l).ok())
-        .filter_map(|v| DegradedEntry::from_json(&v))
+        .filter_map(|v| QuarantineRecord::from_json(&v))
         .collect()
 }
 
@@ -97,7 +97,7 @@ fn chaos_sweep_degrades_gracefully_and_resume_converges() {
         torn_writes: vec!["bfs.json".to_string()],
         trunk_panics: vec![],
     };
-    let exec = Executor::new(Some(chaos_dir.clone()), HashMap::new()).with_chaos(plan);
+    let exec = Executor::new(Some(chaos_dir.clone()), Replay::default()).with_chaos(plan);
     let chaotic = run_sweep(
         &exec,
         &SweepOptions {
@@ -128,16 +128,7 @@ fn chaos_sweep_degrades_gracefully_and_resume_converges() {
     // The degraded run's manifest names every quarantined (suite, scenario)
     // with its full error chain.
     chaotic.write_deterministic_to(&exec, &chaos_dir).unwrap();
-    let degraded = degraded_lines(&chaos_dir);
-    assert_eq!(degraded.len(), 2);
-    let quarantined_suites: Vec<String> =
-        chaotic.quarantined.iter().map(|q| q.suite.to_hex()).collect();
-    for (entry, q) in degraded.iter().zip(&chaotic.quarantined) {
-        assert_eq!(entry.scenario, "heartwall");
-        assert_eq!(entry.attempts, u64::from(MAX_ATTEMPTS));
-        assert!(quarantined_suites.contains(&entry.suite));
-        assert_eq!(entry.errors, q.errors);
-    }
+    assert_eq!(degraded_lines(&chaos_dir), chaotic.quarantined);
     // The degraded artifact is whole: it parses, and it differs from the
     // undisturbed one, since heartwall is missing from both suites.
     let degraded_artifact = std::fs::read_to_string(chaos_dir.join("fig14.jsonl")).unwrap();
@@ -153,11 +144,10 @@ fn chaos_sweep_degrades_gracefully_and_resume_converges() {
 
     // Phase 3 — post-crash damage: truncate one *journaled* scenario cache,
     // so resume must detect the checksum mismatch and recompute it.
-    let state = load_resume(&chaos_dir).unwrap();
+    let replay = Replay::load(&chaos_dir).unwrap();
     // 24 tasks - 2 quarantined (never journaled) - 1 torn cache (journal
     // append suppressed by the tear) = 21 verified records.
-    assert_eq!(state.verified_scenarios, 21, "{state:?}");
-    assert_eq!(state.damaged, 0, "{state:?}");
+    assert_eq!(replay.scenarios, Tally { verified: 21, damaged: 0 });
     let truncate_target = {
         let mut caches: Vec<PathBuf> = std::fs::read_dir(chaos_dir.join("scenarios"))
             .unwrap()
@@ -172,10 +162,9 @@ fn chaos_sweep_degrades_gracefully_and_resume_converges() {
     std::fs::write(&truncate_target, &bytes[..bytes.len() / 2]).unwrap();
 
     // Phase 4 — resume: replay the journal, recompute only the damage.
-    let state = load_resume(&chaos_dir).unwrap();
-    assert_eq!(state.verified_scenarios, 20, "{state:?}");
-    assert_eq!(state.damaged, 1, "{state:?}");
-    let exec = Executor::new(Some(chaos_dir.clone()), state.preloaded);
+    let replay = Replay::load(&chaos_dir).unwrap();
+    assert_eq!(replay.scenarios, Tally { verified: 20, damaged: 1 });
+    let exec = Executor::new(Some(chaos_dir.clone()), replay);
     let resumed = run_sweep(
         &exec,
         &SweepOptions {
@@ -310,7 +299,6 @@ fn panicking_trunks_retry_and_the_frontier_holds() {
         space: "area=0.1|0.2|0.4|1.72,latency=30|120,pds=cross|circuit"
             .parse()
             .expect("grid spec"),
-        ..DseOptions::default()
     };
     let reference = run_dse(&Executor::default(), &opts);
     assert_eq!((reference.evaluated, reference.trunks), (16, 4));
@@ -323,7 +311,7 @@ fn panicking_trunks_retry_and_the_frontier_holds() {
             .collect(),
         ..ChaosPlan::default()
     };
-    let exec = Executor::new(Some(dir.clone()), Preload::new())
+    let exec = Executor::new(Some(dir.clone()), Replay::default())
         .with_chaos(trunk_panics(&[
             ("stack=4x4,area=0.1,workload=1", 1),
             ("stack=4x4,area=0.4,workload=1", 2),

@@ -19,7 +19,10 @@
 //! the tiny profile, a fraction of a second each.
 //!
 //! `serve --stdio --trace` writes its trace into its store directory when
-//! the session ends.
+//! the session ends. `sweep run` and `dse` reject `--out` beside
+//! `--resume`. The restart lines the benchmark parses — `[sweep] resume:`,
+//! `[dse] resume:` and serve's boot banner — are pinned word for word on
+//! journaled micro runs with one cache file torn.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -455,6 +458,156 @@ fn serve_writes_its_trace_into_the_store() {
     let metrics = metrics.expect("the trace embeds the executor metrics");
     assert_eq!(metrics.counter("executor.groups"), Some(12));
     let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
+fn out_with_resume_is_a_usage_error() {
+    // A resume writes into the directory it resumes, so an `--out` beside
+    // it would be ignored: both binaries reject the pair before any run.
+    let dir = scratch("out-resume");
+    let (out, resumed) = (dir.join("out"), dir.join("resumed"));
+    let pair = ["--out", s(&out), "--resume", s(&resumed), "--progress", "off"];
+    for (bin, args) in [
+        (SWEEP, [&["run", "--profile", "tiny", "--only", "table1"][..], &pair].concat()),
+        (DSE, [&["--profile", "tiny", "--space", "area=0.2"][..], &pair].concat()),
+    ] {
+        let (code, stderr) = run(bin, &args);
+        assert_eq!(code, 2, "{args:?} must exit 2, stderr: {stderr}");
+        assert!(
+            stderr.contains("--out and --resume are mutually exclusive"),
+            "{args:?} must name both flags, stderr: {stderr}"
+        );
+        assert!(!out.exists() && !resumed.exists(), "{args:?} wrote before rejecting");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `bin args` at the micro settings of the env profile, returning
+/// (exit code, stderr).
+fn run_micro(bin: &str, args: &[&str], stdin: &[u8]) -> (i32, String) {
+    let mut child = Command::new(bin)
+        .args(args)
+        .env("VS_BENCH_SCALE", "0.02")
+        .env("VS_BENCH_MAX_CYCLES", "8000")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn binary");
+    child.stdin.take().expect("piped stdin").write_all(stdin).expect("write stdin");
+    let out = child.wait_with_output().expect("binary exits");
+    (
+        out.status.code().expect("exit code"),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// The first of `dir`'s files (searched two levels deep) named `*.json`,
+/// in sorted order, cut to half its bytes.
+fn truncate_first_cache(dir: &Path) {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("cache dir")
+        .map(|entry| entry.unwrap().path())
+        .flat_map(|path| match std::fs::read_dir(&path) {
+            Ok(inner) => inner.map(|entry| entry.unwrap().path()).collect(),
+            Err(_) => vec![path],
+        })
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    files.sort();
+    truncate(files.first().expect("a cache file"));
+}
+
+/// The stderr line of `stderr` that starts with `prefix`.
+fn line_starting<'a>(stderr: &'a str, prefix: &str) -> &'a str {
+    stderr
+        .lines()
+        .find(|l| l.starts_with(prefix))
+        .unwrap_or_else(|| panic!("no {prefix:?} line in stderr:\n{stderr}"))
+}
+
+#[test]
+fn restarts_report_what_the_journal_verified() {
+    // The benchmark reads its restart counts from these three lines, so
+    // their wording is part of the contract: each binary journals a micro
+    // run, one cache file is cut in half, and a restart counts it damaged.
+    let dir = scratch("restart");
+
+    // sweep: fig14's 24 scenarios, one torn cache, and a panic-hook line
+    // appended to the journal, which is not a record and skips.
+    let sweep_dir = dir.join("sweep");
+    let sweep = |resume: bool| {
+        let flag = if resume { "--resume" } else { "--out" };
+        let args = ["run", "--only", "fig14", "--progress", "off", flag, s(&sweep_dir)];
+        let (code, stderr) = run_micro(SWEEP, &args, b"");
+        assert_eq!(code, 0, "{args:?}: {stderr}");
+        stderr
+    };
+    sweep(false);
+    truncate_first_cache(&sweep_dir.join("scenarios"));
+    let mut journal = std::fs::OpenOptions::new()
+        .append(true)
+        .open(sweep_dir.join("journal.jsonl"))
+        .expect("sweep journal");
+    writeln!(journal, "{}", vs_bench::internal_error_line("sweep", "boom")).unwrap();
+    assert_eq!(
+        line_starting(&sweep(true), "[sweep] resume:"),
+        "[sweep] resume: 23 scenario(s) verified, 1 damaged entry to recompute, \
+         1 journal line(s) skipped"
+    );
+
+    // dse: the tiny grid's 12 points, traced, so each point's journal
+    // write is one span; then one torn point cache.
+    let dse_dir = dir.join("dse");
+    let dse = |resume: bool| {
+        let flag = if resume { "--resume" } else { "--out" };
+        let args = ["--profile", "env", "--trace", "--progress", "off", flag, s(&dse_dir)];
+        let (code, stderr) = run_micro(DSE, &args, b"");
+        assert_eq!(code, 0, "{args:?}: {stderr}");
+        let text = std::fs::read_to_string(dse_dir.join("trace.json")).expect("trace.json");
+        let (events, metrics) = parse_chrome_trace(&text).expect("trace parses");
+        let writes = events
+            .iter()
+            .filter(|e| e.name == "journal_write" && e.arg("point").is_some())
+            .count();
+        let replays = metrics.expect("trace metrics").counter("executor.replays");
+        (stderr, writes, replays)
+    };
+    let (_, writes, replays) = dse(false);
+    assert_eq!((writes, replays), (12, Some(0)), "one journal write per point");
+    truncate_first_cache(&dse_dir.join("points"));
+    let (stderr, writes, replays) = dse(true);
+    assert_eq!(
+        line_starting(&stderr, "[dse] resume:"),
+        "[dse] resume: 11 point(s) verified, 1 damaged, 0 journal line(s) skipped"
+    );
+    assert_eq!((writes, replays), (1, Some(11)), "the damaged point recomputes, the rest replay");
+
+    // serve: a point's 12 scenarios and one experiment artifact, one torn
+    // scenario cache.
+    let store = dir.join("store");
+    let serve = || {
+        let args = ["--stdio", "--progress", "off", "--store", s(&store)];
+        let requests = b"{\"id\":\"p\",\"kind\":\"point\",\"point\":\"area=0.2\"}\n\
+                         {\"id\":\"e\",\"kind\":\"experiment\",\"experiment\":\"table1\"}\n\
+                         {\"id\":\"z\",\"kind\":\"shutdown\"}\n";
+        let (code, stderr) = run_micro(SERVE, &args, requests);
+        assert_eq!(code, 0, "{args:?}: {stderr}");
+        stderr
+    };
+    serve();
+    let root = store.join(code_fingerprint());
+    truncate_first_cache(&root.join("scenarios"));
+    assert_eq!(
+        line_starting(&serve(), "[serve] store "),
+        format!(
+            "[serve] store {} (fingerprint {}): 11 scenario(s) + 1 experiment(s) verified, \
+             1 damaged, 0 journal line(s) skipped",
+            root.display(),
+            code_fingerprint()
+        )
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

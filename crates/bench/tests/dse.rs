@@ -14,12 +14,11 @@ use std::process::Command;
 
 use vs_bench::chaos::ChaosPlan;
 use vs_bench::dse::{evaluate_point, run_dse, DseOptions};
-use vs_bench::journal::{load_dse_resume, point_cache_rel, JOURNAL_FILE};
-use vs_bench::shard::Preload;
+use vs_bench::journal::{point_cache_rel, read_journal, JournalRecord, Replay, Tally, JOURNAL_FILE};
 use vs_bench::space::AxisSpace;
 use vs_bench::{Executor, RunSettings};
 use vs_circuit::SolverWorkspace;
-use vs_telemetry::{parse_chrome_trace, read_journal, JournalRecord, TracePhase};
+use vs_telemetry::{parse_chrome_trace, TracePhase};
 
 /// Small enough for debug-mode CI: every point runs at the step clamps.
 fn micro() -> RunSettings {
@@ -37,9 +36,9 @@ fn grid() -> AxisSpace {
         .expect("grid spec")
 }
 
-/// An executor that journals into `dir`.
-fn journaling(dir: &Path) -> Executor {
-    Executor::new(Some(dir.to_path_buf()), Preload::new())
+/// An executor that journals into `dir` and replays `replay`.
+fn journaling(dir: &Path, replay: Replay) -> Executor {
+    Executor::new(Some(dir.to_path_buf()), replay)
 }
 
 /// Asserts that `dir`'s journal holds only `point_done` records: a
@@ -70,7 +69,6 @@ fn dse_artifacts_are_schedule_invariant_and_resume_converges() {
         jobs: 1,
         settings: micro(),
         space: grid(),
-        ..DseOptions::default()
     });
     assert_eq!(reference.enumerated, 64);
     assert_eq!(reference.rows.len(), 64, "all 64 points are SuiteKey-unique");
@@ -85,7 +83,6 @@ fn dse_artifacts_are_schedule_invariant_and_resume_converges() {
             jobs,
             settings: micro(),
             space: grid(),
-            ..DseOptions::default()
         });
         assert_eq!(run.artifact(true).to_jsonl(), ref_bytes, "artifact drifted at jobs={jobs}");
     }
@@ -101,11 +98,10 @@ fn dse_artifacts_are_schedule_invariant_and_resume_converges() {
         torn_writes: vec![format!("{}.json", torn_key.cache_dir())],
         ..ChaosPlan::default()
     };
-    let chaos_run = run_dse(&journaling(&dir).with_chaos(plan), &DseOptions {
+    let chaos_run = run_dse(&journaling(&dir, Replay::default()).with_chaos(plan), &DseOptions {
         jobs: 2,
         settings,
         space: grid(),
-        ..DseOptions::default()
     });
     assert_eq!(chaos_run.artifact(true).to_jsonl(), ref_bytes);
     chaos_run.write_to(&dir, false).expect("frontier written");
@@ -122,22 +118,21 @@ fn dse_artifacts_are_schedule_invariant_and_resume_converges() {
 
     // The torn point was never journaled (write-then-journal order), so it
     // is missing rather than damaged; the tampered point is damaged.
-    let state = load_dse_resume(&dir).expect("journal replays");
-    assert_eq!(state.damaged, 1, "exactly the tampered cache is damaged");
-    assert_eq!(state.skipped_lines, 0);
-    assert_eq!(state.verified.len(), 62);
-    assert!(!state.verified.contains_key(&torn_key.to_hex()));
-    assert!(!state.verified.contains_key(&tampered_key.to_hex()));
+    let replay = Replay::load(&dir).expect("journal replays");
+    // Exactly the tampered cache is damaged.
+    assert_eq!(replay.points, Tally { verified: 62, damaged: 1 });
+    assert_eq!(replay.skipped_lines, 0);
+    assert!(!replay.metrics.contains_key(&torn_key));
+    assert!(!replay.metrics.contains_key(&tampered_key));
 
     // Phase 4 — resume: exactly the two lost points recompute, executing
     // only the runs they read (at different areas they share neither
     // run), and the artifact converges to the undisturbed bytes.
-    let exec = journaling(&dir);
+    let exec = journaling(&dir, replay);
     let resumed = run_dse(&exec, &DseOptions {
         jobs: 2,
         settings,
         space: grid(),
-        preloaded: state.verified,
     });
     assert_eq!(resumed.replayed, 62);
     // The executor counts the replayed points too, so a resumed run's
@@ -152,9 +147,8 @@ fn dse_artifacts_are_schedule_invariant_and_resume_converges() {
     assert_only_points_journaled(&dir);
 
     // The healed journal now verifies everything.
-    let healed = load_dse_resume(&dir).expect("journal replays");
-    assert_eq!(healed.verified.len(), 64);
-    assert_eq!(healed.damaged, 0);
+    let healed = Replay::load(&dir).expect("journal replays");
+    assert_eq!(healed.points, Tally { verified: 64, damaged: 0 });
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -179,7 +173,6 @@ fn runs_matching_the_oracle(space: &AxisSpace) -> Vec<vs_bench::dse::DseResult> 
                 jobs,
                 settings: micro(),
                 space: space.clone(),
-                ..DseOptions::default()
             });
             assert_eq!(shared.evaluated, space.len());
             for ((point, row), m) in shared.points.iter().zip(&shared.rows).zip(&oracle) {
@@ -297,7 +290,6 @@ fn traced_binary_spans_each_executed_run_once() {
         jobs: 1,
         settings: micro(),
         space: AxisSpace::tiny_grid(),
-        ..DseOptions::default()
     });
     let frontier = std::fs::read_to_string(dir.join("dse_frontier.jsonl")).expect("frontier");
     assert_eq!(frontier, untraced.artifact(true).to_jsonl());

@@ -8,8 +8,7 @@
 
 use std::path::{Path, PathBuf};
 
-use vs_bench::journal::load_resume;
-use vs_bench::shard::Preload;
+use vs_bench::journal::{Replay, Tally};
 use vs_bench::sweep::{run_sweep, SweepOptions, SweepResult};
 use vs_bench::{Executor, ExperimentId, RunSettings};
 use vs_telemetry::fnv1a_64;
@@ -24,10 +23,10 @@ fn micro() -> RunSettings {
     }
 }
 
-/// A journaled fig14 sweep on a fresh executor that replays `preloaded`,
+/// A journaled fig14 sweep on a fresh executor that replays `replay`,
 /// with the executor that ran it.
-fn journaled_sweep(dir: &Path, jobs: usize, preloaded: Preload) -> (SweepResult, Executor) {
-    let exec = Executor::new(Some(dir.to_path_buf()), preloaded);
+fn journaled_sweep(dir: &Path, jobs: usize, replay: Replay) -> (SweepResult, Executor) {
+    let exec = Executor::new(Some(dir.to_path_buf()), replay);
     let result = run_sweep(
         &exec,
         &SweepOptions {
@@ -57,7 +56,7 @@ fn torn_writes_are_recomputed_exactly_and_artifacts_converge() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Reference run: journaled, then written deterministically.
-    let (fresh, exec) = journaled_sweep(&dir, 2, Preload::new());
+    let (fresh, exec) = journaled_sweep(&dir, 2, Replay::default());
     assert!(!fresh.is_degraded());
     fresh.write_deterministic_to(&exec, &dir).unwrap();
     let fresh_artifact = std::fs::read(dir.join("fig14.jsonl")).unwrap();
@@ -87,15 +86,11 @@ fn torn_writes_are_recomputed_exactly_and_artifacts_converge() {
             std::fs::write(path, &bytes[..cut]).unwrap();
         }
 
-        let state = load_resume(&dir).unwrap();
-        assert_eq!(state.damaged, victims.len(), "round {round}: {state:?}");
-        assert_eq!(
-            state.verified_scenarios,
-            24 - victims.len(),
-            "round {round}: {state:?}"
-        );
+        let replay = Replay::load(&dir).unwrap();
+        let expected = Tally { verified: 24 - victims.len(), damaged: victims.len() };
+        assert_eq!(replay.scenarios, expected, "round {round}");
 
-        let (resumed, exec) = journaled_sweep(&dir, jobs, state.preloaded);
+        let (resumed, exec) = journaled_sweep(&dir, jobs, replay);
         assert!(!resumed.is_degraded(), "round {round}");
         let stats = resumed.stats;
         // Exactly the damaged scenarios recomputed, everything else replayed.
@@ -123,12 +118,11 @@ fn torn_writes_are_recomputed_exactly_and_artifacts_converge() {
     kept.push_str("{\"type\":\"scenario_done\",\"suite\":\"tor"); // torn mid-record
     std::fs::write(dir.join("journal.jsonl"), kept).unwrap();
 
-    let state = load_resume(&dir).unwrap();
-    assert!(state.skipped_lines >= 1, "{state:?}");
-    assert_eq!(state.verified_scenarios, 22, "{state:?}");
-    assert_eq!(state.damaged, 0, "{state:?}");
+    let replay = Replay::load(&dir).unwrap();
+    assert!(replay.skipped_lines >= 1, "{replay:?}");
+    assert_eq!(replay.scenarios, Tally { verified: 22, damaged: 0 });
 
-    let (resumed, exec) = journaled_sweep(&dir, 2, state.preloaded);
+    let (resumed, exec) = journaled_sweep(&dir, 2, replay);
     assert!(!resumed.is_degraded());
     let stats = resumed.stats;
     assert_eq!(stats.scenario_tasks, 2, "{stats:?}");

@@ -31,7 +31,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use vs_bench::journal::{load_resume, scenario_cache_rel, JOURNAL_FILE};
+use vs_bench::journal::{scenario_cache_rel, Replay, JOURNAL_FILE};
 use vs_bench::serve::{ServeOptions, Server};
 use vs_bench::shard::SuiteKey;
 use vs_bench::space::ConfigPoint;
@@ -137,7 +137,7 @@ fn concurrent_requests_join_and_cold_restarts_serve_from_store() {
     assert_eq!(server2.store_report.verified_scenarios, 12, "{:?}", server2.store_report);
     assert_eq!(server2.store_report.verified_experiments, 1, "{:?}", server2.store_report);
     assert_eq!(server2.store_report.damaged, 0, "{:?}", server2.store_report);
-    assert!(server2.executor().suite_is_warm(&key), "full preload must report warm");
+    assert!(server2.executor().suite_is_warm(&key), "a full replay must report warm");
     let lines = handle(&server2, POINT_REQ);
     let stats = server2.executor().stats();
     assert_eq!(stats.scenario_tasks, 0, "store hit must run zero co-simulation: {stats:?}");
@@ -181,7 +181,7 @@ fn concurrent_requests_join_and_cold_restarts_serve_from_store() {
     // The torn write lands before the journal append, so the entry is an
     // orphaned file, not a journaled damage record.
     assert_eq!(server4.store_report.verified_scenarios, 11, "{:?}", server4.store_report);
-    assert!(!server4.executor().suite_is_warm(&key), "a partial preload must not report warm");
+    assert!(!server4.executor().suite_is_warm(&key), "a partial replay must not report warm");
     let lines = handle(&server4, POINT_REQ);
     let stats = server4.executor().stats();
     assert_eq!(stats.scenario_tasks, 1, "exactly the torn scenario recomputes: {stats:?}");
@@ -204,7 +204,8 @@ fn concurrent_requests_join_and_cold_restarts_serve_from_store() {
     assert_eq!(stats_b.scenario_tasks, 12, "B runs the suite itself: {stats_b:?}");
     assert_eq!(stats_b.replayed, 0, "{stats_b:?}");
     assert_eq!(server_a.executor().stats(), stats_a, "B's request must not move A's stats");
-    let journaled = |server: &Server| load_resume(server.root()).expect("journal").verified_scenarios;
+    let journaled =
+        |server: &Server| Replay::load(server.root()).expect("journal").scenarios.verified;
     assert_eq!(journaled(&server_b), 12, "B journals into its own store");
     assert_eq!(journaled(&server_a), 12, "A's store holds exactly its own entries");
 

@@ -1,8 +1,6 @@
 //! Tier-1: the scenario-sharded sweep is deterministic across worker
 //! counts, and the per-worker pool shards actually pay off.
 
-use std::collections::HashMap;
-
 use vs_bench::shard::ShardStats;
 use vs_bench::sweep::{run_sweep, SweepOptions};
 use vs_bench::{benchmark_names, Executor, ExperimentId, RunSettings};
@@ -21,7 +19,7 @@ fn micro() -> RunSettings {
 /// Returns the deterministic view of every artifact, the shard counters it
 /// left, and the executor it ran on.
 fn sweep(jobs: usize) -> (Vec<(String, String, String)>, ShardStats, Executor) {
-    let exec = Executor::new(None, HashMap::new());
+    let exec = Executor::default();
     exec.tracer().set_enabled(true);
     let result = run_sweep(
         &exec,

@@ -4,10 +4,10 @@
 //! per-scenario p95s, and `diff-baseline` gates drift between artifact
 //! stores.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 
 use vs_bench::chaos::{ChaosEvent, ChaosMode, ChaosPlan};
+use vs_bench::journal::Replay;
 use vs_bench::report::{diff_baseline, RunReport, TRACE_FILE};
 use vs_bench::sweep::{run_sweep, SweepOptions};
 use vs_bench::{Executor, ExperimentId, RunSettings};
@@ -85,7 +85,7 @@ fn traced_chaos_sweep_report_and_baseline_diff() {
         torn_writes: vec![],
         trunk_panics: vec![],
     };
-    let exec = Executor::new(Some(dir.clone()), HashMap::new()).with_chaos(plan);
+    let exec = Executor::new(Some(dir.clone()), Replay::default()).with_chaos(plan);
     exec.tracer().set_enabled(true);
     let result = run_sweep(
         &exec,
@@ -164,7 +164,7 @@ fn traced_chaos_sweep_report_and_baseline_diff() {
     // the quarantined (suite, scenario) pairs and gives per-scenario p95s.
     let report = RunReport::load(&dir).unwrap();
     assert_eq!(report.quarantined.len(), 2);
-    assert!(report.quarantined.iter().all(|q| q.scenario == "heartwall"));
+    assert!(report.quarantined.iter().all(|q| q.scenario == ScenarioId::Heartwall));
     let stats = report.run_stats.expect("write_to records run_stats");
     assert_eq!(stats.quarantined, 2);
     assert_eq!(stats.retries, 6);

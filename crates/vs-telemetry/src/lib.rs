@@ -13,10 +13,10 @@
 //!   JSONL event stream (manifest, metrics, dse points, fault-campaign rows,
 //!   stage profiles) that the goldens and regression tooling parse back with
 //!   [`RunArtifact::parse_jsonl`] instead of scraping stdout.
-//! * [`JournalRecord`] / [`write_atomic`] / [`fnv1a_64`] — crash-safe
-//!   artifact plumbing: atomic tmp-file + rename writes, hand-rolled
-//!   FNV-1a content checksums, and the append-only completion journal the
-//!   sweep's `--resume` replays (see the `journal` module docs).
+//! * [`write_atomic`] / [`fnv1a_64`] / [`checksum_hex`] — crash-safe
+//!   artifact plumbing: atomic tmp-file + rename writes and hand-rolled
+//!   FNV-1a content checksums, which `vs-bench`'s completion journal
+//!   records for every file it verifies on resume.
 //! * [`Tracer`] / [`chrome_trace_json`] — executor-level span/instant
 //!   tracing of the sweep's task lifecycle (claims, attempts, retries,
 //!   quarantine, replay) with Chrome/Perfetto `trace.json` export; wall
@@ -50,7 +50,7 @@
 
 mod diff;
 mod events;
-mod journal;
+mod integrity;
 pub mod json;
 mod metrics;
 mod profile;
@@ -64,10 +64,7 @@ pub use events::{
     DsePointRow, Event, FaultCampaignRow, ParseError, RunArtifact, RunManifest, StageSample,
     SCHEMA_VERSION,
 };
-pub use journal::{
-    append_journal, checksum_hex, fnv1a_64, read_journal, write_atomic, DegradedEntry,
-    JournalRecord,
-};
+pub use integrity::{checksum_hex, fnv1a_64, write_atomic};
 pub use metrics::{labeled, MetricsSnapshot, Registry};
 pub use profile::{Stage, StageProfiler};
 pub use trace::{chrome_trace_json, parse_chrome_trace, TraceEvent, TracePhase, Tracer};

@@ -81,6 +81,10 @@ cargo test -q --workspace
 
 echo "== benchmark unit tests (builds against the vs-bench API) =="
 cargo test -q --manifest-path benchmark/Cargo.toml
+# Every workload at the tiny profile, with its checks: the restart lines
+# and journal records the benchmark parses break here, not in a benchmark
+# run.
+cargo run --release -q --manifest-path benchmark/Cargo.toml -- selftest
 
 echo "== pooled workspace reuse + sharded-sweep determinism =="
 cargo test --release -q -p vs-core --test workspace_reuse
