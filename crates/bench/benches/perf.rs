@@ -27,11 +27,10 @@ const LANE_MEASURED_STEPS: usize = 2_000;
 /// cannot produce a spurious non-monotonic row.
 const LANE_TRIALS: usize = 3;
 
-/// One parameter-variant lane: the cross-layer 0.2x stacked netlist the
-/// sweep spends most of its time in, with per-lane SM load currents. Loads
-/// live on controlled current sources (RHS-only), so every lane keeps the
-/// bit-identical stamp matrix that lets the batch share one LU
-/// factorization — the same grouping dse's lanes hit.
+/// One lane: the cross-layer 0.2x stacked netlist dse's lanes step, with
+/// per-lane SM load currents. Loads live on controlled current sources
+/// (RHS-only), so every lane is a copy of one stamp matrix and the batch
+/// shares one LU factorization — the same grouping dse's lanes hit.
 fn build_lane(lane: usize) -> Transient {
     let params = PdnParams::default();
     let am = AreaModel::default();
@@ -83,8 +82,8 @@ fn measure_lane_scaling() -> Vec<(usize, f64)> {
             );
             if n >= 2 {
                 assert!(
-                    stats.shared_factor_groups > 0,
-                    "parameter-variant lanes no longer share factors: {stats:?}"
+                    stats.multi_lane_groups > 0,
+                    "load-variant lanes no longer share a factorization: {stats:?}"
                 );
             }
         }
@@ -94,7 +93,7 @@ fn measure_lane_scaling() -> Vec<(usize, f64)> {
 
 /// Guard: the batched SoA circuit solve behind dse's lockstep lanes must
 /// get cheaper per lane as lanes are added. `BatchedTransient::step_all`
-/// over N parameter-variant copies of the stacked netlist shares one
+/// over N load-variant copies of one stacked stamp matrix shares one
 /// sparse LU factorization, so per-lane cost must fall strictly from
 /// N = 1 to 2, 4 and 8; the benchmark's `vs-circuit.lane_ns.*` probes
 /// record the same kernel.

@@ -161,6 +161,11 @@ impl PdsKind {
     }
 }
 
+/// Decimation stride of the voltage traces: with
+/// [`CosimConfig::record_traces`] on, each SM's trace keeps every
+/// `TRACE_STRIDE`th cycle's point.
+pub const TRACE_STRIDE: u64 = 8;
+
 /// Full co-simulation configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CosimConfig {
@@ -186,11 +191,9 @@ pub struct CosimConfig {
     /// Couple SM power to the instantaneous layer voltage (`P ∝ V²`)
     /// instead of treating SMs as constant-power loads.
     pub voltage_scaled_power: bool,
-    /// Record per-SM voltage traces (costs memory; figures need it).
+    /// Record per-SM voltage traces, one point every [`TRACE_STRIDE`]
+    /// cycles (costs memory; figures need it).
     pub record_traces: bool,
-    /// Decimation stride of the voltage traces (1 = every cycle): with
-    /// `record_traces` on, each SM's trace keeps every Nth cycle's point.
-    pub trace_stride: u32,
 }
 
 impl Default for CosimConfig {
@@ -207,18 +210,17 @@ impl Default for CosimConfig {
             workload_scale: 1.0,
             voltage_scaled_power: false,
             record_traces: false,
-            trace_stride: 8,
         }
     }
 }
 
 impl CosimConfig {
     /// Appends this config's stable identity key: every field's bit pattern
-    /// in declaration order. Two configs push the same words iff they are
-    /// bit-identical, so the result is safe to use as a cache key (unlike
-    /// `Debug` output, whose formatting is not an identity contract). The
-    /// exhaustive destructuring makes adding a field without extending the
-    /// key a compile error.
+    /// in declaration order, then [`TRACE_STRIDE`]. Two configs push the
+    /// same words iff they are bit-identical, so the result is safe to use
+    /// as a cache key (unlike `Debug` output, whose formatting is not an
+    /// identity contract). The exhaustive destructuring makes adding a
+    /// field without extending the key a compile error.
     pub fn stable_key_into(&self, out: &mut Vec<u64>) {
         let CosimConfig {
             pds,
@@ -232,7 +234,6 @@ impl CosimConfig {
             workload_scale,
             voltage_scaled_power,
             record_traces,
-            trace_stride,
         } = *self;
         pds.stable_key_into(out);
         geometry.stable_key_into(out);
@@ -246,7 +247,7 @@ impl CosimConfig {
             workload_scale.to_bits(),
             u64::from(voltage_scaled_power),
             u64::from(record_traces),
-            u64::from(trace_stride),
+            TRACE_STRIDE,
         ]);
     }
 }
@@ -304,7 +305,6 @@ mod tests {
             CosimConfig { workload_scale: 0.5, ..base.clone() },
             CosimConfig { voltage_scaled_power: true, ..base.clone() },
             CosimConfig { record_traces: true, ..base.clone() },
-            CosimConfig { trace_stride: 9, ..base.clone() },
         ];
         for v in &variants {
             assert_ne!(key(v), base_key, "key collision for {v:?}");

@@ -38,12 +38,14 @@ use vs_control::{ControllerConfig, DccDac, SmCommand, VoltageController};
 use vs_gpu::{
     build_kernel, Gpu, GpuConfig, GpuCycleEvents, Kernel, SchedulerKind, SmControl, WorkloadProfile,
 };
-use vs_hypervisor::{DfsConfig, DfsGovernor, GatingAccountant, PgConfig, VsAwareHypervisor};
+use vs_hypervisor::{
+    DfsConfig, DfsGovernor, GatingAccountant, HypervisorConfig, PgConfig, VsAwareHypervisor,
+};
 use vs_num::Rng;
 use vs_power::{PowerModel, SmPower};
 use vs_telemetry::{Stage, Telemetry};
 
-use crate::config::{controller_config, CosimConfig, PdsKind};
+use crate::config::{controller_config, CosimConfig, PdsKind, TRACE_STRIDE};
 use crate::fault::{FaultKind, FaultPlan, LoadGlitch};
 use crate::imbalance::ImbalanceHistogram;
 use crate::rig::{EnergyLedger, PdsRig};
@@ -161,9 +163,9 @@ impl<'a> CosimBuilder<'a> {
             .has_controller()
             .then(|| VoltageController::new(controller_cfg));
         let dfs = pm.dfs.map(|d| DfsGovernor::new(d, gpu_config.n_sms));
-        let hypervisor = pm.use_hypervisor.then(|| {
-            VsAwareHypervisor::new(pm.hypervisor_config.unwrap_or_default())
-        });
+        let hypervisor = pm
+            .use_hypervisor
+            .then(|| VsAwareHypervisor::new(HypervisorConfig::default()));
         let controls = vec![initial_control(&pm); gpu_config.n_sms];
         Member {
             cfg: cfg.clone(),
@@ -268,10 +270,9 @@ pub struct PowerManagement {
     pub dfs: Option<DfsConfig>,
     /// Execution-unit power gating.
     pub pg: Option<PgConfig>,
-    /// Route commands through the VS-aware hypervisor (Algorithm 2).
+    /// Route commands through the VS-aware hypervisor (Algorithm 2), built
+    /// from [`HypervisorConfig::default`].
     pub use_hypervisor: bool,
-    /// Hypervisor configuration override (None = defaults).
-    pub hypervisor_config: Option<vs_hypervisor::HypervisorConfig>,
 }
 
 impl PowerManagement {
@@ -281,7 +282,7 @@ impl PowerManagement {
     /// never `Debug` output. The exhaustive destructuring makes adding a
     /// field without extending the key a compile error.
     pub fn stable_key_into(&self, out: &mut Vec<u64>) {
-        let PowerManagement { dfs, pg, use_hypervisor, hypervisor_config } = self;
+        let PowerManagement { dfs, pg, use_hypervisor } = self;
         match dfs {
             None => out.push(0),
             Some(d) => {
@@ -297,13 +298,9 @@ impl PowerManagement {
             }
         }
         out.push(u64::from(*use_hypervisor));
-        match hypervisor_config {
-            None => out.push(0),
-            Some(h) => {
-                out.push(1);
-                h.stable_key_into(out);
-            }
-        }
+        // A reserved `0` word where a hypervisor-config override once keyed,
+        // so every stored key stays valid.
+        out.push(0);
     }
 }
 
@@ -407,7 +404,6 @@ struct RunState {
     voltages: Vec<f64>,
     sensed: Vec<f64>,
     commands: Vec<SmCommand>,
-    stride: u64,
     /// The GPU cycle count after this cycle's tick, captured by
     /// `Member::cycle_pre` for the solve and post phases of the same cycle.
     cycle: u64,
@@ -769,7 +765,6 @@ impl Member {
         };
         let histogram = ImbalanceHistogram::new(self.rig.topology());
         let epoch_cycles = self.pm.dfs.map_or(4096, |d| d.epoch_cycles);
-        let stride = u64::from(self.cfg.trace_stride.max(1));
 
         RunState {
             n_sms,
@@ -803,7 +798,6 @@ impl Member {
             voltages: Vec::with_capacity(n_sms),
             sensed: Vec::with_capacity(n_sms),
             commands: Vec::with_capacity(n_sms),
-            stride,
             cycle: 0,
         }
     }
@@ -896,7 +890,7 @@ impl Member {
         for (sm, v) in st.voltages.iter().enumerate() {
             st.min_v = st.min_v.min(*v);
             st.max_v = st.max_v.max(*v);
-            if self.cfg.record_traces && cycle.is_multiple_of(st.stride) {
+            if self.cfg.record_traces && cycle.is_multiple_of(TRACE_STRIDE) {
                 st.traces[sm].push(self.rig.time(), *v);
             }
         }

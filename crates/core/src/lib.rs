@@ -74,7 +74,7 @@ mod seed;
 mod supervisor;
 
 pub use batch::CosimPool;
-pub use config::{CosimConfig, ParseGeometryError, PdsKind, StackGeometry};
+pub use config::{CosimConfig, ParseGeometryError, PdsKind, StackGeometry, TRACE_STRIDE};
 pub use cosim::{
     run_scenario, Cosim, CosimBuilder, CosimReport, GroupOutcome, GroupRun, GroupStats,
     PowerManagement, Ride, TrunkKey,

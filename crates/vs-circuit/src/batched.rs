@@ -1,15 +1,15 @@
-//! Batched structure-of-arrays transient stepping: advance *N*
-//! parameter-variant rigs in lockstep through one solver kernel.
+//! Batched structure-of-arrays transient stepping: advance *N* rigs that
+//! share one netlist in lockstep through one solver kernel.
 //!
-//! The sweep simulates the same stacked-rig netlist over and over with
-//! different load parameters; every one of those [`Transient`] instances
-//! performs an identical forward/backward substitution per step. This module
-//! groups lanes whose sparse LU factors share a symbolic structure (the
-//! ordering, pivot rows and L/U patterns) and solves them through the SoA
-//! kernels in `vs-num` ([`SparseLu::solve_multi_in_place`] when the factors
-//! are bit-identical, [`SparseLu::solve_lanes_in_place`] when only the
-//! structure is shared), amortizing factor loads and loop bookkeeping
-//! across lanes.
+//! dse simulates the same stacked-rig netlist over and over under
+//! different loads; every one of those [`Transient`] instances performs an
+//! identical forward/backward substitution per step. This module groups
+//! lanes whose stamp matrices, and hence sparse LU factors, are
+//! bit-identical (same netlist value fingerprint, `dt` bits, integration
+//! method and dimension) and solves each group against one representative
+//! factorization through [`vs_num::SparseLu::solve_multi_in_place`],
+//! amortizing factor loads and loop bookkeeping across lanes. Every other
+//! lane solves alone.
 //!
 //! # Determinism contract
 //!
@@ -36,7 +36,6 @@
 use crate::error::SolverError;
 use crate::recovery::{RecoveryPolicy, StepReport};
 use crate::transient::{Integration, Transient};
-use vs_num::SparseLu;
 
 /// Counters describing how a batch of lanes has been advanced. All fields
 /// are cumulative since construction (or the last reset).
@@ -46,14 +45,12 @@ pub struct BatchStats {
     pub shared_steps: u64,
     /// Total lane-steps attempted across all shared steps.
     pub lane_steps: u64,
-    /// Groups of ≥ 2 lanes solved through one SoA substitution.
+    /// Groups of ≥ 2 lanes solved through one SoA substitution against
+    /// their shared factorization.
     pub multi_lane_groups: u64,
     /// Lane-solves that went through a multi-lane group.
     pub multi_lane_solves: u64,
-    /// Multi-lane groups whose lanes all shared one bit-identical
-    /// factorization (the fastest kernel).
-    pub shared_factor_groups: u64,
-    /// Lanes solved alone because no other lane shared their structure.
+    /// Lanes solved alone because no other lane shared their factorization.
     pub singleton_solves: u64,
     /// Lanes that failed the health gate and left the fast path.
     pub mask_exits: u64,
@@ -73,7 +70,6 @@ impl BatchStats {
             lane_steps,
             multi_lane_groups,
             multi_lane_solves,
-            shared_factor_groups,
             singleton_solves,
             mask_exits,
             rejoins,
@@ -83,7 +79,6 @@ impl BatchStats {
         self.lane_steps += lane_steps;
         self.multi_lane_groups += multi_lane_groups;
         self.multi_lane_solves += multi_lane_solves;
-        self.shared_factor_groups += shared_factor_groups;
         self.singleton_solves += singleton_solves;
         self.mask_exits += mask_exits;
         self.rejoins += rejoins;
@@ -91,12 +86,12 @@ impl BatchStats {
     }
 }
 
-/// Per-lane grouping key: lanes solve together only when every field
-/// matching the *symbolic* structure agrees; the value fields decide whether
-/// the shared-factor kernel applies.
+/// Per-lane grouping key. Lanes with equal keys have bit-identical stamp
+/// matrices (same netlist value bits, timestep, integration method and
+/// dimension) and therefore bit-identical LU factors, so one of them can
+/// solve for all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LaneKey {
-    structure: u64,
     dim: usize,
     fingerprint: u64,
     dt_bits: u64,
@@ -106,27 +101,11 @@ struct LaneKey {
 impl LaneKey {
     fn of(lane: &Transient) -> Self {
         LaneKey {
-            structure: lane.factor().structure_key(),
             dim: lane.system_dim(),
             fingerprint: lane.fingerprint(),
             dt_bits: lane.dt().to_bits(),
             method: lane.method(),
         }
-    }
-
-    /// Lanes with equal `groupable` keys may share one SoA substitution.
-    fn groupable(&self, other: &Self) -> bool {
-        self.structure == other.structure && self.dim == other.dim
-    }
-
-    /// Lanes with equal `identical` keys have bit-identical stamp matrices
-    /// (same netlist value bits, timestep, and integration method) and
-    /// therefore bit-identical LU factors.
-    fn identical(&self, other: &Self) -> bool {
-        self.fingerprint == other.fingerprint
-            && self.dt_bits == other.dt_bits
-            && self.method == other.method
-            && self.groupable(other)
     }
 }
 
@@ -141,8 +120,8 @@ pub struct BatchScratch {
     grouped: Vec<bool>,
 }
 
-/// Advances every lane by one shared timestep, grouping structurally
-/// compatible lanes into SoA solves, and pushes one result per lane (in lane
+/// Advances every lane by one shared timestep, grouping lanes that share a
+/// factorization into SoA solves, and pushes one result per lane (in lane
 /// order) into `out`.
 ///
 /// `Ok(report)` means the lane advanced exactly one nominal `dt`
@@ -180,9 +159,10 @@ pub fn step_lanes_with_recovery(
         scratch.keys.push(LaneKey::of(lane));
     }
 
-    // Phase 2: group by symbolic structure and solve. Group membership only
-    // selects *which* bit-identical kernel runs, so the (greedy, order-
-    // preserving) grouping strategy can never change a lane's result.
+    // Phase 2: group lanes that share a factorization and solve. Group
+    // membership only selects *which* bit-identical kernel runs, so the
+    // (greedy, order-preserving) grouping strategy can never change a
+    // lane's result.
     scratch.grouped.clear();
     scratch.grouped.resize(n, false);
     for i in 0..n {
@@ -193,7 +173,7 @@ pub fn step_lanes_with_recovery(
         scratch.group.clear();
         scratch.group.push(i);
         for j in (i + 1)..n {
-            if !scratch.grouped[j] && scratch.keys[i].groupable(&scratch.keys[j]) {
+            if !scratch.grouped[j] && scratch.keys[i] == scratch.keys[j] {
                 scratch.grouped[j] = true;
                 scratch.group.push(j);
             }
@@ -215,29 +195,16 @@ pub fn step_lanes_with_recovery(
                 scratch.soa[k * m + l] = v;
             }
         }
-        let shared_factors = scratch
-            .group
-            .iter()
-            .all(|&li| scratch.keys[i].identical(&scratch.keys[li]));
-        if shared_factors {
-            // Identical stamp bits ⇒ identical factors: one representative
-            // factorization serves the whole group.
-            debug_assert!(
-                scratch
-                    .group
-                    .iter()
-                    .all(|&li| lanes[i].factor().bitwise_eq(lanes[li].factor())),
-                "lanes with identical keys must share factor bits"
-            );
-            lanes[i].factor().solve_multi_in_place(&mut scratch.soa, m);
-            stats.shared_factor_groups += 1;
-        } else {
-            // Parameter-variant lanes: per-lane numeric factors over the
-            // shared symbolic structure.
-            let factors: Vec<&SparseLu> =
-                scratch.group.iter().map(|&li| lanes[li].factor()).collect();
-            SparseLu::solve_lanes_in_place(&factors, &mut scratch.soa);
-        }
+        // Identical stamp bits ⇒ identical factors: one representative
+        // factorization serves the whole group.
+        debug_assert!(
+            scratch
+                .group
+                .iter()
+                .all(|&li| lanes[i].factor().bitwise_eq(lanes[li].factor())),
+            "lanes with identical keys must share factor bits"
+        );
+        lanes[i].factor().solve_multi_in_place(&mut scratch.soa, m);
         stats.multi_lane_groups += 1;
         stats.multi_lane_solves += m as u64;
         for (l, &li) in scratch.group.iter().enumerate() {
@@ -308,8 +275,8 @@ pub struct BatchedTransient {
 
 impl BatchedTransient {
     /// Wraps independently constructed lanes into one lockstep batch. Lanes
-    /// may differ arbitrarily (even in netlist topology); only structurally
-    /// compatible lanes share solves, the rest run scalar within the
+    /// may differ arbitrarily (even in netlist topology); only lanes that
+    /// share a factorization share solves, the rest run scalar within the
     /// lockstep schedule.
     pub fn new(lanes: Vec<Transient>) -> Self {
         let n = lanes.len();

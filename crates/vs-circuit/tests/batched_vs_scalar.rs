@@ -1,9 +1,9 @@
 //! Differential harness: [`BatchedTransient`] must produce **bit-identical**
 //! trajectories to N independent scalar [`Transient`] runs — at every lane
-//! count, for control-variant lanes (shared-factor kernel), value-variant
-//! lanes (per-lane-factor kernel), mixed batches with partial groups, and
-//! runs where injected control faults force dt-halving / backward-Euler
-//! recovery on a strict subset of lanes (mask exit + rejoin).
+//! count, for control-variant lanes (one shared factorization), value-variant
+//! lanes (each solved alone), mixed batches with partial groups, and runs
+//! where injected control faults force dt-halving / backward-Euler recovery
+//! on a strict subset of lanes (mask exit + rejoin).
 
 mod common;
 
@@ -168,7 +168,6 @@ fn shared_factor_batches_match_scalar_at_every_lane_count() {
             // Identical netlists: every shared step is one shared-factor
             // group covering all lanes.
             assert_eq!(run.stats.multi_lane_groups, STEPS);
-            assert_eq!(run.stats.shared_factor_groups, STEPS);
             assert_eq!(run.stats.multi_lane_solves, STEPS * n as u64);
             assert_eq!(run.stats.singleton_solves, 0);
         }
@@ -176,28 +175,27 @@ fn shared_factor_batches_match_scalar_at_every_lane_count() {
 }
 
 #[test]
-fn value_variant_batches_use_per_lane_factors_and_match_scalar() {
+fn value_variant_lanes_solve_alone_and_match_scalar() {
     let policy = RecoveryPolicy::default();
     let specs: Vec<VariantSpec> =
         (0..4u64).map(|i| VariantSpec::value_variant(0x5EED, i)).collect();
     let run = run_batched(&specs, &policy, no_inject);
     assert_lanes_match_scalar(&specs, &policy, &run, no_inject);
-    // Same topology ⇒ shared symbolic structure ⇒ one multi-lane group per
-    // step; different element values ⇒ never the shared-factor kernel.
-    assert_eq!(run.stats.multi_lane_groups, STEPS);
-    assert_eq!(run.stats.multi_lane_solves, STEPS * 4);
-    assert_eq!(run.stats.shared_factor_groups, 0);
-    assert_eq!(run.stats.singleton_solves, 0);
+    // Different element values ⇒ different factorizations ⇒ no lane shares
+    // a solve: every lane-step is a singleton inside the lockstep schedule.
+    assert_eq!(run.stats.multi_lane_groups, 0);
+    assert_eq!(run.stats.multi_lane_solves, 0);
+    assert_eq!(run.stats.singleton_solves, STEPS * 4);
     assert_eq!(run.stats.mask_exits, 0);
 }
 
 #[test]
 fn mixed_batch_forms_partial_groups_and_matches_scalar() {
     let policy = RecoveryPolicy::default();
-    // 3 control-only + 2 value variants share one structure (a 5-lane
-    // group — a partial group over the 6 lanes); the topology variant can
-    // never group and must fall back to a singleton solve inside the
-    // lockstep schedule.
+    // The 3 control-only lanes share one factorization (a 3-lane group — a
+    // partial group over the 6 lanes); the 2 value variants and the
+    // topology variant each have their own and fall back to singleton
+    // solves inside the lockstep schedule.
     let mut specs: Vec<VariantSpec> =
         (0..3u64).map(|i| VariantSpec::control_only(0x71FE, i)).collect();
     specs.extend((3..5u64).map(|i| VariantSpec::value_variant(0x71FE, i)));
@@ -205,10 +203,8 @@ fn mixed_batch_forms_partial_groups_and_matches_scalar() {
     let run = run_batched(&specs, &policy, no_inject);
     assert_lanes_match_scalar(&specs, &policy, &run, no_inject);
     assert_eq!(run.stats.multi_lane_groups, STEPS);
-    assert_eq!(run.stats.multi_lane_solves, STEPS * 5);
-    // The 5-lane group mixes fingerprints, so it uses per-lane factors.
-    assert_eq!(run.stats.shared_factor_groups, 0);
-    assert_eq!(run.stats.singleton_solves, STEPS);
+    assert_eq!(run.stats.multi_lane_solves, STEPS * 3);
+    assert_eq!(run.stats.singleton_solves, STEPS * 3);
 }
 
 #[test]
@@ -229,6 +225,11 @@ fn masked_lanes_recover_via_dt_halving_bit_identically() {
     assert_eq!(run.stats.rejoins, 3);
     assert_eq!(run.stats.retired, 0);
     assert!(run.active.iter().all(|&a| a));
+    // Recovery refactors a lane back at its nominal dt and method, bit for
+    // bit, so a rejoined lane regroups: every shared step solves all four
+    // lanes as one group.
+    assert_eq!(run.stats.multi_lane_groups, STEPS);
+    assert_eq!(run.stats.multi_lane_solves, STEPS * 4);
     // The recoveries happened exactly where injected, and each sanitized
     // the bad control and halved the timestep.
     let where_recovered: Vec<(usize, u64)> =

@@ -35,10 +35,9 @@ pub fn unit(seed: u64) -> f64 {
 pub const DT: f64 = 1e-9;
 
 /// Parameters of one rig variant. `decap_scale`/`recycler_g` perturb element
-/// values (different netlist fingerprint, same symbolic structure);
-/// `extra_strap` adds a resistor (different structure entirely, forcing the
-/// lane into a singleton solve); the control schedule always varies by
-/// variant.
+/// values (different netlist fingerprint, hence its own factorization and a
+/// singleton solve); `extra_strap` adds a resistor (different structure
+/// entirely); the control schedule always varies by variant.
 #[derive(Debug, Clone, Copy)]
 pub struct VariantSpec {
     pub decap_scale: f64,
@@ -62,8 +61,8 @@ impl VariantSpec {
         }
     }
 
-    /// A variant with perturbed element values (per-lane numeric LU over the
-    /// shared structure).
+    /// A variant with perturbed element values (its own numeric LU, so it
+    /// solves alone).
     pub fn value_variant(seed: u64, i: u64) -> Self {
         let s = derive_seed(seed, "values").wrapping_add(i.wrapping_mul(0x9e37));
         VariantSpec {

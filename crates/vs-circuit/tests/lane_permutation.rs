@@ -79,10 +79,10 @@ fn run_permuted(specs: &[VariantSpec], perm: &[usize]) -> Vec<Vec<u64>> {
 #[test]
 fn lane_permutation_never_changes_a_variants_trajectory() {
     let seed = derive_seed(0x9E12, "lane-permutation");
-    // A deliberately heterogeneous population: shared-factor candidates,
-    // per-lane-factor candidates, and two structure outliers — so shuffles
-    // move variants in and out of group-leader position, across group
-    // boundaries, and between SoA columns.
+    // A deliberately heterogeneous population: three lanes that share one
+    // factorization, and value and structure outliers that solve alone —
+    // so shuffles move variants in and out of group-leader position,
+    // across group boundaries, and between SoA columns.
     let mut specs: Vec<VariantSpec> = Vec::new();
     specs.extend((0..3u64).map(|i| VariantSpec::control_only(seed, i)));
     specs.extend((3..6u64).map(|i| VariantSpec::value_variant(seed, i)));

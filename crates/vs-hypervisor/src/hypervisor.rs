@@ -24,24 +24,6 @@ pub struct HypervisorConfig {
     pub gate_threshold: usize,
 }
 
-impl HypervisorConfig {
-    /// Appends this config's stable identity key: the bit patterns of every
-    /// field in declaration order. Unlike `Debug` output, the encoding is
-    /// part of the API contract; the exhaustive destructuring makes adding
-    /// a field without extending the key a compile error.
-    pub fn stable_key_into(&self, out: &mut Vec<u64>) {
-        let HypervisorConfig { n_layers, n_columns, base_hz, f_threshold_hz, gate_threshold } =
-            *self;
-        out.extend([
-            n_layers as u64,
-            n_columns as u64,
-            base_hz.to_bits(),
-            f_threshold_hz.to_bits(),
-            gate_threshold as u64,
-        ]);
-    }
-}
-
 impl Default for HypervisorConfig {
     fn default() -> Self {
         HypervisorConfig {

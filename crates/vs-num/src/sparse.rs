@@ -23,10 +23,10 @@
 //! The ordering and the pivot rows never leave the factor. Its column
 //! indices address the right-hand side directly, so the substitutions run
 //! in place without a permuting pass, and a short swap list at the end
-//! moves each solution component to its unknown. Every kernel — scalar,
-//! shared-factor lanes and per-lane factors — performs the same
-//! floating-point operations per lane in the same order, so the
-//! multi-lane solves are bit-identical to [`SparseLu::solve_in_place`].
+//! moves each solution component to its unknown. The multi-lane kernels
+//! solve several right-hand sides against this one factorization and
+//! perform the scalar kernel's floating-point operations per lane in the
+//! same order, so they are bit-identical to [`SparseLu::solve_in_place`].
 //!
 //! Scratch for both phases lives in the factor, so a warmed-up
 //! [`SparseLu::refactor`] performs no heap allocation.
@@ -39,9 +39,8 @@ use crate::linalg::{Matrix, SingularMatrixError};
 ///
 /// Factor once with [`SparseLu::factor`] (or reuse storage with
 /// [`SparseLu::refactor`]), then solve many right-hand sides with
-/// [`SparseLu::solve_in_place`] or, for several systems at once, the
-/// multi-lane kernels [`SparseLu::solve_multi_in_place`] and
-/// [`SparseLu::solve_lanes_in_place`].
+/// [`SparseLu::solve_in_place`] or, for several right-hand sides at once,
+/// [`SparseLu::solve_multi_in_place`].
 ///
 /// # Examples
 ///
@@ -80,8 +79,6 @@ pub struct SparseLu {
     /// Swaps that move each solution component from its slot to its
     /// unknown's position, applied in order after the substitutions.
     post_swaps: Vec<(u32, u32)>,
-    /// FNV-1a key of the symbolic structure, refreshed on every refactor.
-    structure_key: u64,
     scratch: Scratch,
 }
 
@@ -138,7 +135,6 @@ impl SparseLu {
         self.eliminate(a)?;
         self.gather_factors();
         self.build_post_swaps();
-        self.structure_key = self.compute_structure_key();
         Ok(())
     }
 
@@ -310,39 +306,6 @@ impl SparseLu {
         }
     }
 
-    /// FNV-1a over everything the substitutions read except the values;
-    /// cached so per-step lane grouping costs one integer compare.
-    fn compute_structure_key(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |w: u64| {
-            for byte in w.to_le_bytes() {
-                h = (h ^ u64::from(byte)).wrapping_mul(PRIME);
-            }
-        };
-        eat(self.n as u64);
-        for arr in [
-            &self.order,
-            &self.slot,
-            &self.l_start,
-            &self.l_idx,
-            &self.u_start,
-            &self.u_idx,
-        ] {
-            eat(arr.len() as u64);
-            for &c in arr.iter() {
-                eat(u64::from(c));
-            }
-        }
-        eat(self.post_swaps.len() as u64);
-        for &(p, q) in &self.post_swaps {
-            eat(u64::from(p));
-            eat(u64::from(q));
-        }
-        h
-    }
-
     /// Stored entries of the strictly lower factor `L`.
     pub fn lower_nnz(&self) -> usize {
         self.l_val.len()
@@ -430,7 +393,7 @@ impl SparseLu {
             2 => self.solve_multi_fixed::<2>(soa),
             4 => self.solve_multi_fixed::<4>(soa),
             8 => self.solve_multi_fixed::<8>(soa),
-            m => Self::solve_lanes_by(soa, m, |_| self),
+            m => self.solve_multi_any(soa, m),
         }
     }
 
@@ -470,70 +433,37 @@ impl SparseLu {
         self.swap_lane_blocks(soa, M);
     }
 
-    /// Solves one SoA buffer of right-hand sides where every lane has its
-    /// **own numeric factorization** but all lanes share one symbolic
-    /// structure (same ordering, pivot rows and L/U patterns — see
-    /// [`SparseLu::same_structure`]).
-    ///
-    /// `soa` uses the layout of [`SparseLu::solve_multi_in_place`], with
-    /// `factors.len()` lanes. Lane `l` is solved against `factors[l]`; per
-    /// lane the operation sequence is exactly the scalar kernel's, so
-    /// results are bit-identical to independent
-    /// [`SparseLu::solve_in_place`] calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factors` is empty or `soa.len()` is not the factored
-    /// dimension times `factors.len()`.
-    /// Debug builds also assert the shared-structure precondition.
-    pub fn solve_lanes_in_place(factors: &[&Self], soa: &mut [f64]) {
-        let m = factors.len();
-        assert!(m > 0, "solve_lanes_in_place needs at least one lane");
-        let lead = factors[0];
-        assert_eq!(
-            soa.len(),
-            lead.n * m,
-            "dimension mismatch in solve_lanes_in_place"
-        );
-        debug_assert!(
-            factors.iter().all(|f| lead.same_structure(f)),
-            "solve_lanes_in_place requires a shared symbolic structure"
-        );
-        Self::solve_lanes_by(soa, m, |l| factors[l]);
-    }
-
-    /// The lane-at-a-time kernel behind odd lane counts and per-lane
-    /// factors: lane `l` reads its values from `factor(l)`, and the
-    /// structure from `factor(0)`. Updating the lane's entry of `soa` in
-    /// place performs the scalar kernel's subtractions in its order.
-    fn solve_lanes_by<'f>(soa: &mut [f64], m: usize, factor: impl Fn(usize) -> &'f Self) {
-        let lead = factor(0);
-        for i in 0..lead.n {
-            let r = lead.l_start[i] as usize..lead.l_start[i + 1] as usize;
-            let s = lead.slot[i] as usize * m;
-            for k in r {
-                let j = lead.l_idx[k] as usize * m;
+    /// [`SparseLu::solve_multi_in_place`] for any other lane count: a
+    /// lane-at-a-time loop whose in-place updates of each lane's entry of
+    /// `soa` perform the scalar kernel's subtractions in its order.
+    fn solve_multi_any(&self, soa: &mut [f64], m: usize) {
+        for i in 0..self.n {
+            let (idx, val) = self.lower_row(i);
+            let s = self.slot[i] as usize * m;
+            for (&j, &c) in idx.iter().zip(val) {
+                let j = j as usize * m;
                 for l in 0..m {
                     let y = soa[j + l];
-                    soa[s + l] -= factor(l).l_val[k] * y;
+                    soa[s + l] -= c * y;
                 }
             }
         }
-        for i in (0..lead.n).rev() {
-            let r = lead.u_start[i] as usize..lead.u_start[i + 1] as usize;
-            let s = lead.slot[i] as usize * m;
-            for k in r {
-                let j = lead.u_idx[k] as usize * m;
+        for i in (0..self.n).rev() {
+            let (idx, val) = self.upper_row(i);
+            let s = self.slot[i] as usize * m;
+            for (&j, &c) in idx.iter().zip(val) {
+                let j = j as usize * m;
                 for l in 0..m {
                     let y = soa[j + l];
-                    soa[s + l] -= factor(l).u_val[k] * y;
+                    soa[s + l] -= c * y;
                 }
             }
-            for l in 0..m {
-                soa[s + l] /= factor(l).diag[i];
+            let d = self.diag[i];
+            for x in &mut soa[s..s + m] {
+                *x /= d;
             }
         }
-        lead.swap_lane_blocks(soa, m);
+        self.swap_lane_blocks(soa, m);
     }
 
     /// The closing swaps of the solve, on `m`-wide lane blocks.
@@ -545,18 +475,14 @@ impl SparseLu {
         }
     }
 
-    /// Cached FNV-1a key of the symbolic structure: dimension, ordering,
-    /// pivot rows, L/U patterns and the closing swaps. Two factorizations
-    /// with equal keys are grouped into one multi-lane solve;
-    /// [`SparseLu::same_structure`] is the exact (collision-free) check
-    /// used in debug assertions.
-    pub fn structure_key(&self) -> u64 {
-        self.structure_key
-    }
-
-    /// Exact comparison of the symbolic structure: dimension, ordering,
-    /// pivot rows, L/U patterns and the closing swaps.
-    pub fn same_structure(&self, other: &Self) -> bool {
+    /// Bitwise equality: the same symbolic structure (dimension, ordering,
+    /// pivot rows, L/U patterns and closing swaps) and every stored factor
+    /// entry identical down to the sign of zero. Lanes whose factors pass
+    /// this check can share one representative factorization in a
+    /// multi-lane solve without perturbing any lane's result bits.
+    pub fn bitwise_eq(&self, other: &Self) -> bool {
+        let same_bits =
+            |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
         self.n == other.n
             && self.order == other.order
             && self.slot == other.slot
@@ -565,16 +491,6 @@ impl SparseLu {
             && self.u_start == other.u_start
             && self.u_idx == other.u_idx
             && self.post_swaps == other.post_swaps
-    }
-
-    /// Bitwise equality: same structure and every stored factor entry
-    /// identical down to the sign of zero. Lanes whose factors pass this
-    /// check can share one representative factorization in a multi-lane
-    /// solve without perturbing any lane's result bits.
-    pub fn bitwise_eq(&self, other: &Self) -> bool {
-        let same_bits =
-            |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
-        self.same_structure(other)
             && same_bits(&self.l_val, &other.l_val)
             && same_bits(&self.u_val, &other.u_val)
             && same_bits(&self.diag, &other.diag)
@@ -586,18 +502,17 @@ mod tests {
     use super::*;
     use crate::linalg::LuFactors;
 
-    /// A banded diagonally dominant system, optionally value-perturbed
-    /// without changing the nonzero structure or the pivot choices.
-    fn banded_system(n: usize, perturb: f64) -> Matrix<f64> {
+    /// A banded diagonally dominant system.
+    fn banded_system(n: usize) -> Matrix<f64> {
         let mut a = Matrix::zeros(n, n);
         for i in 0..n {
-            a[(i, i)] = 4.0 + i as f64 * 0.125 + perturb;
+            a[(i, i)] = 4.0 + i as f64 * 0.125;
             if i + 1 < n {
-                a[(i, i + 1)] = -1.0 - 0.25 * perturb;
-                a[(i + 1, i)] = -0.5 + 0.125 * perturb;
+                a[(i, i + 1)] = -1.0;
+                a[(i + 1, i)] = -0.5;
             }
             if i + 5 < n {
-                a[(i, i + 5)] = 0.25 + 0.0625 * perturb;
+                a[(i, i + 5)] = 0.25;
             }
         }
         a
@@ -658,7 +573,7 @@ mod tests {
 
     #[test]
     fn solves_like_the_dense_factorization() {
-        for a in [banded_system(16, 0.0), mna_like(12)] {
+        for a in [banded_system(16), mna_like(12)] {
             let n = a.n_rows();
             let b = lane_rhs(n, 7);
             let x = SparseLu::factor(&a).unwrap().solve(&b);
@@ -728,7 +643,7 @@ mod tests {
 
     #[test]
     fn multi_lane_solve_is_bit_identical_to_scalar() {
-        for a in [banded_system(16, 0.0), mna_like(14)] {
+        for a in [banded_system(16), mna_like(14)] {
             let n = a.n_rows();
             let lu = SparseLu::factor(&a).unwrap();
             for n_lanes in [1usize, 2, 3, 4, 5, 8] {
@@ -747,48 +662,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn per_lane_factor_solve_is_bit_identical_to_scalar() {
-        let n = 16;
-        let n_lanes = 4;
-        // Parameter-variant systems: same structure, different values.
-        let lus: Vec<SparseLu> = (0..n_lanes)
-            .map(|l| SparseLu::factor(&banded_system(n, 0.03 * l as f64)).unwrap())
-            .collect();
-        for lu in &lus {
-            assert_eq!(lu.structure_key(), lus[0].structure_key());
-            assert!(lus[0].same_structure(lu));
-        }
-        assert!(lus[0].bitwise_eq(&lus[0]));
-        assert!(!lus[0].bitwise_eq(&lus[1]));
-
-        let rhs: Vec<Vec<f64>> = (0..n_lanes).map(|l| lane_rhs(n, 100 + l as u64)).collect();
-        let mut soa = interleave(&rhs);
-        let refs: Vec<&SparseLu> = lus.iter().collect();
-        SparseLu::solve_lanes_in_place(&refs, &mut soa);
-        for (l, b) in rhs.iter().enumerate() {
-            let x = lus[l].solve(b);
-            for i in 0..n {
-                assert_eq!(
-                    soa[i * n_lanes + l].to_bits(),
-                    x[i].to_bits(),
-                    "lane {l} diverged at row {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn structure_key_distinguishes_different_patterns() {
-        let banded = SparseLu::factor(&banded_system(16, 0.0)).unwrap();
-        let filled = {
-            let mut a = banded_system(16, 0.0);
-            a[(15, 0)] = 0.125; // an extra entry changes the structure
-            SparseLu::factor(&a).unwrap()
-        };
-        assert_ne!(banded.structure_key(), filled.structure_key());
-        assert!(!banded.same_structure(&filled));
     }
 }

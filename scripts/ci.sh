@@ -147,7 +147,16 @@ dse_counters() { grep -E '^\[dse\] (runs|lanes|trunks):' <<< "$1" || true; }
     || { echo "dse smoke: missing [dse] counter lines" >&2; exit 1; }
 diff <(dse_counters "$DSE_J1") <(dse_counters "$DSE_J0") \
     || { echo "dse smoke: counters differ between jobs 1 and all cores" >&2; exit 1; }
-echo "dse smoke (tiny grid, its journaled resume, full grid at jobs 1 and all cores; identical frontiers and counters): OK"
+# And the plan itself: lanes that stop sharing a solve leave every frontier
+# byte the same (grouping only picks which bit-identical kernel runs), so
+# only these counters show it.
+diff <(dse_counters "$DSE_J1") - <<'EOF' \
+    || { echo "dse smoke: [dse] counters moved from their pinned values" >&2; exit 1; }
+[dse] runs: 162 pde + 882 worst-case for 1728 point(s)
+[dse] lanes: 777600 of 793800 lane-solve(s) in multi-lane groups, 16200 alone, over 210600 shared step(s)
+[dse] trunks: 18 trunk(s), 882 fork(s), 0 fallback(s); 820800 lane-step(s) = 27000 trunk + 793800 tail
+EOF
+echo "dse smoke (tiny grid, its journaled resume, full grid at jobs 1 and all cores; identical frontiers and pinned counters): OK"
 
 echo "== diff-baseline self-check =="
 # The regression gate must accept a store (or one artifact file) against

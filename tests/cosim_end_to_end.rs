@@ -82,7 +82,6 @@ fn dfs_and_pg_compose_with_stacking() {
         dfs: Some(DfsConfig::with_goal(0.5)),
         pg: Some(PgConfig::default()),
         use_hypervisor: true,
-        ..PowerManagement::default()
     };
     // DFS-induced imbalance is sustained, so the full weighted actuation
     // (DIWS + FII + DCC) is the right smoothing configuration here.
