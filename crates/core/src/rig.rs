@@ -498,6 +498,8 @@ impl PdsRig {
 pub struct RigLanes {
     rigs: Vec<PdsRig>,
     retired: Vec<bool>,
+    /// Indices of the live lanes, refilled on every step.
+    live: Vec<usize>,
     scratch: BatchScratch,
     stats: BatchStats,
     policies: Vec<RecoveryPolicy>,
@@ -512,6 +514,7 @@ impl RigLanes {
         RigLanes {
             rigs,
             retired: vec![false; n],
+            live: Vec::with_capacity(n),
             scratch: BatchScratch::default(),
             stats: BatchStats::default(),
             policies: Vec::with_capacity(n),
@@ -543,7 +546,7 @@ impl RigLanes {
         loads: impl Fn(usize) -> (&'l [f64], &'l [f64], &'l [f64]),
     ) -> &[LaneOutcome] {
         self.policies.clear();
-        let mut solvers: Vec<&mut Transient> = Vec::with_capacity(self.rigs.len());
+        self.live.clear();
         for (i, rig) in self.rigs.iter_mut().enumerate() {
             if self.retired[i] {
                 continue;
@@ -551,16 +554,17 @@ impl RigLanes {
             let (sm, dcc, fake) = loads(i);
             rig.stage_loads(sm, dcc, fake);
             self.policies.push(rig.recovery);
-            solvers.push(&mut rig.sim);
+            self.live.push(i);
         }
         step_lanes_with_recovery(
-            &mut solvers,
+            &mut self.rigs,
+            &self.live,
+            |rig| &mut rig.sim,
             &self.policies,
             &mut self.scratch,
             &mut self.stats,
             &mut self.results,
         );
-        drop(solvers);
 
         self.outcomes.clear();
         let mut results = self.results.drain(..);

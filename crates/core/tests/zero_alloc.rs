@@ -1,7 +1,9 @@
 //! Steady-state stepping must perform **zero heap allocations per cycle**
 //! — the acceptance bar for the co-simulation hot path, checked at each
-//! layer it runs through: the transient solver, the scalar PDS rig, the
-//! GPU model, and the group loop that steps several runs on one GPU trunk. A counting global allocator wraps the system allocator; after
+//! layer it runs through: the transient solver, the scalar PDS rig, dse's
+//! lockstep rig lanes, the GPU model, and the group loop that steps
+//! several runs on one GPU trunk. A counting global allocator wraps the
+//! system allocator; after
 //! warm-up, a window of steps must leave the allocation counter untouched
 //! (or, for the GPU model, under its per-cycle bound). The count is per
 //! thread: the harness runs these tests concurrently, and a shared count
@@ -17,11 +19,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
-use vs_circuit::{Integration, Netlist, RecoveryPolicy, SolverWorkspace, Transient, Waveform};
+use vs_circuit::{
+    Integration, LaneOutcome, Netlist, RecoveryPolicy, SolverWorkspace, Transient, Waveform,
+};
 use vs_control::ActuatorWeights;
 use vs_core::{
     CosimConfig, CosimPool, CycleBudget, FaultPlan, GroupRun, PdsKind, PdsRig, PowerManagement,
-    Ride, ScenarioId, SupervisorConfig,
+    Ride, RigLanes, ScenarioId, SupervisorConfig,
 };
 use vs_gpu::{benchmark, build_kernel, Gpu, GpuConfig, GpuCycleEvents, SchedulerKind};
 
@@ -227,11 +231,45 @@ fn scalar_rig_step_is_allocation_free() {
     );
 }
 
+/// dse's lockstep lanes must not allocate per shared step either:
+/// `RigLanes::step` stages each live lane, steps them all through one
+/// `step_lanes_with_recovery` call and books the accepted steps. Four
+/// cross-layer rigs of one netlist share one factorization, so the window
+/// runs the multi-lane SoA solve, as dse's tails do.
+#[test]
+fn rig_lanes_step_is_allocation_free() {
+    let rig = PdsRig::new(PdsKind::VsCrossLayer { area_mult: 0.2 }, 1.0 / 700e6, 0.08);
+    let mut lanes = RigLanes::new(vec![rig; 4]);
+    let p = vec![8.0; 16];
+    let z = vec![0.0; 16];
+    for _ in 0..64 {
+        lanes.step(|_| (&p, &z, &z));
+    }
+    let before = allocs();
+    for _ in 0..1_000 {
+        let outcomes = lanes.step(|_| (black_box(&p), &z, &z));
+        assert!(
+            outcomes.iter().all(LaneOutcome::advanced),
+            "every lane steps"
+        );
+    }
+    let delta = allocs() - before;
+    println!("rig_lanes_step alloc guard: {delta} allocations over 1000 shared steps (limit 0)");
+    assert_eq!(
+        delta, 0,
+        "RigLanes::step allocated {delta} times over 1000 shared steps"
+    );
+    assert!(
+        lanes.stats().multi_lane_groups > 0,
+        "the lanes shared their solves"
+    );
+}
+
 /// The GPU model's per-cycle path must not allocate in steady state.
 /// bfs keeps the DRAM channels busy, so an allocation per DRAM completion
 /// shows here as about 0.26 allocations per cycle. After warm-up a window
-/// of `Gpu::tick_into` cycles must stay under 0.01; what remains is map and
-/// queue growth to new high-water marks.
+/// of `Gpu::tick_into` cycles must stay under 0.01; what remains is queue
+/// and slab growth to new high-water marks.
 #[test]
 fn gpu_tick_into_bfs_stays_under_its_allocation_bound() {
     const MAX_ALLOCS_PER_CYCLE: f64 = 0.01;
@@ -269,8 +307,9 @@ fn gpu_tick_into_bfs_stays_under_its_allocation_bound() {
 /// rule's control comparison. Two runs of the same two-member group differ
 /// only in where both members' watchdogs trip, so the difference of their
 /// allocation counts is what the cycles between the two trip points
-/// allocated (the GPU model's token maps hash with fixed keys, so two
-/// identical runs allocate identically). The members are a conventional
+/// allocated (the GPU model's queues and token slabs grow only at new
+/// high-water marks, which two identical runs reach in the same cycles, so
+/// they allocate identically). The members are a conventional
 /// run and a cross-layer run with DCC-only weights, whose controller acts
 /// on the circuit alone, so both ride the trunk through the window.
 #[test]

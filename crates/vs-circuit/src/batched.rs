@@ -120,9 +120,14 @@ pub struct BatchScratch {
     grouped: Vec<bool>,
 }
 
-/// Advances every lane by one shared timestep, grouping lanes that share a
-/// factorization into SoA solves, and pushes one result per lane (in lane
-/// order) into `out`.
+/// Advances the live lanes by one shared timestep, grouping lanes that
+/// share a factorization into SoA solves, and pushes one result per live
+/// lane (in `live` order) into `out`.
+///
+/// The live lanes are `lanes[live[0]]`, `lanes[live[1]]`, …, with `live` in
+/// ascending order, and `solver` reaches a lane's [`Transient`]; so a
+/// caller steps a subset of its lanes, whatever holds them, without
+/// building a list of references on every step.
 ///
 /// `Ok(report)` means the lane advanced exactly one nominal `dt`
 /// (`report.recovered()` tells whether it left the fast path and came back);
@@ -132,16 +137,20 @@ pub struct BatchScratch {
 ///
 /// # Panics
 ///
-/// Panics if `policies.len() != lanes.len()`.
-pub fn step_lanes_with_recovery(
-    lanes: &mut [&mut Transient],
+/// Panics if `policies.len() != live.len()` or an index in `live` is out
+/// of range.
+pub fn step_lanes_with_recovery<L>(
+    lanes: &mut [L],
+    live: &[usize],
+    solver: impl Fn(&mut L) -> &mut Transient,
     policies: &[RecoveryPolicy],
     scratch: &mut BatchScratch,
     stats: &mut BatchStats,
     out: &mut Vec<Result<StepReport, SolverError>>,
 ) {
-    let n = lanes.len();
-    assert_eq!(policies.len(), n, "one recovery policy per lane");
+    let n = live.len();
+    assert_eq!(policies.len(), n, "one recovery policy per live lane");
+    debug_assert!(live.windows(2).all(|w| w[0] < w[1]), "live lanes ascend");
     out.clear();
     if n == 0 {
         return;
@@ -152,7 +161,8 @@ pub fn step_lanes_with_recovery(
     // Phase 1: stamp every lane's RHS (scalar code, per lane).
     scratch.keys.clear();
     scratch.t_new.clear();
-    for lane in lanes.iter_mut() {
+    for &l in live {
+        let lane = solver(&mut lanes[l]);
         let t_new = lane.time() + lane.dt();
         lane.build_rhs(t_new);
         scratch.t_new.push(t_new);
@@ -180,7 +190,7 @@ pub fn step_lanes_with_recovery(
         }
         let m = scratch.group.len();
         if m == 1 {
-            lanes[i].solve_scratch();
+            solver(&mut lanes[live[i]]).solve_scratch();
             stats.singleton_solves += 1;
             continue;
         }
@@ -190,7 +200,7 @@ pub fn step_lanes_with_recovery(
         scratch.soa.clear();
         scratch.soa.resize(dim * m, 0.0);
         for (l, &li) in scratch.group.iter().enumerate() {
-            let rhs = lanes[li].rhs_mut();
+            let rhs = solver(&mut lanes[live[li]]).rhs_mut();
             for (k, &v) in rhs[..dim].iter().enumerate() {
                 scratch.soa[k * m + l] = v;
             }
@@ -198,17 +208,22 @@ pub fn step_lanes_with_recovery(
         // Identical stamp bits ⇒ identical factors: one representative
         // factorization serves the whole group.
         debug_assert!(
-            scratch
-                .group
-                .iter()
-                .all(|&li| lanes[i].factor().bitwise_eq(lanes[li].factor())),
+            scratch.group[1..].iter().all(|&li| {
+                // The group ascends, so the representative's lane comes first.
+                let (head, tail) = lanes.split_at_mut(live[li]);
+                solver(&mut head[live[i]])
+                    .factor()
+                    .bitwise_eq(solver(&mut tail[0]).factor())
+            }),
             "lanes with identical keys must share factor bits"
         );
-        lanes[i].factor().solve_multi_in_place(&mut scratch.soa, m);
+        solver(&mut lanes[live[i]])
+            .factor()
+            .solve_multi_in_place(&mut scratch.soa, m);
         stats.multi_lane_groups += 1;
         stats.multi_lane_solves += m as u64;
         for (l, &li) in scratch.group.iter().enumerate() {
-            let rhs = lanes[li].rhs_mut();
+            let rhs = solver(&mut lanes[live[li]]).rhs_mut();
             for (k, x) in rhs[..dim].iter_mut().enumerate() {
                 *x = scratch.soa[k * m + l];
             }
@@ -218,7 +233,8 @@ pub fn step_lanes_with_recovery(
     // Phase 3: gate + commit per lane (scalar code). A gate failure masks
     // the lane out of the fast path; the scalar recovery protocol advances
     // it through the same nominal dt, bit-identically to a scalar run.
-    for (i, lane) in lanes.iter_mut().enumerate() {
+    for (i, &l) in live.iter().enumerate() {
+        let lane = solver(&mut lanes[l]);
         match lane.commit_step(scratch.t_new[i]) {
             Ok(()) => out.push(Ok(StepReport::default())),
             Err(_) => {
@@ -266,6 +282,8 @@ impl LaneOutcome {
 pub struct BatchedTransient {
     lanes: Vec<Transient>,
     active: Vec<bool>,
+    /// Indices of the active lanes, refilled on every step.
+    live: Vec<usize>,
     outcomes: Vec<LaneOutcome>,
     scratch: BatchScratch,
     stats: BatchStats,
@@ -283,6 +301,7 @@ impl BatchedTransient {
         BatchedTransient {
             lanes,
             active: vec![true; n],
+            live: Vec::with_capacity(n),
             outcomes: Vec::with_capacity(n),
             scratch: BatchScratch::default(),
             stats: BatchStats::default(),
@@ -324,24 +343,20 @@ impl BatchedTransient {
     /// touching them.
     pub fn step_all(&mut self, policy: &RecoveryPolicy) -> &[LaneOutcome] {
         self.outcomes.clear();
-        let n_active = self.active.iter().filter(|&&a| a).count();
+        self.live.clear();
+        self.live
+            .extend((0..self.lanes.len()).filter(|&i| self.active[i]));
         self.policies.clear();
-        self.policies.resize(n_active, *policy);
-
-        let mut refs: Vec<&mut Transient> = Vec::with_capacity(n_active);
-        for (lane, &active) in self.lanes.iter_mut().zip(&self.active) {
-            if active {
-                refs.push(lane);
-            }
-        }
+        self.policies.resize(self.live.len(), *policy);
         step_lanes_with_recovery(
-            &mut refs,
+            &mut self.lanes,
+            &self.live,
+            |lane| lane,
             &self.policies,
             &mut self.scratch,
             &mut self.stats,
             &mut self.results,
         );
-        drop(refs);
 
         let mut results = self.results.drain(..);
         for active in self.active.iter_mut() {

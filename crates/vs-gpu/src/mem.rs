@@ -5,11 +5,28 @@
 //! partition per memory channel, Table I), probes the partition's slice of
 //! the L2, and on a miss queues in that channel's FR-FCFS DRAM controller.
 //! Responses cross the interconnect back and wake the issuing warp.
+//!
+//! Traffic moves through FIFOs that hold their payloads, each entry tagged
+//! with the cycle it is due. Every queue is appended to in due order, so
+//! none needs a priority queue:
+//!
+//! * every request crosses the interconnect in `icnt_latency` cycles, so
+//!   submission order is arrival order;
+//! * responses come from two streams whose due cycles never decrease: L2
+//!   hits and atomics (due `l2_hit_latency + icnt_latency` after the L2
+//!   phase that served them) and DRAM completions (due `icnt_latency`
+//!   after the DRAM phase). Of two heads due in the same cycle, the L2 one
+//!   was created first, at least `l2_hit_latency` cycles earlier or earlier
+//!   in the same tick, so taking it first delivers responses in creation
+//!   order, as one queue ordered by (due, creation) would.
+//!
+//! Both facts need the cycles passed to [`MemorySystem::submit`] and
+//! [`MemorySystem::tick_into`] never to decrease, as they do in
+//! `Gpu::tick_into`. A request waiting for DRAM sits in a [`Slab`], whose
+//! slot index is the token its [`DramRequest`] carries; the channel never
+//! orders by token, so reusing a slot changes nothing.
 
-use std::cmp::Reverse;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::hash::BuildHasherDefault;
+use std::collections::VecDeque;
 
 use crate::cache::{Cache, CacheConfig, CacheOutcome};
 use crate::config::GpuConfig;
@@ -53,12 +70,6 @@ pub struct MemResponse {
     pub instr_token: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Timed<T: Ord> {
-    at: u64,
-    payload: T,
-}
-
 /// Aggregate statistics of the memory subsystem.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MemStats {
@@ -72,10 +83,114 @@ pub struct MemStats {
     pub atomics: u64,
 }
 
-/// A map keyed by request token. The hasher has fixed keys, so when the
-/// map grows, and so how often the model allocates, is the same in every
-/// run; the maps are never iterated, so results never depended on it.
-pub(crate) type TokenMap<V> = HashMap<u64, V, BuildHasherDefault<DefaultHasher>>;
+/// Values keyed by the token [`Slab::insert`] hands out, which is the
+/// value's slot index. A removed value's slot is handed out again, last
+/// freed first (the vacant slots form a list through the slots
+/// themselves), so the slab grows only to the most values it has held at
+/// once, and two identical runs grow it (and allocate) identically.
+#[derive(Debug)]
+pub(crate) struct Slab<T> {
+    slots: Vec<Slot<T>>,
+    /// The most recently freed slot.
+    free: Option<usize>,
+    held: usize,
+}
+
+#[derive(Debug)]
+enum Slot<T> {
+    Held(T),
+    /// A free slot, linking to the slot freed before it.
+    Vacant(Option<usize>),
+}
+
+impl<T> Slab<T> {
+    pub(crate) fn new() -> Self {
+        Slab {
+            slots: Vec::new(),
+            free: None,
+            held: 0,
+        }
+    }
+
+    /// Stores `value` and returns its token.
+    pub(crate) fn insert(&mut self, value: T) -> u64 {
+        self.held += 1;
+        let slot = match self.free {
+            Some(slot) => {
+                let Slot::Vacant(next) = self.slots[slot] else {
+                    unreachable!("the free list links vacant slots");
+                };
+                self.free = next;
+                self.slots[slot] = Slot::Held(value);
+                slot
+            }
+            None => {
+                self.slots.push(Slot::Held(value));
+                self.slots.len() - 1
+            }
+        };
+        slot as u64
+    }
+
+    /// The value under `token`, if it is held.
+    pub(crate) fn get_mut(&mut self, token: u64) -> Option<&mut T> {
+        match self.slots.get_mut(usize::try_from(token).ok()?)? {
+            Slot::Held(value) => Some(value),
+            Slot::Vacant(_) => None,
+        }
+    }
+
+    /// Takes the value under `token` out, freeing its slot.
+    pub(crate) fn remove(&mut self, token: u64) -> Option<T> {
+        let slot = usize::try_from(token).ok()?;
+        let entry = self.slots.get_mut(slot)?;
+        if matches!(entry, Slot::Vacant(_)) {
+            return None;
+        }
+        self.held -= 1;
+        match std::mem::replace(entry, Slot::Vacant(self.free.replace(slot))) {
+            Slot::Held(value) => Some(value),
+            Slot::Vacant(_) => unreachable!("the slot was checked held"),
+        }
+    }
+
+    /// True when no value is held.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.held == 0
+    }
+}
+
+/// Appends `item`, due at cycle `due`, to a queue kept in due order.
+fn push_due<T>(queue: &mut VecDeque<(u64, T)>, due: u64, item: T) {
+    debug_assert!(
+        queue.back().is_none_or(|&(last, _)| last <= due),
+        "memory-system cycles must not decrease between calls"
+    );
+    queue.push_back((due, item));
+}
+
+/// Pops the front of `queue` if it is due by `now`.
+fn pop_due<T>(queue: &mut VecDeque<(u64, T)>, now: u64) -> Option<T> {
+    if queue.front()?.0 > now {
+        return None;
+    }
+    queue.pop_front().map(|(_, item)| item)
+}
+
+/// Queues `req`'s response (stores are fire-and-forget and get none).
+fn respond(queue: &mut VecDeque<(u64, MemResponse)>, due: u64, req: &MemRequest) {
+    if req.kind != ReqKind::Store {
+        push_due(
+            queue,
+            due,
+            MemResponse {
+                sm: req.sm,
+                warp: req.warp,
+                instr_token: req.instr_token,
+            },
+        );
+    }
+}
 
 /// The shared L2 + DRAM subsystem.
 #[derive(Debug)]
@@ -83,19 +198,22 @@ pub struct MemorySystem {
     icnt_latency: u64,
     l2_hit_latency: u64,
     n_channels: usize,
-    to_l2: BinaryHeap<Reverse<Timed<u64>>>,
-    to_l2_payload: TokenMap<MemRequest>,
+    /// Requests crossing the interconnect, with the cycle each reaches its
+    /// L2 partition.
+    to_l2: VecDeque<(u64, MemRequest)>,
     l2_queues: Vec<VecDeque<MemRequest>>,
     l2_banks: Vec<Cache>,
     l2_busy_until: Vec<u64>,
     dram: Vec<DramChannel>,
-    dram_pending: TokenMap<MemRequest>,
+    /// Requests in a DRAM channel, keyed by their `DramRequest` token.
+    dram_pending: Slab<MemRequest>,
     /// One channel's completed DRAM tokens, refilled per channel per cycle
     /// so the hot path allocates nothing.
     dram_done: Vec<u64>,
-    responses: BinaryHeap<Reverse<Timed<u64>>>,
-    response_payload: TokenMap<MemResponse>,
-    next_token: u64,
+    /// Responses to L2 hits and atomics, with the cycle each reaches its SM.
+    l2_responses: VecDeque<(u64, MemResponse)>,
+    /// Responses to DRAM completions, with the cycle each reaches its SM.
+    dram_responses: VecDeque<(u64, MemResponse)>,
     stats: MemStats,
 }
 
@@ -112,8 +230,7 @@ impl MemorySystem {
             icnt_latency: u64::from(config.icnt_latency),
             l2_hit_latency: u64::from(config.l2_hit_latency),
             n_channels: n,
-            to_l2: BinaryHeap::new(),
-            to_l2_payload: TokenMap::default(),
+            to_l2: VecDeque::new(),
             l2_queues: vec![VecDeque::new(); n],
             l2_banks: (0..n).map(|_| Cache::new(bank_cfg, true)).collect(),
             l2_busy_until: vec![0; n],
@@ -129,48 +246,22 @@ impl MemorySystem {
                     })
                 })
                 .collect(),
-            dram_pending: TokenMap::default(),
+            dram_pending: Slab::new(),
             dram_done: Vec::new(),
-            responses: BinaryHeap::new(),
-            response_payload: TokenMap::default(),
-            next_token: 0,
+            l2_responses: VecDeque::new(),
+            dram_responses: VecDeque::new(),
             stats: MemStats::default(),
         }
     }
 
-    /// Submits a request from an SM at cycle `now`.
+    /// Submits a request from an SM at cycle `now`, which must not be
+    /// earlier than the cycle of the previous `submit` or `tick_into`.
     pub fn submit(&mut self, now: u64, req: MemRequest) {
-        let token = self.next_token;
-        self.next_token += 1;
-        self.to_l2_payload.insert(token, req);
-        self.to_l2.push(Reverse(Timed {
-            at: now + self.icnt_latency,
-            payload: token,
-        }));
+        push_due(&mut self.to_l2, now + self.icnt_latency, req);
     }
 
     fn channel_of(&self, line_addr: u64) -> usize {
         (line_addr % self.n_channels as u64) as usize
-    }
-
-    fn schedule_response(&mut self, at: u64, req: MemRequest) {
-        if matches!(req.kind, ReqKind::Store) {
-            return; // stores are fire-and-forget
-        }
-        let token = self.next_token;
-        self.next_token += 1;
-        self.response_payload.insert(
-            token,
-            MemResponse {
-                sm: req.sm,
-                warp: req.warp,
-                instr_token: req.instr_token,
-            },
-        );
-        self.responses.push(Reverse(Timed {
-            at: at + self.icnt_latency,
-            payload: token,
-        }));
     }
 
     /// Advances one cycle; returns responses arriving at the SMs this cycle.
@@ -184,21 +275,18 @@ impl MemorySystem {
     }
 
     /// Advances one cycle, clearing `out` and filling it with the responses
-    /// arriving at the SMs this cycle.
+    /// arriving at the SMs this cycle. `now` must not be earlier than the
+    /// cycle of the previous `submit` or `tick_into`.
     pub fn tick_into(&mut self, now: u64, out: &mut Vec<MemResponse>) {
         out.clear();
         // Interconnect arrivals into the L2 partition queues.
-        while let Some(Reverse(t)) = self.to_l2.peek() {
-            if t.at > now {
-                break;
-            }
-            let Reverse(t) = self.to_l2.pop().expect("peeked");
-            let req = self.to_l2_payload.remove(&t.payload).expect("payload");
+        while let Some(req) = pop_due(&mut self.to_l2, now) {
             let ch = self.channel_of(req.line_addr);
             self.l2_queues[ch].push_back(req);
         }
 
         // Each L2 partition serves at most one request per cycle.
+        let l2_response_latency = self.l2_hit_latency + self.icnt_latency;
         for ch in 0..self.n_channels {
             if self.l2_busy_until[ch] > now {
                 continue;
@@ -214,7 +302,7 @@ impl MemorySystem {
                     self.stats.l2_accesses += 1;
                     let _ = self.l2_banks[ch].access(req.line_addr, true);
                     self.l2_busy_until[ch] = now + 4;
-                    self.schedule_response(now + self.l2_hit_latency, req);
+                    respond(&mut self.l2_responses, now + l2_response_latency, &req);
                 }
                 ReqKind::Load | ReqKind::Store => {
                     self.stats.l2_accesses += 1;
@@ -222,16 +310,13 @@ impl MemorySystem {
                     match self.l2_banks[ch].access(req.line_addr, is_write) {
                         CacheOutcome::Hit => {
                             self.stats.l2_hits += 1;
-                            self.schedule_response(now + self.l2_hit_latency, req);
+                            respond(&mut self.l2_responses, now + l2_response_latency, &req);
                         }
                         CacheOutcome::Miss { .. } => {
                             self.stats.dram_requests += 1;
-                            let token = self.next_token;
-                            self.next_token += 1;
-                            self.dram_pending.insert(token, req);
                             self.dram[ch].push(DramRequest {
                                 line_addr: req.line_addr,
-                                token,
+                                token: self.dram_pending.insert(req),
                                 arrived: now,
                             });
                         }
@@ -245,26 +330,35 @@ impl MemorySystem {
         for ch in 0..self.n_channels {
             self.dram[ch].tick_into(now, &mut done);
             for &token in &done {
-                let req = self.dram_pending.remove(&token).expect("pending request");
-                self.schedule_response(now, req);
+                let req = self.dram_pending.remove(token).expect("pending request");
+                respond(&mut self.dram_responses, now + self.icnt_latency, &req);
             }
         }
         self.dram_done = done;
 
-        // Responses arriving at the SMs.
-        while let Some(Reverse(t)) = self.responses.peek() {
-            if t.at > now {
-                break;
+        // Responses arriving at the SMs, in creation order: an L2 response
+        // due in the same cycle as a DRAM one was created first.
+        loop {
+            let l2_due = self.l2_responses.front().map(|r| r.0);
+            let dram_due = self.dram_responses.front().map(|r| r.0);
+            let queue = match (l2_due, dram_due) {
+                (Some(l2), Some(dram)) if dram < l2 => &mut self.dram_responses,
+                (Some(_), _) => &mut self.l2_responses,
+                (None, Some(_)) => &mut self.dram_responses,
+                (None, None) => break,
+            };
+            match pop_due(queue, now) {
+                Some(resp) => out.push(resp),
+                None => break,
             }
-            let Reverse(t) = self.responses.pop().expect("peeked");
-            out.push(self.response_payload.remove(&t.payload).expect("payload"));
         }
     }
 
     /// True when nothing is queued or in flight anywhere.
     pub fn is_idle(&self) -> bool {
         self.to_l2.is_empty()
-            && self.responses.is_empty()
+            && self.l2_responses.is_empty()
+            && self.dram_responses.is_empty()
             && self.dram_pending.is_empty()
             && self.l2_queues.iter().all(VecDeque::is_empty)
             && self.dram.iter().all(DramChannel::is_idle)
@@ -304,6 +398,25 @@ mod tests {
             kind: ReqKind::Load,
             instr_token: tok,
         }
+    }
+
+    #[test]
+    fn slab_reuses_the_last_freed_slot() {
+        let mut slab = Slab::new();
+        let (a, b, c) = (slab.insert('a'), slab.insert('b'), slab.insert('c'));
+        assert_eq!((a, b, c), (0, 1, 2));
+        assert_eq!(slab.remove(a), Some('a'));
+        assert_eq!(slab.remove(c), Some('c'));
+        assert_eq!(slab.remove(c), None, "a freed token holds nothing");
+        assert_eq!(slab.get_mut(a), None);
+        assert_eq!(slab.get_mut(u64::MAX), None);
+        assert_eq!(slab.insert('d'), c, "last freed, first reused");
+        assert_eq!(slab.insert('e'), a);
+        assert_eq!(slab.insert('f'), 3);
+        for token in [b, c, a, 3] {
+            assert!(slab.remove(token).is_some());
+        }
+        assert!(slab.is_empty());
     }
 
     #[test]

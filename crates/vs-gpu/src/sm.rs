@@ -17,7 +17,7 @@ use std::collections::BinaryHeap;
 use crate::cache::{Cache, CacheConfig, CacheOutcome};
 use crate::config::{GpuConfig, MAX_WARPS_PER_SM};
 use crate::isa::{AccessPattern, ExecUnit, Instruction, MemSpace, Opcode};
-use crate::mem::{MemRequest, MemResponse, MemorySystem, ReqKind, TokenMap};
+use crate::mem::{MemRequest, MemResponse, MemorySystem, ReqKind, Slab};
 use crate::workload::Kernel;
 
 /// Warp scheduler policy.
@@ -193,10 +193,16 @@ struct UnitState {
 /// ready but its execution port is busy or waking". Only the former may
 /// clear a warp's maybe-ready bit: port state changes on its own with time,
 /// warp state only changes through an observable event.
+///
+/// A port found blocked stays blocked for the rest of the cycle: `free_at`
+/// only grows, and gating state changes only after the issue loop. So the
+/// loop drops every other warp bound for that unit without trying it. The
+/// one side effect of a blocked try, a gated unit's first wake-up, happens
+/// on the try that reports the block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum IssueOutcome {
     Issued,
-    PortBlocked,
+    PortBlocked(ExecUnit),
     NotReady,
 }
 
@@ -210,6 +216,8 @@ pub struct Sm {
     body_masks: Vec<u32>,
     /// Per-pc flag: instruction counts against `MAX_INFLIGHT_MEM`.
     body_throttled: Vec<bool>,
+    /// Per-pc execution unit, the index into `unit_warps`.
+    body_units: Vec<ExecUnit>,
     warps: Vec<WarpCtx>,
     /// Warps not yet done — maintained incrementally (decremented when a
     /// warp retires) instead of recounted every cycle.
@@ -218,13 +226,20 @@ pub struct Sm {
     /// warp is definitely not issuable; a set bit means it must be checked.
     /// Bits are set on every event that can unblock a warp (writeback
     /// retirement, memory response, barrier release) and cleared lazily
-    /// when a scan proves the warp blocked, so schedule order is identical
-    /// to a full scan — blocked warps are just skipped cheaply.
+    /// when a try proves the warp blocked, so schedule order is identical
+    /// to a full scan — blocked warps are just skipped cheaply. A warp the
+    /// issue loop drops untried (its unit's port is blocked) keeps its bit,
+    /// which changes no decision.
     ready_mask: u128,
     /// Set bit per non-done warp (cleared on retirement).
     live_mask: u128,
-    /// Active-set membership mask for the two-level scheduler (rebuilt each
-    /// active cycle, kept in sync across slot swaps within the cycle).
+    /// Bit `w` of entry `u` is set when warp `w`'s next instruction issues
+    /// to unit `u` (indexed by `ExecUnit as usize`); kept in step by
+    /// [`Sm::set_pc`].
+    unit_warps: [u128; 4],
+    /// Active-set membership mask for the two-level scheduler: built with
+    /// the active set and kept in step with it by every swap, refill and
+    /// retirement.
     active_mask: u128,
     /// Warps currently stalled at a barrier; lets the per-cycle barrier
     /// resolution exit immediately when nobody is waiting.
@@ -247,8 +262,7 @@ pub struct Sm {
     sfu: UnitState,
     lsu: UnitState,
     writebacks: BinaryHeap<Reverse<(u64, usize, u32)>>,
-    outstanding: TokenMap<(usize, u32, u32)>, // token -> (warp, reg mask, remaining)
-    next_token: u64,
+    outstanding: Slab<(usize, u32, u32)>, // token -> (warp, reg mask, remaining)
     freq_acc: f64,
     fake_acc: f64,
     grants_left: u32,
@@ -304,22 +318,33 @@ impl Sm {
             .iter()
             .map(|i| matches!(i.opcode, Opcode::Ld(MemSpace::Global) | Opcode::Atom))
             .collect();
+        let body_units: Vec<ExecUnit> = kernel.body.iter().map(Instruction::unit).collect();
         let live_warps = warps.len() as u32;
-        let ready_mask = if warps.len() >= 128 {
-            u128::MAX
-        } else {
-            (1u128 << warps.len()) - 1
+        let low_bits = |n: usize| {
+            if n >= 128 {
+                u128::MAX
+            } else {
+                (1u128 << n) - 1
+            }
         };
+        let ready_mask = low_bits(warps.len());
+        let mut unit_warps = [0; 4];
+        if let Some(&first) = body_units.first() {
+            unit_warps[first as usize] = ready_mask;
+        }
+        let active_set_len = kernel.warps_per_sm.min(ACTIVE_SET_SIZE);
         Sm {
             id,
             body: kernel.body.clone(),
             body_masks,
             body_throttled,
+            body_units,
             warps,
             live_warps,
             ready_mask,
             live_mask: ready_mask,
-            active_mask: 0,
+            unit_warps,
+            active_mask: low_bits(active_set_len),
             barrier_waiting: 0,
             warps_per_cta: config.warps_per_cta,
             l1: Cache::new(
@@ -334,7 +359,7 @@ impl Sm {
             scheduler,
             greedy: 0,
             preferred_unit: ExecUnit::Sp,
-            active_set: (0..kernel.warps_per_sm.min(ACTIVE_SET_SIZE)).collect(),
+            active_set: (0..active_set_len).collect(),
             order: Vec::new(),
             lines_buf: Vec::new(),
             missed_buf: Vec::new(),
@@ -343,8 +368,7 @@ impl Sm {
             sfu: UnitState::default(),
             lsu: UnitState::default(),
             writebacks: BinaryHeap::new(),
-            outstanding: TokenMap::default(),
-            next_token: 0,
+            outstanding: Slab::new(),
             freq_acc: 0.0,
             fake_acc: 0.0,
             grants_left: 2 * ISSUE_WINDOW as u32,
@@ -375,7 +399,7 @@ impl Sm {
 
     /// True when every warp has retired all its iterations.
     pub fn done(&self) -> bool {
-        self.warps.iter().all(|w| w.done)
+        self.live_warps == 0
     }
 
     /// Lifetime statistics.
@@ -385,12 +409,12 @@ impl Sm {
 
     /// Delivers a memory response to this SM.
     pub fn on_response(&mut self, resp: &MemResponse) {
-        if let Some((warp, mask, remaining)) = self.outstanding.get_mut(&resp.instr_token) {
+        if let Some((warp, mask, remaining)) = self.outstanding.get_mut(resp.instr_token) {
             *remaining -= 1;
             if *remaining == 0 {
                 let w = *warp;
                 let m = *mask;
-                self.outstanding.remove(&resp.instr_token);
+                self.outstanding.remove(resp.instr_token);
                 let ctx = &mut self.warps[w];
                 ctx.pending &= !m;
                 ctx.inflight_mem_instrs = ctx.inflight_mem_instrs.saturating_sub(1);
@@ -419,10 +443,13 @@ impl Sm {
         }
     }
 
-    /// Active-set membership test for the two-level scheduler.
-    #[inline]
-    fn in_active_set(&self, w: usize) -> bool {
-        self.active_mask & (1u128 << w) != 0
+    /// Moves warp `w` to `pc`, keeping `unit_warps` in step: every pc
+    /// write goes through here.
+    fn set_pc(&mut self, w: usize, pc: usize) {
+        let bit = 1u128 << w;
+        self.unit_warps[self.body_units[self.warps[w].pc] as usize] &= !bit;
+        self.unit_warps[self.body_units[pc] as usize] |= bit;
+        self.warps[w].pc = pc;
     }
 
     fn unit_mut(&mut self, u: ExecUnit) -> &mut UnitState {
@@ -467,7 +494,7 @@ impl Sm {
                 for w in lo..hi {
                     if self.warps[w].at_barrier {
                         self.warps[w].at_barrier = false;
-                        self.warps[w].pc += 1;
+                        self.set_pc(w, self.warps[w].pc + 1);
                         self.barrier_waiting -= 1;
                         self.mark_maybe_ready(w);
                     }
@@ -491,40 +518,27 @@ impl Sm {
         true
     }
 
-    /// Next inactive, non-done, *ready* warp in round-robin order.
+    /// Next inactive, non-done, *ready* warp in round-robin order from
+    /// `rr_cursor`. Only warps whose maybe-ready bit is set are tried (a
+    /// cleared bit proves the warp blocked), and a failed try clears it.
     fn find_ready_inactive(&mut self) -> Option<usize> {
-        if self.ready_mask & !self.active_mask == 0 {
-            return None; // no inactive warp can be ready
-        }
-        let n = self.warps.len();
-        for step in 0..n {
-            let w = (self.rr_cursor + step) % n;
-            if self.in_active_set(w) || self.warps[w].done {
-                continue;
-            }
-            if self.warp_ready_lazy(w) {
-                self.rr_cursor = (w + 1) % n;
+        let mut cand = self.ready_mask & self.live_mask & !self.active_mask;
+        while let Some(w) = next_round_robin(cand, self.rr_cursor) {
+            if self.warp_ready(w) {
+                self.rr_cursor = (w + 1) % self.warps.len();
                 return Some(w);
             }
+            cand &= !(1u128 << w);
+            self.ready_mask &= !(1u128 << w);
         }
         None
     }
 
     /// Next inactive, non-done warp (ready or not) in round-robin order.
     fn find_any_inactive(&mut self) -> Option<usize> {
-        if self.live_mask & !self.active_mask == 0 {
-            return None; // every live warp is already in the active set
-        }
-        let n = self.warps.len();
-        for step in 0..n {
-            let w = (self.rr_cursor + step) % n;
-            if self.in_active_set(w) || self.warps[w].done {
-                continue;
-            }
-            self.rr_cursor = (w + 1) % n;
-            return Some(w);
-        }
-        None
+        let w = next_round_robin(self.live_mask & !self.active_mask, self.rr_cursor)?;
+        self.rr_cursor = (w + 1) % self.warps.len();
+        Some(w)
     }
 
     /// Deterministic line-address generator for a warp access; fills `out`
@@ -576,15 +590,14 @@ impl Sm {
             return IssueOutcome::NotReady;
         }
         let ctx_pc = self.warps[w].pc;
-        let instr = self.body[ctx_pc];
-        let unit = instr.unit();
+        let unit = self.body_units[ctx_pc];
 
         if unit != ExecUnit::None {
             // Port availability and power-gating wake-up.
             let gating = self.control.unit_gating;
             let u = self.unit_mut(unit);
             if u.free_at > now {
-                return IssueOutcome::PortBlocked;
+                return IssueOutcome::PortBlocked(unit);
             }
             if gating && u.gated {
                 if u.wake_at == 0 {
@@ -592,7 +605,7 @@ impl Sm {
                     stats.unit_wakeups += 1;
                 }
                 if u.wake_at > now {
-                    return IssueOutcome::PortBlocked;
+                    return IssueOutcome::PortBlocked(unit);
                 }
                 u.gated = false;
                 u.wake_at = 0;
@@ -600,6 +613,7 @@ impl Sm {
         }
 
         // Commit the issue.
+        let instr = self.body[ctx_pc];
         let iter = self.warps[w].iters_left;
         match instr.opcode {
             Opcode::IAlu | Opcode::FAlu | Opcode::Ffma => {
@@ -613,7 +627,7 @@ impl Sm {
                     self.warps[w].pending |= bit;
                     self.writebacks.push(Reverse((now + lat, w, bit)));
                 }
-                self.warps[w].pc += 1;
+                self.set_pc(w, ctx_pc + 1);
             }
             Opcode::Sfu(_) => {
                 stats.issued_sfu += 1;
@@ -626,7 +640,7 @@ impl Sm {
                     self.warps[w].pending |= bit;
                     self.writebacks.push(Reverse((now + lat, w, bit)));
                 }
-                self.warps[w].pc += 1;
+                self.set_pc(w, ctx_pc + 1);
             }
             Opcode::Ld(MemSpace::Shared) => {
                 stats.issued_lsu += 1;
@@ -639,7 +653,7 @@ impl Sm {
                     self.warps[w].pending |= bit;
                     self.writebacks.push(Reverse((now + self.shared_latency, w, bit)));
                 }
-                self.warps[w].pc += 1;
+                self.set_pc(w, ctx_pc + 1);
             }
             Opcode::Ld(MemSpace::Global) => {
                 stats.issued_lsu += 1;
@@ -666,9 +680,7 @@ impl Sm {
                     if missed.is_empty() {
                         self.writebacks.push(Reverse((now + self.l1_hit_latency, w, bit)));
                     } else {
-                        let token = self.next_token;
-                        self.next_token += 1;
-                        self.outstanding.insert(token, (w, bit, missed.len() as u32));
+                        let token = self.outstanding.insert((w, bit, missed.len() as u32));
                         self.warps[w].inflight_mem_instrs += 1;
                         for &line in &missed {
                             mem.submit(
@@ -684,7 +696,7 @@ impl Sm {
                         }
                     }
                 }
-                self.warps[w].pc += 1;
+                self.set_pc(w, ctx_pc + 1);
                 self.lines_buf = lines;
                 self.missed_buf = missed;
             }
@@ -715,7 +727,7 @@ impl Sm {
                 } else {
                     stats.shared_accesses += 1;
                 }
-                self.warps[w].pc += 1;
+                self.set_pc(w, ctx_pc + 1);
             }
             Opcode::Atom => {
                 stats.issued_lsu += 1;
@@ -729,9 +741,7 @@ impl Sm {
                 if let Some(d) = instr.dst {
                     let bit = 1u32 << (d.0 as u32 % 32);
                     self.warps[w].pending |= bit;
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    self.outstanding.insert(token, (w, bit, lines.len() as u32));
+                    let token = self.outstanding.insert((w, bit, lines.len() as u32));
                     self.warps[w].inflight_mem_instrs += 1;
                     for &line in &lines {
                         mem.submit(
@@ -746,7 +756,7 @@ impl Sm {
                         );
                     }
                 }
-                self.warps[w].pc += 1;
+                self.set_pc(w, ctx_pc + 1);
                 self.lines_buf = lines;
             }
             Opcode::Bar => {
@@ -763,7 +773,7 @@ impl Sm {
                     // Batch retired: grab the next one from the grid pool.
                     if pool.try_take() {
                         ctx.iters_left = 1;
-                        ctx.pc = 0;
+                        self.set_pc(w, 0);
                     } else {
                         ctx.done = true;
                         self.live_warps -= 1;
@@ -772,7 +782,7 @@ impl Sm {
                         self.ready_mask &= bit;
                     }
                 } else {
-                    ctx.pc = 0;
+                    self.set_pc(w, 0);
                 }
             }
         }
@@ -861,7 +871,7 @@ impl Sm {
                             self.greedy = w;
                         }
                         IssueOutcome::NotReady => self.ready_mask &= !(1u128 << w),
-                        IssueOutcome::PortBlocked => {}
+                        IssueOutcome::PortBlocked(u) => cand &= !self.unit_warps[u as usize],
                     }
                 }
             }
@@ -872,11 +882,12 @@ impl Sm {
                 // warps. The narrower instruction window naturally clusters
                 // execution-unit usage, lengthening the idle windows the
                 // gating logic needs, without convoying the whole SM.
-                self.active_set.retain(|&w| !self.warps[w].done);
-                self.active_mask = self
-                    .active_set
-                    .iter()
-                    .fold(0u128, |m, &w| m | (1u128 << w));
+                if self.active_mask & !self.live_mask != 0 {
+                    // An active warp has retired: drop it from the set.
+                    let live = self.live_mask;
+                    self.active_set.retain(|&w| live & (1u128 << w) != 0);
+                    self.active_mask &= live;
+                }
                 // Swap blocked active warps for ready inactive ones.
                 for slot in 0..self.active_set.len() {
                     let w = self.active_set[slot];
@@ -904,17 +915,23 @@ impl Sm {
                     order.push(self.active_set[pos]);
                 }
                 order.extend(self.active_set.iter().copied().filter(|&w| w != self.greedy));
+                // Warps bound for a unit whose port was found blocked.
+                let mut blocked = 0u128;
                 for &w in &order {
                     if issued >= 2 || self.grants_left == 0 {
                         break;
                     }
-                    if w >= n || self.warps[w].done {
+                    if w >= n || self.warps[w].done || blocked & (1u128 << w) != 0 {
                         continue;
                     }
-                    if self.try_issue(w, now, mem, pool, &mut stats) == IssueOutcome::Issued {
-                        issued += 1;
-                        self.grants_left -= 1;
-                        self.greedy = w;
+                    match self.try_issue(w, now, mem, pool, &mut stats) {
+                        IssueOutcome::Issued => {
+                            issued += 1;
+                            self.grants_left -= 1;
+                            self.greedy = w;
+                        }
+                        IssueOutcome::PortBlocked(u) => blocked |= self.unit_warps[u as usize],
+                        IssueOutcome::NotReady => {}
                     }
                 }
                 self.order = order;
@@ -955,6 +972,17 @@ impl Sm {
 
         stats
     }
+}
+
+/// The first set bit of `mask` at or above `from`, else its lowest set bit:
+/// the next warp of a round-robin walk over `mask` that starts at `from`.
+fn next_round_robin(mask: u128, from: usize) -> Option<usize> {
+    if mask == 0 {
+        return None;
+    }
+    let upper = mask & (u128::MAX << from);
+    let w = if upper != 0 { upper } else { mask }.trailing_zeros();
+    Some(w as usize)
 }
 
 /// Working-set size (in cache lines) for a kernel, derived from its access
@@ -1183,6 +1211,17 @@ mod tests {
             gated_cycles as f64 > 0.3 * active_cycles as f64,
             "SFU gated only {gated_cycles}/{active_cycles} cycles"
         );
+    }
+
+    #[test]
+    fn round_robin_walk_wraps_past_the_highest_warp() {
+        let mask = (1u128 << 3) | (1u128 << 9) | (1u128 << 127);
+        assert_eq!(next_round_robin(mask, 0), Some(3));
+        assert_eq!(next_round_robin(mask, 3), Some(3));
+        assert_eq!(next_round_robin(mask, 4), Some(9));
+        assert_eq!(next_round_robin(mask, 10), Some(127));
+        assert_eq!(next_round_robin(mask & !(1u128 << 127), 10), Some(3));
+        assert_eq!(next_round_robin(0, 5), None);
     }
 
     #[test]

@@ -99,8 +99,11 @@ cargo test --release -q -p vs-core --test trunk_group
 cargo test --release -q -p vs-circuit --test lane_permutation
 cargo test --release -q -p vs-circuit --test batched_mask_fuzz
 
-echo "== zero-allocation guards: solver, rig, GPU and group hot paths, optimized =="
+echo "== zero-allocation guards: solver, rig, rig-lane, GPU and group hot paths, optimized =="
 cargo test --release -q -p vs-core --test zero_alloc
+# The GPU model as the benchmark builds it: its unit tests and the pinned
+# per-cycle event stream of every benchmark under both schedulers.
+cargo test --release -q -p vs-gpu
 
 echo "== chaos smoke: panic/stall/torn-write survival + journaled resume =="
 cargo test --release -q -p vs-bench --test chaos
